@@ -25,7 +25,7 @@ from .errors import (
     TooLarge,
     TopologyFormatError,
 )
-from .maxflow import FlowGraph, FlowResult, INF, max_flow, min_flow_over_sinks
+from .maxflow import FlowGraph, FlowResult, INF
 from .optimality import (
     FixedKResult,
     OptimalityResult,
@@ -60,7 +60,6 @@ from .splitting import (
     EMap,
     LogicalTopology,
     compute_gamma,
-    expand_path,
     remove_switches,
 )
 from .topology import (
@@ -139,14 +138,11 @@ __all__ = [
     "compute_mu",
     "congestion_time",
     "derive_schedule_params",
-    "expand_path",
     "export",
     "fixed_k_search",
     "generate",
     "iteration_ceiling",
     "link_usage",
-    "max_flow",
-    "min_flow_over_sinks",
     "pack_spanning_trees",
     "parse_schedule",
     "parse_topology",

@@ -1,9 +1,7 @@
 """Command-line front-end.
 
 Subcommands: optimality, generate, verify, synth, export-dot.  All output
-is deterministic for identical inputs and flags; --threads bounds internal
-parallelism but never affects results (the current implementation is
-sequential regardless).
+is deterministic for identical inputs and flags.
 
 Exit codes: 0 success; 1 parse/validation/pipeline errors; 2 oracle
 disagreement (optimality --brute-force) or failed verification (verify);
@@ -15,31 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import CollschedError
 from .optimality import bottleneck_search
 from .pipeline import COLLECTIVES, generate
-from .schedule import export, parse_schedule
+from .schedule import export, fraction_text, parse_schedule
 from .topology import parse_topology, serialize_topology, synth_topology
 from .verify import brute_force_bottleneck, congestion_time, validate_schedule
-
-
-def _frac(f: Fraction) -> str:
-    f = Fraction(f)
-    return f"{f.numerator}/{f.denominator}"
-
-
-class _ScheduleMeta:
-    """Optimality-result stand-in reconstructed from a schedule's own
-    metadata, for verifying schedules without rerunning the search."""
-
-    def __init__(self, s) -> None:
-        self.inv_x_star = s.inv_x_star
-        self.U = s.U
-        self.k = s.k
-        self.y = s.y
-        self.exact = s.exact
 
 
 def _read(path: str) -> str:
@@ -79,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-t", "--topology", required=True, help="topology JSON file")
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--threads", type=_positive_int, default=1,
-                       help="parallelism bound (results never depend on it)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("optimality", help="optimal throughput ratio of a topology")
@@ -133,10 +111,10 @@ def cmd_optimality(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     doc = {
-        "inv_x_star": _frac(result.inv_x_star),
-        "U": _frac(result.U),
+        "inv_x_star": fraction_text(result.inv_x_star),
+        "U": fraction_text(result.U),
         "k": result.k,
-        "y": _frac(result.y),
+        "y": fraction_text(result.y),
         "iterations": result.search_iterations,
     }
     agree = True
@@ -147,7 +125,7 @@ def cmd_optimality(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         agree = oracle == result.inv_x_star
-        doc["brute_force"] = _frac(oracle)
+        doc["brute_force"] = fraction_text(oracle)
         doc["witness"] = sorted(witness.S)
         doc["agreement"] = agree
     if args.json:
@@ -169,10 +147,14 @@ def cmd_generate(args) -> int:
         t = parse_topology(_read(args.topology))
         groups = None
         if args.groups:
-            raw = json.loads(_read(args.groups))
-            if not isinstance(raw, dict):
-                raise CollschedError("--groups file must hold a JSON object")
-            groups = {str(k): str(v) for k, v in raw.items()}
+            try:
+                groups = json.loads(_read(args.groups))
+            except (ValueError, RecursionError) as exc:
+                raise CollschedError(f"--groups file is not valid JSON: {exc}") from None
+            if not isinstance(groups, dict) or not all(
+                isinstance(v, str) for v in groups.values()
+            ):
+                raise CollschedError("--groups file must map node ids to group name strings")
         s, meta = generate(
             t,
             collective=args.collective.replace("-", "_"),
@@ -189,7 +171,7 @@ def cmd_generate(args) -> int:
         for v in report.violations:
             print(f"  {v.kind}: {v.detail}", file=sys.stderr)
         print(
-            f"  achieved {_frac(report.achieved_T_comm)} vs bound {_frac(report.bound_T_comm)}",
+            f"  achieved {fraction_text(report.achieved_T_comm)} vs bound {fraction_text(report.bound_T_comm)}",
             file=sys.stderr,
         )
         return 3
@@ -197,11 +179,11 @@ def cmd_generate(args) -> int:
     time = congestion_time(s, t)
     summary = {
         "collective": s.collective,
-        "inv_x_star": _frac(s.inv_x_star),
+        "inv_x_star": fraction_text(s.inv_x_star),
         "k": s.k,
-        "U": _frac(s.U),
-        "y": _frac(s.y),
-        "time_per_unit": _frac(time),
+        "U": fraction_text(s.U),
+        "y": fraction_text(s.y),
+        "time_per_unit": fraction_text(time),
         "self_validation": "ok",
         "output": args.output,
     }
@@ -227,15 +209,15 @@ def cmd_verify(args) -> int:
     except CollschedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = validate_schedule(s, t, _ScheduleMeta(s))
+    report = validate_schedule(s, t)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print("ok" if report.ok else "FAIL")
         for v in report.violations:
             print(f"  {v.kind}: {v.detail}")
-        print(f"achieved T_comm = {_frac(report.achieved_T_comm)} per unit")
-        print(f"bound T_comm = {_frac(report.bound_T_comm)} per unit")
+        print(f"achieved T_comm = {fraction_text(report.achieved_T_comm)} per unit")
+        print(f"bound T_comm = {fraction_text(report.bound_T_comm)} per unit")
     return 0 if report.ok else 2
 
 

@@ -6,12 +6,12 @@ unbounded arcs and is materialized as (sum of all finite capacities + 1),
 which guarantees an INF arc can never be the binding element of a min cut
 that could avoid it.  Everything is checked against the 63-bit budget.
 
-`max_flow` is a pure function of its inputs (runs on a copy of the
+`FlowGraph.run` never changes the graph (it runs on a copy of the
 capacities).  Repeated queries that differ from a template by a handful of
-arc capacities use `FlowGraph.run` with overrides, which is what the switch
-removal and tree packing layers lean on; an optional `limit` makes the
-engine stop early once `limit` units of flow are placed, returning
-min(true max flow, limit) exactly.
+arc capacities pass overrides, which is what the switch removal and tree
+packing layers lean on; an optional `limit` makes the engine stop early
+once `limit` units of flow are placed, returning min(true max flow, limit)
+exactly, and `want_cut=True` adds a min-cut witness.
 """
 
 from __future__ import annotations
@@ -77,18 +77,11 @@ class FlowGraph:
         self._adj.append([])
         return i
 
-    def has_vertex(self, name: str) -> bool:
-        return name in self._idx
-
     def vertex(self, name: str) -> int:
         try:
             return self._idx[name]
         except KeyError:
             raise CollschedError(f"vertex {name!r} not in flow graph") from None
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._names)
 
     def add_arc(self, src: str, dst: str, cap) -> int:
         """Add a directed arc; `cap` is a non-negative int or INF.
@@ -349,33 +342,6 @@ def _residual_side(n, to, adj, cap, s):
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-def max_flow(g: FlowGraph, s: str, t: str) -> FlowResult:
-    """Exact maximum s->t flow with a min-cut witness."""
-    return g.run(s, t, want_cut=True)
-
-
-def min_flow_over_sinks(g: FlowGraph, s: str, sinks) -> tuple[FlowResult, str]:
-    """Minimum of independent per-sink max flows, with the attaining sink.
-
-    Ties break to the smallest sink id (sinks are evaluated in sorted order,
-    so the result is independent of input order).
-    """
-    sinks = sorted(sinks)
-    if not sinks:
-        raise CollschedError("sinks must be non-empty")
-    if s in sinks:
-        raise CollschedError("source cannot be one of the sinks")
-    best_value = None
-    best_sink = None
-    for sink in sinks:
-        v = g.run(s, sink)
-        if best_value is None or v < best_value:
-            best_value = v
-            best_sink = sink
-    result = g.run(s, best_sink, want_cut=True)
-    return result, best_sink
-
 
 def min_flow_at_least(g: FlowGraph, s: str, sinks, target: int) -> bool:
     """True iff every sink's max flow is >= target (early-terminating)."""

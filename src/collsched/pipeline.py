@@ -51,7 +51,10 @@ def generate(
 
     Returns (schedule, meta) where meta is the optimality search result
     (fixed-k variant when `fixed_k` is given — NotEulerianAfterFloor
-    propagates if the floored capacities cannot be balanced).  With
+    propagates if the floored capacities cannot be balanced).  The schedule
+    carries meta's U, k, y, inv_x_star and exactness itself, so it validates
+    on its own; meta adds what only the search knows, and passed as
+    `validate_schedule`'s `expected` it cross-checks those claims.  With
     `prune`, multicast/aggregation elision runs when the topology declares
     capable switches.  `groups` feeds the splitting heuristic only.
     """

@@ -10,6 +10,11 @@ Pruning never rewrites paths: elided hops are recorded separately as
 (src, dst, multiplicity) annotations, keeping the original routing
 reconstructible and making "usage after pruning <= before" a bookkeeping
 identity rather than a recomputation.
+
+A schedule describes itself: it carries the U, k, y, inv_x_star and
+exactness it was built for, and validation checks it against those.  The
+reversal and the BFS tree walk here are plain data transforms that the
+validator shares; everything else it re-derives on its own.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from .errors import CollschedError, MismatchedForest
 from .packing import Forest
-from .splitting import EMap, expand_path
-from .topology import ScaledTopology, Topology
+from .splitting import EMap, PathExpander
+from .topology import ScaledTopology, Topology, json_field
 
 ALLGATHER = "allgather"
 REDUCE_SCATTER = "reduce_scatter"
@@ -90,10 +96,12 @@ def assemble_allgather(
 ) -> Schedule:
     """Expand every packed tree into physical paths and attach metadata.
 
-    meta is an optimality result (unrestricted or fixed-k); its U, k, y and
-    inv_x_star ride along in the schedule.  Path expansion draws from one
-    shared budget, so per-link usage stays within U*b_e by construction.
+    meta is an optimality result (unrestricted or fixed-k); its U, k, y,
+    inv_x_star and exactness ride along in the schedule, which validation
+    checks against.  Path expansion draws from one budget local to this
+    call, so per-link usage stays within U*b_e by construction.
     """
+    expander = PathExpander(emap, original)
     roots = []
     for root in forest.lt.compute_ids:
         batches = []
@@ -108,9 +116,7 @@ def assemble_allgather(
                     dst=v,
                     paths=tuple(
                         PathUse(path=p, multiplicity=m)
-                        for p, m in expand_path(
-                            emap, original, (u, v), batch.multiplicity
-                        )
+                        for p, m in expander.expand((u, v), batch.multiplicity)
                     ),
                 )
                 for u, v in batch.edges
@@ -133,7 +139,9 @@ def assemble_allgather(
 # Reversal and allreduce combination
 # ---------------------------------------------------------------------------
 
-def _reverse_core(s: Schedule, collective: str) -> Schedule:
+def reverse_schedule(s: Schedule, collective: str) -> Schedule:
+    """Every edge, physical path and pruned hop of s run backwards, relabelled
+    as `collective`; the one reversal shared by generation and validation."""
     roots = tuple(
         RootTrees(
             root=rt.root,
@@ -171,7 +179,7 @@ def reverse_for_reduce_scatter(s: Schedule) -> Schedule:
     """
     if s.collective != ALLGATHER:
         raise CollschedError(f"can only reverse an allgather schedule, got {s.collective}")
-    return _reverse_core(s, REDUCE_SCATTER)
+    return reverse_schedule(s, REDUCE_SCATTER)
 
 
 def combine_allreduce(rs: Schedule, ag: Schedule) -> Schedule:
@@ -196,7 +204,7 @@ def combine_allreduce(rs: Schedule, ag: Schedule) -> Schedule:
             for rt in sched.roots
         ]
 
-    if skeleton(_reverse_core(rs, ALLGATHER)) != skeleton(ag):
+    if skeleton(reverse_schedule(rs, ALLGATHER)) != skeleton(ag):
         raise MismatchedForest("phases do not reverse the same tree forest")
     return Schedule(
         collective=ALLREDUCE,
@@ -215,23 +223,25 @@ def combine_allreduce(rs: Schedule, ag: Schedule) -> Schedule:
 # Pruning
 # ---------------------------------------------------------------------------
 
-def _bfs_edges(root: str, batch: ScheduleBatch) -> list[ScheduleEdge]:
-    """Batch edges in BFS order from the root, children in sorted order."""
+def bfs_edges(root: str, batch: ScheduleBatch) -> list[ScheduleEdge] | None:
+    """Batch edges in BFS order from the root, children in sorted order, or
+    None when the edges do not form one tree reached from the root."""
     children: dict[str, list[str]] = {}
     by_pair: dict[tuple[str, str], ScheduleEdge] = {}
     for e in batch.edges:
         children.setdefault(e.src, []).append(e.dst)
         by_pair[(e.src, e.dst)] = e
     order: list[ScheduleEdge] = []
+    seen = {root}
     queue = [root]
-    while queue:
-        node = queue.pop(0)
+    for node in queue:  # the list grows under the loop: a FIFO with a head index
         for child in sorted(children.get(node, ())):
+            if child in seen:
+                return None
+            seen.add(child)
             order.append(by_pair[(node, child)])
             queue.append(child)
-    if len(order) != len(batch.edges):
-        raise CollschedError(f"batch edges rooted at {root} do not form a tree")
-    return order
+    return order if len(order) == len(batch.edges) else None
 
 
 def _prune(s: Schedule, t: Topology, capability: str) -> Schedule:
@@ -247,7 +257,10 @@ def _prune(s: Schedule, t: Topology, capability: str) -> Schedule:
             pruned: list[PrunedHop] = []
             # copies of this batch that a capable switch has already carried
             charged: dict[str, set[int]] = {}
-            for edge in _bfs_edges(rt.root, batch):
+            order = bfs_edges(rt.root, batch)
+            if order is None:
+                raise CollschedError(f"batch edges rooted at {rt.root} do not form a tree")
+            for edge in order:
                 base = 0
                 for pu in edge.paths:
                     copies = set(range(base, base + pu.multiplicity))
@@ -301,28 +314,32 @@ def prune_aggregation(s: Schedule, t: Topology) -> Schedule:
         raise CollschedError(
             f"aggregation pruning applies to reduce_scatter, got {s.collective}"
         )
-    reversed_view = _reverse_core(s, ALLGATHER)
+    reversed_view = reverse_schedule(s, ALLGATHER)
     pruned = _prune(reversed_view, t, "aggregation")
-    return _reverse_core(pruned, REDUCE_SCATTER)
+    return reverse_schedule(pruned, REDUCE_SCATTER)
 
 
 # ---------------------------------------------------------------------------
 # Usage accounting (shared by exports; the verify module recomputes its own)
 # ---------------------------------------------------------------------------
 
+def _usage(batches) -> dict[tuple[str, str], int]:
+    usage: dict[tuple[str, str], int] = {}
+    for batch in batches:
+        for edge in batch.edges:
+            for pu in edge.paths:
+                for a, b in zip(pu.path, pu.path[1:]):
+                    usage[(a, b)] = usage.get((a, b), 0) + pu.multiplicity
+        for hop in batch.pruned:
+            usage[(hop.src, hop.dst)] = usage.get((hop.src, hop.dst), 0) - hop.multiplicity
+    return usage
+
+
 def link_usage(s: Schedule) -> dict[tuple[str, str], int]:
     """Tree-copy units carried per physical link, pruning applied."""
     if s.collective == ALLREDUCE:
         raise CollschedError("allreduce phases must be accounted separately")
-    usage: dict[tuple[str, str], int] = {}
-    for rt in s.roots:
-        for batch in rt.batches:
-            for edge in batch.edges:
-                for pu in edge.paths:
-                    for a, b in zip(pu.path, pu.path[1:]):
-                        usage[(a, b)] = usage.get((a, b), 0) + pu.multiplicity
-            for hop in batch.pruned:
-                usage[(hop.src, hop.dst)] = usage[(hop.src, hop.dst)] - hop.multiplicity
+    usage = _usage(b for rt in s.roots for b in rt.batches)
     return {pair: units for pair, units in usage.items() if units != 0}
 
 
@@ -330,19 +347,29 @@ def link_usage(s: Schedule) -> dict[tuple[str, str], int]:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _frac(f: Fraction) -> str:
+def fraction_text(f) -> str:
+    """The canonical 'p/q' text of a rational (integers included)."""
     f = Fraction(f)
     return f"{f.numerator}/{f.denominator}"
 
 
-def _parse_frac(text) -> Fraction:
-    if not isinstance(text, str) or "/" not in text:
-        raise CollschedError(f"expected a 'p/q' rational string, got {text!r}")
+_field = partial(json_field, error=CollschedError)
+
+
+def _parse_frac(doc: dict, key: str) -> Fraction:
+    text = _field(doc, key, str)
     num, _, den = text.partition("/")
     try:
         return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CollschedError(f"bad rational {text!r}: {exc}") from None
+    except (ValueError, ZeroDivisionError):
+        raise CollschedError(f"{key!r} must be a 'p/q' rational, got {text!r}") from None
+
+
+def _node_path(doc: dict) -> tuple[str, ...]:
+    path = _field(doc, "path", list)
+    if not all(isinstance(v, str) for v in path):
+        raise CollschedError(f"path {path!r} must list node ids")
+    return tuple(path)
 
 
 def _schedule_dict(s: Schedule) -> dict:
@@ -350,9 +377,9 @@ def _schedule_dict(s: Schedule) -> dict:
         "collective": s.collective,
         "num_compute_nodes": s.num_compute,
         "trees_per_root": s.k,
-        "optimal_inv_x": _frac(s.inv_x_star),
-        "tree_bandwidth": _frac(s.y),
-        "scale_U": _frac(s.U),
+        "optimal_inv_x": fraction_text(s.inv_x_star),
+        "tree_bandwidth": fraction_text(s.y),
+        "scale_U": fraction_text(s.U),
         "exact_bound": s.exact,
     }
     if s.collective == ALLREDUCE:
@@ -388,64 +415,67 @@ def _schedule_dict(s: Schedule) -> dict:
     return doc
 
 
-def _schedule_from_dict(doc: dict) -> Schedule:
-    collective = doc["collective"]
+def _schedule_from_dict(doc) -> Schedule:
+    collective = _field(doc, "collective", str)
     if collective not in (ALLGATHER, REDUCE_SCATTER, ALLREDUCE):
         raise CollschedError(f"unknown collective {collective!r}")
     common = dict(
         collective=collective,
-        num_compute=int(doc["num_compute_nodes"]),
-        k=int(doc["trees_per_root"]),
-        U=_parse_frac(doc["scale_U"]),
-        y=_parse_frac(doc["tree_bandwidth"]),
-        inv_x_star=_parse_frac(doc["optimal_inv_x"]),
-        exact=bool(doc.get("exact_bound", True)),
+        num_compute=_field(doc, "num_compute_nodes", int),
+        k=_field(doc, "trees_per_root", int),
+        U=_parse_frac(doc, "scale_U"),
+        y=_parse_frac(doc, "tree_bandwidth"),
+        inv_x_star=_parse_frac(doc, "optimal_inv_x"),
+        exact=_field(doc, "exact_bound", bool, True),
     )
     if collective == ALLREDUCE:
-        phases = tuple(_schedule_from_dict(p) for p in doc.get("phases", ()))
-        if len(phases) != 2:
-            raise CollschedError("allreduce schedules carry exactly two phases")
-        return Schedule(roots=(), phases=phases, **common)
+        phases = _field(doc, "phases", list)
+        # Checked before recursing, so phases never nest.
+        if [_field(p, "collective", str) for p in phases] != [REDUCE_SCATTER, ALLGATHER]:
+            raise CollschedError("allreduce schedules carry a reduce_scatter then an allgather phase")
+        return Schedule(roots=(), phases=tuple(map(_schedule_from_dict, phases)), **common)
     roots = tuple(
         RootTrees(
-            root=rd["root"],
+            root=_field(rd, "root", str),
             batches=tuple(
                 ScheduleBatch(
-                    multiplicity=int(bd["multiplicity"]),
+                    multiplicity=_field(bd, "multiplicity", int),
                     edges=tuple(
                         ScheduleEdge(
-                            src=ed["src"],
-                            dst=ed["dst"],
+                            src=_field(ed, "src", str),
+                            dst=_field(ed, "dst", str),
                             paths=tuple(
-                                PathUse(tuple(pd["path"]), int(pd["multiplicity"]))
-                                for pd in ed["paths"]
+                                PathUse(_node_path(pd), _field(pd, "multiplicity", int))
+                                for pd in _field(ed, "paths", list)
                             ),
                         )
-                        for ed in bd["edges"]
+                        for ed in _field(bd, "edges", list)
                     ),
                     pruned=tuple(
-                        PrunedHop(hd["src"], hd["dst"], int(hd.get("multiplicity", 1)))
-                        for hd in bd.get("pruned", ())
+                        PrunedHop(
+                            _field(hd, "src", str),
+                            _field(hd, "dst", str),
+                            _field(hd, "multiplicity", int, 1),
+                        )
+                        for hd in _field(bd, "pruned", list, [])
                     ),
                 )
-                for bd in rd["batches"]
+                for bd in _field(rd, "batches", list)
             ),
         )
-        for rd in doc["roots"]
+        for rd in _field(doc, "roots", list)
     )
     return Schedule(roots=roots, **common)
 
 
 def parse_schedule(text: str) -> Schedule:
-    """Inverse of `export(s, "json")`; field-for-field reconstruction."""
+    """Inverse of `export(s, "json")`; field-for-field reconstruction.
+    Every field must have the JSON type the export writes."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CollschedError(f"schedule is not valid JSON: {exc}") from None
-    try:
-        return _schedule_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CollschedError(f"malformed schedule document: {exc!r}") from None
+    return _schedule_from_dict(doc)
 
 
 def _dot(s: Schedule) -> str:
@@ -456,13 +486,7 @@ def _dot(s: Schedule) -> str:
         if not rt.batches:
             continue
         batch = rt.batches[0]
-        usage: dict[tuple[str, str], int] = {}
-        for edge in batch.edges:
-            for pu in edge.paths:
-                for a, b in zip(pu.path, pu.path[1:]):
-                    usage[(a, b)] = usage.get((a, b), 0) + pu.multiplicity
-        for hop in batch.pruned:
-            usage[(hop.src, hop.dst)] -= hop.multiplicity
+        usage = _usage((batch,))
         lines.append(f'digraph "{s.collective}_{rt.root}" {{')
         lines.append(f'  label="root {rt.root}, multiplicity {batch.multiplicity}";')
         for a, b in sorted(pair for pair, units in usage.items() if units > 0):

@@ -16,7 +16,7 @@ the EMap is exactly what tree packing and path expansion consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CapacityExhausted, CollschedError, StuckSplit
 from .maxflow import INF, FlowGraph, fresh_name
@@ -53,8 +53,6 @@ class EMap:
 
     def __init__(self) -> None:
         self.entries: dict[tuple[str, str], dict[str, int]] = {}
-        self._expander: "PathExpander | None" = None
-        self._expander_base: "ScaledTopology | None" = None
 
     def add(self, u: str, t: str, w: str, amount: int) -> None:
         if amount <= 0:
@@ -315,9 +313,9 @@ class PathExpander:
     """Stateful translator from logical arcs back to physical node paths.
 
     Holds the original scaled capacities plus all EMap entries as a
-    consumable budget; each `expand_path` call eats from it, so one
-    expander must serve an entire schedule assembly and every unit is
-    accounted for exactly once.
+    consumable budget; each `expand` call eats from it, so one expander
+    serves one entire schedule assembly and every unit is accounted for
+    exactly once.  The EMap itself is never modified.
     """
 
     def __init__(self, emap: EMap, scaled: ScaledTopology) -> None:
@@ -331,6 +329,9 @@ class PathExpander:
     def expand(
         self, edge: tuple[str, str], multiplicity: int
     ) -> list[tuple[tuple[str, ...], int]]:
+        """Consume `multiplicity` units of the logical arc, returning
+        (node path, units) pairs whose units sum to `multiplicity`: direct
+        capacity first, then EMap entries by switch id."""
         if multiplicity <= 0:
             raise CollschedError("multiplicity must be positive")
         remaining = multiplicity
@@ -358,29 +359,6 @@ class PathExpander:
                 f"logical arc {edge} lacks {remaining} of {multiplicity} units"
             )
         return out
-
-
-def expand_path(
-    emap: EMap,
-    physical: ScaledTopology,
-    edge: tuple[str, str],
-    multiplicity: int,
-) -> list[tuple[tuple[str, ...], int]]:
-    """Consume `multiplicity` units of the logical arc, returning
-    (node path, units) pairs whose units sum to `multiplicity`.
-
-    Consumption is stateful across calls with the same emap/physical pair:
-    one shared budget (direct capacity first, then emap entries by switch
-    id) serves an entire schedule assembly, so every physical unit is spent
-    at most once.  Calling with a different physical network mid-stream is
-    an error.
-    """
-    if emap._expander is None:
-        emap._expander = PathExpander(emap, physical)
-        emap._expander_base = physical
-    elif emap._expander_base != physical:
-        raise CollschedError("expand_path was already started against a different network")
-    return emap._expander.expand(edge, multiplicity)
 
 
 def _stitch(

@@ -185,6 +185,25 @@ class ScaledTopology:
 # Parsing / serialization
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
+_JSON_TYPE = {str: "string", int: "integer", bool: "boolean", list: "array"}
+
+
+def json_field(obj, key: str, kind: type, default=_REQUIRED, error=MalformedDocument):
+    """obj[key], raising `error` unless obj is a JSON object and the value a
+    JSON `kind` (a boolean is never an integer); `default` when absent."""
+    if not isinstance(obj, dict):
+        raise error(f"expected a JSON object holding {key!r}, got {obj!r:.80}")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise error(f"missing field {key!r} in {obj!r:.80}")
+        return default
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise error(f"field {key!r} must be a JSON {_JSON_TYPE[kind]}, got {value!r:.80}")
+    return value
+
+
 def parse_topology(text: str) -> Topology:
     """Parse the canonical JSON topology document.
 
@@ -195,40 +214,31 @@ def parse_topology(text: str) -> Topology:
                       "multicast": true, "aggregation": false} ],
           "links": [ {"src": "c11", "dst": "w1", "bandwidth": 10} ] }
 
-    Missing capability flags default to false.  Bandwidth must be a JSON
-    integer >= 1.  Parallel links are merged with summed bandwidth.
+    Every field must have its JSON type: ids and kinds are strings,
+    capability flags booleans (missing ones default to false), bandwidths
+    integers >= 1.  Parallel links are merged with summed bandwidth.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise MalformedDocument(f"not valid JSON: {e}") from e
-    if not isinstance(doc, dict) or "nodes" not in doc or "links" not in doc:
-        raise MalformedDocument('document must be an object with "nodes" and "links"')
-
-    nodes = []
-    for entry in doc["nodes"]:
-        if not isinstance(entry, dict) or "id" not in entry or "kind" not in entry:
-            raise MalformedDocument(f"bad node entry: {entry!r}")
-        nodes.append(
-            Node(
-                id=str(entry["id"]),
-                kind=entry["kind"],
-                multicast=bool(entry.get("multicast", False)),
-                aggregation=bool(entry.get("aggregation", False)),
-            )
+    except (ValueError, RecursionError) as e:
+        raise MalformedDocument(f"not valid JSON: {e}") from None
+    nodes = [
+        Node(
+            id=json_field(entry, "id", str),
+            kind=json_field(entry, "kind", str),
+            multicast=json_field(entry, "multicast", bool, False),
+            aggregation=json_field(entry, "aggregation", bool, False),
         )
-
-    links = []
-    for entry in doc["links"]:
-        if not isinstance(entry, dict) or not {"src", "dst", "bandwidth"} <= set(entry):
-            raise MalformedDocument(f"bad link entry: {entry!r}")
-        bw = entry["bandwidth"]
-        if not isinstance(bw, int) or isinstance(bw, bool):
-            raise NonIntegerBandwidth(
-                f"link {entry['src']}->{entry['dst']} bandwidth {bw!r} is not an integer"
-            )
-        links.append(Link(src=str(entry["src"]), dst=str(entry["dst"]), bandwidth=bw))
-
+        for entry in json_field(doc, "nodes", list)
+    ]
+    links = [
+        Link(
+            src=json_field(entry, "src", str),
+            dst=json_field(entry, "dst", str),
+            bandwidth=json_field(entry, "bandwidth", int, error=NonIntegerBandwidth),
+        )
+        for entry in json_field(doc, "links", list)
+    ]
     return Topology(nodes, links)
 
 

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CollschedError, TooLarge
-from .schedule import ALLGATHER, ALLREDUCE, REDUCE_SCATTER, Schedule
+from .schedule import (
+    ALLGATHER,
+    ALLREDUCE,
+    REDUCE_SCATTER,
+    Schedule,
+    bfs_edges,
+    fraction_text,
+    reverse_schedule,
+)
 from .topology import COMPUTE, SWITCH, Link, Node, Topology
 
 BRUTE_FORCE_VERTEX_LIMIT = 22
@@ -186,6 +194,10 @@ NOT_A_TREE = "NotATree"
 WRONG_ROOT_COUNT = "WrongRootCount"
 CAPACITY_EXCEEDED = "CapacityExceeded"
 DELIVERY_GAP = "DeliveryGap"
+METADATA_MISMATCH = "MetadataMismatch"
+
+# What a schedule claims about the search result it realizes.
+CLAIMS = ("inv_x_star", "U", "k", "y", "exact")
 
 
 @dataclass(frozen=True)
@@ -207,8 +219,8 @@ class ValidationReport:
             "violations": [
                 {"kind": v.kind, "detail": v.detail} for v in self.violations
             ],
-            "achieved_T_comm": f"{self.achieved_T_comm.numerator}/{self.achieved_T_comm.denominator}",
-            "bound_T_comm": f"{self.bound_T_comm.numerator}/{self.bound_T_comm.denominator}",
+            "achieved_T_comm": fraction_text(self.achieved_T_comm),
+            "bound_T_comm": fraction_text(self.bound_T_comm),
         }
 
 
@@ -223,64 +235,15 @@ def _reversed_topology(t: Topology) -> Topology:
     return Topology(nodes=nodes, links=links)
 
 
-def _reversed_schedule(s: Schedule) -> Schedule:
-    from .schedule import PathUse, PrunedHop, RootTrees, ScheduleBatch, ScheduleEdge
-
-    return Schedule(
-        collective=ALLGATHER,
-        num_compute=s.num_compute,
-        k=s.k,
-        U=s.U,
-        y=s.y,
-        inv_x_star=s.inv_x_star,
-        exact=s.exact,
-        roots=tuple(
-            RootTrees(
-                root=rt.root,
-                batches=tuple(
-                    ScheduleBatch(
-                        multiplicity=b.multiplicity,
-                        edges=tuple(
-                            ScheduleEdge(
-                                src=e.dst,
-                                dst=e.src,
-                                paths=tuple(
-                                    PathUse(tuple(reversed(p.path)), p.multiplicity)
-                                    for p in e.paths
-                                ),
-                            )
-                            for e in b.edges
-                        ),
-                        pruned=tuple(
-                            PrunedHop(h.dst, h.src, h.multiplicity) for h in b.pruned
-                        ),
-                    )
-                    for b in rt.batches
-                ),
-            )
-            for rt in s.roots
-        ),
-    )
-
-
-def _bfs_order(root: str, batch) -> list | None:
-    children: dict[str, list[str]] = {}
-    by_pair = {}
-    for e in batch.edges:
-        children.setdefault(e.src, []).append(e.dst)
-        by_pair[(e.src, e.dst)] = e
-    order = []
-    queue = [root]
-    head = 0
-    while head < len(queue):
-        node = queue[head]
-        head += 1
-        for child in sorted(children.get(node, ())):
-            order.append(by_pair[(node, child)])
-            queue.append(child)
-    if len(order) != len(batch.edges):
-        return None
-    return order
+def _mismatches(s, reference, fields, label: str) -> list[ScheduleViolation]:
+    return [
+        ScheduleViolation(
+            METADATA_MISMATCH,
+            f"{label}: {name} is {getattr(reference, name)}, schedule claims {getattr(s, name)}",
+        )
+        for name in fields
+        if getattr(s, name) != getattr(reference, name)
+    ]
 
 
 def _validate_gather_batch(
@@ -324,7 +287,7 @@ def _validate_gather_batch(
             ScheduleViolation(NOT_SPANNING, f"{where}: no edge reaches {', '.join(missing)}")
         )
         shape_ok = False
-    order = _bfs_order(root, batch) if shape_ok else None
+    order = bfs_edges(root, batch) if shape_ok else None
     if shape_ok and order is None:
         violations.append(
             ScheduleViolation(NOT_A_TREE, f"{where}: edges contain a cycle")
@@ -418,12 +381,20 @@ def _validate_gather_batch(
         )
 
 
-def _validate_oriented(s: Schedule, t: Topology, meta) -> ValidationReport:
-    """Validation of an allgather-oriented schedule against t."""
+def _validate_oriented(
+    s: Schedule, t: Topology
+) -> tuple[list[ScheduleViolation], Fraction, Fraction]:
+    """Violations, achieved time and bound of an allgather-oriented
+    schedule on t, judged against the schedule's own U and inv_x_star."""
     violations: list[ScheduleViolation] = []
     computes = set(t.compute_ids)
     n = len(computes)
-    bound = Fraction(meta.inv_x_star) / n
+    if n < 1 or s.k < 1:
+        violations.append(
+            ScheduleViolation(WRONG_ROOT_COUNT, f"{s.k} trees per root over {n} compute nodes")
+        )
+        return violations, Fraction(0), Fraction(0)
+    bound = Fraction(s.inv_x_star) / n
     if s.num_compute != n:
         violations.append(
             ScheduleViolation(
@@ -449,7 +420,7 @@ def _validate_oriented(s: Schedule, t: Topology, meta) -> ValidationReport:
             )
         for batch in rt.batches:
             _validate_gather_batch(rt.root, batch, t, violations, usage)
-    num, den = Fraction(meta.U).numerator, Fraction(meta.U).denominator
+    num, den = Fraction(s.U).numerator, Fraction(s.U).denominator
     achieved = Fraction(0)
     for (a, b), units in sorted(usage.items()):
         if units <= 0 or (a, b) not in t.capacity:
@@ -465,72 +436,59 @@ def _validate_oriented(s: Schedule, t: Topology, meta) -> ValidationReport:
         load = Fraction(units, n * s.k * bw)
         if load > achieved:
             achieved = load
-    exact = bool(getattr(meta, "exact", True)) and s.exact
-    time_ok = achieved == bound if exact else achieved <= bound
+    return violations, achieved, bound
+
+
+def validate_schedule(s: Schedule, t: Topology, expected=None) -> ValidationReport:
+    """From-scratch check of a schedule against a topology and its own claims.
+
+    Recomputes tree structure, per-root tree counts, physical path
+    integrity, pruning justification (delivery), per-link capacity against
+    floor(U*b_e), and the achieved congestion time versus the bound
+    inv_x_star/N — with equality demanded when the schedule claims
+    exactness, and <= for fixed tree counts.  U, inv_x_star and exactness
+    are the schedule's own; a given `expected` search result must match
+    every one of its CLAIMS.  Reduce-scatter schedules are checked as their
+    reversed allgather view against the arc-reversed topology; allreduce
+    phases are checked individually against their own claims, which must
+    equal the schedule's, and their times summed.  Violations are data,
+    not errors.
+    """
+    violations = [] if expected is None else _mismatches(s, expected, CLAIMS, "expected")
+    achieved = bound = Fraction(0)
+    if s.collective == ALLREDUCE and [p.collective for p in s.phases] == [REDUCE_SCATTER, ALLGATHER]:
+        for phase in s.phases:
+            label = f"{phase.collective} phase"
+            violations += _mismatches(phase, s, ("num_compute",) + CLAIMS, label)
+            report = validate_schedule(phase, t)
+            violations += (ScheduleViolation(v.kind, f"{label}: {v.detail}") for v in report.violations)
+            achieved += report.achieved_T_comm
+            bound += report.bound_T_comm
+    elif s.collective == REDUCE_SCATTER:
+        found, achieved, bound = _validate_oriented(
+            reverse_schedule(s, ALLGATHER), _reversed_topology(t)
+        )
+        violations += (ScheduleViolation(v.kind, f"reversed view: {v.detail}") for v in found)
+    elif s.collective == ALLGATHER:
+        found, achieved, bound = _validate_oriented(s, t)
+        violations += found
+    elif s.collective == ALLREDUCE:
+        violations.append(
+            ScheduleViolation(
+                WRONG_ROOT_COUNT,
+                "allreduce must hold a reduce_scatter phase then an allgather phase",
+            )
+        )
+    else:
+        violations.append(
+            ScheduleViolation(WRONG_ROOT_COUNT, f"unknown collective {s.collective!r}")
+        )
+    time_ok = achieved == bound if s.exact else achieved <= bound
     return ValidationReport(
         ok=not violations and time_ok,
         violations=tuple(violations),
         achieved_T_comm=achieved,
         bound_T_comm=bound,
-    )
-
-
-def validate_schedule(s: Schedule, t: Topology, meta) -> ValidationReport:
-    """From-scratch schedule check against a topology and search result.
-
-    Recomputes tree structure, per-root tree counts, physical path
-    integrity, pruning justification (delivery), per-link capacity against
-    floor(U*b_e), and the achieved congestion time versus the bound
-    inv_x_star/N — with equality demanded whenever both the search result
-    and the schedule claim exactness, and <= for fixed tree counts.
-    Reduce-scatter schedules are checked as their reversed allgather view
-    against the arc-reversed topology; allreduce phases are checked
-    individually and their times summed.  Violations are data, not errors.
-    """
-    if s.collective == ALLREDUCE:
-        violations: list[ScheduleViolation] = []
-        phases = s.phases
-        if len(phases) != 2 or phases[0].collective != REDUCE_SCATTER or phases[1].collective != ALLGATHER:
-            violations.append(
-                ScheduleViolation(
-                    WRONG_ROOT_COUNT,
-                    "allreduce must hold a reduce_scatter phase then an allgather phase",
-                )
-            )
-            return ValidationReport(False, tuple(violations), Fraction(0), Fraction(0))
-        reports = [validate_schedule(p, t, meta) for p in phases]
-        for label, report in zip(("reduce_scatter", "allgather"), reports):
-            violations.extend(
-                ScheduleViolation(v.kind, f"{label} phase: {v.detail}") for v in report.violations
-            )
-        achieved = reports[0].achieved_T_comm + reports[1].achieved_T_comm
-        bound = reports[0].bound_T_comm + reports[1].bound_T_comm
-        exact = bool(getattr(meta, "exact", True)) and s.exact
-        time_ok = achieved == bound if exact else achieved <= bound
-        return ValidationReport(
-            ok=not violations and time_ok,
-            violations=tuple(violations),
-            achieved_T_comm=achieved,
-            bound_T_comm=bound,
-        )
-    if s.collective == REDUCE_SCATTER:
-        report = _validate_oriented(_reversed_schedule(s), _reversed_topology(t), meta)
-        return ValidationReport(
-            ok=report.ok,
-            violations=tuple(
-                ScheduleViolation(v.kind, f"reversed view: {v.detail}")
-                for v in report.violations
-            ),
-            achieved_T_comm=report.achieved_T_comm,
-            bound_T_comm=report.bound_T_comm,
-        )
-    if s.collective == ALLGATHER:
-        return _validate_oriented(s, t, meta)
-    return ValidationReport(
-        False,
-        (ScheduleViolation(WRONG_ROOT_COUNT, f"unknown collective {s.collective!r}"),),
-        Fraction(0),
-        Fraction(0),
     )
 
 

@@ -54,6 +54,22 @@ class TestOptimality:
         assert main(["optimality", "-t", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_list_nodes_are_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"nodes": 5, "links": []}')
+        assert main(["optimality", "-t", str(bad)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["multicast", "aggregation"])
+    def test_string_capability_flags_are_exit_1(self, tmp_path, fig3a, flag, capsys):
+        doc = json.loads(serialize_topology(fig3a))
+        switch = next(n for n in doc["nodes"] if n["kind"] == "switch")
+        switch[flag] = "false"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["optimality", "-t", str(bad)]) == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_writes_schedule_and_summary(self, topo_file, tmp_path, capsys):
@@ -123,15 +139,18 @@ class TestGenerate:
         groups.write_text(json.dumps(["not", "a", "map"]))
         assert main(["generate", "-t", topo_file, "--groups", str(groups)]) == 1
 
-    def test_byte_identical_reruns_and_thread_invariance(self, topo_file, capsys):
+    def test_byte_identical_reruns(self, topo_file, capsys):
         def run(argv):
             assert main(argv) == 0
             return capsys.readouterr().out
 
-        first = run(["generate", "-t", topo_file])
-        again = run(["generate", "-t", topo_file])
-        threaded = run(["generate", "-t", topo_file, "--threads", "4"])
-        assert first == again == threaded
+        assert run(["generate", "-t", topo_file]) == run(["generate", "-t", topo_file])
+
+    def test_groups_file_that_is_not_json_is_exit_1(self, topo_file, tmp_path, capsys):
+        groups = tmp_path / "groups.json"
+        groups.write_text("{not json")
+        assert main(["generate", "-t", topo_file, "--groups", str(groups)]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -179,6 +198,21 @@ class TestVerify:
         bad.write_text("{}")
         assert main(["verify", "-t", topo_file, str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_string_exact_bound_is_exit_1(self, topo_file, tmp_path, capsys):
+        sched = tmp_path / "s.json"
+        main(["generate", "-t", topo_file, "-o", str(sched)])
+        doc = json.loads(sched.read_text())
+        doc["exact_bound"] = "false"
+        sched.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "-t", topo_file, str(sched)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_threads_option_is_gone(self, topo_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "-t", topo_file, "--threads", "4"])
+        assert exc.value.code == 2
 
 
 class TestSynth:

@@ -15,16 +15,23 @@ from collsched import (
     RootTrees,
     ScheduleBatch,
     ScheduleEdge,
+    assemble_allgather,
+    bottleneck_search,
     combine_allreduce,
     export,
     generate,
     link_usage,
+    pack_spanning_trees,
     parse_schedule,
     prune_aggregation,
     prune_multicast,
+    remove_switches,
     reverse_for_reduce_scatter,
+    scale_capacities,
+    synth_topology,
 )
 from collsched.errors import CollschedError, MismatchedForest
+from collsched.schedule import bfs_edges, fraction_text
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +61,15 @@ class TestAssembly:
                 assert reached == set(fig3a.compute_ids)
                 for e in batch.edges:
                     assert sum(p.multiplicity for p in e.paths) == batch.multiplicity
+
+    def test_assembling_twice_gives_equal_schedules(self):
+        t = synth_topology("boxes", boxes=2, gpus_per_box=2, intra=10, inter=1)
+        res = bottleneck_search(t)
+        scaled = scale_capacities(t, res.U, res.k)
+        logical, emap = remove_switches(scaled, res.k)
+        forest = pack_spanning_trees(logical, res.k)
+        first = assemble_allgather(forest, emap, scaled, res)
+        assert assemble_allgather(forest, emap, scaled, res) == first
 
     def test_paths_route_through_switches(self, fig3a_ag, fig3a):
         switches = set(fig3a.switch_ids)
@@ -111,6 +127,37 @@ class TestAllreduce:
         )
         with pytest.raises(MismatchedForest):
             combine_allreduce(rs, tampered)
+
+
+def _batch(*pairs):
+    return ScheduleBatch(
+        multiplicity=1,
+        edges=tuple(ScheduleEdge(a, b, (PathUse((a, b), 1),)) for a, b in pairs),
+    )
+
+
+class TestBfsEdges:
+    def test_breadth_first_with_sorted_children(self):
+        order = bfs_edges("r", _batch(("a", "c"), ("r", "b"), ("r", "a")))
+        assert [(e.src, e.dst) for e in order] == [("r", "a"), ("r", "b"), ("a", "c")]
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            (("r", "a"), ("a", "r")),  # cycle through the root
+            (("r", "a"), ("a", "b"), ("b", "a")),  # cycle below the root
+            (("r", "a"), ("b", "c"), ("c", "b")),  # cycle the root never reaches
+            (("r", "a"), ("r", "a")),  # duplicate edge
+        ],
+    )
+    def test_non_trees_give_none(self, pairs):
+        assert bfs_edges("r", _batch(*pairs)) is None
+
+    def test_pruning_refuses_a_non_tree(self, fig3a_ag, fig3a_multicast):
+        rt = fig3a_ag.roots[0]
+        loop = dataclasses.replace(rt, batches=(_batch((rt.root, "c1_2"), ("c1_2", rt.root)),))
+        with pytest.raises(CollschedError):
+            prune_multicast(dataclasses.replace(fig3a_ag, roots=(loop,)), fig3a_multicast)
 
 
 class TestPruning:
@@ -219,6 +266,45 @@ class TestSerialization:
         }
         with pytest.raises(CollschedError):
             parse_schedule(json.dumps(bad_frac))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("exact_bound",), "false"),
+            (("trees_per_root",), 1.0),
+            (("trees_per_root",), True),
+            (("roots", 0, "root"), 7),
+            (("roots", 0, "batches", 0, "edges", 0, "paths", 0, "path"), "c1_1"),
+            (("roots", 0, "batches"), {}),
+            (("roots",), None),
+        ],
+    )
+    def test_parse_requires_json_types(self, fig3a_ag, path, value):
+        doc = json.loads(export(fig3a_ag, "json"))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(CollschedError):
+            parse_schedule(json.dumps(doc))
+
+    def test_parse_rejects_nested_allreduce(self, fig3a):
+        s, _ = generate(fig3a, collective=ALLREDUCE)
+        doc = json.loads(export(s, "json"))
+        doc["phases"][0] = json.loads(export(s, "json"))
+        with pytest.raises(CollschedError):
+            parse_schedule(json.dumps(doc))
+
+    def test_fraction_text(self):
+        assert fraction_text(3) == "3/1"
+        assert fraction_text(Fraction(6, 4)) == "3/2"
+
+    def test_dot_tolerates_a_stray_pruned_hop(self, fig3a_ag):
+        rt = fig3a_ag.roots[0]
+        batch = dataclasses.replace(rt.batches[0], pruned=(PrunedHop("x", "y", 1),))
+        stray = dataclasses.replace(rt, batches=(batch,) + rt.batches[1:])
+        dot = export(dataclasses.replace(fig3a_ag, roots=(stray,)), "dot")
+        assert '"x"' not in dot
 
     def test_dot_renders_one_digraph_per_root(self, fig3a_ag, fig3a):
         dot = export(fig3a_ag, "dot")

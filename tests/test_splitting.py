@@ -11,14 +11,13 @@ from collsched import (
     Topology,
     bottleneck_search,
     compute_gamma,
-    expand_path,
     remove_switches,
     scale_capacities,
     validate,
 )
 from collsched.errors import CapacityExhausted, CollschedError
 from collsched.maxflow import fresh_name
-from collsched.splitting import SplitState
+from collsched.splitting import PathExpander, SplitState
 
 
 def tiny_relay():
@@ -155,30 +154,25 @@ class TestExpandPath:
     def test_direct_and_relayed_units(self):
         scaled, res = tiny_relay()
         lt, emap = remove_switches(scaled, res.k)
-        assert expand_path(emap, scaled, ("a", "b"), 1) == [(("a", "w", "b"), 1)]
-        assert expand_path(emap, scaled, ("b", "a"), 1) == [(("b", "a"), 1)]
+        expander = PathExpander(emap, scaled)
+        assert expander.expand(("a", "b"), 1) == [(("a", "w", "b"), 1)]
+        assert expander.expand(("b", "a"), 1) == [(("b", "a"), 1)]
 
     def test_budget_is_shared_and_finite(self):
         scaled, res = tiny_relay()
         lt, emap = remove_switches(scaled, res.k)
-        assert expand_path(emap, scaled, ("b", "a"), 1)
+        expander = PathExpander(emap, scaled)
+        assert expander.expand(("b", "a"), 1)
         with pytest.raises(CapacityExhausted):
-            expand_path(emap, scaled, ("b", "a"), 1)  # already spent
-
-    def test_rejects_switching_networks_mid_stream(self):
-        scaled, res = tiny_relay()
-        lt, emap = remove_switches(scaled, res.k)
-        expand_path(emap, scaled, ("a", "b"), 1)
-        other, _ = tiny_relay()
-        other = scale_capacities(other.topology, 2, 1)  # different capacities
-        with pytest.raises(CollschedError):
-            expand_path(emap, other, ("b", "a"), 1)
+            expander.expand(("b", "a"), 1)  # already spent
+        # the budget belongs to the expander, not to the emap
+        assert PathExpander(emap, scaled).expand(("b", "a"), 1) == [(("b", "a"), 1)]
 
     def test_rejects_non_positive_multiplicity(self):
         scaled, res = tiny_relay()
         lt, emap = remove_switches(scaled, res.k)
         with pytest.raises(CollschedError):
-            expand_path(emap, scaled, ("a", "b"), 0)
+            PathExpander(emap, scaled).expand(("a", "b"), 0)
 
     def test_units_always_account_exactly(self, random_suite):
         for t in random_suite[:30]:
@@ -188,8 +182,9 @@ class TestExpandPath:
             scaled = scale_capacities(t, res.U, res.k)
             lt, emap = remove_switches(scaled, res.k)
             switches = set(t.switch_ids)
+            expander = PathExpander(emap, scaled)
             for (u, v), cap in sorted(lt.capacity.items()):
-                for path, units in expand_path(emap, scaled, (u, v), cap):
+                for path, units in expander.expand((u, v), cap):
                     assert path[0] == u and path[-1] == v and units > 0
                     assert all(w in switches for w in path[1:-1])
                     for a, b in zip(path, path[1:]):

@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +24,9 @@ from collsched import (
 from collsched.errors import CollschedError, TooLarge
 from collsched.verify import (
     CAPACITY_EXCEEDED,
+    CLAIMS,
     DELIVERY_GAP,
+    METADATA_MISMATCH,
     NOT_A_TREE,
     NOT_SPANNING,
     WRONG_ROOT_COUNT,
@@ -232,18 +235,44 @@ class TestValidateSchedule:
 
     def test_wrong_claimed_ratio_fails_exactness(self, fig3a, checked):
         s, meta = checked
-
-        class Claim:
-            inv_x_star = Fraction(2)
-            U = meta.U
-            k = meta.k
-            y = meta.y
-            exact = True
-
-        report = validate_schedule(s, fig3a, Claim())
+        claim = dataclasses.replace(s, inv_x_star=Fraction(2))
+        report = validate_schedule(claim, fig3a)
         assert not report.ok
         assert report.violations == ()  # purely a time mismatch
         assert report.achieved_T_comm != report.bound_T_comm
+        # against the search result, the claim itself is also wrong
+        assert kinds(validate_schedule(claim, fig3a, meta)) == {METADATA_MISMATCH}
+
+    def test_schedule_validates_on_its_own_claims(self, fig3a):
+        for collective in ("allgather", "reduce_scatter", "allreduce"):
+            s, meta = generate(fig3a, collective=collective)
+            assert validate_schedule(s, fig3a) == validate_schedule(s, fig3a, meta)
+
+    @pytest.mark.parametrize("field", CLAIMS)
+    def test_every_expected_claim_is_compared(self, fig3a, checked, field):
+        s, meta = checked
+        expected = SimpleNamespace(**{name: getattr(meta, name) for name in CLAIMS})
+        setattr(expected, field, not meta.exact if field == "exact" else 2 * getattr(meta, field) + 1)
+        report = validate_schedule(s, fig3a, expected)
+        assert not report.ok
+        assert [v.kind for v in report.violations] == [METADATA_MISMATCH]
+        assert field in report.violations[0].detail
+
+    def test_allreduce_phases_must_share_the_claims(self, fig3a):
+        s, meta = generate(fig3a, collective="allreduce")
+        rs, ag = s.phases
+        off = dataclasses.replace(s, phases=(rs, dataclasses.replace(ag, y=Fraction(7))))
+        report = validate_schedule(off, fig3a)
+        assert not report.ok
+        assert [(v.kind, v.detail.split(":")[0]) for v in report.violations] == [
+            (METADATA_MISMATCH, "allgather phase")
+        ]
+
+    def test_zero_trees_per_root_is_a_violation(self, fig3a, checked):
+        s, _ = checked
+        report = validate_schedule(dataclasses.replace(s, k=0), fig3a)
+        assert not report.ok
+        assert WRONG_ROOT_COUNT in kinds(report)
 
     def test_pruned_schedules_still_deliver(self, fig3a_multicast):
         s, meta = generate(fig3a_multicast)
