@@ -16,7 +16,6 @@ from .errors import (
     InvalidTopology,
     MismatchedForest,
     NoAddableEdge,
-    NoFraction,
     NonIntegerBandwidth,
     NonIntegralScale,
     NotEulerianAfterFloor,
@@ -32,8 +31,6 @@ from .optimality import (
     bottleneck_search,
     derive_schedule_params,
     fixed_k_search,
-    iteration_ceiling,
-    recover_fraction,
 )
 from .packing import Forest, TreeBatch, compute_mu, pack_spanning_trees
 from .pipeline import generate
@@ -108,7 +105,6 @@ __all__ = [
     "LogicalTopology",
     "MismatchedForest",
     "NoAddableEdge",
-    "NoFraction",
     "NonIntegerBandwidth",
     "NonIntegralScale",
     "NotEulerianAfterFloor",
@@ -141,7 +137,6 @@ __all__ = [
     "export",
     "fixed_k_search",
     "generate",
-    "iteration_ceiling",
     "link_usage",
     "pack_spanning_trees",
     "parse_schedule",
@@ -149,7 +144,6 @@ __all__ = [
     "prune_aggregation",
     "prune_multicast",
     "random_eulerian_topology",
-    "recover_fraction",
     "remove_switches",
     "reverse_for_reduce_scatter",
     "scale_capacities",

@@ -116,6 +116,7 @@ def cmd_optimality(args) -> int:
         "k": result.k,
         "y": fraction_text(result.y),
         "iterations": result.search_iterations,
+        "cut": sorted(result.witness),
     }
     agree = True
     if args.brute_force:
@@ -135,6 +136,7 @@ def cmd_optimality(args) -> int:
             f"1/x* = {doc['inv_x_star']}, k = {doc['k']}, y = {doc['y']}"
         )
         print(f"U = {doc['U']}, iterations = {doc['iterations']}")
+        print(f"cut = {{{', '.join(doc['cut'])}}}")
         if args.brute_force:
             members = ", ".join(doc["witness"])
             print(f"brute force = {doc['brute_force']}, witness = {{{members}}}")
@@ -238,7 +240,7 @@ def cmd_synth(args) -> int:
         params = dict(_parse_param(p) for p in args.param)
         t = synth_topology(args.family, **params)
         _write(args.output, serialize_topology(t))
-    except (CollschedError, ValueError, KeyError) as exc:
+    except (CollschedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -67,11 +67,6 @@ class NonIntegralScale(CollschedError):
     """Scaling a topology by U left a non-integer capacity U*b_e."""
 
 
-class NoFraction(CollschedError):
-    """No (or no unique) fraction with the requested denominator bound lies
-    in the given interval.  Signals a broken search precondition."""
-
-
 class NotEulerianAfterFloor(CollschedError):
     """The capacity-floored graph of a fixed tree-count search is not
     Eulerian, so switch removal (and hence schedule realization) is

@@ -1,4 +1,4 @@
-"""Exact integer maximum flow (Dinic) plus the auxiliary-network builder.
+"""Exact integer maximum flow (Dinic).
 
 The engine works on named vertices and paired forward/backward arc entries.
 Capacities are non-negative integers; a distinguished INF marker denotes
@@ -17,10 +17,9 @@ exactly, and `want_cut=True` adds a min-cut witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CollschedError, Overflow
-from .topology import CAPACITY_BUDGET, Topology
+from .topology import CAPACITY_BUDGET
 
 
 class _Infinity:
@@ -337,44 +336,3 @@ def _residual_side(n, to, adj, cap, s):
                 seen[to[e]] = True
                 queue.append(to[e])
     return [i for i in range(n) if seen[i]]
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-# ---------------------------------------------------------------------------
-
-def min_flow_at_least(g: FlowGraph, s: str, sinks, target: int) -> bool:
-    """True iff every sink's max flow is >= target (early-terminating)."""
-    for sink in sorted(sinks):
-        if g.run(s, sink, limit=target) < target:
-            return False
-    return True
-
-
-def build_allgather_aux(t: Topology, inv_x: Fraction) -> tuple[FlowGraph, int, str]:
-    """Build the feasibility network for probe value x = 1/inv_x.
-
-    The network is the topology plus one source vertex with an arc of
-    capacity x to every compute node.  All capacities are pre-multiplied by
-    the denominator of x so the graph is integral; the multiplier is
-    returned along with the source vertex name.  A probe is feasible iff
-    the max flow from the source to every compute node is >= N*x*multiplier.
-    """
-    inv_x = Fraction(inv_x)
-    if inv_x <= 0:
-        raise CollschedError(f"inv_x must be positive, got {inv_x}")
-    x = 1 / inv_x
-    mult = x.denominator
-    g = FlowGraph()
-    for node in t.nodes:
-        g.add_vertex(node.id)
-    source = fresh_name("s", t.node_by_id)
-    g.add_vertex(source)
-    for l in t.links:
-        c = l.bandwidth * mult
-        if c > CAPACITY_BUDGET:
-            raise Overflow(f"cleared capacity {c} on {l.src}->{l.dst} exceeds the budget")
-        g.add_arc(l.src, l.dst, c)
-    for c in t.compute_ids:
-        g.add_arc(source, c, x.numerator)
-    return g, mult, source

@@ -5,12 +5,20 @@ The optimal per-unit communication time ratio is
     inv_x_star  =  max over cuts S ⊂ V, S not ⊇ all compute nodes
                    of  |S ∩ compute| / B+(S)
 
-where B+(S) is the total bandwidth leaving S.  Rather than enumerate cuts,
-`bottleneck_search` binary-searches the ratio using a max-flow feasibility
-probe, then snaps the final interval to the unique fraction with a small
-denominator.  The denominator bound is sound because any cut beating the
-single-node-complement cut (N-1)/minB- must have exit bandwidth at most
-minB- (exit bandwidth larger than that makes its ratio strictly smaller).
+where B+(S) is the total bandwidth leaving S.  With k trees per root and
+capacities floored to floor(U*b_e), the analogue is the least scale U_star
+at which every cut's floored exit capacity reaches k*|S ∩ compute|.
+
+Both are found by one Newton (Dinkelbach) iteration over cuts instead of
+enumerating them.  A probe at value v adds an auxiliary source feeding every
+compute node and asks whether every compute node receives N times the
+source's per-node supply.  If some node falls short, the source side of its
+min cut (minus the auxiliary source) is a cut S whose own value exceeds v,
+and the search jumps there.  The first probe that succeeds is exactly the
+optimum, and the last S is a witness cut that attains it.  Every value
+probed is the value of a real cut, so no interval and no rounding are
+involved.  Each jump strictly raises the value over a finite set of cuts,
+and for the ratio Radzik (1992) bounds the jumps strongly polynomially.
 
 All arithmetic is exact rationals; no floating point enters the search.
 """
@@ -21,10 +29,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CollschedError, NoFraction, NotEulerianAfterFloor
-from .maxflow import FlowGraph, build_allgather_aux, fresh_name, min_flow_at_least
+from .errors import CollschedError, NotEulerianAfterFloor, Overflow
+from .maxflow import FlowGraph, fresh_name
 from .topology import CAPACITY_BUDGET, Topology, require_valid
-from .errors import Overflow
 
 
 @dataclass(frozen=True)
@@ -34,7 +41,10 @@ class OptimalityResult:
     inv_x_star: exact optimal ratio (per-unit time is inv_x_star / N);
     U: capacity scale factor (U*b_e is integral for every link);
     k: number of spanning trees per compute root;
-    y: bandwidth carried by each tree (y = 1/U, and k*y = 1/inv_x_star).
+    y: bandwidth carried by each tree (y = 1/U, and k*y = 1/inv_x_star);
+    witness: a cut S missing some compute node with
+    |S ∩ compute| / B+(S) = inv_x_star;
+    search_iterations: the number of feasibility probes.
     """
 
     inv_x_star: Fraction
@@ -42,6 +52,7 @@ class OptimalityResult:
     k: int
     y: Fraction
     search_iterations: int
+    witness: frozenset[str]
 
     # The congestion bound inv_x_star/N is met with equality by generated
     # schedules; fixed-k results override this.
@@ -57,7 +68,9 @@ class FixedKResult:
     U_star is the minimal scale such that k trees per root exist in the
     graph with capacities floor(U_star*b_e); achieved_inv_throughput =
     U_star/k is the corresponding per-unit time ratio (>= the unrestricted
-    inv_x_star, within 1/(k*min b_e) of it).
+    inv_x_star, within 1/(k*min b_e) of it).  witness is a cut S missing
+    some compute node whose floored exit capacity first reaches
+    k*|S ∩ compute| at U_star.
     """
 
     k: int
@@ -65,6 +78,7 @@ class FixedKResult:
     achieved_inv_throughput: Fraction
     floored_capacities: dict[tuple[str, str], int]
     search_iterations: int
+    witness: frozenset[str]
 
     # Uniform metadata interface shared with OptimalityResult so the
     # schedule assembly and validator can consume either.
@@ -88,127 +102,87 @@ class FixedKResult:
 
 
 # ---------------------------------------------------------------------------
-# Fraction recovery
+# The cut-jumping search
 # ---------------------------------------------------------------------------
 
-def _simplest_between(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """Smallest-denominator fraction p/q with a/b <= p/q <= c/d.
+def _cut_search(t: Topology, cut_value, probe_capacities):
+    """Jump from cut to cut until a probe succeeds.
 
-    Continued-fraction descent; all inputs non-negative, b,d >= 1 and
-    a/b <= c/d.  Ties on denominator resolve to the smaller numerator.
+    cut_value(S) is the least value at which cut S no longer binds.
+    probe_capacities(v) returns (capacity of each link, supply): v is
+    feasible iff an auxiliary source with a `supply` arc to each compute
+    node can send N * supply to every compute node.  Returns
+    (optimal value, witness cut, number of probes).
     """
-    ceil_lo = -((-a) // b)
-    if ceil_lo * d <= c:  # an integer lies in the interval
-        return ceil_lo, 1
-    i = a // b  # == floor(c/d) here, both fractional parts nonzero
-    # x = i + 1/y with y in the reciprocal (flipped) interval
-    p, q = _simplest_between(d, c - i * d, b, a - i * b)
-    return i * p + q, p
+    source = fresh_name("s", t.node_by_id)
+    vertices = [node.id for node in t.nodes] + [source]
+    # Start from the cut that leaves out the compute node with the least
+    # in-bandwidth; sinks are tried most-recently-failed first.
+    sinks = list(t.compute_ids)
+    least = min(sinks, key=lambda c: t.in_bw[c])
+    witness = frozenset(node.id for node in t.nodes if node.id != least)
+    value = cut_value(witness)
+    probes = 0
+    while True:
+        probes += 1
+        caps, supply = probe_capacities(value)
+        arcs = [(a, b, c) for (a, b), c in caps.items() if c > 0]
+        arcs += [(source, c, supply) for c in t.compute_ids]
+        g = FlowGraph.from_arcs(vertices, arcs)
+        target = t.num_compute * supply
+        for i, sink in enumerate(sinks):
+            res = g.run(source, sink, limit=target, want_cut=True)
+            if res.value < target:
+                sinks.insert(0, sinks.pop(i))
+                cut = res.source_side - {source}
+                break
+        else:
+            return value, witness, probes
+        jump = cut_value(cut)
+        if jump <= value:
+            # Theory guarantees the failing cut's own value exceeds the
+            # probe; anything else means an exactness bug.
+            raise CollschedError(
+                f"min cut {sorted(cut)} does not raise the search value past {value}"
+            )
+        value, witness = jump, cut
 
 
-def _farey_neighbors(f: Fraction, max_den: int) -> tuple[Fraction, Fraction]:
-    """The closest fractions below and above f among all fractions with
-    denominator <= max_den (f itself must have denominator <= max_den)."""
-    p, q = f.numerator, f.denominator
-    if q > max_den:
-        raise CollschedError("fraction denominator already exceeds the bound")
-    if q == 1:
-        # integers: nearest neighbors at distance 1/max_den
-        return (
-            Fraction(p * max_den - 1, max_den),
-            Fraction(p * max_den + 1, max_den),
-        )
-    # left neighbor a/b: p*b - q*a = 1 with the largest b <= max_den
-    b0 = pow(p, -1, q)
-    b = b0 + q * ((max_den - b0) // q)
-    a = (p * b - 1) // q
-    # right neighbor c/d: q*c - p*d = 1 with the largest d <= max_den
-    d0 = (-b0) % q
-    d = d0 + q * ((max_den - d0) // q)
-    c = (p * d + 1) // q
-    return Fraction(a, b), Fraction(c, d)
+def _compute_count(t: Topology, S) -> int:
+    return sum(1 for c in t.compute_ids if c in S)
 
 
-def recover_fraction(l: Fraction, r: Fraction, max_den: int) -> Fraction:
-    """The unique fraction p/q in [l, r] with q <= max_den.
-
-    Uses the smallest-denominator fraction in the interval, then asserts
-    uniqueness by checking that its neighbors among denominator-<=max_den
-    fractions fall outside [l, r].  Raises NoFraction when the interval
-    holds zero or several candidates (a broken search precondition).
-    """
-    l = Fraction(l)
-    r = Fraction(r)
-    if max_den < 1:
-        raise NoFraction("denominator bound must be >= 1")
-    if l > r:
-        raise NoFraction(f"empty interval [{l}, {r}]")
-    if l < 0:
-        raise NoFraction("negative interval endpoints are not supported")
-    p, q = _simplest_between(l.numerator, l.denominator, r.numerator, r.denominator)
-    if q > max_den:
-        raise NoFraction(
-            f"no fraction with denominator <= {max_den} lies in [{l}, {r}]"
-        )
-    f = Fraction(p, q)
-    below, above = _farey_neighbors(f, max_den)
-    if below >= l or above <= r:
-        raise NoFraction(
-            f"interval [{l}, {r}] holds more than one fraction with denominator <= {max_den}"
-        )
-    return f
+def _exit_bandwidths(t: Topology, S) -> list[int]:
+    return [l.bandwidth for l in t.links if l.src in S and l.dst not in S]
 
 
 # ---------------------------------------------------------------------------
 # Unrestricted optimality search
 # ---------------------------------------------------------------------------
 
-def _probe_feasible(t: Topology, inv_x: Fraction) -> bool:
-    """True iff trees of total per-root bandwidth x = 1/inv_x fit, i.e. the
-    max flow from the auxiliary source to every compute node reaches N*x."""
-    g, mult, source = build_allgather_aux(t, inv_x)
-    x = 1 / Fraction(inv_x)
-    target = t.num_compute * x.numerator  # == N * x * mult, already integral
-    return min_flow_at_least(g, source, t.compute_ids, target)
-
-
 def bottleneck_search(t: Topology) -> OptimalityResult:
-    """Compute the exact optimal ratio inv_x_star plus (U, k, y).
+    """Compute the exact optimal ratio inv_x_star plus (U, k, y) and a
+    witness cut attaining it.
 
-    Binary search over candidate ratios: a probe 1/x is feasible iff
-    1/x >= inv_x_star, so the invariant "r feasible, l below the optimum"
-    holds throughout.  The loop stops once r - l < 1/minB-^2, at which
-    point the interval contains exactly one fraction with denominator
-    <= minB-, and that fraction is inv_x_star.
+    A probe at ratio p/q gives each compute node an auxiliary arc of
+    x = q/p, with every capacity multiplied by p to keep the graph
+    integral; it is feasible iff p/q >= inv_x_star.
     """
     require_valid(t)
-    n = t.num_compute
-    min_b_in = t.min_compute_in_bw()
-    l = Fraction(n - 1, min_b_in)
-    r = Fraction(n - 1)
-    tol = Fraction(1, min_b_in * min_b_in)
-    iterations = 0
-    while r - l >= tol:
-        mid = (l + r) / 2
-        if _probe_feasible(t, mid):
-            r = mid
-        else:
-            l = mid
-        iterations += 1
-    inv = recover_fraction(l, r, min_b_in)
-    if not _probe_feasible(t, inv):
-        # The recovered optimum must itself be feasible; anything else means
-        # an exactness bug (e.g. a capacity overflow upstream).
-        raise CollschedError(f"recovered ratio {inv} fails the feasibility re-check")
+
+    def ratio(S) -> Fraction:
+        return Fraction(_compute_count(t, S), sum(_exit_bandwidths(t, S)))
+
+    def capacities(inv: Fraction):
+        p = inv.numerator
+        return {(l.src, l.dst): l.bandwidth * p for l in t.links}, inv.denominator
+
+    inv, witness, probes = _cut_search(t, ratio, capacities)
     bandwidths = [link.bandwidth for link in t.links]
     U, k, y = derive_schedule_params(inv, bandwidths)
-    return OptimalityResult(inv_x_star=inv, U=U, k=k, y=y, search_iterations=iterations)
-
-
-def iteration_ceiling(t: Topology) -> int:
-    """Worst-case iteration count of `bottleneck_search` on t."""
-    min_b_in = t.min_compute_in_bw()
-    return math.ceil(math.log2(t.num_compute * min_b_in * min_b_in))
+    return OptimalityResult(
+        inv_x_star=inv, U=U, k=k, y=y, search_iterations=probes, witness=witness
+    )
 
 
 def derive_schedule_params(
@@ -244,28 +218,26 @@ def _floored_caps(t: Topology, U: Fraction) -> dict[tuple[str, str], int]:
     }
 
 
-def _fixed_k_feasible(t: Topology, U: Fraction, k: int) -> bool:
-    """k trees per root fit in capacities floor(U*b_e) iff the max flow from
-    a source with k-capacity arcs to every compute node reaches N*k."""
-    caps = _floored_caps(t, U)
-    g = FlowGraph()
-    for node in t.nodes:
-        g.add_vertex(node.id)
-    source = fresh_name("s", t.node_by_id)
-    g.add_vertex(source)
-    for (a, b), c in caps.items():
-        if c > 0:
-            g.add_arc(a, b, c)
-    for c in t.compute_ids:
-        g.add_arc(source, c, k)
-    target = t.num_compute * k
-    return min_flow_at_least(g, source, t.compute_ids, target)
+def _least_floor_scale(bandwidths: list[int], target: int) -> Fraction:
+    """Least U with sum(floor(U*b)) >= target.
+
+    The sum never exceeds U*sum(b), so U starts at target/sum(b), where it
+    falls short by fewer than len(bandwidths) units; each step moves to the
+    next breakpoint j/b and gains at least one unit.
+    """
+    U = Fraction(target, sum(bandwidths))
+    while sum(U.numerator * b // U.denominator for b in bandwidths) < target:
+        U = min(Fraction(U.numerator * b // U.denominator + 1, b) for b in bandwidths)
+    return U
 
 
 def fixed_k_search(t: Topology, k: int) -> FixedKResult:
     """Minimal scale U_star such that k trees per root exist with capacities
     floor(U_star*b_e); the achieved ratio U_star/k is within 1/(k*min b_e)
     of the unrestricted optimum and non-increasing when k doubles.
+
+    A cut S binds until its floored exit capacity reaches k*|S ∩ compute|,
+    so U_star is the largest of the cuts' least such scales.
 
     Raises NotEulerianAfterFloor — with the finished result attached as
     ``exc.result`` — when the floored capacities are not balanced at every
@@ -275,32 +247,26 @@ def fixed_k_search(t: Topology, k: int) -> FixedKResult:
     require_valid(t)
     if k < 1:
         raise CollschedError(f"tree count must be >= 1, got {k}")
-    n = t.num_compute
-    min_b_in = t.min_compute_in_bw()
+
     max_b = max(l.bandwidth for l in t.links)
-    l = Fraction((n - 1) * k, min_b_in)
-    r = Fraction((n - 1) * k)
-    tol = Fraction(1, max_b * max_b)
-    iterations = 0
-    while r - l >= tol:
-        mid = (l + r) / 2
-        if (mid.numerator * max_b) > CAPACITY_BUDGET:
+
+    def least_scale(S) -> Fraction:
+        return _least_floor_scale(_exit_bandwidths(t, S), k * _compute_count(t, S))
+
+    def capacities(U: Fraction):
+        if U.numerator * max_b > CAPACITY_BUDGET:
             raise Overflow("probe scale exceeds the capacity budget")
-        if _fixed_k_feasible(t, mid, k):
-            r = mid
-        else:
-            l = mid
-        iterations += 1
-    U_star = recover_fraction(l, r, max_b)
-    if not _fixed_k_feasible(t, U_star, k):
-        raise CollschedError(f"recovered scale {U_star} fails the feasibility re-check")
+        return _floored_caps(t, U), k
+
+    U_star, witness, probes = _cut_search(t, least_scale, capacities)
     floored = _floored_caps(t, U_star)
     result = FixedKResult(
         k=k,
         U_star=U_star,
         achieved_inv_throughput=U_star / k,
         floored_capacities=floored,
-        search_iterations=iterations,
+        search_iterations=probes,
+        witness=witness,
     )
     balance: dict[str, int] = {node.id: 0 for node in t.nodes}
     for (a, b), c in floored.items():

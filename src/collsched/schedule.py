@@ -244,6 +244,27 @@ def bfs_edges(root: str, batch: ScheduleBatch) -> list[ScheduleEdge] | None:
     return order if len(order) == len(batch.edges) else None
 
 
+def spans_cover(spans, lo: int, hi: int) -> bool:
+    """True iff every tree copy in [lo, hi) lies in `spans`, a list of
+    disjoint half-open copy intervals merged by `spans_add`."""
+    return hi <= lo or any(a <= lo and hi <= b for a, b in spans)
+
+
+def spans_add(spans, lo: int, hi: int) -> list[tuple[int, int]]:
+    """`spans` plus the copies [lo, hi), merged with every interval they
+    overlap or touch, so memory grows with paths, not with copies."""
+    if hi <= lo:
+        return spans
+    kept = []
+    for a, b in spans:
+        if b < lo or hi < a:
+            kept.append((a, b))
+        else:
+            lo, hi = min(a, lo), max(b, hi)
+    kept.append((lo, hi))
+    return kept
+
+
 def _prune(s: Schedule, t: Topology, capability: str) -> Schedule:
     capable = {
         node.id for node in t.nodes if getattr(node, capability, False)
@@ -256,20 +277,19 @@ def _prune(s: Schedule, t: Topology, capability: str) -> Schedule:
         for batch in rt.batches:
             pruned: list[PrunedHop] = []
             # copies of this batch that a capable switch has already carried
-            charged: dict[str, set[int]] = {}
+            charged: dict[str, list[tuple[int, int]]] = {}
             order = bfs_edges(rt.root, batch)
             if order is None:
                 raise CollschedError(f"batch edges rooted at {rt.root} do not form a tree")
             for edge in order:
-                base = 0
+                hi = 0
                 for pu in edge.paths:
-                    copies = set(range(base, base + pu.multiplicity))
-                    base += pu.multiplicity
+                    lo, hi = hi, hi + pu.multiplicity
                     path = pu.path
                     cut = 0  # index to keep the path from
                     for idx in range(len(path) - 2, 0, -1):
                         w = path[idx]
-                        if w in capable and copies <= charged.get(w, frozenset()):
+                        if w in capable and spans_cover(charged.get(w, ()), lo, hi):
                             cut = idx
                             break
                     for hop_i in range(cut):
@@ -279,7 +299,7 @@ def _prune(s: Schedule, t: Topology, capability: str) -> Schedule:
                     for idx in range(max(cut, 1), len(path) - 1):
                         w = path[idx]
                         if w in capable:
-                            charged.setdefault(w, set()).update(copies)
+                            charged[w] = spans_add(charged.get(w, []), lo, hi)
             new_batches.append(
                 ScheduleBatch(
                     multiplicity=batch.multiplicity,

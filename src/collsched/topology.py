@@ -368,12 +368,29 @@ def synth_topology(family: str, **params) -> Topology:
 
     Identical parameters always produce the identical topology (the
     invariant tests serialize and compare).  All families pass `validate`.
+    Counts and bandwidths must be ints and `bidirectional` a bool; a
+    parameter of another type, a missing one or one the family does not
+    take raises TopologyFormatError, and an out-of-range value ValueError.
     """
+    known = {
+        "boxes": {"boxes", "gpus_per_box", "intra", "inter"},
+        "ring": {"n", "bw", "bidirectional"},
+        "fat-tree": {"pods", "gpus", "spines", "leaf_bw", "spine_bw"},
+    }
+    if family not in known:
+        raise ValueError(f"unsupported topology family {family!r}")
+    unknown = sorted(set(params) - known[family])
+    if unknown:
+        raise TopologyFormatError(f"{family} takes no parameter {', '.join(unknown)}")
+
+    def param(key: str, kind: type = int, default=_REQUIRED):
+        return json_field(params, key, kind, default, error=TopologyFormatError)
+
     if family == "boxes":
-        boxes = int(params["boxes"])
-        gpus = int(params["gpus_per_box"])
-        intra = int(params["intra"])
-        inter = int(params["inter"])
+        boxes = param("boxes")
+        gpus = param("gpus_per_box")
+        intra = param("intra")
+        inter = param("inter")
         if boxes < 1 or gpus < 1 or boxes * gpus < 2:
             raise ValueError("boxes family needs at least 2 compute nodes")
         if intra < 1 or inter < 1:
@@ -394,9 +411,9 @@ def synth_topology(family: str, **params) -> Topology:
         return Topology(nodes, links)
 
     if family == "ring":
-        n = int(params["n"])
-        bw = int(params["bw"])
-        bidirectional = bool(params.get("bidirectional", False))
+        n = param("n")
+        bw = param("bw")
+        bidirectional = param("bidirectional", bool, False)
         if n < 2:
             raise ValueError("ring needs at least 2 nodes")
         if bw < 1:
@@ -411,28 +428,26 @@ def synth_topology(family: str, **params) -> Topology:
             ]
         return Topology(nodes, links)
 
-    if family == "fat-tree":
-        pods = int(params["pods"])
-        gpus = int(params["gpus"])
-        spines = int(params.get("spines", pods))
-        leaf_bw = int(params["leaf_bw"])
-        spine_bw = int(params["spine_bw"])
-        if pods < 1 or gpus < 2 or gpus % pods:
-            raise ValueError("fat-tree needs gpus >= 2 divisible by pods")
-        if spines < 1 or leaf_bw < 1 or spine_bw < 1:
-            raise ValueError("bandwidths and spine count must be >= 1")
-        per_pod = gpus // pods
-        nodes = [Node(f"s{j}", SWITCH) for j in range(1, spines + 1)]
-        links = []
-        for p in range(1, pods + 1):
-            leaf = f"l{p}"
-            nodes.append(Node(leaf, SWITCH))
-            for i in range(1, per_pod + 1):
-                c = f"c{p}_{i}"
-                nodes.append(Node(c, COMPUTE))
-                links += [Link(c, leaf, leaf_bw), Link(leaf, c, leaf_bw)]
-            for j in range(1, spines + 1):
-                links += [Link(leaf, f"s{j}", spine_bw), Link(f"s{j}", leaf, spine_bw)]
-        return Topology(nodes, links)
-
-    raise ValueError(f"unsupported topology family {family!r}")
+    # fat-tree
+    pods = param("pods")
+    gpus = param("gpus")
+    spines = param("spines", int, pods)
+    leaf_bw = param("leaf_bw")
+    spine_bw = param("spine_bw")
+    if pods < 1 or gpus < 2 or gpus % pods:
+        raise ValueError("fat-tree needs gpus >= 2 divisible by pods")
+    if spines < 1 or leaf_bw < 1 or spine_bw < 1:
+        raise ValueError("bandwidths and spine count must be >= 1")
+    per_pod = gpus // pods
+    nodes = [Node(f"s{j}", SWITCH) for j in range(1, spines + 1)]
+    links = []
+    for p in range(1, pods + 1):
+        leaf = f"l{p}"
+        nodes.append(Node(leaf, SWITCH))
+        for i in range(1, per_pod + 1):
+            c = f"c{p}_{i}"
+            nodes.append(Node(c, COMPUTE))
+            links += [Link(c, leaf, leaf_bw), Link(leaf, c, leaf_bw)]
+        for j in range(1, spines + 1):
+            links += [Link(leaf, f"s{j}", spine_bw), Link(f"s{j}", leaf, spine_bw)]
+    return Topology(nodes, links)

@@ -23,6 +23,8 @@ from .schedule import (
     bfs_edges,
     fraction_text,
     reverse_schedule,
+    spans_add,
+    spans_cover,
 )
 from .topology import COMPUTE, SWITCH, Link, Node, Topology
 
@@ -342,19 +344,18 @@ def _validate_gather_batch(
         pool[(h.src, h.dst)] = pool.get((h.src, h.dst), 0) + h.multiplicity
     if order is not None:
         capable = {n.id for n in t.nodes if n.multicast}
-        charged: dict[str, set[int]] = {}
+        charged: dict[str, list[tuple[int, int]]] = {}
         for e in order:
-            base = 0
+            hi = 0
             for pu in e.paths:
-                copies = set(range(base, base + pu.multiplicity))
-                base += pu.multiplicity
+                lo, hi = hi, hi + pu.multiplicity
                 p = pu.path
                 cut = 0
                 for idx in range(len(p) - 2, 0, -1):
                     w = p[idx]
                     if (
                         w in capable
-                        and copies <= charged.get(w, frozenset())
+                        and spans_cover(charged.get(w, ()), lo, hi)
                         and all(
                             pool.get((p[i], p[i + 1]), 0) >= pu.multiplicity
                             for i in range(idx)
@@ -372,7 +373,7 @@ def _validate_gather_batch(
                 for idx in range(max(cut, 1), len(p) - 1):
                     w = p[idx]
                     if w in capable:
-                        charged.setdefault(w, set()).update(copies)
+                        charged[w] = spans_add(charged.get(w, []), lo, hi)
     leftover = {hop: units for hop, units in pool.items() if units > 0}
     if leftover:
         detail = ", ".join(f"{a}->{b} x{u}" for (a, b), u in sorted(leftover.items()))

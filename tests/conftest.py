@@ -1,14 +1,71 @@
-"""Shared fixtures: reference topologies and the seeded random suite."""
+"""Shared fixtures: reference topologies and the seeded random suites."""
 
 import dataclasses
+import random
 
 import pytest
 
-from collsched import SWITCH, Topology, random_eulerian_topology, synth_topology
+from collsched import (
+    COMPUTE,
+    SWITCH,
+    Link,
+    Node,
+    Topology,
+    random_eulerian_topology,
+    synth_topology,
+)
 
 # Seeds for the randomized cross-checking suite.  200 instances keeps the
 # oracle-equivalence sweep meaningful while the whole run stays fast.
 SUITE_SEEDS = range(200)
+
+# Seeds for the clustered suite.  Every `random_eulerian_topology` seed has
+# its optimum at a cut that leaves out one node, so only these topologies
+# make the search jump past its starting cut.
+CLUSTERED_SEEDS = range(100)
+
+
+def clustered_eulerian_topology(seed: int, max_nodes: int = 12) -> Topology:
+    """Deterministic random Eulerian topology with a bottleneck between
+    clusters of compute nodes.
+
+    Dense cycles run both ways inside each cluster, and one or two thin
+    cycles join one compute node of every cluster, so the optimal cut
+    usually leaves out a whole cluster.  Some clusters route their cycle
+    through a switch.  Superposed cycles keep every node balanced, and the
+    joining cycle makes the graph strongly connected.
+    """
+    rng = random.Random(seed)
+    nodes: list[Node] = []
+    clusters: list[list[str]] = []
+    for c in range(rng.randint(2, 4)):
+        members = [f"c{c}_{i}" for i in range(rng.randint(2, 4))]
+        if rng.random() < 0.3:
+            members.insert(rng.randrange(1, len(members) + 1), f"w{c}")
+        if len(nodes) + len(members) > max_nodes:
+            break
+        for m in members:
+            if m.startswith("w"):
+                nodes.append(
+                    Node(m, SWITCH, multicast=rng.random() < 0.5, aggregation=rng.random() < 0.5)
+                )
+            else:
+                nodes.append(Node(m, COMPUTE))
+        clusters.append(members)
+    weights: dict[tuple[str, str], int] = {}
+
+    def add_cycle(order: list[str], w: int) -> None:
+        for a, b in zip(order, order[1:] + order[:1]):
+            weights[(a, b)] = weights.get((a, b), 0) + w
+
+    for members in clusters:
+        add_cycle(members, rng.randint(3, 8))
+        if rng.random() < 0.7:
+            add_cycle(members[::-1], rng.randint(1, 8))
+    for _ in range(rng.randint(1, 2)):
+        joints = [rng.choice([m for m in ms if not m.startswith("w")]) for ms in clusters]
+        add_cycle(joints, rng.randint(1, 2))
+    return Topology(nodes, [Link(a, b, w) for (a, b), w in sorted(weights.items())])
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +104,9 @@ def ring4():
 def random_suite():
     """The seeded random Eulerian topologies used by the sweeping tests."""
     return [random_eulerian_topology(seed) for seed in SUITE_SEEDS]
+
+
+@pytest.fixture(scope="session")
+def clustered_suite():
+    """The seeded clustered topologies, whose optima mostly cut off a cluster."""
+    return [clustered_eulerian_topology(seed) for seed in CLUSTERED_SEEDS]

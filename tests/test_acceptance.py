@@ -30,7 +30,7 @@ from collsched.errors import NotEulerianAfterFloor
 from collsched.schedule import assemble_allgather, prune_multicast
 from collsched.splitting import SplitState
 
-from conftest import SUITE_SEEDS
+from conftest import CLUSTERED_SEEDS, SUITE_SEEDS
 
 BOX1 = frozenset({"c1_1", "c1_2", "c1_3", "c1_4", "w1"})
 
@@ -49,15 +49,17 @@ def test_criterion_1_reference_exactness(fig3a):
     print(f"criterion 1: PASS — 1/x* = 1/1, k = 1, y = 1/1, witness = box 1, {elapsed:.2f}s")
 
 
-def test_criterion_2_oracle_equivalence(random_suite):
+def test_criterion_2_oracle_equivalence(random_suite, clustered_suite):
+    labelled = [(f"seed {s}", t) for s, t in zip(SUITE_SEEDS, random_suite)]
+    labelled += [(f"clustered {s}", t) for s, t in zip(CLUSTERED_SEEDS, clustered_suite)]
     start = time.perf_counter()
-    for seed, t in zip(SUITE_SEEDS, random_suite):
+    for label, t in labelled:
         searched = bottleneck_search(t).inv_x_star
         brute, _ = brute_force_bottleneck(t)
-        assert searched == brute, f"seed {seed}: {searched} != {brute}"
+        assert searched == brute, f"{label}: {searched} != {brute}"
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
-    print(f"criterion 2: PASS — search == enumeration on {len(random_suite)} topologies, {elapsed:.1f}s")
+    print(f"criterion 2: PASS — search == enumeration on {len(labelled)} topologies, {elapsed:.1f}s")
 
 
 def test_criterion_3_end_to_end_optimality(fig3a, random_suite):

@@ -1,10 +1,16 @@
 """Command-line contract: golden lines, exit codes, determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from collsched import parse_schedule, serialize_topology
+import collsched
+from collsched import parse_schedule, serialize_topology, synth_topology
 from collsched.cli import main
 
 
@@ -43,6 +49,17 @@ class TestOptimality:
         assert doc["y"] == "1/1"
         assert doc["agreement"] is True
         assert doc["witness"] == ["c1_1", "c1_2", "c1_3", "c1_4", "w1"]
+        assert doc["cut"] == ["c2_1", "c2_2", "c2_3", "c2_4", "w2"]  # the other box
+
+    def test_cut_beyond_brute_force_limit(self, tmp_path, capsys):
+        path = tmp_path / "boxes.json"
+        main(["synth", "boxes", "--param", "boxes=8", "--param", "gpus_per_box=4",
+              "--param", "intra=8", "--param", "inter=1", "-o", str(path)])
+        assert main(["optimality", "-t", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "1/x* = 7/1, k = 1, y = 1/7"  # 28 GPUs behind 4 links
+        cut = lines[2].removeprefix("cut = {").removesuffix("}").split(", ")
+        assert len(cut) == 36 and "w0" in cut  # all but one box of 4 GPUs and its switch
 
     def test_missing_file_is_exit_1(self, tmp_path, capsys):
         assert main(["optimality", "-t", str(tmp_path / "nope.json")]) == 1
@@ -215,6 +232,34 @@ class TestVerify:
         assert exc.value.code == 2
 
 
+    def test_huge_multiplicity_is_reported_not_allocated(self, tmp_path):
+        # Memory must not grow with the claimed number of tree copies: run
+        # under a 1 GiB address-space limit so a regression fails cleanly.
+        topo = tmp_path / "ring2.json"
+        topo.write_text(serialize_topology(synth_topology("ring", n=2, bw=1)))
+        sched = tmp_path / "s.json"
+        assert main(["generate", "-t", str(topo), "-o", str(sched)]) == 0
+        doc = json.loads(sched.read_text())
+        for rt in doc["roots"]:
+            for batch in rt["batches"]:
+                batch["multiplicity"] = 10**12
+                for edge in batch["edges"]:
+                    for path in edge["paths"]:
+                        path["multiplicity"] = 10**12
+        sched.write_text(json.dumps(doc))
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(collsched.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "collsched.cli", "verify", "-t", str(topo), str(sched)],
+            capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "CapacityExceeded: link c1->c2 carries 1000000000000 > 1 tree units" in proc.stdout
+
+
 class TestSynth:
     def test_boxes_family_round_trips(self, tmp_path, fig3a, capsys):
         out_file = tmp_path / "t.json"
@@ -238,7 +283,19 @@ class TestSynth:
         assert main(["synth", "torus", "--param", "n=4"]) == 1
         assert main(["synth", "ring", "--param", "n4"]) == 1
         assert main(["synth", "ring", "--param", "n=4"]) == 1  # missing bw
-        assert "error:" in capsys.readouterr().err
+        # parameters of the wrong type or name are refused, never coerced
+        assert main(["synth", "ring", "--param", "n=3", "--param", "bw=1",
+                     "--param", "bidirectional=no"]) == 1
+        assert main(["synth", "ring", "--param", "n=3", "--param", "bw=1",
+                     "--param", "bidirectional=1"]) == 1
+        assert main(["synth", "ring", "--param", "n=3", "--param", "bw=1.5"]) == 1
+        assert main(["synth", "ring", "--param", "n=3", "--param", "bw=1",
+                     "--param", "bidi=true"]) == 1
+        assert main(["synth", "boxes", "--param", "boxes=true", "--param", "gpus_per_box=4",
+                     "--param", "intra=10", "--param", "inter=1"]) == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err.count("error:") == 8
 
 
 class TestExportDot:

@@ -7,7 +7,7 @@ import pytest
 
 from collsched import INF, FlowGraph
 from collsched.errors import CollschedError, Overflow
-from collsched.maxflow import build_allgather_aux, fresh_name, min_flow_at_least
+from collsched.maxflow import fresh_name
 from collsched.topology import CAPACITY_BUDGET
 
 
@@ -201,44 +201,7 @@ class TestResume:
 
 
 class TestHelpers:
-    def test_min_flow_at_least(self):
-        g, _ = build("sabt", [("s", "a", 4), ("s", "b", 2), ("a", "t", 4), ("b", "t", 4)])
-        assert min_flow_at_least(g, "s", ["a", "b"], 2)
-        assert not min_flow_at_least(g, "s", ["a", "b"], 3)  # b caps at 2
-
     def test_fresh_name_avoids_collisions(self):
         assert fresh_name("s", {"a", "b"}) == "s"
         assert fresh_name("s", {"s"}) == "_s"
         assert fresh_name("s", {"s", "_s"}) == "__s"
-
-
-class TestAuxNetwork:
-    def test_probe_semantics(self, two_node):
-        # x = 1/inv_x = 3: source arcs carry 3, every link keeps bandwidth 3;
-        # each compute node can absorb 3 direct + 3 relayed = 6 = N*x units.
-        from fractions import Fraction
-
-        g, mult, source = build_allgather_aux(two_node, Fraction(1, 3))
-        assert mult == 1
-        for c in two_node.compute_ids:
-            assert g.run(source, c) >= two_node.num_compute * 3
-        # x = 4 is infeasible: only 4 + 3 = 7 < 8 units reach a node
-        g, mult, source = build_allgather_aux(two_node, Fraction(1, 4))
-        assert mult == 1
-        assert g.run(source, "c1") == 7
-
-    def test_fractional_probe_clears_denominators(self, two_node):
-        from fractions import Fraction
-
-        # inv_x = 2/5 -> x = 5/2: all capacities doubled, source arcs at 5
-        g, mult, source = build_allgather_aux(two_node, Fraction(2, 5))
-        assert mult == 2
-        # direct source arc (5) plus a relay capped by the other source arc
-        # (5, below the doubled 6-wide link) = N*x*mult exactly: feasible
-        assert g.run(source, "c1") == 10
-
-    def test_rejects_non_positive_ratio(self, two_node):
-        from fractions import Fraction
-
-        with pytest.raises(CollschedError):
-            build_allgather_aux(two_node, Fraction(0))

@@ -1,6 +1,7 @@
-"""Throughput search: fraction recovery, exact optima, fixed tree counts."""
+"""Throughput search: exact optima, witness cuts, fixed tree counts."""
 
-import random
+import bisect
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,52 +11,56 @@ from collsched import (
     brute_force_bottleneck,
     derive_schedule_params,
     fixed_k_search,
-    iteration_ceiling,
-    recover_fraction,
+    synth_topology,
 )
-from collsched.errors import CollschedError, NoFraction, NotEulerianAfterFloor
+from collsched.errors import CollschedError, NotEulerianAfterFloor, Overflow
 
-from conftest import SUITE_SEEDS
+from conftest import CLUSTERED_SEEDS, SUITE_SEEDS
 
 
-class TestRecoverFraction:
-    @pytest.mark.parametrize(
-        "l, r, max_den, expected",
-        [
-            (Fraction(1, 3), Fraction(1, 2), 2, Fraction(1, 2)),
-            (Fraction(29, 100), Fraction(31, 100), 10, Fraction(3, 10)),
-            (Fraction(1), Fraction(1), 5, Fraction(1)),
-            (Fraction(0), Fraction(1, 9), 3, Fraction(0)),
-            (Fraction(5, 4), Fraction(9, 7), 4, Fraction(5, 4)),
-        ],
+def cut_profile(t, S):
+    """(compute nodes inside S, bandwidths of the links leaving S)."""
+    inside = sum(1 for c in t.compute_ids if c in S)
+    return inside, [bw for (a, b), bw in t.capacity.items() if a in S and b not in S]
+
+
+def assert_witness(t, S, ratio):
+    """S is a cut that misses a compute node and has the given ratio."""
+    assert set(S) <= set(t.node_by_id)
+    assert not set(t.compute_ids) <= set(S)
+    inside, exits = cut_profile(t, S)
+    assert Fraction(inside, sum(exits)) == ratio
+
+
+def least_floor_scale(candidates, exits, target):
+    """Least candidate U with sum(floor(U*b)) >= target, by bisection over
+    the sorted candidate list."""
+    i = bisect.bisect_left(
+        candidates, True, key=lambda U: sum(U.numerator * b // U.denominator for b in exits) >= target
     )
-    def test_frozen_recoveries(self, l, r, max_den, expected):
-        assert recover_fraction(l, r, max_den) == expected
+    return candidates[i]
 
-    def test_rejects_ambiguous_and_empty_intervals(self):
-        with pytest.raises(NoFraction):
-            recover_fraction(Fraction(1, 3), Fraction(2, 3), 3)  # holds 3 candidates
-        with pytest.raises(NoFraction):
-            recover_fraction(Fraction(2, 7), Fraction(3, 7), 2)  # holds none
-        with pytest.raises(NoFraction):
-            recover_fraction(Fraction(1, 2), Fraction(1, 3), 10)  # empty
-        with pytest.raises(NoFraction):
-            recover_fraction(Fraction(1, 2), Fraction(2, 3), 0)  # silly bound
-        with pytest.raises(NoFraction):
-            recover_fraction(Fraction(-1, 2), Fraction(1, 2), 5)  # negative end
 
-    def test_recovers_random_fractions_from_tight_intervals(self):
-        # two distinct fractions with denominators <= X differ by at least
-        # 1/X^2, so an interval of width 2/(3X^2) around one of them holds
-        # exactly that fraction
-        rng = random.Random(6021)
-        for _ in range(300):
-            max_den = rng.randint(1, 50)
-            q = rng.randint(1, max_den)
-            p = rng.randint(q, 6 * q)  # keep f >= 1 so both endpoints stay >= 0
-            f = Fraction(p, q)
-            eps = Fraction(1, 3 * max_den * max_den)
-            assert recover_fraction(f - eps, f + eps, max_den) == f
+def floor_breakpoints(t, k):
+    """Every j/b up to k*N for each link bandwidth b, sorted.  k*N is an
+    upper bound on U_star: there every floor is exact and each cut's exit
+    capacity k*N*B+(S) covers k*|S ∩ compute|."""
+    top = k * t.num_compute
+    bandwidths = {l.bandwidth for l in t.links}
+    return sorted({Fraction(j, b) for b in bandwidths for j in range(1, top * b + 1)})
+
+
+def cut_profiles(t):
+    """Distinct (compute count, sorted exit bandwidths) over every cut that
+    misses a compute node and holds one."""
+    ids = [node.id for node in t.nodes]
+    seen = set()
+    for size in range(1, len(ids)):
+        for S in itertools.combinations(ids, size):
+            inside, exits = cut_profile(t, set(S))
+            if 0 < inside < t.num_compute:
+                seen.add((inside, tuple(sorted(exits))))
+    return seen
 
 
 class TestBottleneckSearch:
@@ -75,12 +80,44 @@ class TestBottleneckSearch:
         assert res.inv_x_star == Fraction(1)
         assert (res.U, res.k, res.y) == (Fraction(1), 1, Fraction(1))
 
-    def test_matches_brute_force_on_suite(self, random_suite):
-        for seed, t in zip(SUITE_SEEDS, random_suite):
+    def test_matches_brute_force_on_suite(self, random_suite, clustered_suite):
+        labelled = [(f"seed {s}", t) for s, t in zip(SUITE_SEEDS, random_suite)]
+        labelled += [(f"clustered {s}", t) for s, t in zip(CLUSTERED_SEEDS, clustered_suite)]
+        for label, t in labelled:
             res = bottleneck_search(t)
             oracle, _ = brute_force_bottleneck(t)
-            assert res.inv_x_star == oracle, f"seed {seed}"
-            assert res.search_iterations <= iteration_ceiling(t), f"seed {seed}"
+            assert res.inv_x_star == oracle, label
+            assert_witness(t, res.witness, res.inv_x_star)
+
+    def test_clustered_suite_needs_jumps(self, clustered_suite):
+        # The search starts at (N-1)/minB-, the best cut leaving out a single
+        # vertex.  Most clustered optima beat it, so every optimal cut there
+        # leaves out several vertices and the search must jump to one.
+        jumped = 0
+        for t in clustered_suite:
+            oracle, _ = brute_force_bottleneck(t)
+            if oracle > Fraction(t.num_compute - 1, t.min_compute_in_bw()):
+                jumped += 1
+                assert bottleneck_search(t).search_iterations > 1
+        assert jumped >= 0.4 * len(clustered_suite)
+
+    def test_large_bandwidths_stay_exact(self):
+        # probes sit on cut values, so cleared capacities stay small until
+        # the bandwidths themselves approach the 63-bit budget
+        t = synth_topology("ring", n=3, bw=2**40, bidirectional=True)
+        assert bottleneck_search(t).inv_x_star == Fraction(1, 2**40)
+        assert fixed_k_search(t, 3).U_star == Fraction(3, 2**40)
+        huge = synth_topology("ring", n=3, bw=2**62, bidirectional=True)
+        with pytest.raises(Overflow):
+            bottleneck_search(huge)
+        with pytest.raises(Overflow):
+            fixed_k_search(huge, 3)
+
+    def test_witness_beyond_brute_force_limit(self):
+        # 41 vertices: the search is the only way to name the cut
+        t = synth_topology("boxes", boxes=8, gpus_per_box=4, intra=8, inter=1)
+        res = bottleneck_search(t)
+        assert_witness(t, res.witness, res.inv_x_star)
 
     def test_params_reconstruct_the_ratio(self, random_suite):
         for t in random_suite[:50]:
@@ -166,6 +203,27 @@ class TestFixedK:
                     assert exc.result.k == k
                     return
         pytest.fail("expected at least one unbalanced floor in the suite")
+
+    def test_matches_enumeration_of_cuts_and_breakpoints(self, random_suite, clustered_suite):
+        # U_star is the largest per-cut least scale, each found among the
+        # breakpoints j/b by an independent bisection.
+        for t in random_suite + clustered_suite:
+            assert len(t.nodes) <= 12
+            profiles = cut_profiles(t)
+            for k in (1, 2, 3):
+                candidates = floor_breakpoints(t, k)
+                expected = max(
+                    least_floor_scale(candidates, exits, k * inside) for inside, exits in profiles
+                )
+                try:
+                    res = fixed_k_search(t, k)
+                except NotEulerianAfterFloor as exc:
+                    res = exc.result
+                assert res.U_star == expected, (t, k)
+                S = res.witness
+                assert not set(t.compute_ids) <= set(S)
+                inside, exits = cut_profile(t, S)
+                assert least_floor_scale(candidates, exits, k * inside) == expected
 
     def test_rejects_non_positive_k(self, two_node):
         with pytest.raises(CollschedError):

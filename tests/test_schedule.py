@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from collsched import (
     synth_topology,
 )
 from collsched.errors import CollschedError, MismatchedForest
-from collsched.schedule import bfs_edges, fraction_text
+from collsched.schedule import bfs_edges, fraction_text, spans_add, spans_cover
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +192,22 @@ class TestPruning:
             for rt in s.roots
         )
         assert strip(pruned) == strip(bare)
+
+    def test_copy_spans_match_sets(self):
+        # charged copies are merged intervals; they must answer exactly as
+        # the sets of copies they replace
+        rng = random.Random(5)
+        for _ in range(200):
+            spans, copies = [], set()
+            for _ in range(rng.randint(1, 8)):
+                lo = rng.randint(0, 30)
+                hi = lo + rng.randint(-2, 8)
+                assert spans_cover(spans, lo, hi) == (set(range(lo, hi)) <= copies)
+                spans = spans_add(spans, lo, hi)
+                copies |= set(range(lo, hi))
+                assert set().union(*(range(a, b) for a, b in spans)) == copies
+                ordered = sorted(spans)
+                assert all(b < c for (_, b), (c, _) in zip(ordered, ordered[1:]))  # merged
 
     def test_collective_gating(self, fig3a_ag, fig3a):
         rs = reverse_for_reduce_scatter(fig3a_ag)
