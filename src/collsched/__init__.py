@@ -55,7 +55,6 @@ from .schedule import (
 )
 from .splitting import (
     EMap,
-    LogicalTopology,
     compute_gamma,
     remove_switches,
 )
@@ -64,7 +63,6 @@ from .topology import (
     SWITCH,
     Link,
     Node,
-    ScaledTopology,
     Topology,
     TopologyReport,
     parse_topology,
@@ -102,7 +100,6 @@ __all__ = [
     "Forest",
     "InvalidTopology",
     "Link",
-    "LogicalTopology",
     "MismatchedForest",
     "NoAddableEdge",
     "NonIntegerBandwidth",
@@ -114,7 +111,6 @@ __all__ = [
     "PathUse",
     "PrunedHop",
     "RootTrees",
-    "ScaledTopology",
     "Schedule",
     "ScheduleBatch",
     "ScheduleEdge",

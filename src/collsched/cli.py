@@ -3,9 +3,9 @@
 Subcommands: optimality, generate, verify, synth, export-dot.  All output
 is deterministic for identical inputs and flags.
 
-Exit codes: 0 success; 1 parse/validation/pipeline errors; 2 oracle
-disagreement (optimality --brute-force) or failed verification (verify);
-3 self-validation failure in generate (never expected).
+Exit codes: 0 success; 1 usage, parse, validation and pipeline errors;
+2 oracle disagreement (optimality --brute-force) or failed verification
+(verify); 3 self-validation failure in generate (never expected).
 """
 
 from __future__ import annotations
@@ -48,8 +48,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: argparse's own 2 means failed verification here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="collsched",
         description="Throughput-optimal collective communication schedules.",
     )
@@ -79,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="force exactly K trees per root")
     p.add_argument("--no-multicast", action="store_true",
                    help="skip multicast/aggregation pruning")
-    p.add_argument("--groups", metavar="PATH",
-                   help="JSON node-id to group map for the splitting heuristic")
     common(p)
 
     p = sub.add_parser("verify", help="validate a schedule against a topology")
@@ -93,12 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                    help="family parameter (repeatable), e.g. --param boxes=2")
     p.add_argument("-o", "--output", help="topology file (default: stdout)")
-    common(p)
 
     p = sub.add_parser("export-dot", help="render a schedule's trees as DOT")
     p.add_argument("schedule", help="schedule JSON file")
     p.add_argument("-o", "--output", help="DOT file (default: stdout)")
-    common(p)
 
     return parser
 
@@ -147,22 +151,11 @@ def cmd_optimality(args) -> int:
 def cmd_generate(args) -> int:
     try:
         t = parse_topology(_read(args.topology))
-        groups = None
-        if args.groups:
-            try:
-                groups = json.loads(_read(args.groups))
-            except (ValueError, RecursionError) as exc:
-                raise CollschedError(f"--groups file is not valid JSON: {exc}") from None
-            if not isinstance(groups, dict) or not all(
-                isinstance(v, str) for v in groups.values()
-            ):
-                raise CollschedError("--groups file must map node ids to group name strings")
         s, meta = generate(
             t,
             collective=args.collective.replace("-", "_"),
             fixed_k=args.fixed_k,
             prune=not args.no_multicast,
-            groups=groups,
         )
     except CollschedError as exc:
         print(f"error: {exc}", file=sys.stderr)

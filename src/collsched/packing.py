@@ -25,11 +25,11 @@ one of the two shortcut forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CollschedError, NoAddableEdge
 from .maxflow import INF, FlowGraph, fresh_name
-from .splitting import LogicalTopology
+from .topology import Topology
 
 
 @dataclass
@@ -44,9 +44,10 @@ class TreeBatch:
 
 @dataclass
 class Forest:
-    """Packing state: all batches plus the residual logical capacities."""
+    """Packing state: all batches plus the residual capacities of the
+    compute-only network `lt` left by switch removal."""
 
-    lt: LogicalTopology
+    lt: Topology
     batches: list[TreeBatch]
     residual: dict[tuple[str, str], int]
     mu_evaluations: int = 0
@@ -99,20 +100,22 @@ def compute_mu(forest: Forest, batch: TreeBatch, arc: tuple[str, str]) -> int:
     return max(0, min(mu0, flow - sum_other))
 
 
-def pack_spanning_trees(lt: LogicalTopology, k: int) -> Forest:
-    """Pack k spanning out-trees per compute node into the logical graph.
+def pack_spanning_trees(lt: Topology, k: int) -> Forest:
+    """Pack k spanning out-trees per compute node into `lt`, the
+    compute-only network that `remove_switches` returns for the same k.
 
     Batches start as one singleton per root (multiplicity k) and are grown
     to completion root by root; frontier arcs are tried in sorted order and
     a full frontier of zero mu values raises NoAddableEdge (the capacity
-    invariants rule this out, so it flags an upstream bug, not bad input).
+    invariants rule this out for the k the network was split for, so it
+    flags an upstream bug or a k that `lt` cannot carry).
     """
     if k < 1:
         raise CollschedError(f"tree count must be >= 1, got {k}")
-    if k != lt.k:
-        raise CollschedError(f"tree count {k} disagrees with the logical graph's {lt.k}")
+    if lt.switch_ids:
+        raise CollschedError("packing takes the compute-only network remove_switches returns")
     n = lt.num_compute
-    residual = {pair: c for pair, c in lt.capacity.items() if c > 0}
+    residual = dict(lt.capacity)
     forest = Forest(
         lt=lt,
         batches=[

@@ -26,18 +26,14 @@ from .schedule import (
     reverse_for_reduce_scatter,
 )
 from .splitting import remove_switches
-from .topology import Link, ScaledTopology, Topology, require_valid, scale_capacities
+from .topology import Link, Topology, require_valid, scale_capacities
 
 COLLECTIVES = (ALLGATHER, REDUCE_SCATTER, ALLREDUCE)
 
 
-def _scaled_for_fixed_k(t: Topology, meta) -> ScaledTopology:
-    links = [
-        Link(src=a, dst=b, bandwidth=c)
-        for (a, b), c in sorted(meta.floored_capacities.items())
-        if c > 0
-    ]
-    return ScaledTopology(topology=Topology(nodes=t.nodes, links=links), U=meta.U_star, k=meta.k)
+def _scaled_for_fixed_k(t: Topology, meta) -> Topology:
+    floored = sorted(meta.floored_capacities.items())
+    return Topology(t.nodes, [Link(a, b, c) for (a, b), c in floored if c > 0])
 
 
 def generate(
@@ -45,7 +41,6 @@ def generate(
     collective: str = ALLGATHER,
     fixed_k: int | None = None,
     prune: bool = True,
-    groups: dict[str, str] | None = None,
 ):
     """Produce a schedule for the collective on a validated topology.
 
@@ -56,7 +51,9 @@ def generate(
     on its own; meta adds what only the search knows, and passed as
     `validate_schedule`'s `expected` it cross-checks those claims.  With
     `prune`, multicast/aggregation elision runs when the topology declares
-    capable switches.  `groups` feeds the splitting heuristic only.
+    capable switches.  Switch removal and packing both take a plain
+    Topology (t scaled by U, or floored for fixed k, then its compute-only
+    remainder) and the tree count k as an argument.
     """
     if collective not in COLLECTIVES:
         raise CollschedError(f"unknown collective {collective!r}")
@@ -66,8 +63,8 @@ def generate(
         scaled = _scaled_for_fixed_k(t, meta)
     else:
         meta = bottleneck_search(t)
-        scaled = scale_capacities(t, meta.U, meta.k)
-    logical, emap = remove_switches(scaled, meta.k, groups=groups)
+        scaled = scale_capacities(t, meta.U)
+    logical, emap = remove_switches(scaled, meta.k)
     forest = pack_spanning_trees(logical, meta.k)
     ag = assemble_allgather(forest, emap, scaled, meta)
     if collective == ALLGATHER:

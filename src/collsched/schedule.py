@@ -27,7 +27,7 @@ from functools import partial
 from .errors import CollschedError, MismatchedForest
 from .packing import Forest
 from .splitting import EMap, PathExpander
-from .topology import ScaledTopology, Topology, json_field
+from .topology import Topology, json_field
 
 ALLGATHER = "allgather"
 REDUCE_SCATTER = "reduce_scatter"
@@ -92,7 +92,7 @@ class Schedule:
 # ---------------------------------------------------------------------------
 
 def assemble_allgather(
-    forest: Forest, emap: EMap, original: ScaledTopology, meta
+    forest: Forest, emap: EMap, scaled: Topology, meta
 ) -> Schedule:
     """Expand every packed tree into physical paths and attach metadata.
 
@@ -101,7 +101,7 @@ def assemble_allgather(
     checks against.  Path expansion draws from one budget local to this
     call, so per-link usage stays within U*b_e by construction.
     """
-    expander = PathExpander(emap, original)
+    expander = PathExpander(emap, scaled)
     roots = []
     for root in forest.lt.compute_ids:
         batches = []

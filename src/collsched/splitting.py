@@ -10,37 +10,17 @@ the optimality search certified — so packing feasibility survives every
 split.  Splits with u == t would form a self-loop and are simply dropped;
 balance and feasibility are unaffected.
 
-After all switches dissolve, the remaining compute-only multigraph plus
-the EMap is exactly what tree packing and path expansion consume.
+One network type passes through: the scaled Topology goes in, the
+working capacities live in a dict local to `remove_switches` while the
+switches dissolve, and the compute-only Topology left over, plus the
+EMap, is exactly what tree packing and path expansion consume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CapacityExhausted, CollschedError, StuckSplit
 from .maxflow import INF, FlowGraph, fresh_name
-from .topology import COMPUTE, Link, Node, ScaledTopology, Topology
-
-
-@dataclass
-class SplitState:
-    """Mutable working copy of a scaled network mid-removal."""
-
-    node_ids: tuple[str, ...]
-    compute_ids: tuple[str, ...]
-    switch_ids: tuple[str, ...]
-    caps: dict[tuple[str, str], int]
-
-    @classmethod
-    def from_scaled(cls, d: ScaledTopology) -> "SplitState":
-        t = d.topology
-        return cls(
-            node_ids=tuple(n.id for n in t.nodes),
-            compute_ids=t.compute_ids,
-            switch_ids=t.switch_ids,
-            caps={k: v for k, v in d.capacity.items() if v > 0},
-        )
+from .topology import COMPUTE, Link, Topology
 
 
 class EMap:
@@ -67,64 +47,41 @@ class EMap:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class LogicalTopology:
-    """Compute-only multigraph left after all switches dissolve."""
-
-    compute_ids: tuple[str, ...]
-    capacity: dict[tuple[str, str], int]
-    k: int
-
-    @property
-    def num_compute(self) -> int:
-        return len(self.compute_ids)
-
-    def as_topology(self) -> Topology:
-        """Plain network view (for reuse of cut/flow machinery in checks)."""
-        nodes = [Node(id=c, kind=COMPUTE) for c in self.compute_ids]
-        links = [
-            Link(src=a, dst=b, bandwidth=c)
-            for (a, b), c in sorted(self.capacity.items())
-            if c > 0
-        ]
-        return Topology(nodes=nodes, links=links)
-
-
 # ---------------------------------------------------------------------------
 # Split amounts
 # ---------------------------------------------------------------------------
 
 class _GammaOracle:
     """Evaluates split amounts for one egress arc (w, t) of switch w
-    against a fixed network state, reusing one flow graph across all
-    candidate ingress arcs.
+    against fixed working capacities `caps` of the network `net`'s nodes,
+    reusing one flow graph across all candidate ingress arcs.
 
-    The graph holds the state's arcs, the auxiliary source with k-capacity
-    arcs to every compute node, and zero-capacity placeholder arcs that
-    individual probes raise to infinity via overrides.
+    The graph holds the arcs of `caps`, the auxiliary source with
+    k-capacity arcs to every compute node, and zero-capacity placeholder
+    arcs that individual probes raise to infinity via overrides.
     """
 
-    def __init__(self, state: SplitState, w: str, t: str, k: int) -> None:
-        self.state = state
+    def __init__(self, net: Topology, caps: dict, w: str, t: str, k: int) -> None:
+        self.caps = caps
+        self.compute_ids = net.compute_ids
         self.w = w
         self.t = t
-        self.k = k
-        self.target = len(state.compute_ids) * k
-        names = list(state.node_ids)
+        self.target = net.num_compute * k
+        names = [n.id for n in net.nodes]
         self.source = fresh_name("s", names)
         g = FlowGraph()
         for name in names:
             g.add_vertex(name)
         g.add_vertex(self.source)
-        for (a, b), c in state.caps.items():
+        for (a, b), c in caps.items():
             g.add_arc(a, b, c)
-        for c in state.compute_ids:
+        for c in net.compute_ids:
             g.add_arc(self.source, c, k)
         # Placeholders, activated per probe: (x, source) and (x, t) for
         # every node x, and (v, w) for every compute v.
         self.to_source = {x: g.add_arc(x, self.source, 0) for x in names}
         self.to_t = {x: g.add_arc(x, t, 0) for x in names}
-        self.to_w = {v: g.add_arc(v, w, 0) for v in state.compute_ids}
+        self.to_w = {v: g.add_arc(v, w, 0) for v in net.compute_ids}
         self.graph = g
 
     def gamma(self, u: str) -> int:
@@ -135,7 +92,7 @@ class _GammaOracle:
              min_v F(u -> w | inf (u,s),(u,t),(v,w)) - N*k,
              min_v F(w -> t | inf (w,s),(u,t),(v,t)) - N*k }
         """
-        caps = self.state.caps
+        caps = self.caps
         best = min(caps.get((u, self.w), 0), caps.get((self.w, self.t), 0))
         if best <= 0:
             return 0
@@ -143,7 +100,7 @@ class _GammaOracle:
             u,
             self.w,
             {self.to_source[u]: INF, self.to_t[u]: INF},
-            [(v, self.to_w[v]) for v in self.state.compute_ids if v != u],
+            [(v, self.to_w[v]) for v in self.compute_ids if v != u],
             best,
         )
         if best <= 0:
@@ -152,7 +109,7 @@ class _GammaOracle:
             self.w,
             self.t,
             {self.to_source[self.w]: INF, self.to_t[u]: INF},
-            [(v, self.to_t[v]) for v in self.state.compute_ids],
+            [(v, self.to_t[v]) for v in self.compute_ids],
             best,
         )
         return max(best, 0)
@@ -194,87 +151,62 @@ class _GammaOracle:
 
 
 def compute_gamma(
-    state: SplitState, k: int, e: tuple[str, str], f: tuple[str, str]
+    net: Topology, k: int, e: tuple[str, str], f: tuple[str, str]
 ) -> int:
     """Split amount for ingress e = (u, w) and egress f = (w, t) in the
-    given state; standalone form of the oracle for single queries."""
+    scaled network `net`; standalone form of the oracle for single queries."""
     u, w = e
     w2, t = f
     if w != w2:
         raise CollschedError(f"pairing must share the switch: {e} vs {f}")
-    return _GammaOracle(state, w, t, k).gamma(u)
+    return _GammaOracle(net, dict(net.capacity), w, t, k).gamma(u)
 
 
 # ---------------------------------------------------------------------------
 # Removal loop
 # ---------------------------------------------------------------------------
 
-def remove_switches(
-    d: ScaledTopology,
-    k: int | None = None,
-    groups: dict[str, str] | None = None,
-) -> tuple[LogicalTopology, EMap]:
+def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
     """Dissolve every switch of the scaled network into logical arcs.
 
     Switches go in sorted id order; within a switch, egress arcs are
     consumed in sorted head order, and candidate ingress tails are tried in
-    sorted order (tails outside the egress head's declared group first,
-    when `groups` is given — fewer same-group logical arcs tend to survive,
-    which helps later multicast pruning; correctness never depends on it).
+    sorted order, the egress head itself last.
 
-    Returns the compute-only multigraph and the EMap recording how each
+    Returns the compute-only network left over, as a Topology whose
+    capacities are the logical arcs, and the EMap recording how each
     created arc routes physically.  Raises StuckSplit if no pairing for a
     remaining egress arc admits a positive amount, which a balanced input
     satisfying the N*k flow invariant never triggers.
     """
-    state = SplitState.from_scaled(d)
-    if k is None:
-        k = d.k
-    elif k != d.k:
-        raise CollschedError(f"tree count {k} disagrees with the scaled network's {d.k}")
+    caps = dict(scaled.capacity)
     emap = EMap()
-    for w in sorted(state.switch_ids):
+    for w in scaled.switch_ids:
         while True:
-            heads = sorted(t for (a, t), c in state.caps.items() if a == w and c > 0)
+            heads = sorted(t for (a, t), c in caps.items() if a == w and c > 0)
             if not heads:
                 break
-            _consume_egress(state, w, heads[0], k, emap, groups)
-        leftovers = [p for p in state.caps if w in p]
+            _consume_egress(scaled, caps, w, heads[0], k, emap)
+        leftovers = [p for p in caps if w in p]
         if leftovers:
             # Splits reduce a switch's in- and out-capacity in lockstep, so
             # draining the egress side must drain the ingress side too.
             raise CollschedError(f"switch {w} retained arcs after removal: {leftovers}")
-    logical = {
-        pair: c for pair, c in sorted(state.caps.items()) if c > 0
-    }
-    return LogicalTopology(compute_ids=state.compute_ids, capacity=logical, k=k), emap
+    compute = [n for n in scaled.nodes if n.kind == COMPUTE]
+    return Topology(compute, [Link(a, b, c) for (a, b), c in sorted(caps.items())]), emap
 
 
-def _consume_egress(
-    state: SplitState,
-    w: str,
-    t: str,
-    k: int,
-    emap: EMap,
-    groups: dict[str, str] | None,
-) -> None:
-    caps = state.caps
-
-    def order(u: str):
+def _consume_egress(net: Topology, caps: dict, w: str, t: str, k: int, emap: EMap) -> None:
+    oracle = _GammaOracle(net, caps, w, t, k)
+    while caps.get((w, t), 0) > 0:
         # Loop pairings (u == t) cannibalize t's own in-bandwidth, which sits
         # at the feasibility boundary, so their gamma is tiny and expensive
         # to certify; any other tail drains the egress arc in one cheap
         # probe.  Trying them last is purely an ordering choice — the split
         # invariant guarantees progress under any order.
-        self_last = 1 if u == t else 0
-        if groups is None:
-            return (self_last, u)
-        return (0 if groups.get(u) != groups.get(t) else 1, self_last, u)
-
-    oracle = _GammaOracle(state, w, t, k)
-    while caps.get((w, t), 0) > 0:
         tails = sorted(
-            (u for (u, ww), c in caps.items() if ww == w and c > 0), key=order
+            (u for (u, ww), c in caps.items() if ww == w and c > 0),
+            key=lambda u: (u == t, u),
         )
         progressed = False
         for u in tails:
@@ -289,7 +221,7 @@ def _consume_egress(
             if u != t:
                 emap.add(u, t, w, amount)
             progressed = True
-            oracle = _GammaOracle(state, w, t, k)
+            oracle = _GammaOracle(net, caps, w, t, k)
         if not progressed:
             raise StuckSplit(w, (w, t), caps.get((w, t), 0))
 
@@ -318,10 +250,8 @@ class PathExpander:
     exactly once.  The EMap itself is never modified.
     """
 
-    def __init__(self, emap: EMap, scaled: ScaledTopology) -> None:
-        self._direct: dict[tuple[str, str], int] = {
-            pair: c for pair, c in scaled.capacity.items() if c > 0
-        }
+    def __init__(self, emap: EMap, scaled: Topology) -> None:
+        self._direct: dict[tuple[str, str], int] = dict(scaled.capacity)
         self._via: dict[tuple[str, str], dict[str, int]] = {
             pair: dict(ws) for pair, ws in emap.entries.items()
         }

@@ -14,7 +14,7 @@ bandwidth — and that every compute node can reach every other compute node.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -167,20 +167,6 @@ class Topology:
         return self.node_by_id[node_id].kind == COMPUTE
 
 
-@dataclass(frozen=True)
-class ScaledTopology:
-    """A topology whose capacities are U*b_e (all integers), plus the scale
-    factor U and the per-root tree count k the scaling was derived for."""
-
-    topology: Topology
-    U: Fraction
-    k: int
-
-    @property
-    def capacity(self) -> dict[tuple[str, str], int]:
-        return self.topology.capacity
-
-
 # ---------------------------------------------------------------------------
 # Parsing / serialization
 # ---------------------------------------------------------------------------
@@ -321,8 +307,9 @@ def require_valid(t: Topology) -> None:
 # Capacity scaling
 # ---------------------------------------------------------------------------
 
-def scale_capacities(t: Topology, U: Fraction | int, k: int = 1) -> ScaledTopology:
-    """Multiply every bandwidth by U, requiring exact integer results.
+def scale_capacities(t: Topology, U: Fraction | int) -> Topology:
+    """The network switch removal works on: every bandwidth multiplied by
+    U, requiring exact integer results.
 
     U normally comes from `optimality.derive_schedule_params`, which
     guarantees integrality.  The Eulerian property survives scaling by a
@@ -344,7 +331,7 @@ def scale_capacities(t: Topology, U: Fraction | int, k: int = 1) -> ScaledTopolo
     total = sum(l.bandwidth for l in scaled_links)
     if total + 1 > CAPACITY_BUDGET:
         raise Overflow(f"total scaled capacity {total} exceeds the 63-bit budget")
-    return ScaledTopology(topology=Topology(t.nodes, scaled_links), U=U, k=k)
+    return Topology(t.nodes, scaled_links)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from collsched import (
 )
 from collsched.errors import NotEulerianAfterFloor
 from collsched.schedule import assemble_allgather, prune_multicast
-from collsched.splitting import SplitState
 
 from conftest import CLUSTERED_SEEDS, SUITE_SEEDS
 
@@ -78,9 +77,9 @@ def test_criterion_4_splitting_equivalence(random_suite):
         if not t.switch_ids:
             continue
         res = bottleneck_search(t)
-        scaled = scale_capacities(t, res.U, res.k)
+        scaled = scale_capacities(t, res.U)
         lt, _ = remove_switches(scaled, res.k)
-        ratio, _ = brute_force_bottleneck(lt.as_topology())
+        ratio, _ = brute_force_bottleneck(lt)
         assert ratio * res.U == res.inv_x_star, f"seed {seed}"
         s, meta = generate(t, prune=False)
         for (a, b), units in link_usage(s).items():
@@ -91,9 +90,9 @@ def test_criterion_4_splitting_equivalence(random_suite):
 
 def test_criterion_5_split_amount_ground_truth(fig3a):
     res = bottleneck_search(fig3a)
-    state = SplitState.from_scaled(scale_capacities(fig3a, res.U, res.k))
-    red = compute_gamma(state, res.k, ("c1_1", "w0"), ("w0", "c2_1"))
-    blue = compute_gamma(state, res.k, ("c1_3", "w0"), ("w0", "c1_4"))
+    scaled = scale_capacities(fig3a, res.U)
+    red = compute_gamma(scaled, res.k, ("c1_1", "w0"), ("w0", "c2_1"))
+    blue = compute_gamma(scaled, res.k, ("c1_3", "w0"), ("w0", "c1_4"))
     assert (red, blue) == (1, 0)
     print("criterion 5: PASS — cross-box pairing splits 1 unit, intra-box pairing 0")
 
@@ -140,7 +139,7 @@ def test_criterion_8_scalability():
     assert t.num_compute == 128 and len(t.switch_ids) == 17
     start = time.perf_counter()
     meta = bottleneck_search(t)
-    scaled = scale_capacities(t, meta.U, meta.k)
+    scaled = scale_capacities(t, meta.U)
     lt, emap = remove_switches(scaled, meta.k)
     forest = pack_spanning_trees(lt, meta.k)
     s = prune_multicast(assemble_allgather(forest, emap, scaled, meta), t)

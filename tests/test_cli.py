@@ -147,27 +147,12 @@ class TestGenerate:
         assert has_pruned(parse_schedule(pruned.read_text()))
         assert not has_pruned(parse_schedule(bare.read_text()))
 
-    def test_groups_file_feeds_the_heuristic(self, topo_file, tmp_path, fig3a):
-        groups = tmp_path / "groups.json"
-        groups.write_text(json.dumps({c: c.split("_")[0] for c in fig3a.compute_ids}))
-        out_file = tmp_path / "g.json"
-        assert main(["generate", "-t", topo_file, "--groups", str(groups),
-                     "-o", str(out_file)]) == 0
-        groups.write_text(json.dumps(["not", "a", "map"]))
-        assert main(["generate", "-t", topo_file, "--groups", str(groups)]) == 1
-
     def test_byte_identical_reruns(self, topo_file, capsys):
         def run(argv):
             assert main(argv) == 0
             return capsys.readouterr().out
 
         assert run(["generate", "-t", topo_file]) == run(["generate", "-t", topo_file])
-
-    def test_groups_file_that_is_not_json_is_exit_1(self, topo_file, tmp_path, capsys):
-        groups = tmp_path / "groups.json"
-        groups.write_text("{not json")
-        assert main(["generate", "-t", topo_file, "--groups", str(groups)]) == 1
-        assert "error:" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -229,7 +214,7 @@ class TestVerify:
     def test_threads_option_is_gone(self, topo_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "-t", topo_file, "--threads", "4"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
 
 
     def test_huge_multiplicity_is_reported_not_allocated(self, tmp_path):
@@ -310,3 +295,30 @@ class TestExportDot:
     def test_missing_schedule_is_exit_1(self, tmp_path, capsys):
         assert main(["export-dot", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Bad flags exit 1 with the usage and an error line; 2 stays reserved
+    for a failed verification or an oracle disagreement."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "-t", "{topo}", "--fixed-k", "abc"],
+        ["generate", "-t", "{topo}", "--groups", "g.json"],
+        ["optimality"],
+        ["synth", "ring", "--param", "n=3", "--param", "bw=1", "--json"],
+        ["export-dot", "s.json", "--json"],
+        ["no-such-command"],
+    ])
+    def test_exit_1_with_usage(self, argv, topo_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(topo=topo_file) for a in argv])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: collsched")
+        assert "error: " in err
+
+    def test_help_is_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--help"])
+        assert exc.value.code == 0
+        assert "--groups" not in capsys.readouterr().out

@@ -3,7 +3,11 @@
 import pytest
 
 from collsched import (
+    COMPUTE,
     Forest,
+    Link,
+    Node,
+    Topology,
     TreeBatch,
     bottleneck_search,
     compute_mu,
@@ -11,23 +15,21 @@ from collsched import (
     remove_switches,
     scale_capacities,
 )
-from collsched.errors import CollschedError
-from collsched.splitting import LogicalTopology
+from collsched.errors import CollschedError, NoAddableEdge
 
 
-def two_node_logical(cap=3, k=3):
-    return LogicalTopology(
-        compute_ids=("a", "b"),
-        capacity={("a", "b"): cap, ("b", "a"): cap},
-        k=k,
+def two_node_logical(cap=3):
+    return Topology(
+        [Node("a", COMPUTE), Node("b", COMPUTE)],
+        [Link("a", "b", cap), Link("b", "a", cap)],
     )
 
 
-def fresh_forest(lt):
+def fresh_forest(lt, k=3):
     return Forest(
         lt=lt,
         batches=[
-            TreeBatch(root=r, multiplicity=lt.k, members={r}, edges=[])
+            TreeBatch(root=r, multiplicity=k, members={r}, edges=[])
             for r in lt.compute_ids
         ],
         residual=dict(lt.capacity),
@@ -85,16 +87,24 @@ class TestPackSpanningTrees:
         assert forest.residual == {}
 
     def test_k_mismatch_and_bad_k_rejected(self):
-        lt = two_node_logical()
+        # k is an argument only: a k beyond what the capacities carry (3
+        # units each way hold at most 3 trees per root) fails loudly
+        with pytest.raises(NoAddableEdge):
+            pack_spanning_trees(two_node_logical(), 4)
         with pytest.raises(CollschedError):
-            pack_spanning_trees(lt, 2)
-        with pytest.raises(CollschedError):
-            pack_spanning_trees(two_node_logical(k=0), 0)
+            pack_spanning_trees(two_node_logical(), 0)
+
+    def test_switched_network_rejected(self, fig3a):
+        # a network that still has switches, e.g. the scaled one, is refused
+        # before any tree grows
+        res = bottleneck_search(fig3a)
+        with pytest.raises(CollschedError, match="compute-only"):
+            pack_spanning_trees(scale_capacities(fig3a, res.U), res.k)
 
     def test_forest_invariants_across_the_suite(self, random_suite):
         for t in random_suite[:60]:
             res = bottleneck_search(t)
-            scaled = scale_capacities(t, res.U, res.k)
+            scaled = scale_capacities(t, res.U)
             lt, _ = remove_switches(scaled, res.k)
             forest = pack_spanning_trees(lt, res.k)
             n = lt.num_compute
@@ -133,7 +143,7 @@ class TestPackSpanningTrees:
         t = random_eulerian_topology(1)
         res = bottleneck_search(t)
         assert res.k == 7
-        lt, _ = remove_switches(scale_capacities(t, res.U, res.k), res.k)
+        lt, _ = remove_switches(scale_capacities(t, res.U), res.k)
         forest = pack_spanning_trees(lt, res.k)
         assert lt.num_compute == 4
         assert len(forest.batches) == 6

@@ -66,10 +66,5 @@ class TestOptions:
         assert any(b.pruned for rt in pruned.roots for b in rt.batches)
         assert not any(b.pruned for rt in bare.roots for b in rt.batches)
 
-    def test_groups_hint_keeps_validity(self, fig3a):
-        groups = {c: c.split("_")[0] for c in fig3a.compute_ids}
-        s, meta = generate(fig3a, groups=groups)
-        assert validate_schedule(s, fig3a, meta).ok
-
     def test_deterministic_end_to_end(self, fig3a):
         assert generate(fig3a) == generate(fig3a)

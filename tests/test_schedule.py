@@ -66,7 +66,7 @@ class TestAssembly:
     def test_assembling_twice_gives_equal_schedules(self):
         t = synth_topology("boxes", boxes=2, gpus_per_box=2, intra=10, inter=1)
         res = bottleneck_search(t)
-        scaled = scale_capacities(t, res.U, res.k)
+        scaled = scale_capacities(t, res.U)
         logical, emap = remove_switches(scaled, res.k)
         forest = pack_spanning_trees(logical, res.k)
         first = assemble_allgather(forest, emap, scaled, res)

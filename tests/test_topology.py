@@ -159,12 +159,11 @@ class TestValidate:
 
 class TestScaleCapacities:
     def test_integer_scale(self, fig3a):
-        d = scale_capacities(fig3a, 3, k=2)
-        assert d.k == 2
-        assert d.U == 3
+        d = scale_capacities(fig3a, 3)
+        assert d.nodes == fig3a.nodes
         assert d.capacity[("c1_1", "w1")] == 30
         # Eulerian survives scaling
-        assert validate(d.topology).ok
+        assert validate(d).ok
 
     def test_fractional_scale_must_clear(self):
         t = Topology(
