@@ -108,12 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_optimality(args) -> int:
-    try:
-        t = parse_topology(_read(args.topology))
-        result = bottleneck_search(t)
-    except CollschedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    t = parse_topology(_read(args.topology))
+    result = bottleneck_search(t)
     doc = {
         "inv_x_star": fraction_text(result.inv_x_star),
         "U": fraction_text(result.U),
@@ -124,11 +120,7 @@ def cmd_optimality(args) -> int:
     }
     agree = True
     if args.brute_force:
-        try:
-            oracle, witness = brute_force_bottleneck(t)
-        except CollschedError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        oracle, witness = brute_force_bottleneck(t)
         agree = oracle == result.inv_x_star
         doc["brute_force"] = fraction_text(oracle)
         doc["witness"] = sorted(witness.S)
@@ -149,17 +141,13 @@ def cmd_optimality(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        t = parse_topology(_read(args.topology))
-        s, meta = generate(
-            t,
-            collective=args.collective.replace("-", "_"),
-            fixed_k=args.fixed_k,
-            prune=not args.no_multicast,
-        )
-    except CollschedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    t = parse_topology(_read(args.topology))
+    s, meta = generate(
+        t,
+        collective=args.collective.replace("-", "_"),
+        fixed_k=args.fixed_k,
+        prune=not args.no_multicast,
+    )
     report = validate_schedule(s, t, meta)
     if not report.ok:
         print("error: generated schedule failed self-validation:", file=sys.stderr)
@@ -198,12 +186,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        t = parse_topology(_read(args.topology))
-        s = parse_schedule(_read(args.schedule))
-    except CollschedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    t = parse_topology(_read(args.topology))
+    s = parse_schedule(_read(args.schedule))
     report = validate_schedule(s, t)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -229,23 +213,13 @@ def _parse_param(text: str):
 
 
 def cmd_synth(args) -> int:
-    try:
-        params = dict(_parse_param(p) for p in args.param)
-        t = synth_topology(args.family, **params)
-        _write(args.output, serialize_topology(t))
-    except (CollschedError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    params = dict(_parse_param(p) for p in args.param)
+    _write(args.output, serialize_topology(synth_topology(args.family, **params)))
     return 0
 
 
 def cmd_export_dot(args) -> int:
-    try:
-        s = parse_schedule(_read(args.schedule))
-        _write(args.output, export(s, "dot"))
-    except CollschedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _write(args.output, export(parse_schedule(_read(args.schedule)), "dot"))
     return 0
 
 
@@ -258,7 +232,11 @@ def main(argv=None) -> int:
         "synth": cmd_synth,
         "export-dot": cmd_export_dot,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except CollschedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

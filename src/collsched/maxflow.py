@@ -1,17 +1,21 @@
 """Exact integer maximum flow (Dinic).
 
 The engine works on named vertices and paired forward/backward arc entries.
-Capacities are non-negative integers; a distinguished INF marker denotes
-unbounded arcs and is materialized as (sum of all finite capacities + 1),
-which guarantees an INF arc can never be the binding element of a min cut
-that could avoid it.  Everything is checked against the 63-bit budget.
+A graph is built in one call, `FlowGraph(vertices, arcs)`, and an arc's id
+is its position in `arcs`.  Capacities are non-negative ints; a
+distinguished INF marker denotes unbounded arcs and is materialized as
+(sum of all finite capacities + 1), which guarantees an INF arc can never
+be the binding element of a min cut that could avoid it.  Everything is
+checked against the 63-bit budget, and any other capacity, an unknown
+vertex or an arc id out of range raises CollschedError.
 
 `FlowGraph.run` never changes the graph (it runs on a copy of the
 capacities).  Repeated queries that differ from a template by a handful of
-arc capacities pass overrides, which is what the switch removal and tree
-packing layers lean on; an optional `limit` makes the engine stop early
-once `limit` units of flow are placed, returning min(true max flow, limit)
-exactly, and `want_cut=True` adds a min-cut witness.
+arc capacities pass overrides keyed by arc id, which is what the switch
+removal and tree packing layers lean on; an optional `limit` makes the
+engine stop early once `limit` units of flow are placed, returning
+min(true max flow, limit) exactly, and `want_cut=True` adds a min-cut
+witness.
 """
 
 from __future__ import annotations
@@ -52,112 +56,62 @@ def fresh_name(base: str, taken) -> str:
 class FlowGraph:
     """Directed flow network with named vertices.
 
-    Arcs are stored as paired entries (forward at 2*i, residual at 2*i+1).
-    ``add_arc`` returns the arc id i so callers can override its capacity in
-    later `run` calls without rebuilding the graph.
+    `FlowGraph(vertices, arcs)` takes the vertex names in order and the arcs
+    as (src, dst, cap) triples, cap a non-negative int or INF.  Arc i is the
+    i-th triple: its id i is the key for overriding its capacity in later
+    runs.  Arcs are stored as paired entries (forward at 2*i, residual at
+    2*i+1).
     """
 
-    def __init__(self):
-        self._names: list[str] = []
-        self._idx: dict[str, int] = {}
-        self._to: list[int] = []
-        self._cap0: list[int] = []  # -1 encodes INF (forward entries only)
-        self._adj: list[list[int]] = []
-        self._inf_entries: list[int] = []
-        self._finite_sum = 0
-
-    # -- construction -------------------------------------------------------
-    def add_vertex(self, name: str) -> int:
-        if name in self._idx:
-            return self._idx[name]
-        i = len(self._names)
-        self._idx[name] = i
-        self._names.append(name)
-        self._adj.append([])
-        return i
-
-    def vertex(self, name: str) -> int:
+    def __init__(self, vertices, arcs):
+        self._names = names = list(vertices)
+        self._idx = idx = {name: i for i, name in enumerate(names)}
+        if len(idx) != len(names):
+            raise CollschedError("duplicate vertex names")
+        self._to = to = []
+        self._cap0 = cap0 = []  # -1 encodes INF (forward entries only)
+        self._adj = adj = [[] for _ in names]
+        self._inf_entries = inf_entries = []
+        finite = 0
+        entry = 0
         try:
-            return self._idx[name]
-        except KeyError:
-            raise CollschedError(f"vertex {name!r} not in flow graph") from None
-
-    def add_arc(self, src: str, dst: str, cap) -> int:
-        """Add a directed arc; `cap` is a non-negative int or INF.
-
-        Returns the arc id usable as an override key in `run`.
-        """
-        u = self.vertex(src)
-        v = self.vertex(dst)
-        entry = len(self._to)
-        if cap is INF:
-            self._inf_entries.append(entry)
-            c0 = -1
-        else:
-            if not isinstance(cap, int) or cap < 0:
-                raise CollschedError(f"arc capacity must be a non-negative int, got {cap!r}")
-            if cap > CAPACITY_BUDGET:
-                raise Overflow(f"arc capacity {cap} exceeds the 63-bit budget")
-            self._finite_sum += cap
-            c0 = cap
-        self._to.append(v)
-        self._cap0.append(c0)
-        self._to.append(u)
-        self._cap0.append(0)
-        self._adj[u].append(entry)
-        self._adj[v].append(entry + 1)
-        return entry // 2
+            for src, dst, cap in arcs:
+                u = idx[src]
+                v = idx[dst]
+                if type(cap) is int and cap >= 0:
+                    finite += cap
+                    c0 = cap
+                elif cap is INF:
+                    inf_entries.append(entry)
+                    c0 = -1
+                else:
+                    raise _bad_capacity(cap)
+                to.append(v)
+                cap0.append(c0)
+                to.append(u)
+                cap0.append(0)
+                adj[u].append(entry)
+                adj[v].append(entry + 1)
+                entry += 2
+        except KeyError as exc:
+            raise _unknown_vertex(exc) from None
+        if finite + 1 > CAPACITY_BUDGET:
+            raise Overflow(f"finite capacity sum {finite} exceeds the 63-bit budget")
+        self._finite_sum = finite
 
     @classmethod
     def from_arcs(cls, vertices, arcs) -> "FlowGraph":
-        """Bulk constructor: `vertices` in order, `arcs` as (src, dst, cap)
-        triples with int or INF capacities.
-
-        Equivalent to repeated add_vertex/add_arc (arc ids are assigned in
-        input order) but much cheaper, for hot paths that rebuild a graph
-        per probe.
-        """
-        g = cls.__new__(cls)
-        names = list(vertices)
-        idx = {name: i for i, name in enumerate(names)}
-        if len(idx) != len(names):
-            raise CollschedError("duplicate vertex names")
-        to: list[int] = []
-        cap0: list[int] = []
-        adj: list[list[int]] = [[] for _ in names]
-        inf_entries: list[int] = []
-        finite = 0
-        entry = 0
-        for src, dst, cap in arcs:
-            u = idx[src]
-            v = idx[dst]
-            if cap is INF:
-                inf_entries.append(entry)
-                c0 = -1
-            else:
-                if cap < 0:
-                    raise CollschedError(f"arc capacity must be non-negative, got {cap!r}")
-                finite += cap
-                c0 = cap
-            to.append(v)
-            cap0.append(c0)
-            to.append(u)
-            cap0.append(0)
-            adj[u].append(entry)
-            adj[v].append(entry + 1)
-            entry += 2
-        if finite + 1 > CAPACITY_BUDGET:
-            raise Overflow(f"finite capacity sum {finite} exceeds the 63-bit budget")
-        g._names = names
-        g._idx = idx
-        g._to = to
-        g._cap0 = cap0
-        g._adj = adj
-        g._inf_entries = inf_entries
-        g._finite_sum = finite
-        return g
+        """Same as `FlowGraph(vertices, arcs)`; perfbench's tracer wraps
+        this name."""
+        return cls(vertices, arcs)
 
     # -- execution ----------------------------------------------------------
+    def _position(self, arc_id) -> int:
+        """Forward entry of arc `arc_id`, an int in [0, number of arcs)."""
+        if type(arc_id) is not int or not 0 <= 2 * arc_id < len(self._to):
+            raise CollschedError(f"no arc with id {arc_id!r} in flow graph")
+        return 2 * arc_id
+
     def _materialize(self, overrides) -> tuple[list[int], int, int]:
         """Capacity array with overrides applied and INF made concrete.
 
@@ -169,24 +123,56 @@ class FlowGraph:
         inf_positions = list(self._inf_entries)
         if overrides:
             for arc_id, cap in overrides.items():
-                pos = 2 * arc_id
+                pos = self._position(arc_id)
                 old = caps[pos]
                 if old >= 0:
                     finite -= old
                 else:
                     inf_positions.remove(pos)
-                if cap is INF:
+                if type(cap) is int and cap >= 0:
+                    finite += cap
+                    caps[pos] = cap
+                elif cap is INF:
                     inf_positions.append(pos)
                     caps[pos] = -1
                 else:
-                    finite += cap
-                    caps[pos] = cap
+                    raise _bad_capacity(cap)
         if finite + 1 > CAPACITY_BUDGET:
             raise Overflow(f"finite capacity sum {finite} exceeds the 63-bit budget")
         inf_val = finite + 1
         for pos in inf_positions:
             caps[pos] = inf_val
         return caps, inf_val, len(inf_positions)
+
+    def _solve(self, src, dst, overrides, limit) -> tuple[int, tuple]:
+        """Max flow src->dst on a fresh copy of the capacities: the value
+        and the residual state (caps, inf_val, s, t)."""
+        try:
+            s = self._idx[src]
+            t = self._idx[dst]
+        except KeyError as exc:
+            raise _unknown_vertex(exc) from None
+        if s == t:
+            raise CollschedError("source and sink must differ")
+        caps, inf_val, n_inf = self._materialize(overrides)
+        cap_limit = inf_val * (n_inf + 1) if limit is None else limit
+        value = _dinic(len(self._names), self._to, self._adj, caps, s, t, cap_limit)
+        return value, (caps, inf_val, s, t)
+
+    def _source_side(self, state: tuple) -> frozenset[str]:
+        """Vertices reachable from s in the residual graph (= min-cut
+        source side)."""
+        caps, _, s, _ = state
+        to = self._to
+        seen = [False] * len(self._names)
+        seen[s] = True
+        queue = [s]
+        for u in queue:
+            for e in self._adj[u]:
+                if caps[e] > 0 and not seen[to[e]]:
+                    seen[to[e]] = True
+                    queue.append(to[e])
+        return frozenset(self._names[i] for i in queue)
 
     def run(
         self,
@@ -203,17 +189,10 @@ class FlowGraph:
         min(max flow, limit).  Returns the flow value, or a FlowResult when
         `want_cut` is set.
         """
-        s = self.vertex(src)
-        t = self.vertex(dst)
-        if s == t:
-            raise CollschedError("source and sink must differ")
-        caps, inf_val, n_inf = self._materialize(overrides)
-        cap_limit = inf_val * (n_inf + 1) if limit is None else limit
-        value = _dinic(len(self._names), self._to, self._adj, caps, s, t, cap_limit)
+        value, state = self._solve(src, dst, overrides, limit)
         if not want_cut:
             return value
-        side = _residual_side(len(self._names), self._to, self._adj, caps, s)
-        return FlowResult(value=value, source_side=frozenset(self._names[i] for i in side))
+        return FlowResult(value=value, source_side=self._source_side(state))
 
     def run_keep(
         self,
@@ -228,18 +207,8 @@ class FlowGraph:
         The returned cut is only meaningful when the flow converged (value
         below `limit`); a limit-stopped run's state must not be resumed.
         """
-        s = self.vertex(src)
-        t = self.vertex(dst)
-        if s == t:
-            raise CollschedError("source and sink must differ")
-        caps, inf_val, n_inf = self._materialize(overrides)
-        cap_limit = inf_val * (n_inf + 1) if limit is None else limit
-        value = _dinic(len(self._names), self._to, self._adj, caps, s, t, cap_limit)
-        side = _residual_side(len(self._names), self._to, self._adj, caps, s)
-        result = FlowResult(
-            value=value, source_side=frozenset(self._names[i] for i in side)
-        )
-        return result, (caps, inf_val, s, t)
+        value, state = self._solve(src, dst, overrides, limit)
+        return FlowResult(value=value, source_side=self._source_side(state)), state
 
     def resume(self, state: tuple, boost_arcs, limit: int) -> int:
         """Extra flow after raising zero-capacity arcs to infinity.
@@ -252,11 +221,19 @@ class FlowGraph:
         caps, inf_val, s, t = state
         work = caps.copy()
         for arc_id in boost_arcs:
-            pos = 2 * arc_id
+            pos = self._position(arc_id)
             if work[pos] != 0 or work[pos + 1] != 0:
                 raise CollschedError("resume boosts must be unused zero-capacity arcs")
             work[pos] = inf_val
         return _dinic(len(self._names), self._to, self._adj, work, s, t, limit)
+
+
+def _bad_capacity(cap) -> CollschedError:
+    return CollschedError(f"arc capacity must be a non-negative int or INF, got {cap!r}")
+
+
+def _unknown_vertex(exc: KeyError) -> CollschedError:
+    return CollschedError(f"vertex {exc.args[0]!r} not in flow graph")
 
 
 def _dinic(n, to, adj, cap, s, t, limit):
@@ -324,15 +301,3 @@ def _dinic(n, to, adj, cap, s, t, limit):
                 it[u] += 1
     return total
 
-
-def _residual_side(n, to, adj, cap, s):
-    """Vertices reachable from s in the residual graph (= min-cut source side)."""
-    seen = [False] * n
-    seen[s] = True
-    queue = [s]
-    for u in queue:
-        for e in adj[u]:
-            if cap[e] > 0 and not seen[to[e]]:
-                seen[to[e]] = True
-                queue.append(to[e])
-    return [i for i in range(n) if seen[i]]

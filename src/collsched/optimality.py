@@ -128,7 +128,7 @@ def _cut_search(t: Topology, cut_value, probe_capacities):
         caps, supply = probe_capacities(value)
         arcs = [(a, b, c) for (a, b), c in caps.items() if c > 0]
         arcs += [(source, c, supply) for c in t.compute_ids]
-        g = FlowGraph.from_arcs(vertices, arcs)
+        g = FlowGraph(vertices, arcs)
         target = t.num_compute * supply
         for i, sink in enumerate(sinks):
             res = g.run(source, sink, limit=target, want_cut=True)

@@ -340,7 +340,8 @@ def prune_aggregation(s: Schedule, t: Topology) -> Schedule:
 
 
 # ---------------------------------------------------------------------------
-# Usage accounting (shared by exports; the verify module recomputes its own)
+# Usage accounting (shared by exports and verify.congestion_time; the
+# validator recomputes its own)
 # ---------------------------------------------------------------------------
 
 def _usage(batches) -> dict[tuple[str, str], int]:

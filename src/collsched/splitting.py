@@ -69,20 +69,20 @@ class _GammaOracle:
         self.target = net.num_compute * k
         names = [n.id for n in net.nodes]
         self.source = fresh_name("s", names)
-        g = FlowGraph()
-        for name in names:
-            g.add_vertex(name)
-        g.add_vertex(self.source)
-        for (a, b), c in caps.items():
-            g.add_arc(a, b, c)
-        for c in net.compute_ids:
-            g.add_arc(self.source, c, k)
-        # Placeholders, activated per probe: (x, source) and (x, t) for
-        # every node x, and (v, w) for every compute v.
-        self.to_source = {x: g.add_arc(x, self.source, 0) for x in names}
-        self.to_t = {x: g.add_arc(x, t, 0) for x in names}
-        self.to_w = {v: g.add_arc(v, w, 0) for v in net.compute_ids}
-        self.graph = g
+        arcs = [(a, b, c) for (a, b), c in caps.items()]
+        arcs += [(self.source, c, k) for c in net.compute_ids]
+        # Placeholders, activated per probe by overrides keyed on their
+        # positions: (x, source) and (x, t) for every node x, and (v, w)
+        # for every compute v.
+        def placeholders(tails, head) -> dict[str, int]:
+            first = len(arcs)
+            arcs.extend((x, head, 0) for x in tails)
+            return {x: first + i for i, x in enumerate(tails)}
+
+        self.to_source = placeholders(names, self.source)
+        self.to_t = placeholders(names, t)
+        self.to_w = placeholders(net.compute_ids, w)
+        self.graph = FlowGraph(names + [self.source], arcs)
 
     def gamma(self, u: str) -> int:
         """Largest amount of the pairing (u, w),(w, t) splittable while the

@@ -133,12 +133,10 @@ class Topology:
 
         self.capacity: dict[tuple[str, str], int] = dict(merged)
         self.out_adj: dict[str, list[tuple[str, int]]] = {n.id: [] for n in nodes}
-        self.in_adj: dict[str, list[tuple[str, int]]] = {n.id: [] for n in nodes}
         self.in_bw: dict[str, int] = {n.id: 0 for n in nodes}
         self.out_bw: dict[str, int] = {n.id: 0 for n in nodes}
         for l in self.links:
             self.out_adj[l.src].append((l.dst, l.bandwidth))
-            self.in_adj[l.dst].append((l.src, l.bandwidth))
             self.out_bw[l.src] += l.bandwidth
             self.in_bw[l.dst] += l.bandwidth
 
@@ -357,7 +355,8 @@ def synth_topology(family: str, **params) -> Topology:
     invariant tests serialize and compare).  All families pass `validate`.
     Counts and bandwidths must be ints and `bidirectional` a bool; a
     parameter of another type, a missing one or one the family does not
-    take raises TopologyFormatError, and an out-of-range value ValueError.
+    take raises TopologyFormatError, and so do an unknown family and an
+    out-of-range value.
     """
     known = {
         "boxes": {"boxes", "gpus_per_box", "intra", "inter"},
@@ -365,7 +364,7 @@ def synth_topology(family: str, **params) -> Topology:
         "fat-tree": {"pods", "gpus", "spines", "leaf_bw", "spine_bw"},
     }
     if family not in known:
-        raise ValueError(f"unsupported topology family {family!r}")
+        raise TopologyFormatError(f"unsupported topology family {family!r}")
     unknown = sorted(set(params) - known[family])
     if unknown:
         raise TopologyFormatError(f"{family} takes no parameter {', '.join(unknown)}")
@@ -379,9 +378,9 @@ def synth_topology(family: str, **params) -> Topology:
         intra = param("intra")
         inter = param("inter")
         if boxes < 1 or gpus < 1 or boxes * gpus < 2:
-            raise ValueError("boxes family needs at least 2 compute nodes")
+            raise TopologyFormatError("boxes family needs at least 2 compute nodes")
         if intra < 1 or inter < 1:
-            raise ValueError("bandwidths must be >= 1")
+            raise TopologyFormatError("bandwidths must be >= 1")
         nodes = [Node("w0", SWITCH)]
         links = []
         for b in range(1, boxes + 1):
@@ -402,9 +401,9 @@ def synth_topology(family: str, **params) -> Topology:
         bw = param("bw")
         bidirectional = param("bidirectional", bool, False)
         if n < 2:
-            raise ValueError("ring needs at least 2 nodes")
+            raise TopologyFormatError("ring needs at least 2 nodes")
         if bw < 1:
-            raise ValueError("bandwidths must be >= 1")
+            raise TopologyFormatError("bandwidths must be >= 1")
         nodes = [Node(f"c{i}", COMPUTE) for i in range(1, n + 1)]
         links = [
             Link(f"c{i}", f"c{i % n + 1}", bw) for i in range(1, n + 1)
@@ -422,9 +421,9 @@ def synth_topology(family: str, **params) -> Topology:
     leaf_bw = param("leaf_bw")
     spine_bw = param("spine_bw")
     if pods < 1 or gpus < 2 or gpus % pods:
-        raise ValueError("fat-tree needs gpus >= 2 divisible by pods")
+        raise TopologyFormatError("fat-tree needs gpus >= 2 divisible by pods")
     if spines < 1 or leaf_bw < 1 or spine_bw < 1:
-        raise ValueError("bandwidths and spine count must be >= 1")
+        raise TopologyFormatError("bandwidths and spine count must be >= 1")
     per_pod = gpus // pods
     nodes = [Node(f"s{j}", SWITCH) for j in range(1, spines + 1)]
     links = []

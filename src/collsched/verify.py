@@ -3,7 +3,9 @@
 Everything here deliberately re-derives results without leaning on the
 modules it checks: the bottleneck oracle enumerates every cut instead of
 running flows, and the schedule validator recomputes tree structure, link
-usage and delivery from the serialized schedule alone.  Agreement between
+usage and delivery from the serialized schedule alone.  Only the
+`congestion_time` summary reads the shared `schedule.link_usage` tally; the
+tests hold it equal to the validator's own.  Agreement between
 this module and the pipeline is the package's core evidence of
 correctness.
 """
@@ -22,6 +24,7 @@ from .schedule import (
     Schedule,
     bfs_edges,
     fraction_text,
+    link_usage,
     reverse_schedule,
     spans_add,
     spans_cover,
@@ -495,22 +498,14 @@ def validate_schedule(s: Schedule, t: Topology, expected=None) -> ValidationRepo
 
 def congestion_time(s: Schedule, t: Topology) -> Fraction:
     """Per-unit communication time under the fluid congestion model:
-    max over links of usage(e)/(N*k*b_e); allreduce sums its phases."""
+    max over links of usage(e)/(N*k*b_e), with usage from `link_usage`;
+    allreduce sums its phases."""
     if s.collective == ALLREDUCE:
         return sum(
             (congestion_time(p, t) for p in s.phases), Fraction(0)
         )
-    usage: dict[tuple[str, str], int] = {}
-    for rt in s.roots:
-        for batch in rt.batches:
-            for e in batch.edges:
-                for pu in e.paths:
-                    for a, b in zip(pu.path, pu.path[1:]):
-                        usage[(a, b)] = usage.get((a, b), 0) + pu.multiplicity
-            for h in batch.pruned:
-                usage[(h.src, h.dst)] = usage.get((h.src, h.dst), 0) - h.multiplicity
     worst = Fraction(0)
-    for (a, b), units in usage.items():
+    for (a, b), units in link_usage(s).items():
         if units <= 0:
             continue
         if (a, b) not in t.capacity:

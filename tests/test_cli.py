@@ -147,6 +147,13 @@ class TestGenerate:
         assert has_pruned(parse_schedule(pruned.read_text()))
         assert not has_pruned(parse_schedule(bare.read_text()))
 
+    def test_unwritable_output_is_exit_1(self, topo_file, tmp_path, capsys):
+        out_file = tmp_path / "no" / "such" / "dir" / "x.json"
+        assert main(["generate", "-t", topo_file, "-o", str(out_file)]) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot write" in err
+        assert "Traceback" not in err
+
     def test_byte_identical_reruns(self, topo_file, capsys):
         def run(argv):
             assert main(argv) == 0
@@ -278,9 +285,12 @@ class TestSynth:
                      "--param", "bidi=true"]) == 1
         assert main(["synth", "boxes", "--param", "boxes=true", "--param", "gpus_per_box=4",
                      "--param", "intra=10", "--param", "inter=1"]) == 1
+        # out-of-range values too
+        assert main(["synth", "ring", "--param", "n=1", "--param", "bw=1"]) == 1
         err = capsys.readouterr()
         assert err.out == ""
-        assert err.err.count("error:") == 8
+        assert err.err.count("error:") == 9
+        assert "Traceback" not in err.err
 
 
 class TestExportDot:

@@ -2,8 +2,11 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collsched import INF, FlowGraph
 from collsched.errors import CollschedError, Overflow
@@ -12,11 +15,7 @@ from collsched.topology import CAPACITY_BUDGET
 
 
 def build(vertices, arcs):
-    g = FlowGraph()
-    for v in vertices:
-        g.add_vertex(v)
-    ids = [g.add_arc(a, b, c) for a, b, c in arcs]
-    return g, ids
+    return FlowGraph(vertices, arcs), list(range(len(arcs)))
 
 
 def brute_min_cut(vertices, arcs, s, t):
@@ -137,19 +136,40 @@ class TestRunControls:
             g.run("s", "s")
 
     def test_unknown_vertex_rejected(self):
-        g = FlowGraph()
-        g.add_vertex("s")
+        g, _ = build("st", [("s", "t", 1)])
         with pytest.raises(CollschedError):
-            g.vertex("nope")
+            g.run("s", "nope")
+        with pytest.raises(CollschedError):
+            g.run_keep("nope", "t")
 
     def test_bad_capacities_rejected(self):
-        g = FlowGraph()
-        g.add_vertex("s")
-        g.add_vertex("t")
-        with pytest.raises(CollschedError):
-            g.add_arc("s", "t", -1)
+        # (vertices, arc): a float, a Fraction, a bool, a str and a negative
+        # capacity, an unknown endpoint, and a duplicate vertex
+        cases = [
+            ("st", ("s", "t", 1.5)),
+            ("st", ("s", "t", Fraction(1, 2))),
+            ("st", ("s", "t", True)),
+            ("st", ("s", "t", "3")),
+            ("st", ("s", "t", -1)),
+            ("st", ("s", "nope", 1)),
+            ("sst", ("s", "t", 1)),
+        ]
+        for vertices, arc in cases:
+            with pytest.raises(CollschedError):
+                FlowGraph(vertices, [arc])
         with pytest.raises(Overflow):
-            g.add_arc("s", "t", CAPACITY_BUDGET + 1)
+            FlowGraph("st", [("s", "t", CAPACITY_BUDGET + 1)])
+
+    @pytest.mark.parametrize("method", ["run", "run_keep"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{0: -5}, {0: 2.5}, {0: True}, {-1: 3}, {2: 3}, {"0": 3}],
+        ids=["negative", "float", "bool", "id-minus-one", "id-past-end", "id-str"],
+    )
+    def test_bad_overrides_rejected(self, method, overrides):
+        g, _ = build("sat", [("s", "a", 4), ("a", "t", 4)])
+        with pytest.raises(CollschedError):
+            getattr(g, method)("s", "t", overrides=overrides)
 
     def test_from_arcs_equals_incremental(self):
         vertices, arcs = random_instance(37)
@@ -163,12 +183,14 @@ class TestRunControls:
 class TestResume:
     def _with_placeholders(self, seed):
         vertices, arcs = random_instance(seed)
-        g, _ = build(vertices, arcs)
         rng = random.Random(seed + 1000)
         holders = {}
+        placeholders = []
         for v in vertices[1:-1]:
             if rng.random() < 0.5:
-                holders[v] = g.add_arc(vertices[0], v, 0)
+                holders[v] = len(arcs) + len(placeholders)
+                placeholders.append((vertices[0], v, 0))
+        g, _ = build(vertices, arcs + placeholders)
         return vertices, arcs, g, holders
 
     @pytest.mark.parametrize("seed", range(25))
@@ -186,8 +208,7 @@ class TestResume:
             assert g.resume(state, (arc,), big) == gained
 
     def test_resume_respects_limit(self):
-        g, _ = build("sat", [("a", "t", 6)])
-        arc = g.add_arc("s", "a", 0)
+        g, (_, arc) = build("sat", [("a", "t", 6), ("s", "a", 0)])
         res, state = g.run_keep("s", "t")
         assert res.value == 0
         assert g.resume(state, (arc,), 4) == 4
@@ -198,6 +219,44 @@ class TestResume:
         _, state = g.run_keep("s", "t")
         with pytest.raises(CollschedError):
             g.resume(state, (ids[0],), 10)
+
+    @pytest.mark.parametrize("arc", [-1, 2, True])
+    def test_resume_rejects_bad_arc_ids(self, arc):
+        g, _ = build("sat", [("a", "t", 6), ("s", "a", 0)])
+        _, state = g.run_keep("s", "t")
+        with pytest.raises(CollschedError):
+            g.resume(state, (arc,), 10)
+
+
+_ARC_IDS = st.one_of(st.integers(-2, 40), st.sampled_from(["0", 1.0]))
+_CAPACITIES = st.one_of(
+    st.integers(-2, 12), st.just(INF), st.sampled_from([1.5, Fraction(1, 2), True, "3", None])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    overrides=st.dictionaries(_ARC_IDS, _CAPACITIES, max_size=4),
+)
+def test_overrides_refused_or_equal_to_a_fresh_graph(seed, overrides):
+    """Malformed overrides are refused; well-formed ones give the flow of
+    a graph built with those capacities."""
+    vertices, arcs = random_instance(seed)
+    g, _ = build(vertices, arcs)
+    well_formed = all(
+        type(i) is int
+        and 0 <= i < len(arcs)
+        and (c is INF or (type(c) is int and c >= 0))
+        for i, c in overrides.items()
+    )
+    s, t = vertices[0], vertices[-1]
+    if not well_formed:
+        with pytest.raises(CollschedError):
+            g.run(s, t, overrides=overrides)
+        return
+    patched = [(a, b, overrides.get(i, c)) for i, (a, b, c) in enumerate(arcs)]
+    assert g.run(s, t, overrides=overrides) == FlowGraph(vertices, patched).run(s, t)
 
 
 class TestHelpers:

@@ -33,15 +33,10 @@ def tiny_relay():
 def supports_full_flow(lt, k) -> bool:
     """True iff N*k units still flow from an auxiliary source to every
     compute node of the logical graph — the invariant splits must keep."""
-    g = FlowGraph()
-    for c in lt.compute_ids:
-        g.add_vertex(c)
     source = fresh_name("s", lt.compute_ids)
-    g.add_vertex(source)
-    for (a, b), c in lt.capacity.items():
-        g.add_arc(a, b, c)
-    for c in lt.compute_ids:
-        g.add_arc(source, c, k)
+    arcs = [(a, b, c) for (a, b), c in lt.capacity.items()]
+    arcs += [(source, c, k) for c in lt.compute_ids]
+    g = FlowGraph([*lt.compute_ids, source], arcs)
     target = lt.num_compute * k
     return all(g.run(source, c, limit=target) >= target for c in lt.compute_ids)
 

@@ -209,13 +209,15 @@ class TestSynthFamilies:
         assert validate(t).ok
 
     def test_bad_params(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TopologyFormatError):
             synth_topology("boxes", boxes=1, gpus_per_box=1, intra=1, inter=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TopologyFormatError):
             synth_topology("ring", n=1, bw=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TopologyFormatError):
+            synth_topology("ring", n=3, bw=0)
+        with pytest.raises(TopologyFormatError):
             synth_topology("fat-tree", pods=3, gpus=4, leaf_bw=1, spine_bw=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TopologyFormatError):
             synth_topology("torus", n=4)
 
 
