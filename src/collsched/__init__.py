@@ -32,7 +32,7 @@ from .optimality import (
     derive_schedule_params,
     fixed_k_search,
 )
-from .packing import Forest, TreeBatch, compute_mu, pack_spanning_trees
+from .packing import Forest, TreeBatch, pack_spanning_trees
 from .pipeline import generate
 from .schedule import (
     ALLGATHER,
@@ -53,11 +53,7 @@ from .schedule import (
     prune_multicast,
     reverse_for_reduce_scatter,
 )
-from .splitting import (
-    EMap,
-    compute_gamma,
-    remove_switches,
-)
+from .splitting import EMap, remove_switches
 from .topology import (
     COMPUTE,
     SWITCH,
@@ -126,8 +122,6 @@ __all__ = [
     "bottleneck_search",
     "brute_force_bottleneck",
     "combine_allreduce",
-    "compute_gamma",
-    "compute_mu",
     "congestion_time",
     "derive_schedule_params",
     "export",

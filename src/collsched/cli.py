@@ -85,8 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--fixed-k", type=_positive_int, metavar="K",
                    help="force exactly K trees per root")
-    p.add_argument("--no-multicast", action="store_true",
-                   help="skip multicast/aggregation pruning")
     common(p)
 
     p = sub.add_parser("verify", help="validate a schedule against a topology")
@@ -146,7 +144,6 @@ def cmd_generate(args) -> int:
         t,
         collective=args.collective.replace("-", "_"),
         fixed_k=args.fixed_k,
-        prune=not args.no_multicast,
     )
     report = validate_schedule(s, t, meta)
     if not report.ok:

@@ -7,7 +7,8 @@ distinguished INF marker denotes unbounded arcs and is materialized as
 (sum of all finite capacities + 1), which guarantees an INF arc can never
 be the binding element of a min cut that could avoid it.  Everything is
 checked against the 63-bit budget, and any other capacity, an unknown
-vertex or an arc id out of range raises CollschedError.
+vertex, a malformed arc, an arc id out of range or a `limit` that is not
+a non-negative int raises CollschedError.
 
 `FlowGraph.run` never changes the graph (it runs on a copy of the
 capacities).  Repeated queries that differ from a template by a handful of
@@ -74,27 +75,32 @@ class FlowGraph:
         self._inf_entries = inf_entries = []
         finite = 0
         entry = 0
-        try:
-            for src, dst, cap in arcs:
+        for arc in arcs:
+            try:
+                src, dst, cap = arc
                 u = idx[src]
                 v = idx[dst]
-                if type(cap) is int and cap >= 0:
-                    finite += cap
-                    c0 = cap
-                elif cap is INF:
-                    inf_entries.append(entry)
-                    c0 = -1
-                else:
-                    raise _bad_capacity(cap)
-                to.append(v)
-                cap0.append(c0)
-                to.append(u)
-                cap0.append(0)
-                adj[u].append(entry)
-                adj[v].append(entry + 1)
-                entry += 2
-        except KeyError as exc:
-            raise _unknown_vertex(exc) from None
+            except KeyError as exc:
+                raise _unknown_vertex(exc) from None
+            except (TypeError, ValueError):
+                raise CollschedError(
+                    f"arc {arc!r} is not a (src, dst, cap) triple with hashable endpoints"
+                ) from None
+            if type(cap) is int and cap >= 0:
+                finite += cap
+                c0 = cap
+            elif cap is INF:
+                inf_entries.append(entry)
+                c0 = -1
+            else:
+                raise _bad_capacity(cap)
+            to.append(v)
+            cap0.append(c0)
+            to.append(u)
+            cap0.append(0)
+            adj[u].append(entry)
+            adj[v].append(entry + 1)
+            entry += 2
         if finite + 1 > CAPACITY_BUDGET:
             raise Overflow(f"finite capacity sum {finite} exceeds the 63-bit budget")
         self._finite_sum = finite
@@ -155,7 +161,7 @@ class FlowGraph:
         if s == t:
             raise CollschedError("source and sink must differ")
         caps, inf_val, n_inf = self._materialize(overrides)
-        cap_limit = inf_val * (n_inf + 1) if limit is None else limit
+        cap_limit = inf_val * (n_inf + 1) if limit is None else _checked_limit(limit)
         value = _dinic(len(self._names), self._to, self._adj, caps, s, t, cap_limit)
         return value, (caps, inf_val, s, t)
 
@@ -218,6 +224,7 @@ class FlowGraph:
         previously-used arc cannot simply be rewritten).  Returns the flow
         gained, up to `limit`; the state itself is left untouched.
         """
+        limit = _checked_limit(limit)
         caps, inf_val, s, t = state
         work = caps.copy()
         for arc_id in boost_arcs:
@@ -230,6 +237,12 @@ class FlowGraph:
 
 def _bad_capacity(cap) -> CollschedError:
     return CollschedError(f"arc capacity must be a non-negative int or INF, got {cap!r}")
+
+
+def _checked_limit(limit) -> int:
+    if type(limit) is not int or limit < 0:
+        raise CollschedError(f"flow limit must be a non-negative int, got {limit!r}")
+    return limit
 
 
 def _unknown_vertex(exc: KeyError) -> CollschedError:

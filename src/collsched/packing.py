@@ -52,9 +52,6 @@ class Forest:
     residual: dict[tuple[str, str], int]
     mu_evaluations: int = 0
 
-    def batches_for(self, root: str) -> list[TreeBatch]:
-        return [b for b in self.batches if b.root == root]
-
 
 def compute_mu(forest: Forest, batch: TreeBatch, arc: tuple[str, str]) -> int:
     """Largest multiplicity at which `batch` may take `arc` while the rest

@@ -1,12 +1,18 @@
 """End-to-end schedule generation: search, split, pack, assemble, prune.
 
-The reduce-scatter schedule is the mechanical reversal of the allgather
-trees (in-trees aggregating at each root); allreduce chains both phases
-over the same forest.  On topologies whose links all have an equal-
-bandwidth reverse twin this preserves validity and optimality; on
-merely-Eulerian asymmetric networks the reversed phase can overdraw
-individual links, which self-validation reports honestly rather than
-papering over.
+An allgather is the packed forest of broadcast trees, pruned for the
+topology's multicast switches.  A reduce-scatter is an allgather on the
+transposed network run backwards: the same trees, pruned for multicast on
+`transpose(t)` (whose multicast switches are t's aggregating ones), then
+reversed into in-trees aggregating at each root.  An allreduce chains that
+reduce-scatter with the allgather.  Nothing but the switches' `multicast`
+and `aggregation` flags turns pruning on: on a network without them,
+pruning changes nothing.
+
+On topologies whose links all have an equal-bandwidth reverse twin the
+reversal preserves validity and optimality; on merely-Eulerian asymmetric
+networks the reversed phase can overdraw individual links, which
+self-validation reports honestly rather than papering over.
 """
 
 from __future__ import annotations
@@ -18,15 +24,13 @@ from .schedule import (
     ALLGATHER,
     ALLREDUCE,
     REDUCE_SCATTER,
-    Schedule,
     assemble_allgather,
     combine_allreduce,
-    prune_aggregation,
     prune_multicast,
     reverse_for_reduce_scatter,
 )
 from .splitting import remove_switches
-from .topology import Link, Topology, require_valid, scale_capacities
+from .topology import Link, Topology, require_valid, scale_capacities, transpose
 
 COLLECTIVES = (ALLGATHER, REDUCE_SCATTER, ALLREDUCE)
 
@@ -36,12 +40,7 @@ def _scaled_for_fixed_k(t: Topology, meta) -> Topology:
     return Topology(t.nodes, [Link(a, b, c) for (a, b), c in floored if c > 0])
 
 
-def generate(
-    t: Topology,
-    collective: str = ALLGATHER,
-    fixed_k: int | None = None,
-    prune: bool = True,
-):
+def generate(t: Topology, collective: str = ALLGATHER, fixed_k: int | None = None):
     """Produce a schedule for the collective on a validated topology.
 
     Returns (schedule, meta) where meta is the optimality search result
@@ -49,11 +48,10 @@ def generate(
     propagates if the floored capacities cannot be balanced).  The schedule
     carries meta's U, k, y, inv_x_star and exactness itself, so it validates
     on its own; meta adds what only the search knows, and passed as
-    `validate_schedule`'s `expected` it cross-checks those claims.  With
-    `prune`, multicast/aggregation elision runs when the topology declares
-    capable switches.  Switch removal and packing both take a plain
-    Topology (t scaled by U, or floored for fixed k, then its compute-only
-    remainder) and the tree count k as an argument.
+    `validate_schedule`'s `expected` it cross-checks those claims.  Switch
+    removal and packing both take a plain Topology (t scaled by U, or
+    floored for fixed k, then its compute-only remainder) and the tree
+    count k as an argument.
     """
     if collective not in COLLECTIVES:
         raise CollschedError(f"unknown collective {collective!r}")
@@ -68,11 +66,8 @@ def generate(
     forest = pack_spanning_trees(logical, meta.k)
     ag = assemble_allgather(forest, emap, scaled, meta)
     if collective == ALLGATHER:
-        return (prune_multicast(ag, t) if prune else ag), meta
+        return prune_multicast(ag, t), meta
+    rs = reverse_for_reduce_scatter(prune_multicast(ag, transpose(t)))
     if collective == REDUCE_SCATTER:
-        rs = reverse_for_reduce_scatter(ag)
-        return (prune_aggregation(rs, t) if prune else rs), meta
-    ag_final = prune_multicast(ag, t) if prune else ag
-    rs = reverse_for_reduce_scatter(ag)
-    rs_final = prune_aggregation(rs, t) if prune else rs
-    return combine_allreduce(rs_final, ag_final), meta
+        return rs, meta
+    return combine_allreduce(rs, prune_multicast(ag, t)), meta

@@ -27,7 +27,7 @@ from functools import partial
 from .errors import CollschedError, MismatchedForest
 from .packing import Forest
 from .splitting import EMap, PathExpander
-from .topology import Topology, json_field
+from .topology import Topology, json_field, transpose
 
 ALLGATHER = "allgather"
 REDUCE_SCATTER = "reduce_scatter"
@@ -265,10 +265,8 @@ def spans_add(spans, lo: int, hi: int) -> list[tuple[int, int]]:
     return kept
 
 
-def _prune(s: Schedule, t: Topology, capability: str) -> Schedule:
-    capable = {
-        node.id for node in t.nodes if getattr(node, capability, False)
-    }
+def _prune(s: Schedule, t: Topology) -> Schedule:
+    capable = {node.id for node in t.nodes if node.multicast}
     if not capable:
         return s
     new_roots = []
@@ -323,19 +321,18 @@ def prune_multicast(s: Schedule, t: Topology) -> Schedule:
     """
     if s.collective != ALLGATHER:
         raise CollschedError(f"multicast pruning applies to allgather, got {s.collective}")
-    return _prune(s, t, "multicast")
+    return _prune(s, t)
 
 
 def prune_aggregation(s: Schedule, t: Topology) -> Schedule:
-    """Mirror of `prune_multicast` for reduce-scatter: receives made
-    redundant by in-switch aggregation are elided on the reversed
-    traversal, using nodes' aggregation capability."""
+    """Mirror of `prune_multicast` for reduce-scatter: s run backwards is
+    an allgather on `transpose(t)`, whose multicast switches are t's
+    aggregating ones; that view is pruned and reversed again."""
     if s.collective != REDUCE_SCATTER:
         raise CollschedError(
             f"aggregation pruning applies to reduce_scatter, got {s.collective}"
         )
-    reversed_view = reverse_schedule(s, ALLGATHER)
-    pruned = _prune(reversed_view, t, "aggregation")
+    pruned = _prune(reverse_schedule(s, ALLGATHER), transpose(t))
     return reverse_schedule(pruned, REDUCE_SCATTER)
 
 

@@ -40,12 +40,6 @@ class EMap:
         self.entries.setdefault((u, t), {})
         self.entries[(u, t)][w] = self.entries[(u, t)].get(w, 0) + amount
 
-    def routes(self, u: str, t: str) -> dict[str, int]:
-        return dict(self.entries.get((u, t), {}))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 # ---------------------------------------------------------------------------
 # Split amounts

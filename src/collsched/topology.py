@@ -14,7 +14,7 @@ bandwidth — and that every compute node can reach every other compute node.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -158,9 +158,6 @@ class Topology:
         )
 
     # -- small helpers used throughout the pipeline -------------------------
-    def min_compute_in_bw(self) -> int:
-        return min(self.in_bw[c] for c in self.compute_ids)
-
     def is_compute(self, node_id: str) -> bool:
         return self.node_by_id[node_id].kind == COMPUTE
 
@@ -299,6 +296,15 @@ def require_valid(t: Topology) -> None:
     report = validate(t)
     if not report.ok:
         raise InvalidTopology(report.violations)
+
+
+def transpose(t: Topology) -> Topology:
+    """The arc-reversed network.  Multicast and aggregation swap, because
+    a fan-out on t is a fan-in on its transpose; a reduction on t is an
+    allgather on `transpose(t)` run backwards.  Transposing twice gives t
+    back."""
+    nodes = [replace(n, multicast=n.aggregation, aggregation=n.multicast) for n in t.nodes]
+    return Topology(nodes, [Link(l.dst, l.src, l.bandwidth) for l in t.links])
 
 
 # ---------------------------------------------------------------------------

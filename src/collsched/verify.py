@@ -29,7 +29,7 @@ from .schedule import (
     spans_add,
     spans_cover,
 )
-from .topology import COMPUTE, SWITCH, Link, Node, Topology
+from .topology import COMPUTE, SWITCH, Link, Node, Topology, transpose
 
 BRUTE_FORCE_VERTEX_LIMIT = 22
 
@@ -229,17 +229,6 @@ class ValidationReport:
         }
 
 
-def _reversed_topology(t: Topology) -> Topology:
-    """Arc-reversed network; multicast and aggregation swap roles because a
-    fan-out on the forward graph is a fan-in on the reversed one."""
-    nodes = [
-        Node(id=n.id, kind=n.kind, multicast=n.aggregation, aggregation=n.multicast)
-        for n in t.nodes
-    ]
-    links = [Link(src=l.dst, dst=l.src, bandwidth=l.bandwidth) for l in t.links]
-    return Topology(nodes=nodes, links=links)
-
-
 def _mismatches(s, reference, fields, label: str) -> list[ScheduleViolation]:
     return [
         ScheduleViolation(
@@ -389,8 +378,14 @@ def _validate_oriented(
     s: Schedule, t: Topology
 ) -> tuple[list[ScheduleViolation], Fraction, Fraction]:
     """Violations, achieved time and bound of an allgather-oriented
-    schedule on t, judged against the schedule's own U and inv_x_star."""
+    schedule on t, judged against the schedule's own U and inv_x_star;
+    its tree bandwidth y must be 1/U (checked as U*y = 1, so U = 0 is
+    safe)."""
     violations: list[ScheduleViolation] = []
+    if s.U * s.y != 1:
+        violations.append(
+            ScheduleViolation(METADATA_MISMATCH, f"y is {s.y}, but 1/U is 1/({s.U})")
+        )
     computes = set(t.compute_ids)
     n = len(computes)
     if n < 1 or s.k < 1:
@@ -453,7 +448,7 @@ def validate_schedule(s: Schedule, t: Topology, expected=None) -> ValidationRepo
     exactness, and <= for fixed tree counts.  U, inv_x_star and exactness
     are the schedule's own; a given `expected` search result must match
     every one of its CLAIMS.  Reduce-scatter schedules are checked as their
-    reversed allgather view against the arc-reversed topology; allreduce
+    reversed allgather view against `transpose(t)`; allreduce
     phases are checked individually against their own claims, which must
     equal the schedule's, and their times summed.  Violations are data,
     not errors.
@@ -470,7 +465,7 @@ def validate_schedule(s: Schedule, t: Topology, expected=None) -> ValidationRepo
             bound += report.bound_T_comm
     elif s.collective == REDUCE_SCATTER:
         found, achieved, bound = _validate_oriented(
-            reverse_schedule(s, ALLGATHER), _reversed_topology(t)
+            reverse_schedule(s, ALLGATHER), transpose(t)
         )
         violations += (ScheduleViolation(v.kind, f"reversed view: {v.detail}") for v in found)
     elif s.collective == ALLGATHER:

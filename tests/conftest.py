@@ -68,6 +68,13 @@ def clustered_eulerian_topology(seed: int, max_nodes: int = 12) -> Topology:
     return Topology(nodes, [Link(a, b, w) for (a, b), w in sorted(weights.items())])
 
 
+def flag_free(t: Topology) -> Topology:
+    """t with every multicast and aggregation flag cleared: the network on
+    which `generate` returns its schedules unpruned."""
+    nodes = [dataclasses.replace(n, multicast=False, aggregation=False) for n in t.nodes]
+    return Topology(nodes, t.links)
+
+
 @pytest.fixture(scope="session")
 def fig3a():
     """Two boxes of four GPUs each: every GPU has a 10-wide link pair to its

@@ -15,7 +15,6 @@ import pytest
 from collsched import (
     bottleneck_search,
     brute_force_bottleneck,
-    compute_gamma,
     congestion_time,
     fixed_k_search,
     generate,
@@ -28,8 +27,9 @@ from collsched import (
 )
 from collsched.errors import NotEulerianAfterFloor
 from collsched.schedule import assemble_allgather, prune_multicast
+from collsched.splitting import compute_gamma
 
-from conftest import CLUSTERED_SEEDS, SUITE_SEEDS
+from conftest import CLUSTERED_SEEDS, SUITE_SEEDS, flag_free
 
 BOX1 = frozenset({"c1_1", "c1_2", "c1_3", "c1_4", "w1"})
 
@@ -81,7 +81,7 @@ def test_criterion_4_splitting_equivalence(random_suite):
         lt, _ = remove_switches(scaled, res.k)
         ratio, _ = brute_force_bottleneck(lt)
         assert ratio * res.U == res.inv_x_star, f"seed {seed}"
-        s, meta = generate(t, prune=False)
+        s, meta = generate(flag_free(t))
         for (a, b), units in link_usage(s).items():
             assert units <= meta.U * t.capacity[(a, b)], f"seed {seed}: {a}->{b}"
         checked += 1
@@ -117,8 +117,8 @@ def test_criterion_6_fixed_tree_count_bound(random_suite):
     print(f"criterion 6: PASS — bound and doubling monotonicity on {checked} (topology, k) pairs")
 
 
-def test_criterion_7_pruning_soundness(fig3a_multicast):
-    bare, meta = generate(fig3a_multicast, prune=False)
+def test_criterion_7_pruning_soundness(fig3a, fig3a_multicast):
+    bare, meta = generate(fig3a)
     pruned = prune_multicast(bare, fig3a_multicast)
     report = validate_schedule(pruned, fig3a_multicast, meta)
     assert report.ok, report.violations

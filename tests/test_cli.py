@@ -137,12 +137,12 @@ class TestGenerate:
         for rt in s.roots:
             assert sum(b.multiplicity for b in rt.batches) == 2
 
-    def test_no_multicast_skips_pruning(self, multicast_topo_file, tmp_path):
+    def test_no_multicast_skips_pruning(self, topo_file, multicast_topo_file, tmp_path):
+        # the topology's capability flags alone turn pruning on
         pruned = tmp_path / "p.json"
         bare = tmp_path / "b.json"
         assert main(["generate", "-t", multicast_topo_file, "-o", str(pruned)]) == 0
-        assert main(["generate", "-t", multicast_topo_file, "--no-multicast",
-                     "-o", str(bare)]) == 0
+        assert main(["generate", "-t", topo_file, "-o", str(bare)]) == 0
         has_pruned = lambda s: any(b.pruned for rt in s.roots for b in rt.batches)
         assert has_pruned(parse_schedule(pruned.read_text()))
         assert not has_pruned(parse_schedule(bare.read_text()))
@@ -183,6 +183,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "FAIL"
         assert "NotSpanning" in out
+
+    def test_tampered_tree_bandwidth_is_exit_2(self, topo_file, tmp_path, capsys):
+        sched = tmp_path / "s.json"
+        main(["generate", "-t", topo_file, "-o", str(sched)])
+        doc = json.loads(sched.read_text())
+        doc["tree_bandwidth"] = "999/1"  # y must be 1/U
+        sched.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "-t", topo_file, str(sched)]) == 2
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "FAIL"
+        assert "MetadataMismatch" in out
 
     def test_wrong_topology_is_exit_2(self, topo_file, tmp_path, capsys):
         sched = tmp_path / "s.json"
@@ -318,6 +330,7 @@ class TestUsageErrors:
         ["synth", "ring", "--param", "n=3", "--param", "bw=1", "--json"],
         ["export-dot", "s.json", "--json"],
         ["no-such-command"],
+        ["generate", "-t", "{topo}", "--no-multicast"],
     ])
     def test_exit_1_with_usage(self, argv, topo_file, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -144,7 +144,8 @@ class TestRunControls:
 
     def test_bad_capacities_rejected(self):
         # (vertices, arc): a float, a Fraction, a bool, a str and a negative
-        # capacity, an unknown endpoint, and a duplicate vertex
+        # capacity, an unknown endpoint, a duplicate vertex, an arc that is
+        # not a triple and an unhashable endpoint
         cases = [
             ("st", ("s", "t", 1.5)),
             ("st", ("s", "t", Fraction(1, 2))),
@@ -153,6 +154,8 @@ class TestRunControls:
             ("st", ("s", "t", -1)),
             ("st", ("s", "nope", 1)),
             ("sst", ("s", "t", 1)),
+            ("st", ("s", "t")),
+            ("st", (["s"], "t", 1)),
         ]
         for vertices, arc in cases:
             with pytest.raises(CollschedError):
@@ -170,6 +173,17 @@ class TestRunControls:
         g, _ = build("sat", [("s", "a", 4), ("a", "t", 4)])
         with pytest.raises(CollschedError):
             getattr(g, method)("s", "t", overrides=overrides)
+
+    @pytest.mark.parametrize("limit", [2.5, True, -3], ids=["float", "bool", "negative"])
+    def test_bad_limits_rejected(self, limit):
+        g, ids = build("sat", [("s", "a", 5), ("a", "t", 5), ("s", "t", 0)])
+        with pytest.raises(CollschedError):
+            g.run("s", "t", limit=limit)
+        with pytest.raises(CollschedError):
+            g.run_keep("s", "t", limit=limit)
+        _, state = g.run_keep("s", "t")
+        with pytest.raises(CollschedError):
+            g.resume(state, (ids[2],), limit)
 
     def test_from_arcs_equals_incremental(self):
         vertices, arcs = random_instance(37)

@@ -96,7 +96,7 @@ class TestBottleneckSearch:
         jumped = 0
         for t in clustered_suite:
             oracle, _ = brute_force_bottleneck(t)
-            if oracle > Fraction(t.num_compute - 1, t.min_compute_in_bw()):
+            if oracle > Fraction(t.num_compute - 1, min(t.in_bw[c] for c in t.compute_ids)):
                 jumped += 1
                 assert bottleneck_search(t).search_iterations > 1
         assert jumped >= 0.4 * len(clustered_suite)

@@ -10,12 +10,12 @@ from collsched import (
     Topology,
     TreeBatch,
     bottleneck_search,
-    compute_mu,
     pack_spanning_trees,
     remove_switches,
     scale_capacities,
 )
 from collsched.errors import CollschedError, NoAddableEdge
+from collsched.packing import compute_mu
 
 
 def two_node_logical(cap=3):
@@ -80,7 +80,7 @@ class TestPackSpanningTrees:
     def test_two_node_packs_all_trees(self):
         forest = pack_spanning_trees(two_node_logical(), 3)
         for root in ("a", "b"):
-            batches = forest.batches_for(root)
+            batches = [b for b in forest.batches if b.root == root]
             assert sum(b.multiplicity for b in batches) == 3
             for b in batches:
                 assert b.members == {"a", "b"}
@@ -123,7 +123,7 @@ class TestPackSpanningTrees:
                 assert reached == set(lt.compute_ids)
             # k trees per root
             for root in lt.compute_ids:
-                assert sum(b.multiplicity for b in forest.batches_for(root)) == res.k
+                assert sum(b.multiplicity for b in forest.batches if b.root == root) == res.k
             # arc usage within capacity, residual consistent
             used = {}
             for batch in forest.batches:
@@ -149,7 +149,7 @@ class TestPackSpanningTrees:
         assert len(forest.batches) == 6
         assert any(b.multiplicity < res.k for b in forest.batches)
         for root in lt.compute_ids:
-            assert sum(b.multiplicity for b in forest.batches_for(root)) == res.k
+            assert sum(b.multiplicity for b in forest.batches if b.root == root) == res.k
 
     def test_mu_evaluation_counter_reports_work(self):
         forest = pack_spanning_trees(two_node_logical(), 3)

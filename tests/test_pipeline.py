@@ -60,9 +60,9 @@ class TestFixedK:
 
 
 class TestOptions:
-    def test_prune_flag_gates_annotations(self, fig3a_multicast):
-        pruned, _ = generate(fig3a_multicast, prune=True)
-        bare, _ = generate(fig3a_multicast, prune=False)
+    def test_prune_flag_gates_annotations(self, fig3a, fig3a_multicast):
+        pruned, _ = generate(fig3a_multicast)
+        bare, _ = generate(fig3a)
         assert any(b.pruned for rt in pruned.roots for b in rt.batches)
         assert not any(b.pruned for rt in bare.roots for b in rt.batches)
 

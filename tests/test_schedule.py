@@ -175,7 +175,7 @@ class TestPruning:
         assert total > 0
 
     def test_usage_shrinks_pointwise(self, fig3a, fig3a_multicast):
-        bare, _ = generate(fig3a_multicast, prune=False)
+        bare, _ = generate(fig3a)
         pruned = prune_multicast(bare, fig3a_multicast)
         before = link_usage(bare)
         after = link_usage(pruned)
@@ -185,7 +185,7 @@ class TestPruning:
             assert 0 < units <= before[pair]
 
     def test_paths_themselves_stay_intact(self, fig3a, fig3a_multicast):
-        bare, _ = generate(fig3a_multicast, prune=False)
+        bare, _ = generate(fig3a)
         pruned = prune_multicast(bare, fig3a_multicast)
         strip = lambda s: tuple(
             (rt.root, tuple((b.multiplicity, b.edges) for b in rt.batches))
@@ -216,10 +216,12 @@ class TestPruning:
         with pytest.raises(CollschedError):
             prune_aggregation(fig3a_ag, fig3a)
 
-    def test_aggregation_mirrors_multicast(self, fig3a_multicast):
-        bare, _ = generate(fig3a_multicast, collective=REDUCE_SCATTER, prune=False)
+    def test_aggregation_mirrors_multicast(self, fig3a, fig3a_multicast):
+        bare, _ = generate(fig3a, collective=REDUCE_SCATTER)
         pruned = prune_aggregation(bare, fig3a_multicast)
         assert pruned.collective == REDUCE_SCATTER
+        # the same schedule generate prunes on the transposed network
+        assert pruned == generate(fig3a_multicast, collective=REDUCE_SCATTER)[0]
         total = sum(
             h.multiplicity for rt in pruned.roots for b in rt.batches for h in b.pruned
         )

@@ -27,6 +27,7 @@ from collsched.errors import (
     UnknownEndpoint,
     UnknownNodeKind,
 )
+from collsched.topology import transpose
 
 DOC = """
 {
@@ -178,6 +179,23 @@ class TestScaleCapacities:
     def test_nonpositive_scale(self, fig3a):
         with pytest.raises(NonIntegralScale):
             scale_capacities(fig3a, 0)
+
+
+class TestTranspose:
+    def test_involution_that_swaps_capabilities(self, random_suite):
+        swapped = 0
+        for t in random_suite[:40]:
+            tt = transpose(t)
+            assert transpose(tt) == t
+            assert tt.capacity == {(b, a): bw for (a, b), bw in t.capacity.items()}
+            assert validate(tt).ok
+            for n in t.nodes:
+                m = tt.node_by_id[n.id]
+                assert (m.kind, m.multicast, m.aggregation) == (n.kind, n.aggregation, n.multicast)
+                if n.kind == COMPUTE:
+                    assert not (m.multicast or m.aggregation)
+                swapped += n.multicast != n.aggregation
+        assert swapped > 0  # the sample holds switches the swap changes
 
 
 class TestSynthFamilies:
