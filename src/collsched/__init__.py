@@ -24,7 +24,7 @@ from .errors import (
     TooLarge,
     TopologyFormatError,
 )
-from .maxflow import FlowGraph, FlowResult, INF
+from .maxflow import FlowGraph, FlowResult
 from .optimality import (
     FixedKResult,
     OptimalityResult,
@@ -85,7 +85,6 @@ __all__ = [
     "REDUCE_SCATTER",
     "COMPUTE",
     "SWITCH",
-    "INF",
     "CapacityExhausted",
     "CollschedError",
     "CutWitness",

@@ -19,7 +19,7 @@ from .optimality import bottleneck_search
 from .pipeline import COLLECTIVES, generate
 from .schedule import export, fraction_text, parse_schedule
 from .topology import parse_topology, serialize_topology, synth_topology
-from .verify import brute_force_bottleneck, congestion_time, validate_schedule
+from .verify import brute_force_bottleneck, validate_schedule
 
 
 def _read(path: str) -> str:
@@ -156,14 +156,13 @@ def cmd_generate(args) -> int:
         )
         return 3
     _write(args.output, export(s, "json"))
-    time = congestion_time(s, t)
     summary = {
         "collective": s.collective,
         "inv_x_star": fraction_text(s.inv_x_star),
         "k": s.k,
         "U": fraction_text(s.U),
         "y": fraction_text(s.y),
-        "time_per_unit": fraction_text(time),
+        "time_per_unit": fraction_text(report.achieved_T_comm),
         "self_validation": "ok",
         "output": args.output,
     }

@@ -131,7 +131,7 @@ def _cut_search(t: Topology, cut_value, probe_capacities):
         g = FlowGraph(vertices, arcs)
         target = t.num_compute * supply
         for i, sink in enumerate(sinks):
-            res = g.run(source, sink, limit=target, want_cut=True)
+            res, _ = g.run_keep(source, sink, limit=target)
             if res.value < target:
                 sinks.insert(0, sinks.pop(i))
                 cut = res.source_side - {source}

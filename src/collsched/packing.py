@@ -10,8 +10,9 @@ mu when doing so provably leaves the remaining capacities packable:
     mu = min{ g(x,y), m, F(x,y; gadget graph) - sum of other multiplicities }
 
 where the gadget graph augments the residual logical graph, per other
-batch i, with a node s_i, an arc x -> s_i of capacity m_i, and unbounded
-arcs s_i -> each member of batch i.  Two exact shortcuts keep the gadget
+batch i, with a node s_i, an arc x -> s_i of capacity m_i, and arcs of
+capacity m_i from s_i to each member of batch i (s_i's only inflow is
+x -> s_i, so they never bind).  Two exact shortcuts keep the gadget
 graph small: a batch already spanning everything always contributes m_i
 to the flow (counted directly, no gadget), and a still-singleton batch's
 gadget collapses to the single arc x -> root_i (omitted entirely when its
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CollschedError, NoAddableEdge
-from .maxflow import INF, FlowGraph, fresh_name
+from .maxflow import FlowGraph, fresh_name
 from .topology import Topology
 
 
@@ -69,7 +70,7 @@ def compute_mu(forest: Forest, batch: TreeBatch, arc: tuple[str, str]) -> int:
     n = forest.lt.num_compute
     vertices = list(forest.lt.compute_ids)
     taken = set(vertices)
-    arcs: list[tuple[str, str, object]] = [
+    arcs: list[tuple[str, str, int]] = [
         (a, b, c) for (a, b), c in forest.residual.items() if c > 0
     ]
     sum_other = 0
@@ -91,7 +92,7 @@ def compute_mu(forest: Forest, batch: TreeBatch, arc: tuple[str, str]) -> int:
             vertices.append(hub)
             arcs.append((x, hub, m))
             for member in sorted(other.members):
-                arcs.append((hub, member, INF))
+                arcs.append((hub, member, m))
     g = FlowGraph(vertices, arcs)
     flow = g.run(x, y, limit=sum_other + mu0 - free) + free
     return max(0, min(mu0, flow - sum_other))

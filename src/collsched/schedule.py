@@ -505,12 +505,19 @@ def _dot(s: Schedule) -> str:
             continue
         batch = rt.batches[0]
         usage = _usage((batch,))
-        lines.append(f'digraph "{s.collective}_{rt.root}" {{')
-        lines.append(f'  label="root {rt.root}, multiplicity {batch.multiplicity}";')
+        name = _dot_quote(f"{s.collective}_{rt.root}")
+        label = _dot_quote(f"root {rt.root}, multiplicity {batch.multiplicity}")
+        lines.append(f"digraph {name} {{")
+        lines.append(f"  label={label};")
         for a, b in sorted(pair for pair, units in usage.items() if units > 0):
-            lines.append(f'  "{a}" -> "{b}";')
+            lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)};")
         lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_quote(text: str) -> str:
+    """A DOT quoted string holding `text`, with \\ and " escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def export(s: Schedule, format: str) -> str:

@@ -19,7 +19,7 @@ EMap, is exactly what tree packing and path expansion consume.
 from __future__ import annotations
 
 from .errors import CapacityExhausted, CollschedError, StuckSplit
-from .maxflow import INF, FlowGraph, fresh_name
+from .maxflow import FlowGraph, fresh_name
 from .topology import COMPUTE, Link, Topology
 
 
@@ -52,7 +52,10 @@ class _GammaOracle:
 
     The graph holds the arcs of `caps`, the auxiliary source with
     k-capacity arcs to every compute node, and zero-capacity placeholder
-    arcs that individual probes raise to infinity via overrides.
+    arcs that individual probes raise to the probe limit N*k + best via
+    overrides.  Each placeholder leaves the probe's source or enters its
+    sink, so it never carries more than the flow placed so far: at the
+    limit it cannot bind, just as an unbounded arc would not.
     """
 
     def __init__(self, net: Topology, caps: dict, w: str, t: str, k: int) -> None:
@@ -93,7 +96,7 @@ class _GammaOracle:
         best = self._min_slack(
             u,
             self.w,
-            {self.to_source[u]: INF, self.to_t[u]: INF},
+            (self.to_source[u], self.to_t[u]),
             [(v, self.to_w[v]) for v in self.compute_ids if v != u],
             best,
         )
@@ -102,7 +105,7 @@ class _GammaOracle:
         best = self._min_slack(
             self.w,
             self.t,
-            {self.to_source[self.w]: INF, self.to_t[u]: INF},
+            (self.to_source[self.w], self.to_t[u]),
             [(v, self.to_t[v]) for v in self.compute_ids],
             best,
         )
@@ -110,7 +113,7 @@ class _GammaOracle:
 
     def _min_slack(self, source, sink, base, boosts, best: int) -> int:
         """min(best, min over boost arcs of F(source -> sink with that arc
-        infinite) - N*k).
+        and the `base` placeholders unbounded) - N*k).
 
         A boost arc only adds capacity, so F is bounded below by the
         unboosted flow F0: when F0 reaches the probing limit, every boost is
@@ -119,8 +122,9 @@ class _GammaOracle:
         leaving individual probes only for vertices inside.
         """
         g = self.graph
-        res, state = g.run_keep(source, sink, overrides=base, limit=self.target + best)
-        if res.value >= self.target + best:
+        limit = self.target + best
+        res, state = g.run_keep(source, sink, overrides=dict.fromkeys(base, limit), limit=limit)
+        if res.value >= limit:
             return best
         if any(v not in res.source_side for v, _ in boosts):
             # That vertex's boost arc does not cross F0's min cut, so its
@@ -134,7 +138,7 @@ class _GammaOracle:
                 # can improve on `best` any more.
                 break
             if arc in base:
-                # Already infinite in the base problem; the boost is a no-op.
+                # Already unbounded in the base problem; the boost is a no-op.
                 flow = res.value
             else:
                 flow = res.value + g.resume(state, (arc,), room)

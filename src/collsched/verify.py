@@ -379,12 +379,18 @@ def _validate_oriented(
 ) -> tuple[list[ScheduleViolation], Fraction, Fraction]:
     """Violations, achieved time and bound of an allgather-oriented
     schedule on t, judged against the schedule's own U and inv_x_star;
-    its tree bandwidth y must be 1/U (checked as U*y = 1, so U = 0 is
-    safe)."""
+    its tree bandwidth y must be 1/U and inv_x_star must be U/k (checked
+    as U*y = 1 and inv_x_star*k = U, so U = 0 and k = 0 are safe)."""
     violations: list[ScheduleViolation] = []
     if s.U * s.y != 1:
         violations.append(
             ScheduleViolation(METADATA_MISMATCH, f"y is {s.y}, but 1/U is 1/({s.U})")
+        )
+    if s.inv_x_star * s.k != s.U:
+        violations.append(
+            ScheduleViolation(
+                METADATA_MISMATCH, f"inv_x_star is {s.inv_x_star}, but U/k is ({s.U})/{s.k}"
+            )
         )
     computes = set(t.compute_ids)
     n = len(computes)

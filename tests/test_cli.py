@@ -196,6 +196,22 @@ class TestVerify:
         assert out.splitlines()[0] == "FAIL"
         assert "MetadataMismatch" in out
 
+    def test_tampered_optimal_ratio_is_exit_2(self, tmp_path, capsys):
+        # a fixed-k schedule is judged against achieved <= bound, so only
+        # tying inv_x_star to U/k catches an inflated claim
+        topo, sched = tmp_path / "ring.json", tmp_path / "s.json"
+        main(["synth", "ring", "--param", "n=4", "--param", "bw=3",
+              "--param", "bidirectional=true", "-o", str(topo)])
+        assert main(["generate", "-t", str(topo), "--fixed-k", "2", "-o", str(sched)]) == 0
+        doc = json.loads(sched.read_text())
+        doc["optimal_inv_x"] = "999/1"
+        sched.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "-t", str(topo), str(sched)]) == 2
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "FAIL"
+        assert "MetadataMismatch" in out
+
     def test_wrong_topology_is_exit_2(self, topo_file, tmp_path, capsys):
         sched = tmp_path / "s.json"
         main(["generate", "-t", topo_file, "-o", str(sched)])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collsched import INF, FlowGraph
+from collsched import FlowGraph
 from collsched.errors import CollschedError, Overflow
 from collsched.maxflow import fresh_name
 from collsched.topology import CAPACITY_BUDGET
@@ -19,22 +19,13 @@ def build(vertices, arcs):
 
 
 def brute_min_cut(vertices, arcs, s, t):
-    """Min s/t cut by subset enumeration; INF arcs count as unbounded."""
-    best = None
+    """Min s/t cut by subset enumeration."""
     others = [v for v in vertices if v not in (s, t)]
-    for r in range(len(others) + 1):
-        for combo in itertools.combinations(others, r):
-            side = {s, *combo}
-            total = 0
-            for a, b, c in arcs:
-                if a in side and b not in side:
-                    if c is INF:
-                        total = None
-                        break
-                    total += c
-            if total is not None and (best is None or total < best):
-                best = total
-    return best
+    return min(
+        cut_capacity(arcs, {s, *combo})
+        for r in range(len(others) + 1)
+        for combo in itertools.combinations(others, r)
+    )
 
 
 def cut_capacity(arcs, side):
@@ -58,7 +49,7 @@ class TestFlowValues:
     def test_diamond(self):
         arcs = [("s", "a", 3), ("s", "b", 2), ("a", "b", 1), ("a", "t", 2), ("b", "t", 3)]
         g, _ = build("sabt", arcs)
-        res = g.run("s", "t", want_cut=True)
+        res = g.run_keep("s", "t")[0]
         assert res.value == 5
         assert cut_capacity(arcs, res.source_side) == 5
 
@@ -69,31 +60,38 @@ class TestFlowValues:
         ]
         g, _ = build(["s", "a", "b", "c", "d", "t"], arcs)
         # min cut {s, a, c}: a->b (4) + c->d (9)
-        assert g.run("s", "t", want_cut=True).value == 13
+        assert g.run_keep("s", "t")[0].value == 13
 
     def test_disconnected_sink(self):
         g, _ = build("sxt", [("s", "x", 7)])
-        res = g.run("s", "t", want_cut=True)
+        res = g.run_keep("s", "t")[0]
         assert res.value == 0
         assert res.source_side == {"s", "x"}
 
     def test_infinite_arcs_never_bind(self):
-        arcs = [("s", "a", INF), ("a", "t", 5), ("s", "t", INF)]
-        g, _ = build("sat", arcs)
-        # The INF arc s->t makes every s/t cut unbounded except none — the
-        # flow must equal the materialized stand-in, i.e. exceed any finite
-        # arc; what matters is that the finite bottleneck a->t still caps
-        # the a-route exactly, which the override form below isolates.
-        g2, ids = build("sat", [("s", "a", INF), ("a", "t", 5)])
-        res = g2.run("s", "t", want_cut=True)
-        assert res.value == 5
-        assert res.source_side == {"s", "a"}
+        """An arc raised to the run's limit L acts as an unbounded arc: any
+        cut through it is worth at least L, so raising it further changes
+        neither min(max flow, L) nor, below L, the cut found."""
+        for seed in range(60):
+            vertices, arcs = random_instance(seed)
+            g, ids = build(vertices, arcs)
+            s, t = vertices[0], vertices[-1]
+            full = g.run(s, t)
+            for limit in (1, full, full + 5, sum(c for *_, c in arcs) + 1):
+                for arc in ids:
+                    at = g.run_keep(s, t, overrides={arc: limit}, limit=limit)[0]
+                    above = g.run_keep(s, t, overrides={arc: limit + 7}, limit=limit)[0]
+                    assert g.run(s, t, overrides={arc: limit}, limit=limit) == at.value
+                    assert g.run(s, t, overrides={arc: limit + 7}, limit=limit) == at.value
+                    assert above.value == at.value, (seed, limit, arc)
+                    if at.value < limit:
+                        assert above.source_side == at.source_side, (seed, limit, arc)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_cut_enumeration(self, seed):
         vertices, arcs = random_instance(seed)
         g, _ = build(vertices, arcs)
-        res = g.run(vertices[0], vertices[-1], want_cut=True)
+        res = g.run_keep(vertices[0], vertices[-1])[0]
         assert res.value == brute_min_cut(vertices, arcs, vertices[0], vertices[-1])
         # the witness is itself a cut of exactly that capacity
         assert vertices[0] in res.source_side
@@ -141,6 +139,13 @@ class TestRunControls:
             g.run("s", "nope")
         with pytest.raises(CollschedError):
             g.run_keep("nope", "t")
+        # an unhashable name is not a vertex either
+        with pytest.raises(CollschedError):
+            g.run(["s"], "t")
+        with pytest.raises(CollschedError):
+            g.run_keep(["s"], "t")
+        with pytest.raises(CollschedError):
+            FlowGraph([["s"]], [])
 
     def test_bad_capacities_rejected(self):
         # (vertices, arc): a float, a Fraction, a bool, a str and a negative
@@ -163,11 +168,18 @@ class TestRunControls:
         with pytest.raises(Overflow):
             FlowGraph("st", [("s", "t", CAPACITY_BUDGET + 1)])
 
+    def test_infinity_is_not_a_capacity(self):
+        with pytest.raises(CollschedError):
+            FlowGraph("st", [("s", "t", float("inf"))])
+        g, _ = build("st", [("s", "t", 1)])
+        with pytest.raises(CollschedError):
+            g.run("s", "t", overrides={0: float("inf")})
+
     @pytest.mark.parametrize("method", ["run", "run_keep"])
     @pytest.mark.parametrize(
         "overrides",
-        [{0: -5}, {0: 2.5}, {0: True}, {-1: 3}, {2: 3}, {"0": 3}],
-        ids=["negative", "float", "bool", "id-minus-one", "id-past-end", "id-str"],
+        [{0: -5}, {0: 2.5}, {0: True}, {-1: 3}, {2: 3}, {"0": 3}, [(0, 1)]],
+        ids=["negative", "float", "bool", "id-minus-one", "id-past-end", "id-str", "not-a-dict"],
     )
     def test_bad_overrides_rejected(self, method, overrides):
         g, _ = build("sat", [("s", "a", 4), ("a", "t", 4)])
@@ -217,7 +229,7 @@ class TestResume:
         big = sum(c for *_, c in arcs) + 5
         for v, arc in holders.items():
             gained = g.resume(state, (arc,), big)
-            assert res.value + gained == g.run(s, t, overrides={arc: INF})
+            assert res.value + gained == g.run(s, t, overrides={arc: big})
             # the state is reusable: a second resume answers identically
             assert g.resume(state, (arc,), big) == gained
 
@@ -241,10 +253,17 @@ class TestResume:
         with pytest.raises(CollschedError):
             g.resume(state, (arc,), 10)
 
+    def test_resume_rejects_a_bare_arc_id(self):
+        g, (_, arc) = build("sat", [("a", "t", 6), ("s", "a", 0)])
+        _, state = g.run_keep("s", "t")
+        with pytest.raises(CollschedError):
+            g.resume(state, arc, 3)
+
 
 _ARC_IDS = st.one_of(st.integers(-2, 40), st.sampled_from(["0", 1.0]))
 _CAPACITIES = st.one_of(
-    st.integers(-2, 12), st.just(INF), st.sampled_from([1.5, Fraction(1, 2), True, "3", None])
+    st.integers(-2, 12),
+    st.sampled_from([float("inf"), 1.5, Fraction(1, 2), True, "3", None]),
 )
 
 
@@ -261,7 +280,8 @@ def test_overrides_refused_or_equal_to_a_fresh_graph(seed, overrides):
     well_formed = all(
         type(i) is int
         and 0 <= i < len(arcs)
-        and (c is INF or (type(c) is int and c >= 0))
+        and type(c) is int
+        and c >= 0
         for i, c in overrides.items()
     )
     s, t = vertices[0], vertices[-1]

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,16 @@ import pytest
 from collsched import (
     ALLGATHER,
     ALLREDUCE,
+    COMPUTE,
     REDUCE_SCATTER,
+    Link,
+    Node,
     PathUse,
     PrunedHop,
     RootTrees,
     ScheduleBatch,
     ScheduleEdge,
+    Topology,
     assemble_allgather,
     bottleneck_search,
     combine_allreduce,
@@ -24,11 +29,13 @@ from collsched import (
     link_usage,
     pack_spanning_trees,
     parse_schedule,
+    parse_topology,
     prune_aggregation,
     prune_multicast,
     remove_switches,
     reverse_for_reduce_scatter,
     scale_capacities,
+    serialize_topology,
     synth_topology,
 )
 from collsched.errors import CollschedError, MismatchedForest
@@ -330,6 +337,32 @@ class TestSerialization:
         assert dot.count("digraph") == len(fig3a.compute_ids)
         assert 'digraph "allgather_c1_1"' in dot
         assert '"c1_1" -> ' in dot
+
+    def test_dot_escapes_quotes_and_backslashes(self):
+        quote, slash = 'a"x', "b\\"
+        t = Topology(
+            [Node(quote, COMPUTE), Node(slash, COMPUTE)],
+            [Link(quote, slash, 1), Link(slash, quote, 1)],
+        )
+        s, _ = generate(parse_topology(serialize_topology(t)))
+        string = r'"((?:[^"\\]|\\.)*)"'  # a DOT quoted string with escapes
+
+        def text(match, group):
+            return re.sub(r"\\(.)", r"\1", match[group])
+
+        names, labels, edges = set(), set(), set()
+        for line in export(s, "dot").splitlines():
+            if m := re.fullmatch(rf"digraph {string} {{", line):
+                names.add(text(m, 1))
+            elif m := re.fullmatch(rf"  label={string};", line):
+                labels.add(text(m, 1))
+            elif m := re.fullmatch(rf"  {string} -> {string};", line):
+                edges.add((text(m, 1), text(m, 2)))
+            else:
+                assert line == "}"
+        assert names == {f"allgather_{quote}", f"allgather_{slash}"}
+        assert labels == {f"root {quote}, multiplicity {s.k}", f"root {slash}, multiplicity {s.k}"}
+        assert edges == {(quote, slash), (slash, quote)}
 
     def test_unknown_format_rejected(self, fig3a_ag):
         with pytest.raises(CollschedError):

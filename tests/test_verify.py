@@ -238,7 +238,9 @@ class TestValidateSchedule:
         claim = dataclasses.replace(s, inv_x_star=Fraction(2))
         report = validate_schedule(claim, fig3a)
         assert not report.ok
-        assert report.violations == ()  # purely a time mismatch
+        # the claim is no longer U/k, and the time misses the bound it sets
+        assert [v.kind for v in report.violations] == [METADATA_MISMATCH]
+        assert "inv_x_star" in report.violations[0].detail
         assert report.achieved_T_comm != report.bound_T_comm
         # against the search result, the claim itself is also wrong
         assert kinds(validate_schedule(claim, fig3a, meta)) == {METADATA_MISMATCH}
