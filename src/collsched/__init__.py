@@ -17,7 +17,6 @@ from .errors import (
     MismatchedForest,
     NoAddableEdge,
     NonIntegerBandwidth,
-    NonIntegralScale,
     NotEulerianAfterFloor,
     Overflow,
     StuckSplit,
@@ -26,7 +25,6 @@ from .errors import (
 )
 from .maxflow import FlowGraph, FlowResult
 from .optimality import (
-    FixedKResult,
     OptimalityResult,
     bottleneck_search,
     derive_schedule_params,
@@ -89,7 +87,6 @@ __all__ = [
     "CollschedError",
     "CutWitness",
     "EMap",
-    "FixedKResult",
     "FlowGraph",
     "FlowResult",
     "Forest",
@@ -98,7 +95,6 @@ __all__ = [
     "MismatchedForest",
     "NoAddableEdge",
     "NonIntegerBandwidth",
-    "NonIntegralScale",
     "NotEulerianAfterFloor",
     "Node",
     "OptimalityResult",

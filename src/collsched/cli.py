@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import CollschedError
@@ -202,10 +203,11 @@ def _parse_param(text: str):
     key, _, raw = text.partition("=")
     if raw.lower() in ("true", "false"):
         return key, raw.lower() == "true"
-    try:
+    # Only plain ASCII integers; anything else stays a string, which
+    # synth_topology refuses.
+    if re.fullmatch(r"-?[0-9]+", raw):
         return key, int(raw)
-    except ValueError:
-        return key, raw
+    return key, raw
 
 
 def cmd_synth(args) -> int:

@@ -63,10 +63,6 @@ class Overflow(CollschedError):
     """
 
 
-class NonIntegralScale(CollschedError):
-    """Scaling a topology by U left a non-integer capacity U*b_e."""
-
-
 class NotEulerianAfterFloor(CollschedError):
     """The capacity-floored graph of a fixed tree-count search is not
     Eulerian, so switch removal (and hence schedule realization) is

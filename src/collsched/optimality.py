@@ -6,8 +6,14 @@ The optimal per-unit communication time ratio is
                    of  |S ∩ compute| / B+(S)
 
 where B+(S) is the total bandwidth leaving S.  With k trees per root and
-capacities floored to floor(U*b_e), the analogue is the least scale U_star
-at which every cut's floored exit capacity reaches k*|S ∩ compute|.
+capacities floored to floor(U*b_e), the analogue is the least scale U at
+which every cut's floored exit capacity reaches k*|S ∩ compute|.
+
+Both searches return an `OptimalityResult`: k trees per root, each
+carrying y = 1/U, on `scale_capacities(t, U)`.  `bottleneck_search` picks
+the least U making every U*b_e integral, so there the floor rounds nothing
+and the schedule meets inv_x_star exactly; `fixed_k_search` takes k as
+given, and the floors make U/k an upper bound.
 
 Both are found by one Newton (Dinkelbach) iteration over cuts instead of
 enumerating them.  A probe at value v adds an auxiliary source feeding every
@@ -29,21 +35,29 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CollschedError, NotEulerianAfterFloor, Overflow
+from .errors import CollschedError, NotEulerianAfterFloor
 from .maxflow import FlowGraph, fresh_name
-from .topology import CAPACITY_BUDGET, Topology, require_valid
+from .topology import Topology, require_tree_count, require_valid, scale_capacities
 
 
 @dataclass(frozen=True)
 class OptimalityResult:
-    """Outcome of the unrestricted optimality search.
+    """Outcome of either search: k trees per compute root, each carrying
+    y = 1/U, on the network `scale_capacities(t, U)` (every b_e scaled to
+    floor(U*b_e)).
 
-    inv_x_star: exact optimal ratio (per-unit time is inv_x_star / N);
-    U: capacity scale factor (U*b_e is integral for every link);
+    inv_x_star: per-unit time ratio of the schedule (its time is
+    inv_x_star / N), U/k;
+    U: capacity scale factor;
     k: number of spanning trees per compute root;
-    y: bandwidth carried by each tree (y = 1/U, and k*y = 1/inv_x_star);
-    witness: a cut S missing some compute node with
-    |S ∩ compute| / B+(S) = inv_x_star;
+    y: bandwidth carried by each tree, 1/U;
+    exact: whether inv_x_star is the unrestricted optimum met with
+    equality.  `bottleneck_search` sets it, and there U*b_e is integral on
+    every link.  `fixed_k_search` does not: the floors can leave the
+    realized congestion below U/(N*k), so the ratio is an upper bound;
+    witness: a cut S missing some compute node that attains the value —
+    |S ∩ compute| / B+(S) = inv_x_star, or for fixed k the cut whose
+    floored exit capacity first reaches k*|S ∩ compute| at U;
     search_iterations: the number of feasibility probes.
     """
 
@@ -51,54 +65,15 @@ class OptimalityResult:
     U: Fraction
     k: int
     y: Fraction
-    search_iterations: int
+    exact: bool
     witness: frozenset[str]
-
-    # The congestion bound inv_x_star/N is met with equality by generated
-    # schedules; fixed-k results override this.
-    @property
-    def exact(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class FixedKResult:
-    """Outcome of the tree-count-restricted search.
-
-    U_star is the minimal scale such that k trees per root exist in the
-    graph with capacities floor(U_star*b_e); achieved_inv_throughput =
-    U_star/k is the corresponding per-unit time ratio (>= the unrestricted
-    inv_x_star, within 1/(k*min b_e) of it).  witness is a cut S missing
-    some compute node whose floored exit capacity first reaches
-    k*|S ∩ compute| at U_star.
-    """
-
-    k: int
-    U_star: Fraction
-    achieved_inv_throughput: Fraction
-    floored_capacities: dict[tuple[str, str], int]
     search_iterations: int
-    witness: frozenset[str]
-
-    # Uniform metadata interface shared with OptimalityResult so the
-    # schedule assembly and validator can consume either.
-    @property
-    def inv_x_star(self) -> Fraction:
-        return self.achieved_inv_throughput
 
     @property
-    def U(self) -> Fraction:
-        return self.U_star
-
-    @property
-    def y(self) -> Fraction:
-        return 1 / self.U_star
-
-    @property
-    def exact(self) -> bool:
-        # Capacity floors can leave the realized congestion strictly below
-        # U_star/(N*k), so the bound is an upper bound, not an identity.
-        return False
+    def U_star(self) -> Fraction:
+        """U under the name the benchmark harness reads from a refused
+        fixed-k search."""
+        return self.U
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +156,7 @@ def bottleneck_search(t: Topology) -> OptimalityResult:
     bandwidths = [link.bandwidth for link in t.links]
     U, k, y = derive_schedule_params(inv, bandwidths)
     return OptimalityResult(
-        inv_x_star=inv, U=U, k=k, y=y, search_iterations=probes, witness=witness
+        inv_x_star=inv, U=U, k=k, y=y, exact=True, witness=witness, search_iterations=probes
     )
 
 
@@ -211,13 +186,6 @@ def derive_schedule_params(
 # Fixed tree-count search
 # ---------------------------------------------------------------------------
 
-def _floored_caps(t: Topology, U: Fraction) -> dict[tuple[str, str], int]:
-    num, den = U.numerator, U.denominator
-    return {
-        (l.src, l.dst): (num * l.bandwidth) // den for l in t.links
-    }
-
-
 def _least_floor_scale(bandwidths: list[int], target: int) -> Fraction:
     """Least U with sum(floor(U*b)) >= target.
 
@@ -231,48 +199,38 @@ def _least_floor_scale(bandwidths: list[int], target: int) -> Fraction:
     return U
 
 
-def fixed_k_search(t: Topology, k: int) -> FixedKResult:
-    """Minimal scale U_star such that k trees per root exist with capacities
-    floor(U_star*b_e); the achieved ratio U_star/k is within 1/(k*min b_e)
-    of the unrestricted optimum and non-increasing when k doubles.
+def fixed_k_search(t: Topology, k: int) -> OptimalityResult:
+    """Least scale U such that k trees per root exist on
+    `scale_capacities(t, U)`, whose capacities are floor(U*b_e).
 
-    A cut S binds until its floored exit capacity reaches k*|S ∩ compute|,
-    so U_star is the largest of the cuts' least such scales.
+    The result has that U, the given k, y = 1/U, inv_x_star = U/k and
+    exact = False.  The ratio U/k is within 1/(k*min b_e) of the
+    unrestricted optimum and non-increasing when k doubles.  A cut S binds
+    until its floored exit capacity reaches k*|S ∩ compute|, so U is the
+    largest of the cuts' least such scales, and the witness is a cut
+    attaining it.
 
-    Raises NotEulerianAfterFloor — with the finished result attached as
-    ``exc.result`` — when the floored capacities are not balanced at every
+    Raises CollschedError unless k is an int >= 1, and
+    NotEulerianAfterFloor — with the finished result attached as
+    ``exc.result`` — when the floored network is not balanced at every
     node, in which case no schedule can be realized for this k even though
-    U_star itself is well-defined.
+    U itself is well-defined.
     """
     require_valid(t)
-    if k < 1:
-        raise CollschedError(f"tree count must be >= 1, got {k}")
-
-    max_b = max(l.bandwidth for l in t.links)
+    require_tree_count(k)
 
     def least_scale(S) -> Fraction:
         return _least_floor_scale(_exit_bandwidths(t, S), k * _compute_count(t, S))
 
     def capacities(U: Fraction):
-        if U.numerator * max_b > CAPACITY_BUDGET:
-            raise Overflow("probe scale exceeds the capacity budget")
-        return _floored_caps(t, U), k
+        return scale_capacities(t, U).capacity, k
 
-    U_star, witness, probes = _cut_search(t, least_scale, capacities)
-    floored = _floored_caps(t, U_star)
-    result = FixedKResult(
-        k=k,
-        U_star=U_star,
-        achieved_inv_throughput=U_star / k,
-        floored_capacities=floored,
-        search_iterations=probes,
-        witness=witness,
+    U, witness, probes = _cut_search(t, least_scale, capacities)
+    result = OptimalityResult(
+        inv_x_star=U / k, U=U, k=k, y=1 / U, exact=False, witness=witness, search_iterations=probes
     )
-    balance: dict[str, int] = {node.id: 0 for node in t.nodes}
-    for (a, b), c in floored.items():
-        balance[a] -= c
-        balance[b] += c
-    unbalanced = sorted(node for node, d in balance.items() if d != 0)
+    floored = scale_capacities(t, U)
+    unbalanced = sorted(n for n, bw in floored.in_bw.items() if bw != floored.out_bw[n])
     if unbalanced:
         raise NotEulerianAfterFloor(
             f"floored capacities for k={k} are unbalanced at {', '.join(unbalanced)}",

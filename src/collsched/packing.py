@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import CollschedError, NoAddableEdge
 from .maxflow import FlowGraph, fresh_name
-from .topology import Topology
+from .topology import Topology, require_tree_count
 
 
 @dataclass
@@ -108,8 +108,7 @@ def pack_spanning_trees(lt: Topology, k: int) -> Forest:
     invariants rule this out for the k the network was split for, so it
     flags an upstream bug or a k that `lt` cannot carry).
     """
-    if k < 1:
-        raise CollschedError(f"tree count must be >= 1, got {k}")
+    require_tree_count(k)
     if lt.switch_ids:
         raise CollschedError("packing takes the compute-only network remove_switches returns")
     n = lt.num_compute

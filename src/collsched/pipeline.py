@@ -30,38 +30,29 @@ from .schedule import (
     reverse_for_reduce_scatter,
 )
 from .splitting import remove_switches
-from .topology import Link, Topology, require_valid, scale_capacities, transpose
+from .topology import Topology, require_valid, scale_capacities, transpose
 
 COLLECTIVES = (ALLGATHER, REDUCE_SCATTER, ALLREDUCE)
-
-
-def _scaled_for_fixed_k(t: Topology, meta) -> Topology:
-    floored = sorted(meta.floored_capacities.items())
-    return Topology(t.nodes, [Link(a, b, c) for (a, b), c in floored if c > 0])
 
 
 def generate(t: Topology, collective: str = ALLGATHER, fixed_k: int | None = None):
     """Produce a schedule for the collective on a validated topology.
 
-    Returns (schedule, meta) where meta is the optimality search result
-    (fixed-k variant when `fixed_k` is given — NotEulerianAfterFloor
-    propagates if the floored capacities cannot be balanced).  The schedule
-    carries meta's U, k, y, inv_x_star and exactness itself, so it validates
-    on its own; meta adds what only the search knows, and passed as
-    `validate_schedule`'s `expected` it cross-checks those claims.  Switch
-    removal and packing both take a plain Topology (t scaled by U, or
-    floored for fixed k, then its compute-only remainder) and the tree
-    count k as an argument.
+    Returns (schedule, meta) where meta is the search result:
+    `bottleneck_search(t)`, or `fixed_k_search(t, fixed_k)` when a tree
+    count is given (NotEulerianAfterFloor propagates if its floored
+    capacities cannot be balanced).  Either way the rest is one path: t
+    scaled by `scale_capacities(t, meta.U)`, switch removal and packing for
+    meta.k trees per root, assembly and pruning.  The schedule carries
+    meta's U, k, y, inv_x_star and exactness itself, so it validates on its
+    own; meta adds what only the search knows, and passed as
+    `validate_schedule`'s `expected` it cross-checks those claims.
     """
     if collective not in COLLECTIVES:
         raise CollschedError(f"unknown collective {collective!r}")
     require_valid(t)
-    if fixed_k is not None:
-        meta = fixed_k_search(t, fixed_k)
-        scaled = _scaled_for_fixed_k(t, meta)
-    else:
-        meta = bottleneck_search(t)
-        scaled = scale_capacities(t, meta.U)
+    meta = bottleneck_search(t) if fixed_k is None else fixed_k_search(t, fixed_k)
+    scaled = scale_capacities(t, meta.U)
     logical, emap = remove_switches(scaled, meta.k)
     forest = pack_spanning_trees(logical, meta.k)
     ag = assemble_allgather(forest, emap, scaled, meta)

@@ -20,6 +20,7 @@ validator shares; everything else it re-derives on its own.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -375,12 +376,14 @@ _field = partial(json_field, error=CollschedError)
 
 
 def _parse_frac(doc: dict, key: str) -> Fraction:
+    """doc[key] as `fraction_text` writes it: ASCII digits, an optional
+    leading minus, one slash.  `int` alone would also take signs,
+    underscores, spaces and non-ASCII digits."""
     text = _field(doc, key, str)
     num, _, den = text.partition("/")
-    try:
+    if re.fullmatch(r"-?[0-9]+/[0-9]+", text) and int(den):
         return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError):
-        raise CollschedError(f"{key!r} must be a 'p/q' rational, got {text!r}") from None
+    raise CollschedError(f"{key!r} must be a 'p/q' rational, got {text!r}")
 
 
 def _node_path(doc: dict) -> tuple[str, ...]:

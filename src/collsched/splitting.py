@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .errors import CapacityExhausted, CollschedError, StuckSplit
 from .maxflow import FlowGraph, fresh_name
-from .topology import COMPUTE, Link, Topology
+from .topology import COMPUTE, Link, Topology, require_tree_count
 
 
 class EMap:
@@ -175,8 +175,10 @@ def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
     capacities are the logical arcs, and the EMap recording how each
     created arc routes physically.  Raises StuckSplit if no pairing for a
     remaining egress arc admits a positive amount, which a balanced input
-    satisfying the N*k flow invariant never triggers.
+    satisfying the N*k flow invariant never triggers, and CollschedError
+    unless k is an int >= 1.
     """
+    require_tree_count(k)
     caps = dict(scaled.capacity)
     emap = EMap()
     for w in scaled.switch_ids:

@@ -19,19 +19,19 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import (
+    CollschedError,
     DuplicateNodeId,
     MalformedDocument,
     NonIntegerBandwidth,
-    NonIntegralScale,
     Overflow,
     TopologyFormatError,
     UnknownEndpoint,
     UnknownNodeKind,
 )
 
-# All materialized capacities (including cleared-denominator auxiliary
-# capacities and the infinity sentinel built from their sum) must stay within
-# signed 64-bit magnitude.  Exceeding the budget is a hard error.
+# Every flow graph's capacities (scaled links, cleared-denominator auxiliary
+# arcs and the run limits derived from them) sum to at most this, so no flow
+# value leaves signed 64-bit magnitude.  Exceeding the budget is a hard error.
 CAPACITY_BUDGET = 2**63 - 1
 
 COMPUTE = "compute"
@@ -298,6 +298,13 @@ def require_valid(t: Topology) -> None:
         raise InvalidTopology(report.violations)
 
 
+def require_tree_count(k) -> None:
+    """Raise CollschedError unless k, a number of trees per root, is an
+    int >= 1 (a bool is not)."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise CollschedError(f"tree count k must be an int >= 1, got {k!r}")
+
+
 def transpose(t: Topology) -> Topology:
     """The arc-reversed network.  Multicast and aggregation swap, because
     a fan-out on t is a fan-in on its transpose; a reduction on t is an
@@ -312,30 +319,26 @@ def transpose(t: Topology) -> Topology:
 # ---------------------------------------------------------------------------
 
 def scale_capacities(t: Topology, U: Fraction | int) -> Topology:
-    """The network switch removal works on: every bandwidth multiplied by
-    U, requiring exact integer results.
+    """The network switch removal works on: every bandwidth b_e replaced by
+    floor(U*b_e), and links that floor to 0 dropped.
 
-    U normally comes from `optimality.derive_schedule_params`, which
-    guarantees integrality.  The Eulerian property survives scaling by a
-    constant.  Raises NonIntegralScale if some U*b_e is fractional and
-    Overflow if any capacity leaves the 63-bit budget.
+    This is the one scaling rule for both searches' results, and the
+    validator's per-link limit.  For a `bottleneck_search` result
+    `optimality.derive_schedule_params` makes every U*b_e integral, so the
+    floor rounds nothing and the Eulerian property survives; for a
+    `fixed_k_search` result the floors may unbalance a node, which that
+    search reports.  Raises CollschedError if U <= 0 and Overflow if the
+    total capacity leaves the 63-bit budget.
     """
     U = Fraction(U)
     if U <= 0:
-        raise NonIntegralScale(f"scale factor must be positive, got {U}")
-    scaled_links = []
-    for l in t.links:
-        c = U * l.bandwidth
-        if c.denominator != 1:
-            raise NonIntegralScale(f"U*b = {U}*{l.bandwidth} is not an integer on {l.src}->{l.dst}")
-        c = int(c)
-        if c > CAPACITY_BUDGET:
-            raise Overflow(f"capacity {c} on {l.src}->{l.dst} exceeds the 63-bit budget")
-        scaled_links.append(Link(l.src, l.dst, c))
+        raise CollschedError(f"scale factor must be positive, got {U}")
+    num, den = U.numerator, U.denominator
+    scaled_links = [Link(l.src, l.dst, num * l.bandwidth // den) for l in t.links]
     total = sum(l.bandwidth for l in scaled_links)
-    if total + 1 > CAPACITY_BUDGET:
+    if total > CAPACITY_BUDGET:
         raise Overflow(f"total scaled capacity {total} exceeds the 63-bit budget")
-    return Topology(t.nodes, scaled_links)
+    return Topology(t.nodes, [l for l in scaled_links if l.bandwidth > 0])
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def test_criterion_6_fixed_tree_count_bound(random_suite):
                 res = fixed_k_search(t, k)
             except NotEulerianAfterFloor as exc:
                 res = exc.result
-            achieved[k] = res.achieved_inv_throughput
+            achieved[k] = res.inv_x_star
             gap = achieved[k] - opt
             assert 0 <= gap <= Fraction(1, k * min_b), f"seed {seed}, k {k}"
             checked += 1

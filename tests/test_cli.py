@@ -313,11 +313,14 @@ class TestSynth:
                      "--param", "bidi=true"]) == 1
         assert main(["synth", "boxes", "--param", "boxes=true", "--param", "gpus_per_box=4",
                      "--param", "intra=10", "--param", "inter=1"]) == 1
+        # integers are plain ASCII digits, as int() alone would not insist
+        for n in ("1_0", " 4", "\u0664", "+4"):
+            assert main(["synth", "ring", "--param", f"n={n}", "--param", "bw=1"]) == 1
         # out-of-range values too
         assert main(["synth", "ring", "--param", "n=1", "--param", "bw=1"]) == 1
         err = capsys.readouterr()
         assert err.out == ""
-        assert err.err.count("error:") == 9
+        assert err.err.count("error:") == 13
         assert "Traceback" not in err.err
 
 

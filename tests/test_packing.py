@@ -91,8 +91,9 @@ class TestPackSpanningTrees:
         # units each way hold at most 3 trees per root) fails loudly
         with pytest.raises(NoAddableEdge):
             pack_spanning_trees(two_node_logical(), 4)
-        with pytest.raises(CollschedError):
-            pack_spanning_trees(two_node_logical(), 0)
+        for k in (0, 2.5, True):
+            with pytest.raises(CollschedError, match=f"got {k!r}"):
+                pack_spanning_trees(two_node_logical(), k)
 
     def test_switched_network_rejected(self, fig3a):
         # a network that still has switches, e.g. the scaled one, is refused

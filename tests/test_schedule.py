@@ -292,6 +292,10 @@ class TestSerialization:
         }
         with pytest.raises(CollschedError):
             parse_schedule(json.dumps(bad_frac))
+        # only what fraction_text writes: int() alone would take all of these
+        for text in ("1_0/2", " 3/4", "\u0663/4", "+1/2", "1/-2", "3/4\n", "1/0", "3"):
+            with pytest.raises(CollschedError, match="'p/q' rational"):
+                parse_schedule(json.dumps(dict(bad_frac, optimal_inv_x=text)))
 
     @pytest.mark.parametrize(
         "path, value",

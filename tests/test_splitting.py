@@ -70,6 +70,13 @@ class TestRemoveSwitches:
         assert lt.capacity == {("a", "b"): 1, ("b", "a"): 1}
         assert emap.entries == {("a", "b"): {"w": 1}}
 
+    def test_rejects_bad_k(self):
+        # the network is only dissolved for a real tree count
+        scaled, _ = tiny_relay()
+        for k in (0, 2.5, True):
+            with pytest.raises(CollschedError, match=f"got {k!r}"):
+                remove_switches(scaled, k)
+
     def test_switch_free_input_is_untouched(self, ring4):
         res = bottleneck_search(ring4)
         scaled = scale_capacities(ring4, res.U)

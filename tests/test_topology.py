@@ -19,10 +19,11 @@ from collsched import (
     validate,
 )
 from collsched.errors import (
+    CollschedError,
     DuplicateNodeId,
     MalformedDocument,
     NonIntegerBandwidth,
-    NonIntegralScale,
+    Overflow,
     TopologyFormatError,
     UnknownEndpoint,
     UnknownNodeKind,
@@ -166,19 +167,29 @@ class TestScaleCapacities:
         # Eulerian survives scaling
         assert validate(d).ok
 
-    def test_fractional_scale_must_clear(self):
+    def test_fractional_scale_floors(self):
         t = Topology(
             [Node("a", COMPUTE), Node("b", COMPUTE)],
-            [Link("a", "b", 4), Link("b", "a", 4)],
+            [Link("a", "b", 4), Link("b", "a", 2)],
         )
-        d = scale_capacities(t, Fraction(3, 2))
-        assert d.capacity[("a", "b")] == 6
-        with pytest.raises(NonIntegralScale):
-            scale_capacities(t, Fraction(1, 3))
+        assert scale_capacities(t, Fraction(3, 2)).capacity == {("a", "b"): 6, ("b", "a"): 3}
+        assert scale_capacities(t, Fraction(1, 3)).capacity == {("a", "b"): 1}
+        # a link that floors to 0 is left out
+        d = scale_capacities(t, Fraction(1, 5))
+        assert d.capacity == {} and d.nodes == t.nodes
 
     def test_nonpositive_scale(self, fig3a):
-        with pytest.raises(NonIntegralScale):
-            scale_capacities(fig3a, 0)
+        for U in (0, Fraction(-1, 2)):
+            with pytest.raises(CollschedError, match="positive"):
+                scale_capacities(fig3a, U)
+
+    def test_budget_holds_the_total_capacity(self):
+        nodes = [Node("a", COMPUTE), Node("b", COMPUTE)]
+        fits = Topology(nodes, [Link("a", "b", 2**63 - 2), Link("b", "a", 1)])
+        assert scale_capacities(fits, 1) == fits
+        over = Topology(nodes, [Link("a", "b", 2**63 - 1), Link("b", "a", 1)])
+        with pytest.raises(Overflow):
+            scale_capacities(over, 1)
 
 
 class TestTranspose:
