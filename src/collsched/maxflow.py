@@ -13,7 +13,10 @@ arc capacities pass overrides keyed by arc id, which is what the switch
 removal and tree packing layers lean on; an optional `limit` makes the
 engine stop early once `limit` units of flow are placed, returning
 min(true max flow, limit) exactly.  `run` returns that value and
-`run_keep` adds a min-cut witness.
+`run_keep` adds a min-cut witness and the residual state, on which
+`resume` answers capacity-increase what-ifs and `reach` finds the
+vertices reachable along arcs of at least a given residual capacity (at
+1 from the source, the min-cut witness itself).
 
 There is no infinite capacity.  An arc that must never bind is given a
 capacity of at least the run's limit L: any cut through it is worth at
@@ -134,17 +137,35 @@ class FlowGraph:
         value = _dinic(len(self._names), self._to, self._adj, caps, s, t, limit)
         return value, (caps, s, t)
 
-    def _source_side(self, state: tuple) -> frozenset[str]:
-        """Vertices reachable from s in the residual graph (= min-cut
-        source side)."""
-        caps, s, _ = state
+    def reach(self, state: tuple, starts, at_least: int) -> frozenset[str]:
+        """Vertices reachable from the vertices `starts` in the residual
+        graph of `state` (from `run_keep`) along arcs of residual capacity
+        at least `at_least`, an int >= 1.
+
+        With `at_least` = 1 from the source of a converged run this is the
+        source side of a minimum cut.  Any cut that leaves out a vertex
+        reached at `at_least` but holds one of `starts` costs at least
+        `at_least` in the residual graph, since the path crosses it.
+        """
+        if type(at_least) is not int or at_least < 1:
+            raise CollschedError(f"reach threshold must be an int >= 1, got {at_least!r}")
+        caps = state[0]
         to = self._to
+        adj = self._adj
         seen = [False] * len(self._names)
-        seen[s] = True
-        queue = [s]
+        queue = []
+        try:
+            names = iter(starts)
+        except TypeError:
+            raise CollschedError(f"reach starts {starts!r} are not an iterable of vertices") from None
+        for name in names:
+            i = self._vertex(name)
+            if not seen[i]:
+                seen[i] = True
+                queue.append(i)
         for u in queue:
-            for e in self._adj[u]:
-                if caps[e] > 0 and not seen[to[e]]:
+            for e in adj[u]:
+                if caps[e] >= at_least and not seen[to[e]]:
                     seen[to[e]] = True
                     queue.append(to[e])
         return frozenset(self._names[i] for i in queue)
@@ -178,7 +199,7 @@ class FlowGraph:
         below `limit`); a limit-stopped run's state must not be resumed.
         """
         value, state = self._solve(src, dst, overrides, limit)
-        return FlowResult(value=value, source_side=self._source_side(state)), state
+        return FlowResult(value=value, source_side=self.reach(state, (src,), 1)), state
 
     def resume(self, state: tuple, boost_arcs, limit: int) -> int:
         """Extra flow after raising zero-capacity arcs to `limit`.
@@ -224,7 +245,8 @@ def _dinic(n, to, adj, cap, s, t, limit):
     """Dinic blocking-flow max flow, stopping once `limit` units are placed."""
     total = 0
     while total < limit:
-        # BFS level graph
+        # BFS level graph, stopped once the sink has a level: no other
+        # vertex at or past that level lies on a shortest augmenting path.
         level = [-1] * n
         level[s] = 0
         queue = [s]
@@ -236,6 +258,8 @@ def _dinic(n, to, adj, cap, s, t, limit):
                     if level[v] < 0:
                         level[v] = lu
                         queue.append(v)
+            if level[t] >= 0:
+                break
         if level[t] < 0:
             break
         it = [0] * n

@@ -222,14 +222,19 @@ def fixed_k_search(t: Topology, k: int) -> OptimalityResult:
     def least_scale(S) -> Fraction:
         return _least_floor_scale(_exit_bandwidths(t, S), k * _compute_count(t, S))
 
+    # The search returns the value of its last probe, so the network that
+    # probe floored is the one the balance check needs.
+    floored = None
+
     def capacities(U: Fraction):
-        return scale_capacities(t, U).capacity, k
+        nonlocal floored
+        floored = scale_capacities(t, U)
+        return floored.capacity, k
 
     U, witness, probes = _cut_search(t, least_scale, capacities)
     result = OptimalityResult(
         inv_x_star=U / k, U=U, k=k, y=1 / U, exact=False, witness=witness, search_iterations=probes
     )
-    floored = scale_capacities(t, U)
     unbalanced = sorted(n for n, bw in floored.in_bw.items() if bw != floored.out_bw[n])
     if unbalanced:
         raise NotEulerianAfterFloor(

@@ -120,6 +120,17 @@ class _GammaOracle:
         certified at once, and otherwise F0's min cut settles every boost
         vertex outside its source side exactly (the cut survives the boost),
         leaving individual probes only for vertices inside.
+
+        Each boost arc (v, sink) raises the flow to F0 + min(room,
+        lambda(v)), where room = N*k + best - F0 and lambda(v) is the
+        source -> v connectivity of F0's residual graph R, in which the sink
+        stays unreachable.  Let K hold the source and every vertex whose
+        probe gained the full room.  If R has a path of arcs with residual
+        at least room from K to v, then lambda(v) >= room: a cut separating
+        the source from v either leaves out a member of K, which costs at
+        least the room that member gained (room only shrinks), or is
+        crossed by that path.  So only vertices this reach misses are
+        probed, and the result is the same as probing every one.
         """
         g = self.graph
         limit = self.target + best
@@ -131,20 +142,27 @@ class _GammaOracle:
             # boosted flow equals F0 — and monotonicity puts every other
             # boost at F0 or above, so the minimum is exactly F0.
             return min(best, res.value - self.target)
-        for _, arc in boosts:
-            room = self.target + best - res.value
-            if room <= 0:
-                # Every boosted flow is at least the base flow, so no probe
-                # can improve on `best` any more.
-                break
-            if arc in base:
-                # Already unbounded in the base problem; the boost is a no-op.
-                flow = res.value
+        # No boost arc is also a base placeholder here: such an arc runs into
+        # the sink unsaturated (it carries at most F0 < limit), so its tail
+        # would lie off F0's source side.
+        room = limit - res.value
+        full = [source]
+        reached = g.reach(state, full, room)
+        for v, arc in boosts:
+            if v in reached:
+                continue
+            gained = g.resume(state, (arc,), room)
+            if gained >= room:
+                full.append(v)
             else:
-                flow = res.value + g.resume(state, (arc,), room)
-            best = min(best, flow - self.target)
-            if best <= 0:
-                return best
+                # gained < room, so this boost sets the new minimum.
+                best = res.value + gained - self.target
+                room = gained
+                if best <= 0 or room == 0:
+                    # The pairing is refused, or best is F0 - N*k, which no
+                    # boost undercuts.
+                    return best
+            reached = g.reach(state, full, room)
         return best
 
 
@@ -221,7 +239,8 @@ def _consume_egress(net: Topology, caps: dict, w: str, t: str, k: int, emap: EMa
             if u != t:
                 emap.add(u, t, w, amount)
             progressed = True
-            oracle = _GammaOracle(net, caps, w, t, k)
+            if caps.get((w, t), 0) > 0:
+                oracle = _GammaOracle(net, caps, w, t, k)
         if not progressed:
             raise StuckSplit(w, (w, t), caps.get((w, t), 0))
 

@@ -62,9 +62,12 @@ def clustered_eulerian_topology(seed: int, max_nodes: int = 12) -> Topology:
         add_cycle(members, rng.randint(3, 8))
         if rng.random() < 0.7:
             add_cycle(members[::-1], rng.randint(1, 8))
-    for _ in range(rng.randint(1, 2)):
-        joints = [rng.choice([m for m in ms if not m.startswith("w")]) for ms in clusters]
-        add_cycle(joints, rng.randint(1, 2))
+    # A lone cluster (the next one would pass max_nodes) has nothing to
+    # join; its joining "cycle" would be a self-loop.
+    if len(clusters) > 1:
+        for _ in range(rng.randint(1, 2)):
+            joints = [rng.choice([m for m in ms if not m.startswith("w")]) for ms in clusters]
+            add_cycle(joints, rng.randint(1, 2))
     return Topology(nodes, [Link(a, b, w) for (a, b), w in sorted(weights.items())])
 
 

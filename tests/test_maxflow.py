@@ -1,4 +1,5 @@
-"""Flow engine: exact values, cut witnesses, overrides, early stops, resume."""
+"""Flow engine: exact values, cut witnesses, overrides, early stops, resume,
+residual reach."""
 
 import itertools
 import random
@@ -258,6 +259,49 @@ class TestResume:
         _, state = g.run_keep("s", "t")
         with pytest.raises(CollschedError):
             g.resume(state, arc, 3)
+
+
+def brute_reach(vertices, arcs, caps, starts, at_least):
+    """Fixpoint of residual reachability over the arc list: arc i's
+    forward residual is caps[2*i], its backward residual caps[2*i+1]."""
+    seen = set(starts)
+    grew = True
+    while grew:
+        grew = False
+        for i, (a, b, _) in enumerate(arcs):
+            for tail, head, residual in ((a, b, caps[2 * i]), (b, a, caps[2 * i + 1])):
+                if tail in seen and head not in seen and residual >= at_least:
+                    seen.add(head)
+                    grew = True
+    return seen
+
+
+class TestReach:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_brute_force_reachability(self, seed):
+        vertices, arcs = random_instance(seed)
+        g, _ = build(vertices, arcs)
+        s, t = vertices[0], vertices[-1]
+        rng = random.Random(seed)
+        for limit in (None, 1, 4):
+            res, state = g.run_keep(s, t, limit=limit)
+            assert g.reach(state, [s], 1) == res.source_side
+            caps = state[0]
+            for at_least in (1, 2, 3, 5, 9):
+                for starts in ([s], [s, t], rng.sample(vertices, 2)):
+                    assert g.reach(state, starts, at_least) == brute_reach(
+                        vertices, arcs, caps, starts, at_least
+                    ), (seed, limit, at_least, starts)
+
+    def test_rejects_bad_thresholds_and_vertices(self):
+        g, _ = build("sat", [("s", "a", 4), ("a", "t", 4)])
+        _, state = g.run_keep("s", "t")
+        for at_least in (0, -1, 1.5, True):
+            with pytest.raises(CollschedError):
+                g.reach(state, ["s"], at_least)
+        for starts in (["nope"], 7):
+            with pytest.raises(CollschedError):
+                g.reach(state, starts, 1)
 
 
 _ARC_IDS = st.one_of(st.integers(-2, 40), st.sampled_from(["0", 1.0]))

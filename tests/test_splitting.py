@@ -1,5 +1,7 @@
 """Switch removal: split amounts, invariant preservation, path recovery."""
 
+import itertools
+
 import pytest
 
 from collsched import (
@@ -10,6 +12,7 @@ from collsched import (
     Node,
     Topology,
     bottleneck_search,
+    random_eulerian_topology,
     remove_switches,
     scale_capacities,
     validate,
@@ -17,6 +20,7 @@ from collsched import (
 from collsched.errors import CapacityExhausted, CollschedError
 from collsched.maxflow import fresh_name
 from collsched.splitting import PathExpander, compute_gamma
+from conftest import clustered_eulerian_topology
 
 
 def tiny_relay():
@@ -40,6 +44,46 @@ def supports_full_flow(lt, k) -> bool:
     return all(g.run(source, c, limit=target) >= target for c in lt.compute_ids)
 
 
+def enumerated_gamma(net: Topology, k: int, u: str, w: str, t: str) -> int:
+    """The split amount of (u, w),(w, t) by enumeration of vertex sets,
+    without any flow computation.
+
+    The N*k invariant holds iff every set X meeting the compute nodes C has
+    slack(X) = in(X) - k*|C - X| >= 0.  Splitting g units takes g from
+    in(X) exactly when X holds w but neither u nor t, or holds u and t but
+    not w; every other X keeps its in-capacity.  So the amount is
+    max(0, min(c(u,w), c(w,t), min slack(X) over those X)).
+    """
+    caps = net.capacity
+    compute = set(net.compute_ids)
+    free = [n.id for n in net.nodes if n.id not in (u, w, t)]
+    best = min(caps.get((u, w), 0), caps.get((w, t), 0))
+    for r in range(len(free) + 1):
+        for rest in itertools.combinations(free, r):
+            for X in ({w, *rest}, {u, t, *rest}):
+                if X & compute:
+                    inflow = sum(c for (a, b), c in caps.items() if a not in X and b in X)
+                    best = min(best, inflow - k * len(compute - X))
+    return max(best, 0)
+
+
+def small_switched_suite():
+    """Topologies of at most 10 nodes with a switch, from both generators."""
+    suite = [random_eulerian_topology(seed) for seed in range(120)]
+    suite += [clustered_eulerian_topology(seed, max_nodes=9) for seed in range(120)]
+    return [t for t in suite if t.switch_ids and len(t.nodes) <= 10]
+
+
+def apply_split(net: Topology, u: str, w: str, t: str, amount: int) -> Topology:
+    """net with `amount` units of (u, w),(w, t) replaced by (u, t)."""
+    caps = dict(net.capacity)
+    for pair in ((u, w), (w, t)):
+        caps[pair] -= amount
+    if u != t:
+        caps[(u, t)] = caps.get((u, t), 0) + amount
+    return Topology(net.nodes, [Link(a, b, c) for (a, b), c in caps.items() if c > 0])
+
+
 class TestComputeGamma:
     def test_reference_pairings(self, fig3a):
         res = bottleneck_search(fig3a)
@@ -61,6 +105,32 @@ class TestComputeGamma:
     def test_absent_arcs_give_zero(self):
         scaled, res = tiny_relay()
         assert compute_gamma(scaled, res.k, ("b", "w"), ("w", "b")) == 0
+
+    def test_matches_cut_enumeration_through_a_removal(self):
+        """compute_gamma equals the enumerated amount for every pairing at
+        the switch being removed, on the scaled network and after each
+        split of a greedy removal (first egress head, then first tail with
+        a positive amount, as remove_switches orders them)."""
+        checked = 0
+        for t in small_switched_suite():
+            res = bottleneck_search(t)
+            net = scale_capacities(t, res.U)
+            for w in t.switch_ids:
+                while heads := sorted(b for (a, b) in net.capacity if a == w):
+                    tails = sorted(
+                        (a for (a, b) in net.capacity if b == w), key=lambda a: (a == heads[0], a)
+                    )
+                    split = None
+                    for u in tails:
+                        for head in heads:
+                            got = compute_gamma(net, res.k, (u, w), (w, head))
+                            assert got == enumerated_gamma(net, res.k, u, w, head), (t, u, w, head)
+                            checked += 1
+                            if split is None and head == heads[0] and got > 0:
+                                split = (u, got)
+                    assert split is not None, (t, w, heads[0])
+                    net = apply_split(net, split[0], w, heads[0], split[1])
+        assert checked > 1000
 
 
 class TestRemoveSwitches:
