@@ -13,10 +13,14 @@ arc capacities pass overrides keyed by arc id, which is what the switch
 removal and tree packing layers lean on; an optional `limit` makes the
 engine stop early once `limit` units of flow are placed, returning
 min(true max flow, limit) exactly.  `run` returns that value and
-`run_keep` adds a min-cut witness and the residual state, on which
-`resume` answers capacity-increase what-ifs and `reach` finds the
-vertices reachable along arcs of at least a given residual capacity (at
-1 from the source, the min-cut witness itself).
+`run_keep` adds a min-cut witness and the residual state R.  On that state
+`reach` finds the vertices reachable along arcs of at least a given
+residual capacity (at 1 from the source, the min-cut witness itself), and
+`resume` pushes more flow in place from a set of sources to a sink: the
+amount is the least R-capacity of a cut holding the sources but not the
+sink, up to a limit.  Successive resumes share R as long as each one's
+sources hold every earlier resume's sources and sink (Hao & Orlin's
+growing source set), which the engine checks.
 
 There is no infinite capacity.  An arc that must never bind is given a
 capacity of at least the run's limit L: any cut through it is worth at
@@ -114,7 +118,8 @@ class FlowGraph:
 
     def _solve(self, src, dst, overrides, limit) -> tuple[int, tuple]:
         """Max flow src->dst on a fresh copy of the capacities with the
-        overrides applied: the value and the residual state (caps, s, t).
+        overrides applied: the value and the residual state (caps, pinned),
+        pinned being the terminals later resumes must keep as sources.
         Without a limit the flow stops at the capacity sum, which it cannot
         exceed."""
         s = self._vertex(src)
@@ -134,8 +139,8 @@ class FlowGraph:
                 caps[pos] = cap
             _checked_total(total)
         limit = total if limit is None else _checked_limit(limit)
-        value = _dinic(len(self._names), self._to, self._adj, caps, s, t, limit)
-        return value, (caps, s, t)
+        value = _dinic(len(self._names), self._to, self._adj, caps, [s], t, limit)
+        return value, (caps, set())
 
     def reach(self, state: tuple, starts, at_least: int) -> frozenset[str]:
         """Vertices reachable from the vertices `starts` in the residual
@@ -192,37 +197,45 @@ class FlowGraph:
         limit: int | None = None,
     ) -> tuple[FlowResult, tuple]:
         """Like `run`, but returns the value with a min-cut witness, plus
-        the residual state so `resume` can answer capacity-increase
-        what-ifs without a fresh run.
+        the residual state R for `reach` and `resume`.
 
         The returned cut is only meaningful when the flow converged (value
-        below `limit`); a limit-stopped run's state must not be resumed.
+        below `limit`).
         """
         value, state = self._solve(src, dst, overrides, limit)
         return FlowResult(value=value, source_side=self.reach(state, (src,), 1)), state
 
-    def resume(self, state: tuple, boost_arcs, limit: int) -> int:
-        """Extra flow after raising zero-capacity arcs to `limit`.
+    def resume(self, state: tuple, sources, sink, limit: int) -> int:
+        """Push up to `limit` more units from the vertices `sources` to
+        `sink` into `state` (from `run_keep`), in place; returns the amount
+        pushed: min(limit, least residual capacity in R of a cut X that
+        holds every source but not the sink), R being the residual
+        `run_keep` left.
 
-        `state` must come from a `run_keep` whose flow converged; the boost
-        arcs must have had zero capacity there (the residual is reused, so a
-        previously-used arc cannot simply be rewritten).  Returns the flow
-        gained, up to `limit`, which a boost arc can never bind; the state
-        itself is left untouched.
+        Terminal rule: `sources` must hold every source and the sink of
+        each earlier resume on the same state.  Flow pushed between
+        vertices of X leaves X's residual capacity as it was in R, but a
+        cut that splits an earlier call's terminals has lost that flow's
+        worth, so such a call is refused, as is a sink among the sources.
         """
         limit = _checked_limit(limit)
-        caps, s, t = state
-        work = caps.copy()
+        caps, pinned = state
         try:
-            boosts = iter(boost_arcs)
+            names = iter(sources)
         except TypeError:
-            raise CollschedError(f"boost arcs {boost_arcs!r} are not an iterable of arc ids") from None
-        for arc_id in boosts:
-            pos = self._position(arc_id)
-            if work[pos] != 0 or work[pos + 1] != 0:
-                raise CollschedError("resume boosts must be unused zero-capacity arcs")
-            work[pos] = limit
-        return _dinic(len(self._names), self._to, self._adj, work, s, t, limit)
+            raise CollschedError(f"resume sources {sources!r} are not an iterable of vertices") from None
+        starts = list(dict.fromkeys(self._vertex(name) for name in names))
+        t = self._vertex(sink)
+        if t in starts:
+            raise CollschedError(f"resume sink {sink!r} is among its sources")
+        if not pinned.issubset(starts):
+            raise CollschedError(
+                "resume sources must hold every source and sink of earlier resumes on this state"
+            )
+        pushed = _dinic(len(self._names), self._to, self._adj, caps, starts, t, limit)
+        pinned.update(starts)
+        pinned.add(t)
+        return pushed
 
 
 def _bad_capacity(cap) -> CollschedError:
@@ -241,15 +254,17 @@ def _checked_limit(limit) -> int:
     return limit
 
 
-def _dinic(n, to, adj, cap, s, t, limit):
-    """Dinic blocking-flow max flow, stopping once `limit` units are placed."""
+def _dinic(n, to, adj, cap, sources, t, limit):
+    """Dinic blocking-flow max flow from the vertices `sources` to t, in
+    place on `cap`, stopping once `limit` units are placed."""
     total = 0
     while total < limit:
         # BFS level graph, stopped once the sink has a level: no other
         # vertex at or past that level lies on a shortest augmenting path.
         level = [-1] * n
-        level[s] = 0
-        queue = [s]
+        for s in sources:
+            level[s] = 0
+        queue = list(sources)
         for u in queue:
             lu = level[u] + 1
             for e in adj[u]:
@@ -263,49 +278,50 @@ def _dinic(n, to, adj, cap, s, t, limit):
         if level[t] < 0:
             break
         it = [0] * n
-        path: list[int] = []
-        u = s
-        while True:
-            if u == t:
-                f = limit - total
-                for e in path:
-                    c = cap[e]
-                    if c < f:
-                        f = c
-                for e in path:
-                    cap[e] -= f
-                    cap[e ^ 1] += f
-                total += f
-                if total >= limit:
-                    return total
-                # retreat to just before the first saturated arc
-                i = 0
-                np = len(path)
-                while i < np and cap[path[i]] > 0:
-                    i += 1
-                del path[i:]
-                u = to[path[-1]] if path else s
-                continue
-            advanced = False
-            au = adj[u]
-            iu = it[u]
-            nu = len(au)
-            lu1 = level[u] + 1
-            while iu < nu:
-                e = au[iu]
-                if cap[e] > 0 and level[to[e]] == lu1:
-                    path.append(e)
-                    u = to[e]
-                    advanced = True
-                    break
-                iu += 1
-            it[u if not advanced else to[path[-1] ^ 1]] = iu
-            if not advanced:
-                if not path:
-                    break  # phase exhausted
-                level[u] = -1  # dead end; prune for the rest of the phase
-                e = path.pop()
-                u = to[e ^ 1]
-                it[u] += 1
+        for s in sources:
+            path: list[int] = []
+            u = s
+            while True:
+                if u == t:
+                    f = limit - total
+                    for e in path:
+                        c = cap[e]
+                        if c < f:
+                            f = c
+                    for e in path:
+                        cap[e] -= f
+                        cap[e ^ 1] += f
+                    total += f
+                    if total >= limit:
+                        return total
+                    # retreat to just before the first saturated arc
+                    i = 0
+                    np = len(path)
+                    while i < np and cap[path[i]] > 0:
+                        i += 1
+                    del path[i:]
+                    u = to[path[-1]] if path else s
+                    continue
+                advanced = False
+                au = adj[u]
+                iu = it[u]
+                nu = len(au)
+                lu1 = level[u] + 1
+                while iu < nu:
+                    e = au[iu]
+                    if cap[e] > 0 and level[to[e]] == lu1:
+                        path.append(e)
+                        u = to[e]
+                        advanced = True
+                        break
+                    iu += 1
+                it[u if not advanced else to[path[-1] ^ 1]] = iu
+                if not advanced:
+                    if not path:
+                        break  # this source is exhausted for the phase
+                    level[u] = -1  # dead end; prune for the rest of the phase
+                    e = path.pop()
+                    u = to[e ^ 1]
+                    it[u] += 1
     return total
 

@@ -52,8 +52,8 @@ class _GammaOracle:
 
     The graph holds the arcs of `caps`, the auxiliary source with
     k-capacity arcs to every compute node, and zero-capacity placeholder
-    arcs that individual probes raise to the probe limit N*k + best via
-    overrides.  Each placeholder leaves the probe's source or enters its
+    arcs that a base flow raises to the probe limit N*k + best via
+    overrides.  Each placeholder leaves the flow's source or enters its
     sink, so it never carries more than the flow placed so far: at the
     limit it cannot bind, just as an unbounded arc would not.
     """
@@ -68,9 +68,8 @@ class _GammaOracle:
         self.source = fresh_name("s", names)
         arcs = [(a, b, c) for (a, b), c in caps.items()]
         arcs += [(self.source, c, k) for c in net.compute_ids]
-        # Placeholders, activated per probe by overrides keyed on their
-        # positions: (x, source) and (x, t) for every node x, and (v, w)
-        # for every compute v.
+        # Placeholders, activated per base flow by overrides keyed on
+        # their positions: (x, source) and (x, t) for every node x.
         def placeholders(tails, head) -> dict[str, int]:
             first = len(arcs)
             arcs.extend((x, head, 0) for x in tails)
@@ -78,7 +77,6 @@ class _GammaOracle:
 
         self.to_source = placeholders(names, self.source)
         self.to_t = placeholders(names, t)
-        self.to_w = placeholders(net.compute_ids, w)
         self.graph = FlowGraph(names + [self.source], arcs)
 
     def gamma(self, u: str) -> int:
@@ -97,7 +95,7 @@ class _GammaOracle:
             u,
             self.w,
             (self.to_source[u], self.to_t[u]),
-            [(v, self.to_w[v]) for v in self.compute_ids if v != u],
+            [v for v in self.compute_ids if v != u],
             best,
         )
         if best <= 0:
@@ -106,63 +104,72 @@ class _GammaOracle:
             self.w,
             self.t,
             (self.to_source[self.w], self.to_t[u]),
-            [(v, self.to_t[v]) for v in self.compute_ids],
+            self.compute_ids,
             best,
         )
         return max(best, 0)
 
     def _min_slack(self, source, sink, base, boosts, best: int) -> int:
-        """min(best, min over boost arcs of F(source -> sink with that arc
-        and the `base` placeholders unbounded) - N*k).
+        """min(best, min over boost vertices v of F(source -> sink with an
+        unbounded arc (v, sink) and the `base` placeholders unbounded)
+        - N*k).
 
         A boost arc only adds capacity, so F is bounded below by the
         unboosted flow F0: when F0 reaches the probing limit, every boost is
         certified at once, and otherwise F0's min cut settles every boost
         vertex outside its source side exactly (the cut survives the boost),
-        leaving individual probes only for vertices inside.
+        leaving probes only for vertices inside.
 
-        Each boost arc (v, sink) raises the flow to F0 + min(room,
-        lambda(v)), where room = N*k + best - F0 and lambda(v) is the
-        source -> v connectivity of F0's residual graph R, in which the sink
-        stays unreachable.  Let K hold the source and every vertex whose
-        probe gained the full room.  If R has a path of arcs with residual
-        at least room from K to v, then lambda(v) >= room: a cut separating
-        the source from v either leaves out a member of K, which costs at
-        least the room that member gained (room only shrinks), or is
-        crossed by that path.  So only vertices this reach misses are
-        probed, and the result is the same as probing every one.
+        Boosting v raises the flow to F0 + min(room, lambda(source, v)),
+        where room = N*k + best - F0 and lambda(S, v) is the least capacity,
+        in F0's residual graph R, of a cut that holds S but not v.  (R's
+        reachable set from the source holds every boost vertex but not the
+        sink, so by submodularity the cut may leave the sink out too; that
+        is why a probe can sink at v instead of boosting (v, sink).)
+
+        Following Hao & Orlin (1994), "A faster algorithm for finding the
+        minimum cut in a directed graph", the probes share R: put the boost
+        vertices in order v1, v2, ... and let S(i) = {source, v1 .. vi}.
+        Then min over v of lambda(source, v) = min over i of
+        lambda(S(i-1), vi).  A larger source set only removes cuts, so no
+        term undercuts the left side; and for a minimum cut X, the first vi
+        outside X has S(i-1) inside it.  Flow pushed from S(i-1) to vi, in
+        place on R, crosses no cut that holds both, so every later cut
+        keeps its value in R; the engine's terminal rule checks exactly
+        this.  A probe that gains the full room settles vi; a short one
+        sets the new minimum and the room, and vi still joins the source
+        set, since lambda(S(i-1), vi) is that new room.
+
+        A probe is skipped when v is reachable from S along residual arcs
+        of at least the room: every cut that holds S but not v is crossed
+        by that path, so lambda(S, v) >= room.
         """
         g = self.graph
         limit = self.target + best
         res, state = g.run_keep(source, sink, overrides=dict.fromkeys(base, limit), limit=limit)
         if res.value >= limit:
             return best
-        if any(v not in res.source_side for v, _ in boosts):
+        if any(v not in res.source_side for v in boosts):
             # That vertex's boost arc does not cross F0's min cut, so its
             # boosted flow equals F0 — and monotonicity puts every other
             # boost at F0 or above, so the minimum is exactly F0.
             return min(best, res.value - self.target)
-        # No boost arc is also a base placeholder here: such an arc runs into
-        # the sink unsaturated (it carries at most F0 < limit), so its tail
-        # would lie off F0's source side.
         room = limit - res.value
-        full = [source]
-        reached = g.reach(state, full, room)
-        for v, arc in boosts:
-            if v in reached:
-                continue
-            gained = g.resume(state, (arc,), room)
-            if gained >= room:
-                full.append(v)
-            else:
-                # gained < room, so this boost sets the new minimum.
-                best = res.value + gained - self.target
-                room = gained
-                if best <= 0 or room == 0:
-                    # The pairing is refused, or best is F0 - N*k, which no
-                    # boost undercuts.
-                    return best
-            reached = g.reach(state, full, room)
+        settled = [source]
+        reached = g.reach(state, settled, room)
+        for v in boosts:
+            if v not in reached:
+                gained = g.resume(state, settled, v, room)
+                if gained < room:
+                    # This boost sets the new minimum.
+                    best = res.value + gained - self.target
+                    room = gained
+                    if best <= 0 or room == 0:
+                        # The pairing is refused, or best is F0 - N*k,
+                        # which no boost undercuts.
+                        return best
+                reached = g.reach(state, settled + [v], room)
+            settled.append(v)
         return best
 
 

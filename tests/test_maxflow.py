@@ -189,14 +189,14 @@ class TestRunControls:
 
     @pytest.mark.parametrize("limit", [2.5, True, -3], ids=["float", "bool", "negative"])
     def test_bad_limits_rejected(self, limit):
-        g, ids = build("sat", [("s", "a", 5), ("a", "t", 5), ("s", "t", 0)])
+        g, _ = build("sat", [("s", "a", 5), ("a", "t", 5), ("s", "t", 0)])
         with pytest.raises(CollschedError):
             g.run("s", "t", limit=limit)
         with pytest.raises(CollschedError):
             g.run_keep("s", "t", limit=limit)
         _, state = g.run_keep("s", "t")
         with pytest.raises(CollschedError):
-            g.resume(state, (ids[2],), limit)
+            g.resume(state, ["s"], "a", limit)
 
     def test_from_arcs_equals_incremental(self):
         vertices, arcs = random_instance(37)
@@ -207,58 +207,110 @@ class TestRunControls:
             FlowGraph.from_arcs(["a", "a"], [])
 
 
+def residual_cut(arcs, caps, side):
+    """Exit capacity of `side` in a residual state: arc i's forward entry
+    caps[2*i] runs a -> b, its backward entry caps[2*i+1] runs b -> a."""
+    return sum(
+        residual
+        for i, (a, b, _) in enumerate(arcs)
+        for tail, head, residual in ((a, b, caps[2 * i]), (b, a, caps[2 * i + 1]))
+        if tail in side and head not in side
+    )
+
+
+def brute_resume(vertices, arcs, caps, sources, sink):
+    """Least residual exit capacity over the sets holding every source but
+    not the sink, by subset enumeration."""
+    free = [v for v in vertices if v not in sources and v != sink]
+    return min(
+        residual_cut(arcs, caps, {*sources, *combo})
+        for r in range(len(free) + 1)
+        for combo in itertools.combinations(free, r)
+    )
+
+
 class TestResume:
-    def _with_placeholders(self, seed):
+    @pytest.mark.parametrize("seed", range(60))
+    def test_resume_matches_cut_enumeration(self, seed):
+        """A chain of resumes from {s}, {s, v1}, {s, v1, v2} on one state
+        each returns min(limit, the least cut holding its sources but not
+        its sink) in the residual `run_keep` left, capped calls included."""
         vertices, arcs = random_instance(seed)
-        rng = random.Random(seed + 1000)
-        holders = {}
-        placeholders = []
-        for v in vertices[1:-1]:
-            if rng.random() < 0.5:
-                holders[v] = len(arcs) + len(placeholders)
-                placeholders.append((vertices[0], v, 0))
-        g, _ = build(vertices, arcs + placeholders)
-        return vertices, arcs, g, holders
+        g, _ = build(vertices, arcs)
+        s, t = vertices[0], vertices[-1]
+        rng = random.Random(seed)
+        for run_limit in (None, 2):
+            _, state = g.run_keep(s, t, limit=run_limit)
+            base = state[0].copy()
+            sinks = rng.sample(vertices[1:], min(3, len(vertices) - 1))
+            sources = [s]
+            for i, sink in enumerate(sinks):
+                want = brute_resume(vertices, arcs, base, sources, sink)
+                # every other call is capped one short of the cut, when it can be
+                limit = max(want - 1, 0) if (seed + i) % 2 else want + 3
+                assert g.resume(state, sources, sink, limit) == min(limit, want), (
+                    seed, run_limit, sources, sink
+                )
+                sources = sources + [sink]
 
     @pytest.mark.parametrize("seed", range(25))
     def test_resume_matches_override_rerun(self, seed):
-        vertices, arcs, g, holders = self._with_placeholders(seed)
-        if not holders:
-            return
+        """After a converged run, resuming from the source to v gains what
+        raising a zero-capacity arc (v, t) does in a fresh run."""
+        vertices, arcs = random_instance(seed)
         s, t = vertices[0], vertices[-1]
-        res, state = g.run_keep(s, t)
+        holders = {v: len(arcs) + i for i, v in enumerate(vertices[1:-1])}
+        g, _ = build(vertices, arcs + [(v, t, 0) for v in holders])
         big = sum(c for *_, c in arcs) + 5
         for v, arc in holders.items():
-            gained = g.resume(state, (arc,), big)
-            assert res.value + gained == g.run(s, t, overrides={arc: big})
-            # the state is reusable: a second resume answers identically
-            assert g.resume(state, (arc,), big) == gained
+            res, state = g.run_keep(s, t)
+            assert res.value + g.resume(state, [s], v, big) == g.run(
+                s, t, overrides={arc: big}
+            ), (seed, v)
 
     def test_resume_respects_limit(self):
-        g, (_, arc) = build("sat", [("a", "t", 6), ("s", "a", 0)])
+        g, _ = build("sat", [("s", "a", 6), ("a", "t", 0)])
         res, state = g.run_keep("s", "t")
         assert res.value == 0
-        assert g.resume(state, (arc,), 4) == 4
-        assert g.resume(state, (arc,), 100) == 6
+        assert g.resume(state, ["s"], "a", 4) == 4
+        # the pushed units stay in the state: 2 of s -> a are left
+        assert state[0][:2] == [2, 4]
+        _, state = g.run_keep("s", "t")
+        assert g.resume(state, ["s"], "a", 100) == 6
 
-    def test_resume_rejects_used_arcs(self):
-        g, ids = build("sat", [("s", "a", 3), ("a", "t", 3)])
+    def test_resume_rejects_a_sink_among_the_sources(self):
+        g, _ = build("sat", [("s", "a", 3), ("a", "t", 3)])
         _, state = g.run_keep("s", "t")
         with pytest.raises(CollschedError):
-            g.resume(state, (ids[0],), 10)
+            g.resume(state, ["s", "a"], "a", 10)
 
-    @pytest.mark.parametrize("arc", [-1, 2, True])
-    def test_resume_rejects_bad_arc_ids(self, arc):
+    @pytest.mark.parametrize("vertex", [-1, 2, True, "nope"])
+    def test_resume_rejects_unknown_vertices(self, vertex):
         g, _ = build("sat", [("a", "t", 6), ("s", "a", 0)])
         _, state = g.run_keep("s", "t")
         with pytest.raises(CollschedError):
-            g.resume(state, (arc,), 10)
+            g.resume(state, ["s", vertex], "a", 10)
+        with pytest.raises(CollschedError):
+            g.resume(state, ["s"], vertex, 10)
 
-    def test_resume_rejects_a_bare_arc_id(self):
-        g, (_, arc) = build("sat", [("a", "t", 6), ("s", "a", 0)])
+    def test_resume_rejects_non_iterable_sources(self):
+        g, _ = build("sat", [("a", "t", 6), ("s", "a", 0)])
         _, state = g.run_keep("s", "t")
         with pytest.raises(CollschedError):
-            g.resume(state, arc, 3)
+            g.resume(state, 7, "a", 3)
+
+    def test_resume_keeps_earlier_terminals_among_the_sources(self):
+        """Flow pushed s -> a changes the residual value of any cut that
+        splits s from a, so a later call on the state must source both."""
+        g, _ = build("sabt", [("s", "a", 4), ("a", "b", 4), ("s", "b", 1), ("b", "t", 0)])
+        _, state = g.run_keep("s", "t")
+        assert g.resume(state, ["s"], "a", 10) == 4
+        for sources, sink in ((["s"], "b"), (["a"], "b"), (["b"], "t")):
+            with pytest.raises(CollschedError):
+                g.resume(state, sources, sink, 10)
+        # a refused call leaves the state as it was
+        assert g.resume(state, ["s", "a"], "b", 10) == 5
+        assert g.resume(state, ["a", "s", "b"], "t", 10) == 0
 
 
 def brute_reach(vertices, arcs, caps, starts, at_least):

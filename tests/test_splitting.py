@@ -106,11 +106,22 @@ class TestComputeGamma:
         scaled, res = tiny_relay()
         assert compute_gamma(scaled, res.k, ("b", "w"), ("w", "b")) == 0
 
-    def test_matches_cut_enumeration_through_a_removal(self):
+    def test_matches_cut_enumeration_through_a_removal(self, monkeypatch):
         """compute_gamma equals the enumerated amount for every pairing at
         the switch being removed, on the scaled network and after each
         split of a greedy removal (first egress head, then first tail with
-        a positive amount, as remove_switches orders them)."""
+        a positive amount, as remove_switches orders them).  The pairings
+        run shared-residual resumes, some of which stop short of the room."""
+        resumes = {"calls": 0, "short": 0}
+        resume = FlowGraph.resume
+
+        def counted(self, state, sources, sink, limit):
+            pushed = resume(self, state, sources, sink, limit)
+            resumes["calls"] += 1
+            resumes["short"] += pushed < limit
+            return pushed
+
+        monkeypatch.setattr(FlowGraph, "resume", counted)
         checked = 0
         for t in small_switched_suite():
             res = bottleneck_search(t)
@@ -131,6 +142,7 @@ class TestComputeGamma:
                     assert split is not None, (t, w, heads[0])
                     net = apply_split(net, split[0], w, heads[0], split[1])
         assert checked > 1000
+        assert resumes["calls"] > 0 and resumes["short"] > 0, resumes
 
 
 class TestRemoveSwitches:
