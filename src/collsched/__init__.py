@@ -23,7 +23,7 @@ from .errors import (
     TooLarge,
     TopologyFormatError,
 )
-from .maxflow import FlowGraph, FlowResult
+from .maxflow import FlowGraph
 from .optimality import (
     OptimalityResult,
     bottleneck_search,
@@ -88,7 +88,6 @@ __all__ = [
     "CutWitness",
     "EMap",
     "FlowGraph",
-    "FlowResult",
     "Forest",
     "InvalidTopology",
     "Link",

@@ -43,10 +43,11 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+    # Only plain ASCII digits, as in _parse_param: int() would also take
+    # "1_0", "+2", " 2" and non-ASCII digits.
+    if not re.fullmatch(r"[0-9]+", text) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):

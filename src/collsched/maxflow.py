@@ -1,47 +1,42 @@
 """Exact integer maximum flow (Dinic).
 
 The engine works on named vertices and paired forward/backward arc entries.
-A graph is built in one call, `FlowGraph(vertices, arcs)`, and an arc's id
-is its position in `arcs`.  Every capacity is a non-negative int, checked
-against the 63-bit budget; any other capacity, an unhashable or unknown
-vertex, a malformed arc, an arc id out of range, overrides that are not a
-dict or a `limit` that is not a non-negative int raises CollschedError.
+A graph is built in one call, `FlowGraph(vertices, arcs)`.  Every capacity
+is a non-negative int, checked against the 63-bit budget; any other
+capacity, an unhashable or unknown vertex, a malformed arc or a `limit`
+that is not a non-negative int raises CollschedError.
 
-`FlowGraph.run` never changes the graph (it runs on a copy of the
-capacities).  Repeated queries that differ from a template by a handful of
-arc capacities pass overrides keyed by arc id, which is what the switch
-removal and tree packing layers lean on; an optional `limit` makes the
-engine stop early once `limit` units of flow are placed, returning
-min(true max flow, limit) exactly.  `run` returns that value and
-`run_keep` adds a min-cut witness and the residual state R.  On that state
-`reach` finds the vertices reachable along arcs of at least a given
-residual capacity (at 1 from the source, the min-cut witness itself), and
-`resume` pushes more flow in place from a set of sources to a sink: the
-amount is the least R-capacity of a cut holding the sources but not the
-sink, up to a limit.  Successive resumes share R as long as each one's
-sources hold every earlier resume's sources and sink (Hao & Orlin's
-growing source set), which the engine checks.
+A flow runs between terminal sets: `run(sources, sinks)` is the max flow
+from the vertices `sources` to the vertices `sinks`, that is the least
+capacity of a cut holding every source and no sink.  Each set is a
+non-empty iterable of vertex names, and the two are disjoint; a bare
+string, an empty or overlapping set or a non-iterable raises
+CollschedError.  A run never changes the graph (it works on a copy of the
+capacities), and an optional `limit` makes the engine stop early once
+`limit` units of flow are placed, returning min(max flow, limit) exactly.
+
+`run` returns that value and `run_keep` adds the residual state R.  On
+that state `reach` finds the vertices reachable along arcs of at least a
+given residual capacity; at 1 from the sources of a flow that stopped
+short of its limit, that is the source side of a minimum cut, so a caller
+that wants a min-cut witness asks `reach` for it.  `resume` pushes more
+flow in place from a set of sources to a sink: the amount is the least
+R-capacity of a cut holding the sources but not the sink, up to a limit.
+Successive resumes share R as long as each one's sources hold every
+earlier resume's sources and sink (Hao & Orlin's growing source set),
+which the engine checks.
 
 There is no infinite capacity.  An arc that must never bind is given a
 capacity of at least the run's limit L: any cut through it is worth at
-least L, so min(max flow, L) cannot change.
+least L, so min(max flow, L) cannot change.  Where such an arc serves only
+to put a vertex on a terminal's side of every cut below L, the vertex goes
+into that terminal set instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CollschedError, Overflow
 from .topology import CAPACITY_BUDGET
-
-
-@dataclass(frozen=True)
-class FlowResult:
-    """Exact max-flow value plus a min-cut witness: the set of vertex
-    names on the source side of one minimum cut."""
-
-    value: int
-    source_side: frozenset[str]
 
 
 def fresh_name(base: str, taken) -> str:
@@ -56,9 +51,8 @@ class FlowGraph:
     """Directed flow network with named vertices.
 
     `FlowGraph(vertices, arcs)` takes the vertex names in order and the arcs
-    as (src, dst, cap) triples, cap a non-negative int.  Arc i is the i-th
-    triple: its id i is the key for overriding its capacity in later runs.
-    Arcs are stored as paired entries (forward at 2*i, residual at 2*i+1).
+    as (src, dst, cap) triples, cap a non-negative int.  Arcs are stored as
+    paired entries (the i-th triple forward at 2*i, residual at 2*i+1).
     """
 
     def __init__(self, vertices, arcs):
@@ -86,7 +80,7 @@ class FlowGraph:
                     f"arc {arc!r} is not a (src, dst, cap) triple with hashable endpoints"
                 ) from None
             if type(cap) is not int or cap < 0:
-                raise _bad_capacity(cap)
+                raise CollschedError(f"arc capacity must be a non-negative int, got {cap!r}")
             total += cap
             to.append(v)
             cap0.append(cap)
@@ -95,7 +89,9 @@ class FlowGraph:
             adj[u].append(entry)
             adj[v].append(entry + 1)
             entry += 2
-        self._total = _checked_total(total)
+        if total > CAPACITY_BUDGET:
+            raise Overflow(f"capacity sum {total} exceeds the 63-bit budget")
+        self._total = total
 
     @classmethod
     def from_arcs(cls, vertices, arcs) -> "FlowGraph":
@@ -110,36 +106,36 @@ class FlowGraph:
         except (KeyError, TypeError):
             raise CollschedError(f"vertex {name!r} not in flow graph") from None
 
-    def _position(self, arc_id) -> int:
-        """Forward entry of arc `arc_id`, an int in [0, number of arcs)."""
-        if type(arc_id) is not int or not 0 <= 2 * arc_id < len(self._to):
-            raise CollschedError(f"no arc with id {arc_id!r} in flow graph")
-        return 2 * arc_id
+    def _vertices(self, names, what: str) -> list[int]:
+        """Indices of the vertex names `names`, a non-empty iterable that is
+        not a string, in order with repeats dropped; `what` names the set in
+        errors."""
+        if isinstance(names, str):
+            raise CollschedError(f"{what} {names!r} is a string, not a collection of vertices")
+        try:
+            found = list(map(self._idx.__getitem__, names))
+        except KeyError as exc:
+            raise CollschedError(f"vertex {exc.args[0]!r} not in flow graph") from None
+        except TypeError:
+            raise CollschedError(
+                f"{what} {names!r} are not an iterable of hashable vertex names"
+            ) from None
+        if not found:
+            raise CollschedError(f"{what} must hold at least one vertex")
+        return found if len(found) == 1 else list(dict.fromkeys(found))
 
-    def _solve(self, src, dst, overrides, limit) -> tuple[int, tuple]:
-        """Max flow src->dst on a fresh copy of the capacities with the
-        overrides applied: the value and the residual state (caps, pinned),
-        pinned being the terminals later resumes must keep as sources.
-        Without a limit the flow stops at the capacity sum, which it cannot
-        exceed."""
-        s = self._vertex(src)
-        t = self._vertex(dst)
-        if s == t:
-            raise CollschedError("source and sink must differ")
+    def _solve(self, sources, sinks, limit) -> tuple[int, tuple]:
+        """Max flow from `sources` to `sinks` on a fresh copy of the
+        capacities: the value and the residual state (caps, pinned), pinned
+        being the terminals later resumes must keep as sources.  Without a
+        limit the flow stops at the capacity sum, which it cannot exceed."""
+        starts = self._vertices(sources, "sources")
+        ends = self._vertices(sinks, "sinks")
+        if not set(starts).isdisjoint(ends):
+            raise CollschedError("sources and sinks must be disjoint")
+        limit = self._total if limit is None else _checked_limit(limit)
         caps = self._cap0.copy()
-        total = self._total
-        if overrides is not None:
-            if not isinstance(overrides, dict):
-                raise CollschedError(f"overrides {overrides!r} do not map arc ids to capacities")
-            for arc_id, cap in overrides.items():
-                pos = self._position(arc_id)
-                if type(cap) is not int or cap < 0:
-                    raise _bad_capacity(cap)
-                total += cap - caps[pos]
-                caps[pos] = cap
-            _checked_total(total)
-        limit = total if limit is None else _checked_limit(limit)
-        value = _dinic(len(self._names), self._to, self._adj, caps, [s], t, limit)
+        value = _dinic(len(self._names), self._to, self._adj, caps, starts, ends, limit)
         return value, (caps, set())
 
     def reach(self, state: tuple, starts, at_least: int) -> frozenset[str]:
@@ -147,27 +143,21 @@ class FlowGraph:
         graph of `state` (from `run_keep`) along arcs of residual capacity
         at least `at_least`, an int >= 1.
 
-        With `at_least` = 1 from the source of a converged run this is the
-        source side of a minimum cut.  Any cut that leaves out a vertex
-        reached at `at_least` but holds one of `starts` costs at least
-        `at_least` in the residual graph, since the path crosses it.
+        With `at_least` = 1 from the sources of a run that stopped short of
+        its limit this is the source side of a minimum cut.  Any cut that
+        leaves out a vertex reached at `at_least` but holds one of `starts`
+        costs at least `at_least` in the residual graph, since the path
+        crosses it.
         """
         if type(at_least) is not int or at_least < 1:
             raise CollschedError(f"reach threshold must be an int >= 1, got {at_least!r}")
         caps = state[0]
         to = self._to
         adj = self._adj
+        queue = self._vertices(starts, "reach starts")
         seen = [False] * len(self._names)
-        queue = []
-        try:
-            names = iter(starts)
-        except TypeError:
-            raise CollschedError(f"reach starts {starts!r} are not an iterable of vertices") from None
-        for name in names:
-            i = self._vertex(name)
-            if not seen[i]:
-                seen[i] = True
-                queue.append(i)
+        for i in queue:
+            seen[i] = True
         for u in queue:
             for e in adj[u]:
                 if caps[e] >= at_least and not seen[to[e]]:
@@ -175,35 +165,21 @@ class FlowGraph:
                     queue.append(to[e])
         return frozenset(self._names[i] for i in queue)
 
-    def run(
-        self,
-        src: str,
-        dst: str,
-        overrides: dict[int, int] | None = None,
-        limit: int | None = None,
-    ) -> int:
-        """Max flow src->dst on a copy of the capacities.
+    def run(self, sources, sinks, limit: int | None = None) -> int:
+        """Max flow from the vertices `sources` to the vertices `sinks` on
+        a copy of the capacities.  With `limit`, returns
+        min(max flow, limit)."""
+        return self._solve(sources, sinks, limit)[0]
 
-        overrides maps arc id -> new capacity applied to the forward entry
-        before the run.  With `limit`, returns min(max flow, limit).
+    def run_keep(self, sources, sinks, limit: int | None = None) -> tuple[int, tuple]:
+        """Like `run`, but returns the value together with the residual
+        state R for `reach` and `resume`.
+
+        A caller that wants a min cut asks `reach(state, sources, 1)` for
+        its source side, which is only meaningful when the flow came up
+        short of `limit`.
         """
-        return self._solve(src, dst, overrides, limit)[0]
-
-    def run_keep(
-        self,
-        src: str,
-        dst: str,
-        overrides: dict[int, int] | None = None,
-        limit: int | None = None,
-    ) -> tuple[FlowResult, tuple]:
-        """Like `run`, but returns the value with a min-cut witness, plus
-        the residual state R for `reach` and `resume`.
-
-        The returned cut is only meaningful when the flow converged (value
-        below `limit`).
-        """
-        value, state = self._solve(src, dst, overrides, limit)
-        return FlowResult(value=value, source_side=self.reach(state, (src,), 1)), state
+        return self._solve(sources, sinks, limit)
 
     def resume(self, state: tuple, sources, sink, limit: int) -> int:
         """Push up to `limit` more units from the vertices `sources` to
@@ -220,11 +196,7 @@ class FlowGraph:
         """
         limit = _checked_limit(limit)
         caps, pinned = state
-        try:
-            names = iter(sources)
-        except TypeError:
-            raise CollschedError(f"resume sources {sources!r} are not an iterable of vertices") from None
-        starts = list(dict.fromkeys(self._vertex(name) for name in names))
+        starts = self._vertices(sources, "resume sources")
         t = self._vertex(sink)
         if t in starts:
             raise CollschedError(f"resume sink {sink!r} is among its sources")
@@ -232,20 +204,10 @@ class FlowGraph:
             raise CollschedError(
                 "resume sources must hold every source and sink of earlier resumes on this state"
             )
-        pushed = _dinic(len(self._names), self._to, self._adj, caps, starts, t, limit)
+        pushed = _dinic(len(self._names), self._to, self._adj, caps, starts, [t], limit)
         pinned.update(starts)
         pinned.add(t)
         return pushed
-
-
-def _bad_capacity(cap) -> CollschedError:
-    return CollschedError(f"arc capacity must be a non-negative int, got {cap!r}")
-
-
-def _checked_total(total: int) -> int:
-    if total > CAPACITY_BUDGET:
-        raise Overflow(f"capacity sum {total} exceeds the 63-bit budget")
-    return total
 
 
 def _checked_limit(limit) -> int:
@@ -254,35 +216,45 @@ def _checked_limit(limit) -> int:
     return limit
 
 
-def _dinic(n, to, adj, cap, sources, t, limit):
-    """Dinic blocking-flow max flow from the vertices `sources` to t, in
-    place on `cap`, stopping once `limit` units are placed."""
+def _dinic(n, to, adj, cap, sources, sinks, limit):
+    """Dinic blocking-flow max flow from the vertices `sources` to the
+    vertices `sinks`, in place on `cap`, stopping once `limit` units are
+    placed."""
+    is_sink = [False] * n
+    for t in sinks:
+        is_sink[t] = True
     total = 0
     while total < limit:
-        # BFS level graph, stopped once the sink has a level: no other
-        # vertex at or past that level lies on a shortest augmenting path.
+        # BFS level graph, stopped once every sink has a level or the level
+        # of the nearest sinks is complete: no vertex past it lies on a
+        # shortest augmenting path.
         level = [-1] * n
         for s in sources:
             level[s] = 0
         queue = list(sources)
+        last = n
+        missing = len(sinks)
         for u in queue:
             lu = level[u] + 1
+            if lu > last or not missing:
+                break
             for e in adj[u]:
                 if cap[e] > 0:
                     v = to[e]
                     if level[v] < 0:
                         level[v] = lu
                         queue.append(v)
-            if level[t] >= 0:
-                break
-        if level[t] < 0:
+                        if is_sink[v]:
+                            last = lu
+                            missing -= 1
+        if last == n:
             break
         it = [0] * n
         for s in sources:
             path: list[int] = []
             u = s
             while True:
-                if u == t:
+                if is_sink[u]:
                     f = limit - total
                     for e in path:
                         c = cap[e]
@@ -324,4 +296,3 @@ def _dinic(n, to, adj, cap, sources, t, limit):
                     u = to[e ^ 1]
                     it[u] += 1
     return total
-

@@ -106,10 +106,10 @@ def _cut_search(t: Topology, cut_value, probe_capacities):
         g = FlowGraph(vertices, arcs)
         target = t.num_compute * supply
         for i, sink in enumerate(sinks):
-            res, _ = g.run_keep(source, sink, limit=target)
-            if res.value < target:
+            flow, state = g.run_keep([source], [sink], limit=target)
+            if flow < target:
                 sinks.insert(0, sinks.pop(i))
-                cut = res.source_side - {source}
+                cut = g.reach(state, [source], 1) - {source}
                 break
         else:
             return value, witness, probes

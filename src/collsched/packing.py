@@ -94,7 +94,7 @@ def compute_mu(forest: Forest, batch: TreeBatch, arc: tuple[str, str]) -> int:
             for member in sorted(other.members):
                 arcs.append((hub, member, m))
     g = FlowGraph(vertices, arcs)
-    flow = g.run(x, y, limit=sum_other + mu0 - free) + free
+    flow = g.run([x], [y], limit=sum_other + mu0 - free) + free
     return max(0, min(mu0, flow - sum_other))
 
 

@@ -50,12 +50,9 @@ class _GammaOracle:
     against fixed working capacities `caps` of the network `net`'s nodes,
     reusing one flow graph across all candidate ingress arcs.
 
-    The graph holds the arcs of `caps`, the auxiliary source with
-    k-capacity arcs to every compute node, and zero-capacity placeholder
-    arcs that a base flow raises to the probe limit N*k + best via
-    overrides.  Each placeholder leaves the flow's source or enters its
-    sink, so it never carries more than the flow placed so far: at the
-    limit it cannot bind, just as an unbounded arc would not.
+    The graph holds the arcs of `caps` and the auxiliary source s with
+    k-capacity arcs to every compute node.  Each γ evaluation runs two base
+    flows on it, each between terminal sets (see `gamma`).
     """
 
     def __init__(self, net: Topology, caps: dict, w: str, t: str, k: int) -> None:
@@ -68,15 +65,6 @@ class _GammaOracle:
         self.source = fresh_name("s", names)
         arcs = [(a, b, c) for (a, b), c in caps.items()]
         arcs += [(self.source, c, k) for c in net.compute_ids]
-        # Placeholders, activated per base flow by overrides keyed on
-        # their positions: (x, source) and (x, t) for every node x.
-        def placeholders(tails, head) -> dict[str, int]:
-            first = len(arcs)
-            arcs.extend((x, head, 0) for x in tails)
-            return {x: first + i for i, x in enumerate(tails)}
-
-        self.to_source = placeholders(names, self.source)
-        self.to_t = placeholders(names, t)
         self.graph = FlowGraph(names + [self.source], arcs)
 
     def gamma(self, u: str) -> int:
@@ -84,53 +72,58 @@ class _GammaOracle:
         min flow to every compute node stays at N*k:
 
         min{ c(u,w), c(w,t),
-             min_v F(u -> w | inf (u,s),(u,t),(v,w)) - N*k,
-             min_v F(w -> t | inf (w,s),(u,t),(v,t)) - N*k }
+             min_v F({u, s, t} -> {w} | inf (v,w)) - N*k,
+             min_v F({w, s} -> {u, t} | inf (v,t)) - N*k }
+
+        F(X -> Y | inf (v,y)) being the max flow from the vertex set X to
+        the vertex set Y with an unbounded arc (v,y) added.  The two halves
+        are the flows u -> w with unbounded arcs (u,s), (u,t), (v,w), and
+        w -> t with unbounded arcs (w,s), (u,t), (v,t).  An arc (a,b) of
+        capacity at least the probing limit L puts b on a's side of every
+        cut worth less than L.  So in the first half every such cut holds s
+        and t with u, which is a flow from {u, s, t} to {w} with the same
+        cuts at the same values; in the second, (w,s) puts s with w, and
+        (u,t), with t the sink, forces u out of the source side: a flow
+        from {w, s} to {u, t}.
         """
         caps = self.caps
         best = min(caps.get((u, self.w), 0), caps.get((self.w, self.t), 0))
         if best <= 0:
             return 0
         best = self._min_slack(
-            u,
-            self.w,
-            (self.to_source[u], self.to_t[u]),
+            [u, self.source, self.t],
+            [self.w],
             [v for v in self.compute_ids if v != u],
             best,
         )
         if best <= 0:
             return 0
-        best = self._min_slack(
-            self.w,
-            self.t,
-            (self.to_source[self.w], self.to_t[u]),
-            self.compute_ids,
-            best,
-        )
+        best = self._min_slack([self.w, self.source], [u, self.t], self.compute_ids, best)
         return max(best, 0)
 
-    def _min_slack(self, source, sink, base, boosts, best: int) -> int:
-        """min(best, min over boost vertices v of F(source -> sink with an
-        unbounded arc (v, sink) and the `base` placeholders unbounded)
-        - N*k).
+    def _min_slack(self, sources, sinks, boosts, best: int) -> int:
+        """min(best, min over boost vertices v of F(sources -> sinks with
+        an unbounded arc from v to a sink) - N*k).
 
         A boost arc only adds capacity, so F is bounded below by the
         unboosted flow F0: when F0 reaches the probing limit, every boost is
         certified at once, and otherwise F0's min cut settles every boost
         vertex outside its source side exactly (the cut survives the boost),
-        leaving probes only for vertices inside.
+        leaving probes only for vertices inside.  A boost vertex among the
+        sources is settled from the start, since every cut holds it, and
+        one among the sinks lies outside the source side.
 
-        Boosting v raises the flow to F0 + min(room, lambda(source, v)),
+        Boosting v raises the flow to F0 + min(room, lambda(sources, v)),
         where room = N*k + best - F0 and lambda(S, v) is the least capacity,
         in F0's residual graph R, of a cut that holds S but not v.  (R's
-        reachable set from the source holds every boost vertex but not the
-        sink, so by submodularity the cut may leave the sink out too; that
-        is why a probe can sink at v instead of boosting (v, sink).)
+        reachable set from the sources holds every boost vertex but no sink,
+        so by submodularity the cut may leave the sinks out too; that is
+        why a probe can sink at v instead of boosting an arc from v.)
 
         Following Hao & Orlin (1994), "A faster algorithm for finding the
         minimum cut in a directed graph", the probes share R: put the boost
-        vertices in order v1, v2, ... and let S(i) = {source, v1 .. vi}.
-        Then min over v of lambda(source, v) = min over i of
+        vertices in order v1, v2, ... and let S(i) = sources + {v1 .. vi}.
+        Then min over v of lambda(sources, v) = min over i of
         lambda(S(i-1), vi).  A larger source set only removes cuts, so no
         term undercuts the left side; and for a minimum cut X, the first vi
         outside X has S(i-1) inside it.  Flow pushed from S(i-1) to vi, in
@@ -146,23 +139,24 @@ class _GammaOracle:
         """
         g = self.graph
         limit = self.target + best
-        res, state = g.run_keep(source, sink, overrides=dict.fromkeys(base, limit), limit=limit)
-        if res.value >= limit:
+        value, state = g.run_keep(sources, sinks, limit=limit)
+        if value >= limit:
             return best
-        if any(v not in res.source_side for v in boosts):
+        side = g.reach(state, sources, 1)
+        if any(v not in side for v in boosts):
             # That vertex's boost arc does not cross F0's min cut, so its
             # boosted flow equals F0 — and monotonicity puts every other
             # boost at F0 or above, so the minimum is exactly F0.
-            return min(best, res.value - self.target)
-        room = limit - res.value
-        settled = [source]
+            return min(best, value - self.target)
+        room = limit - value
+        settled = list(sources)
         reached = g.reach(state, settled, room)
         for v in boosts:
             if v not in reached:
                 gained = g.resume(state, settled, v, room)
                 if gained < room:
                     # This boost sets the new minimum.
-                    best = res.value + gained - self.target
+                    best = value + gained - self.target
                     room = gained
                     if best <= 0 or room == 0:
                         # The pairing is refused, or best is F0 - N*k,

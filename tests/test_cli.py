@@ -350,6 +350,11 @@ class TestUsageErrors:
         ["export-dot", "s.json", "--json"],
         ["no-such-command"],
         ["generate", "-t", "{topo}", "--no-multicast"],
+        # tree counts are plain ASCII digits, not whatever int() accepts
+        ["generate", "-t", "{topo}", "--fixed-k", "1_0"],
+        ["generate", "-t", "{topo}", "--fixed-k", "\u0662"],
+        ["generate", "-t", "{topo}", "--fixed-k", "+2"],
+        ["generate", "-t", "{topo}", "--fixed-k", " 2"],
     ])
     def test_exit_1_with_usage(self, argv, topo_file, capsys):
         with pytest.raises(SystemExit) as exc:

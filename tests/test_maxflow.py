@@ -1,13 +1,11 @@
-"""Flow engine: exact values, cut witnesses, overrides, early stops, resume,
-residual reach."""
+"""Flow engine: exact values, terminal sets, cut witnesses, early stops,
+resume, residual reach."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from collsched import FlowGraph
 from collsched.errors import CollschedError, Overflow
@@ -15,15 +13,12 @@ from collsched.maxflow import fresh_name
 from collsched.topology import CAPACITY_BUDGET
 
 
-def build(vertices, arcs):
-    return FlowGraph(vertices, arcs), list(range(len(arcs)))
-
-
-def brute_min_cut(vertices, arcs, s, t):
-    """Min s/t cut by subset enumeration."""
-    others = [v for v in vertices if v not in (s, t)]
+def brute_min_cut(vertices, arcs, sources, sinks):
+    """Least exit capacity of a vertex set holding every source and no
+    sink, by subset enumeration."""
+    others = [v for v in vertices if v not in sources and v not in sinks]
     return min(
-        cut_capacity(arcs, {s, *combo})
+        cut_capacity(arcs, {*sources, *combo})
         for r in range(len(others) + 1)
         for combo in itertools.combinations(others, r)
     )
@@ -49,25 +44,25 @@ def random_instance(seed):
 class TestFlowValues:
     def test_diamond(self):
         arcs = [("s", "a", 3), ("s", "b", 2), ("a", "b", 1), ("a", "t", 2), ("b", "t", 3)]
-        g, _ = build("sabt", arcs)
-        res = g.run_keep("s", "t")[0]
-        assert res.value == 5
-        assert cut_capacity(arcs, res.source_side) == 5
+        g = FlowGraph("sabt", arcs)
+        value, state = g.run_keep(["s"], ["t"])
+        assert value == 5
+        assert cut_capacity(arcs, g.reach(state, ["s"], 1)) == 5
 
     def test_textbook_network(self):
         arcs = [
             ("s", "a", 10), ("s", "c", 10), ("a", "b", 4), ("a", "c", 2),
             ("c", "d", 9), ("b", "t", 10), ("d", "b", 6), ("d", "t", 10),
         ]
-        g, _ = build(["s", "a", "b", "c", "d", "t"], arcs)
+        g = FlowGraph(["s", "a", "b", "c", "d", "t"], arcs)
         # min cut {s, a, c}: a->b (4) + c->d (9)
-        assert g.run_keep("s", "t")[0].value == 13
+        assert g.run_keep(["s"], ["t"])[0] == 13
 
     def test_disconnected_sink(self):
-        g, _ = build("sxt", [("s", "x", 7)])
-        res = g.run_keep("s", "t")[0]
-        assert res.value == 0
-        assert res.source_side == {"s", "x"}
+        g = FlowGraph("sxt", [("s", "x", 7)])
+        value, state = g.run_keep(["s"], ["t"])
+        assert value == 0
+        assert g.reach(state, ["s"], 1) == {"s", "x"}
 
     def test_infinite_arcs_never_bind(self):
         """An arc raised to the run's limit L acts as an unbounded arc: any
@@ -75,78 +70,118 @@ class TestFlowValues:
         neither min(max flow, L) nor, below L, the cut found."""
         for seed in range(60):
             vertices, arcs = random_instance(seed)
-            g, ids = build(vertices, arcs)
             s, t = vertices[0], vertices[-1]
-            full = g.run(s, t)
+            full = FlowGraph(vertices, arcs).run([s], [t])
             for limit in (1, full, full + 5, sum(c for *_, c in arcs) + 1):
-                for arc in ids:
-                    at = g.run_keep(s, t, overrides={arc: limit}, limit=limit)[0]
-                    above = g.run_keep(s, t, overrides={arc: limit + 7}, limit=limit)[0]
-                    assert g.run(s, t, overrides={arc: limit}, limit=limit) == at.value
-                    assert g.run(s, t, overrides={arc: limit + 7}, limit=limit) == at.value
-                    assert above.value == at.value, (seed, limit, arc)
-                    if at.value < limit:
-                        assert above.source_side == at.source_side, (seed, limit, arc)
+                for i, (a, b, _) in enumerate(arcs):
+                    at_g = FlowGraph(vertices, arcs[:i] + [(a, b, limit)] + arcs[i + 1:])
+                    above_g = FlowGraph(vertices, arcs[:i] + [(a, b, limit + 7)] + arcs[i + 1:])
+                    at, at_state = at_g.run_keep([s], [t], limit=limit)
+                    above, above_state = above_g.run_keep([s], [t], limit=limit)
+                    assert at_g.run([s], [t], limit=limit) == at
+                    assert above_g.run([s], [t], limit=limit) == at
+                    assert above == at, (seed, limit, i)
+                    if at < limit:
+                        assert above_g.reach(above_state, [s], 1) == at_g.reach(
+                            at_state, [s], 1
+                        ), (seed, limit, i)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_cut_enumeration(self, seed):
         vertices, arcs = random_instance(seed)
-        g, _ = build(vertices, arcs)
-        res = g.run_keep(vertices[0], vertices[-1])[0]
-        assert res.value == brute_min_cut(vertices, arcs, vertices[0], vertices[-1])
+        g = FlowGraph(vertices, arcs)
+        s, t = vertices[0], vertices[-1]
+        value, state = g.run_keep([s], [t])
+        assert value == brute_min_cut(vertices, arcs, [s], [t])
         # the witness is itself a cut of exactly that capacity
-        assert vertices[0] in res.source_side
-        assert vertices[-1] not in res.source_side
-        assert cut_capacity(arcs, res.source_side) == res.value
+        side = g.reach(state, [s], 1)
+        assert s in side
+        assert t not in side
+        assert cut_capacity(arcs, side) == value
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_terminal_sets_match_cut_enumeration(self, seed):
+        """A run between disjoint sets of one or two sources and sinks is
+        min(limit, least exit capacity of a set holding every source and
+        no sink); a converged run's reach from the sources is such a set
+        of exactly that capacity."""
+        vertices, arcs = random_instance(seed)
+        g = FlowGraph(vertices, arcs)
+        rng = random.Random(seed)
+        for _ in range(4):
+            n_sources = rng.randint(1, 2)
+            n_sinks = rng.randint(1, min(2, len(vertices) - n_sources))
+            picked = rng.sample(vertices, n_sources + n_sinks)
+            sources, sinks = picked[:n_sources], picked[n_sources:]
+            want = brute_min_cut(vertices, arcs, sources, sinks)
+            for limit in (None, want + 2, want, max(want - 1, 0)):
+                value, state = g.run_keep(sources, sinks, limit=limit)
+                assert value == (want if limit is None else min(limit, want)), (
+                    seed, sources, sinks, limit
+                )
+                assert g.run(tuple(sources), set(sinks), limit=limit) == value
+                if limit is None or value < limit:
+                    side = g.reach(state, sources, 1)
+                    assert set(sources) <= side and side.isdisjoint(sinks)
+                    assert cut_capacity(arcs, side) == value, (seed, sources, sinks, limit)
 
 
 class TestRunControls:
     def test_limit_truncates_exactly(self):
         vertices, arcs = random_instance(11)
-        g, _ = build(vertices, arcs)
-        full = g.run(vertices[0], vertices[-1])
+        g = FlowGraph(vertices, arcs)
+        full = g.run([vertices[0]], [vertices[-1]])
         for lim in (0, 1, full // 2, full, full + 3):
-            assert g.run(vertices[0], vertices[-1], limit=lim) == min(full, lim)
-
-    def test_overrides_match_fresh_graph(self):
-        vertices, arcs = random_instance(23)
-        g, ids = build(vertices, arcs)
-        rng = random.Random(99)
-        for _ in range(10):
-            pick = rng.sample(range(len(arcs)), min(3, len(arcs)))
-            overrides = {ids[i]: rng.randint(0, 12) for i in pick}
-            patched = [
-                (a, b, overrides[ids[i]] if ids[i] in overrides else c)
-                for i, (a, b, c) in enumerate(arcs)
-            ]
-            g2, _ = build(vertices, patched)
-            assert g.run(vertices[0], vertices[-1], overrides=overrides) == g2.run(
-                vertices[0], vertices[-1]
-            )
+            assert g.run([vertices[0]], [vertices[-1]], limit=lim) == min(full, lim)
 
     def test_runs_do_not_mutate_the_graph(self):
-        g, _ = build("sat", [("s", "a", 4), ("a", "t", 4)])
-        assert g.run("s", "t") == 4
-        assert g.run("s", "t") == 4
+        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 4)])
+        assert g.run(["s"], ["t"]) == 4
+        assert g.run(["s"], ["t"]) == 4
 
     def test_same_source_and_sink_rejected(self):
-        g, _ = build("st", [("s", "t", 1)])
+        g = FlowGraph("st", [("s", "t", 1)])
         with pytest.raises(CollschedError):
-            g.run("s", "s")
+            g.run(["s"], ["s"])
 
     def test_unknown_vertex_rejected(self):
-        g, _ = build("st", [("s", "t", 1)])
+        g = FlowGraph("st", [("s", "t", 1)])
         with pytest.raises(CollschedError):
-            g.run("s", "nope")
+            g.run(["s"], ["nope"])
         with pytest.raises(CollschedError):
-            g.run_keep("nope", "t")
+            g.run_keep(["nope"], ["t"])
         # an unhashable name is not a vertex either
         with pytest.raises(CollschedError):
-            g.run(["s"], "t")
+            g.run([["s"]], ["t"])
         with pytest.raises(CollschedError):
-            g.run_keep(["s"], "t")
+            g.run_keep([["s"]], ["t"])
         with pytest.raises(CollschedError):
             FlowGraph([["s"]], [])
+
+    @pytest.mark.parametrize("method", ["run", "run_keep"])
+    @pytest.mark.parametrize(
+        "sources, sinks",
+        [
+            ("s", ["t"]),
+            (["s"], "t"),
+            ([], ["t"]),
+            (["s"], set()),
+            (["s", "a"], ["a", "t"]),
+            (7, ["t"]),
+            (["s"], None),
+        ],
+        ids=[
+            "str-sources", "str-sinks", "empty-sources", "empty-sinks", "overlap",
+            "int-sources", "none-sinks",
+        ],
+    )
+    def test_bad_terminal_sets_rejected(self, method, sources, sinks):
+        """A bare string (which would name vertices by its characters), an
+        empty or overlapping set and a non-iterable are refused; unknown
+        vertices are `test_unknown_vertex_rejected`'s."""
+        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 4)])
+        with pytest.raises(CollschedError):
+            getattr(g, method)(sources, sinks)
 
     def test_bad_capacities_rejected(self):
         # (vertices, arc): a float, a Fraction, a bool, a str and a negative
@@ -172,37 +207,23 @@ class TestRunControls:
     def test_infinity_is_not_a_capacity(self):
         with pytest.raises(CollschedError):
             FlowGraph("st", [("s", "t", float("inf"))])
-        g, _ = build("st", [("s", "t", 1)])
-        with pytest.raises(CollschedError):
-            g.run("s", "t", overrides={0: float("inf")})
-
-    @pytest.mark.parametrize("method", ["run", "run_keep"])
-    @pytest.mark.parametrize(
-        "overrides",
-        [{0: -5}, {0: 2.5}, {0: True}, {-1: 3}, {2: 3}, {"0": 3}, [(0, 1)]],
-        ids=["negative", "float", "bool", "id-minus-one", "id-past-end", "id-str", "not-a-dict"],
-    )
-    def test_bad_overrides_rejected(self, method, overrides):
-        g, _ = build("sat", [("s", "a", 4), ("a", "t", 4)])
-        with pytest.raises(CollschedError):
-            getattr(g, method)("s", "t", overrides=overrides)
 
     @pytest.mark.parametrize("limit", [2.5, True, -3], ids=["float", "bool", "negative"])
     def test_bad_limits_rejected(self, limit):
-        g, _ = build("sat", [("s", "a", 5), ("a", "t", 5), ("s", "t", 0)])
+        g = FlowGraph("sat", [("s", "a", 5), ("a", "t", 5), ("s", "t", 0)])
         with pytest.raises(CollschedError):
-            g.run("s", "t", limit=limit)
+            g.run(["s"], ["t"], limit=limit)
         with pytest.raises(CollschedError):
-            g.run_keep("s", "t", limit=limit)
-        _, state = g.run_keep("s", "t")
+            g.run_keep(["s"], ["t"], limit=limit)
+        _, state = g.run_keep(["s"], ["t"])
         with pytest.raises(CollschedError):
             g.resume(state, ["s"], "a", limit)
 
     def test_from_arcs_equals_incremental(self):
         vertices, arcs = random_instance(37)
-        g1, _ = build(vertices, arcs)
+        g1 = FlowGraph(vertices, arcs)
         g2 = FlowGraph.from_arcs(vertices, arcs)
-        assert g1.run(vertices[0], vertices[-1]) == g2.run(vertices[0], vertices[-1])
+        assert g1.run([vertices[0]], [vertices[-1]]) == g2.run([vertices[0]], [vertices[-1]])
         with pytest.raises(CollschedError):
             FlowGraph.from_arcs(["a", "a"], [])
 
@@ -236,11 +257,11 @@ class TestResume:
         each returns min(limit, the least cut holding its sources but not
         its sink) in the residual `run_keep` left, capped calls included."""
         vertices, arcs = random_instance(seed)
-        g, _ = build(vertices, arcs)
+        g = FlowGraph(vertices, arcs)
         s, t = vertices[0], vertices[-1]
         rng = random.Random(seed)
         for run_limit in (None, 2):
-            _, state = g.run_keep(s, t, limit=run_limit)
+            _, state = g.run_keep([s], [t], limit=run_limit)
             base = state[0].copy()
             sinks = rng.sample(vertices[1:], min(3, len(vertices) - 1))
             sources = [s]
@@ -256,54 +277,53 @@ class TestResume:
     @pytest.mark.parametrize("seed", range(25))
     def test_resume_matches_override_rerun(self, seed):
         """After a converged run, resuming from the source to v gains what
-        raising a zero-capacity arc (v, t) does in a fresh run."""
+        an arc (v, t) wider than every cut adds, in a fresh run on a graph
+        built with that arc."""
         vertices, arcs = random_instance(seed)
         s, t = vertices[0], vertices[-1]
-        holders = {v: len(arcs) + i for i, v in enumerate(vertices[1:-1])}
-        g, _ = build(vertices, arcs + [(v, t, 0) for v in holders])
+        g = FlowGraph(vertices, arcs)
         big = sum(c for *_, c in arcs) + 5
-        for v, arc in holders.items():
-            res, state = g.run_keep(s, t)
-            assert res.value + g.resume(state, [s], v, big) == g.run(
-                s, t, overrides={arc: big}
-            ), (seed, v)
+        for v in vertices[1:-1]:
+            value, state = g.run_keep([s], [t])
+            boosted = FlowGraph(vertices, arcs + [(v, t, big)])
+            assert value + g.resume(state, [s], v, big) == boosted.run([s], [t]), (seed, v)
 
     def test_resume_respects_limit(self):
-        g, _ = build("sat", [("s", "a", 6), ("a", "t", 0)])
-        res, state = g.run_keep("s", "t")
-        assert res.value == 0
+        g = FlowGraph("sat", [("s", "a", 6), ("a", "t", 0)])
+        value, state = g.run_keep(["s"], ["t"])
+        assert value == 0
         assert g.resume(state, ["s"], "a", 4) == 4
         # the pushed units stay in the state: 2 of s -> a are left
         assert state[0][:2] == [2, 4]
-        _, state = g.run_keep("s", "t")
+        _, state = g.run_keep(["s"], ["t"])
         assert g.resume(state, ["s"], "a", 100) == 6
 
     def test_resume_rejects_a_sink_among_the_sources(self):
-        g, _ = build("sat", [("s", "a", 3), ("a", "t", 3)])
-        _, state = g.run_keep("s", "t")
+        g = FlowGraph("sat", [("s", "a", 3), ("a", "t", 3)])
+        _, state = g.run_keep(["s"], ["t"])
         with pytest.raises(CollschedError):
             g.resume(state, ["s", "a"], "a", 10)
 
     @pytest.mark.parametrize("vertex", [-1, 2, True, "nope"])
     def test_resume_rejects_unknown_vertices(self, vertex):
-        g, _ = build("sat", [("a", "t", 6), ("s", "a", 0)])
-        _, state = g.run_keep("s", "t")
+        g = FlowGraph("sat", [("a", "t", 6), ("s", "a", 0)])
+        _, state = g.run_keep(["s"], ["t"])
         with pytest.raises(CollschedError):
             g.resume(state, ["s", vertex], "a", 10)
         with pytest.raises(CollschedError):
             g.resume(state, ["s"], vertex, 10)
 
     def test_resume_rejects_non_iterable_sources(self):
-        g, _ = build("sat", [("a", "t", 6), ("s", "a", 0)])
-        _, state = g.run_keep("s", "t")
+        g = FlowGraph("sat", [("a", "t", 6), ("s", "a", 0)])
+        _, state = g.run_keep(["s"], ["t"])
         with pytest.raises(CollschedError):
             g.resume(state, 7, "a", 3)
 
     def test_resume_keeps_earlier_terminals_among_the_sources(self):
         """Flow pushed s -> a changes the residual value of any cut that
         splits s from a, so a later call on the state must source both."""
-        g, _ = build("sabt", [("s", "a", 4), ("a", "b", 4), ("s", "b", 1), ("b", "t", 0)])
-        _, state = g.run_keep("s", "t")
+        g = FlowGraph("sabt", [("s", "a", 4), ("a", "b", 4), ("s", "b", 1), ("b", "t", 0)])
+        _, state = g.run_keep(["s"], ["t"])
         assert g.resume(state, ["s"], "a", 10) == 4
         for sources, sink in ((["s"], "b"), (["a"], "b"), (["b"], "t")):
             with pytest.raises(CollschedError):
@@ -332,12 +352,11 @@ class TestReach:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_brute_force_reachability(self, seed):
         vertices, arcs = random_instance(seed)
-        g, _ = build(vertices, arcs)
+        g = FlowGraph(vertices, arcs)
         s, t = vertices[0], vertices[-1]
         rng = random.Random(seed)
         for limit in (None, 1, 4):
-            res, state = g.run_keep(s, t, limit=limit)
-            assert g.reach(state, [s], 1) == res.source_side
+            _, state = g.run_keep([s], [t], limit=limit)
             caps = state[0]
             for at_least in (1, 2, 3, 5, 9):
                 for starts in ([s], [s, t], rng.sample(vertices, 2)):
@@ -346,47 +365,14 @@ class TestReach:
                     ), (seed, limit, at_least, starts)
 
     def test_rejects_bad_thresholds_and_vertices(self):
-        g, _ = build("sat", [("s", "a", 4), ("a", "t", 4)])
-        _, state = g.run_keep("s", "t")
+        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 4)])
+        _, state = g.run_keep(["s"], ["t"])
         for at_least in (0, -1, 1.5, True):
             with pytest.raises(CollschedError):
                 g.reach(state, ["s"], at_least)
-        for starts in (["nope"], 7):
+        for starts in (["nope"], 7, "s", []):
             with pytest.raises(CollschedError):
                 g.reach(state, starts, 1)
-
-
-_ARC_IDS = st.one_of(st.integers(-2, 40), st.sampled_from(["0", 1.0]))
-_CAPACITIES = st.one_of(
-    st.integers(-2, 12),
-    st.sampled_from([float("inf"), 1.5, Fraction(1, 2), True, "3", None]),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    overrides=st.dictionaries(_ARC_IDS, _CAPACITIES, max_size=4),
-)
-def test_overrides_refused_or_equal_to_a_fresh_graph(seed, overrides):
-    """Malformed overrides are refused; well-formed ones give the flow of
-    a graph built with those capacities."""
-    vertices, arcs = random_instance(seed)
-    g, _ = build(vertices, arcs)
-    well_formed = all(
-        type(i) is int
-        and 0 <= i < len(arcs)
-        and type(c) is int
-        and c >= 0
-        for i, c in overrides.items()
-    )
-    s, t = vertices[0], vertices[-1]
-    if not well_formed:
-        with pytest.raises(CollschedError):
-            g.run(s, t, overrides=overrides)
-        return
-    patched = [(a, b, overrides.get(i, c)) for i, (a, b, c) in enumerate(arcs)]
-    assert g.run(s, t, overrides=overrides) == FlowGraph(vertices, patched).run(s, t)
 
 
 class TestHelpers:

@@ -41,7 +41,7 @@ def supports_full_flow(lt, k) -> bool:
     arcs += [(source, c, k) for c in lt.compute_ids]
     g = FlowGraph([*lt.compute_ids, source], arcs)
     target = lt.num_compute * k
-    return all(g.run(source, c, limit=target) >= target for c in lt.compute_ids)
+    return all(g.run([source], [c], limit=target) >= target for c in lt.compute_ids)
 
 
 def enumerated_gamma(net: Topology, k: int, u: str, w: str, t: str) -> int:
