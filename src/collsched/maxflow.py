@@ -26,6 +26,15 @@ Successive resumes share R as long as each one's sources hold every
 earlier resume's sources and sink (Hao & Orlin's growing source set),
 which the engine checks.
 
+A caller that keeps flows alive while the network changes under them
+works on states directly.  `state()` carries no flow and `copy` clones a
+state.  `grow` adds vertices and arcs to the graph, and every state gains
+them carrying no flow.  `lower` cuts one arc's capacity in each of a list
+of states and reports the flow each had to drop.  `push` moves more flow
+between two vertex sets in place with no terminal rule: it answers no cut
+question, so its caller checks the value it must reach.  Every run, resume
+and push goes through the one Dinic.
+
 There is no infinite capacity.  An arc that must never bind is given a
 capacity of at least the run's limit L: any cut through it is worth at
 least L, so min(max flow, L) cannot change.  Where such an arc serves only
@@ -52,52 +61,93 @@ class FlowGraph:
 
     `FlowGraph(vertices, arcs)` takes the vertex names in order and the arcs
     as (src, dst, cap) triples, cap a non-negative int.  Arcs are stored as
-    paired entries (the i-th triple forward at 2*i, residual at 2*i+1).
+    paired entries (the i-th triple forward at 2*i, residual at 2*i+1), in
+    the order they were given and grown.
     """
 
     def __init__(self, vertices, arcs):
-        self._names = names = list(vertices)
+        self._names = []
+        self._idx = {}
+        self._to = []
+        self._cap0 = []
+        self._adj = []
+        self._total = 0
+        self._pairs = None
+        self.grow(vertices, arcs)
+
+    def grow(self, vertices, arcs) -> None:
+        """Add the vertices `vertices` and the arcs `arcs`, checked as the
+        constructor checks them, keeping every existing entry.  A state
+        made before gains the new arcs carrying no flow.  On any error the
+        graph is left as it was."""
+        names = self._names
+        idx = self._idx
+        to = self._to
+        cap0 = self._cap0
+        adj = self._adj
+        first_vertex = len(names)
+        first = entry = len(to)
+        total = self._total
         try:
-            self._idx = idx = {name: i for i, name in enumerate(names)}
-        except TypeError:
-            raise CollschedError("flow graph vertices must be hashable") from None
-        if len(idx) != len(names):
-            raise CollschedError("duplicate vertex names")
-        self._to = to = []
-        self._cap0 = cap0 = []
-        self._adj = adj = [[] for _ in names]
-        total = 0
-        entry = 0
-        for arc in arcs:
-            try:
-                src, dst, cap = arc
-                u = idx[src]
-                v = idx[dst]
-            except KeyError as exc:
-                raise CollschedError(f"vertex {exc.args[0]!r} not in flow graph") from None
-            except (TypeError, ValueError):
-                raise CollschedError(
-                    f"arc {arc!r} is not a (src, dst, cap) triple with hashable endpoints"
-                ) from None
-            if type(cap) is not int or cap < 0:
-                raise CollschedError(f"arc capacity must be a non-negative int, got {cap!r}")
-            total += cap
-            to.append(v)
-            cap0.append(cap)
-            to.append(u)
-            cap0.append(0)
-            adj[u].append(entry)
-            adj[v].append(entry + 1)
-            entry += 2
-        if total > CAPACITY_BUDGET:
-            raise Overflow(f"capacity sum {total} exceeds the 63-bit budget")
+            for name in vertices:
+                try:
+                    known = name in idx
+                except TypeError:
+                    raise CollschedError("flow graph vertices must be hashable") from None
+                if known:
+                    raise CollschedError("duplicate vertex names")
+                idx[name] = len(names)
+                names.append(name)
+                adj.append([])
+            for arc in arcs:
+                try:
+                    src, dst, cap = arc
+                    u = idx[src]
+                    v = idx[dst]
+                except KeyError as exc:
+                    raise CollschedError(f"vertex {exc.args[0]!r} not in flow graph") from None
+                except (TypeError, ValueError):
+                    raise CollschedError(
+                        f"arc {arc!r} is not a (src, dst, cap) triple with hashable endpoints"
+                    ) from None
+                if type(cap) is not int or cap < 0:
+                    raise CollschedError(f"arc capacity must be a non-negative int, got {cap!r}")
+                total += cap
+                to.append(v)
+                cap0.append(cap)
+                to.append(u)
+                cap0.append(0)
+                adj[u].append(entry)
+                adj[v].append(entry + 1)
+                entry += 2
+            if total > CAPACITY_BUDGET:
+                raise Overflow(f"capacity sum {total} exceeds the 63-bit budget")
+        except CollschedError:
+            for name in names[first_vertex:]:
+                del idx[name]
+            del names[first_vertex:], adj[first_vertex:], to[first:], cap0[first:]
+            for entries in adj:
+                while entries and entries[-1] >= first:
+                    entries.pop()
+            raise
         self._total = total
+        if self._pairs is not None:
+            self._index(first)
 
     @classmethod
     def from_arcs(cls, vertices, arcs) -> "FlowGraph":
         """Same as `FlowGraph(vertices, arcs)`; perfbench's tracer wraps
         this name."""
         return cls(vertices, arcs)
+
+    def _index(self, first: int) -> None:
+        """Record the forward entries from `first` on by (tail, head) in the
+        arc index `lower` reads; -1 marks a pair with parallel arcs."""
+        pairs = self._pairs
+        to = self._to
+        for e in range(first, len(to), 2):
+            pair = (to[e + 1], to[e])
+            pairs[pair] = -1 if pair in pairs else e
 
     # -- execution ----------------------------------------------------------
     def _vertex(self, name) -> int:
@@ -112,8 +162,11 @@ class FlowGraph:
         errors."""
         if isinstance(names, str):
             raise CollschedError(f"{what} {names!r} is a string, not a collection of vertices")
+        idx = self._idx
+        found = []
         try:
-            found = list(map(self._idx.__getitem__, names))
+            for name in names:
+                found.append(idx[name])
         except KeyError as exc:
             raise CollschedError(f"vertex {exc.args[0]!r} not in flow graph") from None
         except TypeError:
@@ -124,19 +177,90 @@ class FlowGraph:
             raise CollschedError(f"{what} must hold at least one vertex")
         return found if len(found) == 1 else list(dict.fromkeys(found))
 
+    def _terminals(self, sources, sinks) -> tuple[list[int], list[int]]:
+        """Indices of the disjoint vertex sets `sources` and `sinks`."""
+        starts = self._vertices(sources, "sources")
+        ends = self._vertices(sinks, "sinks")
+        if (ends[0] in starts) if len(ends) == 1 else not set(starts).isdisjoint(ends):
+            raise CollschedError("sources and sinks must be disjoint")
+        return starts, ends
+
     def _solve(self, sources, sinks, limit) -> tuple[int, tuple]:
         """Max flow from `sources` to `sinks` on a fresh copy of the
         capacities: the value and the residual state (caps, pinned), pinned
         being the terminals later resumes must keep as sources.  Without a
         limit the flow stops at the capacity sum, which it cannot exceed."""
-        starts = self._vertices(sources, "sources")
-        ends = self._vertices(sinks, "sinks")
-        if not set(starts).isdisjoint(ends):
-            raise CollschedError("sources and sinks must be disjoint")
+        starts, ends = self._terminals(sources, sinks)
         limit = self._total if limit is None else _checked_limit(limit)
-        caps = self._cap0.copy()
-        value = _dinic(len(self._names), self._to, self._adj, caps, starts, ends, limit)
-        return value, (caps, set())
+        state = self.state()
+        value = _dinic(len(self._names), self._to, self._adj, state[0], starts, ends, limit)
+        return value, state
+
+    def _caps(self, state: tuple) -> list[int]:
+        """The residual capacities of `state`, first given the entries of
+        arcs grown since it was made, which carry no flow."""
+        caps = state[0]
+        if len(caps) < len(self._cap0):
+            caps += self._cap0[len(caps):]
+        return caps
+
+    def state(self) -> tuple:
+        """A residual state that carries no flow: every arc at its
+        capacity."""
+        return self._cap0.copy(), set()
+
+    def copy(self, state: tuple) -> tuple:
+        """An independent copy of `state`."""
+        return self._caps(state).copy(), set(state[1])
+
+    def lower(self, states, src, dst, amount: int) -> list[int]:
+        """Lower the capacity of the arc from `src` to `dst` by `amount` in
+        each state of the list `states`, in place; returns, state by state,
+        the flow the arc had to drop: the part of its flow above the new
+        capacity.
+
+        A drop d leaves `src` with d units it received but no longer
+        sends on and `dst` with d units it sends on but no longer
+        receives; the caller routes them again.  The pair must name one
+        arc, and `amount` must be an int no larger than the arc's
+        capacity in every state; otherwise no state changes.
+        """
+        if type(amount) is not int or amount < 0:
+            raise CollschedError(f"capacity cut must be a non-negative int, got {amount!r}")
+        if self._pairs is None:
+            self._pairs = {}
+            self._index(0)
+        e = self._pairs.get((self._vertex(src), self._vertex(dst)))
+        if e is None or e < 0:
+            many = "more than one arc" if e else "no arc"
+            raise CollschedError(f"{many} from {src!r} to {dst!r} in the flow graph")
+        if type(states) is not list:
+            raise CollschedError(f"lower takes a list of states, got {type(states).__name__}")
+        size = len(self._cap0)
+        caps = [state[0] if len(state[0]) == size else self._caps(state) for state in states]
+        for c in caps:
+            if amount > c[e] + c[e ^ 1]:
+                raise CollschedError(
+                    f"cannot lower arc {src!r} -> {dst!r} of capacity {c[e] + c[e ^ 1]} by {amount}"
+                )
+        drops = []
+        for c in caps:
+            drop = amount - c[e] if amount > c[e] else 0
+            c[e] -= amount - drop
+            c[e ^ 1] -= drop
+            drops.append(drop)
+        return drops
+
+    def push(self, state: tuple, sources, sinks, limit: int) -> int:
+        """Push up to `limit` more units from the vertices `sources` to the
+        vertices `sinks` into `state`, in place; returns the amount pushed.
+
+        Unlike `resume` this answers no cut question and keeps no terminal
+        rule: a caller that restores a flow checks the value it must reach.
+        """
+        starts, ends = self._terminals(sources, sinks)
+        caps = self._caps(state)
+        return _dinic(len(self._names), self._to, self._adj, caps, starts, ends, _checked_limit(limit))
 
     def reach(self, state: tuple, starts, at_least: int) -> frozenset[str]:
         """Vertices reachable from the vertices `starts` in the residual
@@ -151,7 +275,7 @@ class FlowGraph:
         """
         if type(at_least) is not int or at_least < 1:
             raise CollschedError(f"reach threshold must be an int >= 1, got {at_least!r}")
-        caps = state[0]
+        caps = self._caps(state)
         to = self._to
         adj = self._adj
         queue = self._vertices(starts, "reach starts")
@@ -195,7 +319,7 @@ class FlowGraph:
         worth, so such a call is refused, as is a sink among the sources.
         """
         limit = _checked_limit(limit)
-        caps, pinned = state
+        pinned = state[1]
         starts = self._vertices(sources, "resume sources")
         t = self._vertex(sink)
         if t in starts:
@@ -204,7 +328,7 @@ class FlowGraph:
             raise CollschedError(
                 "resume sources must hold every source and sink of earlier resumes on this state"
             )
-        pushed = _dinic(len(self._names), self._to, self._adj, caps, starts, [t], limit)
+        pushed = _dinic(len(self._names), self._to, self._adj, self._caps(state), starts, [t], limit)
         pinned.update(starts)
         pinned.add(t)
         return pushed

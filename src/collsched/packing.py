@@ -4,24 +4,63 @@ Every compute node must root k trees, each spanning all compute nodes,
 with every logical arc used by at most its capacity worth of tree
 multiplicity.  Trees are grown greedily in batches: a batch is a set of
 identically-shaped partial trees (multiplicity m) sharing a root.  An arc
-(x, y) from inside the batch to a new vertex may be added at multiplicity
-mu when doing so provably leaves the remaining capacities packable:
+(x, y) from inside the growing batch to a new vertex is added at
 
-    mu = min{ g(x,y), m, F(x,y; gadget graph) - sum of other multiplicities }
+    mu = min{ mu0, least slack of a vertex set X with x in X, y not in X },
 
-where the gadget graph augments the residual logical graph, per other
-batch i, with a node s_i, an arc x -> s_i of capacity m_i, and arcs of
-capacity m_i from s_i to each member of batch i (s_i's only inflow is
-x -> s_i, so they never bind).  Two exact shortcuts keep the gadget
-graph small: a batch already spanning everything always contributes m_i
-to the flow (counted directly, no gadget), and a still-singleton batch's
-gadget collapses to the single arc x -> root_i (omitted entirely when its
-root is x, where it can never cross an x/y cut).
+where mu0 = min(g(x, y), m), g is the residual capacity and the slack of X
+is g(X) minus the sum of m_j over the unfinished batches j other than the
+growing one whose members T_j all lie in X: each of those still needs m_j
+units across X.  That is the largest multiplicity that provably leaves
+the rest of the forest packable (Edmonds 1973, "Edge-disjoint
+branchings").
+
+The sigma-graph.  One flow graph per pack holds every slack: the residual
+logical graph plus a super source sigma and one gadget per batch in
+sigma, that is per unfinished batch other than the growing one.  A root's
+first batch, while still a singleton, has the arc sigma -> root_j at m_j;
+a split copy has a hub of its own, sigma -> hub_j at m_j and
+hub_j -> member at m_j for each member of T_j (a singleton copy's hub has
+one member, the same gadget as an arc sigma -> root_j).  A cut X holding
+sigma pays m_j for j's gadget exactly when T_j is not inside X (the hub
+takes the cheaper side), so its capacity is slack(X) + V, V being the sum
+of m_j over the batches in sigma.
+
+Baselines.  For each compute sink v the packer keeps a maximum flow
+sigma -> v, built when v is first queried.  While the forest stays
+packable no slack is negative, so the flow carries exactly V, and those V
+units cross every cut X holding sigma but not v net once: X's capacity in
+the flow's residual is slack(X).  Hence
+
+    mu(x, y) = min(mu0, a push of at most mu0 units from {sigma, x} to y
+                   on a copy of y's baseline residual),
+
+a probe of at most mu0 units where a fresh gadget graph per evaluation
+pushes the whole need of the other batches as well.  The baseline fills
+every sigma arc, so no residual arc leaves sigma and the probe starts at
+x alone.  Every baseline follows the sigma-graph through the three ways
+it changes:
+
+- the growing batch takes (x, y) at mu: the arc drops by mu, and flow d
+  above its new capacity is rerouted x -> y;
+- a batch starts growing and leaves sigma: its sigma arc drops to zero
+  and its m units are pushed from v back to its root or hub;
+- a split copy of m' trees enters sigma through a new hub, and every
+  baseline pushes m' more units sigma -> v.
+
+Each of these pushes must move exactly the units it restores.  A short
+one means a baseline can no longer carry V, that is a cut of negative
+slack: the forest cannot be completed, and NoAddableEdge is raised for
+the growing batch.  A reroute short by r needs no other repair attempt:
+x then holds r units that came from sigma, the vertices x reaches in the
+residual hold sigma but neither y nor v (from v the residual leads back
+along the flow to y), and no residual arc leaves them, so their cut
+carries V - r at full capacity.  A take at the exact mu never gets there,
+since mu is at most the slack of every cut the take lowers.
 
 When 0 < mu < m the batch splits: the new arc extends mu of the copies,
 the rest continue as a separate batch.  Batches are processed one root at
-a time (roots in sorted order), which keeps almost every other batch in
-one of the two shortcut forms.
+a time (roots in sorted order).
 """
 
 from __future__ import annotations
@@ -54,48 +93,96 @@ class Forest:
     mu_evaluations: int = 0
 
 
-def compute_mu(forest: Forest, batch: TreeBatch, arc: tuple[str, str]) -> int:
-    """Largest multiplicity at which `batch` may take `arc` while the rest
-    of the forest stays completable.  See the module docstring for the
-    flow formulation; the flow is evaluated with an early-termination cap,
-    which cannot change the final min."""
-    x, y = arc
-    g_xy = forest.residual.get(arc, 0)
-    if g_xy < 1:
-        raise CollschedError(f"arc {arc} has no residual capacity")
-    if x not in batch.members or y in batch.members:
-        raise CollschedError(f"arc {arc} does not extend the batch at {batch.root}")
-    forest.mu_evaluations += 1
-    mu0 = min(g_xy, batch.multiplicity)
-    n = forest.lt.num_compute
-    vertices = list(forest.lt.compute_ids)
-    taken = set(vertices)
-    arcs: list[tuple[str, str, int]] = [
-        (a, b, c) for (a, b), c in forest.residual.items() if c > 0
+def _frontier(
+    residual: dict[tuple[str, str], int], out: dict[str, list[str]], members: set[str]
+) -> list[tuple[str, str]]:
+    """Arcs with residual capacity from inside `members` to outside, sorted;
+    `out` lists the heads of each vertex's arcs, sorted."""
+    return [
+        (a, b)
+        for a in sorted(members)
+        for b in out.get(a, ())
+        if b not in members and (a, b) in residual
     ]
-    sum_other = 0
-    free = 0
-    for other in forest.batches:
-        if other is batch:
-            continue
-        m = other.multiplicity
-        sum_other += m
-        size = len(other.members)
-        if size == n:
-            free += m
-        elif size == 1:
-            if other.root != x:
-                arcs.append((x, other.root, m))
-        else:
-            hub = fresh_name(f"b{len(vertices)}", taken)
-            taken.add(hub)
-            vertices.append(hub)
-            arcs.append((x, hub, m))
-            for member in sorted(other.members):
-                arcs.append((hub, member, m))
-    g = FlowGraph(vertices, arcs)
-    flow = g.run([x], [y], limit=sum_other + mu0 - free) + free
-    return max(0, min(mu0, flow - sum_other))
+
+
+class _Baselines:
+    """The sigma-graph of one pack and its kept max flows sigma -> v, one
+    per compute sink v queried so far (see the module docstring)."""
+
+    def __init__(self, forest: Forest) -> None:
+        lt = forest.lt
+        self.forest = forest
+        self.out: dict[str, list[str]] = {}  # vertex -> heads of its arcs in lt, sorted
+        for a, b in sorted(lt.capacity):
+            self.out.setdefault(a, []).append(b)
+        self.sigma = sigma = fresh_name("s", lt.node_by_id)
+        self.graph = FlowGraph(
+            [sigma, *lt.compute_ids],
+            [(a, b, c) for (a, b), c in lt.capacity.items()]
+            + [(sigma, b.root, b.multiplicity) for b in forest.batches],
+        )
+        self.base = self.graph.state()  # the sigma-graph itself, carrying no flow
+        self.flows: dict[str, tuple] = {}
+        self.value = sum(b.multiplicity for b in forest.batches)  # V
+        self.heads = {id(b): b.root for b in forest.batches}  # batch in sigma -> head
+        self.hubs = 0
+        self.growing: TreeBatch | None = None
+
+    def _restore(self, pushed: int, want: int) -> None:
+        if pushed != want:
+            batch = self.growing
+            raise NoAddableEdge(
+                batch.root, batch.members, _frontier(self.forest.residual, self.out, batch.members)
+            )
+
+    def mu(self, arc: tuple[str, str], mu0: int) -> int:
+        """Largest multiplicity up to `mu0` at which the growing batch may
+        take `arc`."""
+        x, y = arc
+        g, sigma = self.graph, self.sigma
+        flow = self.flows.get(y)
+        if flow is None:
+            flow = g.copy(self.base)
+            self._restore(g.push(flow, [sigma], [y], self.value), self.value)
+            self.flows[y] = flow
+        return g.push(g.copy(flow), [x], [y], mu0)
+
+    def leave(self, batch: TreeBatch) -> None:
+        """`batch` starts growing, so its gadget leaves sigma."""
+        self.growing = batch
+        g, sigma = self.graph, self.sigma
+        head = self.heads.pop(id(batch))
+        m = batch.multiplicity
+        self.value -= m
+        drops = g.lower([self.base, *self.flows.values()], sigma, head, m)
+        to_head = [head]
+        for (v, flow), drop in zip(self.flows.items(), drops[1:]):
+            if head != v:
+                self._restore(g.push(flow, [v], to_head, drop), drop)
+
+    def take(self, arc: tuple[str, str], mu: int) -> None:
+        """The growing batch takes `arc` at `mu`."""
+        x, y = arc
+        g = self.graph
+        drops = g.lower([self.base, *self.flows.values()], x, y, mu)
+        xs, ys = [x], [y]
+        for flow, drop in zip(self.flows.values(), drops[1:]):
+            if drop:
+                self._restore(g.push(flow, xs, ys, drop), drop)
+
+    def enter(self, batch: TreeBatch) -> None:
+        """`batch`, a split copy, joins sigma through a new hub."""
+        g, sigma = self.graph, self.sigma
+        hub = fresh_name(f"b{self.hubs}", self.forest.lt.node_by_id)
+        self.hubs += 1
+        m = batch.multiplicity
+        g.grow([hub], [(sigma, hub, m)] + [(hub, t, m) for t in sorted(batch.members)])
+        self.heads[id(batch)] = hub
+        self.value += m
+        from_sigma = [sigma]
+        for v, flow in self.flows.items():
+            self._restore(g.push(flow, from_sigma, [v], m), m)
 
 
 def pack_spanning_trees(lt: Topology, k: int) -> Forest:
@@ -103,10 +190,12 @@ def pack_spanning_trees(lt: Topology, k: int) -> Forest:
     compute-only network that `remove_switches` returns for the same k.
 
     Batches start as one singleton per root (multiplicity k) and are grown
-    to completion root by root; frontier arcs are tried in sorted order and
-    a full frontier of zero mu values raises NoAddableEdge (the capacity
-    invariants rule this out for the k the network was split for, so it
-    flags an upstream bug or a k that `lt` cannot carry).
+    to completion root by root; frontier arcs are tried in sorted order,
+    each mu read from the kept baseline flow of the arc's head.  A full
+    frontier of zero mu values, or a baseline that can no longer carry
+    what the unfinished batches need, raises NoAddableEdge (the capacity
+    invariants rule both out for the k the network was split for, so
+    either flags an upstream bug or a k that `lt` cannot carry).
     """
     require_tree_count(k)
     if lt.switch_ids:
@@ -121,9 +210,11 @@ def pack_spanning_trees(lt: Topology, k: int) -> Forest:
         ],
         residual=residual,
     )
+    baselines = _Baselines(forest)
     i = 0
     while i < len(forest.batches):
         batch = forest.batches[i]
+        baselines.leave(batch)
         # While one batch grows, every quantity entering mu only shrinks
         # (residual capacities, the batch's own multiplicity; a split copy
         # raises the flow by at most what it adds to the other-multiplicity
@@ -131,19 +222,17 @@ def pack_spanning_trees(lt: Topology, k: int) -> Forest:
         # of this batch instead of re-probing every step.
         dead: set[tuple[str, str]] = set()
         while len(batch.members) < n:
-            frontier = sorted(
-                pair
-                for pair, c in residual.items()
-                if c > 0 and pair[0] in batch.members and pair[1] not in batch.members
-            )
+            frontier = _frontier(residual, baselines.out, batch.members)
             added = False
             for arc in frontier:
                 if arc in dead:
                     continue
-                mu = compute_mu(forest, batch, arc)
+                forest.mu_evaluations += 1
+                mu = baselines.mu(arc, min(residual[arc], batch.multiplicity))
                 if mu == 0:
                     dead.add(arc)
                     continue
+                baselines.take(arc, mu)
                 if mu < batch.multiplicity:
                     copy = TreeBatch(
                         root=batch.root,
@@ -153,6 +242,7 @@ def pack_spanning_trees(lt: Topology, k: int) -> Forest:
                     )
                     forest.batches.insert(i + 1, copy)
                     batch.multiplicity = mu
+                    baselines.enter(copy)
                 batch.edges.append(arc)
                 batch.members.add(arc[1])
                 residual[arc] -= mu
