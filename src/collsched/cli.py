@@ -5,7 +5,9 @@ is deterministic for identical inputs and flags.
 
 Exit codes: 0 success; 1 usage, parse, validation and pipeline errors;
 2 oracle disagreement (optimality --brute-force) or failed verification
-(verify); 3 self-validation failure in generate (never expected).
+(verify); 3 self-validation failure in generate.  Exit 3 is expected today
+for a reduce-scatter or allreduce on a network where some link has no
+equal reverse twin: the reversed schedule overdraws or invents links.
 """
 
 from __future__ import annotations

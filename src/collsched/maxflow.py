@@ -6,34 +6,36 @@ is a non-negative int, checked against the 63-bit budget; any other
 capacity, an unhashable or unknown vertex, a malformed arc or a `limit`
 that is not a non-negative int raises CollschedError.
 
+The graph is the network as it stands, and every flow is a residual state
+on it.  `state()` carries no flow and `copy` clones a state.  `grow` adds
+vertices and arcs, which every state gains carrying no flow; `lower` cuts
+one arc's capacity in the graph and in each of a list of states and
+reports the flow each state had to drop.  A later state starts from the
+edited network.
+
 A flow runs between terminal sets: `run(sources, sinks)` is the max flow
 from the vertices `sources` to the vertices `sinks`, that is the least
 capacity of a cut holding every source and no sink.  Each set is a
 non-empty iterable of vertex names, and the two are disjoint; a bare
 string, an empty or overlapping set or a non-iterable raises
-CollschedError.  A run never changes the graph (it works on a copy of the
-capacities), and an optional `limit` makes the engine stop early once
-`limit` units of flow are placed, returning min(max flow, limit) exactly.
+CollschedError.  A run works on a fresh state, and an optional `limit`
+makes the engine stop early once `limit` units of flow are placed,
+returning min(max flow, limit) exactly.
 
-`run` returns that value and `run_keep` adds the residual state R.  On
-that state `reach` finds the vertices reachable along arcs of at least a
-given residual capacity; at 1 from the sources of a flow that stopped
-short of its limit, that is the source side of a minimum cut, so a caller
-that wants a min-cut witness asks `reach` for it.  `resume` pushes more
-flow in place from a set of sources to a sink: the amount is the least
-R-capacity of a cut holding the sources but not the sink, up to a limit.
-Successive resumes share R as long as each one's sources hold every
-earlier resume's sources and sink (Hao & Orlin's growing source set),
-which the engine checks.
+`run_keep` also returns that state R.  On it `reach` finds the vertices
+reachable along arcs of at least a given residual capacity; at 1 from the
+sources of a flow that stopped short of its limit, that is the source side
+of a minimum cut.  `resume` pushes more flow in place from a set of
+sources to a sink: the amount is the least R-capacity of a cut holding the
+sources but not the sink, up to a limit.  Successive resumes share R as
+long as each one's sources hold every earlier resume's sources and sink
+(Hao & Orlin's growing source set), which the engine checks; a fresh copy
+of R has no earlier terminals.  These are the engine's cut questions.
 
-A caller that keeps flows alive while the network changes under them
-works on states directly.  `state()` carries no flow and `copy` clones a
-state.  `grow` adds vertices and arcs to the graph, and every state gains
-them carrying no flow.  `lower` cuts one arc's capacity in each of a list
-of states and reports the flow each had to drop.  `push` moves more flow
-between two vertex sets in place with no terminal rule: it answers no cut
-question, so its caller checks the value it must reach.  Every run, resume
-and push goes through the one Dinic.
+`push` moves more flow between vertex sets in place with no terminal rule,
+so a caller that keeps a flow alive through edits checks the value each
+push must reach.  `run_keep` is a fresh state plus one push, and every
+run, resume and push goes through the one Dinic.
 
 There is no infinite capacity.  An arc that must never bind is given a
 capacity of at least the run's limit L: any cut through it is worth at
@@ -185,17 +187,6 @@ class FlowGraph:
             raise CollschedError("sources and sinks must be disjoint")
         return starts, ends
 
-    def _solve(self, sources, sinks, limit) -> tuple[int, tuple]:
-        """Max flow from `sources` to `sinks` on a fresh copy of the
-        capacities: the value and the residual state (caps, pinned), pinned
-        being the terminals later resumes must keep as sources.  Without a
-        limit the flow stops at the capacity sum, which it cannot exceed."""
-        starts, ends = self._terminals(sources, sinks)
-        limit = self._total if limit is None else _checked_limit(limit)
-        state = self.state()
-        value = _dinic(len(self._names), self._to, self._adj, state[0], starts, ends, limit)
-        return value, state
-
     def _caps(self, state: tuple) -> list[int]:
         """The residual capacities of `state`, first given the entries of
         arcs grown since it was made, which carry no flow."""
@@ -206,7 +197,8 @@ class FlowGraph:
 
     def state(self) -> tuple:
         """A residual state that carries no flow: every arc at its
-        capacity."""
+        capacity.  A state is (caps, pinned), pinned being the terminals
+        later resumes on it must keep as sources."""
         return self._cap0.copy(), set()
 
     def copy(self, state: tuple) -> tuple:
@@ -215,15 +207,16 @@ class FlowGraph:
 
     def lower(self, states, src, dst, amount: int) -> list[int]:
         """Lower the capacity of the arc from `src` to `dst` by `amount` in
-        each state of the list `states`, in place; returns, state by state,
-        the flow the arc had to drop: the part of its flow above the new
-        capacity.
+        the graph and in each state of the list `states`, in place; returns,
+        state by state, the flow the arc had to drop: the part of its flow
+        above the new capacity.
 
         A drop d leaves `src` with d units it received but no longer
         sends on and `dst` with d units it sends on but no longer
         receives; the caller routes them again.  The pair must name one
-        arc, and `amount` must be an int no larger than the arc's
-        capacity in every state; otherwise no state changes.
+        arc, `amount` must be an int no larger than the arc's capacity in
+        the graph and in every state, and no state may be listed twice;
+        otherwise nothing changes.
         """
         if type(amount) is not int or amount < 0:
             raise CollschedError(f"capacity cut must be a non-negative int, got {amount!r}")
@@ -238,11 +231,15 @@ class FlowGraph:
             raise CollschedError(f"lower takes a list of states, got {type(states).__name__}")
         size = len(self._cap0)
         caps = [state[0] if len(state[0]) == size else self._caps(state) for state in states]
-        for c in caps:
+        if len(set(map(id, caps))) < len(caps):
+            raise CollschedError("lower takes each state at most once")
+        for c in (self._cap0, *caps):
             if amount > c[e] + c[e ^ 1]:
                 raise CollschedError(
                     f"cannot lower arc {src!r} -> {dst!r} of capacity {c[e] + c[e ^ 1]} by {amount}"
                 )
+        self._cap0[e] -= amount
+        self._total -= amount
         drops = []
         for c in caps:
             drop = amount - c[e] if amount > c[e] else 0
@@ -291,26 +288,29 @@ class FlowGraph:
 
     def run(self, sources, sinks, limit: int | None = None) -> int:
         """Max flow from the vertices `sources` to the vertices `sinks` on
-        a copy of the capacities.  With `limit`, returns
+        the network as it stands.  With `limit`, returns
         min(max flow, limit)."""
-        return self._solve(sources, sinks, limit)[0]
+        return self.run_keep(sources, sinks, limit)[0]
 
     def run_keep(self, sources, sinks, limit: int | None = None) -> tuple[int, tuple]:
         """Like `run`, but returns the value together with the residual
-        state R for `reach` and `resume`.
+        state R for `reach` and `resume`: a fresh `state()` and one `push`.
+        Without a limit the flow stops at the capacity sum, which it cannot
+        exceed.
 
         A caller that wants a min cut asks `reach(state, sources, 1)` for
         its source side, which is only meaningful when the flow came up
         short of `limit`.
         """
-        return self._solve(sources, sinks, limit)
+        state = self.state()
+        return self.push(state, sources, sinks, self._total if limit is None else limit), state
 
     def resume(self, state: tuple, sources, sink, limit: int) -> int:
         """Push up to `limit` more units from the vertices `sources` to
-        `sink` into `state` (from `run_keep`), in place; returns the amount
-        pushed: min(limit, least residual capacity in R of a cut X that
-        holds every source but not the sink), R being the residual
-        `run_keep` left.
+        `sink` into `state`, in place; returns the amount pushed:
+        min(limit, least residual capacity in R of a cut X that holds every
+        source but not the sink), R being the state's residual before its
+        first resume.
 
         Terminal rule: `sources` must hold every source and the sink of
         each earlier resume on the same state.  Flow pushed between

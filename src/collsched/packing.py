@@ -26,30 +26,30 @@ sigma pays m_j for j's gadget exactly when T_j is not inside X (the hub
 takes the cheaper side), so its capacity is slack(X) + V, V being the sum
 of m_j over the batches in sigma.
 
-Baselines.  For each compute sink v the packer keeps a maximum flow
-sigma -> v, built when v is first queried.  While the forest stays
-packable no slack is negative, so the flow carries exactly V, and those V
-units cross every cut X holding sigma but not v net once: X's capacity in
-the flow's residual is slack(X).  Hence
+Kept flows.  The flow graph is the sigma-graph as it stands: the packer
+edits it in place as the forest changes.  For each compute sink v it keeps
+a maximum flow sigma -> v, a `run_keep` on that graph when v is first
+queried.  While the forest stays packable no slack is negative, so the
+flow carries exactly V, and those V units cross every cut X holding sigma
+but not v net once: X's capacity in the flow's residual is slack(X).  The
+flow fills every sigma arc, so no residual arc leaves sigma, and
 
-    mu(x, y) = min(mu0, a push of at most mu0 units from {sigma, x} to y
-                   on a copy of y's baseline residual),
+    mu(x, y) = min(mu0, a resume from x to y of at most mu0 units
+                   on a fresh copy of y's kept flow),
 
-a probe of at most mu0 units where a fresh gadget graph per evaluation
-pushes the whole need of the other batches as well.  The baseline fills
-every sigma arc, so no residual arc leaves sigma and the probe starts at
-x alone.  Every baseline follows the sigma-graph through the three ways
-it changes:
+a cut question of at most mu0 units where a fresh gadget graph per
+evaluation pushes the whole need of the other batches as well.  Each edit
+lands on the graph and on every kept flow, and a push repairs the flows:
 
 - the growing batch takes (x, y) at mu: the arc drops by mu, and flow d
   above its new capacity is rerouted x -> y;
 - a batch starts growing and leaves sigma: its sigma arc drops to zero
   and its m units are pushed from v back to its root or hub;
 - a split copy of m' trees enters sigma through a new hub, and every
-  baseline pushes m' more units sigma -> v.
+  kept flow pushes m' more units sigma -> v.
 
 Each of these pushes must move exactly the units it restores.  A short
-one means a baseline can no longer carry V, that is a cut of negative
+one means a kept flow can no longer carry V, that is a cut of negative
 slack: the forest cannot be completed, and NoAddableEdge is raised for
 the growing batch.  A reroute short by r needs no other repair attempt:
 x then holds r units that came from sigma, the vertices x reaches in the
@@ -122,7 +122,6 @@ class _Baselines:
             [(a, b, c) for (a, b), c in lt.capacity.items()]
             + [(sigma, b.root, b.multiplicity) for b in forest.batches],
         )
-        self.base = self.graph.state()  # the sigma-graph itself, carrying no flow
         self.flows: dict[str, tuple] = {}
         self.value = sum(b.multiplicity for b in forest.batches)  # V
         self.heads = {id(b): b.root for b in forest.batches}  # batch in sigma -> head
@@ -140,13 +139,13 @@ class _Baselines:
         """Largest multiplicity up to `mu0` at which the growing batch may
         take `arc`."""
         x, y = arc
-        g, sigma = self.graph, self.sigma
+        g = self.graph
         flow = self.flows.get(y)
         if flow is None:
-            flow = g.copy(self.base)
-            self._restore(g.push(flow, [sigma], [y], self.value), self.value)
+            value, flow = g.run_keep([self.sigma], [y], self.value)
+            self._restore(value, self.value)
             self.flows[y] = flow
-        return g.push(g.copy(flow), [x], [y], mu0)
+        return g.resume(g.copy(flow), [x], y, mu0)
 
     def leave(self, batch: TreeBatch) -> None:
         """`batch` starts growing, so its gadget leaves sigma."""
@@ -155,9 +154,9 @@ class _Baselines:
         head = self.heads.pop(id(batch))
         m = batch.multiplicity
         self.value -= m
-        drops = g.lower([self.base, *self.flows.values()], sigma, head, m)
+        drops = g.lower(list(self.flows.values()), sigma, head, m)
         to_head = [head]
-        for (v, flow), drop in zip(self.flows.items(), drops[1:]):
+        for (v, flow), drop in zip(self.flows.items(), drops):
             if head != v:
                 self._restore(g.push(flow, [v], to_head, drop), drop)
 
@@ -165,9 +164,9 @@ class _Baselines:
         """The growing batch takes `arc` at `mu`."""
         x, y = arc
         g = self.graph
-        drops = g.lower([self.base, *self.flows.values()], x, y, mu)
+        drops = g.lower(list(self.flows.values()), x, y, mu)
         xs, ys = [x], [y]
-        for flow, drop in zip(self.flows.values(), drops[1:]):
+        for flow, drop in zip(self.flows.values(), drops):
             if drop:
                 self._restore(g.push(flow, xs, ys, drop), drop)
 

@@ -134,14 +134,12 @@ def brute_force_bottleneck(t: Topology) -> tuple[Fraction, CutWitness]:
 # Random test topologies
 # ---------------------------------------------------------------------------
 
-def random_eulerian_topology(
-    seed: int, max_nodes: int = 12, max_bandwidth: int = 8
-) -> Topology:
+def random_eulerian_topology(seed: int, max_nodes: int = 12) -> Topology:
     """Deterministic random topology that always validates.
 
     Balance comes for free by superposing directed cycles: one cycle over
     every vertex (which also guarantees strong connectivity), then a few
-    shorter ones, with weights capped so no link exceeds max_bandwidth.
+    shorter ones, with weights capped so no link exceeds bandwidth 8.
     Roughly a quarter of the vertices become switches (at least two stay
     compute), with random multicast/aggregation capabilities.
     """
@@ -170,7 +168,7 @@ def random_eulerian_topology(
 
     def add_cycle(order: list[int]) -> None:
         arcs = [(order[i], order[(i + 1) % len(order)]) for i in range(len(order))]
-        headroom = min(max_bandwidth - weights.get(arc, 0) for arc in arcs)
+        headroom = min(8 - weights.get(arc, 0) for arc in arcs)
         if headroom < 1:
             return
         w = rng.randint(1, headroom)

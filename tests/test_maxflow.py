@@ -382,7 +382,7 @@ class TestStates:
         (around the arc, else back to s and out of t) and push on: the
         value equals a fresh run on a graph built with the lowered arc.
         Three edits per seed; 24 of the 180 drop flow, 23 of those reroute
-        short."""
+        short.  The lowered graph itself runs to the same value."""
         vertices, arcs = random_instance(seed)
         s, t = vertices[0], vertices[-1]
         g = FlowGraph(vertices, arcs)
@@ -404,6 +404,7 @@ class TestStates:
                 value -= short
             value += g.push(state, [s], [t], CAPACITY_BUDGET)
             assert value == FlowGraph(vertices, arcs).run([s], [t]), (seed, a, b, amount)
+            assert g.run([s], [t]) == value, (seed, a, b, amount)
 
     def test_lower_reports_the_flow_it_had_to_drop(self):
         g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 4)])
@@ -414,8 +415,8 @@ class TestStates:
         assert g.lower([state, base], "a", "t", 3) == [3, 0]
         assert state[0][2:] == [0, 1] and base[0][2:] == [1, 0]
         assert g.lower([state], "s", "a", 0) == [0]
-        # the graph itself keeps its capacities
-        assert g.run(["s"], ["t"]) == 4
+        # the graph carries the lowered capacity
+        assert g.run(["s"], ["t"]) == 1
 
     def test_copies_are_independent_and_grow_with_the_graph(self):
         g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 2)])
@@ -450,7 +451,11 @@ class TestStates:
         # a bare state is not a list of states
         with pytest.raises(CollschedError):
             g.lower(state, "s", "a", 1)
+        # a state listed twice would be lowered twice
+        with pytest.raises(CollschedError):
+            g.lower([state, state], "a", "t", 3)
         assert state[0] == before
+        assert g.run(["s"], ["t"]) == 7
 
     @pytest.mark.parametrize(
         "sources, sinks, limit",

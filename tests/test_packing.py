@@ -313,6 +313,34 @@ class TestPackSpanningTrees:
         side = g.reach(state, ["a"], 1)
         assert "s" in side and "d" not in side
 
+    def test_its_flow_calls_are_its_cut_questions(self, random_suite, monkeypatch):
+        """A pack asks its cut questions through run_keep and resume: one
+        resume per mu evaluation, and one run_keep per kept flow, into each
+        probed head once."""
+        built, probed = [], []
+        run_keep, resume = FlowGraph.run_keep, FlowGraph.resume
+
+        def kept(g, sources, sinks, limit=None):
+            built.extend(sinks)
+            return run_keep(g, sources, sinks, limit)
+
+        def probe(g, state, sources, sink, limit):
+            probed.append(sink)
+            return resume(g, state, sources, sink, limit)
+
+        monkeypatch.setattr(FlowGraph, "run_keep", kept)
+        monkeypatch.setattr(FlowGraph, "resume", probe)
+        evaluations = 0
+        for t in random_suite:
+            lt, k = remainder(t, None)
+            built.clear()
+            probed.clear()
+            forest = pack_spanning_trees(lt, k)
+            assert len(probed) == forest.mu_evaluations, t
+            assert sorted(built) == sorted(set(probed)), t
+            evaluations += forest.mu_evaluations
+        assert evaluations > 0
+
     def test_mu_evaluation_counter_reports_work(self):
         forest = pack_spanning_trees(two_node_logical(), 3)
         assert forest.mu_evaluations >= 2
