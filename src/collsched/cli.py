@@ -1,7 +1,8 @@
 """Command-line front-end.
 
 Subcommands: optimality, generate, verify, synth, export-dot.  All output
-is deterministic for identical inputs and flags.
+is deterministic for identical inputs and flags.  `verify` also prints the
+schedule's witness cut, which certifies its bound from the topology alone.
 
 Exit codes: 0 success; 1 usage, parse, validation and pipeline errors;
 2 oracle disagreement (optimality --brute-force) or failed verification
@@ -189,14 +190,16 @@ def cmd_verify(args) -> int:
     t = parse_topology(_read(args.topology))
     s = parse_schedule(_read(args.schedule))
     report = validate_schedule(s, t)
+    cut = sorted(s.witness)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(dict(report.to_dict(), cut=cut), indent=2))
     else:
         print("ok" if report.ok else "FAIL")
         for v in report.violations:
             print(f"  {v.kind}: {v.detail}")
         print(f"achieved T_comm = {fraction_text(report.achieved_T_comm)} per unit")
         print(f"bound T_comm = {fraction_text(report.bound_T_comm)} per unit")
+        print(f"cut = {{{', '.join(cut)}}}")
     return 0 if report.ok else 2
 
 

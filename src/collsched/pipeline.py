@@ -44,9 +44,9 @@ def generate(t: Topology, collective: str = ALLGATHER, fixed_k: int | None = Non
     capacities cannot be balanced).  Either way the rest is one path: t
     scaled by `scale_capacities(t, meta.U)`, switch removal and packing for
     meta.k trees per root, assembly and pruning.  The schedule carries
-    meta's U, k, y, inv_x_star and exactness itself, so it validates on its
-    own; meta adds what only the search knows, and passed as
-    `validate_schedule`'s `expected` it cross-checks those claims.
+    meta's U, k, y, inv_x_star, exactness and witness cut itself, so it
+    validates, and certifies its bound, on its own; passed as
+    `validate_schedule`'s `expected`, meta cross-checks those claims.
     """
     if collective not in COLLECTIVES:
         raise CollschedError(f"unknown collective {collective!r}")

@@ -12,9 +12,15 @@ reconstructible and making "usage after pruning <= before" a bookkeeping
 identity rather than a recomputation.
 
 A schedule describes itself: it carries the U, k, y, inv_x_star and
-exactness it was built for, and validation checks it against those.  The
-reversal and the BFS tree walk here are plain data transforms that the
-validator shares; everything else it re-derives on its own.
+exactness it was built for, and the search's witness cut S that certifies
+the bound, and validation checks it against those.  The reversal and the
+BFS tree walk here are plain data transforms that the validator shares;
+everything else it re-derives on its own.
+
+The schedule file is one compact JSON document, written by the C encoder
+with no whitespace: metadata fields and the witness as a sorted id list,
+roots and batches as objects, and each edge and pruned hop as an array
+(see `export`).
 """
 
 from __future__ import annotations
@@ -86,6 +92,9 @@ class Schedule:
     # (optimal pipeline) or only as an upper bound (fixed tree counts,
     # where capacity floors may leave slack).
     exact: bool = True
+    # The search's witness cut S, which proves inv_x_star (or, for fixed
+    # k, U) optimal from the topology alone; see `validate_schedule`.
+    witness: frozenset[str] = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +107,10 @@ def assemble_allgather(
     """Expand every packed tree into physical paths and attach metadata.
 
     meta is an optimality result (unrestricted or fixed-k); its U, k, y,
-    inv_x_star and exactness ride along in the schedule, which validation
-    checks against.  Path expansion draws from one budget local to this
-    call, so per-link usage stays within U*b_e by construction.
+    inv_x_star, exactness and witness cut ride along in the schedule,
+    which validation checks against.  Path expansion draws from one budget
+    local to this call, so per-link usage stays within U*b_e by
+    construction.
     """
     expander = PathExpander(emap, scaled)
     roots = []
@@ -133,6 +143,7 @@ def assemble_allgather(
         inv_x_star=meta.inv_x_star,
         roots=tuple(roots),
         exact=meta.exact,
+        witness=meta.witness,
     )
 
 
@@ -194,8 +205,8 @@ def combine_allreduce(rs: Schedule, ag: Schedule) -> Schedule:
         raise MismatchedForest(f"first phase must be reduce_scatter, got {rs.collective}")
     if ag.collective != ALLGATHER:
         raise MismatchedForest(f"second phase must be allgather, got {ag.collective}")
-    meta_rs = (rs.num_compute, rs.k, rs.U, rs.y, rs.inv_x_star)
-    meta_ag = (ag.num_compute, ag.k, ag.U, ag.y, ag.inv_x_star)
+    meta_rs = (rs.num_compute, rs.k, rs.U, rs.y, rs.inv_x_star, sorted(rs.witness))
+    meta_ag = (ag.num_compute, ag.k, ag.U, ag.y, ag.inv_x_star, sorted(ag.witness))
     if meta_rs != meta_ag:
         raise MismatchedForest(f"phase metadata disagrees: {meta_rs} vs {meta_ag}")
 
@@ -217,6 +228,7 @@ def combine_allreduce(rs: Schedule, ag: Schedule) -> Schedule:
         roots=(),
         phases=(rs, ag),
         exact=rs.exact and ag.exact,
+        witness=ag.witness,
     )
 
 
@@ -386,11 +398,48 @@ def _parse_frac(doc: dict, key: str) -> Fraction:
     raise CollschedError(f"{key!r} must be a 'p/q' rational, got {text!r}")
 
 
-def _node_path(doc: dict) -> tuple[str, ...]:
-    path = _field(doc, "path", list)
-    if not all(isinstance(v, str) for v in path):
-        raise CollschedError(f"path {path!r} must list node ids")
-    return tuple(path)
+def _array(item, kinds: tuple[type, ...], form: str) -> list:
+    """item as a JSON array of len(kinds) values of those JSON types (a
+    boolean is never an integer).  An object in its place is the old
+    indented layout, which gets its own message."""
+    if isinstance(item, dict):
+        raise CollschedError(
+            f"expected {form}, got a JSON object as in the old indented schedule "
+            "layout; re-export the schedule"
+        )
+    if not (
+        isinstance(item, list)
+        and len(item) == len(kinds)
+        and all(
+            isinstance(v, k) and not (k is int and isinstance(v, bool))
+            for v, k in zip(item, kinds)
+        )
+    ):
+        raise CollschedError(f"expected {form}, got {item!r:.80}")
+    return item
+
+
+def _path_use(item) -> PathUse:
+    path, multiplicity = _array(item, (list, int), "a path [[ids...], multiplicity]")
+    if len(path) < 2 or not all(isinstance(v, str) for v in path):
+        raise CollschedError(f"path {path!r:.80} must list at least 2 node ids")
+    return PathUse(tuple(path), multiplicity)
+
+
+def _edge(item) -> ScheduleEdge:
+    src, dst, paths = _array(item, (str, str, list), "an edge [src, dst, [paths...]]")
+    return ScheduleEdge(src, dst, tuple(map(_path_use, paths)))
+
+
+def _hop(item) -> PrunedHop:
+    return PrunedHop(*_array(item, (str, str, int), "a pruned hop [src, dst, multiplicity]"))
+
+
+def _witness(doc: dict) -> frozenset[str]:
+    ids = _field(doc, "witness", list)
+    if not all(isinstance(v, str) for v in ids) or ids != sorted(set(ids)):
+        raise CollschedError(f"'witness' must be a sorted list of distinct node ids, got {ids!r:.80}")
+    return frozenset(ids)
 
 
 def _schedule_dict(s: Schedule) -> dict:
@@ -402,6 +451,7 @@ def _schedule_dict(s: Schedule) -> dict:
         "tree_bandwidth": fraction_text(s.y),
         "scale_U": fraction_text(s.U),
         "exact_bound": s.exact,
+        "witness": sorted(s.witness),
     }
     if s.collective == ALLREDUCE:
         doc["phases"] = [_schedule_dict(p) for p in s.phases]
@@ -413,20 +463,10 @@ def _schedule_dict(s: Schedule) -> dict:
                 {
                     "multiplicity": b.multiplicity,
                     "edges": [
-                        {
-                            "src": e.src,
-                            "dst": e.dst,
-                            "paths": [
-                                {"path": list(p.path), "multiplicity": p.multiplicity}
-                                for p in e.paths
-                            ],
-                        }
+                        [e.src, e.dst, [[p.path, p.multiplicity] for p in e.paths]]
                         for e in b.edges
                     ],
-                    "pruned": [
-                        {"src": h.src, "dst": h.dst, "multiplicity": h.multiplicity}
-                        for h in b.pruned
-                    ],
+                    "pruned": [[h.src, h.dst, h.multiplicity] for h in b.pruned],
                 }
                 for b in rt.batches
             ],
@@ -454,44 +494,38 @@ def _schedule_from_dict(doc) -> Schedule:
         # Checked before recursing, so phases never nest.
         if [_field(p, "collective", str) for p in phases] != [REDUCE_SCATTER, ALLGATHER]:
             raise CollschedError("allreduce schedules carry a reduce_scatter then an allgather phase")
-        return Schedule(roots=(), phases=tuple(map(_schedule_from_dict, phases)), **common)
-    roots = tuple(
-        RootTrees(
-            root=_field(rd, "root", str),
-            batches=tuple(
-                ScheduleBatch(
-                    multiplicity=_field(bd, "multiplicity", int),
-                    edges=tuple(
-                        ScheduleEdge(
-                            src=_field(ed, "src", str),
-                            dst=_field(ed, "dst", str),
-                            paths=tuple(
-                                PathUse(_node_path(pd), _field(pd, "multiplicity", int))
-                                for pd in _field(ed, "paths", list)
-                            ),
+        body = dict(roots=(), phases=tuple(map(_schedule_from_dict, phases)))
+    else:
+        body = dict(
+            roots=tuple(
+                RootTrees(
+                    root=_field(rd, "root", str),
+                    batches=tuple(
+                        ScheduleBatch(
+                            multiplicity=_field(bd, "multiplicity", int),
+                            edges=tuple(map(_edge, _field(bd, "edges", list))),
+                            pruned=tuple(map(_hop, _field(bd, "pruned", list, []))),
                         )
-                        for ed in _field(bd, "edges", list)
-                    ),
-                    pruned=tuple(
-                        PrunedHop(
-                            _field(hd, "src", str),
-                            _field(hd, "dst", str),
-                            _field(hd, "multiplicity", int, 1),
-                        )
-                        for hd in _field(bd, "pruned", list, [])
+                        for bd in _field(rd, "batches", list)
                     ),
                 )
-                for bd in _field(rd, "batches", list)
-            ),
+                for rd in _field(doc, "roots", list)
+            )
         )
-        for rd in _field(doc, "roots", list)
-    )
-    return Schedule(roots=roots, **common)
+    # Read after the body, so that an old-layout file (which has no
+    # witness) is named as such by its first edge.
+    return Schedule(witness=_witness(doc), **body, **common)
 
 
 def parse_schedule(text: str) -> Schedule:
     """Inverse of `export(s, "json")`; field-for-field reconstruction.
-    Every field must have the JSON type the export writes."""
+
+    Every field must have the JSON type the export writes: each
+    edge a [src, dst, [[path, multiplicity], ...]] array whose paths list
+    at least 2 ids, each pruned hop a [src, dst, multiplicity] array, and
+    the witness a sorted list of distinct ids.  A file in the old indented
+    layout, with edges as objects, is refused with a message saying so.
+    """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -526,9 +560,19 @@ def _dot_quote(text: str) -> str:
 def export(s: Schedule, format: str) -> str:
     """Serialize a schedule: "json" is canonical and round-trips through
     `parse_schedule`; "dot" renders each root's first batch (one digraph
-    per rendered tree, pruning applied) for human inspection."""
+    per rendered tree, pruning applied) for human inspection.
+
+    The JSON is one line with no whitespace between tokens, so CPython's C
+    encoder writes it (`indent` would fall back to the pure-Python one):
+    the metadata, the witness cut as a sorted id list, then per root its
+    batches, with each edge as [src, dst, [[path, multiplicity], ...]]
+    and each pruned hop as [src, dst, multiplicity].  The README's
+    "Schedule format" section has an example."""
     if format == "json":
-        return json.dumps(_schedule_dict(s), indent=2) + "\n"
+        # The document is a tree built afresh here, so the encoder's cycle
+        # check would only cost time.
+        doc = _schedule_dict(s)
+        return json.dumps(doc, separators=(",", ":"), check_circular=False) + "\n"
     if format == "dot":
         return _dot(s)
     raise CollschedError(f"unknown export format {format!r}")

@@ -3,7 +3,8 @@
 Everything here deliberately re-derives results without leaning on the
 modules it checks: the bottleneck oracle enumerates every cut instead of
 running flows, and the schedule validator recomputes tree structure, link
-usage and delivery from the serialized schedule alone.  Only the
+usage and delivery from the serialized schedule alone, and the value of
+the schedule's witness cut from the topology alone.  Only the
 `congestion_time` summary reads the shared `schedule.link_usage` tally; the
 tests hold it equal to the validator's own.  Agreement between
 this module and the pipeline is the package's core evidence of
@@ -198,9 +199,10 @@ WRONG_ROOT_COUNT = "WrongRootCount"
 CAPACITY_EXCEEDED = "CapacityExceeded"
 DELIVERY_GAP = "DeliveryGap"
 METADATA_MISMATCH = "MetadataMismatch"
+UNCERTIFIED_BOUND = "UncertifiedBound"
 
 # What a schedule claims about the search result it realizes.
-CLAIMS = ("inv_x_star", "U", "k", "y", "exact")
+CLAIMS = ("inv_x_star", "U", "k", "y", "exact", "witness")
 
 
 @dataclass(frozen=True)
@@ -228,14 +230,59 @@ class ValidationReport:
 
 
 def _mismatches(s, reference, fields, label: str) -> list[ScheduleViolation]:
+    def text(value):
+        return sorted(value) if isinstance(value, frozenset) else value
+
     return [
         ScheduleViolation(
             METADATA_MISMATCH,
-            f"{label}: {name} is {getattr(reference, name)}, schedule claims {getattr(s, name)}",
+            f"{label}: {name} is {text(getattr(reference, name))}, "
+            f"schedule claims {text(getattr(s, name))}",
         )
         for name in fields
         if getattr(s, name) != getattr(reference, name)
     ]
+
+
+def certificate_violations(s, t: Topology) -> list[ScheduleViolation]:
+    """Whether the witness cut S proves the schedule's bound optimal on t.
+
+    s is a `Schedule`, or anything else carrying its witness, exact,
+    inv_x_star, U and k (a search result).  S must be a set of t's nodes
+    missing some compute node.  An exact schedule needs |S ∩ C| / B+(S) =
+    inv_x_star: no schedule beats the time S forces, and validation shows
+    this one meets it.  A fixed-k schedule needs
+    sum(ceil(U*b_e) - 1) < k*|S ∩ C| <= sum(floor(U*b_e)) over S's exit
+    links: below U the floored exits of S cannot carry k trees per root
+    inside S, so U is the least scale with k trees.  Empty when S
+    certifies the bound.
+    """
+
+    def fail(detail: str) -> list[ScheduleViolation]:
+        return [ScheduleViolation(UNCERTIFIED_BOUND, f"witness {sorted(s.witness)}: {detail}")]
+
+    S = s.witness
+    unknown = sorted(S - t.node_by_id.keys())
+    if unknown:
+        return fail(f"{', '.join(unknown)} not in the topology")
+    inside = sum(1 for c in t.compute_ids if c in S)
+    if inside == t.num_compute:
+        return fail("holds every compute node")
+    exits = [bw for (a, b), bw in t.capacity.items() if a in S and b not in S]
+    if s.exact:
+        if not exits or Fraction(inside, sum(exits)) != s.inv_x_star:
+            return fail(f"|S ∩ C| / B+(S) is {inside}/{sum(exits)}, not inv_x_star {s.inv_x_star}")
+        return []
+    U = Fraction(s.U)
+    p, q = U.numerator, U.denominator
+    below = sum(-(-p * b // q) - 1 for b in exits)
+    floored = sum(p * b // q for b in exits)
+    if not below < s.k * inside <= floored:
+        return fail(
+            f"U = {U} is not the least scale at which its exits carry k*|S ∩ C| = "
+            f"{s.k * inside} (floors sum to {floored}, {below} just below U)"
+        )
+    return []
 
 
 def _validate_gather_batch(
@@ -442,6 +489,37 @@ def _validate_oriented(
     return violations, achieved, bound
 
 
+def _validate_collective(
+    s: Schedule, t: Topology
+) -> tuple[list[ScheduleViolation], Fraction, Fraction]:
+    """Violations, achieved time and bound of s on t by collective: a
+    reduce-scatter as its reversed allgather view on `transpose(t)`, an
+    allreduce as its two phases, whose claims must equal its own."""
+    if s.collective == ALLREDUCE and [p.collective for p in s.phases] == [REDUCE_SCATTER, ALLGATHER]:
+        violations: list[ScheduleViolation] = []
+        achieved = bound = Fraction(0)
+        for phase in s.phases:
+            label = f"{phase.collective} phase"
+            violations += _mismatches(phase, s, ("num_compute",) + CLAIMS, label)
+            found, phase_achieved, phase_bound = _validate_collective(phase, t)
+            violations += (ScheduleViolation(v.kind, f"{label}: {v.detail}") for v in found)
+            achieved += phase_achieved
+            bound += phase_bound
+        return violations, achieved, bound
+    if s.collective == REDUCE_SCATTER:
+        found, achieved, bound = _validate_oriented(
+            reverse_schedule(s, ALLGATHER), transpose(t)
+        )
+        return [ScheduleViolation(v.kind, f"reversed view: {v.detail}") for v in found], achieved, bound
+    if s.collective == ALLGATHER:
+        return _validate_oriented(s, t)
+    if s.collective == ALLREDUCE:
+        detail = "allreduce must hold a reduce_scatter phase then an allgather phase"
+    else:
+        detail = f"unknown collective {s.collective!r}"
+    return [ScheduleViolation(WRONG_ROOT_COUNT, detail)], Fraction(0), Fraction(0)
+
+
 def validate_schedule(s: Schedule, t: Topology, expected=None) -> ValidationReport:
     """From-scratch check of a schedule against a topology and its own claims.
 
@@ -449,43 +527,21 @@ def validate_schedule(s: Schedule, t: Topology, expected=None) -> ValidationRepo
     integrity, pruning justification (delivery), per-link capacity against
     floor(U*b_e), and the achieved congestion time versus the bound
     inv_x_star/N — with equality demanded when the schedule claims
-    exactness, and <= for fixed tree counts.  U, inv_x_star and exactness
-    are the schedule's own; a given `expected` search result must match
-    every one of its CLAIMS.  Reduce-scatter schedules are checked as their
-    reversed allgather view against `transpose(t)`; allreduce
+    exactness, and <= for fixed tree counts.  The schedule's witness cut
+    must certify that bound on t, from t alone (`UncertifiedBound`
+    otherwise), so an "ok" exact schedule is optimal and an "ok" fixed-k
+    one has the least U for its k.  U, inv_x_star, exactness and the
+    witness are the schedule's own; a given `expected` search result must
+    match every one of its CLAIMS.  Reduce-scatter schedules are checked
+    as their reversed allgather view against `transpose(t)`; allreduce
     phases are checked individually against their own claims, which must
     equal the schedule's, and their times summed.  Violations are data,
     not errors.
     """
     violations = [] if expected is None else _mismatches(s, expected, CLAIMS, "expected")
-    achieved = bound = Fraction(0)
-    if s.collective == ALLREDUCE and [p.collective for p in s.phases] == [REDUCE_SCATTER, ALLGATHER]:
-        for phase in s.phases:
-            label = f"{phase.collective} phase"
-            violations += _mismatches(phase, s, ("num_compute",) + CLAIMS, label)
-            report = validate_schedule(phase, t)
-            violations += (ScheduleViolation(v.kind, f"{label}: {v.detail}") for v in report.violations)
-            achieved += report.achieved_T_comm
-            bound += report.bound_T_comm
-    elif s.collective == REDUCE_SCATTER:
-        found, achieved, bound = _validate_oriented(
-            reverse_schedule(s, ALLGATHER), transpose(t)
-        )
-        violations += (ScheduleViolation(v.kind, f"reversed view: {v.detail}") for v in found)
-    elif s.collective == ALLGATHER:
-        found, achieved, bound = _validate_oriented(s, t)
-        violations += found
-    elif s.collective == ALLREDUCE:
-        violations.append(
-            ScheduleViolation(
-                WRONG_ROOT_COUNT,
-                "allreduce must hold a reduce_scatter phase then an allgather phase",
-            )
-        )
-    else:
-        violations.append(
-            ScheduleViolation(WRONG_ROOT_COUNT, f"unknown collective {s.collective!r}")
-        )
+    violations += certificate_violations(s, t)
+    found, achieved, bound = _validate_collective(s, t)
+    violations += found
     time_ok = achieved == bound if s.exact else achieved <= bound
     return ValidationReport(
         ok=not violations and time_ok,

@@ -1,6 +1,7 @@
 """Shared fixtures: reference topologies and the seeded random suites."""
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -69,6 +70,31 @@ def clustered_eulerian_topology(seed: int, max_nodes: int = 12) -> Topology:
             joints = [rng.choice([m for m in ms if not m.startswith("w")]) for ms in clusters]
             add_cycle(joints, rng.randint(1, 2))
     return Topology(nodes, [Link(a, b, w) for (a, b), w in sorted(weights.items())])
+
+
+def _old_layout_root(root: str, other: str) -> dict:
+    path = {"path": [root, other], "multiplicity": 1}
+    edge = {"src": root, "dst": other, "paths": [path]}
+    return {"root": root, "batches": [{"multiplicity": 1, "edges": [edge], "pruned": []}]}
+
+
+# The allgather on `synth_topology("ring", n=2, bw=1)` as the old indented
+# layout wrote it, byte for byte: edges, paths and pruned hops as objects,
+# and no witness.
+# Its parser is gone, so this file must be refused.
+OLD_LAYOUT_SCHEDULE = json.dumps(
+    {
+        "collective": "allgather",
+        "num_compute_nodes": 2,
+        "trees_per_root": 1,
+        "optimal_inv_x": "1/1",
+        "tree_bandwidth": "1/1",
+        "scale_U": "1/1",
+        "exact_bound": True,
+        "roots": [_old_layout_root("c1", "c2"), _old_layout_root("c2", "c1")],
+    },
+    indent=2,
+) + "\n"
 
 
 def flag_free(t: Topology) -> Topology:

@@ -13,6 +13,8 @@ import collsched
 from collsched import parse_schedule, serialize_topology, synth_topology
 from collsched.cli import main
 
+from conftest import OLD_LAYOUT_SCHEDULE
+
 
 @pytest.fixture()
 def topo_file(tmp_path, fig3a):
@@ -171,6 +173,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "ok"
         assert "achieved T_comm = 1/8 per unit" in out
+        assert out.splitlines()[-1] == "cut = {c2_1, c2_2, c2_3, c2_4, w2}"
 
     def test_tampered_schedule_is_exit_2(self, topo_file, tmp_path, capsys):
         sched = tmp_path / "s.json"
@@ -229,6 +232,14 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
         assert doc["achieved_T_comm"] == "1/8"
+        assert doc["cut"] == ["c2_1", "c2_2", "c2_3", "c2_4", "w2"]
+
+    def test_old_layout_is_exit_1(self, tmp_path, capsys):
+        topo, sched = tmp_path / "ring2.json", tmp_path / "s.json"
+        topo.write_text(serialize_topology(synth_topology("ring", n=2, bw=1)))
+        sched.write_text(OLD_LAYOUT_SCHEDULE)
+        assert main(["verify", "-t", str(topo), str(sched)]) == 1
+        assert "old indented schedule layout; re-export" in capsys.readouterr().err
 
     def test_malformed_schedule_is_exit_1(self, topo_file, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -263,9 +274,9 @@ class TestVerify:
         for rt in doc["roots"]:
             for batch in rt["batches"]:
                 batch["multiplicity"] = 10**12
-                for edge in batch["edges"]:
-                    for path in edge["paths"]:
-                        path["multiplicity"] = 10**12
+                for _, _, paths in batch["edges"]:
+                    for path in paths:
+                        path[1] = 10**12
         sched.write_text(json.dumps(doc))
 
         def limit_memory():
@@ -336,6 +347,12 @@ class TestExportDot:
     def test_missing_schedule_is_exit_1(self, tmp_path, capsys):
         assert main(["export-dot", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_old_layout_is_exit_1(self, tmp_path, capsys):
+        sched = tmp_path / "s.json"
+        sched.write_text(OLD_LAYOUT_SCHEDULE)
+        assert main(["export-dot", str(sched)]) == 1
+        assert "old indented schedule layout; re-export" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -1,4 +1,4 @@
-"""The demos and the README's Python examples run as documented."""
+"""The demos and the README's examples run and read as documented."""
 
 import os
 import re
@@ -35,3 +35,11 @@ def test_readme_python_blocks_run(capsys):
         "['c2_1', 'c2_2', 'c2_3', 'c2_4', 'w2']",
         "1/8",
     ]
+
+
+def test_readme_schedule_example_is_the_export():
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Schedule format.*?```json\n(.*?)```", text, re.S)[1]
+    t = collsched.synth_topology("boxes", boxes=2, gpus_per_box=1, intra=2, inter=1)
+    schedule, _ = collsched.generate(t)
+    assert re.sub(r"\s", "", block) + "\n" == collsched.export(schedule, "json")

@@ -22,13 +22,15 @@ from collsched import (
 )
 from collsched.cli import main
 
+from conftest import OLD_LAYOUT_SCHEDULE
+
 # Field names and values of the two documents, so that generated objects
 # often look almost right.
 WORDS = [
     "nodes", "links", "id", "kind", "multicast", "aggregation", "src", "dst",
     "bandwidth", "compute", "switch", "collective", "num_compute_nodes",
     "trees_per_root", "optimal_inv_x", "tree_bandwidth", "scale_U",
-    "exact_bound", "roots", "root", "batches", "multiplicity", "edges",
+    "exact_bound", "witness", "roots", "root", "batches", "multiplicity", "edges",
     "paths", "path", "pruned", "phases", "allgather", "reduce_scatter",
     "allreduce", "1/1", "1/0", "a", "b",
 ]
@@ -89,14 +91,16 @@ TOPOLOGY_DOC = {
 
 
 def _schedule_docs():
-    """Exported allgather and allreduce schedules with pruned hops."""
+    """Exported allgather and allreduce schedules with pruned hops, and a
+    schedule in the old indented layout, which the parser refuses."""
     t = synth_topology("boxes", boxes=2, gpus_per_box=2, intra=3, inter=1)
     t = Topology(
         [dataclasses.replace(n, multicast=True, aggregation=True) if n.kind == "switch" else n
          for n in t.nodes],
         t.links,
     )
-    return [json.loads(export(generate(t, c)[0], "json")) for c in ("allgather", "allreduce")]
+    docs = [json.loads(export(generate(t, c)[0], "json")) for c in ("allgather", "allreduce")]
+    return docs + [json.loads(OLD_LAYOUT_SCHEDULE)]
 
 
 SCHEDULE_DOCS = _schedule_docs()

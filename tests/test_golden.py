@@ -7,7 +7,8 @@ Each pin in `export_digests.json` is the sha256 of
 validates carry a pin: fixed-k refusals and the reduce-scatter/allreduce
 schedules that overdraw asymmetric links are left out (of the 135 ops at
 k = 3, 53 carry one).  A change meant to leave the compiled schedules
-alone keeps every digest.
+alone keeps every digest.  Every pinned op's export also parses back to
+the schedule it was written from.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ from collsched import (
     Topology,
     export,
     generate,
+    parse_schedule,
     random_eulerian_topology,
     synth_topology,
     validate_schedule,
@@ -66,16 +68,28 @@ def topology(name: str) -> Topology:
     return clustered_eulerian_topology(int(name[len("clustered"):]))
 
 
-def digest(t: Topology, collective: str, fixed_k: int | None):
-    """sha256 of the exported schedule, or None when the op is refused or
-    its schedule does not validate."""
+def compile_op(t: Topology, collective: str, fixed_k: int | None):
+    """The op's schedule, or None when the op is refused or its schedule
+    does not validate."""
     try:
         s, meta = generate(t, collective, fixed_k=fixed_k)
     except NotEulerianAfterFloor:
         return None
-    if not validate_schedule(s, t, meta).ok:
-        return None
-    return hashlib.sha256(export(s, "json").encode()).hexdigest()
+    return s if validate_schedule(s, t, meta).ok else None
+
+
+def digest(t: Topology, collective: str, fixed_k: int | None):
+    """sha256 of the exported schedule, or None as in `compile_op`."""
+    s = compile_op(t, collective, fixed_k)
+    return None if s is None else hashlib.sha256(export(s, "json").encode()).hexdigest()
+
+
+def pinned_ops(name: str):
+    """(key, collective, fixed_k, pin) of every pinned op on `name`."""
+    for key, pin in sorted(PINS.items()):
+        topo, collective, k = key.split("/")
+        if topo == name:
+            yield key, collective, None if k == "-" else int(k), pin
 
 
 NAMES = sorted({key.split("/")[0] for key in PINS})
@@ -91,7 +105,13 @@ def test_pins_cover_every_topology():
 @pytest.mark.parametrize("name", NAMES)
 def test_exported_bytes_match_pins(name):
     t = topology(name)
-    pinned = {key: pin for key, pin in PINS.items() if key.split("/")[0] == name}
-    for key, pin in sorted(pinned.items()):
-        _, collective, k = key.split("/")
-        assert digest(t, collective, None if k == "-" else int(k)) == pin, key
+    for key, collective, fixed_k, pin in pinned_ops(name):
+        assert digest(t, collective, fixed_k) == pin, key
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_export_round_trips(name):
+    t = topology(name)
+    for key, collective, fixed_k, _ in pinned_ops(name):
+        s = compile_op(t, collective, fixed_k)
+        assert parse_schedule(export(s, "json")) == s, key

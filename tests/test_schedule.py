@@ -41,6 +41,8 @@ from collsched import (
 from collsched.errors import CollschedError, MismatchedForest
 from collsched.schedule import bfs_edges, fraction_text, spans_add, spans_cover
 
+from conftest import OLD_LAYOUT_SCHEDULE
+
 
 @pytest.fixture(scope="module")
 def fig3a_ag(fig3a):
@@ -244,8 +246,11 @@ class TestSerialization:
         s, _ = generate(fig3a, collective=ALLREDUCE)
         assert parse_schedule(export(s, "json")) == s
 
-    def test_document_fields_are_frozen(self, fig3a_ag):
-        doc = json.loads(export(fig3a_ag, "json"))
+    def test_document_fields_are_frozen(self, fig3a_ag_multicast):
+        text = export(fig3a_ag_multicast, "json")
+        # one line, no whitespace between tokens: the C encoder's output
+        assert text.count("\n") == 1 and text.endswith("\n") and " " not in text
+        doc = json.loads(text)
         assert set(doc) == {
             "collective",
             "num_compute_nodes",
@@ -254,14 +259,24 @@ class TestSerialization:
             "tree_bandwidth",
             "scale_U",
             "exact_bound",
+            "witness",
             "roots",
         }
         assert doc["collective"] == "allgather"
         assert doc["trees_per_root"] == 1
         assert doc["optimal_inv_x"] == "1/1"
         assert doc["exact_bound"] is True
-        edge = doc["roots"][0]["batches"][0]["edges"][0]
-        assert set(edge) == {"src", "dst", "paths"}
+        assert doc["witness"] == sorted(fig3a_ag_multicast.witness)
+        root = doc["roots"][0]
+        assert set(root) == {"root", "batches"}
+        batch = root["batches"][0]
+        assert set(batch) == {"multiplicity", "edges", "pruned"}
+        edge = fig3a_ag_multicast.roots[0].batches[0].edges[0]
+        assert batch["edges"][0] == [
+            edge.src, edge.dst, [[list(p.path), p.multiplicity] for p in edge.paths]
+        ]
+        hop = fig3a_ag_multicast.roots[0].batches[0].pruned[0]
+        assert batch["pruned"][0] == [hop.src, hop.dst, hop.multiplicity]
 
     def test_parse_rejects_malformed_documents(self):
         with pytest.raises(CollschedError):
@@ -277,6 +292,7 @@ class TestSerialization:
             "optimal_inv_x": "1/1",
             "tree_bandwidth": "1/1",
             "scale_U": "1/1",
+            "witness": ["c1"],
             "phases": [],
         }
         with pytest.raises(CollschedError):
@@ -288,6 +304,7 @@ class TestSerialization:
             "optimal_inv_x": "fast",
             "tree_bandwidth": "1/1",
             "scale_U": "1/1",
+            "witness": ["c1"],
             "roots": [],
         }
         with pytest.raises(CollschedError):
@@ -296,6 +313,17 @@ class TestSerialization:
         for text in ("1_0/2", " 3/4", "\u0663/4", "+1/2", "1/-2", "3/4\n", "1/0", "3"):
             with pytest.raises(CollschedError, match="'p/q' rational"):
                 parse_schedule(json.dumps(dict(bad_frac, optimal_inv_x=text)))
+        no_witness = dict(bad_frac, optimal_inv_x="1/1")
+        del no_witness["witness"]
+        with pytest.raises(CollschedError, match="'witness'"):
+            parse_schedule(json.dumps(no_witness))
+
+    def test_old_layout_is_refused(self):
+        with pytest.raises(CollschedError, match="old indented schedule layout; re-export"):
+            parse_schedule(OLD_LAYOUT_SCHEDULE)
+
+    EDGE = ("roots", 0, "batches", 0, "edges", 0)
+    HOP = ("roots", 0, "batches", 0, "pruned", 0)
 
     @pytest.mark.parametrize(
         "path, value",
@@ -304,13 +332,27 @@ class TestSerialization:
             (("trees_per_root",), 1.0),
             (("trees_per_root",), True),
             (("roots", 0, "root"), 7),
-            (("roots", 0, "batches", 0, "edges", 0, "paths", 0, "path"), "c1_1"),
+            (EDGE + (2, 0, 0), "c1_1"),  # a path that is not a list
             (("roots", 0, "batches"), {}),
             (("roots",), None),
+            (EDGE + (2, 0, 0), ["c1_1"]),  # a path of fewer than 2 ids
+            (EDGE + (2, 0, 0, 0), 7),  # a path id that is not a string
+            (EDGE + (2, 0, 1), True),  # a bool path multiplicity
+            (EDGE + (2, 0), [["c1_1", "w1", "c1_2"], 1, 1]),  # path entry not a pair
+            (EDGE, ["c1_1", "c1_2"]),  # an edge that is not a triple
+            (EDGE, ["c1_1", "c1_2", [], 1]),
+            (EDGE + (0,), 1),  # an edge end that is not a string
+            (HOP, ["c1_1", "w1"]),  # a pruned hop that is not a triple
+            (HOP + (2,), True),  # a bool hop multiplicity
+            (HOP + (2,), 1.0),
+            (("witness",), "c1_1"),
+            (("witness",), ["w1", "c1_1"]),  # not sorted
+            (("witness",), ["c1_1", "c1_1"]),  # not distinct
+            (("witness",), [["c1_1"]]),
         ],
     )
-    def test_parse_requires_json_types(self, fig3a_ag, path, value):
-        doc = json.loads(export(fig3a_ag, "json"))
+    def test_parse_requires_json_types(self, fig3a_ag_multicast, path, value):
+        doc = json.loads(export(fig3a_ag_multicast, "json"))
         parent = doc
         for key in path[:-1]:
             parent = parent[key]

@@ -1,6 +1,7 @@
 """Independent oracles: cut enumeration, schedule validation, congestion."""
 
 import dataclasses
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -10,14 +11,19 @@ from collsched import (
     COMPUTE,
     Link,
     Node,
+    NotEulerianAfterFloor,
     PathUse,
     PrunedHop,
     Topology,
     bottleneck_search,
     brute_force_bottleneck,
     congestion_time,
+    export,
+    fixed_k_search,
     generate,
+    parse_schedule,
     random_eulerian_topology,
+    synth_topology,
     validate,
     validate_schedule,
 )
@@ -29,7 +35,9 @@ from collsched.verify import (
     METADATA_MISMATCH,
     NOT_A_TREE,
     NOT_SPANNING,
+    UNCERTIFIED_BOUND,
     WRONG_ROOT_COUNT,
+    certificate_violations,
 )
 
 from conftest import SUITE_SEEDS
@@ -238,12 +246,15 @@ class TestValidateSchedule:
         claim = dataclasses.replace(s, inv_x_star=Fraction(2))
         report = validate_schedule(claim, fig3a)
         assert not report.ok
-        # the claim is no longer U/k, and the time misses the bound it sets
-        assert [v.kind for v in report.violations] == [METADATA_MISMATCH]
-        assert "inv_x_star" in report.violations[0].detail
+        # the witness no longer attains the claim, the claim is no longer
+        # U/k, and the time misses the bound it sets
+        assert [v.kind for v in report.violations] == [UNCERTIFIED_BOUND, METADATA_MISMATCH]
+        assert "inv_x_star" in report.violations[1].detail
         assert report.achieved_T_comm != report.bound_T_comm
         # against the search result, the claim itself is also wrong
-        assert kinds(validate_schedule(claim, fig3a, meta)) == {METADATA_MISMATCH}
+        assert kinds(validate_schedule(claim, fig3a, meta)) == {
+            METADATA_MISMATCH, UNCERTIFIED_BOUND
+        }
 
     def test_schedule_validates_on_its_own_claims(self, fig3a):
         for collective in ("allgather", "reduce_scatter", "allreduce"):
@@ -254,7 +265,12 @@ class TestValidateSchedule:
     def test_every_expected_claim_is_compared(self, fig3a, checked, field):
         s, meta = checked
         expected = SimpleNamespace(**{name: getattr(meta, name) for name in CLAIMS})
-        setattr(expected, field, not meta.exact if field == "exact" else 2 * getattr(meta, field) + 1)
+        if field == "exact":
+            setattr(expected, field, not meta.exact)
+        elif field == "witness":
+            setattr(expected, field, meta.witness - {min(meta.witness)})
+        else:
+            setattr(expected, field, 2 * getattr(meta, field) + 1)
         report = validate_schedule(s, fig3a, expected)
         assert not report.ok
         assert [v.kind for v in report.violations] == [METADATA_MISMATCH]
@@ -281,6 +297,62 @@ class TestValidateSchedule:
         s, meta = generate(fig3a_multicast)
         report = validate_schedule(s, fig3a_multicast, meta)
         assert report.ok, report.violations
+
+
+def tampered(s, **fields):
+    """s exported, with top-level fields of the document replaced, and
+    parsed back: a schedule file edited by hand."""
+    doc = json.loads(export(s, "json"))
+    doc.update(fields)
+    return parse_schedule(json.dumps(doc))
+
+
+class TestCertificate:
+    """The witness cut proves the bound from the topology alone."""
+
+    def test_witness_value_must_be_inv_x_star(self, fig3a, checked):
+        s, _ = checked
+        # one GPU leaves over bandwidth 11: 1/11, not the claimed 1
+        report = validate_schedule(tampered(s, witness=["c1_1"]), fig3a)
+        assert not report.ok
+        assert [v.kind for v in report.violations] == [UNCERTIFIED_BOUND]
+        assert "1/11, not inv_x_star 1" in report.violations[0].detail
+
+    def test_witness_must_miss_a_compute_node(self, fig3a, checked):
+        s, _ = checked
+        report = validate_schedule(tampered(s, witness=sorted(fig3a.compute_ids)), fig3a)
+        assert [v.kind for v in report.violations] == [UNCERTIFIED_BOUND]
+        assert "every compute node" in report.violations[0].detail
+
+    def test_fixed_k_witness_must_be_the_least_breakpoint(self):
+        t = synth_topology("ring", n=4, bw=3, bidirectional=True)
+        s, meta = generate(t, fixed_k=2)
+        assert validate_schedule(s, t, meta).ok
+        # {c1} still carries k trees a little below U = 1: it does not bind
+        report = validate_schedule(tampered(s, witness=["c1"]), t)
+        assert [v.kind for v in report.violations] == [UNCERTIFIED_BOUND]
+        assert "not the least scale" in report.violations[0].detail
+
+    def test_unknown_nodes_are_refused(self, fig3a, checked):
+        s, _ = checked
+        report = validate_schedule(tampered(s, witness=sorted(s.witness | {"x"})), fig3a)
+        assert [v.kind for v in report.violations] == [UNCERTIFIED_BOUND]
+
+    def test_allreduce_is_certified_once(self, fig3a):
+        s, _ = generate(fig3a, collective="allreduce")
+        report = validate_schedule(dataclasses.replace(s, witness=frozenset({"c1_1"})), fig3a)
+        # the top-level certificate, then each phase disagreeing with it
+        assert [v.kind for v in report.violations] == [UNCERTIFIED_BOUND] + [METADATA_MISMATCH] * 2
+
+    def test_every_search_certifies(self, random_suite, clustered_suite):
+        for t in random_suite + clustered_suite:
+            assert certificate_violations(bottleneck_search(t), t) == []
+            for k in (1, 2, 3):
+                try:
+                    res = fixed_k_search(t, k)
+                except NotEulerianAfterFloor as exc:
+                    res = exc.result
+                assert certificate_violations(res, t) == [], (t, k)
 
 
 class TestCongestionTime:
