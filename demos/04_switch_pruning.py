@@ -52,7 +52,14 @@ same_time = congestion_time(pruned, smart) == congestion_time(plain, smart)
 print(f"\npruned schedule still valid: {report.ok}")
 print(f"finishing time unchanged:    {same_time}")
 
-# Without the capability nothing is elided: the schedules differ only in
-# their pruning annotations.
-unpruned = not any(b.pruned for rt in plain.roots for b in rt.batches)
-print(f"\nno-capability fabric unpruned: {unpruned}")
+# A pruned path keeps only its hops from the switch that fans it out, so
+# it starts there instead of at its edge's tail.  Without the capability
+# nothing is elided and every path starts at its tail.
+def starts_at_tails(s):
+    return all(
+        p.path[0] == e.src for rt in s.roots for b in rt.batches for e in b.edges for p in e.paths
+    )
+
+
+print(f"\npaths cut at a multicast switch: {not starts_at_tails(pruned)}")
+print(f"no-capability fabric unpruned:   {starts_at_tails(plain)}")

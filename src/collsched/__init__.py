@@ -37,7 +37,6 @@ from .schedule import (
     ALLREDUCE,
     REDUCE_SCATTER,
     PathUse,
-    PrunedHop,
     RootTrees,
     Schedule,
     ScheduleBatch,
@@ -99,7 +98,6 @@ __all__ = [
     "OptimalityResult",
     "Overflow",
     "PathUse",
-    "PrunedHop",
     "RootTrees",
     "Schedule",
     "ScheduleBatch",

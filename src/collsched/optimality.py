@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .errors import CollschedError, NotEulerianAfterFloor
 from .maxflow import FlowGraph, fresh_name
-from .topology import Topology, require_tree_count, require_valid, scale_capacities
+from .topology import Topology, require_tree_count, require_valid
 
 
 @dataclass(frozen=True)
@@ -222,20 +222,25 @@ def fixed_k_search(t: Topology, k: int) -> OptimalityResult:
     def least_scale(S) -> Fraction:
         return _least_floor_scale(_exit_bandwidths(t, S), k * _compute_count(t, S))
 
-    # The search returns the value of its last probe, so the network that
-    # probe floored is the one the balance check needs.
+    # The search returns the value of its last probe, so the capacities
+    # that probe floored are the ones the balance check needs.
     floored = None
 
     def capacities(U: Fraction):
         nonlocal floored
-        floored = scale_capacities(t, U)
-        return floored.capacity, k
+        p, q = U.numerator, U.denominator
+        floored = {(l.src, l.dst): p * l.bandwidth // q for l in t.links}
+        return floored, k
 
     U, witness, probes = _cut_search(t, least_scale, capacities)
     result = OptimalityResult(
         inv_x_star=U / k, U=U, k=k, y=1 / U, exact=False, witness=witness, search_iterations=probes
     )
-    unbalanced = sorted(n for n, bw in floored.in_bw.items() if bw != floored.out_bw[n])
+    balance = dict.fromkeys(t.node_by_id, 0)
+    for (a, b), c in floored.items():
+        balance[a] += c
+        balance[b] -= c
+    unbalanced = sorted(n for n, excess in balance.items() if excess)
     if unbalanced:
         raise NotEulerianAfterFloor(
             f"floored capacities for k={k} are unbalanced at {', '.join(unbalanced)}",

@@ -30,7 +30,7 @@ from .schedule import (
     reverse_for_reduce_scatter,
 )
 from .splitting import remove_switches
-from .topology import Topology, require_valid, scale_capacities, transpose
+from .topology import Topology, scale_capacities, transpose
 
 COLLECTIVES = (ALLGATHER, REDUCE_SCATTER, ALLREDUCE)
 
@@ -50,7 +50,6 @@ def generate(t: Topology, collective: str = ALLGATHER, fixed_k: int | None = Non
     """
     if collective not in COLLECTIVES:
         raise CollschedError(f"unknown collective {collective!r}")
-    require_valid(t)
     meta = bottleneck_search(t) if fixed_k is None else fixed_k_search(t, fixed_k)
     scaled = scale_capacities(t, meta.U)
     logical, emap = remove_switches(scaled, meta.k)

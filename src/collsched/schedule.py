@@ -6,10 +6,11 @@ to one or more physical node paths through removed switches; path
 multiplicities partition the batch's copies in listed order, which is what
 pruning and validation rely on to reason about individual copies.
 
-Pruning never rewrites paths: elided hops are recorded separately as
-(src, dst, multiplicity) annotations, keeping the original routing
-reconstructible and making "usage after pruning <= before" a bookkeeping
-identity rather than a recomputation.
+Pruning rewrites paths: a path whose copies a multicast switch on it
+already carries keeps only its suffix from that switch, so every path
+lists exactly the hops it sends.  Reversal, usage, export and the DOT view
+need no pruning code, and only the validator's path-start rule knows that
+a path may begin at a switch rather than at its edge's tail.
 
 A schedule describes itself: it carries the U, k, y, inv_x_star and
 exactness it was built for, and the search's witness cut S that certifies
@@ -19,8 +20,7 @@ everything else it re-derives on its own.
 
 The schedule file is one compact JSON document, written by the C encoder
 with no whitespace: metadata fields and the witness as a sorted id list,
-roots and batches as objects, and each edge and pruned hop as an array
-(see `export`).
+roots and batches as objects, and each edge as an array (see `export`).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 
 from .errors import CollschedError, MismatchedForest
 from .packing import Forest
@@ -57,19 +58,9 @@ class ScheduleEdge:
 
 
 @dataclass(frozen=True)
-class PrunedHop:
-    """A physical hop elided for `multiplicity` tree copies."""
-
-    src: str
-    dst: str
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class ScheduleBatch:
     multiplicity: int
     edges: tuple[ScheduleEdge, ...]
-    pruned: tuple[PrunedHop, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -152,8 +143,8 @@ def assemble_allgather(
 # ---------------------------------------------------------------------------
 
 def reverse_schedule(s: Schedule, collective: str) -> Schedule:
-    """Every edge, physical path and pruned hop of s run backwards, relabelled
-    as `collective`; the one reversal shared by generation and validation."""
+    """Every edge and physical path of s run backwards, relabelled as
+    `collective`; the one reversal shared by generation and validation."""
     roots = tuple(
         RootTrees(
             root=rt.root,
@@ -170,9 +161,6 @@ def reverse_schedule(s: Schedule, collective: str) -> Schedule:
                             ),
                         )
                         for e in b.edges
-                    ),
-                    pruned=tuple(
-                        PrunedHop(h.dst, h.src, h.multiplicity) for h in b.pruned
                     ),
                 )
                 for b in rt.batches
@@ -197,9 +185,12 @@ def reverse_for_reduce_scatter(s: Schedule) -> Schedule:
 def combine_allreduce(rs: Schedule, ag: Schedule) -> Schedule:
     """Chain a reduce-scatter phase with an allgather phase.
 
-    Both phases must come from the same packed forest (the reduce-scatter
-    being the reversal of the allgather, pruning annotations aside); the
-    combined time under the congestion model is the sum of the phases'.
+    Both phases must come from the same packed forest: the reduce-scatter
+    run backwards has the allgather's roots, batch multiplicities, edge
+    ends and path multiplicities, and since each phase prunes its own
+    suffix of one assembled path, of each pair of matching paths one ends
+    the other.  The combined time under the congestion model is the sum of
+    the phases'.
     """
     if rs.collective != REDUCE_SCATTER:
         raise MismatchedForest(f"first phase must be reduce_scatter, got {rs.collective}")
@@ -210,13 +201,26 @@ def combine_allreduce(rs: Schedule, ag: Schedule) -> Schedule:
     if meta_rs != meta_ag:
         raise MismatchedForest(f"phase metadata disagrees: {meta_rs} vs {meta_ag}")
 
-    def skeleton(sched: Schedule):
+    def skeleton(sched: Schedule, ends):
         return [
-            (rt.root, [(b.multiplicity, b.edges) for b in rt.batches])
+            (rt.root, [
+                (b.multiplicity, [(ends(e), [p.multiplicity for p in e.paths]) for e in b.edges])
+                for b in rt.batches
+            ])
             for rt in sched.roots
         ]
 
-    if skeleton(reverse_schedule(rs, ALLGATHER)) != skeleton(ag):
+    def paths(sched: Schedule):
+        return (p.path for rt in sched.roots for b in rt.batches for e in b.edges for p in e.paths)
+
+    def one_ends_the_other(r, q) -> bool:
+        p = r[::-1]  # the reduce-scatter path in the allgather's direction
+        n = min(len(p), len(q))
+        return p[len(p) - n:] == q[len(q) - n:]
+
+    if skeleton(rs, attrgetter("dst", "src")) != skeleton(ag, attrgetter("src", "dst")) or not all(
+        map(one_ends_the_other, paths(rs), paths(ag))
+    ):
         raise MismatchedForest("phases do not reverse the same tree forest")
     return Schedule(
         collective=ALLREDUCE,
@@ -286,38 +290,34 @@ def _prune(s: Schedule, t: Topology) -> Schedule:
     for rt in s.roots:
         new_batches = []
         for batch in rt.batches:
-            pruned: list[PrunedHop] = []
             # copies of this batch that a capable switch has already carried
             charged: dict[str, list[tuple[int, int]]] = {}
             order = bfs_edges(rt.root, batch)
             if order is None:
                 raise CollschedError(f"batch edges rooted at {rt.root} do not form a tree")
+            cut: dict[tuple[str, str], ScheduleEdge] = {}
             for edge in order:
                 hi = 0
+                paths = []
                 for pu in edge.paths:
                     lo, hi = hi, hi + pu.multiplicity
                     path = pu.path
-                    cut = 0  # index to keep the path from
                     for idx in range(len(path) - 2, 0, -1):
                         w = path[idx]
                         if w in capable and spans_cover(charged.get(w, ()), lo, hi):
-                            cut = idx
+                            pu = PathUse(path[idx:], pu.multiplicity)
                             break
-                    for hop_i in range(cut):
-                        pruned.append(
-                            PrunedHop(path[hop_i], path[hop_i + 1], pu.multiplicity)
-                        )
-                    for idx in range(max(cut, 1), len(path) - 1):
-                        w = path[idx]
+                    for w in pu.path[1:-1]:
                         if w in capable:
                             charged[w] = spans_add(charged.get(w, []), lo, hi)
-            new_batches.append(
-                ScheduleBatch(
-                    multiplicity=batch.multiplicity,
-                    edges=batch.edges,
-                    pruned=tuple(pruned),
-                )
-            )
+                    paths.append(pu)
+                paths = tuple(paths)
+                if paths != edge.paths:
+                    cut[(edge.src, edge.dst)] = ScheduleEdge(edge.src, edge.dst, paths)
+            if cut:
+                edges = tuple(cut.get((e.src, e.dst), e) for e in batch.edges)
+                batch = ScheduleBatch(batch.multiplicity, edges)
+            new_batches.append(batch)
         new_roots.append(RootTrees(root=rt.root, batches=tuple(new_batches)))
     return replace(s, roots=tuple(new_roots))
 
@@ -326,11 +326,12 @@ def prune_multicast(s: Schedule, t: Topology) -> Schedule:
     """Elide sends made redundant by switch multicast.
 
     Trees are walked in BFS order from the root (children sorted); once a
-    tree copy's data has crossed a multicast-capable switch, later paths of
-    the same copy entering that switch drop the hops before it — the switch
-    fans out instead.  Only whole path entries are elided (a path's copies
-    must all be covered); hops after the switch are kept, so delivery and
-    the congestion bottleneck are untouched.
+    tree copy's data has crossed a multicast-capable switch, a later path
+    of the same copy through that switch keeps only its suffix from there
+    on (from the last such switch on it) — the switch fans out instead.
+    Only whole path entries are cut (a path's copies must all be covered);
+    the hops after the switch are kept, so delivery and the congestion
+    bottleneck are untouched.
     """
     if s.collective != ALLGATHER:
         raise CollschedError(f"multicast pruning applies to allgather, got {s.collective}")
@@ -361,17 +362,14 @@ def _usage(batches) -> dict[tuple[str, str], int]:
             for pu in edge.paths:
                 for a, b in zip(pu.path, pu.path[1:]):
                     usage[(a, b)] = usage.get((a, b), 0) + pu.multiplicity
-        for hop in batch.pruned:
-            usage[(hop.src, hop.dst)] = usage.get((hop.src, hop.dst), 0) - hop.multiplicity
     return usage
 
 
 def link_usage(s: Schedule) -> dict[tuple[str, str], int]:
-    """Tree-copy units carried per physical link, pruning applied."""
+    """Tree-copy units carried per physical link."""
     if s.collective == ALLREDUCE:
         raise CollschedError("allreduce phases must be accounted separately")
-    usage = _usage(b for rt in s.roots for b in rt.batches)
-    return {pair: units for pair, units in usage.items() if units != 0}
+    return _usage(b for rt in s.roots for b in rt.batches)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +429,18 @@ def _edge(item) -> ScheduleEdge:
     return ScheduleEdge(src, dst, tuple(map(_path_use, paths)))
 
 
-def _hop(item) -> PrunedHop:
-    return PrunedHop(*_array(item, (str, str, int), "a pruned hop [src, dst, multiplicity]"))
+def _batch(item) -> ScheduleBatch:
+    batch = ScheduleBatch(
+        _field(item, "multiplicity", int), tuple(map(_edge, _field(item, "edges", list)))
+    )
+    # Checked after the edges, so that a file in the older indented layout
+    # is named as such by its first edge.
+    if "pruned" in item:
+        raise CollschedError(
+            "a batch lists pruned hops as in the previous schedule layout, whose "
+            "paths were not cut by pruning; re-export the schedule"
+        )
+    return batch
 
 
 def _witness(doc: dict) -> frozenset[str]:
@@ -466,7 +474,6 @@ def _schedule_dict(s: Schedule) -> dict:
                         [e.src, e.dst, [[p.path, p.multiplicity] for p in e.paths]]
                         for e in b.edges
                     ],
-                    "pruned": [[h.src, h.dst, h.multiplicity] for h in b.pruned],
                 }
                 for b in rt.batches
             ],
@@ -500,14 +507,7 @@ def _schedule_from_dict(doc) -> Schedule:
             roots=tuple(
                 RootTrees(
                     root=_field(rd, "root", str),
-                    batches=tuple(
-                        ScheduleBatch(
-                            multiplicity=_field(bd, "multiplicity", int),
-                            edges=tuple(map(_edge, _field(bd, "edges", list))),
-                            pruned=tuple(map(_hop, _field(bd, "pruned", list, []))),
-                        )
-                        for bd in _field(rd, "batches", list)
-                    ),
+                    batches=tuple(map(_batch, _field(rd, "batches", list))),
                 )
                 for rd in _field(doc, "roots", list)
             )
@@ -522,9 +522,10 @@ def parse_schedule(text: str) -> Schedule:
 
     Every field must have the JSON type the export writes: each
     edge a [src, dst, [[path, multiplicity], ...]] array whose paths list
-    at least 2 ids, each pruned hop a [src, dst, multiplicity] array, and
-    the witness a sorted list of distinct ids.  A file in the old indented
-    layout, with edges as objects, is refused with a message saying so.
+    at least 2 ids, and the witness a sorted list of distinct ids.  Files
+    in earlier layouts are refused with a message saying so: the indented
+    one, with edges as objects, and the compact one whose batches listed
+    pruned hops next to whole paths.
     """
     try:
         doc = json.loads(text)
@@ -541,12 +542,11 @@ def _dot(s: Schedule) -> str:
         if not rt.batches:
             continue
         batch = rt.batches[0]
-        usage = _usage((batch,))
         name = _dot_quote(f"{s.collective}_{rt.root}")
         label = _dot_quote(f"root {rt.root}, multiplicity {batch.multiplicity}")
         lines.append(f"digraph {name} {{")
         lines.append(f"  label={label};")
-        for a, b in sorted(pair for pair, units in usage.items() if units > 0):
+        for a, b in sorted(_usage((batch,))):
             lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)};")
         lines.append("}")
     return "\n".join(lines) + "\n"
@@ -560,14 +560,13 @@ def _dot_quote(text: str) -> str:
 def export(s: Schedule, format: str) -> str:
     """Serialize a schedule: "json" is canonical and round-trips through
     `parse_schedule`; "dot" renders each root's first batch (one digraph
-    per rendered tree, pruning applied) for human inspection.
+    per rendered tree, the hops its paths send) for human inspection.
 
     The JSON is one line with no whitespace between tokens, so CPython's C
     encoder writes it (`indent` would fall back to the pure-Python one):
     the metadata, the witness cut as a sorted id list, then per root its
-    batches, with each edge as [src, dst, [[path, multiplicity], ...]]
-    and each pruned hop as [src, dst, multiplicity].  The README's
-    "Schedule format" section has an example."""
+    batches, with each edge as [src, dst, [[path, multiplicity], ...]].
+    The README's "Schedule format" section has an example."""
     if format == "json":
         # The document is a tree built afresh here, so the encoder's cycle
         # check would only cost time.

@@ -231,8 +231,6 @@ def _consume_egress(net: Topology, caps: dict, w: str, t: str, k: int, emap: EMa
         for u in tails:
             if caps.get((w, t), 0) == 0:
                 break
-            if caps.get((u, w), 0) == 0:
-                continue
             amount = oracle.gamma(u)
             if amount <= 0:
                 continue

@@ -332,21 +332,35 @@ def _validate_gather_batch(
             ScheduleViolation(NOT_A_TREE, f"{where}: edges contain a cycle")
         )
 
-    # -- physical paths
+    # -- physical paths, walked in BFS order.  A path ends at its edge's
+    # head and starts at its tail, or at a multicast-capable switch that
+    # already carried all its copies (pruning cut the hops before it).
+    # Only paths that pass charge the capable switches they cross.
     switch_ids = set(t.switch_ids)
-    for e in batch.edges:
-        covered_units = 0
+    capable = {n.id for n in t.nodes if n.multicast}
+    charged: dict[str, list[tuple[int, int]]] = {}
+    for e in batch.edges if order is None else order:
+        hi = 0
         for pu in e.paths:
             if pu.multiplicity < 1:
                 violations.append(
                     ScheduleViolation(DELIVERY_GAP, f"{where}: non-positive path multiplicity on {e.src}->{e.dst}")
                 )
                 continue
-            covered_units += pu.multiplicity
+            lo, hi = hi, hi + pu.multiplicity
             p = pu.path
-            if len(p) < 2 or p[0] != e.src or p[-1] != e.dst:
+            if len(p) < 2 or p[-1] != e.dst:
                 violations.append(
-                    ScheduleViolation(DELIVERY_GAP, f"{where}: path {list(p)} does not span {e.src}->{e.dst}")
+                    ScheduleViolation(DELIVERY_GAP, f"{where}: path {list(p)} does not end at {e.dst}")
+                )
+                continue
+            if p[0] != e.src and not (p[0] in capable and spans_cover(charged.get(p[0], ()), lo, hi)):
+                violations.append(
+                    ScheduleViolation(
+                        DELIVERY_GAP,
+                        f"{where}: path {list(p)} starts neither at {e.src} nor at a "
+                        "multicast switch already carrying its copies",
+                    )
                 )
                 continue
             bad = [v for v in p[1:-1] if v not in switch_ids]
@@ -361,62 +375,16 @@ def _validate_gather_batch(
                     )
                 else:
                     usage[(a, b)] = usage.get((a, b), 0) + pu.multiplicity
-        if covered_units != batch.multiplicity:
+            for w in p[1:-1]:
+                if w in capable:
+                    charged[w] = spans_add(charged.get(w, []), lo, hi)
+        if hi != batch.multiplicity:
             violations.append(
                 ScheduleViolation(
                     DELIVERY_GAP,
-                    f"{where}: edge {e.src}->{e.dst} carries {covered_units} of {batch.multiplicity} copies",
+                    f"{where}: edge {e.src}->{e.dst} carries {hi} of {batch.multiplicity} copies",
                 )
             )
-
-    # -- pruning annotations: every elided hop must be justified by a
-    # multicast-capable switch that already carried the same tree copies
-    pool: dict[tuple[str, str], int] = {}
-    for h in batch.pruned:
-        if h.multiplicity < 1:
-            violations.append(
-                ScheduleViolation(DELIVERY_GAP, f"{where}: non-positive pruned multiplicity on {h.src}->{h.dst}")
-            )
-            continue
-        pool[(h.src, h.dst)] = pool.get((h.src, h.dst), 0) + h.multiplicity
-    if order is not None:
-        capable = {n.id for n in t.nodes if n.multicast}
-        charged: dict[str, list[tuple[int, int]]] = {}
-        for e in order:
-            hi = 0
-            for pu in e.paths:
-                lo, hi = hi, hi + pu.multiplicity
-                p = pu.path
-                cut = 0
-                for idx in range(len(p) - 2, 0, -1):
-                    w = p[idx]
-                    if (
-                        w in capable
-                        and spans_cover(charged.get(w, ()), lo, hi)
-                        and all(
-                            pool.get((p[i], p[i + 1]), 0) >= pu.multiplicity
-                            for i in range(idx)
-                        )
-                    ):
-                        cut = idx
-                        break
-                for i in range(cut):
-                    hop = (p[i], p[i + 1])
-                    pool[hop] -= pu.multiplicity
-                    if pool[hop] == 0:
-                        del pool[hop]
-                    if hop in usage:
-                        usage[hop] -= pu.multiplicity
-                for idx in range(max(cut, 1), len(p) - 1):
-                    w = p[idx]
-                    if w in capable:
-                        charged[w] = spans_add(charged.get(w, []), lo, hi)
-    leftover = {hop: units for hop, units in pool.items() if units > 0}
-    if leftover:
-        detail = ", ".join(f"{a}->{b} x{u}" for (a, b), u in sorted(leftover.items()))
-        violations.append(
-            ScheduleViolation(DELIVERY_GAP, f"{where}: unjustified pruned hops: {detail}")
-        )
 
 
 def _validate_oriented(
@@ -473,8 +441,6 @@ def _validate_oriented(
     num, den = Fraction(s.U).numerator, Fraction(s.U).denominator
     achieved = Fraction(0)
     for (a, b), units in sorted(usage.items()):
-        if units <= 0 or (a, b) not in t.capacity:
-            continue
         bw = t.capacity[(a, b)]
         limit = (num * bw) // den
         if units > limit:
@@ -524,7 +490,9 @@ def validate_schedule(s: Schedule, t: Topology, expected=None) -> ValidationRepo
     """From-scratch check of a schedule against a topology and its own claims.
 
     Recomputes tree structure, per-root tree counts, physical path
-    integrity, pruning justification (delivery), per-link capacity against
+    integrity and delivery (each path ends at its edge's head and starts
+    at its tail, or at a multicast switch that already carried every copy
+    the path takes, as pruning leaves it), per-link capacity against
     floor(U*b_e), and the achieved congestion time versus the bound
     inv_x_star/N — with equality demanded when the schedule claims
     exactness, and <= for fixed tree counts.  The schedule's witness cut

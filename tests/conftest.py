@@ -96,6 +96,17 @@ OLD_LAYOUT_SCHEDULE = json.dumps(
     indent=2,
 ) + "\n"
 
+# The same allgather as the previous compact layout wrote it, byte for
+# byte: every batch listed its pruned hops next to whole paths.  Read as
+# the current layout it would be an unpruned schedule, so it is refused.
+PREVIOUS_LAYOUT_SCHEDULE = (
+    '{"collective":"allgather","num_compute_nodes":2,"trees_per_root":1,'
+    '"optimal_inv_x":"1/1","tree_bandwidth":"1/1","scale_U":"1/1","exact_bound":true,'
+    '"witness":["c2"],"roots":[{"root":"c1","batches":[{"multiplicity":1,'
+    '"edges":[["c1","c2",[[["c1","c2"],1]]]],"pruned":[]}]},{"root":"c2","batches":'
+    '[{"multiplicity":1,"edges":[["c2","c1",[[["c2","c1"],1]]]],"pruned":[]}]}]}\n'
+)
+
 
 def flag_free(t: Topology) -> Topology:
     """t with every multicast and aggregation flag cleared: the network on

@@ -22,7 +22,7 @@ from collsched import (
 )
 from collsched.cli import main
 
-from conftest import OLD_LAYOUT_SCHEDULE
+from conftest import OLD_LAYOUT_SCHEDULE, PREVIOUS_LAYOUT_SCHEDULE
 
 # Field names and values of the two documents, so that generated objects
 # often look almost right.
@@ -91,8 +91,8 @@ TOPOLOGY_DOC = {
 
 
 def _schedule_docs():
-    """Exported allgather and allreduce schedules with pruned hops, and a
-    schedule in the old indented layout, which the parser refuses."""
+    """Exported allgather and allreduce schedules with pruned paths, and
+    schedules in the two earlier layouts, which the parser refuses."""
     t = synth_topology("boxes", boxes=2, gpus_per_box=2, intra=3, inter=1)
     t = Topology(
         [dataclasses.replace(n, multicast=True, aggregation=True) if n.kind == "switch" else n
@@ -100,7 +100,7 @@ def _schedule_docs():
         t.links,
     )
     docs = [json.loads(export(generate(t, c)[0], "json")) for c in ("allgather", "allreduce")]
-    return docs + [json.loads(OLD_LAYOUT_SCHEDULE)]
+    return docs + [json.loads(OLD_LAYOUT_SCHEDULE), json.loads(PREVIOUS_LAYOUT_SCHEDULE)]
 
 
 SCHEDULE_DOCS = _schedule_docs()

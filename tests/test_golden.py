@@ -9,6 +9,11 @@ schedules that overdraw asymmetric links are left out (of the 135 ops at
 k = 3, 53 carry one).  A change meant to leave the compiled schedules
 alone keeps every digest.  Every pinned op's export also parses back to
 the schedule it was written from.
+
+A change meant to move the bytes re-pins them all from the current code,
+from the repository root:
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 import dataclasses
@@ -29,13 +34,18 @@ from collsched import (
     synth_topology,
     validate_schedule,
 )
+from collsched.pipeline import COLLECTIVES
 
 from conftest import clustered_eulerian_topology
 
-PINS: dict[str, str] = json.loads(
-    pathlib.Path(__file__).with_name("export_digests.json").read_text()
-)
+PINS_FILE = pathlib.Path(__file__).with_name("export_digests.json")
+PINS: dict[str, str] = json.loads(PINS_FILE.read_text())
 SUITE_PREFIX = 20
+TOPOLOGIES = (
+    ["fig3a", "fig3a_multicast", "ring4", "boxes3x3", "fattree2x4"]
+    + [f"random{i}" for i in range(SUITE_PREFIX)]
+    + [f"clustered{i}" for i in range(SUITE_PREFIX)]
+)
 
 
 def _capable(t: Topology) -> Topology:
@@ -96,10 +106,7 @@ NAMES = sorted({key.split("/")[0] for key in PINS})
 
 
 def test_pins_cover_every_topology():
-    expected = {"fig3a", "fig3a_multicast", "ring4", "boxes3x3", "fattree2x4"}
-    expected |= {f"random{i}" for i in range(SUITE_PREFIX)}
-    expected |= {f"clustered{i}" for i in range(SUITE_PREFIX)}
-    assert set(NAMES) == expected
+    assert set(NAMES) == set(TOPOLOGIES)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -115,3 +122,16 @@ def test_export_round_trips(name):
     for key, collective, fixed_k, _ in pinned_ops(name):
         s = compile_op(t, collective, fixed_k)
         assert parse_schedule(export(s, "json")) == s, key
+
+
+if __name__ == "__main__":
+    pins = {}
+    for name in TOPOLOGIES:
+        t = topology(name)
+        for collective in COLLECTIVES:
+            for fixed_k in (None, 2, 3):
+                pin = digest(t, collective, fixed_k)
+                if pin is not None:
+                    pins[f"{name}/{collective}/{'-' if fixed_k is None else fixed_k}"] = pin
+    PINS_FILE.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    print(f"{len(pins)} pins written to {PINS_FILE.name}")

@@ -16,7 +16,6 @@ from collsched import (
     Link,
     Node,
     PathUse,
-    PrunedHop,
     RootTrees,
     ScheduleBatch,
     ScheduleEdge,
@@ -41,7 +40,7 @@ from collsched import (
 from collsched.errors import CollschedError, MismatchedForest
 from collsched.schedule import bfs_edges, fraction_text, spans_add, spans_cover
 
-from conftest import OLD_LAYOUT_SCHEDULE
+from conftest import OLD_LAYOUT_SCHEDULE, PREVIOUS_LAYOUT_SCHEDULE, flag_free
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +137,28 @@ class TestAllreduce:
         with pytest.raises(MismatchedForest):
             combine_allreduce(rs, tampered)
 
+    def test_rejects_a_path_that_is_not_a_suffix(self, fig3a):
+        # switches that multicast but do not aggregate: the allgather phase
+        # is pruned and the reduce-scatter keeps whole paths
+        t = Topology(
+            [dataclasses.replace(n, multicast=True) if n.kind == "switch" else n for n in fig3a.nodes],
+            fig3a.links,
+        )
+        s, _ = generate(t, collective=ALLREDUCE)
+        rs, ag = s.phases
+        assert reverse_for_reduce_scatter(ag) != rs
+        assert combine_allreduce(rs, ag) == s
+        first = ag.roots[0]
+        batch = first.batches[0]
+        edge = batch.edges[0]
+        path = edge.paths[0]
+        detour = dataclasses.replace(path, path=(path.path[0], "elsewhere", path.path[-1]))
+        edge = dataclasses.replace(edge, paths=(detour,) + edge.paths[1:])
+        batch = dataclasses.replace(batch, edges=(edge,) + batch.edges[1:])
+        first = dataclasses.replace(first, batches=(batch,) + first.batches[1:])
+        with pytest.raises(MismatchedForest):
+            combine_allreduce(rs, dataclasses.replace(ag, roots=(first,) + ag.roots[1:]))
+
 
 def _batch(*pairs):
     return ScheduleBatch(
@@ -175,13 +196,14 @@ class TestPruning:
         assert prune_multicast(fig3a_ag, fig3a) == fig3a_ag
 
     def test_capable_switches_allow_elision(self, fig3a_ag_multicast):
-        total = sum(
-            h.multiplicity
+        # some path does not start at its edge's tail
+        assert any(
+            p.path[0] != e.src
             for rt in fig3a_ag_multicast.roots
             for b in rt.batches
-            for h in b.pruned
+            for e in b.edges
+            for p in e.paths
         )
-        assert total > 0
 
     def test_usage_shrinks_pointwise(self, fig3a, fig3a_multicast):
         bare, _ = generate(fig3a)
@@ -193,14 +215,36 @@ class TestPruning:
         for pair, units in after.items():
             assert 0 < units <= before[pair]
 
-    def test_paths_themselves_stay_intact(self, fig3a, fig3a_multicast):
-        bare, _ = generate(fig3a)
-        pruned = prune_multicast(bare, fig3a_multicast)
-        strip = lambda s: tuple(
-            (rt.root, tuple((b.multiplicity, b.edges) for b in rt.batches))
-            for rt in s.roots
-        )
-        assert strip(pruned) == strip(bare)
+    def test_pruned_paths_are_suffixes(self, random_suite, clustered_suite):
+        cut = 0
+        for t in random_suite + clustered_suite:
+            capable = Topology(
+                [dataclasses.replace(n, multicast=True) if n.kind == "switch" else n for n in t.nodes],
+                t.links,
+            )
+            bare, _ = generate(flag_free(t))
+            pruned = prune_multicast(bare, capable)
+            assert [rt.root for rt in pruned.roots] == [rt.root for rt in bare.roots]
+            for rt_bare, rt_pruned in zip(bare.roots, pruned.roots):
+                assert len(rt_pruned.batches) == len(rt_bare.batches)
+                for b_bare, b_pruned in zip(rt_bare.batches, rt_pruned.batches):
+                    assert b_pruned.multiplicity == b_bare.multiplicity
+                    dropped: dict[tuple[str, str], int] = {}
+                    for e_bare, e_pruned in zip(b_bare.edges, b_pruned.edges, strict=True):
+                        assert (e_pruned.src, e_pruned.dst) == (e_bare.src, e_bare.dst)
+                        for p_bare, p_pruned in zip(e_bare.paths, e_pruned.paths, strict=True):
+                            assert p_pruned.multiplicity == p_bare.multiplicity
+                            start = len(p_bare.path) - len(p_pruned.path)
+                            assert start >= 0 and p_bare.path[start:] == p_pruned.path
+                            cut += start > 0
+                            for hop in zip(p_bare.path[:start], p_bare.path[1:start + 1]):
+                                dropped[hop] = dropped.get(hop, 0) + p_bare.multiplicity
+                    # the dropped prefixes are exactly the batch's usage drop
+                    before = link_usage(dataclasses.replace(bare, roots=(RootTrees(rt_bare.root, (b_bare,)),)))
+                    after = link_usage(dataclasses.replace(bare, roots=(RootTrees(rt_bare.root, (b_pruned,)),)))
+                    drop = {hop: units - after.get(hop, 0) for hop, units in before.items()}
+                    assert {hop: units for hop, units in drop.items() if units} == dropped
+        assert cut > 0
 
     def test_copy_spans_match_sets(self):
         # charged copies are merged intervals; they must answer exactly as
@@ -231,10 +275,14 @@ class TestPruning:
         assert pruned.collective == REDUCE_SCATTER
         # the same schedule generate prunes on the transposed network
         assert pruned == generate(fig3a_multicast, collective=REDUCE_SCATTER)[0]
-        total = sum(
-            h.multiplicity for rt in pruned.roots for b in rt.batches for h in b.pruned
+        # some reduce-scatter path stops at a switch that aggregates it
+        assert any(
+            p.path[-1] != e.dst
+            for rt in pruned.roots
+            for b in rt.batches
+            for e in b.edges
+            for p in e.paths
         )
-        assert total > 0
 
 
 class TestSerialization:
@@ -270,13 +318,13 @@ class TestSerialization:
         root = doc["roots"][0]
         assert set(root) == {"root", "batches"}
         batch = root["batches"][0]
-        assert set(batch) == {"multiplicity", "edges", "pruned"}
-        edge = fig3a_ag_multicast.roots[0].batches[0].edges[0]
-        assert batch["edges"][0] == [
-            edge.src, edge.dst, [[list(p.path), p.multiplicity] for p in edge.paths]
+        assert set(batch) == {"multiplicity", "edges"}
+        # every edge, a pruned one (some path not from its tail) included
+        edges = fig3a_ag_multicast.roots[0].batches[0].edges
+        assert any(p.path[0] != e.src for e in edges for p in e.paths)
+        assert batch["edges"] == [
+            [e.src, e.dst, [[list(p.path), p.multiplicity] for p in e.paths]] for e in edges
         ]
-        hop = fig3a_ag_multicast.roots[0].batches[0].pruned[0]
-        assert batch["pruned"][0] == [hop.src, hop.dst, hop.multiplicity]
 
     def test_parse_rejects_malformed_documents(self):
         with pytest.raises(CollschedError):
@@ -322,8 +370,13 @@ class TestSerialization:
         with pytest.raises(CollschedError, match="old indented schedule layout; re-export"):
             parse_schedule(OLD_LAYOUT_SCHEDULE)
 
-    EDGE = ("roots", 0, "batches", 0, "edges", 0)
-    HOP = ("roots", 0, "batches", 0, "pruned", 0)
+    def test_previous_layout_is_refused(self):
+        # its whole paths would read back as an unpruned schedule
+        with pytest.raises(CollschedError, match="previous schedule layout.*; re-export"):
+            parse_schedule(PREVIOUS_LAYOUT_SCHEDULE)
+
+    BATCH = ("roots", 0, "batches", 0)
+    EDGE = BATCH + ("edges", 0)
 
     @pytest.mark.parametrize(
         "path, value",
@@ -342,9 +395,9 @@ class TestSerialization:
             (EDGE, ["c1_1", "c1_2"]),  # an edge that is not a triple
             (EDGE, ["c1_1", "c1_2", [], 1]),
             (EDGE + (0,), 1),  # an edge end that is not a string
-            (HOP, ["c1_1", "w1"]),  # a pruned hop that is not a triple
-            (HOP + (2,), True),  # a bool hop multiplicity
-            (HOP + (2,), 1.0),
+            (BATCH + ("pruned",), [["c1_1", "w1", 1]]),  # the previous layout's hops
+            (BATCH + ("multiplicity",), True),  # a bool batch multiplicity
+            (BATCH + ("multiplicity",), 1.0),
             (("witness",), "c1_1"),
             (("witness",), ["w1", "c1_1"]),  # not sorted
             (("witness",), ["c1_1", "c1_1"]),  # not distinct
@@ -371,12 +424,20 @@ class TestSerialization:
         assert fraction_text(3) == "3/1"
         assert fraction_text(Fraction(6, 4)) == "3/2"
 
-    def test_dot_tolerates_a_stray_pruned_hop(self, fig3a_ag):
-        rt = fig3a_ag.roots[0]
-        batch = dataclasses.replace(rt.batches[0], pruned=(PrunedHop("x", "y", 1),))
-        stray = dataclasses.replace(rt, batches=(batch,) + rt.batches[1:])
-        dot = export(dataclasses.replace(fig3a_ag, roots=(stray,)), "dot")
-        assert '"x"' not in dot
+    def test_dot_draws_the_hops_sent(self, fig3a_ag, fig3a_ag_multicast):
+        def arrows(s):
+            first = dataclasses.replace(s, roots=s.roots[:1])
+            return {line for line in export(first, "dot").splitlines() if "->" in line}
+
+        # the hops a pruned path no longer lists are not drawn
+        sent = {
+            f'  "{a}" -> "{b}";'
+            for e in fig3a_ag_multicast.roots[0].batches[0].edges
+            for p in e.paths
+            for a, b in zip(p.path, p.path[1:])
+        }
+        assert arrows(fig3a_ag_multicast) == sent
+        assert arrows(fig3a_ag_multicast) < arrows(fig3a_ag)
 
     def test_dot_renders_one_digraph_per_root(self, fig3a_ag, fig3a):
         dot = export(fig3a_ag, "dot")
@@ -433,10 +494,10 @@ class TestLinkUsage:
                             ScheduleEdge(
                                 src="a",
                                 dst="b",
-                                paths=(PathUse(("a", "w", "b"), 2),),
+                                # one copy reaches w already: its path starts there
+                                paths=(PathUse(("a", "w", "b"), 1), PathUse(("w", "b"), 1)),
                             ),
                         ),
-                        pruned=(PrunedHop("a", "w", 1),),
                     ),
                 ),
             ),

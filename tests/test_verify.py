@@ -13,7 +13,6 @@ from collsched import (
     Node,
     NotEulerianAfterFloor,
     PathUse,
-    PrunedHop,
     Topology,
     bottleneck_search,
     brute_force_bottleneck,
@@ -28,6 +27,7 @@ from collsched import (
     validate_schedule,
 )
 from collsched.errors import CollschedError, TooLarge
+from collsched.schedule import bfs_edges
 from collsched.verify import (
     CAPACITY_EXCEEDED,
     CLAIMS,
@@ -40,7 +40,7 @@ from collsched.verify import (
     certificate_violations,
 )
 
-from conftest import SUITE_SEEDS
+from conftest import SUITE_SEEDS, flag_free
 
 
 class TestBruteForce:
@@ -229,17 +229,52 @@ class TestValidateSchedule:
         assert not report.ok
         assert CAPACITY_EXCEEDED in kinds(report)
 
-    def test_unjustified_pruned_hop_is_a_delivery_gap(self, fig3a, checked):
-        s, meta = checked
-        poked = rebuild_batch(
-            s,
-            lambda b: dataclasses.replace(
-                b, pruned=b.pruned + (PrunedHop("c1_1", "w1", 1),)
-            ),
-        )
-        report = validate_schedule(poked, fig3a, meta)
+    @staticmethod
+    def start_first_path_at(s, start_of):
+        """s with the first path of its first batch's first edge in BFS
+        order restarted at `start_of(edge, path)`."""
+
+        def restart(b):
+            first = bfs_edges(s.roots[0].root, b)[0]
+            p = first.paths[0]
+            moved = dataclasses.replace(p, path=(start_of(first, p),) + p.path[1:])
+            e = dataclasses.replace(first, paths=(moved,) + first.paths[1:])
+            return dataclasses.replace(b, edges=tuple(e if x is first else x for x in b.edges))
+
+        return rebuild_batch(s, restart)
+
+    @staticmethod
+    def starts_astray(report):
+        return [v.kind for v in report.violations if "starts neither" in v.detail]
+
+    def test_path_from_an_uncharged_capable_switch_is_a_delivery_gap(self, fig3a_multicast):
+        s, meta = generate(fig3a_multicast)
+        # the first path of a tree crosses no switch before it: nothing has
+        # carried its copies yet, so it may not start at its switch
+        cut = self.start_first_path_at(s, lambda e, p: p.path[1])
+        assert cut.roots[0].batches[0] != s.roots[0].batches[0]
+        report = validate_schedule(cut, fig3a_multicast, meta)
         assert not report.ok
-        assert DELIVERY_GAP in kinds(report)
+        assert self.starts_astray(report)[:1] == [DELIVERY_GAP]
+
+    def test_path_from_a_switch_without_multicast_is_a_delivery_gap(self, fig3a_multicast):
+        pruned, meta = generate(fig3a_multicast)
+        assert validate_schedule(pruned, fig3a_multicast, meta).ok
+        # the same paths on the same wiring, with no switch to fan them out
+        report = validate_schedule(pruned, flag_free(fig3a_multicast), meta)
+        assert not report.ok
+        assert set(self.starts_astray(report)) == {DELIVERY_GAP}
+
+    def test_path_from_another_compute_node_is_a_delivery_gap(self, fig3a, checked):
+        s, meta = checked
+
+        def neighbour(e, p):
+            # a compute node other than the tail, wired to the path's next hop
+            return min(c for c in fig3a.compute_ids if c not in (e.src, e.dst) and (c, p.path[1]) in fig3a.capacity)
+
+        report = validate_schedule(self.start_first_path_at(s, neighbour), fig3a, meta)
+        assert not report.ok
+        assert self.starts_astray(report) == [DELIVERY_GAP]
 
     def test_wrong_claimed_ratio_fails_exactness(self, fig3a, checked):
         s, meta = checked
