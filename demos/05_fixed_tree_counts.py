@@ -23,9 +23,10 @@ for k in (1, 2, 4, 8):
         res = fixed_k_search(t, k)
         note = ""
     except NotEulerianAfterFloor as exc:
-        # The floored capacities are imbalanced at some node; the search
-        # result is still attached so callers can inspect or retry with
-        # another k.
+        # The floored capacities are imbalanced at some node, and today's
+        # switch removal needs in = out everywhere (a schedule may still
+        # exist; see ROADMAP item 2).  The search result is still attached
+        # so callers can inspect or retry with another k.
         res = exc.result
         note = "  (floors imbalanced -- not packable as-is)"
     gap = res.inv_x_star - opt.inv_x_star

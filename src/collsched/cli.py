@@ -32,6 +32,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise CollschedError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise CollschedError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _write(path: str | None, text: str) -> None:
@@ -212,7 +214,10 @@ def _parse_param(text: str):
     # Only plain ASCII integers; anything else stays a string, which
     # synth_topology refuses.
     if re.fullmatch(r"-?[0-9]+", raw):
-        return key, int(raw)
+        try:
+            return key, int(raw)
+        except ValueError:  # longer than Python's int-from-string digit limit
+            raise CollschedError(f"--param {key} has too many digits ({len(raw)})") from None
     return key, raw
 
 

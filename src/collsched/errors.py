@@ -65,8 +65,9 @@ class Overflow(CollschedError):
 
 class NotEulerianAfterFloor(CollschedError):
     """The capacity-floored graph of a fixed tree-count search is not
-    Eulerian, so switch removal (and hence schedule realization) is
-    impossible for that tree count.
+    Eulerian.  Today's switch removal needs in = out at every node, so the
+    floor is refused, though a schedule for that tree count may well exist
+    (ROADMAP item 2).
 
     The completed search result is still available as ``self.result``.
     """
@@ -124,7 +125,8 @@ class NoAddableEdge(CollschedError):
 # ---------------------------------------------------------------------------
 
 class MismatchedForest(CollschedError):
-    """Two schedules that must come from the same packed forest do not."""
+    """Two phases that cannot form one allreduce: out of order, or with
+    disagreeing metadata or witness cuts."""
 
 
 class TooLarge(CollschedError):

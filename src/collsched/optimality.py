@@ -213,8 +213,10 @@ def fixed_k_search(t: Topology, k: int) -> OptimalityResult:
     Raises CollschedError unless k is an int >= 1, and
     NotEulerianAfterFloor — with the finished result attached as
     ``exc.result`` — when the floored network is not balanced at every
-    node, in which case no schedule can be realized for this k even though
-    U itself is well-defined.
+    node.  U itself is well-defined then; the refusal is there because
+    today's switch removal needs in = out at every node.  It does not make
+    a schedule impossible: most such floors pack once a drained switch
+    drops its leftover arcs (ROADMAP item 2).
     """
     require_valid(t)
     require_tree_count(k)

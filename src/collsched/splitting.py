@@ -13,7 +13,10 @@ balance and feasibility are unaffected.
 One network type passes through: the scaled Topology goes in, the
 working capacities live in a dict local to `remove_switches` while the
 switches dissolve, and the compute-only Topology left over, plus the
-EMap, is exactly what tree packing and path expansion consume.
+EMap, is exactly what tree packing and path expansion consume.  Each
+switch gets one flow graph, built from that dict when its turn comes and
+edited in place with it by every split, so the graph is the working
+network as it stands.
 """
 
 from __future__ import annotations
@@ -46,20 +49,18 @@ class EMap:
 # ---------------------------------------------------------------------------
 
 class _GammaOracle:
-    """Evaluates split amounts for one egress arc (w, t) of switch w
-    against fixed working capacities `caps` of the network `net`'s nodes,
-    reusing one flow graph across all candidate ingress arcs.
-
-    The graph holds the arcs of `caps` and the auxiliary source s with
-    k-capacity arcs to every compute node.  Each γ evaluation runs two base
-    flows on it, each between terminal sets (see `gamma`).
+    """Evaluates and makes the splits at switch w of the network `net`
+    with working capacities `caps`, on one flow graph built once: the arcs
+    of `caps` and the auxiliary source s with k-capacity arcs to every
+    compute node.  `split` edits the graph together with `caps`, and each
+    γ evaluation runs two base flows on it, each between terminal sets
+    (see `gamma`).
     """
 
-    def __init__(self, net: Topology, caps: dict, w: str, t: str, k: int) -> None:
+    def __init__(self, net: Topology, caps: dict, w: str, k: int) -> None:
         self.caps = caps
         self.compute_ids = net.compute_ids
         self.w = w
-        self.t = t
         self.target = net.num_compute * k
         names = [n.id for n in net.nodes]
         self.source = fresh_name("s", names)
@@ -67,7 +68,7 @@ class _GammaOracle:
         arcs += [(self.source, c, k) for c in net.compute_ids]
         self.graph = FlowGraph(names + [self.source], arcs)
 
-    def gamma(self, u: str) -> int:
+    def gamma(self, u: str, t: str) -> int:
         """Largest amount of the pairing (u, w),(w, t) splittable while the
         min flow to every compute node stays at N*k:
 
@@ -87,19 +88,39 @@ class _GammaOracle:
         from {w, s} to {u, t}.
         """
         caps = self.caps
-        best = min(caps.get((u, self.w), 0), caps.get((self.w, self.t), 0))
+        best = min(caps.get((u, self.w), 0), caps.get((self.w, t), 0))
         if best <= 0:
             return 0
         best = self._min_slack(
-            [u, self.source, self.t],
+            [u, self.source, t],
             [self.w],
             [v for v in self.compute_ids if v != u],
             best,
         )
         if best <= 0:
             return 0
-        best = self._min_slack([self.w, self.source], [u, self.t], self.compute_ids, best)
+        best = self._min_slack([self.w, self.source], [u, t], self.compute_ids, best)
         return max(best, 0)
+
+    def split(self, u: str, t: str, amount: int, emap: EMap) -> None:
+        """Replace `amount` units of (u, w),(w, t) by a direct arc (u, t) in
+        `caps` and in the graph, recording in `emap` that they route through
+        w; a pairing with u == t would form a self-loop and adds nothing.
+
+        The graph lowers (u, w) and (w, t) in place and grows (u, t) as a
+        new arc.  That arc bypasses w, so no later split at w lowers it,
+        and beside an earlier (u, t) it changes no flow value or cut
+        capacity that one merged arc would not."""
+        caps = self.caps
+        for pair in ((u, self.w), (self.w, t)):
+            caps[pair] -= amount
+            if caps[pair] == 0:
+                del caps[pair]
+            self.graph.lower([], *pair, amount)
+        if u != t:
+            caps[(u, t)] = caps.get((u, t), 0) + amount
+            self.graph.grow([], [(u, t, amount)])
+            emap.add(u, t, self.w, amount)
 
     def _min_slack(self, sources, sinks, boosts, best: int) -> int:
         """min(best, min over boost vertices v of F(sources -> sinks with
@@ -176,7 +197,7 @@ def compute_gamma(
     w2, t = f
     if w != w2:
         raise CollschedError(f"pairing must share the switch: {e} vs {f}")
-    return _GammaOracle(net, dict(net.capacity), w, t, k).gamma(u)
+    return _GammaOracle(net, dict(net.capacity), w, k).gamma(u, t)
 
 
 # ---------------------------------------------------------------------------
@@ -186,26 +207,46 @@ def compute_gamma(
 def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
     """Dissolve every switch of the scaled network into logical arcs.
 
-    Switches go in sorted id order; within a switch, egress arcs are
-    consumed in sorted head order, and candidate ingress tails are tried in
-    sorted order, the egress head itself last.
+    Switches go in sorted id order, each with one `_GammaOracle`.  Within
+    a switch, egress arcs are consumed in sorted head order, and candidate
+    ingress tails are tried in sorted order, the egress head itself last,
+    in passes until the egress arc is drained.  A split at w only shrinks
+    w's own arcs and adds arcs that bypass w, so w's heads and tails are
+    listed once.
 
     Returns the compute-only network left over, as a Topology whose
     capacities are the logical arcs, and the EMap recording how each
-    created arc routes physically.  Raises StuckSplit if no pairing for a
-    remaining egress arc admits a positive amount, which a balanced input
-    satisfying the N*k flow invariant never triggers, and CollschedError
-    unless k is an int >= 1.
+    created arc routes physically.  Raises StuckSplit if a full pass of
+    tails admits no positive amount for a remaining egress arc, which a
+    balanced input satisfying the N*k flow invariant never triggers, and
+    CollschedError unless k is an int >= 1.
     """
     require_tree_count(k)
     caps = dict(scaled.capacity)
     emap = EMap()
     for w in scaled.switch_ids:
-        while True:
-            heads = sorted(t for (a, t), c in caps.items() if a == w and c > 0)
-            if not heads:
-                break
-            _consume_egress(scaled, caps, w, heads[0], k, emap)
+        oracle = _GammaOracle(scaled, caps, w, k)
+        heads = sorted(t for a, t in caps if a == w)
+        tails = sorted(u for u, b in caps if b == w)
+        for t in heads:
+            # Loop pairings (u == t) cannibalize t's own in-bandwidth, which
+            # sits at the feasibility boundary, so their gamma is tiny and
+            # expensive to certify; any other tail drains the egress arc in
+            # one cheap probe.  Trying them last is purely an ordering
+            # choice — the split invariant guarantees progress under any
+            # order.  A drained tail's gamma is 0 without a flow.
+            order = sorted(tails, key=lambda u: u == t)
+            while (w, t) in caps:
+                progressed = False
+                for u in order:
+                    amount = oracle.gamma(u, t)
+                    if amount > 0:
+                        oracle.split(u, t, amount, emap)
+                        progressed = True
+                        if (w, t) not in caps:
+                            break
+                if not progressed:
+                    raise StuckSplit(w, (w, t), caps[(w, t)])
         leftovers = [p for p in caps if w in p]
         if leftovers:
             # Splits reduce a switch's in- and out-capacity in lockstep, so
@@ -213,46 +254,6 @@ def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
             raise CollschedError(f"switch {w} retained arcs after removal: {leftovers}")
     compute = [n for n in scaled.nodes if n.kind == COMPUTE]
     return Topology(compute, [Link(a, b, c) for (a, b), c in sorted(caps.items())]), emap
-
-
-def _consume_egress(net: Topology, caps: dict, w: str, t: str, k: int, emap: EMap) -> None:
-    oracle = _GammaOracle(net, caps, w, t, k)
-    while caps.get((w, t), 0) > 0:
-        # Loop pairings (u == t) cannibalize t's own in-bandwidth, which sits
-        # at the feasibility boundary, so their gamma is tiny and expensive
-        # to certify; any other tail drains the egress arc in one cheap
-        # probe.  Trying them last is purely an ordering choice — the split
-        # invariant guarantees progress under any order.
-        tails = sorted(
-            (u for (u, ww), c in caps.items() if ww == w and c > 0),
-            key=lambda u: (u == t, u),
-        )
-        progressed = False
-        for u in tails:
-            if caps.get((w, t), 0) == 0:
-                break
-            amount = oracle.gamma(u)
-            if amount <= 0:
-                continue
-            _apply_split(caps, u, w, t, amount)
-            if u != t:
-                emap.add(u, t, w, amount)
-            progressed = True
-            if caps.get((w, t), 0) > 0:
-                oracle = _GammaOracle(net, caps, w, t, k)
-        if not progressed:
-            raise StuckSplit(w, (w, t), caps.get((w, t), 0))
-
-
-def _apply_split(
-    caps: dict[tuple[str, str], int], u: str, w: str, t: str, amount: int
-) -> None:
-    for pair in ((u, w), (w, t)):
-        caps[pair] -= amount
-        if caps[pair] == 0:
-            del caps[pair]
-    if u != t:
-        caps[(u, t)] = caps.get((u, t), 0) + amount
 
 
 # ---------------------------------------------------------------------------

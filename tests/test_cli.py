@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -356,6 +357,44 @@ class TestExportDot:
         sched.write_text(OLD_LAYOUT_SCHEDULE)
         assert main(["export-dot", str(sched)]) == 1
         assert "old indented schedule layout; re-export" in capsys.readouterr().err
+
+
+class TestUnreadableInput:
+    """Input files that are not UTF-8 text, or hold integers too long for
+    Python to read, exit 1 with an error line and no traceback."""
+
+    @pytest.fixture()
+    def files(self, topo_file, tmp_path):
+        sched = tmp_path / "s.json"
+        main(["generate", "-t", topo_file, "-o", str(sched)])
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(random.Random(0).randbytes(200))
+        return {"topo": topo_file, "sched": str(sched), "binary": str(binary)}
+
+    @pytest.mark.parametrize("argv", [
+        ["optimality", "-t", "{binary}"],
+        ["generate", "-t", "{binary}"],
+        ["verify", "-t", "{binary}", "{sched}"],
+        ["verify", "-t", "{topo}", "{binary}"],
+        ["export-dot", "{binary}"],
+    ])
+    def test_non_utf8_file_is_exit_1(self, argv, files, capsys):
+        capsys.readouterr()
+        assert main([a.format(**files) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: cannot read {files['binary']}: not UTF-8 text\n"
+
+    def test_oversized_param_is_exit_1(self, capsys):
+        assert main(["synth", "ring", "--param", "n=" + "9" * 5000, "--param", "bw=1"]) == 1
+        assert capsys.readouterr().err == "error: --param n has too many digits (5000)\n"
+
+    def test_oversized_scale_is_exit_1(self, files, capsys):
+        path = Path(files["sched"])
+        doc = json.loads(path.read_text())
+        doc["scale_U"] = "1/" + "9" * 5000
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "-t", files["topo"], str(path)]) == 1
+        assert capsys.readouterr().err == "error: 'scale_U' has too many digits (5002)\n"
 
 
 class TestUsageErrors:

@@ -36,6 +36,7 @@ from collsched import (
     scale_capacities,
     serialize_topology,
     synth_topology,
+    validate_schedule,
 )
 from collsched.errors import CollschedError, MismatchedForest
 from collsched.schedule import bfs_edges, fraction_text, spans_add, spans_cover
@@ -121,30 +122,32 @@ class TestAllreduce:
         with pytest.raises(MismatchedForest):
             combine_allreduce(rs, other_ag)  # different metadata
 
-    def test_rejects_a_different_forest(self, fig3a_ag):
-        rs = reverse_for_reduce_scatter(fig3a_ag)
-        first = fig3a_ag.roots[0]
-        tampered_root = dataclasses.replace(
+    def test_accepts_a_differently_listed_forest(self, fig3a):
+        # the phases need not share a forest: each is validated on its own
+        s, meta = generate(fig3a, collective=ALLREDUCE)
+        rs, ag = s.phases
+        first = ag.roots[0]
+        reordered_root = dataclasses.replace(
             first,
             batches=tuple(
                 dataclasses.replace(b, edges=tuple(reversed(b.edges)))
                 for b in first.batches
             ),
         )
-        tampered = dataclasses.replace(
-            fig3a_ag, roots=(tampered_root,) + fig3a_ag.roots[1:]
-        )
-        with pytest.raises(MismatchedForest):
-            combine_allreduce(rs, tampered)
+        reordered = dataclasses.replace(ag, roots=(reordered_root,) + ag.roots[1:])
+        assert reordered != ag
+        combined = combine_allreduce(rs, reordered)
+        assert combined.phases == (rs, reordered)
+        assert validate_schedule(combined, fig3a, meta).ok
 
-    def test_rejects_a_path_that_is_not_a_suffix(self, fig3a):
+    def test_a_detour_path_is_left_to_the_validator(self, fig3a):
         # switches that multicast but do not aggregate: the allgather phase
         # is pruned and the reduce-scatter keeps whole paths
         t = Topology(
             [dataclasses.replace(n, multicast=True) if n.kind == "switch" else n for n in fig3a.nodes],
             fig3a.links,
         )
-        s, _ = generate(t, collective=ALLREDUCE)
+        s, meta = generate(t, collective=ALLREDUCE)
         rs, ag = s.phases
         assert reverse_for_reduce_scatter(ag) != rs
         assert combine_allreduce(rs, ag) == s
@@ -156,8 +159,11 @@ class TestAllreduce:
         edge = dataclasses.replace(edge, paths=(detour,) + edge.paths[1:])
         batch = dataclasses.replace(batch, edges=(edge,) + batch.edges[1:])
         first = dataclasses.replace(first, batches=(batch,) + first.batches[1:])
-        with pytest.raises(MismatchedForest):
-            combine_allreduce(rs, dataclasses.replace(ag, roots=(first,) + ag.roots[1:]))
+        combined = combine_allreduce(rs, dataclasses.replace(ag, roots=(first,) + ag.roots[1:]))
+        report = validate_schedule(combined, t, meta)
+        assert not report.ok
+        assert all(v.detail.startswith("allgather phase: ") for v in report.violations)
+        assert {v.kind for v in report.violations} == {"DeliveryGap", "CapacityExceeded"}
 
 
 def _batch(*pairs):

@@ -17,7 +17,7 @@ from collsched import (
     scale_capacities,
     validate,
 )
-from collsched.errors import CapacityExhausted, CollschedError
+from collsched.errors import CapacityExhausted, CollschedError, StuckSplit
 from collsched.maxflow import fresh_name
 from collsched.splitting import PathExpander, compute_gamma
 from conftest import clustered_eulerian_topology
@@ -211,6 +211,48 @@ class TestRemoveSwitches:
             lt2, em2 = remove_switches(scaled, res.k)
             assert lt1.capacity == lt2.capacity
             assert em1.entries == em2.entries
+
+
+class TestRemovalGraph:
+    def test_one_flow_graph_per_switch(self, random_suite, monkeypatch):
+        """Each switch's splits edit the one graph built for it."""
+        builds = []
+        init = FlowGraph.__init__
+
+        def counted(self, vertices, arcs):
+            builds.append(1)
+            init(self, vertices, arcs)
+
+        monkeypatch.setattr(FlowGraph, "__init__", counted)
+        switches = 0
+        for t in random_suite:
+            res = bottleneck_search(t)
+            scaled = scale_capacities(t, res.U)
+            builds.clear()
+            lt, emap = remove_switches(scaled, res.k)
+            assert len(builds) == len(t.switch_ids), t
+            switches += len(t.switch_ids)
+        assert switches > 100
+
+    def test_a_failing_invariant_is_a_stuck_split(self):
+        # c receives 2 of the 3 units the invariant asks for, so no
+        # pairing at w may split anything
+        t = Topology(
+            [Node("a", COMPUTE), Node("b", COMPUTE), Node("c", COMPUTE), Node("w", SWITCH)],
+            [Link("a", "w", 1), Link("w", "b", 1), Link("b", "a", 1), Link("a", "c", 1)],
+        )
+        with pytest.raises(StuckSplit) as caught:
+            remove_switches(t, 1)
+        assert (caught.value.switch, caught.value.remaining) == ("w", 1)
+
+    def test_unbalanced_switch_retains_arcs(self):
+        # w takes in 2 units but sends on 1
+        t = Topology(
+            [Node("a", COMPUTE), Node("b", COMPUTE), Node("w", SWITCH)],
+            [Link("a", "w", 2), Link("w", "b", 1), Link("b", "a", 2)],
+        )
+        with pytest.raises(CollschedError, match=r"switch w retained arcs after removal: \[\('a', 'w'\)\]"):
+            remove_switches(t, 1)
 
 
 class TestExpandPath:
