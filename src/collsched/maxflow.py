@@ -8,10 +8,14 @@ that is not a non-negative int raises CollschedError.
 
 The graph is the network as it stands, and every flow is a residual state
 on it.  `state()` carries no flow and `copy` clones a state.  `grow` adds
-vertices and arcs, which every state gains carrying no flow; `lower` cuts
-one arc's capacity in the graph and in each of a list of states and
-reports the flow each state had to drop.  A later state starts from the
-edited network.
+vertices and arcs, which every state gains carrying no flow.  `lower` cuts
+one arc's capacity in the graph only and appends the arc to the graph's
+edit log; a state remembers how far into the log it has been brought.
+`catch_up` brings a state to the end of the log: it clamps the state's
+flow on every arc lowered since to the arc's new capacity and returns the
+imbalance that leaves, d units at the tail and -d at the head of an arc
+that dropped d.  Every other call on a state refuses one that is behind
+the log, and a later state starts from the edited network.
 
 A flow runs between terminal sets: `run(sources, sinks)` is the max flow
 from the vertices `sources` to the vertices `sinks`, that is the least
@@ -34,8 +38,12 @@ of R has no earlier terminals.  These are the engine's cut questions.
 
 `push` moves more flow between vertex sets in place with no terminal rule,
 so a caller that keeps a flow alive through edits checks the value each
-push must reach.  `run_keep` is a fresh state plus one push, and every
-run, resume and push goes through the one Dinic.
+push must reach.  Either set may give each vertex an amount, the most it
+sends or takes, so one push routes every excess of a caught-up state to
+every deficit at once (a transshipment: the max flow from a super source
+with an arc of each source's amount to a super sink with an arc of each
+sink's).  `run_keep` is a fresh state plus one push, and every run, resume
+and push goes through the one Dinic.
 
 There is no infinite capacity.  An arc that must never bind is given a
 capacity of at least the run's limit L: any cut through it is worth at
@@ -75,6 +83,7 @@ class FlowGraph:
         self._adj = []
         self._total = 0
         self._pairs = None
+        self._log = []  # forward entries of the arcs lowered, in order
         self.grow(vertices, arcs)
 
     def grow(self, vertices, arcs) -> None:
@@ -179,45 +188,49 @@ class FlowGraph:
             raise CollschedError(f"{what} must hold at least one vertex")
         return found if len(found) == 1 else list(dict.fromkeys(found))
 
-    def _terminals(self, sources, sinks) -> tuple[list[int], list[int]]:
-        """Indices of the disjoint vertex sets `sources` and `sinks`."""
-        starts = self._vertices(sources, "sources")
-        ends = self._vertices(sinks, "sinks")
-        if (ends[0] in starts) if len(ends) == 1 else not set(starts).isdisjoint(ends):
-            raise CollschedError("sources and sinks must be disjoint")
-        return starts, ends
+    def _rooms(self, names, what: str, limit: int) -> dict[int, int]:
+        """The vertices `names` by index, each with its room: its amount if
+        `names` is a dict from vertex name to amount, else `limit`."""
+        if type(names) is not dict:
+            return dict.fromkeys(self._vertices(names, what), limit)
+        rooms = {}
+        for name, amount in names.items():
+            if type(amount) is not int or amount < 0:
+                raise CollschedError(
+                    f"{what} amount of {name!r} must be a non-negative int, got {amount!r}"
+                )
+            rooms[self._vertex(name)] = amount
+        if not rooms:
+            raise CollschedError(f"{what} must hold at least one vertex")
+        return rooms
 
-    def _caps(self, state: tuple) -> list[int]:
+    def _caps(self, state: list) -> list[int]:
         """The residual capacities of `state`, first given the entries of
-        arcs grown since it was made, which carry no flow."""
+        arcs grown since it was made, which carry no flow; a state behind
+        the edit log is refused."""
         caps = state[0]
+        if state[2] != len(self._log):
+            raise CollschedError("the state is behind the graph's edits; catch it up first")
         if len(caps) < len(self._cap0):
             caps += self._cap0[len(caps):]
         return caps
 
-    def state(self) -> tuple:
+    def state(self) -> list:
         """A residual state that carries no flow: every arc at its
-        capacity.  A state is (caps, pinned), pinned being the terminals
-        later resumes on it must keep as sources."""
-        return self._cap0.copy(), set()
+        capacity.  A state is [caps, pinned, seen], pinned being the
+        terminals later resumes on it must keep as sources and seen the
+        length of the edit log it has been brought to."""
+        return [self._cap0.copy(), set(), len(self._log)]
 
-    def copy(self, state: tuple) -> tuple:
+    def copy(self, state: list) -> list:
         """An independent copy of `state`."""
-        return self._caps(state).copy(), set(state[1])
+        return [self._caps(state).copy(), set(state[1]), state[2]]
 
-    def lower(self, states, src, dst, amount: int) -> list[int]:
-        """Lower the capacity of the arc from `src` to `dst` by `amount` in
-        the graph and in each state of the list `states`, in place; returns,
-        state by state, the flow the arc had to drop: the part of its flow
-        above the new capacity.
-
-        A drop d leaves `src` with d units it received but no longer
-        sends on and `dst` with d units it sends on but no longer
-        receives; the caller routes them again.  The pair must name one
-        arc, `amount` must be an int no larger than the arc's capacity in
-        the graph and in every state, and no state may be listed twice;
-        otherwise nothing changes.
-        """
+    def lower(self, src, dst, amount: int) -> None:
+        """Lower the capacity of the arc from `src` to `dst` in the graph by
+        `amount`, in place, and log the arc for `catch_up`.  The pair must
+        name one arc and `amount` must be an int no larger than its
+        capacity; otherwise nothing changes."""
         if type(amount) is not int or amount < 0:
             raise CollschedError(f"capacity cut must be a non-negative int, got {amount!r}")
         if self._pairs is None:
@@ -227,39 +240,60 @@ class FlowGraph:
         if e is None or e < 0:
             many = "more than one arc" if e else "no arc"
             raise CollschedError(f"{many} from {src!r} to {dst!r} in the flow graph")
-        if type(states) is not list:
-            raise CollschedError(f"lower takes a list of states, got {type(states).__name__}")
-        size = len(self._cap0)
-        caps = [state[0] if len(state[0]) == size else self._caps(state) for state in states]
-        if len(set(map(id, caps))) < len(caps):
-            raise CollschedError("lower takes each state at most once")
-        for c in (self._cap0, *caps):
-            if amount > c[e] + c[e ^ 1]:
-                raise CollschedError(
-                    f"cannot lower arc {src!r} -> {dst!r} of capacity {c[e] + c[e ^ 1]} by {amount}"
-                )
+        if amount > self._cap0[e]:
+            raise CollschedError(
+                f"cannot lower arc {src!r} -> {dst!r} of capacity {self._cap0[e]} by {amount}"
+            )
         self._cap0[e] -= amount
         self._total -= amount
-        drops = []
-        for c in caps:
-            drop = amount - c[e] if amount > c[e] else 0
-            c[e] -= amount - drop
-            c[e ^ 1] -= drop
-            drops.append(drop)
-        return drops
+        self._log.append(e)
 
-    def push(self, state: tuple, sources, sinks, limit: int) -> int:
+    def catch_up(self, state: list) -> dict:
+        """Bring `state` to the graph's edits, in place: the flow on every
+        arc lowered since the state was made or last caught up is cut to
+        the arc's capacity.  Returns the imbalance left, by vertex name,
+        balanced vertices left out: a drop of d units on an arc (a, b)
+        counts d at a, which receives d units it no longer sends on, and
+        -d at b, which sends on d units it no longer receives.  A push
+        from the vertices above zero to those below, at these amounts,
+        routes the dropped units again."""
+        log = self._log
+        seen = state[2]
+        state[2] = len(log)  # up to date before `_caps`, which refuses a stale state
+        caps = self._caps(state)
+        cap0, to, names = self._cap0, self._to, self._names
+        need: dict = {}
+        for e in log[seen:]:
+            cap = cap0[e]
+            flow = caps[e ^ 1]
+            if flow > cap:
+                tail, head = names[to[e ^ 1]], names[to[e]]
+                need[tail] = need.get(tail, 0) + flow - cap
+                need[head] = need.get(head, 0) - flow + cap
+                flow = cap
+                caps[e ^ 1] = cap
+            caps[e] = cap - flow
+        return {v: d for v, d in need.items() if d}
+
+    def push(self, state: list, sources, sinks, limit: int) -> int:
         """Push up to `limit` more units from the vertices `sources` to the
         vertices `sinks` into `state`, in place; returns the amount pushed.
+        Either set may be a dict from vertex name to the most that vertex
+        sends or takes; a vertex listed without an amount may send or take
+        up to `limit`.
 
         Unlike `resume` this answers no cut question and keeps no terminal
         rule: a caller that restores a flow checks the value it must reach.
         """
-        starts, ends = self._terminals(sources, sinks)
+        limit = _checked_limit(limit)
+        starts = self._rooms(sources, "sources", limit)
+        ends = self._rooms(sinks, "sinks", limit)
+        if not starts.keys().isdisjoint(ends):
+            raise CollschedError("sources and sinks must be disjoint")
         caps = self._caps(state)
-        return _dinic(len(self._names), self._to, self._adj, caps, starts, ends, _checked_limit(limit))
+        return _dinic(len(self._names), self._to, self._adj, caps, starts, ends, limit)
 
-    def reach(self, state: tuple, starts, at_least: int) -> frozenset[str]:
+    def reach(self, state: list, starts, at_least: int) -> frozenset[str]:
         """Vertices reachable from the vertices `starts` in the residual
         graph of `state` (from `run_keep`) along arcs of residual capacity
         at least `at_least`, an int >= 1.
@@ -292,7 +326,7 @@ class FlowGraph:
         min(max flow, limit)."""
         return self.run_keep(sources, sinks, limit)[0]
 
-    def run_keep(self, sources, sinks, limit: int | None = None) -> tuple[int, tuple]:
+    def run_keep(self, sources, sinks, limit: int | None = None) -> tuple[int, list]:
         """Like `run`, but returns the value together with the residual
         state R for `reach` and `resume`: a fresh `state()` and one `push`.
         Without a limit the flow stops at the capacity sum, which it cannot
@@ -305,7 +339,7 @@ class FlowGraph:
         state = self.state()
         return self.push(state, sources, sinks, self._total if limit is None else limit), state
 
-    def resume(self, state: tuple, sources, sink, limit: int) -> int:
+    def resume(self, state: list, sources, sink, limit: int) -> int:
         """Push up to `limit` more units from the vertices `sources` to
         `sink` into `state`, in place; returns the amount pushed:
         min(limit, least residual capacity in R of a cut X that holds every
@@ -328,7 +362,10 @@ class FlowGraph:
             raise CollschedError(
                 "resume sources must hold every source and sink of earlier resumes on this state"
             )
-        pushed = _dinic(len(self._names), self._to, self._adj, self._caps(state), starts, [t], limit)
+        pushed = _dinic(
+            len(self._names), self._to, self._adj, self._caps(state),
+            dict.fromkeys(starts, limit), {t: limit}, limit,
+        )
         pinned.update(starts)
         pinned.add(t)
         return pushed
@@ -343,21 +380,28 @@ def _checked_limit(limit) -> int:
 def _dinic(n, to, adj, cap, sources, sinks, limit):
     """Dinic blocking-flow max flow from the vertices `sources` to the
     vertices `sinks`, in place on `cap`, stopping once `limit` units are
-    placed."""
-    is_sink = [False] * n
-    for t in sinks:
-        is_sink[t] = True
+    placed.  Both map vertex indices to rooms, the most each still sends
+    or takes; a terminal whose room is spent is an ordinary vertex, as in
+    a network with a super source and a super sink joined to the
+    terminals by arcs of those rooms."""
+    take = [0] * n
+    open_sinks = 0  # sinks with room left
+    for t, room in sinks.items():
+        take[t] = room
+        if room:
+            open_sinks += 1
+    starts = [s for s, room in sources.items() if room]
     total = 0
     while total < limit:
-        # BFS level graph, stopped once every sink has a level or the level
-        # of the nearest sinks is complete: no vertex past it lies on a
-        # shortest augmenting path.
+        # BFS level graph, stopped once every sink with room has a level or
+        # the level of the nearest ones is complete: no vertex past it lies
+        # on a shortest augmenting path.
         level = [-1] * n
-        for s in sources:
+        for s in starts:
             level[s] = 0
-        queue = list(sources)
+        queue = list(starts)
         last = n
-        missing = len(sinks)
+        missing = open_sinks
         for u in queue:
             lu = level[u] + 1
             if lu > last or not missing:
@@ -368,18 +412,24 @@ def _dinic(n, to, adj, cap, sources, sinks, limit):
                     if level[v] < 0:
                         level[v] = lu
                         queue.append(v)
-                        if is_sink[v]:
+                        if take[v]:
                             last = lu
                             missing -= 1
         if last == n:
             break
         it = [0] * n
-        for s in sources:
+        spent = False  # a source ran out of room this phase
+        for s in starts:
+            room = sources[s]
             path: list[int] = []
             u = s
             while True:
-                if is_sink[u]:
+                if take[u]:
                     f = limit - total
+                    if room < f:
+                        f = room
+                    if take[u] < f:
+                        f = take[u]
                     for e in path:
                         c = cap[e]
                         if c < f:
@@ -388,8 +438,12 @@ def _dinic(n, to, adj, cap, sources, sinks, limit):
                         cap[e] -= f
                         cap[e ^ 1] += f
                     total += f
-                    if total >= limit:
-                        return total
+                    room -= f
+                    take[u] -= f
+                    if not take[u]:
+                        open_sinks -= 1
+                    if total >= limit or not room:
+                        break
                     # retreat to just before the first saturated arc
                     i = 0
                     np = len(path)
@@ -398,7 +452,6 @@ def _dinic(n, to, adj, cap, sources, sinks, limit):
                     del path[i:]
                     u = to[path[-1]] if path else s
                     continue
-                advanced = False
                 au = adj[u]
                 iu = it[u]
                 nu = len(au)
@@ -406,17 +459,23 @@ def _dinic(n, to, adj, cap, sources, sinks, limit):
                 while iu < nu:
                     e = au[iu]
                     if cap[e] > 0 and level[to[e]] == lu1:
-                        path.append(e)
-                        u = to[e]
-                        advanced = True
                         break
                     iu += 1
-                it[u if not advanced else to[path[-1] ^ 1]] = iu
-                if not advanced:
-                    if not path:
-                        break  # this source is exhausted for the phase
+                it[u] = iu
+                if iu < nu:
+                    path.append(e)
+                    u = to[e]
+                elif path:
                     level[u] = -1  # dead end; prune for the rest of the phase
-                    e = path.pop()
-                    u = to[e ^ 1]
+                    u = to[path.pop() ^ 1]
                     it[u] += 1
+                else:
+                    break  # this source is exhausted for the phase
+            sources[s] = room
+            if total >= limit:
+                return total
+            if not room:
+                spent = True
+        if spent:
+            starts = [s for s in starts if sources[s]]
     return total

@@ -27,36 +27,36 @@ takes the cheaper side), so its capacity is slack(X) + V, V being the sum
 of m_j over the batches in sigma.
 
 Kept flows.  The flow graph is the sigma-graph as it stands: the packer
-edits it in place as the forest changes.  For each compute sink v it keeps
-a maximum flow sigma -> v, a `run_keep` on that graph when v is first
-queried.  While the forest stays packable no slack is negative, so the
-flow carries exactly V, and those V units cross every cut X holding sigma
-but not v net once: X's capacity in the flow's residual is slack(X).  The
-flow fills every sigma arc, so no residual arc leaves sigma, and
+edits it in place as the forest changes.  The growing batch taking (x, y)
+at mu lowers that arc by mu; a batch that starts growing lowers its sigma
+arc to zero and V by its m; a split copy of m' trees grows a hub of its
+own and raises V by m'.  For each compute sink v it keeps a flow
+sigma -> v of value V, a `run_keep` on that graph when v is first
+queried.  Those V units cross every cut X holding sigma but not v net
+once, so X's capacity in the flow's residual is slack(X).  The flow fills
+every sigma arc, so no residual arc leaves sigma, and
 
     mu(x, y) = min(mu0, a resume from x to y of at most mu0 units
                    on a fresh copy of y's kept flow),
 
 a cut question of at most mu0 units where a fresh gadget graph per
-evaluation pushes the whole need of the other batches as well.  Each edit
-lands on the graph and on every kept flow, and a push repairs the flows:
+evaluation pushes the whole need of the other batches as well.
 
-- the growing batch takes (x, y) at mu: the arc drops by mu, and flow d
-  above its new capacity is rerouted x -> y;
-- a batch starts growing and leaves sigma: its sigma arc drops to zero
-  and its m units are pushed from v back to its root or hub;
-- a split copy of m' trees enters sigma through a new hub, and every
-  kept flow pushes m' more units sigma -> v.
-
-Each of these pushes must move exactly the units it restores.  A short
-one means a kept flow can no longer carry V, that is a cut of negative
-slack: the forest cannot be completed, and NoAddableEdge is raised for
-the growing batch.  A reroute short by r needs no other repair attempt:
-x then holds r units that came from sigma, the vertices x reaches in the
-residual hold sigma but neither y nor v (from v the residual leads back
-along the flow to y), and no residual arc leaves them, so their cut
-carries V - r at full capacity.  A take at the exact mu never gets there,
-since mu is at most the slack of every cut the take lowers.
+Deferred repair.  An edit reaches only the graph; a kept flow is brought
+to it when mu is about to read it.  Which flow of value V that is does not
+matter: in any flow sigma -> y of value V, a cut X holding sigma but not y
+has residual capacity cap(X) - V, and one holding neither has cap(X).
+`catch_up` cuts y's flow on every arc lowered since its last repair to
+the arc's capacity, which leaves d units at the tail and -d at the head of
+an arc that dropped d.  With +dV at sigma and -dV at y, dV being the
+change of V since that repair, this pseudo-flow differs from a flow
+sigma -> y of value V by exactly these amounts, so one push routes every
+excess to every deficit.  It succeeds exactly when some flow sigma -> y of
+value V exists, that is when no cut holding sigma but not y has negative
+slack.  A short one means the forest cannot be completed, and
+NoAddableEdge is raised for the growing batch.  A take at the exact mu
+never gets there, since mu is at most the slack of every cut the take
+lowers.
 
 When 0 < mu < m the batch splits: the new arc extends mu of the copies,
 the rest continue as a separate batch.  Batches are processed one root at
@@ -122,7 +122,7 @@ class _Baselines:
             [(a, b, c) for (a, b), c in lt.capacity.items()]
             + [(sigma, b.root, b.multiplicity) for b in forest.batches],
         )
-        self.flows: dict[str, tuple] = {}
+        self.flows: dict[str, tuple] = {}  # sink -> (kept flow, V it last carried)
         self.value = sum(b.multiplicity for b in forest.batches)  # V
         self.heads = {id(b): b.root for b in forest.batches}  # batch in sigma -> head
         self.hubs = 0
@@ -137,51 +137,48 @@ class _Baselines:
 
     def mu(self, arc: tuple[str, str], mu0: int) -> int:
         """Largest multiplicity up to `mu0` at which the growing batch may
-        take `arc`."""
+        take `arc`, read from the kept flow of its head, which is first
+        repaired."""
         x, y = arc
-        g = self.graph
-        flow = self.flows.get(y)
-        if flow is None:
-            value, flow = g.run_keep([self.sigma], [y], self.value)
-            self._restore(value, self.value)
-            self.flows[y] = flow
+        g, sigma, value = self.graph, self.sigma, self.value
+        kept = self.flows.get(y)
+        if kept is None:
+            got, flow = g.run_keep([sigma], [y], value)
+            self._restore(got, value)
+        else:
+            flow, was = kept
+            need = g.catch_up(flow)
+            if value != was:
+                need[sigma] = need.get(sigma, 0) + value - was
+                need[y] = need.get(y, 0) - value + was
+            excess = {v: d for v, d in need.items() if d > 0}
+            if excess:
+                want = sum(excess.values())
+                deficit = {v: -d for v, d in need.items() if d < 0}
+                self._restore(g.push(flow, excess, deficit, want), want)
+        self.flows[y] = flow, value
         return g.resume(g.copy(flow), [x], y, mu0)
 
     def leave(self, batch: TreeBatch) -> None:
         """`batch` starts growing, so its gadget leaves sigma."""
         self.growing = batch
-        g, sigma = self.graph, self.sigma
-        head = self.heads.pop(id(batch))
         m = batch.multiplicity
         self.value -= m
-        drops = g.lower(list(self.flows.values()), sigma, head, m)
-        to_head = [head]
-        for (v, flow), drop in zip(self.flows.items(), drops):
-            if head != v:
-                self._restore(g.push(flow, [v], to_head, drop), drop)
+        self.graph.lower(self.sigma, self.heads.pop(id(batch)), m)
 
     def take(self, arc: tuple[str, str], mu: int) -> None:
         """The growing batch takes `arc` at `mu`."""
-        x, y = arc
-        g = self.graph
-        drops = g.lower(list(self.flows.values()), x, y, mu)
-        xs, ys = [x], [y]
-        for flow, drop in zip(self.flows.values(), drops):
-            if drop:
-                self._restore(g.push(flow, xs, ys, drop), drop)
+        self.graph.lower(*arc, mu)
 
     def enter(self, batch: TreeBatch) -> None:
         """`batch`, a split copy, joins sigma through a new hub."""
-        g, sigma = self.graph, self.sigma
+        sigma = self.sigma
         hub = fresh_name(f"b{self.hubs}", self.forest.lt.node_by_id)
         self.hubs += 1
         m = batch.multiplicity
-        g.grow([hub], [(sigma, hub, m)] + [(hub, t, m) for t in sorted(batch.members)])
+        self.graph.grow([hub], [(sigma, hub, m)] + [(hub, t, m) for t in sorted(batch.members)])
         self.heads[id(batch)] = hub
         self.value += m
-        from_sigma = [sigma]
-        for v, flow in self.flows.items():
-            self._restore(g.push(flow, from_sigma, [v], m), m)
 
 
 def pack_spanning_trees(lt: Topology, k: int) -> Forest:

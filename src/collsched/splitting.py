@@ -116,7 +116,7 @@ class _GammaOracle:
             caps[pair] -= amount
             if caps[pair] == 0:
                 del caps[pair]
-            self.graph.lower([], *pair, amount)
+            self.graph.lower(*pair, amount)
         if u != t:
             caps[(u, t)] = caps.get((u, t), 0) + amount
             self.graph.grow([], [(u, t, amount)])
@@ -246,7 +246,7 @@ def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
                         if (w, t) not in caps:
                             break
                 if not progressed:
-                    raise StuckSplit(w, (w, t), caps[(w, t)])
+                    raise StuckSplit(w, t, caps[(w, t)])
         leftovers = [p for p in caps if w in p]
         if leftovers:
             # Splits reduce a switch's in- and out-capacity in lockstep, so

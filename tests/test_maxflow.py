@@ -1,5 +1,6 @@
 """Flow engine: exact values, terminal sets, cut witnesses, early stops,
-resume, residual reach, and states that are lowered, grown and pushed on."""
+resume, residual reach, pushes with per-vertex amounts, and states that
+are grown, caught up to lowered arcs and pushed on."""
 
 import itertools
 import random
@@ -378,11 +379,12 @@ class TestReach:
 class TestStates:
     @pytest.mark.parametrize("seed", range(60))
     def test_lowered_arc_and_repair_match_a_fresh_run(self, seed):
-        """Lower an arc of a converged flow, route the dropped flow again
-        (around the arc, else back to s and out of t) and push on: the
-        value equals a fresh run on a graph built with the lowered arc.
-        Three edits per seed; 24 of the 180 drop flow, 23 of those reroute
-        short.  The lowered graph itself runs to the same value."""
+        """Lower an arc of a converged flow, catch the flow up, route the
+        dropped flow again (around the arc, else back to s and out of t)
+        and push on: the value equals a fresh run on a graph built with the
+        lowered arc.  Three edits per seed; 24 of the 180 drop flow, 23 of
+        those reroute short.  The lowered graph itself runs to the same
+        value."""
         vertices, arcs = random_instance(seed)
         s, t = vertices[0], vertices[-1]
         g = FlowGraph(vertices, arcs)
@@ -392,7 +394,10 @@ class TestStates:
             i = rng.randrange(len(arcs))
             a, b, cap = arcs[i]
             amount = rng.randint(0, cap)
-            [drop] = g.lower([state], a, b, amount)
+            g.lower(a, b, amount)
+            need = g.catch_up(state)
+            drop = need.get(a, 0)
+            assert need == ({a: drop, b: -drop} if drop else {}), (seed, a, b, amount)
             arcs = arcs[:i] + [(a, b, cap - amount)] + arcs[i + 1:]
             short = drop - g.push(state, [a], [b], drop) if drop else 0
             if short:
@@ -411,10 +416,16 @@ class TestStates:
         _, state = g.run_keep(["s"], ["t"])
         base = g.state()
         # the flow fills (a, t): lowering it by 3 drops 3 of its 4 units in
-        # the flow and nothing in the state carrying no flow
-        assert g.lower([state, base], "a", "t", 3) == [3, 0]
+        # the flow, which catching up reports, and nothing in the state
+        # carrying no flow
+        g.lower("a", "t", 3)
+        assert g.catch_up(state) == {"a": 3, "t": -3}
+        assert g.catch_up(base) == {}
         assert state[0][2:] == [0, 1] and base[0][2:] == [1, 0]
-        assert g.lower([state], "s", "a", 0) == [0]
+        # a caught-up state has nothing left to report
+        assert g.catch_up(state) == {}
+        g.lower("s", "a", 0)
+        assert g.catch_up(state) == {}
         # the graph carries the lowered capacity
         assert g.run(["s"], ["t"]) == 1
 
@@ -447,15 +458,29 @@ class TestStates:
         _, state = g.run_keep(["s"], ["t"])
         before = list(state[0])
         with pytest.raises(CollschedError):
-            g.lower([state], src, dst, amount)
-        # a bare state is not a list of states
-        with pytest.raises(CollschedError):
-            g.lower(state, "s", "a", 1)
-        # a state listed twice would be lowered twice
-        with pytest.raises(CollschedError):
-            g.lower([state, state], "a", "t", 3)
+            g.lower(src, dst, amount)
+        # a refused cut logs nothing: the state has nothing to catch up
+        assert g.catch_up(state) == {}
         assert state[0] == before
         assert g.run(["s"], ["t"]) == 7
+
+    def test_a_state_behind_the_edits_is_refused_until_caught_up(self):
+        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 4)])
+        _, state = g.run_keep(["s"], ["t"])
+        g.lower("a", "t", 1)
+        for call in (
+            lambda: g.push(state, ["a"], ["t"], 1),
+            lambda: g.resume(state, ["s"], "t", 1),
+            lambda: g.reach(state, ["s"], 1),
+            lambda: g.copy(state),
+        ):
+            with pytest.raises(CollschedError, match="catch it up"):
+                call()
+        assert g.catch_up(state) == {"a": 1, "t": -1}
+        # the unit stuck at a goes back to s, leaving a max flow of 3
+        assert g.push(state, ["a"], ["s"], 1) == 1
+        assert g.push(g.copy(state), ["s"], ["t"], 5) == 0
+        assert g.reach(state, ["s"], 1) == {"s", "a"}
 
     @pytest.mark.parametrize(
         "sources, sinks, limit",
@@ -506,6 +531,142 @@ class TestStates:
         assert g.run(["s"], ["t"]) == 4
         g.grow(["x"], [("s", "x", 3), ("x", "t", 3)])
         assert g.run(["s"], ["t"]) == 7
+
+
+def net_sent(arcs, before, after):
+    """Units each vertex sent, net, between two residual states of the
+    arcs `arcs`: the flow arc i gained is before[2*i] - after[2*i]."""
+    sent = {}
+    for i, (a, b, _) in enumerate(arcs):
+        gained = before[2 * i] - after[2 * i]
+        sent[a] = sent.get(a, 0) + gained
+        sent[b] = sent.get(b, 0) - gained
+    return sent
+
+
+class TestAmounts:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_push_with_amounts_matches_a_super_terminal_run(self, seed):
+        """A push whose terminals carry amounts moves what a run on the
+        state's residual network moves from a super source, with an arc of
+        each source's amount, to a super sink, with an arc of each sink's;
+        a terminal listed without an amount has an arc of the limit.  No
+        source sends and no sink takes more than its amount, and every
+        other vertex stays balanced.  The states start empty or carrying a
+        max flow between two other vertices.  Pushing again from the
+        start at the amounts each terminal moved serves every one of them in
+        full."""
+        vertices, arcs = random_instance(seed)
+        g = FlowGraph(vertices, arcs)
+        rng = random.Random(seed)
+        for _ in range(6):
+            n_sources = rng.randint(1, min(3, len(vertices) - 1))
+            n_sinks = rng.randint(1, min(3, len(vertices) - n_sources))
+            picked = rng.sample(vertices, n_sources + n_sinks)
+            sources = {v: rng.randint(0, 5) for v in picked[:n_sources]}
+            sinks = {v: rng.randint(0, 5) for v in picked[n_sources:]}
+            state = g.state()
+            if rng.random() < 0.5:
+                a, b = rng.sample(vertices, 2)
+                state = g.run_keep([a], [b])[1]
+            before = list(state[0])
+            residual = [
+                arc
+                for i, (a, b, _) in enumerate(arcs)
+                for arc in ((a, b, before[2 * i]), (b, a, before[2 * i + 1]))
+            ]
+            listed = rng.random() < 0.3  # the sinks go as a list
+            for limit in (sum(sources.values()) + 1, 3, 1):
+                rooms = dict.fromkeys(sinks, limit) if listed else sinks
+                oracle = FlowGraph(
+                    [*vertices, "S", "T"],
+                    residual
+                    + [("S", v, amount) for v, amount in sources.items()]
+                    + [(v, "T", amount) for v, amount in rooms.items()],
+                )
+                want = oracle.run(["S"], ["T"], limit=limit)
+                twin = g.copy(state)
+                pushed = g.push(twin, sources, list(sinks) if listed else sinks, limit)
+                assert pushed == want, (seed, sources, sinks, limit)
+                sent = net_sent(arcs, before, twin[0])
+                moved = {v: abs(sent.get(v, 0)) for v in (*sources, *sinks)}
+                for v in vertices:
+                    if v in sources:
+                        assert 0 <= sent.get(v, 0) <= sources[v], (seed, v)
+                    elif v in sinks:
+                        assert 0 <= -sent.get(v, 0) <= rooms[v], (seed, v)
+                    else:
+                        assert sent.get(v, 0) == 0, (seed, v)
+                assert sum(moved[v] for v in sources) == pushed
+                exact = {v: moved[v] for v in sources}, {v: moved[v] for v in sinks}
+                assert g.push(g.copy(state), *exact, pushed) == pushed, (seed, exact)
+
+    def test_amounts_are_checked(self):
+        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 4)])
+        state = g.state()
+        for sources, sinks in (
+            ({"s": -1}, {"t": 1}),
+            ({"s": 1.5}, {"t": 1}),
+            ({"s": True}, {"t": 1}),
+            ({"s": 1}, {"t": None}),
+            ({}, {"t": 1}),
+            ({"s": 1, "a": 1}, {"a": 1}),
+            ({"nope": 1}, {"t": 1}),
+        ):
+            with pytest.raises(CollschedError):
+                g.push(state, sources, sinks, 5)
+        assert state[0] == g.state()[0]
+        # a spent terminal is an ordinary vertex the flow may cross
+        assert g.push(state, {"s": 3}, {"a": 0, "t": 5}, 5) == 3
+
+
+class TestCatchUp:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_a_stale_state_caught_up_and_repaired_is_a_max_flow(self, seed):
+        """Lower random arcs, and grow some, while a kept max flow s -> t
+        sits stale; then catch it up once.  The imbalance it reports, with
+        the change of the max flow value added at s and taken at t, is
+        routed by one push with those amounts, exactly, and the state then
+        carries a max flow of the edited graph: s sends and t takes what
+        `run` on the graph, and on a graph built fresh from its arcs,
+        reports, every other vertex is balanced and no augmenting path is
+        left.  Asking one unit more of the same push comes up short.  The
+        catch-up finds dropped flow on 27 of the 60 seeds."""
+        vertices, arcs = random_instance(seed)
+        s, t = vertices[0], vertices[-1]
+        g = FlowGraph(vertices, arcs)
+        rng = random.Random(seed)
+        value, state = g.run_keep([s], [t])
+        for _ in range(rng.randint(2, 8)):
+            a, b = rng.sample(vertices, 2)
+            if rng.random() < 0.25 and all((x, y) != (a, b) for x, y, _ in arcs):
+                cap = rng.randint(0, 4)
+                g.grow([], [(a, b, cap)])
+                arcs = arcs + [(a, b, cap)]
+                continue
+            i = rng.randrange(len(arcs))
+            a, b, cap = arcs[i]
+            amount = rng.choice([rng.randint(0, cap), cap])
+            g.lower(a, b, amount)
+            arcs = arcs[:i] + [(a, b, cap - amount)] + arcs[i + 1:]
+        new = g.run([s], [t])
+        assert new == FlowGraph(vertices, arcs).run([s], [t])
+        need = g.catch_up(state)
+        for ask, twin in ((new + 1, g.copy(state)), (new, state)):
+            moves = dict(need)
+            moves[s] = moves.get(s, 0) + ask - value
+            moves[t] = moves.get(t, 0) - ask + value
+            excess = {v: d for v, d in moves.items() if d > 0}
+            deficit = {v: -d for v, d in moves.items() if d < 0}
+            want = sum(excess.values())
+            if want:
+                pushed = g.push(twin, excess, deficit, want)
+                assert pushed < want if ask > new else pushed == want, (seed, ask)
+        sent = net_sent(arcs, [entry for *_, c in arcs for entry in (c, 0)], state[0])
+        assert sent.get(s, 0) == new == -sent.get(t, 0), seed
+        assert all(sent.get(v, 0) == 0 for v in vertices[1:-1]), seed
+        assert all(c >= 0 for c in state[0])
+        assert g.push(state, [s], [t], CAPACITY_BUDGET) == 0
 
 
 class TestHelpers:

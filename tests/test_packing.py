@@ -281,12 +281,13 @@ class TestPackSpanningTrees:
         assert exc.value.root == "a"
 
     def test_a_take_beyond_the_least_slack_fails_its_reroute(self, monkeypatch):
-        """The baselines stay flows of V only because every mu is the least
-        slack.  With every probe overstated to mu0, batch b's third arc
-        (a, d) is taken at 1 where its slack is 0.  The baseline of d sends
-        flow over (a, d) and cannot route it around: the vertices a still
-        reaches hold sigma but not d, so no push could restore V, and the
-        pack stops with NoAddableEdge."""
+        """The kept flows can be repaired to V only because every mu is the
+        least slack.  With every probe overstated to mu0, batch b's third
+        arc (a, d) is taken at 1 where its slack is 0, and d's kept flow is
+        read right after.  Its merged repair has to route the unit dropped
+        on (a, d) from a to d and cannot: the vertices a still reaches hold
+        sigma but not d, so no push could restore V, and the read stops the
+        pack with NoAddableEdge."""
         lt = Topology(
             [Node(v, COMPUTE) for v in "abcd"],
             [
@@ -296,6 +297,14 @@ class TestPackSpanningTrees:
         )
         probe = _Baselines.mu
         monkeypatch.setattr(_Baselines, "mu", lambda self, arc, mu0: (probe(self, arc, mu0), mu0)[1])
+        take = _Baselines.take
+
+        def take_then_read(self, arc, mu):
+            take(self, arc, mu)
+            if arc == ("a", "d") and self.growing.root == "b":
+                self.mu(("c", "d"), 1)
+
+        monkeypatch.setattr(_Baselines, "take", take_then_read)
         pushes = []
         push = FlowGraph.push
 
@@ -309,8 +318,8 @@ class TestPackSpanningTrees:
             pack_spanning_trees(lt, 2)
         assert exc.value.root == "b"
         g, state, sources, sinks, limit, pushed = pushes[-1]
-        assert (sources, sinks, limit, pushed) == (["a"], ["d"], 1, 0)
-        side = g.reach(state, ["a"], 1)
+        assert (sources, sinks, limit, pushed) == ({"a": 1}, {"d": 1}, 1, 0)
+        side = g.reach(state, list(sources), 1)
         assert "s" in side and "d" not in side
 
     def test_its_flow_calls_are_its_cut_questions(self, random_suite, monkeypatch):
@@ -340,6 +349,47 @@ class TestPackSpanningTrees:
             assert sorted(built) == sorted(set(probed)), t
             evaluations += forest.mu_evaluations
         assert evaluations > 0
+
+    def test_kept_flows_are_repaired_only_when_read(self, random_suite, monkeypatch):
+        """Edits only reach the graph; a kept flow is repaired, in one push,
+        when a probe is about to read it.  So a pack pushes at most once
+        per mu evaluation besides its run_keep calls, every repair is of
+        the flow the next probe reads, and a flow whose sink is never
+        probed again is never repaired."""
+        events = []
+        run_keep, resume, push = FlowGraph.run_keep, FlowGraph.resume, FlowGraph.push
+
+        def kept(g, sources, sinks, limit=None):
+            events.append(("keep",))
+            value, state = run_keep(g, sources, sinks, limit)
+            events.pop()
+            events.append(("keep", id(state[0]), *sinks))
+            return value, state
+
+        def repaired(g, state, sources, sinks, limit):
+            if not events or events[-1] != ("keep",):
+                events.append(("repair", id(state[0])))
+            return push(g, state, sources, sinks, limit)
+
+        def probe(g, state, sources, sink, limit):
+            events.append(("probe", sink))
+            return resume(g, state, sources, sink, limit)
+
+        monkeypatch.setattr(FlowGraph, "run_keep", kept)
+        monkeypatch.setattr(FlowGraph, "push", repaired)
+        monkeypatch.setattr(FlowGraph, "resume", probe)
+        total = 0
+        for t in random_suite:
+            lt, k = remainder(t, None)
+            events.clear()
+            forest = pack_spanning_trees(lt, k)
+            sink_of = {e[1]: e[2] for e in events if e[0] == "keep"}
+            repairs = [i for i, e in enumerate(events) if e[0] == "repair"]
+            assert len(repairs) <= forest.mu_evaluations, t
+            for i in repairs:
+                assert events[i + 1] == ("probe", sink_of[events[i][1]]), t
+            total += len(repairs)
+        assert total > 0
 
     def test_mu_evaluation_counter_reports_work(self):
         forest = pack_spanning_trees(two_node_logical(), 3)

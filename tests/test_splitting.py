@@ -243,7 +243,10 @@ class TestRemovalGraph:
         )
         with pytest.raises(StuckSplit) as caught:
             remove_switches(t, 1)
-        assert (caught.value.switch, caught.value.remaining) == ("w", 1)
+        assert (caught.value.switch, caught.value.egress_head, caught.value.remaining) == (
+            "w", "b", 1
+        )
+        assert "(w -> b)" in str(caught.value)
 
     def test_unbalanced_switch_retains_arcs(self):
         # w takes in 2 units but sends on 1
