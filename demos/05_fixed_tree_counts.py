@@ -10,7 +10,6 @@ doubles, so a handful of trees is usually enough.
 """
 
 from collsched import bottleneck_search, fixed_k_search, generate, synth_topology
-from collsched.errors import NotEulerianAfterFloor
 
 t = synth_topology("boxes", boxes=3, gpus_per_box=2, intra=7, inter=3)
 opt = bottleneck_search(t)
@@ -19,21 +18,12 @@ print(f"unconstrained optimum: 1/x* = {opt.inv_x_star} with k = {opt.k} trees/ro
 
 print(" k   achieved    gap        guarantee")
 for k in (1, 2, 4, 8):
-    try:
-        res = fixed_k_search(t, k)
-        note = ""
-    except NotEulerianAfterFloor as exc:
-        # The floored capacities are imbalanced at some node, and today's
-        # switch removal needs in = out everywhere (a schedule may still
-        # exist; see ROADMAP item 2).  The search result is still attached
-        # so callers can inspect or retry with another k.
-        res = exc.result
-        note = "  (floors imbalanced -- not packable as-is)"
+    res = fixed_k_search(t, k)
     gap = res.inv_x_star - opt.inv_x_star
     bound = f"1/{k * min_b}"
-    print(f" {k}   {str(res.inv_x_star):9s}  {str(gap):9s}  <= {bound}{note}")
+    print(f" {k}   {str(res.inv_x_star):9s}  {str(gap):9s}  <= {bound}")
 
-# A packable fixed-k result feeds straight into schedule generation.
+# A fixed-k result feeds straight into schedule generation.
 s, meta = generate(t, fixed_k=2)
 print(f"\nfixed_k=2 schedule: {s.k} trees per root, exact bound: {meta.exact}")
 print(f"roots x trees = {len(s.roots)} x {s.k}")

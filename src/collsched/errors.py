@@ -64,12 +64,13 @@ class Overflow(CollschedError):
 
 
 class NotEulerianAfterFloor(CollschedError):
-    """The capacity-floored graph of a fixed tree-count search is not
-    Eulerian.  Today's switch removal needs in = out at every node, so the
-    floor is refused, though a schedule for that tree count may well exist
-    (ROADMAP item 2).
+    """A switch of the capacity-floored network of a fixed tree-count
+    search has unequal in- and out-capacity, which switch removal cannot
+    split.  The floor is refused, though a schedule for that tree count
+    may well exist (ROADMAP item 2).
 
-    The completed search result is still available as ``self.result``.
+    `generate` attaches the search result as ``self.result``;
+    `remove_switches` itself raises with None there.
     """
 
     def __init__(self, message, result=None):

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CollschedError, NotEulerianAfterFloor
+from .errors import CollschedError
 from .maxflow import FlowGraph, fresh_name
 from .topology import Topology, require_tree_count, require_valid
 
@@ -71,8 +71,8 @@ class OptimalityResult:
 
     @property
     def U_star(self) -> Fraction:
-        """U under the name the benchmark harness reads from a refused
-        fixed-k search."""
+        """U under the name the benchmark harness reads from the search
+        result a refused fixed-k generation carries."""
         return self.U
 
 
@@ -210,13 +210,11 @@ def fixed_k_search(t: Topology, k: int) -> OptimalityResult:
     largest of the cuts' least such scales, and the witness is a cut
     attaining it.
 
-    Raises CollschedError unless k is an int >= 1, and
-    NotEulerianAfterFloor — with the finished result attached as
-    ``exc.result`` — when the floored network is not balanced at every
-    node.  U itself is well-defined then; the refusal is there because
-    today's switch removal needs in = out at every node.  It does not make
-    a schedule impossible: most such floors pack once a drained switch
-    drops its leftover arcs (ROADMAP item 2).
+    The floors may leave a node's in- and out-capacity unequal.  U is
+    well-defined all the same, and the search returns it for every k: tree
+    packing needs only the cut condition, and `remove_switches` refuses
+    the floors it cannot split.  Raises CollschedError unless k is an int
+    >= 1.
     """
     require_valid(t)
     require_tree_count(k)
@@ -224,28 +222,11 @@ def fixed_k_search(t: Topology, k: int) -> OptimalityResult:
     def least_scale(S) -> Fraction:
         return _least_floor_scale(_exit_bandwidths(t, S), k * _compute_count(t, S))
 
-    # The search returns the value of its last probe, so the capacities
-    # that probe floored are the ones the balance check needs.
-    floored = None
-
     def capacities(U: Fraction):
-        nonlocal floored
         p, q = U.numerator, U.denominator
-        floored = {(l.src, l.dst): p * l.bandwidth // q for l in t.links}
-        return floored, k
+        return {(l.src, l.dst): p * l.bandwidth // q for l in t.links}, k
 
     U, witness, probes = _cut_search(t, least_scale, capacities)
-    result = OptimalityResult(
+    return OptimalityResult(
         inv_x_star=U / k, U=U, k=k, y=1 / U, exact=False, witness=witness, search_iterations=probes
     )
-    balance = dict.fromkeys(t.node_by_id, 0)
-    for (a, b), c in floored.items():
-        balance[a] += c
-        balance[b] -= c
-    unbalanced = sorted(n for n, excess in balance.items() if excess)
-    if unbalanced:
-        raise NotEulerianAfterFloor(
-            f"floored capacities for k={k} are unbalanced at {', '.join(unbalanced)}",
-            result=result,
-        )
-    return result

@@ -21,7 +21,7 @@ network as it stands.
 
 from __future__ import annotations
 
-from .errors import CapacityExhausted, CollschedError, StuckSplit
+from .errors import CapacityExhausted, CollschedError, NotEulerianAfterFloor, StuckSplit
 from .maxflow import FlowGraph, fresh_name
 from .topology import COMPUTE, Link, Topology, require_tree_count
 
@@ -214,14 +214,28 @@ def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
     w's own arcs and adds arcs that bypass w, so w's heads and tails are
     listed once.
 
+    Splitting needs in = out only at the switch being split (Mader 1982;
+    Frank 1992), and a split changes no other node's in- or out-capacity
+    while it lowers w's two in lockstep, so draining w's egress drains its
+    ingress too.  Compute nodes need no balance: packing asks only for
+    the cut condition.
+
     Returns the compute-only network left over, as a Topology whose
     capacities are the logical arcs, and the EMap recording how each
-    created arc routes physically.  Raises StuckSplit if a full pass of
+    created arc routes physically.  Raises NotEulerianAfterFloor (with
+    ``result`` None) naming every switch whose in- and out-capacity
+    differ, before any flow graph is built; StuckSplit if a full pass of
     tails admits no positive amount for a remaining egress arc, which a
-    balanced input satisfying the N*k flow invariant never triggers, and
+    balanced switch under the N*k flow invariant never triggers; and
     CollschedError unless k is an int >= 1.
     """
     require_tree_count(k)
+    unbalanced = [w for w in scaled.switch_ids if scaled.in_bw[w] != scaled.out_bw[w]]
+    if unbalanced:
+        raise NotEulerianAfterFloor(
+            f"switch removal for k={k} needs in = out at every switch; "
+            + ", ".join(f"{w} has in {scaled.in_bw[w]}, out {scaled.out_bw[w]}" for w in unbalanced)
+        )
     caps = dict(scaled.capacity)
     emap = EMap()
     for w in scaled.switch_ids:
@@ -247,11 +261,6 @@ def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
                             break
                 if not progressed:
                     raise StuckSplit(w, t, caps[(w, t)])
-        leftovers = [p for p in caps if w in p]
-        if leftovers:
-            # Splits reduce a switch's in- and out-capacity in lockstep, so
-            # draining the egress side must drain the ingress side too.
-            raise CollschedError(f"switch {w} retained arcs after removal: {leftovers}")
     compute = [n for n in scaled.nodes if n.kind == COMPUTE]
     return Topology(compute, [Link(a, b, c) for (a, b), c in sorted(caps.items())]), emap
 

@@ -326,8 +326,8 @@ def scale_capacities(t: Topology, U: Fraction | int) -> Topology:
     validator's per-link limit.  For a `bottleneck_search` result
     `optimality.derive_schedule_params` makes every U*b_e integral, so the
     floor rounds nothing and the Eulerian property survives; for a
-    `fixed_k_search` result the floors may unbalance a node, which that
-    search reports.  Raises CollschedError if U <= 0 and Overflow if the
+    `fixed_k_search` result the floors may unbalance a node, and switch
+    removal refuses an unbalanced switch.  Raises CollschedError if U <= 0 and Overflow if the
     total capacity leaves the 63-bit budget.
     """
     U = Fraction(U)

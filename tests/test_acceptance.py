@@ -25,7 +25,6 @@ from collsched import (
     synth_topology,
     validate_schedule,
 )
-from collsched.errors import NotEulerianAfterFloor
 from collsched.schedule import assemble_allgather, prune_multicast
 from collsched.splitting import compute_gamma
 
@@ -104,11 +103,7 @@ def test_criterion_6_fixed_tree_count_bound(random_suite):
         min_b = min(l.bandwidth for l in t.links)
         achieved = {}
         for k in range(1, 9):
-            try:
-                res = fixed_k_search(t, k)
-            except NotEulerianAfterFloor as exc:
-                res = exc.result
-            achieved[k] = res.inv_x_star
+            achieved[k] = fixed_k_search(t, k).inv_x_star
             gap = achieved[k] - opt
             assert 0 <= gap <= Fraction(1, k * min_b), f"seed {seed}, k {k}"
             checked += 1

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import collsched
-from collsched import parse_schedule, serialize_topology, synth_topology
+from collsched import parse_schedule, random_eulerian_topology, serialize_topology, synth_topology
 from collsched.cli import main
 
 from conftest import OLD_LAYOUT_SCHEDULE
@@ -139,6 +139,21 @@ class TestGenerate:
         assert s.k == 2
         for rt in s.roots:
             assert sum(b.multiplicity for b in rt.batches) == 2
+
+    def test_fixed_k_compiles_a_floor_unbalanced_only_at_compute_nodes(self, tmp_path):
+        topo, sched = tmp_path / "random3.json", tmp_path / "k3.json"
+        topo.write_text(serialize_topology(random_eulerian_topology(3)))
+        assert main(["generate", "-t", str(topo), "--fixed-k", "3", "-o", str(sched)]) == 0
+        assert parse_schedule(sched.read_text()).k == 3
+
+    def test_fixed_k_floor_unbalanced_at_a_switch_is_exit_1(self, tmp_path, capsys):
+        # floor(U*b) leaves switch w2 of random2 with in 2, out 1 at k = 1
+        topo, sched = tmp_path / "random2.json", tmp_path / "k1.json"
+        topo.write_text(serialize_topology(random_eulerian_topology(2)))
+        assert main(["generate", "-t", str(topo), "--fixed-k", "1", "-o", str(sched)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "w2 has in 2, out 1" in err
+        assert not sched.exists()
 
     def test_no_multicast_skips_pruning(self, topo_file, multicast_topo_file, tmp_path):
         # the topology's capability flags alone turn pruning on

@@ -6,9 +6,10 @@ Each pin in `export_digests.json` is the sha256 of
 (None, 2, 3) on the topologies `topology` names.  Only ops whose schedule
 validates carry a pin: fixed-k refusals and the reduce-scatter/allreduce
 schedules that overdraw asymmetric links are left out (of the 135 ops at
-k = 3, 53 carry one).  A change meant to leave the compiled schedules
-alone keeps every digest.  Every pinned op's export also parses back to
-the schedule it was written from.
+k = 3, 54 carry one), and must still compile to no valid schedule.  A
+change meant to leave the compiled schedules alone keeps every digest and
+leaves every unpinned op unpinned.  Every pinned op's export also parses
+back to the schedule it was written from.
 
 A change meant to move the bytes re-pins them all from the current code,
 from the repository root:
@@ -109,11 +110,20 @@ def test_pins_cover_every_topology():
     assert set(NAMES) == set(TOPOLOGIES)
 
 
+def op_keys(name: str):
+    """(key, collective, fixed_k) of every op on `name`, pinned or not."""
+    for collective in COLLECTIVES:
+        for fixed_k in (None, 2, 3):
+            yield f"{name}/{collective}/{'-' if fixed_k is None else fixed_k}", collective, fixed_k
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_exported_bytes_match_pins(name):
+    """Every op matches its pin, and an unpinned op still compiles to no
+    valid schedule, so an op that starts or stops compiling shows too."""
     t = topology(name)
-    for key, collective, fixed_k, pin in pinned_ops(name):
-        assert digest(t, collective, fixed_k) == pin, key
+    for key, collective, fixed_k in op_keys(name):
+        assert digest(t, collective, fixed_k) == PINS.get(key), key
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -128,10 +138,9 @@ if __name__ == "__main__":
     pins = {}
     for name in TOPOLOGIES:
         t = topology(name)
-        for collective in COLLECTIVES:
-            for fixed_k in (None, 2, 3):
-                pin = digest(t, collective, fixed_k)
-                if pin is not None:
-                    pins[f"{name}/{collective}/{'-' if fixed_k is None else fixed_k}"] = pin
+        for key, collective, fixed_k in op_keys(name):
+            pin = digest(t, collective, fixed_k)
+            if pin is not None:
+                pins[key] = pin
     PINS_FILE.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
     print(f"{len(pins)} pins written to {PINS_FILE.name}")

@@ -400,8 +400,9 @@ class TestAgainstTheOracle:
     @pytest.mark.parametrize("fixed_k", [None, 1, 2, 3])
     @pytest.mark.parametrize("suite", ["random_suite", "clustered_suite"])
     def test_forests_equal_the_oracle_packers(self, request, suite, fixed_k):
-        """On every network of the suite whose floored capacities balance,
-        the packer decides exactly what the gadget-graph packer decides."""
+        """On every network of the suite whose floored capacities balance
+        at every switch, the packer decides exactly what the gadget-graph
+        packer decides."""
         packed = 0
         for i, t in enumerate(request.getfixturevalue(suite)):
             try:
@@ -410,6 +411,6 @@ class TestAgainstTheOracle:
                 continue
             assert shape(pack_spanning_trees(lt, k)) == shape(oracle_pack(lt, k)), (suite, i)
             packed += 1
-        # 171-200 of the 200 random networks and 99-100 of the 100
-        # clustered ones balance, depending on fixed_k
+        # 181-200 of the 200 random networks and all 100 clustered ones
+        # balance at every switch, depending on fixed_k
         assert packed >= 0.85 * len(request.getfixturevalue(suite))

@@ -1,8 +1,10 @@
 """End-to-end generation across collectives, tree counts, and options."""
 
+import re
+
 import pytest
 
-from collsched import generate, validate_schedule
+from collsched import fixed_k_search, generate, scale_capacities, validate_schedule
 from collsched.errors import (
     CollschedError,
     InvalidTopology,
@@ -44,19 +46,24 @@ class TestFixedK:
         assert report.ok
         assert report.achieved_T_comm <= report.bound_T_comm
 
-    def test_unbalanced_floors_propagate(self):
-        from collsched import random_eulerian_topology
-
-        for seed in range(50):
-            t = random_eulerian_topology(seed)
-            for k in range(1, 9):
+    def test_only_floors_unbalanced_at_a_switch_are_refused(self, random_suite, clustered_suite):
+        """Every fixed-k allgather on the suites validates against its
+        search result, or is refused naming exactly the switches whose
+        floored in- and out-capacity differ, with that result attached."""
+        counts = {"valid": 0, "refused": 0, "invalid": 0}
+        for i, t in enumerate(random_suite + clustered_suite):
+            for k in range(1, 5):
                 try:
                     s, meta = generate(t, fixed_k=k)
                 except NotEulerianAfterFloor as exc:
-                    assert exc.result is not None
-                    return
-                assert validate_schedule(s, t, meta).ok
-        pytest.fail("expected at least one unbalanced floor")
+                    assert exc.result == fixed_k_search(t, k), (i, k)
+                    scaled = scale_capacities(t, exc.result.U)
+                    unbalanced = [w for w in t.switch_ids if scaled.in_bw[w] != scaled.out_bw[w]]
+                    assert re.findall(r"(\S+) has in", str(exc)) == unbalanced, (i, k)
+                    counts["refused"] += 1
+                    continue
+                counts["valid" if validate_schedule(s, t, meta).ok else "invalid"] += 1
+        assert counts == {"valid": 1150, "refused": 50, "invalid": 0}
 
 
 class TestOptions:

@@ -17,7 +17,7 @@ from collsched import (
     scale_capacities,
     validate,
 )
-from collsched.errors import CapacityExhausted, CollschedError, StuckSplit
+from collsched.errors import CapacityExhausted, CollschedError, NotEulerianAfterFloor, StuckSplit
 from collsched.maxflow import fresh_name
 from collsched.splitting import PathExpander, compute_gamma
 from conftest import clustered_eulerian_topology
@@ -248,14 +248,22 @@ class TestRemovalGraph:
         )
         assert "(w -> b)" in str(caught.value)
 
-    def test_unbalanced_switch_retains_arcs(self):
-        # w takes in 2 units but sends on 1
+    def test_unbalanced_switch_is_refused_up_front(self, monkeypatch):
+        # w takes in 2 units but sends on 1; v and the compute nodes' own
+        # imbalance (b sends 2, takes 1) are not named
         t = Topology(
-            [Node("a", COMPUTE), Node("b", COMPUTE), Node("w", SWITCH)],
-            [Link("a", "w", 2), Link("w", "b", 1), Link("b", "a", 2)],
+            [Node("a", COMPUTE), Node("b", COMPUTE), Node("v", SWITCH), Node("w", SWITCH)],
+            [Link("a", "w", 2), Link("w", "b", 1), Link("b", "v", 1), Link("v", "a", 1), Link("b", "a", 1)],
         )
-        with pytest.raises(CollschedError, match=r"switch w retained arcs after removal: \[\('a', 'w'\)\]"):
+
+        def built(*args, **kwargs):
+            raise AssertionError("a flow graph was built")
+
+        monkeypatch.setattr(FlowGraph, "__init__", built)
+        with pytest.raises(NotEulerianAfterFloor) as caught:
             remove_switches(t, 1)
+        assert str(caught.value) == "switch removal for k=1 needs in = out at every switch; w has in 2, out 1"
+        assert caught.value.result is None
 
 
 class TestExpandPath:

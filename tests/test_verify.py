@@ -11,7 +11,6 @@ from collsched import (
     COMPUTE,
     Link,
     Node,
-    NotEulerianAfterFloor,
     PathUse,
     Topology,
     bottleneck_search,
@@ -383,11 +382,7 @@ class TestCertificate:
         for t in random_suite + clustered_suite:
             assert certificate_violations(bottleneck_search(t), t) == []
             for k in (1, 2, 3):
-                try:
-                    res = fixed_k_search(t, k)
-                except NotEulerianAfterFloor as exc:
-                    res = exc.result
-                assert certificate_violations(res, t) == [], (t, k)
+                assert certificate_violations(fixed_k_search(t, k), t) == [], (t, k)
 
 
 class TestCongestionTime:
