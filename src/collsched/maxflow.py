@@ -7,15 +7,19 @@ capacity, an unhashable or unknown vertex, a malformed arc or a `limit`
 that is not a non-negative int raises CollschedError.
 
 The graph is the network as it stands, and every flow is a residual state
-on it.  `state()` carries no flow and `copy` clones a state.  `grow` adds
-vertices and arcs, which every state gains carrying no flow.  `lower` cuts
-one arc's capacity in the graph only and appends the arc to the graph's
-edit log; a state remembers how far into the log it has been brought.
-`catch_up` brings a state to the end of the log: it clamps the state's
-flow on every arc lowered since to the arc's new capacity and returns the
-imbalance that leaves, d units at the tail and -d at the head of an arc
-that dropped d.  Every other call on a state refuses one that is behind
-the log, and a later state starts from the edited network.
+on it.  Each vertex pair has at most one arc, and an arc is in the
+adjacency lists exactly while its capacity is positive; `capacity` and
+`arcs` read it.  `state()` carries no flow and `copy` clones a state.
+`grow` adds vertices and arcs, which every state gains carrying no flow,
+or raises the arc of a pair that has one.  `lower` cuts one arc's
+capacity.  Both edit the graph only, and an arc edited in place goes on
+the graph's edit log; a state remembers how far into the log it has been
+brought.  `catch_up` brings a state to the end of the log: it clamps the
+state's flow on every arc edited since to the arc's new capacity and
+returns the imbalance that leaves, d units at the tail and -d at the head
+of an arc that dropped d (a raised arc drops nothing).  Every other call
+on a state refuses one that is behind the log, and a later state starts
+from the edited network.
 
 A flow runs between terminal sets: `run(sources, sinks)` is the max flow
 from the vertices `sources` to the vertices `sinks`, that is the least
@@ -70,9 +74,9 @@ class FlowGraph:
     """Directed flow network with named vertices.
 
     `FlowGraph(vertices, arcs)` takes the vertex names in order and the arcs
-    as (src, dst, cap) triples, cap a non-negative int.  Arcs are stored as
-    paired entries (the i-th triple forward at 2*i, residual at 2*i+1), in
-    the order they were given and grown.
+    as (src, dst, cap) triples, cap a non-negative int; the arcs given for
+    one pair merge into one.  An arc is stored as a forward entry and its
+    residual twin right after it.
     """
 
     def __init__(self, vertices, arcs):
@@ -81,69 +85,63 @@ class FlowGraph:
         self._to = []
         self._cap0 = []
         self._adj = []
+        self._entry = {}  # (tail, head) by index -> the pair's forward entry
         self._total = 0
-        self._pairs = None
-        self._log = []  # forward entries of the arcs lowered, in order
+        self._log = []  # forward entries of the arcs edited in place, in order
         self.grow(vertices, arcs)
 
     def grow(self, vertices, arcs) -> None:
         """Add the vertices `vertices` and the arcs `arcs`, checked as the
-        constructor checks them, keeping every existing entry.  A state
-        made before gains the new arcs carrying no flow.  On any error the
-        graph is left as it was."""
-        names = self._names
+        constructor checks them; on any error nothing changes.  An arc for a
+        pair that has one already raises that arc in place and is logged
+        for `catch_up`; a state made before gains a new arc carrying no
+        flow."""
         idx = self._idx
-        to = self._to
-        cap0 = self._cap0
-        adj = self._adj
-        first_vertex = len(names)
-        first = entry = len(to)
+        new = {}
+        for name in vertices:
+            try:
+                known = name in idx or name in new
+            except TypeError:
+                raise CollschedError("flow graph vertices must be hashable") from None
+            if known:
+                raise CollschedError("duplicate vertex names")
+            new[name] = len(idx) + len(new)
+        checked = []
         total = self._total
-        try:
-            for name in vertices:
-                try:
-                    known = name in idx
-                except TypeError:
-                    raise CollschedError("flow graph vertices must be hashable") from None
-                if known:
-                    raise CollschedError("duplicate vertex names")
-                idx[name] = len(names)
-                names.append(name)
-                adj.append([])
-            for arc in arcs:
-                try:
-                    src, dst, cap = arc
-                    u = idx[src]
-                    v = idx[dst]
-                except KeyError as exc:
-                    raise CollschedError(f"vertex {exc.args[0]!r} not in flow graph") from None
-                except (TypeError, ValueError):
-                    raise CollschedError(
-                        f"arc {arc!r} is not a (src, dst, cap) triple with hashable endpoints"
-                    ) from None
-                if type(cap) is not int or cap < 0:
-                    raise CollschedError(f"arc capacity must be a non-negative int, got {cap!r}")
-                total += cap
-                to.append(v)
-                cap0.append(cap)
-                to.append(u)
-                cap0.append(0)
-                adj[u].append(entry)
-                adj[v].append(entry + 1)
-                entry += 2
-            if total > CAPACITY_BUDGET:
-                raise Overflow(f"capacity sum {total} exceeds the 63-bit budget")
-        except CollschedError:
-            for name in names[first_vertex:]:
-                del idx[name]
-            del names[first_vertex:], adj[first_vertex:], to[first:], cap0[first:]
-            for entries in adj:
-                while entries and entries[-1] >= first:
-                    entries.pop()
-            raise
+        for arc in arcs:
+            try:
+                src, dst, cap = arc
+                u = new[src] if src in new else idx[src]
+                v = new[dst] if dst in new else idx[dst]
+            except KeyError as exc:
+                raise CollschedError(f"vertex {exc.args[0]!r} not in flow graph") from None
+            except (TypeError, ValueError):
+                raise CollschedError(
+                    f"arc {arc!r} is not a (src, dst, cap) triple with hashable endpoints"
+                ) from None
+            if type(cap) is not int or cap < 0:
+                raise CollschedError(f"arc capacity must be a non-negative int, got {cap!r}")
+            total += cap
+            checked.append((u, v, cap))
+        if total > CAPACITY_BUDGET:
+            raise Overflow(f"capacity sum {total} exceeds the 63-bit budget")
+        idx.update(new)
+        self._names += new
+        self._adj += ([] for _ in new)
         self._total = total
-        if self._pairs is not None:
-            self._index(first)
+        to, cap0, adj, entry = self._to, self._cap0, self._adj, self._entry
+        for u, v, cap in checked:
+            e = entry.get((u, v))
+            if e is None:
+                entry[u, v] = e = len(to)
+                to += (v, u)
+                cap0 += (0, 0)
+            elif cap:
+                self._log.append(e)
+            if cap and not cap0[e]:
+                adj[u].append(e)
+                adj[v].append(e + 1)
+            cap0[e] += cap
 
     @classmethod
     def from_arcs(cls, vertices, arcs) -> "FlowGraph":
@@ -151,14 +149,17 @@ class FlowGraph:
         this name."""
         return cls(vertices, arcs)
 
-    def _index(self, first: int) -> None:
-        """Record the forward entries from `first` on by (tail, head) in the
-        arc index `lower` reads; -1 marks a pair with parallel arcs."""
-        pairs = self._pairs
-        to = self._to
-        for e in range(first, len(to), 2):
-            pair = (to[e + 1], to[e])
-            pairs[pair] = -1 if pair in pairs else e
+    def capacity(self, src, dst) -> int:
+        """Capacity of the arc from `src` to `dst` as it stands, 0 if there
+        is none."""
+        e = self._entry.get((self._vertex(src), self._vertex(dst)))
+        return 0 if e is None else self._cap0[e]
+
+    def arcs(self) -> list[tuple]:
+        """The arcs of positive capacity as (src, dst, cap) triples, in the
+        order their pairs were first added."""
+        names, cap0 = self._names, self._cap0
+        return [(names[u], names[v], cap0[e]) for (u, v), e in self._entry.items() if cap0[e]]
 
     # -- execution ----------------------------------------------------------
     def _vertex(self, name) -> int:
@@ -228,33 +229,32 @@ class FlowGraph:
 
     def lower(self, src, dst, amount: int) -> None:
         """Lower the capacity of the arc from `src` to `dst` in the graph by
-        `amount`, in place, and log the arc for `catch_up`.  The pair must
-        name one arc and `amount` must be an int no larger than its
-        capacity; otherwise nothing changes."""
+        `amount`, in place, and log the arc for `catch_up`; an arc lowered
+        to zero leaves the adjacency lists.  `amount` must be an int no
+        larger than the arc's capacity; otherwise nothing changes."""
         if type(amount) is not int or amount < 0:
             raise CollschedError(f"capacity cut must be a non-negative int, got {amount!r}")
-        if self._pairs is None:
-            self._pairs = {}
-            self._index(0)
-        e = self._pairs.get((self._vertex(src), self._vertex(dst)))
-        if e is None or e < 0:
-            many = "more than one arc" if e else "no arc"
-            raise CollschedError(f"{many} from {src!r} to {dst!r} in the flow graph")
-        if amount > self._cap0[e]:
-            raise CollschedError(
-                f"cannot lower arc {src!r} -> {dst!r} of capacity {self._cap0[e]} by {amount}"
-            )
-        self._cap0[e] -= amount
+        u, v = self._vertex(src), self._vertex(dst)
+        e = self._entry.get((u, v))
+        if e is None:
+            raise CollschedError(f"no arc from {src!r} to {dst!r} in the flow graph")
+        cap = self._cap0[e]
+        if amount > cap:
+            raise CollschedError(f"cannot lower {src!r} -> {dst!r} of capacity {cap} by {amount}")
+        self._cap0[e] = cap - amount
         self._total -= amount
         self._log.append(e)
+        if amount and amount == cap:
+            self._adj[u].remove(e)
+            self._adj[v].remove(e + 1)
 
     def catch_up(self, state: list) -> dict:
         """Bring `state` to the graph's edits, in place: the flow on every
-        arc lowered since the state was made or last caught up is cut to
-        the arc's capacity.  Returns the imbalance left, by vertex name,
-        balanced vertices left out: a drop of d units on an arc (a, b)
-        counts d at a, which receives d units it no longer sends on, and
-        -d at b, which sends on d units it no longer receives.  A push
+        arc lowered or raised since the state was made or last caught up is
+        cut to the arc's capacity.  Returns the imbalance left, by vertex
+        name, balanced vertices left out: a drop of d units on an arc
+        (a, b) counts d at a, which receives d units it no longer sends on,
+        and -d at b, which sends on d units it no longer receives.  A push
         from the vertices above zero to those below, at these amounts,
         routes the dropped units again."""
         log = self._log

@@ -101,7 +101,7 @@ def _cut_search(t: Topology, cut_value, probe_capacities):
     while True:
         probes += 1
         caps, supply = probe_capacities(value)
-        arcs = [(a, b, c) for (a, b), c in caps.items() if c > 0]
+        arcs = [(a, b, c) for (a, b), c in caps.items()]
         arcs += [(source, c, supply) for c in t.compute_ids]
         g = FlowGraph(vertices, arcs)
         target = t.num_compute * supply

@@ -28,9 +28,9 @@ of m_j over the batches in sigma.
 
 Kept flows.  The flow graph is the sigma-graph as it stands: the packer
 edits it in place as the forest changes.  The growing batch taking (x, y)
-at mu lowers that arc by mu; a batch that starts growing lowers its sigma
-arc to zero and V by its m; a split copy of m' trees grows a hub of its
-own and raises V by m'.  For each compute sink v it keeps a flow
+at mu lowers that arc by mu; a batch that starts growing lowers its
+gadget's arcs to zero and V by its m; a split copy of m' trees grows a
+hub of its own and raises V by m'.  For each compute sink v it keeps a flow
 sigma -> v of value V, a `run_keep` on that graph when v is first
 queried.  Those V units cross every cut X holding sigma but not v net
 once, so X's capacity in the flow's residual is slack(X).  The flow fills
@@ -160,11 +160,16 @@ class _Baselines:
         return g.resume(g.copy(flow), [x], y, mu0)
 
     def leave(self, batch: TreeBatch) -> None:
-        """`batch` starts growing, so its gadget leaves sigma."""
+        """`batch` starts growing, so its gadget leaves sigma: every arc of
+        it drops to zero, and so out of the graph's adjacency lists."""
         self.growing = batch
         m = batch.multiplicity
         self.value -= m
-        self.graph.lower(self.sigma, self.heads.pop(id(batch)), m)
+        head = self.heads.pop(id(batch))
+        self.graph.lower(self.sigma, head, m)
+        if head != batch.root:
+            for t in sorted(batch.members):
+                self.graph.lower(head, t, m)
 
     def take(self, arc: tuple[str, str], mu: int) -> None:
         """The growing batch takes `arc` at `mu`."""

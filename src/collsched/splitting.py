@@ -10,13 +10,12 @@ the optimality search certified — so packing feasibility survives every
 split.  Splits with u == t would form a self-loop and are simply dropped;
 balance and feasibility are unaffected.
 
-One network type passes through: the scaled Topology goes in, the
-working capacities live in a dict local to `remove_switches` while the
-switches dissolve, and the compute-only Topology left over, plus the
-EMap, is exactly what tree packing and path expansion consume.  Each
-switch gets one flow graph, built from that dict when its turn comes and
-edited in place with it by every split, so the graph is the working
-network as it stands.
+One network type passes through: the scaled Topology goes in, and the
+compute-only Topology left over, plus the EMap, is exactly what tree
+packing and path expansion consume.  In between, the working network is
+one flow graph, built once per removal and edited in place by every
+split: it is the only record of the capacities while the switches
+dissolve, and the Topology left over is read off it.
 """
 
 from __future__ import annotations
@@ -49,26 +48,23 @@ class EMap:
 # ---------------------------------------------------------------------------
 
 class _GammaOracle:
-    """Evaluates and makes the splits at switch w of the network `net`
-    with working capacities `caps`, on one flow graph built once: the arcs
-    of `caps` and the auxiliary source s with k-capacity arcs to every
-    compute node.  `split` edits the graph together with `caps`, and each
-    γ evaluation runs two base flows on it, each between terminal sets
-    (see `gamma`).
+    """Evaluates and makes the splits at every switch of the network `net`
+    on one flow graph built once: the links of `net` and the auxiliary
+    source s with k-capacity arcs to every compute node.  The graph is the
+    working network: `split` edits it in place, and each γ evaluation runs
+    two base flows on it, each between terminal sets (see `gamma`).
     """
 
-    def __init__(self, net: Topology, caps: dict, w: str, k: int) -> None:
-        self.caps = caps
+    def __init__(self, net: Topology, k: int) -> None:
         self.compute_ids = net.compute_ids
-        self.w = w
         self.target = net.num_compute * k
         names = [n.id for n in net.nodes]
         self.source = fresh_name("s", names)
-        arcs = [(a, b, c) for (a, b), c in caps.items()]
+        arcs = [(a, b, c) for (a, b), c in net.capacity.items()]
         arcs += [(self.source, c, k) for c in net.compute_ids]
         self.graph = FlowGraph(names + [self.source], arcs)
 
-    def gamma(self, u: str, t: str) -> int:
+    def gamma(self, u: str, w: str, t: str) -> int:
         """Largest amount of the pairing (u, w),(w, t) splittable while the
         min flow to every compute node stays at N*k:
 
@@ -87,40 +83,32 @@ class _GammaOracle:
         (u,t), with t the sink, forces u out of the source side: a flow
         from {w, s} to {u, t}.
         """
-        caps = self.caps
-        best = min(caps.get((u, self.w), 0), caps.get((self.w, t), 0))
+        best = min(self.graph.capacity(u, w), self.graph.capacity(w, t))
         if best <= 0:
             return 0
         best = self._min_slack(
             [u, self.source, t],
-            [self.w],
+            [w],
             [v for v in self.compute_ids if v != u],
             best,
         )
         if best <= 0:
             return 0
-        best = self._min_slack([self.w, self.source], [u, t], self.compute_ids, best)
+        best = self._min_slack([w, self.source], [u, t], self.compute_ids, best)
         return max(best, 0)
 
-    def split(self, u: str, t: str, amount: int, emap: EMap) -> None:
+    def split(self, u: str, w: str, t: str, amount: int, emap: EMap) -> None:
         """Replace `amount` units of (u, w),(w, t) by a direct arc (u, t) in
-        `caps` and in the graph, recording in `emap` that they route through
-        w; a pairing with u == t would form a self-loop and adds nothing.
-
-        The graph lowers (u, w) and (w, t) in place and grows (u, t) as a
-        new arc.  That arc bypasses w, so no later split at w lowers it,
-        and beside an earlier (u, t) it changes no flow value or cut
-        capacity that one merged arc would not."""
-        caps = self.caps
-        for pair in ((u, self.w), (self.w, t)):
-            caps[pair] -= amount
-            if caps[pair] == 0:
-                del caps[pair]
-            self.graph.lower(*pair, amount)
+        the graph, recording in `emap` that they route through w; a pairing
+        with u == t would form a self-loop and adds nothing.  The graph
+        lowers (u, w) and (w, t) in place and grows (u, t), which merges
+        into an earlier (u, t)."""
+        g = self.graph
+        g.lower(u, w, amount)
+        g.lower(w, t, amount)
         if u != t:
-            caps[(u, t)] = caps.get((u, t), 0) + amount
-            self.graph.grow([], [(u, t, amount)])
-            emap.add(u, t, self.w, amount)
+            g.grow([], [(u, t, amount)])
+            emap.add(u, t, w, amount)
 
     def _min_slack(self, sources, sinks, boosts, best: int) -> int:
         """min(best, min over boost vertices v of F(sources -> sinks with
@@ -197,7 +185,7 @@ def compute_gamma(
     w2, t = f
     if w != w2:
         raise CollschedError(f"pairing must share the switch: {e} vs {f}")
-    return _GammaOracle(net, dict(net.capacity), w, k).gamma(u, t)
+    return _GammaOracle(net, k).gamma(u, w, t)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +195,13 @@ def compute_gamma(
 def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
     """Dissolve every switch of the scaled network into logical arcs.
 
-    Switches go in sorted id order, each with one `_GammaOracle`.  Within
-    a switch, egress arcs are consumed in sorted head order, and candidate
-    ingress tails are tried in sorted order, the egress head itself last,
-    in passes until the egress arc is drained.  A split at w only shrinks
-    w's own arcs and adds arcs that bypass w, so w's heads and tails are
-    listed once.
+    Switches go in sorted id order on one `_GammaOracle`, whose graph is
+    the working network from the first split to the last; a network
+    without switches builds none.  Within a switch, egress arcs are
+    consumed in sorted head order, and candidate ingress tails are tried in
+    sorted order, the egress head itself last, in passes until the egress
+    arc is drained.  A split at w only shrinks w's own arcs and adds arcs
+    that bypass w, so w's heads and tails are listed once.
 
     Splitting needs in = out only at the switch being split (Mader 1982;
     Frank 1992), and a split changes no other node's in- or out-capacity
@@ -236,12 +225,16 @@ def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
             f"switch removal for k={k} needs in = out at every switch; "
             + ", ".join(f"{w} has in {scaled.in_bw[w]}, out {scaled.out_bw[w]}" for w in unbalanced)
         )
-    caps = dict(scaled.capacity)
     emap = EMap()
+    compute = [n for n in scaled.nodes if n.kind == COMPUTE]
+    if not scaled.switch_ids:
+        links = [Link(a, b, c) for (a, b), c in sorted(scaled.capacity.items())]
+        return Topology(compute, links), emap
+    oracle = _GammaOracle(scaled, k)
+    g = oracle.graph
     for w in scaled.switch_ids:
-        oracle = _GammaOracle(scaled, caps, w, k)
-        heads = sorted(t for a, t in caps if a == w)
-        tails = sorted(u for u, b in caps if b == w)
+        heads = sorted(t for a, t, _ in g.arcs() if a == w)
+        tails = sorted(u for u, b, _ in g.arcs() if b == w)
         for t in heads:
             # Loop pairings (u == t) cannibalize t's own in-bandwidth, which
             # sits at the feasibility boundary, so their gamma is tiny and
@@ -250,19 +243,19 @@ def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
             # choice — the split invariant guarantees progress under any
             # order.  A drained tail's gamma is 0 without a flow.
             order = sorted(tails, key=lambda u: u == t)
-            while (w, t) in caps:
+            while g.capacity(w, t):
                 progressed = False
                 for u in order:
-                    amount = oracle.gamma(u, t)
+                    amount = oracle.gamma(u, w, t)
                     if amount > 0:
-                        oracle.split(u, t, amount, emap)
+                        oracle.split(u, w, t, amount, emap)
                         progressed = True
-                        if (w, t) not in caps:
+                        if not g.capacity(w, t):
                             break
                 if not progressed:
-                    raise StuckSplit(w, t, caps[(w, t)])
-    compute = [n for n in scaled.nodes if n.kind == COMPUTE]
-    return Topology(compute, [Link(a, b, c) for (a, b), c in sorted(caps.items())]), emap
+                    raise StuckSplit(w, t, g.capacity(w, t))
+    links = sorted(arc for arc in g.arcs() if arc[0] != oracle.source)
+    return Topology(compute, [Link(*arc) for arc in links]), emap
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Flow engine: exact values, terminal sets, cut witnesses, early stops,
-resume, residual reach, pushes with per-vertex amounts, and states that
-are grown, caught up to lowered arcs and pushed on."""
+resume, residual reach, pushes with per-vertex amounts, one arc per vertex
+pair, and states that are grown, caught up to edited arcs and pushed on."""
 
 import itertools
 import random
@@ -449,11 +449,12 @@ class TestStates:
             ("s", "a", 5),
             ("s", "nope", 1),
             ("a", "s", 1),
-            ("s", "t", 1),
+            ("s", "t", 4),
         ],
         ids=["negative", "float", "bool", "above-capacity", "unknown-vertex", "no-arc", "parallel"],
     )
     def test_lower_rejects_bad_arguments(self, src, dst, amount):
+        # the two arcs s -> t merge into one of capacity 3, which 4 exceeds
         g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 4), ("s", "t", 1), ("s", "t", 2)])
         _, state = g.run_keep(["s"], ["t"])
         before = list(state[0])
@@ -531,6 +532,85 @@ class TestStates:
         assert g.run(["s"], ["t"]) == 4
         g.grow(["x"], [("s", "x", 3), ("x", "t", 3)])
         assert g.run(["s"], ["t"]) == 7
+
+
+def listed(g):
+    """The arcs in the adjacency lists of `g` by (tail, head) name, checking
+    that each forward entry's residual twin is listed at its head and
+    nothing else is listed."""
+    names, to, adj = g._names, g._to, g._adj
+    found = set()
+    for u, entries in enumerate(adj):
+        for e in entries:
+            if e % 2 == 0:
+                assert e + 1 in adj[to[e]]
+                found.add((names[u], names[to[e]]))
+    assert sum(map(len, adj)) == 2 * len(found)
+    return found
+
+
+class TestOneArcPerPair:
+    def test_repeated_pairs_merge_into_one_arc(self):
+        g = FlowGraph("sat", [("s", "a", 2), ("a", "t", 4), ("s", "a", 3)])
+        assert g.arcs() == [("s", "a", 5), ("a", "t", 4)]
+        assert (g.capacity("s", "a"), g.capacity("t", "a")) == (5, 0)
+        g.grow(["b"], [("s", "a", 1), ("a", "b", 2), ("a", "b", 1), ("b", "t", 3)])
+        assert g.arcs() == [("s", "a", 6), ("a", "t", 4), ("a", "b", 3), ("b", "t", 3)]
+        # a state holds two entries per arc, one pair per vertex pair
+        assert len(g.state()[0]) == 8
+        assert g.run(["s"], ["t"]) == 6
+        # a grow refused late merges nothing
+        with pytest.raises(CollschedError):
+            g.grow([], [("s", "a", 1), ("s", "nope", 1)])
+        assert g.capacity("s", "a") == 6
+        # the merged arc lowers as one
+        g.lower("s", "a", 6)
+        assert g.run(["s"], ["t"]) == 0
+
+    def test_an_arc_at_zero_leaves_the_adjacency_lists_until_raised(self):
+        g = FlowGraph("sat", [("s", "a", 3), ("a", "t", 3), ("s", "t", 1)])
+        value, state = g.run_keep(["s"], ["t"])
+        g.lower("a", "t", 3)
+        assert listed(g) == {("s", "a"), ("s", "t")}
+        assert g.arcs() == [("s", "a", 3), ("s", "t", 1)]
+        assert g.run(["s"], ["t"]) == 1
+        assert g.reach(g.state(), ["a"], 1) == {"a"}
+        assert g.catch_up(state) == {"a": 3, "t": -3}
+        assert g.push(state, ["a"], ["s"], 3) == 3
+        g.grow([], [("a", "t", 2)])
+        assert listed(g) == {("s", "a"), ("s", "t"), ("a", "t")}
+        assert g.run(["s"], ["t"]) == 3
+        assert g.reach(g.state(), ["a"], 1) == {"a", "t"}
+        # the kept flow, caught up to the raise, pushes on to a max flow
+        assert g.catch_up(state) == {}
+        assert value - 3 + g.push(state, ["s"], ["t"], 10) == 3
+
+    def test_a_state_behind_a_merging_grow_is_refused_until_caught_up(self):
+        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 2)])
+        value, state = g.run_keep(["s"], ["t"])
+        g.grow([], [("a", "t", 3)])
+        for call in (
+            lambda: g.push(state, ["s"], ["t"], 1),
+            lambda: g.resume(state, ["s"], "t", 1),
+            lambda: g.reach(state, ["s"], 1),
+            lambda: g.copy(state),
+        ):
+            with pytest.raises(CollschedError, match="catch it up"):
+                call()
+        # a raise drops no flow
+        assert g.catch_up(state) == {}
+        assert value + g.push(state, ["s"], ["t"], 10) == 4 == g.run(["s"], ["t"])
+
+    def test_a_new_arc_at_zero_never_enters_the_adjacency_lists(self):
+        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 0)])
+        g.grow(["b"], [("a", "b", 0), ("b", "t", 0), ("s", "a", 0)])
+        assert listed(g) == {("s", "a")}
+        assert g.arcs() == [("s", "a", 4)]
+        assert g.capacity("a", "t") == 0 == g.run(["s"], ["t"])
+        # a raise from zero lists the arc
+        g.grow([], [("a", "t", 1)])
+        assert listed(g) == {("s", "a"), ("a", "t")}
+        assert g.run(["s"], ["t"]) == 1
 
 
 def net_sent(arcs, before, after):

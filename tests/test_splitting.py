@@ -214,8 +214,9 @@ class TestRemoveSwitches:
 
 
 class TestRemovalGraph:
-    def test_one_flow_graph_per_switch(self, random_suite, monkeypatch):
-        """Each switch's splits edit the one graph built for it."""
+    def test_one_flow_graph_per_removal(self, random_suite, monkeypatch):
+        """Every split of a removal edits the one graph built for it, and a
+        network without switches builds none."""
         builds = []
         init = FlowGraph.__init__
 
@@ -224,15 +225,15 @@ class TestRemovalGraph:
             init(self, vertices, arcs)
 
         monkeypatch.setattr(FlowGraph, "__init__", counted)
-        switches = 0
+        switched = 0
         for t in random_suite:
             res = bottleneck_search(t)
             scaled = scale_capacities(t, res.U)
             builds.clear()
             lt, emap = remove_switches(scaled, res.k)
-            assert len(builds) == len(t.switch_ids), t
-            switches += len(t.switch_ids)
-        assert switches > 100
+            assert len(builds) == (1 if t.switch_ids else 0), t
+            switched += len(t.switch_ids) > 1
+        assert switched > 100 and any(not t.switch_ids for t in random_suite)
 
     def test_a_failing_invariant_is_a_stuck_split(self):
         # c receives 2 of the 3 units the invariant asks for, so no
