@@ -47,7 +47,10 @@ sends or takes, so one push routes every excess of a caught-up state to
 every deficit at once (a transshipment: the max flow from a super source
 with an arc of each source's amount to a super sink with an arc of each
 sink's).  `run_keep` is a fresh state plus one push, and every run, resume
-and push goes through the one Dinic.
+and push goes through the one Dinic.  Its phases label each vertex with its
+residual distance to the sinks, and walks from the sources step only one
+closer: exactly the live arcs of the textbook levels counted from the
+sources, scanned in the same order, so the same augmenting paths are found.
 
 There is no infinite capacity.  An arc that must never bind is given a
 capacity of at least the run's limit L: any cut through it is worth at
@@ -383,44 +386,47 @@ def _dinic(n, to, adj, cap, sources, sinks, limit):
     placed.  Both map vertex indices to rooms, the most each still sends
     or takes; a terminal whose room is spent is an ordinary vertex, as in
     a network with a super source and a super sink joined to the
-    terminals by arcs of those rooms."""
-    take = [0] * n
-    open_sinks = 0  # sinks with room left
+    terminals by arcs of those rooms.
+
+    A phase labels each vertex with its residual distance to the nearest
+    sink with room (a BFS back from those sinks: e in adj[v] with
+    cap[e ^ 1] > 0 is the arc to[e] -> v), up to the level D of the nearest
+    source with room.  Walks from the sources at D step along positive arcs
+    one closer: the live arcs of levels counted from the sources, scanned
+    in the same order, so the same augmenting paths in the same order."""
+    give, take = [0] * n, [0] * n
+    for s, room in sources.items():
+        give[s] = room
     for t, room in sinks.items():
         take[t] = room
-        if room:
-            open_sinks += 1
-    starts = [s for s, room in sources.items() if room]
+    starts = [s for s in sources if give[s]]
     total = 0
-    while total < limit:
-        # BFS level graph, stopped once every sink with room has a level or
-        # the level of the nearest ones is complete: no vertex past it lies
-        # on a shortest augmenting path.
-        level = [-1] * n
-        for s in starts:
-            level[s] = 0
-        queue = list(starts)
+    while total < limit and starts:
+        # -1 marks a vertex unlabelled or, later, a dead end: never a distance
+        dist = [-1] * n
+        queue = [t for t in sinks if take[t]]
+        for t in queue:
+            dist[t] = 0
         last = n
-        missing = open_sinks
-        for u in queue:
-            lu = level[u] + 1
-            if lu > last or not missing:
+        for v in queue:
+            dv = dist[v] + 1
+            if dv > last:
                 break
-            for e in adj[u]:
-                if cap[e] > 0:
-                    v = to[e]
-                    if level[v] < 0:
-                        level[v] = lu
-                        queue.append(v)
-                        if take[v]:
-                            last = lu
-                            missing -= 1
+            for e in adj[v]:
+                if cap[e ^ 1] > 0:
+                    u = to[e]
+                    if dist[u] < 0:
+                        dist[u] = dv
+                        queue.append(u)
+                        if give[u]:
+                            last = dv
         if last == n:
             break
         it = [0] * n
-        spent = False  # a source ran out of room this phase
         for s in starts:
-            room = sources[s]
+            if dist[s] != last:
+                continue  # no shortest augmenting path starts here
+            room = give[s]
             path: list[int] = []
             u = s
             while True:
@@ -440,10 +446,10 @@ def _dinic(n, to, adj, cap, sources, sinks, limit):
                     total += f
                     room -= f
                     take[u] -= f
-                    if not take[u]:
-                        open_sinks -= 1
                     if total >= limit or not room:
                         break
+                    if not take[u]:
+                        it[u] = len(adj[u])  # spent: 0 - 1 would match unlabelled
                     # retreat to just before the first saturated arc
                     i = 0
                     np = len(path)
@@ -455,10 +461,10 @@ def _dinic(n, to, adj, cap, sources, sinks, limit):
                 au = adj[u]
                 iu = it[u]
                 nu = len(au)
-                lu1 = level[u] + 1
+                du = dist[u] - 1
                 while iu < nu:
                     e = au[iu]
-                    if cap[e] > 0 and level[to[e]] == lu1:
+                    if cap[e] > 0 and dist[to[e]] == du:
                         break
                     iu += 1
                 it[u] = iu
@@ -466,16 +472,13 @@ def _dinic(n, to, adj, cap, sources, sinks, limit):
                     path.append(e)
                     u = to[e]
                 elif path:
-                    level[u] = -1  # dead end; prune for the rest of the phase
+                    dist[u] = -1  # dead end; prune for the rest of the phase
                     u = to[path.pop() ^ 1]
                     it[u] += 1
                 else:
                     break  # this source is exhausted for the phase
-            sources[s] = room
+            give[s] = room
             if total >= limit:
                 return total
-            if not room:
-                spent = True
-        if spent:
-            starts = [s for s in starts if sources[s]]
+        starts = [s for s in starts if give[s]]
     return total

@@ -1,6 +1,7 @@
 """Flow engine: exact values, terminal sets, cut witnesses, early stops,
 resume, residual reach, pushes with per-vertex amounts, one arc per vertex
-pair, and states that are grown, caught up to edited arcs and pushed on."""
+pair, states that are grown, caught up to edited arcs and pushed on, and
+Dinic phases that find the forward-level Dinic's paths."""
 
 import itertools
 import random
@@ -747,6 +748,252 @@ class TestCatchUp:
         assert all(sent.get(v, 0) == 0 for v in vertices[1:-1]), seed
         assert all(c >= 0 for c in state[0])
         assert g.push(state, [s], [t], CAPACITY_BUDGET) == 0
+
+
+# ---------------------------------------------------------------------------
+# Phases labelled from the sinks find the forward-level Dinic's paths
+# ---------------------------------------------------------------------------
+
+def forward_dinic(n, to, adj, cap, sources, sinks, limit):
+    """The engine's Dinic as it was before its phases were labelled from
+    the sinks, kept as the oracle that pins the paths it finds.
+
+    Dinic blocking-flow max flow from the vertices `sources` to the
+    vertices `sinks`, in place on `cap`, stopping once `limit` units are
+    placed.  Both map vertex indices to rooms, the most each still sends
+    or takes; a terminal whose room is spent is an ordinary vertex, as in
+    a network with a super source and a super sink joined to the
+    terminals by arcs of those rooms."""
+    take = [0] * n
+    open_sinks = 0  # sinks with room left
+    for t, room in sinks.items():
+        take[t] = room
+        if room:
+            open_sinks += 1
+    starts = [s for s, room in sources.items() if room]
+    total = 0
+    while total < limit:
+        # BFS level graph, stopped once every sink with room has a level or
+        # the level of the nearest ones is complete: no vertex past it lies
+        # on a shortest augmenting path.
+        level = [-1] * n
+        for s in starts:
+            level[s] = 0
+        queue = list(starts)
+        last = n
+        missing = open_sinks
+        for u in queue:
+            lu = level[u] + 1
+            if lu > last or not missing:
+                break
+            for e in adj[u]:
+                if cap[e] > 0:
+                    v = to[e]
+                    if level[v] < 0:
+                        level[v] = lu
+                        queue.append(v)
+                        if take[v]:
+                            last = lu
+                            missing -= 1
+        if last == n:
+            break
+        it = [0] * n
+        spent = False  # a source ran out of room this phase
+        for s in starts:
+            room = sources[s]
+            path: list[int] = []
+            u = s
+            while True:
+                if take[u]:
+                    f = limit - total
+                    if room < f:
+                        f = room
+                    if take[u] < f:
+                        f = take[u]
+                    for e in path:
+                        c = cap[e]
+                        if c < f:
+                            f = c
+                    for e in path:
+                        cap[e] -= f
+                        cap[e ^ 1] += f
+                    total += f
+                    room -= f
+                    take[u] -= f
+                    if not take[u]:
+                        open_sinks -= 1
+                    if total >= limit or not room:
+                        break
+                    # retreat to just before the first saturated arc
+                    i = 0
+                    np = len(path)
+                    while i < np and cap[path[i]] > 0:
+                        i += 1
+                    del path[i:]
+                    u = to[path[-1]] if path else s
+                    continue
+                au = adj[u]
+                iu = it[u]
+                nu = len(au)
+                lu1 = level[u] + 1
+                while iu < nu:
+                    e = au[iu]
+                    if cap[e] > 0 and level[to[e]] == lu1:
+                        break
+                    iu += 1
+                it[u] = iu
+                if iu < nu:
+                    path.append(e)
+                    u = to[e]
+                elif path:
+                    level[u] = -1  # dead end; prune for the rest of the phase
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+                else:
+                    break  # this source is exhausted for the phase
+            sources[s] = room
+            if total >= limit:
+                return total
+            if not room:
+                spent = True
+        if spent:
+            starts = [s for s in starts if sources[s]]
+    return total
+
+
+def network(seed):
+    """A random network of 4 to 14 vertices, sparse or dense."""
+    rng = random.Random(seed)
+    vertices = [f"v{i}" for i in range(rng.randint(4, 14))]
+    density = rng.choice([0.15, 0.3, 0.6])
+    arcs = [
+        (a, b, rng.randint(0, 7))
+        for a in vertices
+        for b in vertices
+        if a != b and rng.random() < density
+    ]
+    return vertices, arcs
+
+
+def forward(g, state, sources, sinks, limit):
+    """The amount and residual caps the forward-level Dinic leaves on a
+    copy of `state` for the same terminals: a dict gives rooms, a list
+    gives every vertex the limit."""
+    idx = g._idx
+
+    def rooms(names):
+        if type(names) is dict:
+            return {idx[v]: amount for v, amount in names.items()}
+        return dict.fromkeys((idx[v] for v in names), limit)
+
+    caps = g.copy(state)[0]
+    pushed = forward_dinic(len(idx), g._to, g._adj, caps, rooms(sources), rooms(sinks), limit)
+    return pushed, caps
+
+
+def terminals(rng, vertices):
+    """Disjoint random sources and sinks, each a list or a dict of rooms
+    that may hold zeros."""
+    k = rng.randint(2, min(6, len(vertices)))
+    picked = rng.sample(vertices, k)
+    cut = rng.randint(1, k - 1)
+    sets = []
+    for part in (picked[:cut], picked[cut:]):
+        if rng.random() < 0.3:
+            sets.append(part)
+        else:
+            sets.append({v: rng.choice([0, rng.randint(1, 9), 50]) for v in part})
+    return sets
+
+
+class TestSinkLabelledPhases:
+    """Every call returns what the forward-level Dinic returns and leaves
+    the identical residual caps, so the paths are the same, in the same
+    order: the byte and counter identity of every schedule rests on it."""
+
+    @pytest.mark.parametrize("seed", range(80))
+    def test_pushes_match_the_forward_level_oracle(self, seed):
+        """Chained pushes on one state, with limits below, at and above
+        what the push can move."""
+        vertices, arcs = network(seed)
+        g = FlowGraph(vertices, arcs)
+        rng = random.Random(seed)
+        state = g.state()
+        for _ in range(6):
+            sources, sinks = terminals(rng, vertices)
+            most = forward(g, state, sources, sinks, CAPACITY_BUDGET)[0]
+            limit = max(0, most + rng.choice([-2, -1, 0, 0, 1, 5]))
+            want = forward(g, state, sources, sinks, limit)
+            assert (g.push(state, sources, sinks, limit), state[0]) == want, (seed, limit)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_resume_chains_match_the_forward_level_oracle(self, seed):
+        """`run_keep` and then resumes whose sources grow by each earlier
+        sink, as the terminal rule asks."""
+        vertices, arcs = network(seed)
+        g = FlowGraph(vertices, arcs)
+        rng = random.Random(seed)
+        order = rng.sample(vertices, len(vertices))
+        s, t = order[0], order[-1]
+        limit = rng.choice([1, 3, CAPACITY_BUDGET])
+        want = forward(g, g.state(), [s], [t], limit)
+        value, state = g.run_keep([s], [t], limit)
+        assert (value, state[0]) == want, seed
+        sources = [s]
+        for sink in order[1:5]:
+            limit = rng.choice([0, 1, 2, 4, CAPACITY_BUDGET])
+            want = forward(g, state, sources, [sink], limit)
+            assert (g.resume(state, sources, sink, limit), state[0]) == want, (seed, sink)
+            sources = [*sources, sink]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_catch_up_and_repair_push_match_the_forward_level_oracle(self, seed):
+        """A kept max flow, lowered arcs, `catch_up`, then one repair push
+        of the imbalance with the excesses as sources and the deficits as
+        sinks."""
+        vertices, arcs = network(seed)
+        g = FlowGraph(vertices, arcs)
+        rng = random.Random(seed)
+        s, t = vertices[0], vertices[-1]
+        want = forward(g, g.state(), [s], [t], CAPACITY_BUDGET)
+        value, state = g.run_keep([s], [t])
+        assert (value, state[0]) == want, seed
+        for a, b, cap in rng.sample(arcs, min(len(arcs), 4)):
+            g.lower(a, b, rng.randint(0, cap))
+        need = g.catch_up(state)
+        excess = {v: d for v, d in need.items() if d > 0}
+        deficit = {v: -d for v, d in need.items() if d < 0}
+        if excess:
+            limit = sum(excess.values())
+            want = forward(g, state, excess, deficit, limit)
+            assert (g.push(state, excess, deficit, limit), state[0]) == want, seed
+
+    def test_a_sink_spent_partway_through_a_phase_admits_no_arc(self):
+        """a takes 1 unit and b, which only a reaches, takes 5.  a's room
+        runs out in the first phase while the walk stands on it; its label
+        0 less one is the mark of an unlabelled vertex such as c, so none of
+        its arcs may be followed.  The push ends with the super-terminal
+        value, 6, and the oracle's residual."""
+        g = FlowGraph("sabc", [("s", "a", 6), ("a", "b", 5), ("a", "c", 3), ("c", "s", 2)])
+        state = g.state()
+        sinks = {"a": 1, "b": 5}
+        want = forward(g, state, ["s"], sinks, 10)
+        assert (g.push(state, ["s"], sinks, 10), state[0]) == want
+        assert want[0] == 6
+        oracle = FlowGraph(
+            [*"sabc", "T"], [*g.arcs(), *((v, "T", room) for v, room in sinks.items())]
+        )
+        assert oracle.run(["s"], ["T"], 10) == 6
+
+    def test_a_zero_room_source_sets_no_level(self):
+        """The nearest source, n, has room 0 and the farther one, f, has 7:
+        the phase's level is f's, or no phase would find a path and the
+        loop would never end."""
+        arcs = [("n", "t", 5), ("f", "x", 4), ("x", "t", 4), ("n", "x", 1)]
+        g = FlowGraph("nfxt", arcs)
+        assert g.push(g.state(), {"n": 0, "f": 7}, ["t"], 10) == 4
+        oracle = FlowGraph([*"nfxt", "S"], [*arcs, ("S", "n", 0), ("S", "f", 7)])
+        assert oracle.run(["S"], ["t"], 10) == 4
 
 
 class TestHelpers:
