@@ -8,7 +8,7 @@ identically-shaped partial trees (multiplicity m) sharing a root.  An arc
 
     mu = min{ mu0, least slack of a vertex set X with x in X, y not in X },
 
-where mu0 = min(g(x, y), m), g is the residual capacity and the slack of X
+where mu0 = min(g(x, y), m), g is the capacity left and the slack of X
 is g(X) minus the sum of m_j over the unfinished batches j other than the
 growing one whose members T_j all lie in X: each of those still needs m_j
 units across X.  That is the largest multiplicity that provably leaves
@@ -61,10 +61,17 @@ lowers.
 When 0 < mu < m the batch splits: the new arc extends mu of the copies,
 the rest continue as a separate batch.  Batches are processed one root at
 a time (roots in sorted order).
+
+The frontier.  The sigma-graph is the one record of the capacity left,
+and the growing batch's frontier, the sorted arcs of positive capacity
+from its members to the rest, is read off it when the batch starts and
+kept as it grows: a take drops the arcs into the new member and adds the
+new member's arcs out, and an arc probed at mu = 0 leaves it.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .errors import CollschedError, NoAddableEdge
@@ -84,56 +91,48 @@ class TreeBatch:
 
 @dataclass
 class Forest:
-    """Packing state: all batches plus the residual capacities of the
-    compute-only network `lt` left by switch removal."""
+    """Packing state: all batches over the compute-only network `lt` left
+    by switch removal."""
 
     lt: Topology
     batches: list[TreeBatch]
-    residual: dict[tuple[str, str], int]
     mu_evaluations: int = 0
 
 
-def _frontier(
-    residual: dict[tuple[str, str], int], out: dict[str, list[str]], members: set[str]
-) -> list[tuple[str, str]]:
-    """Arcs with residual capacity from inside `members` to outside, sorted;
-    `out` lists the heads of each vertex's arcs, sorted."""
-    return [
-        (a, b)
-        for a in sorted(members)
-        for b in out.get(a, ())
-        if b not in members and (a, b) in residual
-    ]
-
-
 class _Baselines:
-    """The sigma-graph of one pack and its kept max flows sigma -> v, one
-    per compute sink v queried so far (see the module docstring)."""
+    """The sigma-graph of one pack, its kept max flows sigma -> v and the
+    growing batch's frontier (see the module docstring)."""
 
-    def __init__(self, forest: Forest) -> None:
-        lt = forest.lt
-        self.forest = forest
-        self.out: dict[str, list[str]] = {}  # vertex -> heads of its arcs in lt, sorted
-        for a, b in sorted(lt.capacity):
-            self.out.setdefault(a, []).append(b)
+    def __init__(self, lt: Topology, batches: list[TreeBatch]) -> None:
+        self.lt = lt
         self.sigma = sigma = fresh_name("s", lt.node_by_id)
         self.graph = FlowGraph(
             [sigma, *lt.compute_ids],
             [(a, b, c) for (a, b), c in lt.capacity.items()]
-            + [(sigma, b.root, b.multiplicity) for b in forest.batches],
+            + [(sigma, b.root, b.multiplicity) for b in batches],
         )
         self.flows: dict[str, tuple] = {}  # sink -> (kept flow, V it last carried)
-        self.value = sum(b.multiplicity for b in forest.batches)  # V
-        self.heads = {id(b): b.root for b in forest.batches}  # batch in sigma -> head
+        self.value = sum(b.multiplicity for b in batches)  # V
+        self.heads = {id(b): b.root for b in batches}  # batch in sigma -> head
         self.hubs = 0
         self.growing: TreeBatch | None = None
+        self.frontier: list[tuple[str, str]] = []
 
-    def _restore(self, pushed: int, want: int) -> None:
-        if pushed != want:
-            batch = self.growing
-            raise NoAddableEdge(
-                batch.root, batch.members, _frontier(self.forest.residual, self.out, batch.members)
-            )
+    def _arcs_out(self, members: set[str]) -> list[tuple[str, str]]:
+        """The arcs of positive capacity from `members` to the rest, sorted."""
+        cap = self.graph.capacity
+        return [
+            (a, b)
+            for a in sorted(members)
+            for b, _ in self.lt.out_adj[a]
+            if b not in members and cap(a, b)
+        ]
+
+    def stuck(self) -> NoAddableEdge:
+        """The error of a growing batch that cannot grow, listing every arc
+        of positive capacity out of it."""
+        batch = self.growing
+        return NoAddableEdge(batch.root, batch.members, self._arcs_out(batch.members))
 
     def mu(self, arc: tuple[str, str], mu0: int) -> int:
         """Largest multiplicity up to `mu0` at which the growing batch may
@@ -144,7 +143,8 @@ class _Baselines:
         kept = self.flows.get(y)
         if kept is None:
             got, flow = g.run_keep([sigma], [y], value)
-            self._restore(got, value)
+            if got != value:
+                raise self.stuck()
         else:
             flow, was = kept
             need = g.catch_up(flow)
@@ -155,7 +155,8 @@ class _Baselines:
             if excess:
                 want = sum(excess.values())
                 deficit = {v: -d for v, d in need.items() if d < 0}
-                self._restore(g.push(flow, excess, deficit, want), want)
+                if g.push(flow, excess, deficit, want) != want:
+                    raise self.stuck()
         self.flows[y] = flow, value
         return g.resume(g.copy(flow), [x], y, mu0)
 
@@ -170,15 +171,23 @@ class _Baselines:
         if head != batch.root:
             for t in sorted(batch.members):
                 self.graph.lower(head, t, m)
+        self.frontier = self._arcs_out(batch.members)
 
     def take(self, arc: tuple[str, str], mu: int) -> None:
-        """The growing batch takes `arc` at `mu`."""
-        self.graph.lower(*arc, mu)
+        """The growing batch takes `arc` at `mu`; the frontier trades the
+        arcs into its head for the head's arcs out."""
+        x, y = arc
+        g, members = self.graph, self.growing.members
+        g.lower(x, y, mu)
+        self.frontier = [a for a in self.frontier if a[1] != y]
+        for b, _ in self.lt.out_adj[y]:
+            if b not in members and g.capacity(y, b):
+                insort(self.frontier, (y, b))
 
     def enter(self, batch: TreeBatch) -> None:
         """`batch`, a split copy, joins sigma through a new hub."""
         sigma = self.sigma
-        hub = fresh_name(f"b{self.hubs}", self.forest.lt.node_by_id)
+        hub = fresh_name(f"b{self.hubs}", self.lt.node_by_id)
         self.hubs += 1
         m = batch.multiplicity
         self.graph.grow([hub], [(sigma, hub, m)] + [(hub, t, m) for t in sorted(batch.members)])
@@ -202,56 +211,44 @@ def pack_spanning_trees(lt: Topology, k: int) -> Forest:
     if lt.switch_ids:
         raise CollschedError("packing takes the compute-only network remove_switches returns")
     n = lt.num_compute
-    residual = dict(lt.capacity)
     forest = Forest(
         lt=lt,
         batches=[
             TreeBatch(root=r, multiplicity=k, members={r}, edges=[])
             for r in lt.compute_ids
         ],
-        residual=residual,
     )
-    baselines = _Baselines(forest)
+    baselines = _Baselines(lt, forest.batches)
     i = 0
     while i < len(forest.batches):
         batch = forest.batches[i]
         baselines.leave(batch)
-        # While one batch grows, every quantity entering mu only shrinks
-        # (residual capacities, the batch's own multiplicity; a split copy
-        # raises the flow by at most what it adds to the other-multiplicity
-        # sum), so an arc once at mu = 0 stays there: skip it for the rest
-        # of this batch instead of re-probing every step.
-        dead: set[tuple[str, str]] = set()
         while len(batch.members) < n:
-            frontier = _frontier(residual, baselines.out, batch.members)
-            added = False
-            for arc in frontier:
-                if arc in dead:
-                    continue
-                forest.mu_evaluations += 1
-                mu = baselines.mu(arc, min(residual[arc], batch.multiplicity))
-                if mu == 0:
-                    dead.add(arc)
-                    continue
-                baselines.take(arc, mu)
-                if mu < batch.multiplicity:
-                    copy = TreeBatch(
-                        root=batch.root,
-                        multiplicity=batch.multiplicity - mu,
-                        members=set(batch.members),
-                        edges=list(batch.edges),
-                    )
-                    forest.batches.insert(i + 1, copy)
-                    batch.multiplicity = mu
-                    baselines.enter(copy)
-                batch.edges.append(arc)
-                batch.members.add(arc[1])
-                residual[arc] -= mu
-                if residual[arc] == 0:
-                    del residual[arc]
-                added = True
-                break
-            if not added:
-                raise NoAddableEdge(batch.root, set(batch.members), frontier)
+            if not baselines.frontier:
+                raise baselines.stuck()
+            arc = baselines.frontier[0]
+            forest.mu_evaluations += 1
+            mu = baselines.mu(arc, min(baselines.graph.capacity(*arc), batch.multiplicity))
+            if mu == 0:
+                # While one batch grows, every quantity entering mu only
+                # shrinks (capacities, the batch's own multiplicity; a
+                # split copy raises the flow by at most what it adds to the
+                # other-multiplicity sum), so an arc once at mu = 0 stays
+                # there: it leaves the frontier for the rest of this batch.
+                del baselines.frontier[0]
+                continue
+            baselines.take(arc, mu)
+            if mu < batch.multiplicity:
+                copy = TreeBatch(
+                    root=batch.root,
+                    multiplicity=batch.multiplicity - mu,
+                    members=set(batch.members),
+                    edges=list(batch.edges),
+                )
+                forest.batches.insert(i + 1, copy)
+                batch.multiplicity = mu
+                baselines.enter(copy)
+            batch.edges.append(arc)
+            batch.members.add(arc[1])
         i += 1
     return forest

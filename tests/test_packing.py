@@ -23,10 +23,13 @@ from collsched.maxflow import fresh_name
 from collsched.packing import _Baselines
 
 
-def compute_mu(forest: Forest, batch: TreeBatch, arc: tuple[str, str]) -> int:
+def compute_mu(
+    forest: Forest, residual: dict[tuple[str, str], int], batch: TreeBatch, arc: tuple[str, str]
+) -> int:
     """Oracle: largest multiplicity at which `batch` may take `arc` while
     the rest of the forest stays completable, from a gadget graph built
-    for this one evaluation.
+    for this one evaluation; `residual` holds what is left of each
+    logical arc's capacity.
 
     The gadget graph augments the residual logical graph, per other batch
     i, with a node s_i, an arc x -> s_i of capacity m_i, and arcs of
@@ -38,7 +41,7 @@ def compute_mu(forest: Forest, batch: TreeBatch, arc: tuple[str, str]) -> int:
     where it can never cross an x/y cut).  The flow is capped early,
     which cannot change the final min."""
     x, y = arc
-    g_xy = forest.residual.get(arc, 0)
+    g_xy = residual.get(arc, 0)
     if g_xy < 1:
         raise CollschedError(f"arc {arc} has no residual capacity")
     if x not in batch.members or y in batch.members:
@@ -48,7 +51,7 @@ def compute_mu(forest: Forest, batch: TreeBatch, arc: tuple[str, str]) -> int:
     n = forest.lt.num_compute
     vertices = list(forest.lt.compute_ids)
     taken = set(vertices)
-    arcs = [(a, b, c) for (a, b), c in forest.residual.items() if c > 0]
+    arcs = [(a, b, c) for (a, b), c in residual.items() if c > 0]
     sum_other = 0
     free = 0
     for other in forest.batches:
@@ -82,7 +85,6 @@ def oracle_pack(lt: Topology, k: int) -> Forest:
     forest = Forest(
         lt=lt,
         batches=[TreeBatch(root=r, multiplicity=k, members={r}, edges=[]) for r in lt.compute_ids],
-        residual=residual,
     )
     i = 0
     while i < len(forest.batches):
@@ -97,7 +99,7 @@ def oracle_pack(lt: Topology, k: int) -> Forest:
             for arc in frontier:
                 if arc in dead:
                     continue
-                mu = compute_mu(forest, batch, arc)
+                mu = compute_mu(forest, residual, batch, arc)
                 if mu == 0:
                     dead.add(arc)
                     continue
@@ -131,10 +133,10 @@ def remainder(t: Topology, fixed_k: int | None) -> tuple[Topology, int]:
 
 def shape(forest: Forest):
     """Everything a pack decides: batch order, roots, multiplicities,
-    members and edges, the residual left and the mu evaluation count."""
+    members and edges, and the mu evaluation count (the capacity left on
+    each arc follows from the edges and multiplicities)."""
     return (
         [(b.root, b.multiplicity, sorted(b.members), b.edges) for b in forest.batches],
-        forest.residual,
         forest.mu_evaluations,
     )
 
@@ -153,8 +155,16 @@ def fresh_forest(lt, k=3):
             TreeBatch(root=r, multiplicity=k, members={r}, edges=[])
             for r in lt.compute_ids
         ],
-        residual=dict(lt.capacity),
     )
+
+
+def arc_usage(forest: Forest) -> dict[tuple[str, str], int]:
+    """Tree multiplicity routed over each arc by the forest's batches."""
+    used = {}
+    for batch in forest.batches:
+        for arc in batch.edges:
+            used[arc] = used.get(arc, 0) + batch.multiplicity
+    return used
 
 
 class TestComputeMu:
@@ -162,15 +172,18 @@ class TestComputeMu:
         # batch a (m=3) takes (a, b): mu0 = min(3, 3); the other batch is a
         # singleton rooted at b, so the gadget is one extra a->b arc of
         # capacity 3, flow = 3 + 3, and mu = min(3, 6 - 3) = 3
-        forest = fresh_forest(two_node_logical())
-        assert compute_mu(forest, forest.batches[0], ("a", "b")) == 3
+        lt = two_node_logical()
+        forest = fresh_forest(lt)
+        assert compute_mu(forest, dict(lt.capacity), forest.batches[0], ("a", "b")) == 3
 
     def test_capped_by_residual_capacity(self):
         # with only 1 unit left on (a, b) the flow term is 1 + 3 (direct
         # plus b's gadget arc) against sum_other = 3, so mu = 1
-        forest = fresh_forest(two_node_logical())
-        forest.residual[("a", "b")] = 1
-        assert compute_mu(forest, forest.batches[0], ("a", "b")) == 1
+        lt = two_node_logical()
+        forest = fresh_forest(lt)
+        residual = dict(lt.capacity)
+        residual[("a", "b")] = 1
+        assert compute_mu(forest, residual, forest.batches[0], ("a", "b")) == 1
 
     def test_completed_batches_count_without_gadget(self):
         lt = two_node_logical()
@@ -178,34 +191,39 @@ class TestComputeMu:
         done = forest.batches[1]
         done.members = {"a", "b"}
         done.edges = [("b", "a")]
-        forest.residual[("b", "a")] -= 3
-        assert compute_mu(forest, forest.batches[0], ("a", "b")) == 3
+        residual = dict(lt.capacity)
+        residual[("b", "a")] -= 3
+        assert compute_mu(forest, residual, forest.batches[0], ("a", "b")) == 3
 
     def test_rejects_spent_arcs_and_non_frontier_arcs(self):
-        forest = fresh_forest(two_node_logical())
+        lt = two_node_logical()
+        forest = fresh_forest(lt)
+        residual = dict(lt.capacity)
         with pytest.raises(CollschedError):
-            compute_mu(forest, forest.batches[0], ("b", "a"))  # tail not in batch
-        forest.residual.pop(("a", "b"))
-        forest.residual[("a", "b")] = 0
+            compute_mu(forest, residual, forest.batches[0], ("b", "a"))  # tail not in batch
+        residual[("a", "b")] = 0
         with pytest.raises(CollschedError):
-            compute_mu(forest, forest.batches[0], ("a", "b"))
+            compute_mu(forest, residual, forest.batches[0], ("a", "b"))
 
     def test_counter_increments(self):
-        forest = fresh_forest(two_node_logical())
+        lt = two_node_logical()
+        forest = fresh_forest(lt)
         before = forest.mu_evaluations
-        compute_mu(forest, forest.batches[0], ("a", "b"))
+        compute_mu(forest, dict(lt.capacity), forest.batches[0], ("a", "b"))
         assert forest.mu_evaluations == before + 1
 
 
 class TestPackSpanningTrees:
     def test_two_node_packs_all_trees(self):
-        forest = pack_spanning_trees(two_node_logical(), 3)
+        lt = two_node_logical()
+        forest = pack_spanning_trees(lt, 3)
         for root in ("a", "b"):
             batches = [b for b in forest.batches if b.root == root]
             assert sum(b.multiplicity for b in batches) == 3
             for b in batches:
                 assert b.members == {"a", "b"}
-        assert forest.residual == {}
+        # the trees use up every arc
+        assert arc_usage(forest) == lt.capacity
 
     def test_k_mismatch_and_bad_k_rejected(self):
         # k is an argument only: a k beyond what the capacities carry (3
@@ -246,16 +264,9 @@ class TestPackSpanningTrees:
             # k trees per root
             for root in lt.compute_ids:
                 assert sum(b.multiplicity for b in forest.batches if b.root == root) == res.k
-            # arc usage within capacity, residual consistent
-            used = {}
-            for batch in forest.batches:
-                for arc in batch.edges:
-                    used[arc] = used.get(arc, 0) + batch.multiplicity
-            for arc, units in used.items():
-                assert units + forest.residual.get(arc, 0) == lt.capacity[arc]
-            for arc, left in forest.residual.items():
-                assert left >= 0
-                assert used.get(arc, 0) + left == lt.capacity[arc]
+            # arc usage within capacity
+            for arc, units in arc_usage(forest).items():
+                assert units <= lt.capacity[arc]
 
     def test_batch_splitting_occurs_when_capacity_forces_it(self):
         # suite seed 1 (4 compute nodes, 7 trees per root) forces two batch
@@ -279,6 +290,22 @@ class TestPackSpanningTrees:
         with pytest.raises(NoAddableEdge) as exc:
             pack_spanning_trees(two_node_logical(), 4)
         assert exc.value.root == "a"
+        assert exc.value.frontier == []
+
+    def test_a_stuck_batch_lists_its_whole_frontier(self):
+        """A batch that cannot grow reports every arc of capacity left out
+        of it, the arcs it probed at mu = 0 included: suite seed 1's
+        remainder carries 7 trees per root, and at 8 the first batch to
+        stall is c0's, at three members with two arcs out."""
+        from collsched import random_eulerian_topology
+
+        lt, k = remainder(random_eulerian_topology(1), None)
+        assert k == 7
+        with pytest.raises(NoAddableEdge) as exc:
+            pack_spanning_trees(lt, 8)
+        assert exc.value.root == "c0"
+        assert exc.value.members == ["c0", "c1", "c5"]
+        assert exc.value.frontier == [("c0", "c4"), ("c5", "c4")]
 
     def test_a_take_beyond_the_least_slack_fails_its_reroute(self, monkeypatch):
         """The kept flows can be repaired to V only because every mu is the
