@@ -3,8 +3,9 @@
 The engine works on named vertices and paired forward/backward arc entries.
 A graph is built in one call, `FlowGraph(vertices, arcs)`.  Every capacity
 is a non-negative int, checked against the 63-bit budget; any other
-capacity, an unhashable or unknown vertex, a malformed arc or a `limit`
-that is not a non-negative int raises CollschedError.
+capacity, a string given as the vertex list, an unhashable or unknown
+vertex, a malformed arc or a `limit` that is not a non-negative int
+raises CollschedError.
 
 The graph is the network as it stands, and every flow is a residual state
 on it.  Each vertex pair has at most one arc, and an arc is in the
@@ -52,6 +53,10 @@ residual distance to the sinks, and walks from the sources step only one
 closer: exactly the live arcs of the textbook levels counted from the
 sources, scanned in the same order, so the same augmenting paths are found.
 
+The search, the splitter and the packer build their graphs in one place,
+`source_network(t, capacity, supply)`: t plus a fresh source feeding
+`supply` into each compute node, each of which is to receive N*supply.
+
 There is no infinite capacity.  An arc that must never bind is given a
 capacity of at least the run's limit L: any cut through it is worth at
 least L, so min(max flow, L) cannot change.  Where such an arc serves only
@@ -62,7 +67,7 @@ into that terminal set instead.
 from __future__ import annotations
 
 from .errors import CollschedError, Overflow
-from .topology import CAPACITY_BUDGET
+from .topology import CAPACITY_BUDGET, Topology
 
 
 def fresh_name(base: str, taken) -> str:
@@ -73,13 +78,24 @@ def fresh_name(base: str, taken) -> str:
     return name
 
 
+def source_network(t: Topology, capacity: dict, supply: int) -> tuple[FlowGraph, str, int]:
+    """`t`'s nodes with the arcs `capacity`, a dict from (src, dst) to
+    capacity, and a fresh source with a `supply` arc into each compute
+    node, as (graph, source, demand), the demand being N * supply."""
+    source = fresh_name("s", t.node_by_id)
+    arcs = [(a, b, c) for (a, b), c in capacity.items()]
+    arcs += [(source, c, supply) for c in t.compute_ids]
+    graph = FlowGraph([n.id for n in t.nodes] + [source], arcs)
+    return graph, source, t.num_compute * supply
+
+
 class FlowGraph:
     """Directed flow network with named vertices.
 
-    `FlowGraph(vertices, arcs)` takes the vertex names in order and the arcs
-    as (src, dst, cap) triples, cap a non-negative int; the arcs given for
-    one pair merge into one.  An arc is stored as a forward entry and its
-    residual twin right after it.
+    `FlowGraph(vertices, arcs)` takes the vertex names in order (not as a
+    string) and the arcs as (src, dst, cap) triples, cap a non-negative
+    int; the arcs given for one pair merge into one.  An arc is stored as
+    a forward entry and its residual twin right after it.
     """
 
     def __init__(self, vertices, arcs):
@@ -99,6 +115,8 @@ class FlowGraph:
         pair that has one already raises that arc in place and is logged
         for `catch_up`; a state made before gains a new arc carrying no
         flow."""
+        if isinstance(vertices, str):
+            raise CollschedError(f"vertices {vertices!r} are a string, not a collection")
         idx = self._idx
         new = {}
         for name in vertices:

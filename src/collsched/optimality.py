@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CollschedError
-from .maxflow import FlowGraph, fresh_name
+from .maxflow import source_network
 from .topology import Topology, require_tree_count, require_valid
 
 
@@ -80,17 +80,15 @@ class OptimalityResult:
 # The cut-jumping search
 # ---------------------------------------------------------------------------
 
-def _cut_search(t: Topology, cut_value, probe_capacities):
+def _cut_search(t: Topology, cut_value, probe):
     """Jump from cut to cut until a probe succeeds.
 
     cut_value(S) is the least value at which cut S no longer binds.
-    probe_capacities(v) returns (capacity of each link, supply): v is
-    feasible iff an auxiliary source with a `supply` arc to each compute
-    node can send N * supply to every compute node.  Returns
-    (optimal value, witness cut, number of probes).
+    probe(v) returns (scale, supply): v is feasible iff every compute node
+    can receive the demand of `source_network(t, caps, supply)`, caps
+    being floor(scale*b_e) on each link.  Returns (optimal value, witness
+    cut, number of probes).
     """
-    source = fresh_name("s", t.node_by_id)
-    vertices = [node.id for node in t.nodes] + [source]
     # Start from the cut that leaves out the compute node with the least
     # in-bandwidth; sinks are tried most-recently-failed first.
     sinks = list(t.compute_ids)
@@ -100,11 +98,10 @@ def _cut_search(t: Topology, cut_value, probe_capacities):
     probes = 0
     while True:
         probes += 1
-        caps, supply = probe_capacities(value)
-        arcs = [(a, b, c) for (a, b), c in caps.items()]
-        arcs += [(source, c, supply) for c in t.compute_ids]
-        g = FlowGraph(vertices, arcs)
-        target = t.num_compute * supply
+        scale, supply = probe(value)
+        p, q = scale.numerator, scale.denominator
+        caps = {(l.src, l.dst): p * l.bandwidth // q for l in t.links}
+        g, source, target = source_network(t, caps, supply)
         for i, sink in enumerate(sinks):
             flow, state = g.run_keep([source], [sink], limit=target)
             if flow < target:
@@ -148,11 +145,7 @@ def bottleneck_search(t: Topology) -> OptimalityResult:
     def ratio(S) -> Fraction:
         return Fraction(_compute_count(t, S), sum(_exit_bandwidths(t, S)))
 
-    def capacities(inv: Fraction):
-        p = inv.numerator
-        return {(l.src, l.dst): l.bandwidth * p for l in t.links}, inv.denominator
-
-    inv, witness, probes = _cut_search(t, ratio, capacities)
+    inv, witness, probes = _cut_search(t, ratio, lambda v: (v.numerator, v.denominator))
     bandwidths = [link.bandwidth for link in t.links]
     U, k, y = derive_schedule_params(inv, bandwidths)
     return OptimalityResult(
@@ -222,11 +215,7 @@ def fixed_k_search(t: Topology, k: int) -> OptimalityResult:
     def least_scale(S) -> Fraction:
         return _least_floor_scale(_exit_bandwidths(t, S), k * _compute_count(t, S))
 
-    def capacities(U: Fraction):
-        p, q = U.numerator, U.denominator
-        return {(l.src, l.dst): p * l.bandwidth // q for l in t.links}, k
-
-    U, witness, probes = _cut_search(t, least_scale, capacities)
+    U, witness, probes = _cut_search(t, least_scale, lambda U: (U, k))
     return OptimalityResult(
         inv_x_star=U / k, U=U, k=k, y=1 / U, exact=False, witness=witness, search_iterations=probes
     )

@@ -15,16 +15,17 @@ units across X.  That is the largest multiplicity that provably leaves
 the rest of the forest packable (Edmonds 1973, "Edge-disjoint
 branchings").
 
-The sigma-graph.  One flow graph per pack holds every slack: the residual
-logical graph plus a super source sigma and one gadget per batch in
-sigma, that is per unfinished batch other than the growing one.  A root's
-first batch, while still a singleton, has the arc sigma -> root_j at m_j;
-a split copy has a hub of its own, sigma -> hub_j at m_j and
+The sigma-graph.  One flow graph per pack holds every slack: the logical
+graph's capacity left plus a super source sigma and one gadget per batch
+in sigma, that is per unfinished batch other than the growing one.  It
+starts as `source_network(lt, lt.capacity, k)`, sigma being its source: a
+root's first batch, while still a singleton, has the arc sigma -> root_j
+at m_j = k.  A split copy has a hub of its own, sigma -> hub_j at m_j and
 hub_j -> member at m_j for each member of T_j (a singleton copy's hub has
 one member, the same gadget as an arc sigma -> root_j).  A cut X holding
 sigma pays m_j for j's gadget exactly when T_j is not inside X (the hub
 takes the cheaper side), so its capacity is slack(X) + V, V being the sum
-of m_j over the batches in sigma.
+of m_j over the batches in sigma, at first the demand N*k.
 
 Kept flows.  The flow graph is the sigma-graph as it stands: the packer
 edits it in place as the forest changes.  The growing batch taking (x, y)
@@ -75,7 +76,7 @@ from bisect import insort
 from dataclasses import dataclass
 
 from .errors import CollschedError, NoAddableEdge
-from .maxflow import FlowGraph, fresh_name
+from .maxflow import fresh_name, source_network
 from .topology import Topology, require_tree_count
 
 
@@ -101,18 +102,13 @@ class Forest:
 
 class _Baselines:
     """The sigma-graph of one pack, its kept max flows sigma -> v and the
-    growing batch's frontier (see the module docstring)."""
+    growing batch's frontier (see the module docstring); `batches` are the
+    first ones, a singleton per root at multiplicity k."""
 
-    def __init__(self, lt: Topology, batches: list[TreeBatch]) -> None:
+    def __init__(self, lt: Topology, batches: list[TreeBatch], k: int) -> None:
         self.lt = lt
-        self.sigma = sigma = fresh_name("s", lt.node_by_id)
-        self.graph = FlowGraph(
-            [sigma, *lt.compute_ids],
-            [(a, b, c) for (a, b), c in lt.capacity.items()]
-            + [(sigma, b.root, b.multiplicity) for b in batches],
-        )
+        self.graph, self.sigma, self.value = source_network(lt, lt.capacity, k)  # V
         self.flows: dict[str, tuple] = {}  # sink -> (kept flow, V it last carried)
-        self.value = sum(b.multiplicity for b in batches)  # V
         self.heads = {id(b): b.root for b in batches}  # batch in sigma -> head
         self.hubs = 0
         self.growing: TreeBatch | None = None
@@ -218,7 +214,7 @@ def pack_spanning_trees(lt: Topology, k: int) -> Forest:
             for r in lt.compute_ids
         ],
     )
-    baselines = _Baselines(lt, forest.batches)
+    baselines = _Baselines(lt, forest.batches, k)
     i = 0
     while i < len(forest.batches):
         batch = forest.batches[i]

@@ -21,7 +21,7 @@ dissolve, and the Topology left over is read off it.
 from __future__ import annotations
 
 from .errors import CapacityExhausted, CollschedError, NotEulerianAfterFloor, StuckSplit
-from .maxflow import FlowGraph, fresh_name
+from .maxflow import source_network
 from .topology import COMPUTE, Link, Topology, require_tree_count
 
 
@@ -49,20 +49,15 @@ class EMap:
 
 class _GammaOracle:
     """Evaluates and makes the splits at every switch of the network `net`
-    on one flow graph built once: the links of `net` and the auxiliary
-    source s with k-capacity arcs to every compute node.  The graph is the
-    working network: `split` edits it in place, and each γ evaluation runs
-    two base flows on it, each between terminal sets (see `gamma`).
+    on one flow graph built once, `source_network(net, net.capacity, k)`
+    with demand `target` = N*k.  The graph is the working network: `split`
+    edits it in place, and each γ evaluation runs two base flows on it,
+    each between terminal sets (see `gamma`).
     """
 
     def __init__(self, net: Topology, k: int) -> None:
         self.compute_ids = net.compute_ids
-        self.target = net.num_compute * k
-        names = [n.id for n in net.nodes]
-        self.source = fresh_name("s", names)
-        arcs = [(a, b, c) for (a, b), c in net.capacity.items()]
-        arcs += [(self.source, c, k) for c in net.compute_ids]
-        self.graph = FlowGraph(names + [self.source], arcs)
+        self.graph, self.source, self.target = source_network(net, net.capacity, k)
 
     def gamma(self, u: str, w: str, t: str) -> int:
         """Largest amount of the pairing (u, w),(w, t) splittable while the

@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from collsched import FlowGraph
+from collsched import COMPUTE, SWITCH, FlowGraph, Link, Node, Topology
 from collsched.errors import CollschedError, Overflow
-from collsched.maxflow import fresh_name
+from collsched.maxflow import fresh_name, source_network
 from collsched.topology import CAPACITY_BUDGET
 
 
@@ -46,7 +46,7 @@ def random_instance(seed):
 class TestFlowValues:
     def test_diamond(self):
         arcs = [("s", "a", 3), ("s", "b", 2), ("a", "b", 1), ("a", "t", 2), ("b", "t", 3)]
-        g = FlowGraph("sabt", arcs)
+        g = FlowGraph([*"sabt"], arcs)
         value, state = g.run_keep(["s"], ["t"])
         assert value == 5
         assert cut_capacity(arcs, g.reach(state, ["s"], 1)) == 5
@@ -61,7 +61,7 @@ class TestFlowValues:
         assert g.run_keep(["s"], ["t"])[0] == 13
 
     def test_disconnected_sink(self):
-        g = FlowGraph("sxt", [("s", "x", 7)])
+        g = FlowGraph([*"sxt"], [("s", "x", 7)])
         value, state = g.run_keep(["s"], ["t"])
         assert value == 0
         assert g.reach(state, ["s"], 1) == {"s", "x"}
@@ -137,17 +137,17 @@ class TestRunControls:
             assert g.run([vertices[0]], [vertices[-1]], limit=lim) == min(full, lim)
 
     def test_runs_do_not_mutate_the_graph(self):
-        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 4)])
+        g = FlowGraph([*"sat"], [("s", "a", 4), ("a", "t", 4)])
         assert g.run(["s"], ["t"]) == 4
         assert g.run(["s"], ["t"]) == 4
 
     def test_same_source_and_sink_rejected(self):
-        g = FlowGraph("st", [("s", "t", 1)])
+        g = FlowGraph([*"st"], [("s", "t", 1)])
         with pytest.raises(CollschedError):
             g.run(["s"], ["s"])
 
     def test_unknown_vertex_rejected(self):
-        g = FlowGraph("st", [("s", "t", 1)])
+        g = FlowGraph([*"st"], [("s", "t", 1)])
         with pytest.raises(CollschedError):
             g.run(["s"], ["nope"])
         with pytest.raises(CollschedError):
@@ -181,38 +181,40 @@ class TestRunControls:
         """A bare string (which would name vertices by its characters), an
         empty or overlapping set and a non-iterable are refused; unknown
         vertices are `test_unknown_vertex_rejected`'s."""
-        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 4)])
+        g = FlowGraph([*"sat"], [("s", "a", 4), ("a", "t", 4)])
         with pytest.raises(CollschedError):
             getattr(g, method)(sources, sinks)
 
     def test_bad_capacities_rejected(self):
         # (vertices, arc): a float, a Fraction, a bool, a str and a negative
         # capacity, an unknown endpoint, a duplicate vertex, an arc that is
-        # not a triple and an unhashable endpoint
+        # not a triple, an unhashable endpoint and a string as the vertex
+        # list, which would name vertices by its characters
         cases = [
-            ("st", ("s", "t", 1.5)),
-            ("st", ("s", "t", Fraction(1, 2))),
-            ("st", ("s", "t", True)),
-            ("st", ("s", "t", "3")),
-            ("st", ("s", "t", -1)),
-            ("st", ("s", "nope", 1)),
-            ("sst", ("s", "t", 1)),
-            ("st", ("s", "t")),
-            ("st", (["s"], "t", 1)),
+            ([*"st"], ("s", "t", 1.5)),
+            ([*"st"], ("s", "t", Fraction(1, 2))),
+            ([*"st"], ("s", "t", True)),
+            ([*"st"], ("s", "t", "3")),
+            ([*"st"], ("s", "t", -1)),
+            ([*"st"], ("s", "nope", 1)),
+            ([*"sst"], ("s", "t", 1)),
+            ([*"st"], ("s", "t")),
+            ([*"st"], (["s"], "t", 1)),
+            ("st", ("s", "t", 3)),
         ]
         for vertices, arc in cases:
             with pytest.raises(CollschedError):
                 FlowGraph(vertices, [arc])
         with pytest.raises(Overflow):
-            FlowGraph("st", [("s", "t", CAPACITY_BUDGET + 1)])
+            FlowGraph([*"st"], [("s", "t", CAPACITY_BUDGET + 1)])
 
     def test_infinity_is_not_a_capacity(self):
         with pytest.raises(CollschedError):
-            FlowGraph("st", [("s", "t", float("inf"))])
+            FlowGraph([*"st"], [("s", "t", float("inf"))])
 
     @pytest.mark.parametrize("limit", [2.5, True, -3], ids=["float", "bool", "negative"])
     def test_bad_limits_rejected(self, limit):
-        g = FlowGraph("sat", [("s", "a", 5), ("a", "t", 5), ("s", "t", 0)])
+        g = FlowGraph([*"sat"], [("s", "a", 5), ("a", "t", 5), ("s", "t", 0)])
         with pytest.raises(CollschedError):
             g.run(["s"], ["t"], limit=limit)
         with pytest.raises(CollschedError):
@@ -291,7 +293,7 @@ class TestResume:
             assert value + g.resume(state, [s], v, big) == boosted.run([s], [t]), (seed, v)
 
     def test_resume_respects_limit(self):
-        g = FlowGraph("sat", [("s", "a", 6), ("a", "t", 0)])
+        g = FlowGraph([*"sat"], [("s", "a", 6), ("a", "t", 0)])
         value, state = g.run_keep(["s"], ["t"])
         assert value == 0
         assert g.resume(state, ["s"], "a", 4) == 4
@@ -301,14 +303,14 @@ class TestResume:
         assert g.resume(state, ["s"], "a", 100) == 6
 
     def test_resume_rejects_a_sink_among_the_sources(self):
-        g = FlowGraph("sat", [("s", "a", 3), ("a", "t", 3)])
+        g = FlowGraph([*"sat"], [("s", "a", 3), ("a", "t", 3)])
         _, state = g.run_keep(["s"], ["t"])
         with pytest.raises(CollschedError):
             g.resume(state, ["s", "a"], "a", 10)
 
     @pytest.mark.parametrize("vertex", [-1, 2, True, "nope"])
     def test_resume_rejects_unknown_vertices(self, vertex):
-        g = FlowGraph("sat", [("a", "t", 6), ("s", "a", 0)])
+        g = FlowGraph([*"sat"], [("a", "t", 6), ("s", "a", 0)])
         _, state = g.run_keep(["s"], ["t"])
         with pytest.raises(CollschedError):
             g.resume(state, ["s", vertex], "a", 10)
@@ -316,7 +318,7 @@ class TestResume:
             g.resume(state, ["s"], vertex, 10)
 
     def test_resume_rejects_non_iterable_sources(self):
-        g = FlowGraph("sat", [("a", "t", 6), ("s", "a", 0)])
+        g = FlowGraph([*"sat"], [("a", "t", 6), ("s", "a", 0)])
         _, state = g.run_keep(["s"], ["t"])
         with pytest.raises(CollschedError):
             g.resume(state, 7, "a", 3)
@@ -324,7 +326,7 @@ class TestResume:
     def test_resume_keeps_earlier_terminals_among_the_sources(self):
         """Flow pushed s -> a changes the residual value of any cut that
         splits s from a, so a later call on the state must source both."""
-        g = FlowGraph("sabt", [("s", "a", 4), ("a", "b", 4), ("s", "b", 1), ("b", "t", 0)])
+        g = FlowGraph([*"sabt"], [("s", "a", 4), ("a", "b", 4), ("s", "b", 1), ("b", "t", 0)])
         _, state = g.run_keep(["s"], ["t"])
         assert g.resume(state, ["s"], "a", 10) == 4
         for sources, sink in ((["s"], "b"), (["a"], "b"), (["b"], "t")):
@@ -367,7 +369,7 @@ class TestReach:
                     ), (seed, limit, at_least, starts)
 
     def test_rejects_bad_thresholds_and_vertices(self):
-        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 4)])
+        g = FlowGraph([*"sat"], [("s", "a", 4), ("a", "t", 4)])
         _, state = g.run_keep(["s"], ["t"])
         for at_least in (0, -1, 1.5, True):
             with pytest.raises(CollschedError):
@@ -413,7 +415,7 @@ class TestStates:
             assert g.run([s], [t]) == value, (seed, a, b, amount)
 
     def test_lower_reports_the_flow_it_had_to_drop(self):
-        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 4)])
+        g = FlowGraph([*"sat"], [("s", "a", 4), ("a", "t", 4)])
         _, state = g.run_keep(["s"], ["t"])
         base = g.state()
         # the flow fills (a, t): lowering it by 3 drops 3 of its 4 units in
@@ -431,7 +433,7 @@ class TestStates:
         assert g.run(["s"], ["t"]) == 1
 
     def test_copies_are_independent_and_grow_with_the_graph(self):
-        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 2)])
+        g = FlowGraph([*"sat"], [("s", "a", 4), ("a", "t", 2)])
         value, state = g.run_keep(["s"], ["t"])
         twin = g.copy(state)
         g.grow(["b"], [("a", "b", 5), ("b", "t", 1)])
@@ -456,7 +458,7 @@ class TestStates:
     )
     def test_lower_rejects_bad_arguments(self, src, dst, amount):
         # the two arcs s -> t merge into one of capacity 3, which 4 exceeds
-        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 4), ("s", "t", 1), ("s", "t", 2)])
+        g = FlowGraph([*"sat"], [("s", "a", 4), ("a", "t", 4), ("s", "t", 1), ("s", "t", 2)])
         _, state = g.run_keep(["s"], ["t"])
         before = list(state[0])
         with pytest.raises(CollschedError):
@@ -467,7 +469,7 @@ class TestStates:
         assert g.run(["s"], ["t"]) == 7
 
     def test_a_state_behind_the_edits_is_refused_until_caught_up(self):
-        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 4)])
+        g = FlowGraph([*"sat"], [("s", "a", 4), ("a", "t", 4)])
         _, state = g.run_keep(["s"], ["t"])
         g.lower("a", "t", 1)
         for call in (
@@ -502,7 +504,7 @@ class TestStates:
         ],
     )
     def test_push_rejects_bad_arguments(self, sources, sinks, limit):
-        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 4)])
+        g = FlowGraph([*"sat"], [("s", "a", 4), ("a", "t", 4)])
         state = g.state()
         with pytest.raises(CollschedError):
             g.push(state, sources, sinks, limit)
@@ -518,14 +520,15 @@ class TestStates:
             (["x"], [("x", "s", -1)]),
             (["x"], [("x", "s", 2.0)]),
             (["x"], [("x", "s")]),
+            ("xy", [("x", "y", 1)]),
         ],
         ids=[
             "known-vertex", "repeated-vertex", "unhashable-vertex", "unknown-endpoint",
-            "negative-capacity", "float-capacity", "not-a-triple",
+            "negative-capacity", "float-capacity", "not-a-triple", "string-vertices",
         ],
     )
     def test_grow_rejects_bad_input_and_leaves_the_graph_as_it_was(self, vertices, arcs):
-        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 4)])
+        g = FlowGraph([*"sat"], [("s", "a", 4), ("a", "t", 4)])
         with pytest.raises(CollschedError):
             g.grow(vertices, arcs)
         with pytest.raises(Overflow):
@@ -552,7 +555,7 @@ def listed(g):
 
 class TestOneArcPerPair:
     def test_repeated_pairs_merge_into_one_arc(self):
-        g = FlowGraph("sat", [("s", "a", 2), ("a", "t", 4), ("s", "a", 3)])
+        g = FlowGraph([*"sat"], [("s", "a", 2), ("a", "t", 4), ("s", "a", 3)])
         assert g.arcs() == [("s", "a", 5), ("a", "t", 4)]
         assert (g.capacity("s", "a"), g.capacity("t", "a")) == (5, 0)
         g.grow(["b"], [("s", "a", 1), ("a", "b", 2), ("a", "b", 1), ("b", "t", 3)])
@@ -569,7 +572,7 @@ class TestOneArcPerPair:
         assert g.run(["s"], ["t"]) == 0
 
     def test_an_arc_at_zero_leaves_the_adjacency_lists_until_raised(self):
-        g = FlowGraph("sat", [("s", "a", 3), ("a", "t", 3), ("s", "t", 1)])
+        g = FlowGraph([*"sat"], [("s", "a", 3), ("a", "t", 3), ("s", "t", 1)])
         value, state = g.run_keep(["s"], ["t"])
         g.lower("a", "t", 3)
         assert listed(g) == {("s", "a"), ("s", "t")}
@@ -587,7 +590,7 @@ class TestOneArcPerPair:
         assert value - 3 + g.push(state, ["s"], ["t"], 10) == 3
 
     def test_a_state_behind_a_merging_grow_is_refused_until_caught_up(self):
-        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 2)])
+        g = FlowGraph([*"sat"], [("s", "a", 4), ("a", "t", 2)])
         value, state = g.run_keep(["s"], ["t"])
         g.grow([], [("a", "t", 3)])
         for call in (
@@ -603,7 +606,7 @@ class TestOneArcPerPair:
         assert value + g.push(state, ["s"], ["t"], 10) == 4 == g.run(["s"], ["t"])
 
     def test_a_new_arc_at_zero_never_enters_the_adjacency_lists(self):
-        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 0)])
+        g = FlowGraph([*"sat"], [("s", "a", 4), ("a", "t", 0)])
         g.grow(["b"], [("a", "b", 0), ("b", "t", 0), ("s", "a", 0)])
         assert listed(g) == {("s", "a")}
         assert g.arcs() == [("s", "a", 4)]
@@ -683,7 +686,7 @@ class TestAmounts:
                 assert g.push(g.copy(state), *exact, pushed) == pushed, (seed, exact)
 
     def test_amounts_are_checked(self):
-        g = FlowGraph("sat", [("s", "a", 4), ("a", "t", 4)])
+        g = FlowGraph([*"sat"], [("s", "a", 4), ("a", "t", 4)])
         state = g.state()
         for sources, sinks in (
             ({"s": -1}, {"t": 1}),
@@ -974,7 +977,7 @@ class TestSinkLabelledPhases:
         0 less one is the mark of an unlabelled vertex such as c, so none of
         its arcs may be followed.  The push ends with the super-terminal
         value, 6, and the oracle's residual."""
-        g = FlowGraph("sabc", [("s", "a", 6), ("a", "b", 5), ("a", "c", 3), ("c", "s", 2)])
+        g = FlowGraph([*"sabc"], [("s", "a", 6), ("a", "b", 5), ("a", "c", 3), ("c", "s", 2)])
         state = g.state()
         sinks = {"a": 1, "b": 5}
         want = forward(g, state, ["s"], sinks, 10)
@@ -990,7 +993,7 @@ class TestSinkLabelledPhases:
         the phase's level is f's, or no phase would find a path and the
         loop would never end."""
         arcs = [("n", "t", 5), ("f", "x", 4), ("x", "t", 4), ("n", "x", 1)]
-        g = FlowGraph("nfxt", arcs)
+        g = FlowGraph([*"nfxt"], arcs)
         assert g.push(g.state(), {"n": 0, "f": 7}, ["t"], 10) == 4
         oracle = FlowGraph([*"nfxt", "S"], [*arcs, ("S", "n", 0), ("S", "f", 7)])
         assert oracle.run(["S"], ["t"], 10) == 4
@@ -1001,3 +1004,15 @@ class TestHelpers:
         assert fresh_name("s", {"a", "b"}) == "s"
         assert fresh_name("s", {"s"}) == "_s"
         assert fresh_name("s", {"s", "_s"}) == "__s"
+
+    def test_source_network_feeds_every_compute_node(self):
+        # a compute node named "s" pushes the source to "_s"; the switch
+        # gets no source arc
+        t = Topology(
+            [Node("s", COMPUTE), Node("w", SWITCH), Node("a", COMPUTE)],
+            [Link("s", "w", 2), Link("w", "a", 2), Link("a", "s", 2)],
+        )
+        g, source, demand = source_network(t, {("s", "w"): 5, ("a", "s"): 1}, 3)
+        assert (source, demand) == ("_s", 6)
+        assert g.arcs() == [("s", "w", 5), ("a", "s", 1), ("_s", "a", 3), ("_s", "s", 3)]
+        assert g.capacity("w", "a") == 0

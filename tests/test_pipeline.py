@@ -1,10 +1,20 @@
 """End-to-end generation across collectives, tree counts, and options."""
 
+import dataclasses
+import random
 import re
 
 import pytest
 
-from collsched import fixed_k_search, generate, scale_capacities, validate_schedule
+from collsched import (
+    Link,
+    Topology,
+    export,
+    fixed_k_search,
+    generate,
+    scale_capacities,
+    validate_schedule,
+)
 from collsched.errors import (
     CollschedError,
     InvalidTopology,
@@ -79,3 +89,65 @@ class TestOptions:
 
     def test_deterministic_end_to_end(self, fig3a):
         assert generate(fig3a) == generate(fig3a)
+
+
+def verdict(t, collective, fixed_k):
+    """(exported schedule, whether it validates against its search result),
+    or "refused" for a floor switch removal cannot split."""
+    try:
+        s, meta = generate(t, collective, fixed_k=fixed_k)
+    except NotEulerianAfterFloor:
+        return "refused"
+    return export(s, "json"), validate_schedule(s, t, meta).ok
+
+
+# The names the auxiliary source (the search's, the splitter's and the
+# packer's sigma) and the packer's first two hubs would take.
+AUXILIARY_NAMES = ("s", "_s", "__s", "b0", "_b0", "b1")
+
+
+def with_auxiliary_names(t: Topology) -> Topology:
+    """t with its compute nodes, then its switches, renamed in sorted order
+    to `AUXILIARY_NAMES`, as far as those go."""
+    new = dict(zip([*t.compute_ids, *t.switch_ids], AUXILIARY_NAMES))
+    nodes = [dataclasses.replace(n, id=new.get(n.id, n.id)) for n in t.nodes]
+    links = [Link(new.get(l.src, l.src), new.get(l.dst, l.dst), l.bandwidth) for l in t.links]
+    return Topology(nodes, links)
+
+
+class TestNaming:
+    def test_the_schedule_does_not_depend_on_input_order(self, random_suite, clustered_suite):
+        """Listing a network's nodes and links in another order moves no
+        exported byte, for every collective with and without a tree count."""
+        for i, t in enumerate(random_suite[:40] + clustered_suite[:10]):
+            rng = random.Random(i)
+            nodes, links = list(t.nodes), list(t.links)
+            rng.shuffle(nodes)
+            rng.shuffle(links)
+            shuffled = Topology(nodes, links)
+            assert shuffled.nodes != t.nodes, i
+            for collective in COLLECTIVES:
+                for k in (None, 2):
+                    assert verdict(shuffled, collective, k) == verdict(t, collective, k), (
+                        i, collective, k,
+                    )
+
+    def test_node_ids_may_take_the_auxiliary_names(self, random_suite):
+        """Networks whose nodes carry the names the auxiliary vertices would
+        take get fresh ones instead: every op validates, fails to validate
+        or is refused exactly as on the network with its own names."""
+        counts = {"valid": 0, "invalid": 0, "refused": 0}
+        for i, t in enumerate(random_suite[:60]):
+            renamed = with_auxiliary_names(t)
+            assert {"s", "_s"} <= set(renamed.compute_ids), i
+            for collective in COLLECTIVES:
+                for k in (None, 2):
+                    got = verdict(renamed, collective, k)
+                    want = verdict(t, collective, k)
+                    if got == "refused" or want == "refused":
+                        assert got == want, (i, collective, k)
+                        counts["refused"] += 1
+                    else:
+                        assert got[1] == want[1], (i, collective, k)
+                        counts["valid" if got[1] else "invalid"] += 1
+        assert counts == {"valid": 114, "invalid": 228, "refused": 18}
