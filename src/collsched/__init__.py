@@ -14,13 +14,10 @@ from .errors import (
     CapacityExhausted,
     CollschedError,
     InvalidTopology,
-    MismatchedForest,
     NoAddableEdge,
-    NonIntegerBandwidth,
     NotEulerianAfterFloor,
     Overflow,
     StuckSplit,
-    TooLarge,
     TopologyFormatError,
 )
 from .maxflow import FlowGraph
@@ -69,7 +66,6 @@ from .verify import (
     ScheduleViolation,
     ValidationReport,
     brute_force_bottleneck,
-    congestion_time,
     random_eulerian_topology,
     validate_schedule,
 )
@@ -90,9 +86,7 @@ __all__ = [
     "Forest",
     "InvalidTopology",
     "Link",
-    "MismatchedForest",
     "NoAddableEdge",
-    "NonIntegerBandwidth",
     "NotEulerianAfterFloor",
     "Node",
     "OptimalityResult",
@@ -104,7 +98,6 @@ __all__ = [
     "ScheduleEdge",
     "ScheduleViolation",
     "StuckSplit",
-    "TooLarge",
     "Topology",
     "TopologyFormatError",
     "TopologyReport",
@@ -114,7 +107,6 @@ __all__ = [
     "bottleneck_search",
     "brute_force_bottleneck",
     "combine_allreduce",
-    "congestion_time",
     "derive_schedule_params",
     "export",
     "fixed_k_search",

@@ -4,6 +4,11 @@ Everything raised on purpose derives from CollschedError so callers (and the
 CLI) can distinguish expected failures from genuine bugs.  Validation of
 topologies and schedules does NOT raise — violations are returned as data —
 but operations whose preconditions are broken do.
+
+A subclass exists where it carries state for the caller (InvalidTopology,
+NotEulerianAfterFloor, StuckSplit, NoAddableEdge) or names a failure of its
+own kind (Overflow, CapacityExhausted).  Every other failure raises its
+parent class, with a message that says what went wrong.
 """
 
 
@@ -16,27 +21,10 @@ class CollschedError(Exception):
 # ---------------------------------------------------------------------------
 
 class TopologyFormatError(CollschedError):
-    """The topology document is structurally unusable."""
-
-
-class MalformedDocument(TopologyFormatError):
-    """Not valid JSON, or the top-level shape is wrong."""
-
-
-class UnknownNodeKind(TopologyFormatError):
-    """A node's "kind" is neither "compute" nor "switch"."""
-
-
-class DuplicateNodeId(TopologyFormatError):
-    """Two nodes share an id."""
-
-
-class UnknownEndpoint(TopologyFormatError):
-    """A link references a node id that was never declared."""
-
-
-class NonIntegerBandwidth(TopologyFormatError):
-    """A link bandwidth is not a positive JSON integer."""
+    """The topology document is structurally unusable: not valid JSON, a
+    wrong shape or field type, an unknown field, node kind or endpoint, a
+    duplicate node id, or a bandwidth that is not a positive integer.  The
+    message names which."""
 
 
 class InvalidTopology(CollschedError):
@@ -119,16 +107,3 @@ class NoAddableEdge(CollschedError):
             f"tree batch rooted at {root} cannot grow past {len(self.members)} "
             f"vertices; frontier arcs tried: {self.frontier}"
         )
-
-
-# ---------------------------------------------------------------------------
-# Schedules
-# ---------------------------------------------------------------------------
-
-class MismatchedForest(CollschedError):
-    """Two phases that cannot form one allreduce: out of order, or with
-    disagreeing metadata or witness cuts."""
-
-
-class TooLarge(CollschedError):
-    """The exhaustive cut enumeration budget (2^|V|) would be exceeded."""

@@ -47,11 +47,12 @@ push must reach.  Either set may give each vertex an amount, the most it
 sends or takes, so one push routes every excess of a caught-up state to
 every deficit at once (a transshipment: the max flow from a super source
 with an arc of each source's amount to a super sink with an arc of each
-sink's).  `run_keep` is a fresh state plus one push, and every run, resume
-and push goes through the one Dinic.  Its phases label each vertex with its
-residual distance to the sinks, and walks from the sources step only one
-closer: exactly the live arcs of the textbook levels counted from the
-sources, scanned in the same order, so the same augmenting paths are found.
+sink's).  `push` is the one caller of Dinic: `run_keep` is a fresh state
+plus one push, and `resume` is its terminal rule plus one push.  Dinic's
+phases label each vertex with its residual distance to the sinks, and
+walks from the sources step only one closer: exactly the live arcs of the
+textbook levels counted from the sources, scanned in the same order, so
+the same augmenting paths are found.
 
 The search, the splitter and the packer build their graphs in one place,
 `source_network(t, capacity, supply)`: t plus a fresh source feeding
@@ -373,7 +374,6 @@ class FlowGraph:
         cut that splits an earlier call's terminals has lost that flow's
         worth, so such a call is refused, as is a sink among the sources.
         """
-        limit = _checked_limit(limit)
         pinned = state[1]
         starts = self._vertices(sources, "resume sources")
         t = self._vertex(sink)
@@ -383,10 +383,8 @@ class FlowGraph:
             raise CollschedError(
                 "resume sources must hold every source and sink of earlier resumes on this state"
             )
-        pushed = _dinic(
-            len(self._names), self._to, self._adj, self._caps(state),
-            dict.fromkeys(starts, limit), {t: limit}, limit,
-        )
+        names = self._names
+        pushed = self.push(state, [names[i] for i in starts], [sink], limit)
         pinned.update(starts)
         pinned.add(t)
         return pushed

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 
-from .errors import CollschedError, MismatchedForest
+from .errors import CollschedError
 from .packing import Forest
 from .splitting import EMap, PathExpander
 from .topology import Topology, json_field, transpose
@@ -103,12 +103,13 @@ def assemble_allgather(
     construction.
     """
     expander = PathExpander(emap, scaled)
+    by_root: dict[str, list] = {}
+    for batch in forest.batches:
+        by_root.setdefault(batch.root, []).append(batch)
     roots = []
     for root in forest.lt.compute_ids:
         batches = []
-        for batch in forest.batches:
-            if batch.root != root:
-                continue
+        for batch in by_root.get(root, ()):
             if len(batch.members) != forest.lt.num_compute:
                 raise CollschedError(f"batch rooted at {root} is incomplete")
             edges = tuple(
@@ -190,13 +191,13 @@ def combine_allreduce(rs: Schedule, ag: Schedule) -> Schedule:
     congestion model is the sum of the phases'.
     """
     if rs.collective != REDUCE_SCATTER:
-        raise MismatchedForest(f"first phase must be reduce_scatter, got {rs.collective}")
+        raise CollschedError(f"first phase must be reduce_scatter, got {rs.collective}")
     if ag.collective != ALLGATHER:
-        raise MismatchedForest(f"second phase must be allgather, got {ag.collective}")
+        raise CollschedError(f"second phase must be allgather, got {ag.collective}")
     meta_rs = (rs.num_compute, rs.k, rs.U, rs.y, rs.inv_x_star, sorted(rs.witness))
     meta_ag = (ag.num_compute, ag.k, ag.U, ag.y, ag.inv_x_star, sorted(ag.witness))
     if meta_rs != meta_ag:
-        raise MismatchedForest(f"phase metadata disagrees: {meta_rs} vs {meta_ag}")
+        raise CollschedError(f"phase metadata disagrees: {meta_rs} vs {meta_ag}")
     return Schedule(
         collective=ALLREDUCE,
         num_compute=ag.num_compute,
@@ -257,7 +258,19 @@ def spans_add(spans, lo: int, hi: int) -> list[tuple[int, int]]:
     return kept
 
 
-def _prune(s: Schedule, t: Topology) -> Schedule:
+def prune_multicast(s: Schedule, t: Topology) -> Schedule:
+    """Elide sends made redundant by switch multicast.
+
+    Trees are walked in BFS order from the root (children sorted); once a
+    tree copy's data has crossed a multicast-capable switch, a later path
+    of the same copy through that switch keeps only its suffix from there
+    on (from the last such switch on it) — the switch fans out instead.
+    Only whole path entries are cut (a path's copies must all be covered);
+    the hops after the switch are kept, so delivery and the congestion
+    bottleneck are untouched.
+    """
+    if s.collective != ALLGATHER:
+        raise CollschedError(f"multicast pruning applies to allgather, got {s.collective}")
     capable = {node.id for node in t.nodes if node.multicast}
     if not capable:
         return s
@@ -297,22 +310,6 @@ def _prune(s: Schedule, t: Topology) -> Schedule:
     return replace(s, roots=tuple(new_roots))
 
 
-def prune_multicast(s: Schedule, t: Topology) -> Schedule:
-    """Elide sends made redundant by switch multicast.
-
-    Trees are walked in BFS order from the root (children sorted); once a
-    tree copy's data has crossed a multicast-capable switch, a later path
-    of the same copy through that switch keeps only its suffix from there
-    on (from the last such switch on it) — the switch fans out instead.
-    Only whole path entries are cut (a path's copies must all be covered);
-    the hops after the switch are kept, so delivery and the congestion
-    bottleneck are untouched.
-    """
-    if s.collective != ALLGATHER:
-        raise CollschedError(f"multicast pruning applies to allgather, got {s.collective}")
-    return _prune(s, t)
-
-
 def prune_aggregation(s: Schedule, t: Topology) -> Schedule:
     """Mirror of `prune_multicast` for reduce-scatter: s run backwards is
     an allgather on `transpose(t)`, whose multicast switches are t's
@@ -321,12 +318,12 @@ def prune_aggregation(s: Schedule, t: Topology) -> Schedule:
         raise CollschedError(
             f"aggregation pruning applies to reduce_scatter, got {s.collective}"
         )
-    pruned = _prune(reverse_schedule(s, ALLGATHER), transpose(t))
+    pruned = prune_multicast(reverse_schedule(s, ALLGATHER), transpose(t))
     return reverse_schedule(pruned, REDUCE_SCATTER)
 
 
 # ---------------------------------------------------------------------------
-# Usage accounting (shared by exports and verify.congestion_time; the
+# Usage accounting (shared by `link_usage` and the DOT export; the
 # validator recomputes its own)
 # ---------------------------------------------------------------------------
 

@@ -171,18 +171,6 @@ class _GammaOracle:
         return best
 
 
-def compute_gamma(
-    net: Topology, k: int, e: tuple[str, str], f: tuple[str, str]
-) -> int:
-    """Split amount for ingress e = (u, w) and egress f = (w, t) in the
-    scaled network `net`; standalone form of the oracle for single queries."""
-    u, w = e
-    w2, t = f
-    if w != w2:
-        raise CollschedError(f"pairing must share the switch: {e} vs {f}")
-    return _GammaOracle(net, k).gamma(u, w, t)
-
-
 # ---------------------------------------------------------------------------
 # Removal loop
 # ---------------------------------------------------------------------------

@@ -18,16 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import (
-    CollschedError,
-    DuplicateNodeId,
-    MalformedDocument,
-    NonIntegerBandwidth,
-    Overflow,
-    TopologyFormatError,
-    UnknownEndpoint,
-    UnknownNodeKind,
-)
+from .errors import CollschedError, Overflow, TopologyFormatError
 
 # Every flow graph's capacities (scaled links, cleared-denominator auxiliary
 # arcs and the run limits derived from them) sum to at most this, so no flow
@@ -94,25 +85,25 @@ class Topology:
         seen = set()
         for n in nodes:
             if n.id in seen:
-                raise DuplicateNodeId(f"duplicate node id {n.id!r}")
+                raise TopologyFormatError(f"duplicate node id {n.id!r}")
             if not n.id:
-                raise MalformedDocument("empty node id")
+                raise TopologyFormatError("empty node id")
             seen.add(n.id)
             if n.kind not in (COMPUTE, SWITCH):
-                raise UnknownNodeKind(f"node {n.id!r} has unknown kind {n.kind!r}")
+                raise TopologyFormatError(f"node {n.id!r} has unknown kind {n.kind!r}")
             if n.kind == COMPUTE and (n.multicast or n.aggregation):
-                raise MalformedDocument(
+                raise TopologyFormatError(
                     f"compute node {n.id!r} cannot carry switch capability flags"
                 )
 
         merged: dict[tuple[str, str], int] = {}
         for l in links:
             if not isinstance(l.bandwidth, int) or isinstance(l.bandwidth, bool) or l.bandwidth < 1:
-                raise NonIntegerBandwidth(
+                raise TopologyFormatError(
                     f"link {l.src}->{l.dst} bandwidth {l.bandwidth!r} is not a positive integer"
                 )
             if l.src not in seen or l.dst not in seen:
-                raise UnknownEndpoint(f"link {l.src}->{l.dst} references an undeclared node")
+                raise TopologyFormatError(f"link {l.src}->{l.dst} references an undeclared node")
             if l.src == l.dst:
                 raise TopologyFormatError(f"self-loop link on {l.src!r}")
             merged[(l.src, l.dst)] = merged.get((l.src, l.dst), 0) + l.bandwidth
@@ -170,7 +161,7 @@ _REQUIRED = object()
 _JSON_TYPE = {str: "string", int: "integer", bool: "boolean", list: "array"}
 
 
-def json_field(obj, key: str, kind: type, default=_REQUIRED, error=MalformedDocument):
+def json_field(obj, key: str, kind: type, default=_REQUIRED, error=TopologyFormatError):
     """obj[key], raising `error` unless obj is a JSON object and the value a
     JSON `kind` (a boolean is never an integer); `default` when absent."""
     if not isinstance(obj, dict):
@@ -197,30 +188,45 @@ def parse_topology(text: str) -> Topology:
 
     Every field must have its JSON type: ids and kinds are strings,
     capability flags booleans (missing ones default to false), bandwidths
-    integers >= 1.  Parallel links are merged with summed bandwidth.
+    integers >= 1.  A field not shown above is refused, naming it, so a
+    misspelt flag is never silently read as false.  Parallel links are
+    merged with summed bandwidth.
     """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:
-        raise MalformedDocument(f"not valid JSON: {e}") from None
-    nodes = [
-        Node(
+        raise TopologyFormatError(f"not valid JSON: {e}") from None
+    node_entries = json_field(doc, "nodes", list)
+    link_entries = json_field(doc, "links", list)
+    _known_fields(doc, ("nodes", "links"), "the topology document")
+    nodes = []
+    for entry in node_entries:
+        node = Node(
             id=json_field(entry, "id", str),
             kind=json_field(entry, "kind", str),
             multicast=json_field(entry, "multicast", bool, False),
             aggregation=json_field(entry, "aggregation", bool, False),
         )
-        for entry in json_field(doc, "nodes", list)
-    ]
-    links = [
-        Link(
+        _known_fields(entry, ("id", "kind", "multicast", "aggregation"), f"node {node.id!r}")
+        nodes.append(node)
+    links = []
+    for entry in link_entries:
+        link = Link(
             src=json_field(entry, "src", str),
             dst=json_field(entry, "dst", str),
-            bandwidth=json_field(entry, "bandwidth", int, error=NonIntegerBandwidth),
+            bandwidth=json_field(entry, "bandwidth", int),
         )
-        for entry in json_field(doc, "links", list)
-    ]
+        _known_fields(entry, ("src", "dst", "bandwidth"), f"link {link.src}->{link.dst}")
+        links.append(link)
     return Topology(nodes, links)
+
+
+def _known_fields(obj: dict, known: tuple[str, ...], where: str) -> None:
+    """Raise TopologyFormatError naming the first field of `obj` that is
+    not in `known`."""
+    unknown = sorted(obj.keys() - known)
+    if unknown:
+        raise TopologyFormatError(f"{where} has unknown field {unknown[0]!r} (known: {', '.join(known)})")
 
 
 def serialize_topology(t: Topology) -> str:

@@ -4,11 +4,9 @@ Everything here deliberately re-derives results without leaning on the
 modules it checks: the bottleneck oracle enumerates every cut instead of
 running flows, and the schedule validator recomputes tree structure, link
 usage and delivery from the serialized schedule alone, and the value of
-the schedule's witness cut from the topology alone.  Only the
-`congestion_time` summary reads the shared `schedule.link_usage` tally; the
-tests hold it equal to the validator's own.  Agreement between
-this module and the pipeline is the package's core evidence of
-correctness.
+the schedule's witness cut from the topology alone; a schedule's time is
+the validator's `achieved_T_comm`.  Agreement between this module and the
+pipeline is the package's core evidence of correctness.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CollschedError, TooLarge
+from .errors import CollschedError
 from .schedule import (
     ALLGATHER,
     ALLREDUCE,
@@ -25,7 +23,6 @@ from .schedule import (
     Schedule,
     bfs_edges,
     fraction_text,
-    link_usage,
     reverse_schedule,
     spans_add,
     spans_cover,
@@ -56,7 +53,7 @@ def brute_force_bottleneck(t: Topology) -> tuple[Fraction, CutWitness]:
     """
     n = len(t.nodes)
     if n > BRUTE_FORCE_VERTEX_LIMIT:
-        raise TooLarge(f"{n} vertices exceed the 2^{BRUTE_FORCE_VERTEX_LIMIT} budget")
+        raise CollschedError(f"{n} vertices exceed the 2^{BRUTE_FORCE_VERTEX_LIMIT} budget")
     ids = sorted(node.id for node in t.nodes)
     index = {v: i for i, v in enumerate(ids)}
     num_compute = t.num_compute
@@ -289,10 +286,14 @@ def _validate_gather_batch(
     root: str,
     batch,
     t: Topology,
+    sets: tuple[set[str], set[str], set[str]],
     violations: list[ScheduleViolation],
     usage: dict[tuple[str, str], int],
 ) -> None:
-    computes = set(t.compute_ids)
+    """Check one batch rooted at `root`, adding to `violations` and
+    `usage`; `sets` holds t's compute nodes, switches and multicast
+    switches."""
+    computes, switch_ids, capable = sets
     where = f"batch rooted at {root}"
     if batch.multiplicity < 1:
         violations.append(
@@ -336,8 +337,6 @@ def _validate_gather_batch(
     # head and starts at its tail, or at a multicast-capable switch that
     # already carried all its copies (pruning cut the hops before it).
     # Only paths that pass charge the capable switches they cross.
-    switch_ids = set(t.switch_ids)
-    capable = {n.id for n in t.nodes if n.multicast}
     charged: dict[str, list[tuple[int, int]]] = {}
     for e in batch.edges if order is None else order:
         hi = 0
@@ -428,6 +427,7 @@ def _validate_oriented(
             )
         )
     usage: dict[tuple[str, str], int] = {}
+    sets = computes, set(t.switch_ids), {v.id for v in t.nodes if v.multicast}
     for rt in s.roots:
         total = sum(b.multiplicity for b in rt.batches)
         if total != s.k:
@@ -437,7 +437,7 @@ def _validate_oriented(
                 )
             )
         for batch in rt.batches:
-            _validate_gather_batch(rt.root, batch, t, violations, usage)
+            _validate_gather_batch(rt.root, batch, t, sets, violations, usage)
     num, den = Fraction(s.U).numerator, Fraction(s.U).denominator
     achieved = Fraction(0)
     for (a, b), units in sorted(usage.items()):
@@ -517,23 +517,3 @@ def validate_schedule(s: Schedule, t: Topology, expected=None) -> ValidationRepo
         achieved_T_comm=achieved,
         bound_T_comm=bound,
     )
-
-
-def congestion_time(s: Schedule, t: Topology) -> Fraction:
-    """Per-unit communication time under the fluid congestion model:
-    max over links of usage(e)/(N*k*b_e), with usage from `link_usage`;
-    allreduce sums its phases."""
-    if s.collective == ALLREDUCE:
-        return sum(
-            (congestion_time(p, t) for p in s.phases), Fraction(0)
-        )
-    worst = Fraction(0)
-    for (a, b), units in link_usage(s).items():
-        if units <= 0:
-            continue
-        if (a, b) not in t.capacity:
-            raise CollschedError(f"schedule uses nonexistent link {a}->{b}")
-        load = Fraction(units, s.num_compute * s.k * t.capacity[(a, b)])
-        if load > worst:
-            worst = load
-    return worst

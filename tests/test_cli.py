@@ -80,6 +80,19 @@ class TestOptimality:
         assert main(["optimality", "-t", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_misspelt_capability_flag_is_exit_1(self, tmp_path, fig3a, capsys):
+        # read as an unknown field, not as multicast left at its default
+        doc = json.loads(serialize_topology(fig3a))
+        for node in doc["nodes"]:
+            if node["kind"] == "switch":
+                node["multicat"] = node.pop("multicast")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["generate", "-t", str(bad), "-o", str(tmp_path / "s.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: node 'w0' has unknown field 'multicat'"), err
+        assert not (tmp_path / "s.json").exists()
+
     @pytest.mark.parametrize("flag", ["multicast", "aggregation"])
     def test_string_capability_flags_are_exit_1(self, tmp_path, fig3a, flag, capsys):
         doc = json.loads(serialize_topology(fig3a))

@@ -394,13 +394,16 @@ class TestPackSpanningTrees:
             return value, state
 
         def repaired(g, state, sources, sinks, limit):
-            if not events or events[-1] != ("keep",):
+            # The push inside a run_keep or a resume is that call's flow.
+            if not events or events[-1] not in (("keep",), ("probing",)):
                 events.append(("repair", id(state[0])))
             return push(g, state, sources, sinks, limit)
 
         def probe(g, state, sources, sink, limit):
-            events.append(("probe", sink))
-            return resume(g, state, sources, sink, limit)
+            events.append(("probing",))
+            gained = resume(g, state, sources, sink, limit)
+            events[-1] = ("probe", sink)
+            return gained
 
         monkeypatch.setattr(FlowGraph, "run_keep", kept)
         monkeypatch.setattr(FlowGraph, "push", repaired)

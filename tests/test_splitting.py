@@ -19,7 +19,7 @@ from collsched import (
 )
 from collsched.errors import CapacityExhausted, CollschedError, NotEulerianAfterFloor, StuckSplit
 from collsched.maxflow import fresh_name
-from collsched.splitting import PathExpander, compute_gamma
+from collsched.splitting import PathExpander, _GammaOracle
 from conftest import clustered_eulerian_topology
 
 
@@ -88,26 +88,21 @@ class TestComputeGamma:
     def test_reference_pairings(self, fig3a):
         res = bottleneck_search(fig3a)
         scaled = scale_capacities(fig3a, res.U)
-        red = compute_gamma(scaled, res.k, ("c1_1", "w0"), ("w0", "c2_1"))
-        blue = compute_gamma(scaled, res.k, ("c1_3", "w0"), ("w0", "c1_4"))
+        oracle = _GammaOracle(scaled, res.k)
+        red = oracle.gamma("c1_1", "w0", "c2_1")
+        blue = oracle.gamma("c1_3", "w0", "c1_4")
         assert (red, blue) == (1, 0)
 
     def test_capped_by_arc_capacities(self):
         scaled, res = tiny_relay()
-        assert compute_gamma(scaled, res.k, ("a", "w"), ("w", "b")) == 1
-
-    def test_rejects_mismatched_switch(self, fig3a):
-        res = bottleneck_search(fig3a)
-        scaled = scale_capacities(fig3a, res.U)
-        with pytest.raises(CollschedError):
-            compute_gamma(scaled, res.k, ("c1_1", "w0"), ("w1", "c1_2"))
+        assert _GammaOracle(scaled, res.k).gamma("a", "w", "b") == 1
 
     def test_absent_arcs_give_zero(self):
         scaled, res = tiny_relay()
-        assert compute_gamma(scaled, res.k, ("b", "w"), ("w", "b")) == 0
+        assert _GammaOracle(scaled, res.k).gamma("b", "w", "b") == 0
 
     def test_matches_cut_enumeration_through_a_removal(self, monkeypatch):
-        """compute_gamma equals the enumerated amount for every pairing at
+        """The oracle's gamma equals the enumerated amount for every pairing at
         the switch being removed, on the scaled network and after each
         split of a greedy removal (first egress head, then first tail with
         a positive amount, as remove_switches orders them).  The pairings
@@ -132,9 +127,10 @@ class TestComputeGamma:
                         (a for (a, b) in net.capacity if b == w), key=lambda a: (a == heads[0], a)
                     )
                     split = None
+                    oracle = _GammaOracle(net, res.k)
                     for u in tails:
                         for head in heads:
-                            got = compute_gamma(net, res.k, (u, w), (w, head))
+                            got = oracle.gamma(u, w, head)
                             assert got == enumerated_gamma(net, res.k, u, w, head), (t, u, w, head)
                             checked += 1
                             if split is None and head == heads[0] and got > 0:
