@@ -47,8 +47,8 @@ push must reach.  Either set may give each vertex an amount, the most it
 sends or takes, so one push routes every excess of a caught-up state to
 every deficit at once (a transshipment: the max flow from a super source
 with an arc of each source's amount to a super sink with an arc of each
-sink's).  `push` is the one caller of Dinic: `run_keep` is a fresh state
-plus one push, and `resume` is its terminal rule plus one push.  Dinic's
+sink's).  `run_keep` is a fresh state plus one push; `resume` resolves its
+terminals once and runs push's last step, the one caller of Dinic.  Dinic's
 phases label each vertex with its residual distance to the sinks, and
 walks from the sources step only one closer: exactly the live arcs of the
 textbook levels counted from the sources, scanned in the same order, so
@@ -190,39 +190,31 @@ class FlowGraph:
         except (KeyError, TypeError):
             raise CollschedError(f"vertex {name!r} not in flow graph") from None
 
-    def _vertices(self, names, what: str) -> list[int]:
-        """Indices of the vertex names `names`, a non-empty iterable that is
-        not a string, in order with repeats dropped; `what` names the set in
-        errors."""
+    def _rooms(self, names, what: str, room: int) -> dict[int, int]:
+        """The vertices `names` by index, each with its room: its amount if
+        `names` is a dict from vertex name to amount, else `room`.  `names`
+        is a non-empty iterable of vertex names, not a string, and repeats
+        are dropped; `what` names the set in errors."""
         if isinstance(names, str):
             raise CollschedError(f"{what} {names!r} is a string, not a collection of vertices")
         idx = self._idx
-        found = []
         try:
-            for name in names:
-                found.append(idx[name])
+            if type(names) is not dict:
+                rooms = {idx[name]: room for name in names}
+            else:
+                rooms = {}
+                for name, amount in names.items():
+                    if type(amount) is not int or amount < 0:
+                        raise CollschedError(
+                            f"{what} amount of {name!r} must be a non-negative int, got {amount!r}"
+                        )
+                    rooms[idx[name]] = amount
         except KeyError as exc:
             raise CollschedError(f"vertex {exc.args[0]!r} not in flow graph") from None
         except TypeError:
             raise CollschedError(
                 f"{what} {names!r} are not an iterable of hashable vertex names"
             ) from None
-        if not found:
-            raise CollschedError(f"{what} must hold at least one vertex")
-        return found if len(found) == 1 else list(dict.fromkeys(found))
-
-    def _rooms(self, names, what: str, limit: int) -> dict[int, int]:
-        """The vertices `names` by index, each with its room: its amount if
-        `names` is a dict from vertex name to amount, else `limit`."""
-        if type(names) is not dict:
-            return dict.fromkeys(self._vertices(names, what), limit)
-        rooms = {}
-        for name, amount in names.items():
-            if type(amount) is not int or amount < 0:
-                raise CollschedError(
-                    f"{what} amount of {name!r} must be a non-negative int, got {amount!r}"
-                )
-            rooms[self._vertex(name)] = amount
         if not rooms:
             raise CollschedError(f"{what} must hold at least one vertex")
         return rooms
@@ -309,7 +301,11 @@ class FlowGraph:
         """
         limit = _checked_limit(limit)
         starts = self._rooms(sources, "sources", limit)
-        ends = self._rooms(sinks, "sinks", limit)
+        return self._push(state, starts, self._rooms(sinks, "sinks", limit), limit)
+
+    def _push(self, state: list, starts: dict, ends: dict, limit: int) -> int:
+        """`push` on terminals resolved to {index: room}, as `resume` runs
+        it too: the sets must be disjoint and the state caught up."""
         if not starts.keys().isdisjoint(ends):
             raise CollschedError("sources and sinks must be disjoint")
         caps = self._caps(state)
@@ -331,7 +327,7 @@ class FlowGraph:
         caps = self._caps(state)
         to = self._to
         adj = self._adj
-        queue = self._vertices(starts, "reach starts")
+        queue = list(self._rooms(starts, "reach starts", 0))
         seen = [False] * len(self._names)
         for i in queue:
             seen[i] = True
@@ -373,18 +369,20 @@ class FlowGraph:
         vertices of X leaves X's residual capacity as it was in R, but a
         cut that splits an earlier call's terminals has lost that flow's
         worth, so such a call is refused, as is a sink among the sources.
+        A source given an amount could send less than the cut, so `sources`
+        may not be a dict.  The flow then runs in `push`'s last step.
         """
-        pinned = state[1]
-        starts = self._vertices(sources, "resume sources")
+        limit = _checked_limit(limit)
+        if type(sources) is dict:
+            raise CollschedError("resume sources take no amounts")
+        starts = self._rooms(sources, "resume sources", limit)
         t = self._vertex(sink)
-        if t in starts:
-            raise CollschedError(f"resume sink {sink!r} is among its sources")
+        pinned = state[1]
         if not pinned.issubset(starts):
             raise CollschedError(
                 "resume sources must hold every source and sink of earlier resumes on this state"
             )
-        names = self._names
-        pushed = self.push(state, [names[i] for i in starts], [sink], limit)
+        pushed = self._push(state, starts, {t: limit}, limit)
         pinned.update(starts)
         pinned.add(t)
         return pushed

@@ -34,7 +34,7 @@ from functools import partial
 from .errors import CollschedError
 from .packing import Forest
 from .splitting import EMap, PathExpander
-from .topology import Topology, json_field, transpose
+from .topology import Topology, _known_fields, json_field, transpose
 
 ALLGATHER = "allgather"
 REDUCE_SCATTER = "reduce_scatter"
@@ -355,6 +355,7 @@ def fraction_text(f) -> str:
 
 
 _field = partial(json_field, error=CollschedError)
+_known = partial(_known_fields, error=CollschedError)
 
 
 def _parse_frac(doc: dict, key: str) -> Fraction:
@@ -406,18 +407,28 @@ def _edge(item) -> ScheduleEdge:
     return ScheduleEdge(src, dst, tuple(map(_path_use, paths)))
 
 
-def _batch(item) -> ScheduleBatch:
+def _batch(item, where: str) -> ScheduleBatch:
     batch = ScheduleBatch(
         _field(item, "multiplicity", int), tuple(map(_edge, _field(item, "edges", list)))
     )
     # Checked after the edges, so that a file in the older indented layout
-    # is named as such by its first edge.
+    # is named as such by its first edge, and one in the previous layout by
+    # its pruned hops.
     if "pruned" in item:
         raise CollschedError(
             "a batch lists pruned hops as in the previous schedule layout, whose "
             "paths were not cut by pruning; re-export the schedule"
         )
+    _known(item, ("multiplicity", "edges"), where)
     return batch
+
+
+def _root(item, where: str) -> RootTrees:
+    root = _field(item, "root", str)
+    where = f"root {root!r} in {where}"
+    _known(item, ("root", "batches"), where)
+    batches = _field(item, "batches", list)
+    return RootTrees(root, tuple(_batch(b, f"batch {i} of {where}") for i, b in enumerate(batches)))
 
 
 def _witness(doc: dict) -> frozenset[str]:
@@ -460,10 +471,18 @@ def _schedule_dict(s: Schedule) -> dict:
     return doc
 
 
-def _schedule_from_dict(doc) -> Schedule:
+_SCHEDULE_FIELDS = (
+    "collective", "num_compute_nodes", "trees_per_root", "optimal_inv_x", "tree_bandwidth",
+    "scale_U", "exact_bound", "witness",
+)
+
+
+def _schedule_from_dict(doc, where: str = "the schedule") -> Schedule:
     collective = _field(doc, "collective", str)
     if collective not in (ALLGATHER, REDUCE_SCATTER, ALLREDUCE):
         raise CollschedError(f"unknown collective {collective!r}")
+    body_field = "phases" if collective == ALLREDUCE else "roots"
+    _known(doc, _SCHEDULE_FIELDS + (body_field,), where)
     common = dict(
         collective=collective,
         num_compute=_field(doc, "num_compute_nodes", int),
@@ -478,17 +497,10 @@ def _schedule_from_dict(doc) -> Schedule:
         # Checked before recursing, so phases never nest.
         if [_field(p, "collective", str) for p in phases] != [REDUCE_SCATTER, ALLGATHER]:
             raise CollschedError("allreduce schedules carry a reduce_scatter then an allgather phase")
-        body = dict(roots=(), phases=tuple(map(_schedule_from_dict, phases)))
+        phases = tuple(_schedule_from_dict(p, f"the {p['collective']} phase") for p in phases)
+        body = dict(roots=(), phases=phases)
     else:
-        body = dict(
-            roots=tuple(
-                RootTrees(
-                    root=_field(rd, "root", str),
-                    batches=tuple(map(_batch, _field(rd, "batches", list))),
-                )
-                for rd in _field(doc, "roots", list)
-            )
-        )
+        body = dict(roots=tuple(_root(rd, where) for rd in _field(doc, "roots", list)))
     # Read after the body, so that an old-layout file (which has no
     # witness) is named as such by its first edge.
     return Schedule(witness=_witness(doc), **body, **common)
@@ -499,10 +511,12 @@ def parse_schedule(text: str) -> Schedule:
 
     Every field must have the JSON type the export writes: each
     edge a [src, dst, [[path, multiplicity], ...]] array whose paths list
-    at least 2 ids, and the witness a sorted list of distinct ids.  Files
-    in earlier layouts are refused with a message saying so: the indented
-    one, with edges as objects, and the compact one whose batches listed
-    pruned hops next to whole paths.
+    at least 2 ids, and the witness a sorted list of distinct ids.  A field
+    the export does not write is refused, naming it and where it is, so a
+    misspelt one is never read as absent.  Files in earlier layouts are
+    refused with a message saying so: the indented one, with edges as
+    objects, and the compact one whose batches listed pruned hops next to
+    whole paths.
     """
     try:
         doc = json.loads(text)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import CollschedError, Overflow, TopologyFormatError
+from .errors import CollschedError, InvalidTopology, Overflow, TopologyFormatError
 
 # Every flow graph's capacities (scaled links, cleared-denominator auxiliary
 # arcs and the run limits derived from them) sum to at most this, so no flow
@@ -221,12 +221,14 @@ def parse_topology(text: str) -> Topology:
     return Topology(nodes, links)
 
 
-def _known_fields(obj: dict, known: tuple[str, ...], where: str) -> None:
-    """Raise TopologyFormatError naming the first field of `obj` that is
-    not in `known`."""
+def _known_fields(
+    obj: dict, known: tuple[str, ...], where: str, error=TopologyFormatError
+) -> None:
+    """Raise `error` naming the first field of `obj` that is not in
+    `known`."""
     unknown = sorted(obj.keys() - known)
     if unknown:
-        raise TopologyFormatError(f"{where} has unknown field {unknown[0]!r} (known: {', '.join(known)})")
+        raise error(f"{where} has unknown field {unknown[0]!r} (known: {', '.join(known)})")
 
 
 def serialize_topology(t: Topology) -> str:
@@ -297,8 +299,6 @@ def validate(t: Topology) -> TopologyReport:
 
 def require_valid(t: Topology) -> None:
     """Raise InvalidTopology when `validate` reports violations."""
-    from .errors import InvalidTopology
-
     report = validate(t)
     if not report.ok:
         raise InvalidTopology(report.violations)

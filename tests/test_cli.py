@@ -273,6 +273,16 @@ class TestVerify:
         assert main(["verify", "-t", str(topo), str(sched)]) == 1
         assert "old indented schedule layout; re-export" in capsys.readouterr().err
 
+    def test_misspelt_schedule_field_is_exit_1(self, topo_file, tmp_path, capsys):
+        # refused by name, not read as exact_bound left at its default
+        sched = tmp_path / "s.json"
+        main(["generate", "-t", topo_file, "-o", str(sched)])
+        sched.write_text(sched.read_text().replace('"exact_bound"', '"exact_bond"'))
+        capsys.readouterr()
+        assert main(["verify", "-t", topo_file, str(sched)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the schedule has unknown field 'exact_bond'"), err
+
     def test_malformed_schedule_is_exit_1(self, topo_file, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

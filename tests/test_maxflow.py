@@ -999,6 +999,95 @@ class TestSinkLabelledPhases:
         assert oracle.run(["S"], ["t"], 10) == 4
 
 
+# Per call, each bad input the engine refuses, as (sources, sinks, limit) for
+# `push` and `run_keep`, (sources, sink, limit) for `resume` and
+# (starts, threshold) for `reach`.  The state has pinned {s, a} by a resume.
+REFUSED_CALLS = {
+    "push": {
+        "string-set": ("s", ["t"], 1),
+        "empty-set": (["s"], [], 1),
+        "unknown-vertex": (["s"], ["nope"], 1),
+        "unhashable-name": ([["s"]], ["t"], 1),
+        "overlapping-sets": (["s", "b"], ["b", "t"], 1),
+        "bad-limit": (["s"], ["t"], -1),
+        "negative-amount": ({"s": 1}, {"t": -1}, 1),
+    },
+    "run_keep": {
+        "string-set": (["s"], "t", 1),
+        "empty-set": ([], ["t"], 1),
+        "unknown-vertex": (["nope"], ["t"], 1),
+        "unhashable-name": (["s"], [["t"]], 1),
+        "overlapping-sets": (["s"], ["t", "s"], 1),
+        "bad-limit": (["s"], ["t"], 1.5),
+        "negative-amount": ({"s": -1}, ["t"], 1),
+    },
+    "resume": {
+        "string-set": ("sa", "t", 1),
+        "empty-set": ([], "t", 1),
+        "unknown-vertex": (["s", "a", "nope"], "t", 1),
+        "unknown-sink": (["s", "a"], "nope", 1),
+        "unhashable-name": (["s", "a", ["b"]], "t", 1),
+        "overlapping-sets": (["s", "a", "b"], "b", 1),
+        "bad-limit": (["s", "a"], "t", True),
+        "negative-amount": ({"s": -1, "a": 1}, "t", 1),
+        "terminal-rule": (["s"], "t", 1),
+    },
+    "reach": {
+        "string-set": ("s", 1),
+        "empty-set": (set(), 1),
+        "unknown-vertex": (["s", "nope"], 1),
+        "unhashable-name": ([["s"]], 1),
+        "bad-limit": (["s"], 0),
+        "negative-amount": ({"s": -1}, 1),
+    },
+}
+
+
+class TestRefusedCalls:
+    @staticmethod
+    def setup():
+        """A graph with one edit in its log and a caught-up state on it that
+        carries a flow and has pinned {s, a}."""
+        g = FlowGraph([*"sabt"], [("s", "a", 4), ("a", "b", 4), ("s", "b", 1), ("b", "t", 3)])
+        _, state = g.run_keep(["s"], ["t"])
+        g.lower("b", "t", 1)
+        g.catch_up(state)
+        assert g.resume(state, ["s"], "a", 2) == 2
+        return g, state
+
+    @staticmethod
+    def seen(g, state):
+        """Everything a flow call could change: the state's caps, pinned set
+        and log position, and the graph's arcs and log."""
+        return list(state[0]), set(state[1]), state[2], g.arcs(), len(g._log)
+
+    @pytest.mark.parametrize(
+        "method, args",
+        [(m, args) for m, calls in REFUSED_CALLS.items() for args in calls.values()],
+        ids=[f"{m}-{case}" for m, calls in REFUSED_CALLS.items() for case in calls],
+    )
+    def test_a_refused_call_changes_nothing(self, method, args):
+        g, state = self.setup()
+        before = self.seen(g, state)
+        call = getattr(g, method)
+        with pytest.raises(CollschedError):
+            call(*args) if method == "run_keep" else call(state, *args)
+        assert self.seen(g, state) == before
+        # the state still answers as an untouched one does
+        g0, state0 = self.setup()
+        assert g.resume(state, ["s", "a"], "b", 10) == g0.resume(state0, ["s", "a"], "b", 10)
+
+    @pytest.mark.parametrize("method", ["push", "resume", "reach"])
+    def test_a_stale_state_is_refused_and_left_as_it_was(self, method):
+        g, state = self.setup()
+        g.lower("s", "b", 1)
+        before = self.seen(g, state)
+        args = {"push": (["s"], ["t"], 1), "resume": (["s", "a"], "t", 1), "reach": (["s"], 1)}
+        with pytest.raises(CollschedError, match="catch it up"):
+            getattr(g, method)(state, *args[method])
+        assert self.seen(g, state) == before
+
+
 class TestHelpers:
     def test_fresh_name_avoids_collisions(self):
         assert fresh_name("s", {"a", "b"}) == "s"

@@ -381,6 +381,31 @@ class TestSerialization:
         with pytest.raises(CollschedError, match="previous schedule layout.*; re-export"):
             parse_schedule(PREVIOUS_LAYOUT_SCHEDULE)
 
+    @pytest.mark.parametrize(
+        "path, key, where",
+        [
+            ((), "exact_bond", "the schedule"),
+            (("phases", 0), "exact_bond", "the reduce_scatter phase"),
+            (("phases", 1, "roots", 0), "rooot", "root 'c1_1' in the allgather phase"),
+            (
+                ("phases", 1, "roots", 0, "batches", 0),
+                "multiplicty",
+                "batch 0 of root 'c1_1' in the allgather phase",
+            ),
+        ],
+        ids=["top-level", "phase", "root", "batch"],
+    )
+    def test_parse_refuses_unknown_fields(self, fig3a, path, key, where):
+        """A misspelt field is refused by name, never read as absent."""
+        s, _ = generate(fig3a, collective=ALLREDUCE)
+        doc = json.loads(export(s, "json"))
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        parent[key] = 3
+        with pytest.raises(CollschedError, match=f"^{where} has unknown field '{key}'"):
+            parse_schedule(json.dumps(doc))
+
     BATCH = ("roots", 0, "batches", 0)
     EDGE = BATCH + ("edges", 0)
 
