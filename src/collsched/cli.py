@@ -206,9 +206,9 @@ def cmd_verify(args) -> int:
 
 
 def _parse_param(text: str):
-    if "=" not in text:
+    key, sep, raw = text.partition("=")
+    if not sep or not key:
         raise CollschedError(f"--param expects KEY=VALUE, got {text!r}")
-    key, _, raw = text.partition("=")
     if raw.lower() in ("true", "false"):
         return key, raw.lower() == "true"
     # Only plain ASCII integers; anything else stays a string, which
@@ -222,7 +222,11 @@ def _parse_param(text: str):
 
 
 def cmd_synth(args) -> int:
-    params = dict(_parse_param(p) for p in args.param)
+    params = {}
+    for key, value in map(_parse_param, args.param):
+        if key in params:
+            raise CollschedError(f"--param {key} is given more than once")
+        params[key] = value
     _write(args.output, serialize_topology(synth_topology(args.family, **params)))
     return 0
 

@@ -29,12 +29,11 @@ import json
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 
 from .errors import CollschedError
 from .packing import Forest
 from .splitting import EMap, PathExpander
-from .topology import Topology, _known_fields, json_field, transpose
+from .topology import _REQUIRED, Topology, json_field, json_fields, transpose
 
 ALLGATHER = "allgather"
 REDUCE_SCATTER = "reduce_scatter"
@@ -354,15 +353,10 @@ def fraction_text(f) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-_field = partial(json_field, error=CollschedError)
-_known = partial(_known_fields, error=CollschedError)
-
-
-def _parse_frac(doc: dict, key: str) -> Fraction:
-    """doc[key] as `fraction_text` writes it: ASCII digits, an optional
-    leading minus, one slash.  `int` alone would also take signs,
+def _parse_frac(text: str, key: str) -> Fraction:
+    """`text`, field `key`, as `fraction_text` writes it: ASCII digits, an
+    optional leading minus, one slash.  `int` alone would also take signs,
     underscores, spaces and non-ASCII digits."""
-    text = _field(doc, key, str)
     num, _, den = text.partition("/")
     if re.fullmatch(r"-?[0-9]+/[0-9]+", text):
         try:
@@ -376,13 +370,7 @@ def _parse_frac(doc: dict, key: str) -> Fraction:
 
 def _array(item, kinds: tuple[type, ...], form: str) -> list:
     """item as a JSON array of len(kinds) values of those JSON types (a
-    boolean is never an integer).  An object in its place is the old
-    indented layout, which gets its own message."""
-    if isinstance(item, dict):
-        raise CollschedError(
-            f"expected {form}, got a JSON object as in the old indented schedule "
-            "layout; re-export the schedule"
-        )
+    boolean is never an integer)."""
     if not (
         isinstance(item, list)
         and len(item) == len(kinds)
@@ -407,32 +395,23 @@ def _edge(item) -> ScheduleEdge:
     return ScheduleEdge(src, dst, tuple(map(_path_use, paths)))
 
 
+_BATCH_FIELDS = {"multiplicity": (int, _REQUIRED), "edges": (list, _REQUIRED)}
+_ROOT_FIELDS = {"root": (str, _REQUIRED), "batches": (list, _REQUIRED)}
+
+
 def _batch(item, where: str) -> ScheduleBatch:
-    batch = ScheduleBatch(
-        _field(item, "multiplicity", int), tuple(map(_edge, _field(item, "edges", list)))
-    )
-    # Checked after the edges, so that a file in the older indented layout
-    # is named as such by its first edge, and one in the previous layout by
-    # its pruned hops.
-    if "pruned" in item:
-        raise CollschedError(
-            "a batch lists pruned hops as in the previous schedule layout, whose "
-            "paths were not cut by pruning; re-export the schedule"
-        )
-    _known(item, ("multiplicity", "edges"), where)
-    return batch
+    multiplicity, edges = json_fields(item, _BATCH_FIELDS, where, CollschedError)
+    return ScheduleBatch(multiplicity, tuple(map(_edge, edges)))
 
 
-def _root(item, where: str) -> RootTrees:
-    root = _field(item, "root", str)
-    where = f"root {root!r} in {where}"
-    _known(item, ("root", "batches"), where)
-    batches = _field(item, "batches", list)
+def _root(item, phase: str) -> RootTrees:
+    name = lambda values: f"root {values[0]!r} in {phase}"
+    root, batches = json_fields(item, _ROOT_FIELDS, name, CollschedError)
+    where = name((root,))
     return RootTrees(root, tuple(_batch(b, f"batch {i} of {where}") for i, b in enumerate(batches)))
 
 
-def _witness(doc: dict) -> frozenset[str]:
-    ids = _field(doc, "witness", list)
+def _witness(ids: list) -> frozenset[str]:
     if not all(isinstance(v, str) for v in ids) or ids != sorted(set(ids)):
         raise CollschedError(f"'witness' must be a sorted list of distinct node ids, got {ids!r:.80}")
     return frozenset(ids)
@@ -471,39 +450,46 @@ def _schedule_dict(s: Schedule) -> dict:
     return doc
 
 
-_SCHEDULE_FIELDS = (
-    "collective", "num_compute_nodes", "trees_per_root", "optimal_inv_x", "tree_bandwidth",
-    "scale_U", "exact_bound", "witness",
-)
+_META_FIELDS = {
+    "collective": (str, _REQUIRED),
+    "num_compute_nodes": (int, _REQUIRED),
+    "trees_per_root": (int, _REQUIRED),
+    "optimal_inv_x": (str, _REQUIRED),
+    "tree_bandwidth": (str, _REQUIRED),
+    "scale_U": (str, _REQUIRED),
+    "exact_bound": (bool, True),
+    "witness": (list, _REQUIRED),
+}
+_TREES_FIELDS = {**_META_FIELDS, "roots": (list, _REQUIRED)}
+# By collective: an allreduce holds its two phases in place of roots.
+_SCHEDULE_FIELDS = {
+    ALLGATHER: _TREES_FIELDS,
+    REDUCE_SCATTER: _TREES_FIELDS,
+    ALLREDUCE: {**_META_FIELDS, "phases": (list, _REQUIRED)},
+}
 
 
 def _schedule_from_dict(doc, where: str = "the schedule") -> Schedule:
-    collective = _field(doc, "collective", str)
-    if collective not in (ALLGATHER, REDUCE_SCATTER, ALLREDUCE):
+    collective = json_field(doc, "collective", str, error=CollschedError)
+    if collective not in _SCHEDULE_FIELDS:
         raise CollschedError(f"unknown collective {collective!r}")
-    body_field = "phases" if collective == ALLREDUCE else "roots"
-    _known(doc, _SCHEDULE_FIELDS + (body_field,), where)
-    common = dict(
-        collective=collective,
-        num_compute=_field(doc, "num_compute_nodes", int),
-        k=_field(doc, "trees_per_root", int),
-        U=_parse_frac(doc, "scale_U"),
-        y=_parse_frac(doc, "tree_bandwidth"),
-        inv_x_star=_parse_frac(doc, "optimal_inv_x"),
-        exact=_field(doc, "exact_bound", bool, True),
+    _, num_compute, k, inv_x_star, y, U, exact, witness, body = json_fields(
+        doc, _SCHEDULE_FIELDS[collective], where, CollschedError
     )
+    U = _parse_frac(U, "scale_U")
+    y = _parse_frac(y, "tree_bandwidth")
+    inv_x_star = _parse_frac(inv_x_star, "optimal_inv_x")
+    witness = _witness(witness)
+    roots, phases = (), ()
     if collective == ALLREDUCE:
-        phases = _field(doc, "phases", list)
         # Checked before recursing, so phases never nest.
-        if [_field(p, "collective", str) for p in phases] != [REDUCE_SCATTER, ALLGATHER]:
+        collectives = [json_field(p, "collective", str, error=CollschedError) for p in body]
+        if collectives != [REDUCE_SCATTER, ALLGATHER]:
             raise CollschedError("allreduce schedules carry a reduce_scatter then an allgather phase")
-        phases = tuple(_schedule_from_dict(p, f"the {p['collective']} phase") for p in phases)
-        body = dict(roots=(), phases=phases)
+        phases = tuple(_schedule_from_dict(p, f"the {c} phase") for p, c in zip(body, collectives))
     else:
-        body = dict(roots=tuple(_root(rd, where) for rd in _field(doc, "roots", list)))
-    # Read after the body, so that an old-layout file (which has no
-    # witness) is named as such by its first edge.
-    return Schedule(witness=_witness(doc), **body, **common)
+        roots = tuple(_root(item, where) for item in body)
+    return Schedule(collective, num_compute, k, U, y, inv_x_star, roots, phases, exact, witness)
 
 
 def parse_schedule(text: str) -> Schedule:
@@ -511,12 +497,13 @@ def parse_schedule(text: str) -> Schedule:
 
     Every field must have the JSON type the export writes: each
     edge a [src, dst, [[path, multiplicity], ...]] array whose paths list
-    at least 2 ids, and the witness a sorted list of distinct ids.  A field
-    the export does not write is refused, naming it and where it is, so a
-    misspelt one is never read as absent.  Files in earlier layouts are
-    refused with a message saying so: the indented one, with edges as
-    objects, and the compact one whose batches listed pruned hops next to
-    whole paths.
+    at least 2 ids, and the witness a sorted list of distinct ids.  Each
+    object (document, phase, root, batch) is read by `json_fields`, so a
+    field the export does not write is refused, naming it, where it is and
+    the fields known there, and a misspelt one is never read as absent.
+    Files in earlier layouts are refused like any malformed file: the
+    indented one has no witness, and the compact one whose batches listed
+    pruned hops has an unknown field 'pruned'.
     """
     try:
         doc = json.loads(text)

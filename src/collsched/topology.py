@@ -176,6 +176,32 @@ def json_field(obj, key: str, kind: type, default=_REQUIRED, error=TopologyForma
     return value
 
 
+def json_fields(obj, fields: dict, where, error=TopologyFormatError) -> list:
+    """The values of `fields` (key -> (JSON kind, default)) in obj, read in
+    order through `json_field`.  A key of obj that `fields` does not hold
+    raises `error` naming the first such key, `where` obj is and the known
+    keys.  `where` is a string, or a function of the values read that makes
+    one, called only for that message."""
+    values = [json_field(obj, key, kind, default, error) for key, (kind, default) in fields.items()]
+    if not obj.keys() <= fields.keys():
+        unknown = min(obj.keys() - fields.keys())
+        if callable(where):
+            where = where(values)
+        raise error(f"{where} has unknown field {unknown!r} (known: {', '.join(fields)})")
+    return values
+
+
+_TOPOLOGY_FIELDS = {"nodes": (list, _REQUIRED), "links": (list, _REQUIRED)}
+# In the order of Node's and Link's fields, which the values fill.
+_NODE_FIELDS = {
+    "id": (str, _REQUIRED),
+    "kind": (str, _REQUIRED),
+    "multicast": (bool, False),
+    "aggregation": (bool, False),
+}
+_LINK_FIELDS = {"src": (str, _REQUIRED), "dst": (str, _REQUIRED), "bandwidth": (int, _REQUIRED)}
+
+
 def parse_topology(text: str) -> Topology:
     """Parse the canonical JSON topology document.
 
@@ -188,47 +214,21 @@ def parse_topology(text: str) -> Topology:
 
     Every field must have its JSON type: ids and kinds are strings,
     capability flags booleans (missing ones default to false), bandwidths
-    integers >= 1.  A field not shown above is refused, naming it, so a
-    misspelt flag is never silently read as false.  Parallel links are
+    integers >= 1.  Each object is read by `json_fields`, so a field not
+    shown above is refused, naming it and the node or link it is in, and
+    a misspelt flag is never silently read as false.  Parallel links are
     merged with summed bandwidth.
     """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:
         raise TopologyFormatError(f"not valid JSON: {e}") from None
-    node_entries = json_field(doc, "nodes", list)
-    link_entries = json_field(doc, "links", list)
-    _known_fields(doc, ("nodes", "links"), "the topology document")
-    nodes = []
-    for entry in node_entries:
-        node = Node(
-            id=json_field(entry, "id", str),
-            kind=json_field(entry, "kind", str),
-            multicast=json_field(entry, "multicast", bool, False),
-            aggregation=json_field(entry, "aggregation", bool, False),
-        )
-        _known_fields(entry, ("id", "kind", "multicast", "aggregation"), f"node {node.id!r}")
-        nodes.append(node)
-    links = []
-    for entry in link_entries:
-        link = Link(
-            src=json_field(entry, "src", str),
-            dst=json_field(entry, "dst", str),
-            bandwidth=json_field(entry, "bandwidth", int),
-        )
-        _known_fields(entry, ("src", "dst", "bandwidth"), f"link {link.src}->{link.dst}")
-        links.append(link)
+    node_entries, link_entries = json_fields(doc, _TOPOLOGY_FIELDS, "the topology document")
+    node_where = lambda values: f"node {values[0]!r}"
+    link_where = lambda values: f"link {values[0]}->{values[1]}"
+    nodes = [Node(*json_fields(entry, _NODE_FIELDS, node_where)) for entry in node_entries]
+    links = [Link(*json_fields(entry, _LINK_FIELDS, link_where)) for entry in link_entries]
     return Topology(nodes, links)
-
-
-def _known_fields(
-    obj: dict, known: tuple[str, ...], where: str, error=TopologyFormatError
-) -> None:
-    """Raise `error` naming the first field of `obj` that is not in
-    `known`."""
-    unknown = sorted(obj.keys() - known)
-    if unknown:
-        raise error(f"{where} has unknown field {unknown[0]!r} (known: {', '.join(known)})")
 
 
 def serialize_topology(t: Topology) -> str:
@@ -351,6 +351,20 @@ def scale_capacities(t: Topology, U: Fraction | int) -> Topology:
 # Synthetic families
 # ---------------------------------------------------------------------------
 
+_COUNT = (int, _REQUIRED)  # a count or a bandwidth
+_FAMILY_FIELDS = {
+    "boxes": dict.fromkeys(("boxes", "gpus_per_box", "intra", "inter"), _COUNT),
+    "ring": {"n": _COUNT, "bw": _COUNT, "bidirectional": (bool, False)},
+    "fat-tree": {
+        "pods": _COUNT,
+        "gpus": _COUNT,
+        "spines": (int, None),  # None: one spine per pod
+        "leaf_bw": _COUNT,
+        "spine_bw": _COUNT,
+    },
+}
+
+
 def synth_topology(family: str, **params) -> Topology:
     """Deterministically generate a topology from a named family.
 
@@ -368,30 +382,18 @@ def synth_topology(family: str, **params) -> Topology:
 
     Identical parameters always produce the identical topology (the
     invariant tests serialize and compare).  All families pass `validate`.
-    Counts and bandwidths must be ints and `bidirectional` a bool; a
-    parameter of another type, a missing one or one the family does not
-    take raises TopologyFormatError, and so do an unknown family and an
+    The parameters are read by `json_fields`: counts and bandwidths must be
+    ints and `bidirectional` a bool, and a parameter of another type, a
+    missing one or one the family does not take (named, with the ones it
+    does) raises TopologyFormatError, and so do an unknown family and an
     out-of-range value.
     """
-    known = {
-        "boxes": {"boxes", "gpus_per_box", "intra", "inter"},
-        "ring": {"n", "bw", "bidirectional"},
-        "fat-tree": {"pods", "gpus", "spines", "leaf_bw", "spine_bw"},
-    }
-    if family not in known:
+    if family not in _FAMILY_FIELDS:
         raise TopologyFormatError(f"unsupported topology family {family!r}")
-    unknown = sorted(set(params) - known[family])
-    if unknown:
-        raise TopologyFormatError(f"{family} takes no parameter {', '.join(unknown)}")
-
-    def param(key: str, kind: type = int, default=_REQUIRED):
-        return json_field(params, key, kind, default, error=TopologyFormatError)
+    values = json_fields(params, _FAMILY_FIELDS[family], f"topology family {family!r}")
 
     if family == "boxes":
-        boxes = param("boxes")
-        gpus = param("gpus_per_box")
-        intra = param("intra")
-        inter = param("inter")
+        boxes, gpus, intra, inter = values
         if boxes < 1 or gpus < 1 or boxes * gpus < 2:
             raise TopologyFormatError("boxes family needs at least 2 compute nodes")
         if intra < 1 or inter < 1:
@@ -412,9 +414,7 @@ def synth_topology(family: str, **params) -> Topology:
         return Topology(nodes, links)
 
     if family == "ring":
-        n = param("n")
-        bw = param("bw")
-        bidirectional = param("bidirectional", bool, False)
+        n, bw, bidirectional = values
         if n < 2:
             raise TopologyFormatError("ring needs at least 2 nodes")
         if bw < 1:
@@ -430,11 +430,9 @@ def synth_topology(family: str, **params) -> Topology:
         return Topology(nodes, links)
 
     # fat-tree
-    pods = param("pods")
-    gpus = param("gpus")
-    spines = param("spines", int, pods)
-    leaf_bw = param("leaf_bw")
-    spine_bw = param("spine_bw")
+    pods, gpus, spines, leaf_bw, spine_bw = values
+    if spines is None:
+        spines = pods
     if pods < 1 or gpus < 2 or gpus % pods:
         raise TopologyFormatError("fat-tree needs gpus >= 2 divisible by pods")
     if spines < 1 or leaf_bw < 1 or spine_bw < 1:

@@ -271,7 +271,8 @@ class TestVerify:
         topo.write_text(serialize_topology(synth_topology("ring", n=2, bw=1)))
         sched.write_text(OLD_LAYOUT_SCHEDULE)
         assert main(["verify", "-t", str(topo), str(sched)]) == 1
-        assert "old indented schedule layout; re-export" in capsys.readouterr().err
+        # refused like any malformed file: that layout wrote no witness
+        assert capsys.readouterr().err.startswith("error: missing field 'witness'")
 
     def test_misspelt_schedule_field_is_exit_1(self, topo_file, tmp_path, capsys):
         # refused by name, not read as exact_bound left at its default
@@ -376,6 +377,24 @@ class TestSynth:
         assert err.err.count("error:") == 13
         assert "Traceback" not in err.err
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            # the last n would silently win
+            (["n=2", "n=3", "bw=1"], "error: --param n is given more than once\n"),
+            (["=3", "n=3", "bw=1"], "error: --param expects KEY=VALUE, got '=3'\n"),
+        ],
+        ids=["repeated", "empty-key"],
+    )
+    def test_repeated_or_empty_param_key_is_exit_1(self, params, message, capsys):
+        argv = ["synth", "ring"]
+        for p in params:
+            argv += ["--param", p]
+        assert main(argv) == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err == message
+
 
 class TestExportDot:
     def test_renders_digraphs(self, topo_file, tmp_path, capsys):
@@ -394,7 +413,7 @@ class TestExportDot:
         sched = tmp_path / "s.json"
         sched.write_text(OLD_LAYOUT_SCHEDULE)
         assert main(["export-dot", str(sched)]) == 1
-        assert "old indented schedule layout; re-export" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: missing field 'witness'")
 
 
 class TestUnreadableInput:

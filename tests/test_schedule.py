@@ -373,12 +373,16 @@ class TestSerialization:
             parse_schedule(json.dumps(no_witness))
 
     def test_old_layout_is_refused(self):
-        with pytest.raises(CollschedError, match="old indented schedule layout; re-export"):
+        # refused like any malformed file: that layout wrote no witness
+        with pytest.raises(CollschedError, match="^missing field 'witness'"):
             parse_schedule(OLD_LAYOUT_SCHEDULE)
 
     def test_previous_layout_is_refused(self):
         # its whole paths would read back as an unpruned schedule
-        with pytest.raises(CollschedError, match="previous schedule layout.*; re-export"):
+        with pytest.raises(
+            CollschedError,
+            match="^batch 0 of root 'c1' in the schedule has unknown field 'pruned'",
+        ):
             parse_schedule(PREVIOUS_LAYOUT_SCHEDULE)
 
     @pytest.mark.parametrize(

@@ -1,16 +1,21 @@
 """Network model: construction rules, parsing, validation, scaling."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from collsched import (
+    ALLREDUCE,
     COMPUTE,
     SWITCH,
     Link,
     Node,
     Topology,
+    export,
+    generate,
+    parse_schedule,
     parse_topology,
     random_eulerian_topology,
     scale_capacities,
@@ -116,6 +121,77 @@ class TestParseSerialize:
         """A field the format does not list is named, not ignored."""
         with pytest.raises(TopologyFormatError, match=message):
             parse_topology(doc)
+
+    # Ids and the key hold braces, as str.format fields would.
+    BRACED = ("c{0}", "c{}", "c}1{")
+    KEY = "bogus{}"
+    SCHEDULE = (
+        "collective, num_compute_nodes, trees_per_root, optimal_inv_x, tree_bandwidth, "
+        "scale_U, exact_bound, witness"
+    )
+
+    @pytest.mark.parametrize(
+        "reader, path, where, known",
+        [
+            ("topology", (), "the topology document", "nodes, links"),
+            ("topology", ("nodes", 0), "node 'c{0}'", "id, kind, multicast, aggregation"),
+            ("topology", ("links", 0), "link c{0}->c{}", "src, dst, bandwidth"),
+            ("boxes", (), "topology family 'boxes'", "boxes, gpus_per_box, intra, inter"),
+            ("ring", (), "topology family 'ring'", "n, bw, bidirectional"),
+            (
+                "fat-tree",
+                (),
+                "topology family 'fat-tree'",
+                "pods, gpus, spines, leaf_bw, spine_bw",
+            ),
+            ("schedule", (), "the schedule", SCHEDULE + ", phases"),
+            ("schedule", ("phases", 0), "the reduce_scatter phase", SCHEDULE + ", roots"),
+            (
+                "schedule",
+                ("phases", 1, "roots", 0),
+                "root 'c{0}' in the allgather phase",
+                "root, batches",
+            ),
+            (
+                "schedule",
+                ("phases", 1, "roots", 0, "batches", 0),
+                "batch 0 of root 'c{0}' in the allgather phase",
+                "multiplicity, edges",
+            ),
+        ],
+        ids=[
+            "topology", "node", "link", "boxes", "ring", "fat-tree",
+            "schedule", "phase", "root", "batch",
+        ],
+    )
+    def test_every_reader_names_an_unknown_key(self, reader, path, where, known):
+        """Each object collsched reads refuses a key it does not know, by
+        name, with where the object is and the keys it does know."""
+        net = Topology(
+            [Node(i, COMPUTE) for i in self.BRACED],
+            [Link(a, b, 1) for a in self.BRACED for b in self.BRACED if a != b],
+        )
+        synth_params = {
+            "boxes": dict(boxes=2, gpus_per_box=2, intra=2, inter=1),
+            "ring": dict(n=3, bw=1),
+            "fat-tree": dict(pods=2, gpus=4, leaf_bw=2, spine_bw=1),
+        }
+        if reader in synth_params:
+            call = lambda: synth_topology(reader, **synth_params[reader], **{self.KEY: 1})
+        else:
+            if reader == "topology":
+                doc, parse = json.loads(serialize_topology(net)), parse_topology
+            else:
+                s, _ = generate(net, collective=ALLREDUCE)
+                doc, parse = json.loads(export(s, "json")), parse_schedule
+            obj = doc
+            for step in path:
+                obj = obj[step]
+            obj[self.KEY] = 1
+            call = lambda: parse(json.dumps(doc))
+        with pytest.raises(CollschedError) as exc:
+            call()
+        assert str(exc.value) == f"{where} has unknown field {self.KEY!r} (known: {known})"
 
     def test_round_trip_fixed(self):
         t = parse_topology(DOC)
