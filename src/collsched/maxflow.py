@@ -40,6 +40,9 @@ sources but not the sink, up to a limit.  Successive resumes share R as
 long as each one's sources hold every earlier resume's sources and sink
 (Hao & Orlin's growing source set), which the engine checks; a fresh copy
 of R has no earlier terminals.  These are the engine's cut questions.
+`residual` reads what R has left from one vertex to another across their
+pair's arcs, a lower bound on every cut holding the first but not the
+second, which lets a caller skip a question it already knows the answer to.
 
 `push` moves more flow between vertex sets in place with no terminal rule,
 so a caller that keeps a flow alive through edits checks the value each
@@ -229,6 +232,16 @@ class FlowGraph:
         if len(caps) < len(self._cap0):
             caps += self._cap0[len(caps):]
         return caps
+
+    def residual(self, state: list, src, dst) -> int:
+        """Residual capacity from `src` to `dst` in `state`: what is left of
+        the arc (src, dst) plus the flow on the arc (dst, src), which can be
+        sent back.  Both cross every cut holding src but not dst, so that
+        cut's residual capacity is at least this much."""
+        caps = self._caps(state)
+        u, v = self._vertex(src), self._vertex(dst)
+        forward, back = self._entry.get((u, v)), self._entry.get((v, u))
+        return (0 if forward is None else caps[forward]) + (0 if back is None else caps[back ^ 1])
 
     def state(self) -> list:
         """A residual state that carries no flow: every arc at its

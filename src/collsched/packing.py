@@ -43,6 +43,14 @@ every sigma arc, so no residual arc leaves sigma, and
 a cut question of at most mu0 units where a fresh gadget graph per
 evaluation pushes the whole need of the other batches as well.
 
+The direct arc.  Most questions are settled before that copy.  Every cut
+X holding x but not y is crossed by the arc (x, y) forwards and by the
+arc (y, x) backwards, so its residual capacity in y's repaired flow is at
+least the residual of (x, y) plus the flow on (y, x), which
+`FlowGraph.residual` reads.  When that is at least mu0, every such cut
+has slack mu0 or more, and mu = mu0 without the copy and the resume
+(Edmonds 1973: mu is the least slack of the cuts holding x but not y).
+
 Deferred repair.  An edit reaches only the graph; a kept flow is brought
 to it when mu is about to read it.  Which flow of value V that is does not
 matter: in any flow sigma -> y of value V, a cut X holding sigma but not y
@@ -133,7 +141,8 @@ class _Baselines:
     def mu(self, arc: tuple[str, str], mu0: int) -> int:
         """Largest multiplicity up to `mu0` at which the growing batch may
         take `arc`, read from the kept flow of its head, which is first
-        repaired."""
+        repaired: `mu0` when the flow's residual capacity from the arc's
+        tail to its head is at least that, else a resume on a copy."""
         x, y = arc
         g, sigma, value = self.graph, self.sigma, self.value
         kept = self.flows.get(y)
@@ -154,6 +163,8 @@ class _Baselines:
                 if g.push(flow, excess, deficit, want) != want:
                     raise self.stuck()
         self.flows[y] = flow, value
+        if g.residual(flow, x, y) >= mu0:
+            return mu0
         return g.resume(g.copy(flow), [x], y, mu0)
 
     def leave(self, batch: TreeBatch) -> None:

@@ -404,8 +404,8 @@ def _batch(item, where: str) -> ScheduleBatch:
     return ScheduleBatch(multiplicity, tuple(map(_edge, edges)))
 
 
-def _root(item, phase: str) -> RootTrees:
-    name = lambda values: f"root {values[0]!r} in {phase}"
+def _root(item, index: int, phase: str) -> RootTrees:
+    name = lambda values: f"root {values[0]!r} in {phase}" if values else f"root {index} in {phase}"
     root, batches = json_fields(item, _ROOT_FIELDS, name, CollschedError)
     where = name((root,))
     return RootTrees(root, tuple(_batch(b, f"batch {i} of {where}") for i, b in enumerate(batches)))
@@ -470,7 +470,7 @@ _SCHEDULE_FIELDS = {
 
 
 def _schedule_from_dict(doc, where: str = "the schedule") -> Schedule:
-    collective = json_field(doc, "collective", str, error=CollschedError)
+    collective = json_field(doc, "collective", str, error=CollschedError, where=where)
     if collective not in _SCHEDULE_FIELDS:
         raise CollschedError(f"unknown collective {collective!r}")
     _, num_compute, k, inv_x_star, y, U, exact, witness, body = json_fields(
@@ -483,12 +483,15 @@ def _schedule_from_dict(doc, where: str = "the schedule") -> Schedule:
     roots, phases = (), ()
     if collective == ALLREDUCE:
         # Checked before recursing, so phases never nest.
-        collectives = [json_field(p, "collective", str, error=CollschedError) for p in body]
+        collectives = [
+            json_field(p, "collective", str, error=CollschedError, where=f"phase {i} of {where}")
+            for i, p in enumerate(body)
+        ]
         if collectives != [REDUCE_SCATTER, ALLGATHER]:
             raise CollschedError("allreduce schedules carry a reduce_scatter then an allgather phase")
         phases = tuple(_schedule_from_dict(p, f"the {c} phase") for p, c in zip(body, collectives))
     else:
-        roots = tuple(_root(item, where) for item in body)
+        roots = tuple(_root(item, i, where) for i, item in enumerate(body))
     return Schedule(collective, num_compute, k, U, y, inv_x_star, roots, phases, exact, witness)
 
 

@@ -16,6 +16,12 @@ packing and path expansion consume.  In between, the working network is
 one flow graph, built once per removal and edited in place by every
 split: it is the only record of the capacities while the switches
 dissolve, and the Topology left over is read off it.
+
+No split raises the capacity of a vertex set, so a set at the least
+capacity the invariant allows stays there, and every pairing split across
+it has gamma 0.  Each zero the flows find holds such a tight set; the
+oracle keeps it, once checked, and answers later pairings it separates
+without a flow (see `_GammaOracle`).
 """
 
 from __future__ import annotations
@@ -53,11 +59,27 @@ class _GammaOracle:
     with demand `target` = N*k.  The graph is the working network: `split`
     edits it in place, and each γ evaluation runs two base flows on it,
     each between terminal sets (see `gamma`).
+
+    Tight sets.  Call a vertex set X tight if it holds the source, misses
+    a compute node and has capacity N*k in the graph, the least the
+    invariant allows.  A split of a units of (u, w),(w, t) lowers cap(X)
+    by a when X holds u and t but not w, or w but neither u nor t, and
+    leaves every other cap(X) as it was: no split raises a cut.  So a
+    tight set stays tight until the removal ends, and γ is 0 for every
+    pairing it separates that way, since any split across it would take X
+    below N*k (the "dangerous sets" of Frank 1992, "On a theorem of
+    Mader").  Every zero that `_min_slack` finds comes with such a set,
+    the cut of its last flow; `tight` keeps it once it is checked to hold
+    the source, to miss a compute node, to have capacity N*k and to
+    separate {u, t} from w, and `gamma` answers 0 from it before any flow.
+    A set is kept only after the flows found a zero that no kept set
+    certified, so no set is kept twice.
     """
 
     def __init__(self, net: Topology, k: int) -> None:
         self.compute_ids = net.compute_ids
         self.graph, self.source, self.target = source_network(net, net.capacity, k)
+        self.tight: list[frozenset[str]] = []
 
     def gamma(self, u: str, w: str, t: str) -> int:
         """Largest amount of the pairing (u, w),(w, t) splittable while the
@@ -77,20 +99,40 @@ class _GammaOracle:
         cuts at the same values; in the second, (w,s) puts s with w, and
         (u,t), with t the sink, forces u out of the source side: a flow
         from {w, s} to {u, t}.
+
+        A kept tight set that separates {u, t} from w, either way round,
+        answers 0 before the flows (see the class docstring).
         """
         best = min(self.graph.capacity(u, w), self.graph.capacity(w, t))
         if best <= 0:
             return 0
-        best = self._min_slack(
+        for X in self.tight:
+            if (u in X) == (t in X) != (w in X):
+                return 0
+        best, cut = self._min_slack(
             [u, self.source, t],
             [w],
             [v for v in self.compute_ids if v != u],
             best,
         )
-        if best <= 0:
-            return 0
-        best = self._min_slack([w, self.source], [u, t], self.compute_ids, best)
-        return max(best, 0)
+        if best > 0:
+            best, cut = self._min_slack([w, self.source], [u, t], self.compute_ids, best)
+        if best > 0:
+            return best
+        self._keep(cut, u, w, t)
+        return 0
+
+    def _keep(self, X: frozenset[str], u: str, w: str, t: str) -> None:
+        """Keep X, the cut behind a zero γ of (u, w),(w, t), if it is tight
+        and separates {u, t} from w."""
+        g = self.graph
+        if (
+            self.source in X
+            and not X.issuperset(self.compute_ids)
+            and (u in X) == (t in X) != (w in X)
+            and sum(c for a, b, c in g.arcs() if a in X and b not in X) == self.target
+        ):
+            self.tight.append(X)
 
     def split(self, u: str, w: str, t: str, amount: int, emap: EMap) -> None:
         """Replace `amount` units of (u, w),(w, t) by a direct arc (u, t) in
@@ -105,9 +147,10 @@ class _GammaOracle:
             g.grow([], [(u, t, amount)])
             emap.add(u, t, w, amount)
 
-    def _min_slack(self, sources, sinks, boosts, best: int) -> int:
+    def _min_slack(self, sources, sinks, boosts, best: int) -> tuple[int, frozenset | None]:
         """min(best, min over boost vertices v of F(sources -> sinks with
-        an unbounded arc from v to a sink) - N*k).
+        an unbounded arc from v to a sink) - N*k), with the source side of
+        a cut that attains it, or None; never None when it is at most 0.
 
         A boost arc only adds capacity, so F is bounded below by the
         unboosted flow F0: when F0 reaches the probing limit, every boost is
@@ -140,18 +183,24 @@ class _GammaOracle:
         A probe is skipped when v is reachable from S along residual arcs
         of at least the room: every cut that holds S but not v is crossed
         by that path, so lambda(S, v) >= room.
+
+        The cut of a result at most 0 is F0's min cut when it leaves out a
+        boost vertex, and otherwise the source side of the short probe's
+        min cut, reach(S(i-1)) right after it: that cut holds every
+        earlier terminal, so the earlier flows do not cross it, and its
+        capacity in the graph is F0 plus the probe's gain.
         """
         g = self.graph
         limit = self.target + best
         value, state = g.run_keep(sources, sinks, limit=limit)
         if value >= limit:
-            return best
+            return best, None
         side = g.reach(state, sources, 1)
         if any(v not in side for v in boosts):
             # That vertex's boost arc does not cross F0's min cut, so its
             # boosted flow equals F0 — and monotonicity puts every other
             # boost at F0 or above, so the minimum is exactly F0.
-            return min(best, value - self.target)
+            return min(best, value - self.target), side
         room = limit - value
         settled = list(sources)
         reached = g.reach(state, settled, room)
@@ -162,13 +211,15 @@ class _GammaOracle:
                     # This boost sets the new minimum.
                     best = value + gained - self.target
                     room = gained
-                    if best <= 0 or room == 0:
-                        # The pairing is refused, or best is F0 - N*k,
-                        # which no boost undercuts.
-                        return best
+                    if best <= 0:
+                        # The pairing is refused.
+                        return best, g.reach(state, settled, 1)
+                    if room == 0:
+                        # best is F0 - N*k, which no boost undercuts.
+                        return best, None
                 reached = g.reach(state, settled + [v], room)
             settled.append(v)
-        return best
+        return best, None
 
 
 # ---------------------------------------------------------------------------

@@ -161,33 +161,44 @@ _REQUIRED = object()
 _JSON_TYPE = {str: "string", int: "integer", bool: "boolean", list: "array"}
 
 
-def json_field(obj, key: str, kind: type, default=_REQUIRED, error=TopologyFormatError):
+def json_field(obj, key: str, kind: type, default=_REQUIRED, error=TopologyFormatError, *, where):
     """obj[key], raising `error` unless obj is a JSON object and the value a
-    JSON `kind` (a boolean is never an integer); `default` when absent."""
+    JSON `kind` (a boolean is never an integer); `default` when absent.
+    Every message names `where` obj is: a string, or a function without
+    arguments that makes one, called only for a message."""
     if not isinstance(obj, dict):
-        raise error(f"expected a JSON object holding {key!r}, got {obj!r:.80}")
+        raise error(f"{_place(where)} must be a JSON object holding {key!r}, got {obj!r:.80}")
     if key not in obj:
         if default is _REQUIRED:
-            raise error(f"missing field {key!r} in {obj!r:.80}")
+            raise error(f"missing field {key!r} in {_place(where)}")
         return default
     value = obj[key]
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise error(f"field {key!r} must be a JSON {_JSON_TYPE[kind]}, got {value!r:.80}")
+        raise error(
+            f"field {key!r} must be a JSON {_JSON_TYPE[kind]}, got {value!r:.80}, in {_place(where)}"
+        )
     return value
+
+
+def _place(where) -> str:
+    return where() if callable(where) else where
 
 
 def json_fields(obj, fields: dict, where, error=TopologyFormatError) -> list:
     """The values of `fields` (key -> (JSON kind, default)) in obj, read in
     order through `json_field`.  A key of obj that `fields` does not hold
     raises `error` naming the first such key, `where` obj is and the known
-    keys.  `where` is a string, or a function of the values read that makes
-    one, called only for that message."""
-    values = [json_field(obj, key, kind, default, error) for key, (kind, default) in fields.items()]
+    keys.  `where` is a string, or a function of the values read so far
+    that makes one, called only for a message: a missing or mistyped field
+    is reported with the values read before it, so a function falls back
+    on the object's index when the field that names it is the bad one."""
+    values = []
+    place = (lambda: where(values)) if callable(where) else where
+    for key, (kind, default) in fields.items():
+        values.append(json_field(obj, key, kind, default, error, where=place))
     if not obj.keys() <= fields.keys():
         unknown = min(obj.keys() - fields.keys())
-        if callable(where):
-            where = where(values)
-        raise error(f"{where} has unknown field {unknown!r} (known: {', '.join(fields)})")
+        raise error(f"{_place(place)} has unknown field {unknown!r} (known: {', '.join(fields)})")
     return values
 
 
@@ -224,10 +235,11 @@ def parse_topology(text: str) -> Topology:
     except (ValueError, RecursionError) as e:
         raise TopologyFormatError(f"not valid JSON: {e}") from None
     node_entries, link_entries = json_fields(doc, _TOPOLOGY_FIELDS, "the topology document")
-    node_where = lambda values: f"node {values[0]!r}"
-    link_where = lambda values: f"link {values[0]}->{values[1]}"
-    nodes = [Node(*json_fields(entry, _NODE_FIELDS, node_where)) for entry in node_entries]
-    links = [Link(*json_fields(entry, _LINK_FIELDS, link_where)) for entry in link_entries]
+    # Where node or link i is, from the fields read: its index until they name it.
+    node_where = lambda i: lambda v: f"node {v[0]!r}" if v else f"node {i}"
+    link_where = lambda i: lambda v: f"link {v[0]}->{v[1]}" if len(v) > 1 else f"link {i}"
+    nodes = [Node(*json_fields(e, _NODE_FIELDS, node_where(i))) for i, e in enumerate(node_entries)]
+    links = [Link(*json_fields(e, _LINK_FIELDS, link_where(i))) for i, e in enumerate(link_entries)]
     return Topology(nodes, links)
 
 

@@ -379,6 +379,44 @@ class TestReach:
                 g.reach(state, starts, 1)
 
 
+class TestResidual:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_is_the_pairs_residual_and_bounds_every_cut(self, seed):
+        """residual(state, x, y) is the residual of the arc (x, y) plus the
+        flow on (y, x); every cut holding x but not y has at least that
+        much left, so a resume from x to y on a copy gains at least
+        min(limit, residual), and exactly that when it is the limit."""
+        vertices, arcs = random_instance(seed)
+        g = FlowGraph(vertices, arcs)
+        s, t = vertices[0], vertices[-1]
+        for limit in (None, 3):
+            _, state = g.run_keep([s], [t], limit=limit)
+            caps = list(state[0])
+            for x, y in itertools.permutations(vertices, 2):
+                left = g.residual(state, x, y)
+                want = sum(
+                    caps[2 * i] if (a, b) == (x, y) else caps[2 * i + 1]
+                    for i, (a, b, _) in enumerate(arcs)
+                    if (a, b) in ((x, y), (y, x))
+                )
+                assert left == want, (seed, limit, x, y)
+                assert brute_resume(vertices, arcs, caps, [x], y) >= left
+                if left:
+                    assert g.resume(g.copy(state), [x], y, left) == left, (seed, limit, x, y)
+            assert state[0] == caps  # read only
+
+    def test_sees_grown_arcs_and_caught_up_flows(self):
+        g = FlowGraph([*"sab"], [("s", "a", 2), ("a", "b", 2)])
+        _, state = g.run_keep(["s"], ["b"])
+        assert (g.residual(state, "a", "b"), g.residual(state, "b", "a")) == (0, 2)
+        g.grow([], [("b", "a", 1)])
+        assert (g.residual(state, "a", "b"), g.residual(state, "b", "a")) == (0, 3)
+        g.lower("a", "b", 1)
+        g.catch_up(state)
+        assert (g.residual(state, "a", "b"), g.residual(state, "b", "a")) == (0, 2)
+        assert g.residual(state, "s", "b") == 0
+
+
 class TestStates:
     @pytest.mark.parametrize("seed", range(60))
     def test_lowered_arc_and_repair_match_a_fresh_run(self, seed):
@@ -1040,6 +1078,11 @@ REFUSED_CALLS = {
         "bad-limit": (["s"], 0),
         "negative-amount": ({"s": -1}, 1),
     },
+    "residual": {
+        "unknown-vertex": ("s", "nope"),
+        "unknown-tail": ("nope", "t"),
+        "unhashable-name": (["s"], "t"),
+    },
 }
 
 
@@ -1077,12 +1120,17 @@ class TestRefusedCalls:
         g0, state0 = self.setup()
         assert g.resume(state, ["s", "a"], "b", 10) == g0.resume(state0, ["s", "a"], "b", 10)
 
-    @pytest.mark.parametrize("method", ["push", "resume", "reach"])
+    @pytest.mark.parametrize("method", ["push", "resume", "reach", "residual"])
     def test_a_stale_state_is_refused_and_left_as_it_was(self, method):
         g, state = self.setup()
         g.lower("s", "b", 1)
         before = self.seen(g, state)
-        args = {"push": (["s"], ["t"], 1), "resume": (["s", "a"], "t", 1), "reach": (["s"], 1)}
+        args = {
+            "push": (["s"], ["t"], 1),
+            "resume": (["s", "a"], "t", 1),
+            "reach": (["s"], 1),
+            "residual": ("s", "b"),
+        }
         with pytest.raises(CollschedError, match="catch it up"):
             getattr(g, method)(state, *args[method])
         assert self.seen(g, state) == before

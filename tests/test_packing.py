@@ -350,41 +350,63 @@ class TestPackSpanningTrees:
         assert "s" in side and "d" not in side
 
     def test_its_flow_calls_are_its_cut_questions(self, random_suite, monkeypatch):
-        """A pack asks its cut questions through run_keep and resume: one
-        resume per mu evaluation, and one run_keep per kept flow, into each
-        probed head once."""
-        built, probed = [], []
-        run_keep, resume = FlowGraph.run_keep, FlowGraph.resume
+        """A pack asks its cut questions through run_keep, residual and
+        resume: each mu evaluation reads its head's kept flow by one
+        residual, which certifies mu0 or is followed by one resume, so
+        resumes plus certified evaluations are the mu evaluations; and one
+        run_keep per kept flow, into each head read once."""
+        built, read, asked, probed = [], [], [], []
+        run_keep, residual, resume, mu = (
+            FlowGraph.run_keep, FlowGraph.residual, FlowGraph.resume, _Baselines.mu
+        )
 
         def kept(g, sources, sinks, limit=None):
             built.extend(sinks)
             return run_keep(g, sources, sinks, limit)
 
+        def reading(g, state, src, dst):
+            left = residual(g, state, src, dst)
+            read.append((dst, left))
+            return left
+
         def probe(g, state, sources, sink, limit):
             probed.append(sink)
             return resume(g, state, sources, sink, limit)
 
+        def evaluated(self, arc, mu0):
+            asked.append(mu0)
+            return mu(self, arc, mu0)
+
         monkeypatch.setattr(FlowGraph, "run_keep", kept)
+        monkeypatch.setattr(FlowGraph, "residual", reading)
         monkeypatch.setattr(FlowGraph, "resume", probe)
-        evaluations = 0
+        monkeypatch.setattr(_Baselines, "mu", evaluated)
+        evaluations = certified = 0
         for t in random_suite:
             lt, k = remainder(t, None)
-            built.clear()
-            probed.clear()
+            for calls in (built, read, asked, probed):
+                calls.clear()
             forest = pack_spanning_trees(lt, k)
-            assert len(probed) == forest.mu_evaluations, t
-            assert sorted(built) == sorted(set(probed)), t
+            assert len(read) == len(asked) == forest.mu_evaluations, t
+            sure = sum(left >= mu0 for (_, left), mu0 in zip(read, asked))
+            assert len(probed) + sure == forest.mu_evaluations, t
+            assert sorted(built) == sorted({head for head, _ in read}), t
             evaluations += forest.mu_evaluations
-        assert evaluations > 0
+            certified += sure
+        assert evaluations > certified > 0
 
     def test_kept_flows_are_repaired_only_when_read(self, random_suite, monkeypatch):
         """Edits only reach the graph; a kept flow is repaired, in one push,
-        when a probe is about to read it.  So a pack pushes at most once
-        per mu evaluation besides its run_keep calls, every repair is of
-        the flow the next probe reads, and a flow whose sink is never
-        probed again is never repaired."""
+        when a mu evaluation is about to read it.  So a pack pushes at most
+        once per mu evaluation besides its run_keep calls, every repair is
+        of the flow read next (by its residual, then maybe a probe on a
+        copy), resumes plus evaluations certified by that residual are the
+        mu evaluations, and a flow whose sink is never read again is never
+        repaired."""
         events = []
-        run_keep, resume, push = FlowGraph.run_keep, FlowGraph.resume, FlowGraph.push
+        run_keep, residual, resume, push, mu = (
+            FlowGraph.run_keep, FlowGraph.residual, FlowGraph.resume, FlowGraph.push, _Baselines.mu
+        )
 
         def kept(g, sources, sinks, limit=None):
             events.append(("keep",))
@@ -399,15 +421,26 @@ class TestPackSpanningTrees:
                 events.append(("repair", id(state[0])))
             return push(g, state, sources, sinks, limit)
 
+        def reading(g, state, src, dst):
+            left = residual(g, state, src, dst)
+            events.append(("read", id(state[0]), dst, left))
+            return left
+
         def probe(g, state, sources, sink, limit):
             events.append(("probing",))
             gained = resume(g, state, sources, sink, limit)
             events[-1] = ("probe", sink)
             return gained
 
+        def evaluated(self, arc, mu0):
+            events.append(("mu", mu0))
+            return mu(self, arc, mu0)
+
         monkeypatch.setattr(FlowGraph, "run_keep", kept)
         monkeypatch.setattr(FlowGraph, "push", repaired)
+        monkeypatch.setattr(FlowGraph, "residual", reading)
         monkeypatch.setattr(FlowGraph, "resume", probe)
+        monkeypatch.setattr(_Baselines, "mu", evaluated)
         total = 0
         for t in random_suite:
             lt, k = remainder(t, None)
@@ -417,9 +450,44 @@ class TestPackSpanningTrees:
             repairs = [i for i, e in enumerate(events) if e[0] == "repair"]
             assert len(repairs) <= forest.mu_evaluations, t
             for i in repairs:
-                assert events[i + 1] == ("probe", sink_of[events[i][1]]), t
+                state = events[i][1]
+                assert events[i + 1][:3] == ("read", state, sink_of[state]), t
+            asked = [e[1] for e in events if e[0] == "mu"]
+            lefts = [e[3] for e in events if e[0] == "read"]
+            probes = sum(e[0] == "probe" for e in events)
+            sure = sum(left >= mu0 for left, mu0 in zip(lefts, asked))
+            assert len(asked) == len(lefts) == forest.mu_evaluations, t
+            assert probes + sure == forest.mu_evaluations, t
             total += len(repairs)
         assert total > 0
+
+    @pytest.mark.parametrize("suite", ["random_suite", "clustered_suite"])
+    def test_certified_mu_equals_a_resume(self, request, suite, monkeypatch):
+        """Every mu that the residual from the arc's tail to its head
+        settles at mu0 is what a resume on a copy of the repaired flow
+        gives; the copy is taken when the residual is read."""
+        read = []
+        residual, mu = FlowGraph.residual, _Baselines.mu
+
+        def reading(g, state, src, dst):
+            read.append((g, g.copy(state)))
+            return residual(g, state, src, dst)
+
+        def evaluated(self, arc, mu0):
+            got = mu(self, arc, mu0)
+            g, state = read.pop()
+            if residual(g, state, *arc) >= mu0:
+                assert got == mu0 == g.resume(state, [arc[0]], arc[1], mu0), arc
+                certified.append(arc)
+            return got
+
+        certified = []
+        monkeypatch.setattr(FlowGraph, "residual", reading)
+        monkeypatch.setattr(_Baselines, "mu", evaluated)
+        for t in request.getfixturevalue(suite):
+            lt, k = remainder(t, None)
+            pack_spanning_trees(lt, k)
+        assert certified
 
     def test_mu_evaluation_counter_reports_work(self):
         forest = pack_spanning_trees(two_node_logical(), 3)

@@ -15,6 +15,7 @@ from collsched import (
     random_eulerian_topology,
     remove_switches,
     scale_capacities,
+    synth_topology,
     validate,
 )
 from collsched.errors import CapacityExhausted, CollschedError, NotEulerianAfterFloor, StuckSplit
@@ -139,6 +140,65 @@ class TestComputeGamma:
                     net = apply_split(net, split[0], w, heads[0], split[1])
         assert checked > 1000
         assert resumes["calls"] > 0 and resumes["short"] > 0, resumes
+
+
+class TestTightSets:
+    def test_certified_zeros_equal_the_flows(self, random_suite, monkeypatch):
+        """On the small switched suite, the random suite and the 64-GPU
+        fat-tree, every γ that a kept tight set answers is 0 by the flows
+        too (both are run), and every kept set holds the source, misses a
+        compute node and has capacity N*k when it is kept and still when
+        its removal ends: no split raises a cut."""
+        suites = {
+            "small": small_switched_suite(),
+            "random": random_suite,
+            "fat-tree": [
+                synth_topology("fat-tree", pods=8, gpus=64, spines=4, leaf_bw=4, spine_bw=3)
+            ],
+        }
+        gamma, keep = _GammaOracle.gamma, _GammaOracle._keep
+        seen = {suite: {"certified": 0, "kept": 0} for suite in suites}
+
+        def tight(oracle, X):
+            g = oracle.graph
+            assert oracle.source in X and not X.issuperset(oracle.compute_ids), X
+            assert sum(c for a, b, c in g.arcs() if a in X and b not in X) == oracle.target, X
+
+        def checked(oracle, u, w, t):
+            sets = oracle.tight
+            positive = min(oracle.graph.capacity(u, w), oracle.graph.capacity(w, t)) > 0
+            if positive and any((u in X) == (t in X) != (w in X) for X in sets):
+                assert gamma(oracle, u, w, t) == 0
+                oracle.tight = []
+                try:
+                    assert gamma(oracle, u, w, t) == 0, (u, w, t)
+                finally:
+                    oracle.tight = sets
+                seen[suite]["certified"] += 1
+                return 0
+            return gamma(oracle, u, w, t)
+
+        def kept(oracle, X, u, w, t):
+            before = len(oracle.tight)
+            keep(oracle, X, u, w, t)
+            if len(oracle.tight) > before:
+                tight(oracle, X)
+                seen[suite]["kept"] += 1
+                oracles.add(oracle)
+
+        oracles = set()
+        monkeypatch.setattr(_GammaOracle, "gamma", checked)
+        monkeypatch.setattr(_GammaOracle, "_keep", kept)
+        for suite, nets in suites.items():
+            for t in nets:
+                res = bottleneck_search(t)
+                remove_switches(scale_capacities(t, res.U), res.k)
+        for oracle in oracles:
+            for X in oracle.tight:
+                tight(oracle, X)
+        # The small networks keep sets but pair nothing across them later.
+        assert all(counts["kept"] > 0 for counts in seen.values()), seen
+        assert seen["random"]["certified"] > 0 and seen["fat-tree"]["certified"] > 100, seen
 
 
 class TestRemoveSwitches:

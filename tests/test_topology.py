@@ -167,6 +167,13 @@ class TestParseSerialize:
     def test_every_reader_names_an_unknown_key(self, reader, path, where, known):
         """Each object collsched reads refuses a key it does not know, by
         name, with where the object is and the keys it does know."""
+        message = self.refusal(reader, path, lambda obj: obj.__setitem__(self.KEY, 1))
+        assert message == f"{where} has unknown field {self.KEY!r} (known: {known})"
+
+    def refusal(self, reader, path, mutate) -> str:
+        """The message of the CollschedError that `reader` raises on its
+        input for a network of BRACED ids once `mutate` has changed the
+        object at `path` in it (the synth parameters for a family)."""
         net = Topology(
             [Node(i, COMPUTE) for i in self.BRACED],
             [Link(a, b, 1) for a in self.BRACED for b in self.BRACED if a != b],
@@ -177,7 +184,9 @@ class TestParseSerialize:
             "fat-tree": dict(pods=2, gpus=4, leaf_bw=2, spine_bw=1),
         }
         if reader in synth_params:
-            call = lambda: synth_topology(reader, **synth_params[reader], **{self.KEY: 1})
+            params = dict(synth_params[reader])
+            mutate(params)
+            call = lambda: synth_topology(reader, **params)
         else:
             if reader == "topology":
                 doc, parse = json.loads(serialize_topology(net)), parse_topology
@@ -187,11 +196,64 @@ class TestParseSerialize:
             obj = doc
             for step in path:
                 obj = obj[step]
-            obj[self.KEY] = 1
+            mutate(obj)
             call = lambda: parse(json.dumps(doc))
         with pytest.raises(CollschedError) as exc:
             call()
-        assert str(exc.value) == f"{where} has unknown field {self.KEY!r} (known: {known})"
+        return str(exc.value)
+
+    @pytest.mark.parametrize(
+        "reader, path, key, wrong, where",
+        [
+            ("topology", (), "links", ("x", "array"), "the topology document"),
+            ("topology", ("nodes", 1), "kind", (7, "string"), "node 'c{}'"),
+            ("topology", ("nodes", 1), "id", (7, "string"), "node 1"),
+            ("topology", ("links", 0), "bandwidth", ("x", "integer"), "link c{0}->c{}"),
+            ("topology", ("links", 2), "dst", (7, "string"), "link 2"),
+            ("boxes", (), "inter", ("x", "integer"), "topology family 'boxes'"),
+            ("ring", (), "bw", (True, "integer"), "topology family 'ring'"),
+            ("fat-tree", (), "spine_bw", ("x", "integer"), "topology family 'fat-tree'"),
+            ("schedule", (), "witness", ("x", "array"), "the schedule"),
+            ("schedule", ("phases", 0), "scale_U", (7, "string"), "the reduce_scatter phase"),
+            ("schedule", ("phases", 1), "collective", (7, "string"), "phase 1 of the schedule"),
+            (
+                "schedule",
+                ("phases", 1, "roots", 0),
+                "batches",
+                ("x", "array"),
+                "root 'c{0}' in the allgather phase",
+            ),
+            (
+                "schedule",
+                ("phases", 1, "roots", 2),
+                "root",
+                (7, "string"),
+                "root 2 in the allgather phase",
+            ),
+            (
+                "schedule",
+                ("phases", 0, "roots", 1, "batches", 0),
+                "edges",
+                ("x", "array"),
+                "batch 0 of root 'c{}' in the reduce_scatter phase",
+            ),
+        ],
+        ids=[
+            "topology", "node", "node-id", "link", "link-dst", "boxes", "ring", "fat-tree",
+            "schedule", "phase", "phase-collective", "root", "root-name", "batch",
+        ],
+    )
+    def test_every_reader_names_where_a_field_is_missing_or_mistyped(
+        self, reader, path, key, wrong, where
+    ):
+        """A missing or mistyped field is reported with the object it is
+        in, named as for an unknown field, or by its index when the field
+        that names it is the bad one."""
+        missing = self.refusal(reader, path, lambda obj: obj.pop(key))
+        assert missing == f"missing field {key!r} in {where}"
+        value, kind = wrong
+        mistyped = self.refusal(reader, path, lambda obj: obj.__setitem__(key, value))
+        assert mistyped == f"field {key!r} must be a JSON {kind}, got {value!r}, in {where}"
 
     def test_round_trip_fixed(self):
         t = parse_topology(DOC)
