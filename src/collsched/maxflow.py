@@ -18,9 +18,10 @@ the graph's edit log; a state remembers how far into the log it has been
 brought.  `catch_up` brings a state to the end of the log: it clamps the
 state's flow on every arc edited since to the arc's new capacity and
 returns the imbalance that leaves, d units at the tail and -d at the head
-of an arc that dropped d (a raised arc drops nothing).  Every other call
-on a state refuses one that is behind the log, and a later state starts
-from the edited network.
+of an arc that dropped d (a raised arc drops nothing).  `keep` holds a
+flow at a value through edits by routing that imbalance in one push.
+Every other call on a state refuses one that is behind the log, and a
+later state starts from the edited network.
 
 A flow runs between terminal sets: `run(sources, sinks)` is the max flow
 from the vertices `sources` to the vertices `sinks`, that is the least
@@ -44,18 +45,17 @@ of R has no earlier terminals.  These are the engine's cut questions.
 pair's arcs, a lower bound on every cut holding the first but not the
 second, which lets a caller skip a question it already knows the answer to.
 
-`push` moves more flow between vertex sets in place with no terminal rule,
-so a caller that keeps a flow alive through edits checks the value each
-push must reach.  Either set may give each vertex an amount, the most it
-sends or takes, so one push routes every excess of a caught-up state to
-every deficit at once (a transshipment: the max flow from a super source
-with an arc of each source's amount to a super sink with an arc of each
-sink's).  `run_keep` is a fresh state plus one push; `resume` resolves its
-terminals once and runs push's last step, the one caller of Dinic.  Dinic's
-phases label each vertex with its residual distance to the sinks, and
-walks from the sources step only one closer: exactly the live arcs of the
-textbook levels counted from the sources, scanned in the same order, so
-the same augmenting paths are found.
+`push` moves more flow between vertex sets in place with no terminal
+rule.  Either set may give each vertex an amount, the most it sends or
+takes, so one push routes every excess to every deficit at once (a
+transshipment: the max flow from a super source with an arc of each
+source's amount to a super sink with an arc of each sink's).  `run_keep`
+is a fresh state plus one push; `resume` and `keep` resolve their
+terminals once and run push's last step, the one caller of Dinic.
+Dinic's phases label each vertex with its residual distance to the sinks,
+and walks from the sources step only one closer: exactly the live arcs of
+the textbook levels counted from the sources, scanned in the same order,
+so the same augmenting paths are found.
 
 The search, the splitter and the packer build their graphs in one place,
 `source_network(t, capacity, supply)`: t plus a fresh source feeding
@@ -276,31 +276,55 @@ class FlowGraph:
             self._adj[v].remove(e + 1)
 
     def catch_up(self, state: list) -> dict:
-        """Bring `state` to the graph's edits, in place: the flow on every
-        arc lowered or raised since the state was made or last caught up is
-        cut to the arc's capacity.  Returns the imbalance left, by vertex
-        name, balanced vertices left out: a drop of d units on an arc
-        (a, b) counts d at a, which receives d units it no longer sends on,
-        and -d at b, which sends on d units it no longer receives.  A push
-        from the vertices above zero to those below, at these amounts,
-        routes the dropped units again."""
+        """Bring `state` to the graph's edits, in place, cutting its flow on
+        every arc edited since to the arc's capacity.  Returns the imbalance
+        left by vertex name, balanced vertices left out: d at a and -d at b
+        for a drop of d units on an arc (a, b).  A push from the vertices
+        above zero to those below, at these amounts, routes them again."""
+        names = self._names
+        return {names[v]: d for v, d in self._catch_up(state).items()}
+
+    def _catch_up(self, state: list) -> dict[int, int]:
+        """`catch_up` by vertex index."""
         log = self._log
         seen = state[2]
         state[2] = len(log)  # up to date before `_caps`, which refuses a stale state
         caps = self._caps(state)
-        cap0, to, names = self._cap0, self._to, self._names
+        cap0, to = self._cap0, self._to
         need: dict = {}
         for e in log[seen:]:
             cap = cap0[e]
             flow = caps[e ^ 1]
             if flow > cap:
-                tail, head = names[to[e ^ 1]], names[to[e]]
+                tail, head = to[e ^ 1], to[e]
                 need[tail] = need.get(tail, 0) + flow - cap
                 need[head] = need.get(head, 0) - flow + cap
                 flow = cap
                 caps[e ^ 1] = cap
             caps[e] = cap - flow
         return {v: d for v, d in need.items() if d}
+
+    def keep(self, state: list | None, source, sink, value: int, was: int = 0) -> list | None:
+        """A flow of `value` units from `source` to `sink` on the graph as
+        it stands, or None if there is none: a new one from `run_keep`, or
+        `state`, which carried `was` units, caught up and repaired in place
+        by one push.  A refusal leaves `state` as it was."""
+        value, was = _checked_limit(value), _checked_limit(was)
+        s, t = self._vertex(source), self._vertex(sink)
+        if s == t:
+            raise CollschedError(f"source and sink are both {source!r}")
+        if state is None:
+            got, state = self.run_keep([source], [sink], value)
+            return state if got == value else None
+        need = self._catch_up(state)
+        need[s] = need.get(s, 0) + value - was
+        need[t] = need.get(t, 0) - value + was
+        excess = {v: d for v, d in need.items() if d > 0}
+        want = sum(excess.values())
+        deficit = {v: -d for v, d in need.items() if d < 0}
+        if want and self._push(state, excess, deficit, want) != want:
+            return None
+        return state
 
     def push(self, state: list, sources, sinks, limit: int) -> int:
         """Push up to `limit` more units from the vertices `sources` to the
@@ -310,15 +334,16 @@ class FlowGraph:
         up to `limit`.
 
         Unlike `resume` this answers no cut question and keeps no terminal
-        rule: a caller that restores a flow checks the value it must reach.
+        rule.
         """
         limit = _checked_limit(limit)
         starts = self._rooms(sources, "sources", limit)
         return self._push(state, starts, self._rooms(sinks, "sinks", limit), limit)
 
     def _push(self, state: list, starts: dict, ends: dict, limit: int) -> int:
-        """`push` on terminals resolved to {index: room}, as `resume` runs
-        it too: the sets must be disjoint and the state caught up."""
+        """`push` on terminals resolved to {index: room}, as `resume` and
+        `keep` run it too: the sets must be disjoint and the state caught
+        up."""
         if not starts.keys().isdisjoint(ends):
             raise CollschedError("sources and sinks must be disjoint")
         caps = self._caps(state)
@@ -362,10 +387,6 @@ class FlowGraph:
         state R for `reach` and `resume`: a fresh `state()` and one `push`.
         Without a limit the flow stops at the capacity sum, which it cannot
         exceed.
-
-        A caller that wants a min cut asks `reach(state, sources, 1)` for
-        its source side, which is only meaningful when the flow came up
-        short of `limit`.
         """
         state = self.state()
         return self.push(state, sources, sinks, self._total if limit is None else limit), state
@@ -383,7 +404,7 @@ class FlowGraph:
         cut that splits an earlier call's terminals has lost that flow's
         worth, so such a call is refused, as is a sink among the sources.
         A source given an amount could send less than the cut, so `sources`
-        may not be a dict.  The flow then runs in `push`'s last step.
+        may not be a dict.
         """
         limit = _checked_limit(limit)
         if type(sources) is dict:

@@ -20,11 +20,12 @@ enumerating them.  A probe at value v adds an auxiliary source feeding every
 compute node and asks whether every compute node receives N times the
 source's per-node supply.  If some node falls short, the source side of its
 min cut (minus the auxiliary source) is a cut S whose own value exceeds v,
-and the search jumps there.  The first probe that succeeds is exactly the
-optimum, and the last S is a witness cut that attains it.  Every value
-probed is the value of a real cut, so no interval and no rounding are
-involved.  Each jump strictly raises the value over a finite set of cuts,
-and for the ratio Radzik (1992) bounds the jumps strongly polynomially.
+and the search jumps there; a probe's nodes share one residual state
+(`_cut_search`).  The first probe that succeeds is exactly the optimum,
+and the last S is a witness cut that attains it.  Every value probed is
+the value of a real cut, so no interval and no rounding are involved.
+Each jump strictly raises the value over a finite set of cuts, and for the
+ratio Radzik (1992) bounds the jumps strongly polynomially.
 
 All arithmetic is exact rationals; no floating point enters the search.
 """
@@ -88,6 +89,15 @@ def _cut_search(t: Topology, cut_value, probe):
     can receive the demand of `source_network(t, caps, supply)`, caps
     being floor(scale*b_e) on each link.  Returns (optimal value, witness
     cut, number of probes).
+
+    The sinks of a probe share one residual state, as in Hao & Orlin
+    (1994): each is resumed from S, the source and the sinks that passed
+    before it.  Let v be the first sink whose min cut from the source is
+    below the demand.  A cut missing an earlier sink costs at least the
+    demand, so every cut below it that holds the source but not v holds S:
+    from S, v fails as from the source, with the same least min cut, which
+    `reach` reads from S after v's resume.  So the failing sink and its cut
+    are those of a fresh flow per sink.
     """
     # Start from the cut that leaves out the compute node with the least
     # in-bandwidth; sinks are tried most-recently-failed first.
@@ -102,12 +112,13 @@ def _cut_search(t: Topology, cut_value, probe):
         p, q = scale.numerator, scale.denominator
         caps = {(l.src, l.dst): p * l.bandwidth // q for l in t.links}
         g, source, target = source_network(t, caps, supply)
+        state, settled = g.state(), [source]
         for i, sink in enumerate(sinks):
-            flow, state = g.run_keep([source], [sink], limit=target)
-            if flow < target:
+            if g.resume(state, settled, sink, target) < target:
                 sinks.insert(0, sinks.pop(i))
-                cut = g.reach(state, [source], 1) - {source}
+                cut = g.reach(state, settled, 1) - {source}
                 break
+            settled.append(sink)
         else:
             return value, witness, probes
         jump = cut_value(cut)

@@ -32,10 +32,10 @@ edits it in place as the forest changes.  The growing batch taking (x, y)
 at mu lowers that arc by mu; a batch that starts growing lowers its
 gadget's arcs to zero and V by its m; a split copy of m' trees grows a
 hub of its own and raises V by m'.  For each compute sink v it keeps a flow
-sigma -> v of value V, a `run_keep` on that graph when v is first
-queried.  Those V units cross every cut X holding sigma but not v net
-once, so X's capacity in the flow's residual is slack(X).  The flow fills
-every sigma arc, so no residual arc leaves sigma, and
+sigma -> v of value V, made on that graph when v is first queried.
+Those V units cross every cut X holding sigma but not v net once, so X's
+capacity in the flow's residual is slack(X).  The flow fills every sigma
+arc, so no residual arc leaves sigma, and
 
     mu(x, y) = min(mu0, a resume from x to y of at most mu0 units
                    on a fresh copy of y's kept flow),
@@ -52,17 +52,12 @@ has slack mu0 or more, and mu = mu0 without the copy and the resume
 (Edmonds 1973: mu is the least slack of the cuts holding x but not y).
 
 Deferred repair.  An edit reaches only the graph; a kept flow is brought
-to it when mu is about to read it.  Which flow of value V that is does not
-matter: in any flow sigma -> y of value V, a cut X holding sigma but not y
-has residual capacity cap(X) - V, and one holding neither has cap(X).
-`catch_up` cuts y's flow on every arc lowered since its last repair to
-the arc's capacity, which leaves d units at the tail and -d at the head of
-an arc that dropped d.  With +dV at sigma and -dV at y, dV being the
-change of V since that repair, this pseudo-flow differs from a flow
-sigma -> y of value V by exactly these amounts, so one push routes every
-excess to every deficit.  It succeeds exactly when some flow sigma -> y of
-value V exists, that is when no cut holding sigma but not y has negative
-slack.  A short one means the forest cannot be completed, and
+to it when mu is about to read it, by `FlowGraph.keep`, which returns a
+flow sigma -> y of value V, or None if there is none.  Which flow that is
+does not matter: in any flow sigma -> y of value V, a cut X holding sigma
+but not y has residual capacity cap(X) - V, and one holding neither has
+cap(X).  Such a flow exists exactly when no cut holding sigma but not y
+has negative slack, so a None means the forest cannot be completed, and
 NoAddableEdge is raised for the growing batch.  A take at the exact mu
 never gets there, since mu is at most the slack of every cut the take
 lowers.
@@ -144,24 +139,11 @@ class _Baselines:
         repaired: `mu0` when the flow's residual capacity from the arc's
         tail to its head is at least that, else a resume on a copy."""
         x, y = arc
-        g, sigma, value = self.graph, self.sigma, self.value
-        kept = self.flows.get(y)
-        if kept is None:
-            got, flow = g.run_keep([sigma], [y], value)
-            if got != value:
-                raise self.stuck()
-        else:
-            flow, was = kept
-            need = g.catch_up(flow)
-            if value != was:
-                need[sigma] = need.get(sigma, 0) + value - was
-                need[y] = need.get(y, 0) - value + was
-            excess = {v: d for v, d in need.items() if d > 0}
-            if excess:
-                want = sum(excess.values())
-                deficit = {v: -d for v, d in need.items() if d < 0}
-                if g.push(flow, excess, deficit, want) != want:
-                    raise self.stuck()
+        g, value = self.graph, self.value
+        flow, was = self.flows.get(y, (None, 0))
+        flow = g.keep(flow, self.sigma, y, value, was)
+        if flow is None:
+            raise self.stuck()
         self.flows[y] = flow, value
         if g.residual(flow, x, y) >= mu0:
             return mu0

@@ -353,22 +353,27 @@ def fraction_text(f) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _parse_frac(text: str, key: str) -> Fraction:
-    """`text`, field `key`, as `fraction_text` writes it: ASCII digits, an
-    optional leading minus, one slash.  `int` alone would also take signs,
-    underscores, spaces and non-ASCII digits."""
+def _parse_frac(text: str, key: str, where: str) -> Fraction:
+    """`text`, field `key` in `where`, as `fraction_text` writes it: ASCII
+    digits, an optional leading minus, one slash.  `int` alone would also
+    take signs, underscores, spaces and non-ASCII digits."""
     num, _, den = text.partition("/")
     if re.fullmatch(r"-?[0-9]+/[0-9]+", text):
         try:
             num, den = int(num), int(den)
         except ValueError:  # longer than Python's int-from-string digit limit
-            raise CollschedError(f"{key!r} has too many digits ({len(text)})") from None
+            raise CollschedError(f"{key!r} has too many digits ({len(text)}) in {where}") from None
         if den:
             return Fraction(num, den)
-    raise CollschedError(f"{key!r} must be a 'p/q' rational, got {text!r}")
+    raise CollschedError(f"{key!r} must be a 'p/q' rational, got {text!r}, in {where}")
 
 
-def _array(item, kinds: tuple[type, ...], form: str) -> list:
+def _at(place) -> str:
+    """A place: text, or (batch place, edge index)."""
+    return place if type(place) is str else f"edge {place[1]} of {place[0]}"
+
+
+def _array(item, kinds: tuple[type, ...], form: str, place) -> list:
     """item as a JSON array of len(kinds) values of those JSON types (a
     boolean is never an integer)."""
     if not (
@@ -379,20 +384,20 @@ def _array(item, kinds: tuple[type, ...], form: str) -> list:
             for v, k in zip(item, kinds)
         )
     ):
-        raise CollschedError(f"expected {form}, got {item!r:.80}")
+        raise CollschedError(f"expected {form}, got {item!r:.80}, in {_at(place)}")
     return item
 
 
-def _path_use(item) -> PathUse:
-    path, multiplicity = _array(item, (list, int), "a path [[ids...], multiplicity]")
+def _path_use(item, place) -> PathUse:
+    path, multiplicity = _array(item, (list, int), "a path [[ids...], multiplicity]", place)
     if len(path) < 2 or not all(isinstance(v, str) for v in path):
-        raise CollschedError(f"path {path!r:.80} must list at least 2 node ids")
+        raise CollschedError(f"path {path!r:.80} must list at least 2 node ids, in {_at(place)}")
     return PathUse(tuple(path), multiplicity)
 
 
-def _edge(item) -> ScheduleEdge:
-    src, dst, paths = _array(item, (str, str, list), "an edge [src, dst, [paths...]]")
-    return ScheduleEdge(src, dst, tuple(map(_path_use, paths)))
+def _edge(item, place) -> ScheduleEdge:
+    src, dst, paths = _array(item, (str, str, list), "an edge [src, dst, [paths...]]", place)
+    return ScheduleEdge(src, dst, tuple([_path_use(p, place) for p in paths]))
 
 
 _BATCH_FIELDS = {"multiplicity": (int, _REQUIRED), "edges": (list, _REQUIRED)}
@@ -401,7 +406,8 @@ _ROOT_FIELDS = {"root": (str, _REQUIRED), "batches": (list, _REQUIRED)}
 
 def _batch(item, where: str) -> ScheduleBatch:
     multiplicity, edges = json_fields(item, _BATCH_FIELDS, where, CollschedError)
-    return ScheduleBatch(multiplicity, tuple(map(_edge, edges)))
+    edges = [_edge(e, (where, i)) for i, e in enumerate(edges)]
+    return ScheduleBatch(multiplicity, tuple(edges))
 
 
 def _root(item, index: int, phase: str) -> RootTrees:
@@ -411,9 +417,11 @@ def _root(item, index: int, phase: str) -> RootTrees:
     return RootTrees(root, tuple(_batch(b, f"batch {i} of {where}") for i, b in enumerate(batches)))
 
 
-def _witness(ids: list) -> frozenset[str]:
+def _witness(ids: list, where: str) -> frozenset[str]:
     if not all(isinstance(v, str) for v in ids) or ids != sorted(set(ids)):
-        raise CollschedError(f"'witness' must be a sorted list of distinct node ids, got {ids!r:.80}")
+        raise CollschedError(
+            f"'witness' must be a sorted list of distinct node ids, got {ids!r:.80}, in {where}"
+        )
     return frozenset(ids)
 
 
@@ -476,10 +484,10 @@ def _schedule_from_dict(doc, where: str = "the schedule") -> Schedule:
     _, num_compute, k, inv_x_star, y, U, exact, witness, body = json_fields(
         doc, _SCHEDULE_FIELDS[collective], where, CollschedError
     )
-    U = _parse_frac(U, "scale_U")
-    y = _parse_frac(y, "tree_bandwidth")
-    inv_x_star = _parse_frac(inv_x_star, "optimal_inv_x")
-    witness = _witness(witness)
+    U = _parse_frac(U, "scale_U", where)
+    y = _parse_frac(y, "tree_bandwidth", where)
+    inv_x_star = _parse_frac(inv_x_star, "optimal_inv_x", where)
+    witness = _witness(witness, where)
     roots, phases = (), ()
     if collective == ALLREDUCE:
         # Checked before recursing, so phases never nest.

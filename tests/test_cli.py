@@ -451,7 +451,8 @@ class TestUnreadableInput:
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", "-t", files["topo"], str(path)]) == 1
-        assert capsys.readouterr().err == "error: 'scale_U' has too many digits (5002)\n"
+        err = capsys.readouterr().err
+        assert err == "error: 'scale_U' has too many digits (5002) in the schedule\n"
 
 
 class TestUsageErrors:

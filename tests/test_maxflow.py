@@ -790,6 +790,38 @@ class TestCatchUp:
         assert all(c >= 0 for c in state[0])
         assert g.push(state, [s], [t], CAPACITY_BUDGET) == 0
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_keep_is_that_repair(self, seed):
+        """`keep` on a stale state carrying `was` units is the repair
+        above, routed in the same order to the same residual state: it
+        returns that state when asked for the new max flow value and None
+        when asked one unit more.  Without a state it is `run_keep` to the
+        value, or None above the max flow."""
+        vertices, arcs = random_instance(seed)
+        s, t = vertices[0], vertices[-1]
+        g = FlowGraph(vertices, arcs)
+        rng = random.Random(seed)
+        value, state = g.run_keep([s], [t])
+        for _ in range(rng.randint(1, 6)):
+            a, b, cap = rng.choice(arcs)
+            g.lower(a, b, rng.randint(0, g.capacity(a, b)))
+        new = g.run([s], [t])
+        stale = lambda: [list(state[0]), set(state[1]), state[2]]
+        assert g.keep(stale(), s, t, new + 1, value) is None
+        kept = stale()
+        assert g.keep(kept, s, t, new, value) is kept
+        moves = g.catch_up(state)
+        moves[s] = moves.get(s, 0) + new - value
+        moves[t] = moves.get(t, 0) - new + value
+        excess = {v: d for v, d in moves.items() if d > 0}
+        deficit = {v: -d for v, d in moves.items() if d < 0}
+        if excess:
+            want = sum(excess.values())
+            assert g.push(state, excess, deficit, want) == want
+        assert kept == state, seed
+        assert g.keep(None, s, t, new)[0] == g.run_keep([s], [t], new)[1][0]
+        assert g.keep(None, s, t, new + 1) is None
+
 
 # ---------------------------------------------------------------------------
 # Phases labelled from the sinks find the forward-level Dinic's paths
@@ -1038,8 +1070,9 @@ class TestSinkLabelledPhases:
 
 
 # Per call, each bad input the engine refuses, as (sources, sinks, limit) for
-# `push` and `run_keep`, (sources, sink, limit) for `resume` and
-# (starts, threshold) for `reach`.  The state has pinned {s, a} by a resume.
+# `push` and `run_keep`, (sources, sink, limit) for `resume`, (starts,
+# threshold) for `reach` and (source, sink, value, was) for `keep`.  The
+# state has pinned {s, a} by a resume.
 REFUSED_CALLS = {
     "push": {
         "string-set": ("s", ["t"], 1),
@@ -1082,6 +1115,16 @@ REFUSED_CALLS = {
         "unknown-vertex": ("s", "nope"),
         "unknown-tail": ("nope", "t"),
         "unhashable-name": (["s"], "t"),
+    },
+    "keep": {
+        "unknown-vertex": ("s", "nope", 4, 3),
+        "unknown-source": ("nope", "t", 4, 3),
+        "unhashable-name": (["s"], "t", 4, 3),
+        "same-terminals": ("t", "t", 4, 3),
+        "negative-value": ("s", "t", -1, 3),
+        "float-value": ("s", "t", 2.5, 3),
+        "bool-value": ("s", "t", True, 3),
+        "negative-was": ("s", "t", 4, -3),
     },
 }
 
@@ -1134,6 +1177,22 @@ class TestRefusedCalls:
         with pytest.raises(CollschedError, match="catch it up"):
             getattr(g, method)(state, *args[method])
         assert self.seen(g, state) == before
+
+    @pytest.mark.parametrize("args", REFUSED_CALLS["keep"].values(), ids=REFUSED_CALLS["keep"])
+    def test_keep_refuses_before_catching_a_stale_state_up(self, args):
+        """`keep` takes a state behind the log, but a refused call leaves it
+        there, untouched; the same state is then kept at the 2 units the
+        lowered graph carries."""
+        g = FlowGraph([*"sabt"], [("s", "a", 4), ("a", "b", 4), ("s", "b", 1), ("b", "t", 3)])
+        state = g.keep(None, "s", "t", 3)
+        g.lower("b", "t", 1)
+        before = self.seen(g, state)
+        with pytest.raises(CollschedError):
+            g.keep(state, *args)
+        assert self.seen(g, state) == before
+        assert g.keep(state, "s", "t", 2, 3) is state
+        assert state[2] == len(g._log)
+        assert g.push(state, ["s"], ["t"], 5) == 0
 
 
 class TestHelpers:

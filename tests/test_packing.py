@@ -311,10 +311,10 @@ class TestPackSpanningTrees:
         """The kept flows can be repaired to V only because every mu is the
         least slack.  With every probe overstated to mu0, batch b's third
         arc (a, d) is taken at 1 where its slack is 0, and d's kept flow is
-        read right after.  Its merged repair has to route the unit dropped
-        on (a, d) from a to d and cannot: the vertices a still reaches hold
-        sigma but not d, so no push could restore V, and the read stops the
-        pack with NoAddableEdge."""
+        read right after.  Its repair by `keep` has to route the unit
+        dropped on (a, d) from a to d and cannot: the vertices a still
+        reaches hold sigma but not d, so no push could restore V, and the
+        read stops the pack with NoAddableEdge."""
         lt = Topology(
             [Node(v, COMPUTE) for v in "abcd"],
             [
@@ -332,22 +332,27 @@ class TestPackSpanningTrees:
                 self.mu(("c", "d"), 1)
 
         monkeypatch.setattr(_Baselines, "take", take_then_read)
-        pushes = []
-        push = FlowGraph.push
+        keeps = []
+        keep = FlowGraph.keep
 
-        def recorded(g, state, sources, sinks, limit):
-            pushed = push(g, state, sources, sinks, limit)
-            pushes.append((g, state, sources, sinks, limit, pushed))
-            return pushed
+        def recorded(g, state, source, sink, value, was=0):
+            # a copy as the repair finds it, behind the graph's edits
+            before = state and [list(state[0]), set(state[1]), state[2]]
+            kept = keep(g, state, source, sink, value, was)
+            keeps.append((g, before, state, source, sink, value, was, kept))
+            return kept
 
-        monkeypatch.setattr(FlowGraph, "push", recorded)
+        monkeypatch.setattr(FlowGraph, "keep", recorded)
         with pytest.raises(NoAddableEdge) as exc:
             pack_spanning_trees(lt, 2)
         assert exc.value.root == "b"
-        g, state, sources, sinks, limit, pushed = pushes[-1]
-        assert (sources, sinks, limit, pushed) == ({"a": 1}, {"d": 1}, 1, 0)
-        side = g.reach(state, list(sources), 1)
-        assert "s" in side and "d" not in side
+        g, before, state, source, sink, value, was, kept = keeps[-1]
+        assert (sink, value, kept) == ("d", was, None)
+        # one unit to route from a to d, and none of it routed
+        assert g.catch_up(before) == {"a": 1, "d": -1}
+        assert state[0] == before[0]
+        side = g.reach(state, ["a"], 1)
+        assert source in side and "d" not in side
 
     def test_its_flow_calls_are_its_cut_questions(self, random_suite, monkeypatch):
         """A pack asks its cut questions through run_keep, residual and
@@ -396,30 +401,22 @@ class TestPackSpanningTrees:
         assert evaluations > certified > 0
 
     def test_kept_flows_are_repaired_only_when_read(self, random_suite, monkeypatch):
-        """Edits only reach the graph; a kept flow is repaired, in one push,
-        when a mu evaluation is about to read it.  So a pack pushes at most
-        once per mu evaluation besides its run_keep calls, every repair is
-        of the flow read next (by its residual, then maybe a probe on a
-        copy), resumes plus evaluations certified by that residual are the
-        mu evaluations, and a flow whose sink is never read again is never
-        repaired."""
+        """Edits only reach the graph; a kept flow is made or repaired, by
+        one `keep`, when a mu evaluation is about to read it.  So a pack
+        keeps once per mu evaluation, every keep is of the flow read next
+        (by its residual, then maybe a probe on a copy), a repair brings the
+        flow made for that very sink, resumes plus evaluations certified by
+        that residual are the mu evaluations, and a flow whose sink is
+        never read again is never repaired."""
         events = []
-        run_keep, residual, resume, push, mu = (
-            FlowGraph.run_keep, FlowGraph.residual, FlowGraph.resume, FlowGraph.push, _Baselines.mu
+        keep, residual, resume, mu = (
+            FlowGraph.keep, FlowGraph.residual, FlowGraph.resume, _Baselines.mu
         )
 
-        def kept(g, sources, sinks, limit=None):
-            events.append(("keep",))
-            value, state = run_keep(g, sources, sinks, limit)
-            events.pop()
-            events.append(("keep", id(state[0]), *sinks))
-            return value, state
-
-        def repaired(g, state, sources, sinks, limit):
-            # The push inside a run_keep or a resume is that call's flow.
-            if not events or events[-1] not in (("keep",), ("probing",)):
-                events.append(("repair", id(state[0])))
-            return push(g, state, sources, sinks, limit)
+        def kept(g, state, source, sink, value, was=0):
+            flow = keep(g, state, source, sink, value, was)
+            events.append(("made" if state is None else "repair", id(flow[0]), sink))
+            return flow
 
         def reading(g, state, src, dst):
             left = residual(g, state, src, dst)
@@ -427,17 +424,14 @@ class TestPackSpanningTrees:
             return left
 
         def probe(g, state, sources, sink, limit):
-            events.append(("probing",))
-            gained = resume(g, state, sources, sink, limit)
-            events[-1] = ("probe", sink)
-            return gained
+            events.append(("probe", sink))
+            return resume(g, state, sources, sink, limit)
 
         def evaluated(self, arc, mu0):
             events.append(("mu", mu0))
             return mu(self, arc, mu0)
 
-        monkeypatch.setattr(FlowGraph, "run_keep", kept)
-        monkeypatch.setattr(FlowGraph, "push", repaired)
+        monkeypatch.setattr(FlowGraph, "keep", kept)
         monkeypatch.setattr(FlowGraph, "residual", reading)
         monkeypatch.setattr(FlowGraph, "resume", probe)
         monkeypatch.setattr(_Baselines, "mu", evaluated)
@@ -446,20 +440,52 @@ class TestPackSpanningTrees:
             lt, k = remainder(t, None)
             events.clear()
             forest = pack_spanning_trees(lt, k)
-            sink_of = {e[1]: e[2] for e in events if e[0] == "keep"}
-            repairs = [i for i, e in enumerate(events) if e[0] == "repair"]
-            assert len(repairs) <= forest.mu_evaluations, t
-            for i in repairs:
-                state = events[i][1]
-                assert events[i + 1][:3] == ("read", state, sink_of[state]), t
+            sink_of = {e[1]: e[2] for e in events if e[0] == "made"}
+            keeps = [i for i, e in enumerate(events) if e[0] in ("made", "repair")]
+            assert len(keeps) == forest.mu_evaluations, t
+            for i in keeps:
+                _, state, sink = events[i]
+                assert sink_of[state] == sink, t
+                assert events[i + 1][:3] == ("read", state, sink), t
             asked = [e[1] for e in events if e[0] == "mu"]
             lefts = [e[3] for e in events if e[0] == "read"]
             probes = sum(e[0] == "probe" for e in events)
             sure = sum(left >= mu0 for left, mu0 in zip(lefts, asked))
             assert len(asked) == len(lefts) == forest.mu_evaluations, t
             assert probes + sure == forest.mu_evaluations, t
-            total += len(repairs)
+            total += sum(events[i][0] == "repair" for i in keeps)
         assert total > 0
+
+    def test_every_repair_is_catch_up_and_one_push(self, random_suite, monkeypatch):
+        """Each repair `keep` makes in a pack leaves the state that
+        `catch_up` and one push of the imbalance, with the change of V at
+        sigma and the sink, leave on a copy: the same units routed in the
+        same order, so the kept flows, and every residual read off them,
+        are the ones the packer got before `keep` took over its repair."""
+        keep = FlowGraph.keep
+        repairs = []
+
+        def compared(g, state, source, sink, value, was=0):
+            if state is None:
+                return keep(g, state, source, sink, value, was)
+            twin = [list(state[0]), set(state[1]), state[2]]
+            kept = keep(g, state, source, sink, value, was)
+            need = g.catch_up(twin)
+            need[source] = need.get(source, 0) + value - was
+            need[sink] = need.get(sink, 0) - value + was
+            excess = {v: d for v, d in need.items() if d > 0}
+            deficit = {v: -d for v, d in need.items() if d < 0}
+            if excess:
+                assert g.push(twin, excess, deficit, sum(excess.values())) == sum(excess.values())
+            assert twin == kept
+            repairs.append(len(excess))
+            return kept
+
+        monkeypatch.setattr(FlowGraph, "keep", compared)
+        for t in random_suite:
+            lt, k = remainder(t, None)
+            pack_spanning_trees(lt, k)
+        assert sum(n > 1 for n in repairs) > 0
 
     @pytest.mark.parametrize("suite", ["random_suite", "clustered_suite"])
     def test_certified_mu_equals_a_resume(self, request, suite, monkeypatch):

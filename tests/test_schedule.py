@@ -448,6 +448,57 @@ class TestSerialization:
         with pytest.raises(CollschedError):
             parse_schedule(json.dumps(doc))
 
+    ALLGATHER_EDGES = ("phases", 1, "roots", 1, "batches", 0, "edges")
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (
+                ALLGATHER_EDGES + (1,),
+                ["c1", 5],
+                "expected an edge [src, dst, [paths...]], got ['c1', 5], "
+                "in edge 1 of batch 0 of root 'c1_2' in the allgather phase",
+            ),
+            (
+                ALLGATHER_EDGES + (0, 2, 0, 0),
+                ["c1_2"],
+                "path ['c1_2'] must list at least 2 node ids, "
+                "in edge 0 of batch 0 of root 'c1_2' in the allgather phase",
+            ),
+            (
+                ("phases", 0, "witness"),
+                ["w1", "c1_1"],
+                "'witness' must be a sorted list of distinct node ids, got ['w1', 'c1_1'], "
+                "in the reduce_scatter phase",
+            ),
+            (
+                ("phases", 1, "scale_U"),
+                "fast",
+                "'scale_U' must be a 'p/q' rational, got 'fast', in the allgather phase",
+            ),
+            (
+                ("optimal_inv_x",),
+                "1/" + "9" * 5000,
+                "'optimal_inv_x' has too many digits (5002) in the schedule",
+            ),
+        ],
+        ids=["edge", "path", "witness", "rational", "rational-digits"],
+    )
+    def test_parse_names_where_an_edge_path_witness_or_rational_is_bad(
+        self, fig3a, path, value, message
+    ):
+        """The readers of an edge, a path, the witness and a rational name
+        the phase, root, batch and edge the bad value is in."""
+        s, _ = generate(fig3a, collective=ALLREDUCE)
+        doc = json.loads(export(s, "json"))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(CollschedError) as exc:
+            parse_schedule(json.dumps(doc))
+        assert str(exc.value) == message
+
     def test_parse_rejects_nested_allreduce(self, fig3a):
         s, _ = generate(fig3a, collective=ALLREDUCE)
         doc = json.loads(export(s, "json"))
