@@ -15,13 +15,13 @@ adjacency lists exactly while its capacity is positive; `capacity` and
 or raises the arc of a pair that has one.  `lower` cuts one arc's
 capacity.  Both edit the graph only, and an arc edited in place goes on
 the graph's edit log; a state remembers how far into the log it has been
-brought.  `catch_up` brings a state to the end of the log: it clamps the
-state's flow on every arc edited since to the arc's new capacity and
-returns the imbalance that leaves, d units at the tail and -d at the head
-of an arc that dropped d (a raised arc drops nothing).  `keep` holds a
-flow at a value through edits by routing that imbalance in one push.
-Every other call on a state refuses one that is behind the log, and a
-later state starts from the edited network.
+brought.  `keep` holds a flow at a value through edits: it brings the
+state to the end of the log, clamping its flow on every arc edited since
+to the arc's new capacity, which leaves d units of imbalance at the tail
+and -d at the head of an arc that dropped d (a raised arc drops nothing),
+and routes that imbalance in one push.  Every other call on a state
+refuses one that is behind the log, and a later state starts from the
+edited network.
 
 A flow runs between terminal sets: `run(sources, sinks)` is the max flow
 from the vertices `sources` to the vertices `sinks`, that is the least
@@ -117,7 +117,7 @@ class FlowGraph:
         """Add the vertices `vertices` and the arcs `arcs`, checked as the
         constructor checks them; on any error nothing changes.  An arc for a
         pair that has one already raises that arc in place and is logged
-        for `catch_up`; a state made before gains a new arc carrying no
+        for `keep`; a state made before gains a new arc carrying no
         flow."""
         if isinstance(vertices, str):
             raise CollschedError(f"vertices {vertices!r} are a string, not a collection")
@@ -256,7 +256,7 @@ class FlowGraph:
 
     def lower(self, src, dst, amount: int) -> None:
         """Lower the capacity of the arc from `src` to `dst` in the graph by
-        `amount`, in place, and log the arc for `catch_up`; an arc lowered
+        `amount`, in place, and log the arc for `keep`; an arc lowered
         to zero leaves the adjacency lists.  `amount` must be an int no
         larger than the arc's capacity; otherwise nothing changes."""
         if type(amount) is not int or amount < 0:
@@ -275,17 +275,12 @@ class FlowGraph:
             self._adj[u].remove(e)
             self._adj[v].remove(e + 1)
 
-    def catch_up(self, state: list) -> dict:
+    def _catch_up(self, state: list) -> dict[int, int]:
         """Bring `state` to the graph's edits, in place, cutting its flow on
         every arc edited since to the arc's capacity.  Returns the imbalance
-        left by vertex name, balanced vertices left out: d at a and -d at b
+        left by vertex index, balanced vertices left out: d at a and -d at b
         for a drop of d units on an arc (a, b).  A push from the vertices
         above zero to those below, at these amounts, routes them again."""
-        names = self._names
-        return {names[v]: d for v, d in self._catch_up(state).items()}
-
-    def _catch_up(self, state: list) -> dict[int, int]:
-        """`catch_up` by vertex index."""
         log = self._log
         seen = state[2]
         state[2] = len(log)  # up to date before `_caps`, which refuses a stale state

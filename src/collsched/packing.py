@@ -62,9 +62,20 @@ NoAddableEdge is raised for the growing batch.  A take at the exact mu
 never gets there, since mu is at most the slack of every cut the take
 lowers.
 
-When 0 < mu < m the batch splits: the new arc extends mu of the copies,
-the rest continue as a separate batch.  Batches are processed one root at
-a time (roots in sorted order).
+Which arc.  Any frontier arc taken at its exact mu leaves the rest of the
+forest packable, so the choice shapes the output, never its validity.  A
+batch takes the first frontier arc, in sorted order, at mu = m, which
+keeps it whole; only when there is none does it split, at the first arc
+at mu > 0: the new arc extends mu of the copies, the rest continue as a
+separate batch.  While a batch grows every quantity entering mu only
+shrinks (capacities, the batch's own multiplicity; a split copy raises
+the flow by at most what it adds to the other-multiplicity sum), so an
+arc once at mu = 0 stays there, and until the batch next splits, which
+lowers m, an arc found short, at 0 < mu < m, cannot reach m.  So the
+search for an arc at mu = m probes only the arcs of capacity m or more
+not found short since the last split, and the split probes the others up
+to its arc; no arc is probed twice for one take.  Batches are processed
+one root at a time (roots in sorted order).
 
 The frontier.  The sigma-graph is the one record of the capacity left,
 and the growing batch's frontier, the sorted arcs of positive capacity
@@ -105,17 +116,20 @@ class Forest:
 
 class _Baselines:
     """The sigma-graph of one pack, its kept max flows sigma -> v and the
-    growing batch's frontier (see the module docstring); `batches` are the
-    first ones, a singleton per root at multiplicity k."""
+    growing batch's frontier (see the module docstring); the forest's
+    batches are the first ones, a singleton per root at multiplicity k, and
+    every mu evaluation is counted on it."""
 
-    def __init__(self, lt: Topology, batches: list[TreeBatch], k: int) -> None:
-        self.lt = lt
+    def __init__(self, forest: Forest, k: int) -> None:
+        self.forest = forest
+        self.lt = lt = forest.lt
         self.graph, self.sigma, self.value = source_network(lt, lt.capacity, k)  # V
         self.flows: dict[str, tuple] = {}  # sink -> (kept flow, V it last carried)
-        self.heads = {id(b): b.root for b in batches}  # batch in sigma -> head
+        self.heads = {id(b): b.root for b in forest.batches}  # batch in sigma -> head
         self.hubs = 0
         self.growing: TreeBatch | None = None
         self.frontier: list[tuple[str, str]] = []
+        self.short: set[tuple[str, str]] = set()  # probed at 0 < mu < m since the last split
 
     def _arcs_out(self, members: set[str]) -> list[tuple[str, str]]:
         """The arcs of positive capacity from `members` to the rest, sorted."""
@@ -138,6 +152,7 @@ class _Baselines:
         take `arc`, read from the kept flow of its head, which is first
         repaired: `mu0` when the flow's residual capacity from the arc's
         tail to its head is at least that, else a resume on a copy."""
+        self.forest.mu_evaluations += 1
         x, y = arc
         g, value = self.graph, self.value
         flow, was = self.flows.get(y, (None, 0))
@@ -148,6 +163,32 @@ class _Baselines:
         if g.residual(flow, x, y) >= mu0:
             return mu0
         return g.resume(g.copy(flow), [x], y, mu0)
+
+    def choose(self, m: int) -> tuple[tuple[str, str], int]:
+        """The arc the growing batch, of multiplicity `m`, takes next and
+        its mu: the first frontier arc at mu = m, else the first at mu > 0
+        (see the module docstring).  The first pass probes, in order, the
+        arcs that can give m, and one found short joins `short`; the
+        second probes the rest in order, up to the first at mu > 0.  An arc
+        at mu = 0 leaves the frontier."""
+        cap, short = self.graph.capacity, self.short
+        known = {}
+        for arc in list(self.frontier):
+            if arc in short or cap(*arc) < m:
+                continue
+            mu = known[arc] = self.mu(arc, m)
+            if mu == m:
+                return arc, mu
+            if mu:
+                short.add(arc)
+            else:
+                self.frontier.remove(arc)
+        for arc in list(self.frontier):
+            mu = known.get(arc) or self.mu(arc, min(cap(*arc), m))
+            if mu:
+                return arc, mu
+            self.frontier.remove(arc)
+        raise self.stuck()
 
     def leave(self, batch: TreeBatch) -> None:
         """`batch` starts growing, so its gadget leaves sigma: every arc of
@@ -161,6 +202,7 @@ class _Baselines:
             for t in sorted(batch.members):
                 self.graph.lower(head, t, m)
         self.frontier = self._arcs_out(batch.members)
+        self.short.clear()
 
     def take(self, arc: tuple[str, str], mu: int) -> None:
         """The growing batch takes `arc` at `mu`; the frontier trades the
@@ -182,6 +224,7 @@ class _Baselines:
         self.graph.grow([hub], [(sigma, hub, m)] + [(hub, t, m) for t in sorted(batch.members)])
         self.heads[id(batch)] = hub
         self.value += m
+        self.short.clear()
 
 
 def pack_spanning_trees(lt: Topology, k: int) -> Forest:
@@ -189,12 +232,14 @@ def pack_spanning_trees(lt: Topology, k: int) -> Forest:
     compute-only network that `remove_switches` returns for the same k.
 
     Batches start as one singleton per root (multiplicity k) and are grown
-    to completion root by root; frontier arcs are tried in sorted order,
-    each mu read from the kept baseline flow of the arc's head.  A full
-    frontier of zero mu values, or a baseline that can no longer carry
-    what the unfinished batches need, raises NoAddableEdge (the capacity
-    invariants rule both out for the k the network was split for, so
-    either flags an upstream bug or a k that `lt` cannot carry).
+    to completion root by root.  A batch takes the first frontier arc, in
+    sorted order, that keeps it whole, and splits at the first it can take
+    at all only when there is none; each mu is read from the kept baseline
+    flow of the arc's head.  A full frontier of zero mu values, or a
+    baseline that can no longer carry what the unfinished batches need,
+    raises NoAddableEdge (the capacity invariants rule both out for the k
+    the network was split for, so either flags an upstream bug or a k that
+    `lt` cannot carry).
     """
     require_tree_count(k)
     if lt.switch_ids:
@@ -207,25 +252,13 @@ def pack_spanning_trees(lt: Topology, k: int) -> Forest:
             for r in lt.compute_ids
         ],
     )
-    baselines = _Baselines(lt, forest.batches, k)
+    baselines = _Baselines(forest, k)
     i = 0
     while i < len(forest.batches):
         batch = forest.batches[i]
         baselines.leave(batch)
         while len(batch.members) < n:
-            if not baselines.frontier:
-                raise baselines.stuck()
-            arc = baselines.frontier[0]
-            forest.mu_evaluations += 1
-            mu = baselines.mu(arc, min(baselines.graph.capacity(*arc), batch.multiplicity))
-            if mu == 0:
-                # While one batch grows, every quantity entering mu only
-                # shrinks (capacities, the batch's own multiplicity; a
-                # split copy raises the flow by at most what it adds to the
-                # other-multiplicity sum), so an arc once at mu = 0 stays
-                # there: it leaves the frontier for the rest of this batch.
-                del baselines.frontier[0]
-                continue
+            arc, mu = baselines.choose(batch.multiplicity)
             baselines.take(arc, mu)
             if mu < batch.multiplicity:
                 copy = TreeBatch(

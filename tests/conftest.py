@@ -108,6 +108,14 @@ PREVIOUS_LAYOUT_SCHEDULE = (
 )
 
 
+def catch_up(g, state: list) -> dict:
+    """Bring `state` to the edits of the flow graph `g`, as `keep` does
+    before it repairs a flow, and return the imbalance left by vertex name,
+    balanced vertices left out: d at a and -d at b for a drop of d units on
+    an arc (a, b)."""
+    return {g._names[v]: d for v, d in g._catch_up(state).items()}
+
+
 def flag_free(t: Topology) -> Topology:
     """t with every multicast and aggregation flag cleared: the network on
     which `generate` returns its schedules unpruned."""

@@ -12,7 +12,8 @@ leaves every unpinned op unpinned.  Every pinned op's export also parses
 back to the schedule it was written from.
 
 A change meant to move the bytes re-pins them all from the current code,
-from the repository root:
+from the repository root, and lists each key whose pin moved, appeared or
+vanished:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -142,5 +143,9 @@ if __name__ == "__main__":
             pin = digest(t, collective, fixed_k)
             if pin is not None:
                 pins[key] = pin
+    for key in sorted(PINS.keys() | pins.keys()):
+        if PINS.get(key) != pins.get(key):
+            change = "appeared" if key not in PINS else "vanished" if key not in pins else "moved"
+            print(f"{change:8} {key}")
     PINS_FILE.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
     print(f"{len(pins)} pins written to {PINS_FILE.name}")

@@ -14,6 +14,8 @@ from collsched.errors import CollschedError, Overflow
 from collsched.maxflow import fresh_name, source_network
 from collsched.topology import CAPACITY_BUDGET
 
+from conftest import catch_up
+
 
 def brute_min_cut(vertices, arcs, sources, sinks):
     """Least exit capacity of a vertex set holding every source and no
@@ -412,7 +414,7 @@ class TestResidual:
         g.grow([], [("b", "a", 1)])
         assert (g.residual(state, "a", "b"), g.residual(state, "b", "a")) == (0, 3)
         g.lower("a", "b", 1)
-        g.catch_up(state)
+        catch_up(g, state)
         assert (g.residual(state, "a", "b"), g.residual(state, "b", "a")) == (0, 2)
         assert g.residual(state, "s", "b") == 0
 
@@ -436,7 +438,7 @@ class TestStates:
             a, b, cap = arcs[i]
             amount = rng.randint(0, cap)
             g.lower(a, b, amount)
-            need = g.catch_up(state)
+            need = catch_up(g, state)
             drop = need.get(a, 0)
             assert need == ({a: drop, b: -drop} if drop else {}), (seed, a, b, amount)
             arcs = arcs[:i] + [(a, b, cap - amount)] + arcs[i + 1:]
@@ -460,13 +462,13 @@ class TestStates:
         # the flow, which catching up reports, and nothing in the state
         # carrying no flow
         g.lower("a", "t", 3)
-        assert g.catch_up(state) == {"a": 3, "t": -3}
-        assert g.catch_up(base) == {}
+        assert catch_up(g, state) == {"a": 3, "t": -3}
+        assert catch_up(g, base) == {}
         assert state[0][2:] == [0, 1] and base[0][2:] == [1, 0]
         # a caught-up state has nothing left to report
-        assert g.catch_up(state) == {}
+        assert catch_up(g, state) == {}
         g.lower("s", "a", 0)
-        assert g.catch_up(state) == {}
+        assert catch_up(g, state) == {}
         # the graph carries the lowered capacity
         assert g.run(["s"], ["t"]) == 1
 
@@ -502,7 +504,7 @@ class TestStates:
         with pytest.raises(CollschedError):
             g.lower(src, dst, amount)
         # a refused cut logs nothing: the state has nothing to catch up
-        assert g.catch_up(state) == {}
+        assert catch_up(g, state) == {}
         assert state[0] == before
         assert g.run(["s"], ["t"]) == 7
 
@@ -518,7 +520,7 @@ class TestStates:
         ):
             with pytest.raises(CollschedError, match="catch it up"):
                 call()
-        assert g.catch_up(state) == {"a": 1, "t": -1}
+        assert catch_up(g, state) == {"a": 1, "t": -1}
         # the unit stuck at a goes back to s, leaving a max flow of 3
         assert g.push(state, ["a"], ["s"], 1) == 1
         assert g.push(g.copy(state), ["s"], ["t"], 5) == 0
@@ -617,14 +619,14 @@ class TestOneArcPerPair:
         assert g.arcs() == [("s", "a", 3), ("s", "t", 1)]
         assert g.run(["s"], ["t"]) == 1
         assert g.reach(g.state(), ["a"], 1) == {"a"}
-        assert g.catch_up(state) == {"a": 3, "t": -3}
+        assert catch_up(g, state) == {"a": 3, "t": -3}
         assert g.push(state, ["a"], ["s"], 3) == 3
         g.grow([], [("a", "t", 2)])
         assert listed(g) == {("s", "a"), ("s", "t"), ("a", "t")}
         assert g.run(["s"], ["t"]) == 3
         assert g.reach(g.state(), ["a"], 1) == {"a", "t"}
         # the kept flow, caught up to the raise, pushes on to a max flow
-        assert g.catch_up(state) == {}
+        assert catch_up(g, state) == {}
         assert value - 3 + g.push(state, ["s"], ["t"], 10) == 3
 
     def test_a_state_behind_a_merging_grow_is_refused_until_caught_up(self):
@@ -640,7 +642,7 @@ class TestOneArcPerPair:
             with pytest.raises(CollschedError, match="catch it up"):
                 call()
         # a raise drops no flow
-        assert g.catch_up(state) == {}
+        assert catch_up(g, state) == {}
         assert value + g.push(state, ["s"], ["t"], 10) == 4 == g.run(["s"], ["t"])
 
     def test_a_new_arc_at_zero_never_enters_the_adjacency_lists(self):
@@ -773,7 +775,7 @@ class TestCatchUp:
             arcs = arcs[:i] + [(a, b, cap - amount)] + arcs[i + 1:]
         new = g.run([s], [t])
         assert new == FlowGraph(vertices, arcs).run([s], [t])
-        need = g.catch_up(state)
+        need = catch_up(g, state)
         for ask, twin in ((new + 1, g.copy(state)), (new, state)):
             moves = dict(need)
             moves[s] = moves.get(s, 0) + ask - value
@@ -810,7 +812,7 @@ class TestCatchUp:
         assert g.keep(stale(), s, t, new + 1, value) is None
         kept = stale()
         assert g.keep(kept, s, t, new, value) is kept
-        moves = g.catch_up(state)
+        moves = catch_up(g, state)
         moves[s] = moves.get(s, 0) + new - value
         moves[t] = moves.get(t, 0) - new + value
         excess = {v: d for v, d in moves.items() if d > 0}
@@ -1033,7 +1035,7 @@ class TestSinkLabelledPhases:
         assert (value, state[0]) == want, seed
         for a, b, cap in rng.sample(arcs, min(len(arcs), 4)):
             g.lower(a, b, rng.randint(0, cap))
-        need = g.catch_up(state)
+        need = catch_up(g, state)
         excess = {v: d for v, d in need.items() if d > 0}
         deficit = {v: -d for v, d in need.items() if d < 0}
         if excess:
@@ -1137,7 +1139,7 @@ class TestRefusedCalls:
         g = FlowGraph([*"sabt"], [("s", "a", 4), ("a", "b", 4), ("s", "b", 1), ("b", "t", 3)])
         _, state = g.run_keep(["s"], ["t"])
         g.lower("b", "t", 1)
-        g.catch_up(state)
+        catch_up(g, state)
         assert g.resume(state, ["s"], "a", 2) == 2
         return g, state
 

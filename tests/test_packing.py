@@ -1,5 +1,7 @@
-"""Tree packing: growth amounts, forest invariants, counters, and the
-packer against the gadget-graph oracle it replaced."""
+"""Tree packing: growth amounts, forest invariants, counters, which arc a
+batch takes, and the packer against the gadget-graph oracle it replaced."""
+
+from collections import Counter
 
 import pytest
 
@@ -14,13 +16,18 @@ from collsched import (
     TreeBatch,
     bottleneck_search,
     fixed_k_search,
+    generate,
     pack_spanning_trees,
     remove_switches,
     scale_capacities,
+    validate_schedule,
 )
 from collsched.errors import CollschedError, NoAddableEdge
 from collsched.maxflow import fresh_name
 from collsched.packing import _Baselines
+from collsched.pipeline import COLLECTIVES
+
+from conftest import catch_up
 
 
 def compute_mu(
@@ -79,7 +86,11 @@ def compute_mu(
 
 def oracle_pack(lt: Topology, k: int) -> Forest:
     """Oracle packer: `pack_spanning_trees`'s growth loop with every mu
-    from `compute_mu`."""
+    from `compute_mu`, probing in the same order.  Each step takes the
+    first frontier arc at mu = m, probing in order only the arcs of
+    capacity m or more not found short (0 < mu < m) since the batch last
+    split; failing that, it splits at the first arc at mu > 0, probing
+    the arcs not yet probed in the step up to it."""
     n = lt.num_compute
     residual = dict(lt.capacity)
     forest = Forest(
@@ -89,37 +100,47 @@ def oracle_pack(lt: Topology, k: int) -> Forest:
     i = 0
     while i < len(forest.batches):
         batch = forest.batches[i]
-        dead = set()
+        dead, short = set(), set()
         while len(batch.members) < n:
+            m = batch.multiplicity
             frontier = sorted(
                 pair
                 for pair, c in residual.items()
                 if c > 0 and pair[0] in batch.members and pair[1] not in batch.members
+                and pair not in dead
             )
-            for arc in frontier:
-                if arc in dead:
-                    continue
-                mu = compute_mu(forest, residual, batch, arc)
-                if mu == 0:
-                    dead.add(arc)
-                    continue
-                if mu < batch.multiplicity:
-                    copy = TreeBatch(
-                        root=batch.root,
-                        multiplicity=batch.multiplicity - mu,
-                        members=set(batch.members),
-                        edges=list(batch.edges),
-                    )
-                    forest.batches.insert(i + 1, copy)
-                    batch.multiplicity = mu
-                batch.edges.append(arc)
-                batch.members.add(arc[1])
-                residual[arc] -= mu
-                if residual[arc] == 0:
-                    del residual[arc]
-                break
-            else:
+            probed = {}
+
+            def mu_of(arc):
+                if arc not in probed:
+                    probed[arc] = compute_mu(forest, residual, batch, arc)
+                    if not probed[arc]:
+                        dead.add(arc)
+                return probed[arc]
+
+            whole = (a for a in frontier if a not in short and residual[a] >= m)
+            arc = next((a for a in whole if mu_of(a) == m), None)
+            short |= {a for a, mu in probed.items() if 0 < mu < m}
+            if arc is None:
+                arc = next((a for a in frontier if mu_of(a)), None)
+            if arc is None:
                 raise NoAddableEdge(batch.root, set(batch.members), frontier)
+            mu = probed[arc]
+            if mu < m:
+                copy = TreeBatch(
+                    root=batch.root,
+                    multiplicity=m - mu,
+                    members=set(batch.members),
+                    edges=list(batch.edges),
+                )
+                forest.batches.insert(i + 1, copy)
+                batch.multiplicity = mu
+                short.clear()
+            batch.edges.append(arc)
+            batch.members.add(arc[1])
+            residual[arc] -= mu
+            if residual[arc] == 0:
+                del residual[arc]
         i += 1
     return forest
 
@@ -156,6 +177,27 @@ def fresh_forest(lt, k=3):
             for r in lt.compute_ids
         ],
     )
+
+
+def compute_only(capacity: dict[str, int]) -> Topology:
+    """A compute-only network with one link per entry "xy": capacity."""
+    nodes = sorted({v for pair in capacity for v in pair})
+    return Topology([Node(v, COMPUTE) for v in nodes], [Link(*pair, c) for pair, c in capacity.items()])
+
+
+def probed_pack(lt: Topology, k: int, monkeypatch) -> tuple[Forest, list]:
+    """`pack_spanning_trees(lt, k)` and its mu evaluations in order, each
+    as (root, multiplicity of the growing batch, arc, mu)."""
+    probes = []
+    mu = _Baselines.mu
+
+    def recorded(self, arc, mu0):
+        got = mu(self, arc, mu0)
+        probes.append((self.growing.root, self.growing.multiplicity, arc, got))
+        return got
+
+    monkeypatch.setattr(_Baselines, "mu", recorded)
+    return pack_spanning_trees(lt, k), probes
 
 
 def arc_usage(forest: Forest) -> dict[tuple[str, str], int]:
@@ -269,8 +311,8 @@ class TestPackSpanningTrees:
                 assert units <= lt.capacity[arc]
 
     def test_batch_splitting_occurs_when_capacity_forces_it(self):
-        # suite seed 1 (4 compute nodes, 7 trees per root) forces two batch
-        # splits: frozen here as a regression anchor for the split path
+        # suite seed 1 (4 compute nodes, 7 trees per root) forces one batch
+        # split: frozen here as a regression anchor for the split path
         from collsched import random_eulerian_topology
 
         t = random_eulerian_topology(1)
@@ -279,7 +321,7 @@ class TestPackSpanningTrees:
         lt, _ = remove_switches(scale_capacities(t, res.U), res.k)
         forest = pack_spanning_trees(lt, res.k)
         assert lt.num_compute == 4
-        assert len(forest.batches) == 6
+        assert len(forest.batches) == 5
         assert any(b.multiplicity < res.k for b in forest.batches)
         for root in lt.compute_ids:
             assert sum(b.multiplicity for b in forest.batches if b.root == root) == res.k
@@ -349,7 +391,7 @@ class TestPackSpanningTrees:
         g, before, state, source, sink, value, was, kept = keeps[-1]
         assert (sink, value, kept) == ("d", was, None)
         # one unit to route from a to d, and none of it routed
-        assert g.catch_up(before) == {"a": 1, "d": -1}
+        assert catch_up(g, before) == {"a": 1, "d": -1}
         assert state[0] == before[0]
         side = g.reach(state, ["a"], 1)
         assert source in side and "d" not in side
@@ -470,7 +512,7 @@ class TestPackSpanningTrees:
                 return keep(g, state, source, sink, value, was)
             twin = [list(state[0]), set(state[1]), state[2]]
             kept = keep(g, state, source, sink, value, was)
-            need = g.catch_up(twin)
+            need = catch_up(g, twin)
             need[source] = need.get(source, 0) + value - was
             need[sink] = need.get(sink, 0) - value + was
             excess = {v: d for v, d in need.items() if d > 0}
@@ -518,6 +560,91 @@ class TestPackSpanningTrees:
     def test_mu_evaluation_counter_reports_work(self):
         forest = pack_spanning_trees(two_node_logical(), 3)
         assert forest.mu_evaluations >= 2
+
+
+class TestWholeBatchesFirst:
+    """A batch takes the first frontier arc at mu = m, its multiplicity,
+    and splits, at the first arc at mu > 0, only when there is none."""
+
+    def test_a_later_arc_at_mu_m_keeps_the_batch_whole(self, monkeypatch):
+        """a's and b's batches of 2 grow first, a's taking 2 of the 4 units
+        on (a, b).  c's batch takes (c, a), and its first frontier arc is
+        then (a, b): 2 units left, but {a, d} has 3 units out, (a, b) 2 and
+        (d, c) 1, and d's 2 trees still need 2 of them, so (a, b) admits 1
+        tree.  The later arc (c, b) admits both, so the batch takes it and
+        stays whole: one batch per root."""
+        lt = compute_only({
+            "ab": 4, "ac": 2, "ba": 4, "bc": 4, "bd": 4, "ca": 4, "cb": 3, "cd": 3, "da": 3, "dc": 1,
+        })
+        forest, probes = probed_pack(lt, 2, monkeypatch)
+        i = probes.index(("c", 2, ("a", "b"), 1))
+        assert probes[i + 1] == ("c", 2, ("c", "b"), 2)
+        assert [(b.root, b.multiplicity) for b in forest.batches] == [(r, 2) for r in "abcd"]
+        assert forest.batches[2].edges == [("c", "a"), ("c", "b"), ("c", "d")]
+
+    def test_with_no_arc_at_mu_m_the_batch_splits_at_the_first(self, monkeypatch):
+        """a has 1 unit on each of its arcs, so no arc admits both of its
+        trees.  Only arcs of capacity 2 could, so nothing is probed before
+        the split, which is at the first arc, (a, b), at its exact mu of 1;
+        the other tree leaves through (a, c)."""
+        lt = compute_only({"ab": 1, "ac": 1, "ba": 1, "bc": 3, "ca": 3, "cb": 3})
+        forest, probes = probed_pack(lt, 2, monkeypatch)
+        assert probes[0] == ("a", 2, ("a", "b"), 1)
+        assert [(b.root, b.multiplicity, b.edges) for b in forest.batches[:2]] == [
+            ("a", 1, [("a", "b"), ("b", "c")]),
+            ("a", 1, [("a", "c"), ("c", "b")]),
+        ]
+
+    def test_an_arc_short_before_a_split_is_taken_at_the_new_m(self, monkeypatch):
+        """a's batch of 3 takes 3 of the 5 units on (a, c).  b's batch of 3,
+        holding {b, a}, finds no arc at mu = 3: (a, d) admits 2 and is
+        found short, and (a, c) has 2 units left.  The batch splits at
+        (a, c), the first arc, at 2.  Its short list is cleared by the
+        split, so (a, d) is probed again at the new m of 2, admits it and
+        is taken: kept short, it would not be probed, and (b, d) would be
+        taken instead."""
+        lt = compute_only({
+            "ab": 3, "ac": 5, "ad": 3, "ba": 6, "bd": 5, "ca": 4,
+            "cb": 1, "cd": 1, "da": 4, "db": 6, "dc": 4,
+        })
+        forest, probes = probed_pack(lt, 3, monkeypatch)
+        assert [p for p in probes if p[0] == "b"][:4] == [
+            ("b", 3, ("b", "a"), 3),
+            ("b", 3, ("a", "d"), 2),
+            ("b", 3, ("a", "c"), 2),
+            ("b", 2, ("a", "d"), 2),
+        ]
+        b = [batch for batch in forest.batches if batch.root == "b"]
+        assert (b[0].multiplicity, b[0].edges) == (2, [("b", "a"), ("a", "c"), ("a", "d")])
+
+    def test_the_suites_compile_as_before_in_fewer_batches(self, random_suite, clustered_suite):
+        """Every op of the random and clustered suites, in every collective
+        at fixed_k None, 2 and 3, compiles to what it compiled to before
+        whole batches were preferred: each allgather validates with
+        `expected` or is refused, and a reduction validates exactly on
+        the 13 clustered networks where it did (elsewhere its reversed
+        forest overdraws asymmetric links).  The valid schedules hold 7,047
+        batches, down from 7,757."""
+        lucky = {15, 21, 28, 49, 54, 55, 59, 72, 78, 79, 85, 89, 90}
+        networks = [(t, False) for t in random_suite]
+        networks += [(t, i in lucky) for i, t in enumerate(clustered_suite)]
+        outcomes, batches = Counter(), 0
+        for t, reductions_validate in networks:
+            for collective in COLLECTIVES:
+                for fixed_k in (None, 2, 3):
+                    try:
+                        s, meta = generate(t, collective, fixed_k=fixed_k)
+                    except NotEulerianAfterFloor:
+                        outcomes["refused"] += 1
+                        continue
+                    ok = validate_schedule(s, t, meta).ok
+                    assert ok == (collective == "allgather" or reductions_validate), t
+                    outcomes["valid" if ok else "invalid"] += 1
+                    if ok:
+                        phases = s.phases or (s,)
+                        batches += sum(len(rt.batches) for p in phases for rt in p.roots)
+        assert outcomes == {"valid": 952, "invalid": 1670, "refused": 78}
+        assert batches == 7047
 
 
 class TestAgainstTheOracle:
