@@ -228,7 +228,9 @@ class FlowGraph:
         the edit log is refused."""
         caps = state[0]
         if state[2] != len(self._log):
-            raise CollschedError("the state is behind the graph's edits; catch it up first")
+            raise CollschedError(
+                "the state is behind the graph's edits; only keep brings a state up to them"
+            )
         if len(caps) < len(self._cap0):
             caps += self._cap0[len(caps):]
         return caps

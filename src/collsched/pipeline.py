@@ -7,7 +7,10 @@ transposed network run backwards: the same trees, pruned for multicast on
 reversed into in-trees aggregating at each root.  An allreduce chains that
 reduce-scatter with the allgather.  Nothing but the switches' `multicast`
 and `aggregation` flags turns pruning on: on a network without them,
-pruning changes nothing.
+pruning changes nothing.  Pruning reads only the multicast set, so when
+t's aggregating switches are exactly its multicast ones, the allgather
+pruned for t serves both phases: `generate` prunes once and builds no
+transpose.
 
 On topologies whose links all have an equal-bandwidth reverse twin the
 reversal preserves validity and optimality; on merely-Eulerian asymmetric
@@ -63,7 +66,11 @@ def generate(t: Topology, collective: str = ALLGATHER, fixed_k: int | None = Non
     ag = assemble_allgather(forest, emap, scaled, meta)
     if collective == ALLGATHER:
         return prune_multicast(ag, t), meta
-    rs = reverse_for_reduce_scatter(prune_multicast(ag, transpose(t)))
+    # Pruning reads only the multicast set, and transpose(t)'s is t's
+    # aggregation set: when the two match, one prune serves both phases.
+    same = {n.id for n in t.nodes if n.aggregation} == {n.id for n in t.nodes if n.multicast}
+    fanned_in = prune_multicast(ag, t if same else transpose(t))
+    rs = reverse_for_reduce_scatter(fanned_in)
     if collective == REDUCE_SCATTER:
         return rs, meta
-    return combine_allreduce(rs, prune_multicast(ag, t)), meta
+    return combine_allreduce(rs, fanned_in if same else prune_multicast(ag, t)), meta

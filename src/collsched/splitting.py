@@ -232,10 +232,16 @@ def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
     Switches go in sorted id order on one `_GammaOracle`, whose graph is
     the working network from the first split to the last; a network
     without switches builds none.  Within a switch, egress arcs are
-    consumed in sorted head order, and candidate ingress tails are tried in
-    sorted order, the egress head itself last, in passes until the egress
-    arc is drained.  A split at w only shrinks w's own arcs and adds arcs
-    that bypass w, so w's heads and tails are listed once.
+    consumed in sorted head order.  The egress arc to t tries the ingress
+    tails cyclically from t: the sorted tails after t, then those before
+    it, and t itself last, in passes until the arc is drained.  Heads thus
+    start their scans at different tails, so on a symmetric switch each
+    egress arc drains from one tail in one split, and the remainder has
+    one logical arc per egress arc.  Any order keeps the invariant, so
+    the order moves only the arcs left over, and with them the size of
+    every flow graph that split and pack run on.  A split at w only
+    shrinks w's own arcs and adds arcs that bypass w, so w's heads and
+    tails are listed once.
 
     Splitting needs in = out only at the switch being split (Mader 1982;
     Frank 1992), and a split changes no other node's in- or out-capacity
@@ -270,13 +276,15 @@ def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
         heads = sorted(t for a, t, _ in g.arcs() if a == w)
         tails = sorted(u for u, b, _ in g.arcs() if b == w)
         for t in heads:
-            # Loop pairings (u == t) cannibalize t's own in-bandwidth, which
-            # sits at the feasibility boundary, so their gamma is tiny and
-            # expensive to certify; any other tail drains the egress arc in
-            # one cheap probe.  Trying them last is purely an ordering
-            # choice — the split invariant guarantees progress under any
-            # order.  A drained tail's gamma is 0 without a flow.
-            order = sorted(tails, key=lambda u: u == t)
+            # Cyclically from t: if every head started at the first sorted
+            # tail, the early tails would be split across many heads and
+            # later heads would pick up fragments, each one more logical
+            # arc; starting at t pairs heads with tails one to one on a
+            # symmetric switch.  The loop pairing (u == t) comes last, as
+            # it spends t's own in-bandwidth, which sits at the feasibility
+            # boundary, so its gamma is small and costly to certify.  A
+            # drained tail's gamma is 0 without a flow.
+            order = sorted(tails, key=lambda u: (u == t, u < t))
             while g.capacity(w, t):
                 progressed = False
                 for u in order:

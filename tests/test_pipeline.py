@@ -3,16 +3,26 @@
 import dataclasses
 import random
 import re
+from collections import Counter
 
 import pytest
 
 from collsched import (
+    SWITCH,
     Link,
     Topology,
+    assemble_allgather,
+    bottleneck_search,
+    combine_allreduce,
     export,
     fixed_k_search,
     generate,
+    pack_spanning_trees,
+    prune_multicast,
+    remove_switches,
+    reverse_for_reduce_scatter,
     scale_capacities,
+    synth_topology,
     validate_schedule,
 )
 from collsched.errors import (
@@ -21,6 +31,7 @@ from collsched.errors import (
     NotEulerianAfterFloor,
 )
 from collsched.pipeline import COLLECTIVES
+from collsched.topology import transpose
 
 
 class TestCollectives:
@@ -89,6 +100,52 @@ class TestOptions:
 
     def test_deterministic_end_to_end(self, fig3a):
         assert generate(fig3a) == generate(fig3a)
+
+
+class TestPruneOnce:
+    @pytest.mark.parametrize(
+        "multicast, aggregation, prunes",
+        [("ls", "ls", 1), ("ls", "s", 2), ("", "ls", 2), ("", "", 1)],
+    )
+    def test_matching_switch_sets_share_one_prune(
+        self, monkeypatch, multicast, aggregation, prunes
+    ):
+        """An allreduce prunes its allgather once, and transposes nothing,
+        when the aggregating switches are exactly the multicast ones;
+        otherwise it prunes for t and for transpose(t).  Either way it
+        exports the bytes of pruning each phase for its own network.  The
+        flags name switch kinds: l for leaves, s for spines."""
+        base = synth_topology("fat-tree", pods=2, gpus=4, spines=4, leaf_bw=4, spine_bw=3)
+        nodes = [
+            dataclasses.replace(n, multicast=n.id[0] in multicast, aggregation=n.id[0] in aggregation)
+            if n.kind == SWITCH
+            else n
+            for n in base.nodes
+        ]
+        t = Topology(nodes, base.links)
+        meta = bottleneck_search(t)
+        scaled = scale_capacities(t, meta.U)
+        logical, emap = remove_switches(scaled, meta.k)
+        ag = assemble_allgather(pack_spanning_trees(logical, meta.k), emap, scaled, meta)
+        rs = reverse_for_reduce_scatter(prune_multicast(ag, transpose(t)))
+        expected = export(combine_allreduce(rs, prune_multicast(ag, t)), "json")
+        if multicast:
+            assert prune_multicast(ag, t) != ag
+
+        calls = Counter()
+
+        def counted(f):
+            def wrapper(*args):
+                calls[f.__name__] += 1
+                return f(*args)
+
+            return wrapper
+
+        monkeypatch.setattr("collsched.pipeline.prune_multicast", counted(prune_multicast))
+        monkeypatch.setattr("collsched.pipeline.transpose", counted(transpose))
+        s, _ = generate(t, "allreduce")
+        assert export(s, "json") == expected
+        assert (calls["prune_multicast"], calls["transpose"]) == (prunes, prunes - 1)
 
 
 def verdict(t, collective, fixed_k):

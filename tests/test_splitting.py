@@ -106,8 +106,9 @@ class TestComputeGamma:
         """The oracle's gamma equals the enumerated amount for every pairing at
         the switch being removed, on the scaled network and after each
         split of a greedy removal (first egress head, then first tail with
-        a positive amount, as remove_switches orders them).  The pairings
-        run shared-residual resumes, some of which stop short of the room."""
+        a positive amount, cyclically from the head as remove_switches
+        orders them).  The pairings run shared-residual resumes, some of
+        which stop short of the room."""
         resumes = {"calls": 0, "short": 0}
         resume = FlowGraph.resume
 
@@ -125,7 +126,8 @@ class TestComputeGamma:
             for w in t.switch_ids:
                 while heads := sorted(b for (a, b) in net.capacity if a == w):
                     tails = sorted(
-                        (a for (a, b) in net.capacity if b == w), key=lambda a: (a == heads[0], a)
+                        (a for (a, b) in net.capacity if b == w),
+                        key=lambda a: (a == heads[0], a < heads[0], a),
                     )
                     split = None
                     oracle = _GammaOracle(net, res.k)
@@ -144,16 +146,17 @@ class TestComputeGamma:
 
 class TestTightSets:
     def test_certified_zeros_equal_the_flows(self, random_suite, monkeypatch):
-        """On the small switched suite, the random suite and the 64-GPU
-        fat-tree, every γ that a kept tight set answers is 0 by the flows
-        too (both are run), and every kept set holds the source, misses a
-        compute node and has capacity N*k when it is kept and still when
-        its removal ends: no split raises a cut."""
+        """On the small switched suite, the random suite and the boxes
+        networks 8x4 and 16x8, every γ that a kept tight set answers is 0
+        by the flows too (both are run), and every kept set holds the
+        source, misses a compute node and has capacity N*k when it is kept
+        and still when its removal ends: no split raises a cut."""
         suites = {
             "small": small_switched_suite(),
             "random": random_suite,
-            "fat-tree": [
-                synth_topology("fat-tree", pods=8, gpus=64, spines=4, leaf_bw=4, spine_bw=3)
+            "boxes": [
+                synth_topology("boxes", boxes=b, gpus_per_box=g, intra=8, inter=1)
+                for b, g in ((8, 4), (16, 8))
             ],
         }
         gamma, keep = _GammaOracle.gamma, _GammaOracle._keep
@@ -196,9 +199,10 @@ class TestTightSets:
         for oracle in oracles:
             for X in oracle.tight:
                 tight(oracle, X)
-        # The small networks keep sets but pair nothing across them later.
+        # The small and random networks keep sets but pair nothing across
+        # them later; the boxes certify 5 (8x4) and 27 (16x8) zeros.
         assert all(counts["kept"] > 0 for counts in seen.values()), seen
-        assert seen["random"]["certified"] > 0 and seen["fat-tree"]["certified"] > 100, seen
+        assert seen["boxes"]["certified"] >= 32, seen
 
 
 class TestRemoveSwitches:
@@ -267,6 +271,22 @@ class TestRemoveSwitches:
             lt2, em2 = remove_switches(scaled, res.k)
             assert lt1.capacity == lt2.capacity
             assert em1.entries == em2.entries
+
+    @pytest.mark.parametrize(
+        "boxes, gpus, arcs", [(2, 3, 12), (3, 3, 18), (4, 2, 16), (8, 4, 64)]
+    )
+    def test_boxes_split_arc_for_arc(self, boxes, gpus, arcs):
+        """Each egress head scans its tails cyclically from itself, so on
+        the symmetric boxes networks every switch egress arc drains from
+        one tail in one split: one logical arc, routed through one switch,
+        per egress arc."""
+        t = synth_topology("boxes", boxes=boxes, gpus_per_box=gpus, intra=8, inter=1)
+        res = bottleneck_search(t)
+        scaled = scale_capacities(t, res.U)
+        egress = [(a, b) for a, b in scaled.capacity if a in scaled.switch_ids]
+        lt, emap = remove_switches(scaled, res.k)
+        assert len(egress) == len(lt.capacity) == len(emap.entries) == arcs
+        assert all(len(via) == 1 for via in emap.entries.values())
 
 
 class TestRemovalGraph:
