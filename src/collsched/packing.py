@@ -43,10 +43,23 @@ arc, so no residual arc leaves sigma, and
 a cut question of at most mu0 units where a fresh gadget graph per
 evaluation pushes the whole need of the other batches as well.
 
-The direct arc.  Most questions are settled before that copy.  Every cut
-X holding x but not y is crossed by the arc (x, y) forwards and by the
-arc (y, x) backwards, so its residual capacity in y's repaired flow is at
-least the residual of (x, y) plus the flow on (y, x), which
+The arc alone.  Most questions need no flow at all.  A cut X holding
+sigma and x but not y is crossed by the arc (x, y), so g(X) >= g(x, y),
+and no batch holding y lies in X, so the batches X must carry need at
+most V - held(y), held(y) being the sum of m_j over the batches in sigma
+whose members include y.  So
+
+    slack(X) >= g(x, y) - V + held(y),
+
+and when that is at least mu0, mu = mu0, and no kept flow is read or
+repaired.  held(v) starts at k for each root; a batch that starts growing
+takes its m off each of its members and a split copy adds its m to each
+of its members.
+
+The direct arc.  Most of the rest are settled before the copy.  Every
+cut X holding x but not y is crossed by the arc (x, y) forwards and by
+the arc (y, x) backwards, so its residual capacity in y's repaired flow
+is at least the residual of (x, y) plus the flow on (y, x), which
 `FlowGraph.residual` reads.  When that is at least mu0, every such cut
 has slack mu0 or more, and mu = mu0 without the copy and the resume
 (Edmonds 1973: mu is the least slack of the cuts holding x but not y).
@@ -125,6 +138,7 @@ class _Baselines:
         self.lt = lt = forest.lt
         self.graph, self.sigma, self.value = source_network(lt, lt.capacity, k)  # V
         self.flows: dict[str, tuple] = {}  # sink -> (kept flow, V it last carried)
+        self.held = dict.fromkeys(lt.compute_ids, k)  # v -> m_j summed over batches in sigma holding v
         self.heads = {id(b): b.root for b in forest.batches}  # batch in sigma -> head
         self.hubs = 0
         self.growing: TreeBatch | None = None
@@ -149,12 +163,17 @@ class _Baselines:
 
     def mu(self, arc: tuple[str, str], mu0: int) -> int:
         """Largest multiplicity up to `mu0` at which the growing batch may
-        take `arc`, read from the kept flow of its head, which is first
-        repaired: `mu0` when the flow's residual capacity from the arc's
-        tail to its head is at least that, else a resume on a copy."""
+        take `arc`: `mu0` when the arc alone has room for it and every
+        batch in sigma that does not hold its head; else read from the kept
+        flow of its head, which is first repaired: `mu0` when the flow's
+        residual capacity from the arc's tail to its head is at least that,
+        else a resume on a copy.  `Forest.mu_evaluations` counts every
+        evaluation, those the arc alone settles included."""
         self.forest.mu_evaluations += 1
         x, y = arc
         g, value = self.graph, self.value
+        if g.capacity(x, y) - value + self.held[y] >= mu0:
+            return mu0
         flow, was = self.flows.get(y, (None, 0))
         flow = g.keep(flow, self.sigma, y, value, was)
         if flow is None:
@@ -197,6 +216,8 @@ class _Baselines:
         m = batch.multiplicity
         self.value -= m
         head = self.heads.pop(id(batch))
+        for t in batch.members:
+            self.held[t] -= m
         self.graph.lower(self.sigma, head, m)
         if head != batch.root:
             for t in sorted(batch.members):
@@ -224,6 +245,8 @@ class _Baselines:
         self.graph.grow([hub], [(sigma, hub, m)] + [(hub, t, m) for t in sorted(batch.members)])
         self.heads[id(batch)] = hub
         self.value += m
+        for t in batch.members:
+            self.held[t] += m
         self.short.clear()
 
 

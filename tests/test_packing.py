@@ -20,6 +20,7 @@ from collsched import (
     pack_spanning_trees,
     remove_switches,
     scale_capacities,
+    synth_topology,
     validate_schedule,
 )
 from collsched.errors import CollschedError, NoAddableEdge
@@ -207,6 +208,18 @@ def arc_usage(forest: Forest) -> dict[tuple[str, str], int]:
         for arc in batch.edges:
             used[arc] = used.get(arc, 0) + batch.multiplicity
     return used
+
+
+def arc_alone(baselines: _Baselines, arc: tuple[str, str], mu0: int) -> bool:
+    """Whether the arc alone settles mu at mu0, worked out from the forest:
+    its capacity left is at least mu0 plus the trees of the batches yet to
+    grow (those after the growing one) that do not hold its head.  Each of
+    those batches crosses a cut holding its members, and no cut the arc
+    crosses holds one that holds the head."""
+    forest, (x, y) = baselines.forest, arc
+    i = next(i for i, b in enumerate(forest.batches) if b is baselines.growing)
+    left = forest.lt.capacity[arc] - arc_usage(forest).get(arc, 0)
+    return left - sum(b.multiplicity for b in forest.batches[i + 1:] if y not in b.members) >= mu0
 
 
 class TestComputeMu:
@@ -398,11 +411,12 @@ class TestPackSpanningTrees:
 
     def test_its_flow_calls_are_its_cut_questions(self, random_suite, monkeypatch):
         """A pack asks its cut questions through run_keep, residual and
-        resume: each mu evaluation reads its head's kept flow by one
-        residual, which certifies mu0 or is followed by one resume, so
-        resumes plus certified evaluations are the mu evaluations; and one
-        run_keep per kept flow, into each head read once."""
-        built, read, asked, probed = [], [], [], []
+        resume.  Each mu evaluation is exactly one of three kinds: the arc
+        alone settles it at mu0 and it asks nothing; it reads its head's
+        kept flow by one residual, which certifies mu0; or that read falls
+        short and one resume follows.  One run_keep per kept flow, into
+        each head read once."""
+        built, read, probed, kinds = [], [], [], []
         run_keep, residual, resume, mu = (
             FlowGraph.run_keep, FlowGraph.residual, FlowGraph.resume, _Baselines.mu
         )
@@ -421,35 +435,38 @@ class TestPackSpanningTrees:
             return resume(g, state, sources, sink, limit)
 
         def evaluated(self, arc, mu0):
-            asked.append(mu0)
-            return mu(self, arc, mu0)
+            alone, reads, probes = arc_alone(self, arc, mu0), len(read), len(probed)
+            got = mu(self, arc, mu0)
+            lefts, probes = [left for _, left in read[reads:]], len(probed) - probes
+            if alone:
+                kinds.append("alone" if (lefts, probes, got) == ([], 0, mu0) else None)
+            else:
+                kind = {(True, 0): "certified", (False, 1): "resumed"}
+                kinds.append(len(lefts) == 1 and kind.get((lefts[0] >= mu0, probes)) or None)
+            return got
 
         monkeypatch.setattr(FlowGraph, "run_keep", kept)
         monkeypatch.setattr(FlowGraph, "residual", reading)
         monkeypatch.setattr(FlowGraph, "resume", probe)
         monkeypatch.setattr(_Baselines, "mu", evaluated)
-        evaluations = certified = 0
+        total = Counter()
         for t in random_suite:
             lt, k = remainder(t, None)
-            for calls in (built, read, asked, probed):
+            for calls in (built, read, probed, kinds):
                 calls.clear()
             forest = pack_spanning_trees(lt, k)
-            assert len(read) == len(asked) == forest.mu_evaluations, t
-            sure = sum(left >= mu0 for (_, left), mu0 in zip(read, asked))
-            assert len(probed) + sure == forest.mu_evaluations, t
+            assert None not in kinds and len(kinds) == forest.mu_evaluations, t
             assert sorted(built) == sorted({head for head, _ in read}), t
-            evaluations += forest.mu_evaluations
-            certified += sure
-        assert evaluations > certified > 0
+            total.update(kinds)
+        assert min(total[kind] for kind in ("alone", "certified", "resumed")) > 0
 
     def test_kept_flows_are_repaired_only_when_read(self, random_suite, monkeypatch):
         """Edits only reach the graph; a kept flow is made or repaired, by
-        one `keep`, when a mu evaluation is about to read it.  So a pack
-        keeps once per mu evaluation, every keep is of the flow read next
-        (by its residual, then maybe a probe on a copy), a repair brings the
-        flow made for that very sink, resumes plus evaluations certified by
-        that residual are the mu evaluations, and a flow whose sink is
-        never read again is never repaired."""
+        one `keep`, when a mu evaluation is about to read it.  So an
+        evaluation the arc alone settles keeps nothing, every other keeps
+        once and reads the flow it kept (by its residual, then maybe a
+        probe on a copy), a repair brings the flow made for that very sink,
+        and a flow whose sink is never read again is never repaired."""
         events = []
         keep, residual, resume, mu = (
             FlowGraph.keep, FlowGraph.residual, FlowGraph.resume, _Baselines.mu
@@ -470,33 +487,34 @@ class TestPackSpanningTrees:
             return resume(g, state, sources, sink, limit)
 
         def evaluated(self, arc, mu0):
-            events.append(("mu", mu0))
+            events.append(("mu", mu0, arc_alone(self, arc, mu0)))
             return mu(self, arc, mu0)
 
         monkeypatch.setattr(FlowGraph, "keep", kept)
         monkeypatch.setattr(FlowGraph, "residual", reading)
         monkeypatch.setattr(FlowGraph, "resume", probe)
         monkeypatch.setattr(_Baselines, "mu", evaluated)
-        total = 0
+        repairs = settled = 0
         for t in random_suite:
             lt, k = remainder(t, None)
             events.clear()
             forest = pack_spanning_trees(lt, k)
             sink_of = {e[1]: e[2] for e in events if e[0] == "made"}
-            keeps = [i for i, e in enumerate(events) if e[0] in ("made", "repair")]
-            assert len(keeps) == forest.mu_evaluations, t
-            for i in keeps:
-                _, state, sink = events[i]
-                assert sink_of[state] == sink, t
-                assert events[i + 1][:3] == ("read", state, sink), t
-            asked = [e[1] for e in events if e[0] == "mu"]
-            lefts = [e[3] for e in events if e[0] == "read"]
-            probes = sum(e[0] == "probe" for e in events)
-            sure = sum(left >= mu0 for left, mu0 in zip(lefts, asked))
-            assert len(asked) == len(lefts) == forest.mu_evaluations, t
-            assert probes + sure == forest.mu_evaluations, t
-            total += sum(events[i][0] == "repair" for i in keeps)
-        assert total > 0
+            evaluations = [i for i, e in enumerate(events) if e[0] == "mu"]
+            assert len(evaluations) == forest.mu_evaluations, t
+            for i, j in zip(evaluations, evaluations[1:] + [len(events)]):
+                _, mu0, alone = events[i]
+                asked = events[i + 1:j]
+                if alone:
+                    assert asked == [], t
+                    settled += 1
+                    continue
+                (kind, state, sink), (read, *at, left), *probes = asked
+                assert kind in ("made", "repair") and sink_of[state] == sink, t
+                assert (read, *at) == ("read", state, sink), t
+                assert probes == ([] if left >= mu0 else [("probe", sink)]), t
+                repairs += kind == "repair"
+        assert repairs > 0 and settled > 0
 
     def test_every_repair_is_catch_up_and_one_push(self, random_suite, monkeypatch):
         """Each repair `keep` makes in a pack leaves the state that
@@ -533,7 +551,8 @@ class TestPackSpanningTrees:
     def test_certified_mu_equals_a_resume(self, request, suite, monkeypatch):
         """Every mu that the residual from the arc's tail to its head
         settles at mu0 is what a resume on a copy of the repaired flow
-        gives; the copy is taken when the residual is read."""
+        gives; the copy is taken when the residual is read.  An evaluation
+        the arc alone settles reads no residual."""
         read = []
         residual, mu = FlowGraph.residual, _Baselines.mu
 
@@ -542,7 +561,12 @@ class TestPackSpanningTrees:
             return residual(g, state, src, dst)
 
         def evaluated(self, arc, mu0):
+            alone = arc_alone(self, arc, mu0)
             got = mu(self, arc, mu0)
+            assert len(read) == (not alone), arc
+            if alone:
+                assert got == mu0, arc
+                return got
             g, state = read.pop()
             if residual(g, state, *arc) >= mu0:
                 assert got == mu0 == g.resume(state, [arc[0]], arc[1], mu0), arc
@@ -560,6 +584,93 @@ class TestPackSpanningTrees:
     def test_mu_evaluation_counter_reports_work(self):
         forest = pack_spanning_trees(two_node_logical(), 3)
         assert forest.mu_evaluations >= 2
+
+
+def boxes_8x4() -> Topology:
+    return synth_topology("boxes", boxes=8, gpus_per_box=4, intra=8, inter=1)
+
+
+def fat_tree() -> Topology:
+    return synth_topology("fat-tree", pods=4, gpus=16, spines=4, leaf_bw=4, spine_bw=3)
+
+
+class TestTheArcAlone:
+    """An arc with room for mu0 and every batch yet to grow that does not
+    hold its head settles mu at mu0 with no flow (the `packing` module
+    docstring, "The arc alone")."""
+
+    def settled(self, networks, monkeypatch) -> int:
+        """Packs each network.  Every evaluation the arc alone settles keeps
+        no flow, and its mu0 is what a resume from the arc's tail to its
+        head gives on a flow sigma -> head of value V made fresh on the
+        graph as it stands; every other evaluation keeps one.  Returns how
+        many evaluations the arc alone settled."""
+        keeps, settled = [], []
+        keep, mu = FlowGraph.keep, _Baselines.mu
+
+        def kept(g, state, source, sink, value, was=0):
+            keeps.append(sink)
+            return keep(g, state, source, sink, value, was)
+
+        def evaluated(self, arc, mu0):
+            (x, y), g, before = arc, self.graph, len(keeps)
+            got = mu(self, arc, mu0)
+            assert len(keeps) == before + (not arc_alone(self, arc, mu0)), arc
+            if len(keeps) == before:
+                value, flow = g.run_keep([self.sigma], [y], self.value)
+                assert value == self.value, arc
+                assert got == mu0 == g.resume(flow, [x], y, mu0), arc
+                settled.append(arc)
+            return got
+
+        monkeypatch.setattr(FlowGraph, "keep", kept)
+        monkeypatch.setattr(_Baselines, "mu", evaluated)
+        for t in networks:
+            pack_spanning_trees(*remainder(t, None))
+        return len(settled)
+
+    @pytest.mark.parametrize("suite, floor", [("random_suite", 5000), ("clustered_suite", 4600)])
+    def test_settled_mu_is_a_fresh_flows_resume_on_the_suites(self, request, suite, floor, monkeypatch):
+        assert self.settled(request.getfixturevalue(suite), monkeypatch) >= floor
+
+    @pytest.mark.parametrize("network, floor", [(boxes_8x4, 750), (fat_tree, 190)])
+    def test_settled_mu_is_a_fresh_flows_resume_on_switched_networks(self, network, floor, monkeypatch):
+        assert self.settled([network()], monkeypatch) >= floor
+
+    def test_the_bound_is_met_at_equality(self, monkeypatch):
+        """a's batch of 2 takes (a, b) at 2 and then probes (a, c), c's only
+        in-arc, at mu0 = 2.  b's and c's batches of 2 are yet to grow, so
+        V = 4, c's batch holds c, and the arc alone gives 4 - 4 + 2 = 2:
+        settled with no flow.  The cut holding every vertex but c (and
+        sigma) has slack exactly 2, the arc's 4 less b's 2 trees: the
+        bound is met at equality, and mu is exactly mu0."""
+        lt = compute_only({"ab": 2, "ac": 4, "ba": 2, "ca": 2, "cb": 2})
+        keeps, asked = [], []
+        keep, mu = FlowGraph.keep, _Baselines.mu
+
+        def kept(g, state, source, sink, value, was=0):
+            keeps.append(sink)
+            return keep(g, state, source, sink, value, was)
+
+        def evaluated(self, arc, mu0):
+            g, before = self.graph, len(keeps)
+            got = mu(self, arc, mu0)
+            asked.append((self.growing.root, arc, mu0, g.capacity(*arc), self.value, keeps[before:], got))
+            if asked[-1][:2] == ("a", ("a", "c")):
+                # the least slack of a cut holding a but not c, and that cut
+                value, flow = g.run_keep([self.sigma], ["c"], self.value)
+                assert value == self.value
+                asked.append((g.resume(flow, ["a"], "c", 10), g.reach(flow, ["a"], 1) - {self.sigma}))
+            return got
+
+        monkeypatch.setattr(FlowGraph, "keep", kept)
+        monkeypatch.setattr(_Baselines, "mu", evaluated)
+        pack_spanning_trees(lt, 2)
+        assert asked[:3] == [
+            ("a", ("a", "b"), 2, 2, 4, ["b"], 2),
+            ("a", ("a", "c"), 2, 4, 4, [], 2),
+            (2, {"a", "b"}),
+        ]
 
 
 class TestWholeBatchesFirst:
