@@ -305,7 +305,11 @@ class FlowGraph:
         """A flow of `value` units from `source` to `sink` on the graph as
         it stands, or None if there is none: a new one from `run_keep`, or
         `state`, which carried `was` units, caught up and repaired in place
-        by one push.  A refusal leaves `state` as it was."""
+        by one push.  Arguments refused with CollschedError leave `state`
+        as it was.  A None does not: `state` has been caught up to the
+        edits and holds whatever part of the repair the push routed, a
+        flow of no stated value with imbalance left at some vertices, so
+        no caller may read it again."""
         value, was = _checked_limit(value), _checked_limit(was)
         s, t = self._vertex(source), self._vertex(sink)
         if s == t:

@@ -22,6 +22,13 @@ capacity the invariant allows stays there, and every pairing split across
 it has gamma 0.  Each zero the flows find holds such a tight set; the
 oracle keeps it, once checked, and answers later pairings it separates
 without a flow (see `_GammaOracle`).
+
+Most positive gammas need no flow either.  With
+L = c(u,w) + c(t,w) + c(w,u) + c(w,t) - in(w) (for u == t,
+L = c(u,w) + c(w,u) - in(w)), gamma is min(c(u,w), c(w,t)) whenever L is
+at least that min, since every cut a split lowers exceeds N*k by L or
+more.  The argument needs the invariant to hold, so the oracle checks it
+once per removal, and without it every gamma comes from the flows.
 """
 
 from __future__ import annotations
@@ -57,8 +64,29 @@ class _GammaOracle:
     """Evaluates and makes the splits at every switch of the network `net`
     on one flow graph built once, `source_network(net, net.capacity, k)`
     with demand `target` = N*k.  The graph is the working network: `split`
-    edits it in place, and each γ evaluation runs two base flows on it,
-    each between terminal sets (see `gamma`).
+    edits it in place.  A γ that neither the local bound nor a kept tight
+    set settles runs two base flows on it, each between terminal sets
+    (see `gamma`).
+
+    The local bound.  Let L = c(u,w) + c(t,w) + c(w,u) + c(w,t) - in(w),
+    or L = c(u,w) + c(w,u) - in(w) when u == t.  While every compute node
+    receives N*k, γ = min(c(u,w), c(w,t)) whenever L is at least that min:
+    - A split lowers only cuts X that hold u and t but not w, or w but
+      neither u nor t (see below).
+    - Moving w across such an X gives a set that still holds the source
+      and misses a compute node, so its capacity is at least N*k.
+    - The move changes the capacity by at least L.  For X holding u and
+      t, cap(X) - cap(X + w) = c(X, w) - c(w, out of X + w), at least
+      c(u,w) + c(t,w) - (out(w) - c(w,u) - c(w,t)); for X holding w the
+      same holds with in(w).  Both are L, as in(w) = out(w), which
+      `remove_switches` checks up front and every split keeps.
+    So every such cut is at least N*k + L and takes the whole min.
+    `_margin` reads in(w) off the graph when `gamma` first meets w, and
+    `split` lowers it by each split at w.  It is read afresh for each
+    switch, never carried across: a loop pairing (u == t) at one switch
+    lowers the in-capacity of u, which may be a switch removed later.
+    The invariant is checked once, when the oracle is built
+    (`invariant_holds`); if it fails, every γ comes from the flows.
 
     Tight sets.  Call a vertex set X tight if it holds the source, misses
     a compute node and has capacity N*k in the graph, the least the
@@ -80,6 +108,40 @@ class _GammaOracle:
         self.compute_ids = net.compute_ids
         self.graph, self.source, self.target = source_network(net, net.capacity, k)
         self.tight: list[frozenset[str]] = []
+        self.invariant_holds = self._invariant_holds()
+        self.at: str | None = None  # the switch whose in-capacity is `inflow`
+        self.inflow = 0
+
+    def _invariant_holds(self) -> bool:
+        """Whether N*k units flow from the source to every compute node:
+        one flow to the first, then a resume to each further one on the
+        same residual, its sources the source and every earlier compute
+        node.  By the Hao-Orlin argument of `_min_slack`, the least of
+        these terms is the least cut that holds the source and misses a
+        compute node."""
+        g = self.graph
+        first, *rest = self.compute_ids
+        value, state = g.run_keep([self.source], [first], limit=self.target)
+        settled = [self.source, first]
+        for v in rest:
+            if value < self.target:
+                break
+            value = g.resume(state, settled, v, self.target)
+            settled.append(v)
+        return value >= self.target
+
+    def _margin(self, u: str, w: str, t: str) -> int:
+        """L = c(u,w) + c(t,w) + c(w,u) + c(w,t) - in(w), or
+        c(u,w) + c(w,u) - in(w) when u == t: the least amount by which a
+        cut the pairing lowers exceeds N*k (see the class docstring)."""
+        g = self.graph
+        if self.at != w:
+            self.at = w
+            self.inflow = sum(c for _, b, c in g.arcs() if b == w)
+        margin = g.capacity(u, w) + g.capacity(w, u) - self.inflow
+        if u != t:
+            margin += g.capacity(t, w) + g.capacity(w, t)
+        return margin
 
     def gamma(self, u: str, w: str, t: str) -> int:
         """Largest amount of the pairing (u, w),(w, t) splittable while the
@@ -93,19 +155,23 @@ class _GammaOracle:
         the vertex set Y with an unbounded arc (v,y) added.  The two halves
         are the flows u -> w with unbounded arcs (u,s), (u,t), (v,w), and
         w -> t with unbounded arcs (w,s), (u,t), (v,t).  An arc (a,b) of
-        capacity at least the probing limit L puts b on a's side of every
-        cut worth less than L.  So in the first half every such cut holds s
-        and t with u, which is a flow from {u, s, t} to {w} with the same
-        cuts at the same values; in the second, (w,s) puts s with w, and
+        capacity at least the probing limit puts b on a's side of every
+        cut worth less than that limit.  So in the first half every such
+        cut holds s and t with u, which is a flow from {u, s, t} to {w}
+        with the same cuts at the same values; in the second, (w,s) puts s with w, and
         (u,t), with t the sink, forces u out of the source side: a flow
         from {w, s} to {u, t}.
 
-        A kept tight set that separates {u, t} from w, either way round,
-        answers 0 before the flows (see the class docstring).
+        Before any flow, the local bound answers min(c(u,w), c(w,t)) when
+        the invariant holds and L reaches it, and a kept tight set that
+        separates {u, t} from w, either way round, answers 0 (see the
+        class docstring).
         """
         best = min(self.graph.capacity(u, w), self.graph.capacity(w, t))
         if best <= 0:
             return 0
+        if self.invariant_holds and self._margin(u, w, t) >= best:
+            return best
         for X in self.tight:
             if (u in X) == (t in X) != (w in X):
                 return 0
@@ -139,10 +205,12 @@ class _GammaOracle:
         the graph, recording in `emap` that they route through w; a pairing
         with u == t would form a self-loop and adds nothing.  The graph
         lowers (u, w) and (w, t) in place and grows (u, t), which merges
-        into an earlier (u, t)."""
+        into an earlier (u, t), and the tracked in(w) drops by `amount`."""
         g = self.graph
         g.lower(u, w, amount)
         g.lower(w, t, amount)
+        if self.at == w:
+            self.inflow -= amount
         if u != t:
             g.grow([], [(u, t, amount)])
             emap.add(u, t, w, amount)

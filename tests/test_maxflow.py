@@ -824,6 +824,26 @@ class TestCatchUp:
         assert g.keep(None, s, t, new)[0] == g.run_keep([s], [t], new)[1][0]
         assert g.keep(None, s, t, new + 1) is None
 
+    def test_a_none_leaves_the_state_caught_up_and_partly_repaired(self):
+        """A kept flow of 3 runs s -> a -> t; with (a, t) lowered to 1, the
+        repair must route 2 units from a to t, and only a -> b -> t, of 1,
+        is left.  `keep` returns None, having brought the state to the log
+        and pushed that 1 unit: a still holds 1 unit of imbalance, so the
+        state carries no flow of any value."""
+        arcs = [("s", "a", 3), ("a", "t", 3), ("a", "b", 1), ("b", "t", 1)]
+        g = FlowGraph([*"sabt"], arcs)
+
+        def flows(state):
+            return [g.capacity(a, b) - state[0][2 * i] for i, (a, b, _) in enumerate(arcs)]
+
+        state = g.keep(None, "s", "t", 3)
+        assert flows(state) == [3, 3, 0, 0]
+        g.lower("a", "t", 2)
+        assert g.keep(state, "s", "t", 3, 3) is None
+        assert state[2] == len(g._log) == 1
+        # (a, t) clamped to its 1 unit, then 1 of the 2 units routed round
+        assert flows(state) == [3, 1, 1, 1]
+
 
 # ---------------------------------------------------------------------------
 # Phases labelled from the sinks find the forward-level Dinic's paths

@@ -205,6 +205,137 @@ class TestTightSets:
         assert seen["boxes"]["certified"] >= 32, seen
 
 
+def margin(g, u, w, t) -> int:
+    """L of the pairing (u, w),(w, t) on the flow graph g, worked out from
+    g's arcs alone: c(u,w) + c(t,w) + c(w,u) + c(w,t) - in(w), or
+    c(u,w) + c(w,u) - in(w) when u == t."""
+    inflow = sum(c for _, b, c in g.arcs() if b == w)
+    ends = [u] if u == t else [u, t]
+    return sum(g.capacity(v, w) + g.capacity(w, v) for v in ends) - inflow
+
+
+class TestTheBound:
+    def test_settled_gammas_equal_the_flows(self, random_suite, monkeypatch):
+        """On the small switched suite, the random suite, the boxes
+        networks 8x4 and 16x8 and the CI fat-tree, every γ with
+        L >= min(c(u,w), c(w,t)) > 0 is that min with no flow, and the
+        flows (run with the gate switched off) give it too; every other
+        positive γ that no kept tight set answers runs a flow.  Every suite
+        settles some γ this way, and the split that drains each switch
+        never needs a flow: there in(w) = c(u,w) = c(w,t), so L >= c(w,t)."""
+        suites = {
+            "small": small_switched_suite(),
+            "random": random_suite,
+            "boxes": [
+                synth_topology("boxes", boxes=b, gpus_per_box=g, intra=8, inter=1)
+                for b, g in ((8, 4), (16, 8))
+            ],
+            "fat-tree": [
+                synth_topology("fat-tree", pods=4, gpus=8, spines=2, leaf_bw=4, spine_bw=3)
+            ],
+        }
+        gamma, split, run_keep = _GammaOracle.gamma, _GammaOracle.split, FlowGraph.run_keep
+        flows = [0]
+        settled = dict.fromkeys(suites, 0)
+        latest = [None]  # the last γ asked: (u, w, t, whether it ran a flow)
+        last = {}  # switch -> whether the γ behind its latest split ran a flow
+
+        def counted(self, *args, **kwargs):
+            flows[0] += 1
+            return run_keep(self, *args, **kwargs)
+
+        def checked(oracle, u, w, t):
+            g = oracle.graph
+            best = min(g.capacity(u, w), g.capacity(w, t))
+            bound = best > 0 and margin(g, u, w, t) >= best
+            separated = any((u in X) == (t in X) != (w in X) for X in oracle.tight)
+            before = flows[0]
+            got = gamma(oracle, u, w, t)
+            ran = flows[0] > before
+            if bound:
+                assert oracle.invariant_holds
+                assert (got, ran) == (best, False), (u, w, t)
+                oracle.invariant_holds = False
+                try:
+                    assert gamma(oracle, u, w, t) == best, (u, w, t)
+                finally:
+                    oracle.invariant_holds = True
+                settled[suite] += 1
+            elif best > 0 and not separated:
+                assert ran, (u, w, t)
+            latest[0] = (u, w, t, ran)
+            return got
+
+        def splits(oracle, u, w, t, amount, emap):
+            assert latest[0][:3] == (u, w, t)
+            last[w] = latest[0][3]
+            split(oracle, u, w, t, amount, emap)
+
+        monkeypatch.setattr(FlowGraph, "run_keep", counted)
+        monkeypatch.setattr(_GammaOracle, "gamma", checked)
+        monkeypatch.setattr(_GammaOracle, "split", splits)
+        for suite, nets in suites.items():
+            for t in nets:
+                res = bottleneck_search(t)
+                last.clear()
+                remove_switches(scale_capacities(t, res.U), res.k)
+                assert set(last) == set(t.switch_ids) and not any(last.values()), (t, last)
+        # 16 of the CI fat-tree's 38 positive γ; 17 and 33 on the boxes
+        assert all(settled.values()), settled
+        assert settled["fat-tree"] == 16 and settled["boxes"] == 50, settled
+
+    def test_in_w_is_tracked_through_every_split(self, random_suite, monkeypatch):
+        """After every split, the tracked in(w) is the sum of the graph's
+        arcs into w, also where loop pairings at one switch lower the
+        in-capacity of another: the random suite and a fat-tree whose
+        leaves pair with the spine."""
+        nets = random_suite + [
+            synth_topology("fat-tree", pods=2, gpus=4, spines=1, leaf_bw=1, spine_bw=3)
+        ]
+        split = _GammaOracle.split
+        count = {"splits": 0, "switch loops": 0}
+
+        def checked(oracle, u, w, t, amount, emap):
+            split(oracle, u, w, t, amount, emap)
+            g = oracle.graph
+            assert oracle.at == w
+            assert oracle.inflow == sum(c for _, b, c in g.arcs() if b == w), (u, w, t)
+            count["splits"] += 1
+            count["switch loops"] += u == t and u not in oracle.compute_ids
+
+        monkeypatch.setattr(_GammaOracle, "split", checked)
+        for t in nets:
+            res = bottleneck_search(t)
+            remove_switches(scale_capacities(t, res.U), res.k)
+        assert count["splits"] > 1000 and count["switch loops"] >= 10, count
+
+    def test_a_failing_invariant_settles_nothing(self):
+        # c receives 2 of the 3 units the invariant asks for; (a, w),(w, b)
+        # has L = 1 + 0 + 0 + 1 - 1 = 1 = min(1, 1), but γ is 0
+        t = Topology(
+            [Node("a", COMPUTE), Node("b", COMPUTE), Node("c", COMPUTE), Node("w", SWITCH)],
+            [Link("a", "w", 1), Link("w", "b", 1), Link("b", "a", 1), Link("a", "c", 1)],
+        )
+        oracle = _GammaOracle(t, 1)
+        assert margin(oracle.graph, "a", "w", "b") == 1
+        assert not oracle.invariant_holds
+        assert oracle.gamma("a", "w", "b") == 0
+
+    def test_the_gate_is_every_compute_node_at_n_k(self, random_suite):
+        """The gate agrees with one flow per compute node, at the tree count
+        the search found and at one more, where it fails."""
+        outcomes = set()
+        for t in random_suite[:40]:
+            res = bottleneck_search(t)
+            for k in (res.k, res.k + 1):
+                oracle = _GammaOracle(scale_capacities(t, res.U), k)
+                g, s, target = oracle.graph, oracle.source, oracle.target
+                want = all(g.run([s], [v], limit=target) == target for v in t.compute_ids)
+                assert oracle.invariant_holds == want, (t, k)
+                outcomes.add(want)
+        assert outcomes == {True, False}
+
+
 class TestRemoveSwitches:
     def test_tiny_relay_becomes_direct(self):
         scaled, res = tiny_relay()
