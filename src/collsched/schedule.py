@@ -6,6 +6,11 @@ to one or more physical node paths through removed switches; path
 multiplicities partition the batch's copies in listed order, which is what
 pruning and validation rely on to reason about individual copies.
 
+Path uses are interned: within one assembly, one reversal and one pruning,
+equal (route, units) pairs share one `PathUse`.  They are frozen, so
+sharing is safe, and a phase of a fat-tree allreduce holds far fewer
+distinct routes than path uses, so work done per route is done once.
+
 Pruning rewrites paths: a path whose copies a multicast switch on it
 already carries keeps only its suffix from that switch, so every path
 lists exactly the hops it sends.  Reversal, usage, export and the DOT view
@@ -99,9 +104,10 @@ def assemble_allgather(
     inv_x_star, exactness and witness cut ride along in the schedule,
     which validation checks against.  Path expansion draws from one budget
     local to this call, so per-link usage stays within U*b_e by
-    construction.
+    construction.  Equal (path, units) pairs share one `PathUse`.
     """
     expander = PathExpander(emap, scaled)
+    uses: dict[tuple[tuple[str, ...], int], PathUse] = {}
     by_root: dict[str, list] = {}
     for batch in forest.batches:
         by_root.setdefault(batch.root, []).append(batch)
@@ -111,18 +117,13 @@ def assemble_allgather(
         for batch in by_root.get(root, ()):
             if len(batch.members) != forest.lt.num_compute:
                 raise CollschedError(f"batch rooted at {root} is incomplete")
-            edges = tuple(
-                ScheduleEdge(
-                    src=u,
-                    dst=v,
-                    paths=tuple(
-                        PathUse(path=p, multiplicity=m)
-                        for p, m in expander.expand((u, v), batch.multiplicity)
-                    ),
-                )
-                for u, v in batch.edges
-            )
-            batches.append(ScheduleBatch(multiplicity=batch.multiplicity, edges=edges))
+            edges = []
+            for u, v in batch.edges:
+                paths = tuple([
+                    _interned(uses, p, m) for p, m in expander.expand((u, v), batch.multiplicity)
+                ])
+                edges.append(ScheduleEdge(u, v, paths))
+            batches.append(ScheduleBatch(batch.multiplicity, tuple(edges)))
         roots.append(RootTrees(root=root, batches=tuple(batches)))
     return Schedule(
         collective=ALLGATHER,
@@ -137,36 +138,36 @@ def assemble_allgather(
     )
 
 
+def _interned(uses: dict, path: tuple[str, ...], multiplicity: int) -> PathUse:
+    """The one `PathUse` of (path, multiplicity) in `uses`, made on first
+    sight."""
+    pu = uses.get((path, multiplicity))
+    if pu is None:
+        pu = uses[(path, multiplicity)] = PathUse(path, multiplicity)
+    return pu
+
+
 # ---------------------------------------------------------------------------
 # Reversal and allreduce combination
 # ---------------------------------------------------------------------------
 
 def reverse_schedule(s: Schedule, collective: str) -> Schedule:
     """Every edge and physical path of s run backwards, relabelled as
-    `collective`; the one reversal shared by generation and validation."""
-    roots = tuple(
-        RootTrees(
-            root=rt.root,
-            batches=tuple(
-                ScheduleBatch(
-                    multiplicity=b.multiplicity,
-                    edges=tuple(
-                        ScheduleEdge(
-                            src=e.dst,
-                            dst=e.src,
-                            paths=tuple(
-                                PathUse(tuple(reversed(p.path)), p.multiplicity)
-                                for p in e.paths
-                            ),
-                        )
-                        for e in b.edges
-                    ),
-                )
-                for b in rt.batches
-            ),
-        )
+    `collective`; the one reversal shared by generation and validation.
+    Equal path uses of s share one reversed `PathUse`."""
+    uses: dict[tuple[tuple[str, ...], int], PathUse] = {}
+    roots = tuple([
+        RootTrees(rt.root, tuple([
+            ScheduleBatch(b.multiplicity, tuple([
+                ScheduleEdge(e.dst, e.src, tuple([
+                    _interned(uses, pu.path[::-1], pu.multiplicity) for pu in e.paths
+                ]))
+                for e in b.edges
+            ]))
+            for b in rt.batches
+        ]))
         for rt in s.roots
-    )
+    ])
     return replace(s, collective=collective, roots=roots)
 
 
@@ -273,6 +274,10 @@ def prune_multicast(s: Schedule, t: Topology) -> Schedule:
     capable = {node.id for node in t.nodes if node.multicast}
     if not capable:
         return s
+    # Per route, its multicast-capable interior as (index, switch), last
+    # first; and the cut path uses, interned per (suffix, units).
+    marks: dict[tuple[str, ...], list[tuple[int, str]]] = {}
+    suffixes: dict[tuple[tuple[str, ...], int], PathUse] = {}
     new_roots = []
     for rt in s.roots:
         new_batches = []
@@ -286,21 +291,27 @@ def prune_multicast(s: Schedule, t: Topology) -> Schedule:
             for edge in order:
                 hi = 0
                 paths = []
+                edge_cut = False
                 for pu in edge.paths:
                     lo, hi = hi, hi + pu.multiplicity
                     path = pu.path
-                    for idx in range(len(path) - 2, 0, -1):
-                        w = path[idx]
-                        if w in capable and spans_cover(charged.get(w, ()), lo, hi):
-                            pu = PathUse(path[idx:], pu.multiplicity)
+                    crossed = marks.get(path)
+                    if crossed is None:
+                        crossed = marks[path] = [
+                            (idx, path[idx]) for idx in range(len(path) - 2, 0, -1)
+                            if path[idx] in capable
+                        ]
+                    for n, (idx, w) in enumerate(crossed):
+                        if spans_cover(charged.get(w, ()), lo, hi):
+                            pu = _interned(suffixes, path[idx:], pu.multiplicity)
+                            edge_cut = True
+                            crossed = crossed[:n]
                             break
-                    for w in pu.path[1:-1]:
-                        if w in capable:
-                            charged[w] = spans_add(charged.get(w, []), lo, hi)
+                    for _, w in crossed:
+                        charged[w] = spans_add(charged.get(w, []), lo, hi)
                     paths.append(pu)
-                paths = tuple(paths)
-                if paths != edge.paths:
-                    cut[(edge.src, edge.dst)] = ScheduleEdge(edge.src, edge.dst, paths)
+                if edge_cut:
+                    cut[(edge.src, edge.dst)] = ScheduleEdge(edge.src, edge.dst, tuple(paths))
             if cut:
                 edges = tuple(cut.get((e.src, e.dst), e) for e in batch.edges)
                 batch = ScheduleBatch(batch.multiplicity, edges)

@@ -379,47 +379,112 @@ class PathExpander:
     consumable budget; each `expand` call eats from it, so one expander
     serves one entire schedule assembly and every unit is accounted for
     exactly once.  The EMap itself is never modified.
+
+    Each arc's units are one list of [switch or None, units left, route]
+    segments, built once: its direct capacity first, then its EMap entries
+    by switch id.  A cursor per arc skips the segments already drained, so
+    every arc is consumed front to back in that one order, whichever arcs
+    route through it.  A segment whose every unit takes one physical route
+    (direct, or through a switch whose two sub-arcs have one route each)
+    keeps that route and the segments it draws from, and pays a request
+    with one debit per segment, shared sub-arcs included; an arc with one
+    segment of units is routed that way whole.  A request that some drawn
+    segment cannot cover is expanded sub-arc by sub-arc, which names the
+    arc that runs out.
     """
 
     def __init__(self, emap: EMap, scaled: Topology) -> None:
-        self._direct: dict[tuple[str, str], int] = dict(scaled.capacity)
-        self._via: dict[tuple[str, str], dict[str, int]] = {
-            pair: dict(ws) for pair, ws in emap.entries.items()
+        self._segments: dict[tuple[str, str], list[list]] = {
+            arc: [[None, c, _UNROUTED]] for arc, c in scaled.capacity.items()
         }
+        for arc, ws in emap.entries.items():
+            self._segments.setdefault(arc, []).extend(
+                [w, ws[w], _UNROUTED] for w in sorted(ws)
+            )
+        self._cursor: dict[tuple[str, str], int] = {}
+        self._routes: dict[tuple[str, str], tuple | None] = {}
+
+    def _route(self, arc: tuple[str, str]):
+        """The one route of every unit of `arc` (see `_segment_route`), or
+        None.  An arc is read here before any of its units is spent."""
+        if arc not in self._routes:
+            live = [seg for seg in self._segments.get(arc, ()) if seg[1] > 0]
+            self._routes[arc] = self._segment_route(arc, live[0]) if len(live) == 1 else None
+        return self._routes[arc]
+
+    def _segment_route(self, arc: tuple[str, str], seg: list):
+        """(path, segments) when every unit of `arc`'s segment `seg` takes
+        one route, the segments being the distinct ones it draws from, or
+        None."""
+        if seg[2] is _UNROUTED:
+            w = seg[0]
+            route = None
+            if w is None:
+                route = (arc, [seg])
+            else:
+                left = self._route((arc[0], w))
+                right = self._route((w, arc[1]))
+                if left is not None and right is not None:
+                    drawn = [seg] + left[1] + right[1]
+                    if len({id(d) for d in drawn}) == len(drawn):
+                        route = (left[0] + right[0][1:], drawn)
+            seg[2] = route
+        return seg[2]
 
     def expand(
         self, edge: tuple[str, str], multiplicity: int
     ) -> list[tuple[tuple[str, ...], int]]:
         """Consume `multiplicity` units of the logical arc, returning
-        (node path, units) pairs whose units sum to `multiplicity`: direct
-        capacity first, then EMap entries by switch id."""
+        (node path, units) pairs, each with positive units, whose units sum
+        to `multiplicity`: direct capacity first, then EMap entries by
+        switch id.  Raises CapacityExhausted naming the arc whose units run
+        out."""
         if multiplicity <= 0:
             raise CollschedError("multiplicity must be positive")
+        route = self._route(edge)
+        if route is not None and _debit(route[1], multiplicity):
+            return [(route[0], multiplicity)]
+        segments = self._segments.get(edge, ())
+        i = self._cursor.get(edge, 0)
         remaining = multiplicity
         out: list[tuple[tuple[str, ...], int]] = []
-        direct = min(self._direct.get(edge, 0), remaining)
-        if direct > 0:
-            self._direct[edge] -= direct
-            out.append((edge, direct))
-            remaining -= direct
-        via = self._via.get(edge, {})
-        for w in sorted(via):
-            if remaining == 0:
-                break
-            take = min(via[w], remaining)
+        while remaining and i < len(segments):
+            seg = segments[i]
+            take = min(seg[1], remaining)
             if take == 0:
+                i += 1
                 continue
-            u, t = edge
-            left = self.expand((u, w), take)
-            right = self.expand((w, t), take)
-            via[w] -= take
-            out.extend(_stitch(left, right))
+            route = self._segment_route(edge, seg)
+            if route is not None and _debit(route[1], take):
+                out.append((route[0], take))
+            else:
+                # Only a segment through a switch can lack a route.
+                u, t = edge
+                left = self.expand((u, seg[0]), take)
+                right = self.expand((seg[0], t), take)
+                seg[1] -= take
+                out.extend(_stitch(left, right))
             remaining -= take
+        self._cursor[edge] = i
         if remaining > 0:
             raise CapacityExhausted(
                 f"logical arc {edge} lacks {remaining} of {multiplicity} units"
             )
         return out
+
+
+# A segment whose route `PathExpander._segment_route` has not read yet.
+_UNROUTED = object()
+
+
+def _debit(segments: list[list], units: int) -> bool:
+    """Take `units` from each of `segments` if every one holds them."""
+    for seg in segments:
+        if seg[1] < units:
+            return False
+    for seg in segments:
+        seg[1] -= units
+    return True
 
 
 def _stitch(

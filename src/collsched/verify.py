@@ -5,7 +5,11 @@ modules it checks: the bottleneck oracle enumerates every cut instead of
 running flows, and the schedule validator recomputes tree structure, link
 usage and delivery from the serialized schedule alone, and the value of
 the schedule's witness cut from the topology alone; a schedule's time is
-the validator's `achieved_T_comm`.  Agreement between this module and the
+the validator's `achieved_T_comm`.  Path uses may be interned, one
+`PathUse` standing for many occurrences, so the validator checks each
+distinct route once per call (interior all switches, links present,
+multicast switches crossed) and still reports each violation at every
+occurrence, in walk order; no table is shared with the assembler.  Agreement between this module and the
 pipeline is the package's core evidence of correctness.
 """
 
@@ -288,11 +292,14 @@ def _validate_gather_batch(
     t: Topology,
     sets: tuple[set[str], set[str], set[str]],
     violations: list[ScheduleViolation],
-    usage: dict[tuple[str, str], int],
+    carried: dict[tuple[str, ...], int],
+    routes: dict[tuple[str, ...], tuple],
 ) -> None:
-    """Check one batch rooted at `root`, adding to `violations` and
-    `usage`; `sets` holds t's compute nodes, switches and multicast
-    switches."""
+    """Check one batch rooted at `root`, adding to `violations` and to
+    `carried`, the units per route of the paths that pass; `sets` holds
+    t's compute nodes, switches and multicast switches, and `routes` each
+    route's checks (see `_route_checks`), kept across the batches of one
+    call."""
     computes, switch_ids, capable = sets
     where = f"batch rooted at {root}"
     if batch.multiplicity < 1:
@@ -362,21 +369,21 @@ def _validate_gather_batch(
                     )
                 )
                 continue
-            bad = [v for v in p[1:-1] if v not in switch_ids]
+            checks = routes.get(p)
+            if checks is None:
+                checks = routes[p] = _route_checks(p, t, switch_ids, capable)
+            bad, missing, crossed = checks
             if bad:
                 violations.append(
                     ScheduleViolation(DELIVERY_GAP, f"{where}: path interior {bad} is not all switches")
                 )
-            for a, b in zip(p, p[1:]):
-                if (a, b) not in t.capacity:
-                    violations.append(
-                        ScheduleViolation(CAPACITY_EXCEEDED, f"{where}: no physical link {a}->{b}")
-                    )
-                else:
-                    usage[(a, b)] = usage.get((a, b), 0) + pu.multiplicity
-            for w in p[1:-1]:
-                if w in capable:
-                    charged[w] = spans_add(charged.get(w, []), lo, hi)
+            for a, b in missing:
+                violations.append(
+                    ScheduleViolation(CAPACITY_EXCEEDED, f"{where}: no physical link {a}->{b}")
+                )
+            carried[p] = carried.get(p, 0) + pu.multiplicity
+            for w in crossed:
+                charged[w] = spans_add(charged.get(w, []), lo, hi)
         if hi != batch.multiplicity:
             violations.append(
                 ScheduleViolation(
@@ -384,6 +391,20 @@ def _validate_gather_batch(
                     f"{where}: edge {e.src}->{e.dst} carries {hi} of {batch.multiplicity} copies",
                 )
             )
+
+
+def _route_checks(
+    p: tuple[str, ...], t: Topology, switch_ids: set[str], capable: set[str]
+) -> tuple[list[str], list[tuple[str, str]], list[str]]:
+    """A route's interior nodes that are not switches, its hops with no
+    physical link, both in path order, and the multicast switches it
+    crosses."""
+    interior = p[1:-1]
+    return (
+        [v for v in interior if v not in switch_ids],
+        [hop for hop in zip(p, p[1:]) if hop not in t.capacity],
+        [w for w in interior if w in capable],
+    )
 
 
 def _validate_oriented(
@@ -426,7 +447,10 @@ def _validate_oriented(
                 f"roots {sorted(roots)} differ from compute nodes {sorted(computes)}",
             )
         )
-    usage: dict[tuple[str, str], int] = {}
+    # Each route is checked once per call and its violations reported at
+    # every occurrence; its links are charged once, with its total units.
+    carried: dict[tuple[str, ...], int] = {}
+    routes: dict[tuple[str, ...], tuple] = {}
     sets = computes, set(t.switch_ids), {v.id for v in t.nodes if v.multicast}
     for rt in s.roots:
         total = sum(b.multiplicity for b in rt.batches)
@@ -437,7 +461,12 @@ def _validate_oriented(
                 )
             )
         for batch in rt.batches:
-            _validate_gather_batch(rt.root, batch, t, sets, violations, usage)
+            _validate_gather_batch(rt.root, batch, t, sets, violations, carried, routes)
+    usage: dict[tuple[str, str], int] = {}
+    for p, units in carried.items():
+        for hop in zip(p, p[1:]):
+            if hop in t.capacity:
+                usage[hop] = usage.get(hop, 0) + units
     num, den = Fraction(s.U).numerator, Fraction(s.U).denominator
     achieved = Fraction(0)
     for (a, b), units in sorted(usage.items()):

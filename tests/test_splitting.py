@@ -1,6 +1,7 @@
 """Switch removal: split amounts, invariant preservation, path recovery."""
 
 import itertools
+import random
 
 import pytest
 
@@ -20,8 +21,9 @@ from collsched import (
 )
 from collsched.errors import CapacityExhausted, CollschedError, NotEulerianAfterFloor, StuckSplit
 from collsched.maxflow import fresh_name
-from collsched.splitting import PathExpander, _GammaOracle
+from collsched.splitting import EMap, PathExpander, _GammaOracle
 from conftest import clustered_eulerian_topology
+from reference_expander import ReferenceExpander
 
 
 def tiny_relay():
@@ -513,3 +515,130 @@ class TestExpandPath:
                     assert all(w in switches for w in path[1:-1])
                     for a, b in zip(path, path[1:]):
                         assert (a, b) in scaled.capacity
+
+
+def shared_relay(a_to_w: int):
+    """a -> w carries (a, b) and (a, c), which also has a direct link; the
+    EMap claims one unit of (a, w) for each, so `a_to_w` = 1 is one short."""
+    scaled = Topology(
+        [Node("a", COMPUTE), Node("b", COMPUTE), Node("c", COMPUTE), Node("w", SWITCH)],
+        [Link("a", "w", a_to_w), Link("w", "b", 1), Link("w", "c", 1), Link("a", "c", 1)],
+    )
+    emap = EMap()
+    emap.add("a", "b", "w", 1)
+    emap.add("a", "c", "w", 1)
+    return emap, scaled
+
+
+def both_expand(expanders, arc, units):
+    """What both expanders return for the request, or the message of the
+    CapacityExhausted both raise; they must agree."""
+    results = []
+    for expander in expanders:
+        try:
+            results.append(expander.expand(arc, units))
+        except CapacityExhausted as exc:
+            results.append(str(exc))
+    assert results[0] == results[1], (arc, units)
+    return results[0]
+
+
+class TestExpanderAgainstReference:
+    """The cursor expander returns what the recursive reference returns,
+    call for call, over a seeded random interleaving of random chunks."""
+
+    @staticmethod
+    def drain(t: Topology, seed: int) -> tuple[EMap, Topology]:
+        res = bottleneck_search(t)
+        scaled = scale_capacities(t, res.U)
+        lt, emap = remove_switches(scaled, res.k)
+        expanders = PathExpander(emap, scaled), ReferenceExpander(emap, scaled)
+        rng = random.Random(seed)
+        left = dict(lt.capacity)
+        while left:
+            arc = rng.choice(sorted(left))
+            units = rng.randint(1, left[arc])
+            paths = both_expand(expanders, arc, units)
+            assert sum(n for _, n in paths) == units and all(n > 0 for _, n in paths)
+            left[arc] -= units
+            if not left[arc]:
+                del left[arc]
+        for arc in sorted(lt.capacity):
+            assert both_expand(expanders, arc, 1) == f"logical arc {arc} lacks 1 of 1 units"
+        return emap, scaled
+
+    def test_random_suite(self, random_suite):
+        switched = [t for t in random_suite if t.switch_ids][:30]
+        assert len(switched) == 30
+        for seed, t in enumerate(switched):
+            self.drain(t, seed)
+
+    def test_clustered_suite(self, clustered_suite):
+        for seed, t in enumerate(clustered_suite):
+            self.drain(t, seed)
+
+    def test_boxes(self):
+        self.drain(synth_topology("boxes", boxes=8, gpus_per_box=4, intra=8, inter=1), 8)
+
+    def test_fat_tree(self):
+        t = synth_topology("fat-tree", pods=8, gpus=32, spines=4, leaf_bw=4, spine_bw=3)
+        emap, scaled = self.drain(t, 32)
+        # Arcs into or out of a switch are shared by the arcs routed through
+        # them, and some of them have more than one route: there a cursor
+        # could part from the reference.
+        switches = set(t.switch_ids)
+        inner = [arc for arc in emap.entries if switches & set(arc)]
+        routes = [arc for arc in inner if len(emap.entries[arc]) + (arc in scaled.capacity) > 1]
+        assert (len(emap.entries), len(inner), len(routes)) == (96, 51, 14)
+
+
+class TestExpanderEdgeCases:
+    def test_a_shared_sub_arc_drains_in_order(self):
+        emap, scaled = shared_relay(2)
+        expanders = PathExpander(emap, scaled), ReferenceExpander(emap, scaled)
+        assert both_expand(expanders, ("a", "b"), 1) == [(("a", "w", "b"), 1)]
+        assert both_expand(expanders, ("a", "c"), 2) == [(("a", "c"), 1), (("a", "w", "c"), 1)]
+        assert both_expand(expanders, ("a", "c"), 1) == "logical arc ('a', 'c') lacks 1 of 1 units"
+        assert both_expand(expanders, ("a", "b"), 1) == "logical arc ('a', 'b') lacks 1 of 1 units"
+        assert both_expand(expanders, ("a", "w"), 1) == "logical arc ('a', 'w') lacks 1 of 1 units"
+
+    def test_a_request_past_the_budget_names_the_arc(self):
+        emap, scaled = shared_relay(2)
+        expanders = PathExpander(emap, scaled), ReferenceExpander(emap, scaled)
+        assert both_expand(expanders, ("a", "c"), 3) == "logical arc ('a', 'c') lacks 1 of 3 units"
+        assert both_expand(expanders, ("a", "b"), 2) == "logical arc ('a', 'b') lacks 1 of 2 units"
+
+    def test_a_sub_arc_drained_by_a_one_route_arc_stays_drained(self):
+        # (a, b) has one route, a -> w -> b, and takes the only unit of
+        # (a, w); (a, c) then finds (a, w) empty behind its direct unit,
+        # and neither expander hands out a path of 0 units for it.
+        emap, scaled = shared_relay(1)
+        expanders = PathExpander(emap, scaled), ReferenceExpander(emap, scaled)
+        assert both_expand(expanders, ("a", "b"), 1) == [(("a", "w", "b"), 1)]
+        assert both_expand(expanders, ("a", "c"), 2) == "logical arc ('a', 'w') lacks 1 of 1 units"
+        assert both_expand(expanders, ("a", "w"), 1) == "logical arc ('a', 'w') lacks 1 of 1 units"
+
+    @staticmethod
+    def loop_back(w1_to_w2: int):
+        """u -> w1 -> w2 -> w3 -> w1 -> w2 -> t: the split at w1 made both
+        (u, w2) and (w3, w2) over the link w1 -> w2, so the one route of
+        (u, t) takes two of its units."""
+        scaled = Topology(
+            [Node("u", COMPUTE), Node("t", COMPUTE)] + [Node(w, SWITCH) for w in ("w1", "w2", "w3")],
+            [Link("u", "w1", 1), Link("w1", "w2", w1_to_w2), Link("w2", "w3", 1),
+             Link("w3", "w1", 1), Link("w2", "t", 1)],
+        )
+        emap = EMap()
+        for u, t, w in [("u", "w2", "w1"), ("w3", "w2", "w1"), ("u", "w3", "w2"),
+                        ("w3", "t", "w2"), ("u", "t", "w3")]:
+            emap.add(u, t, w, 1)
+        return PathExpander(emap, scaled), ReferenceExpander(emap, scaled)
+
+    def test_a_route_that_crosses_an_arc_twice_spends_it_twice(self):
+        expanders = self.loop_back(2)
+        assert both_expand(expanders, ("u", "t"), 1) == [(("u", "w1", "w2", "w3", "w1", "w2", "t"), 1)]
+        assert both_expand(expanders, ("w1", "w2"), 1) == "logical arc ('w1', 'w2') lacks 1 of 1 units"
+
+    def test_a_route_that_crosses_an_arc_twice_needs_it_twice(self):
+        expanders = self.loop_back(1)
+        assert both_expand(expanders, ("u", "t"), 1) == "logical arc ('w1', 'w2') lacks 1 of 1 units"

@@ -35,6 +35,7 @@ from collsched.verify import (
     NOT_SPANNING,
     UNCERTIFIED_BOUND,
     WRONG_ROOT_COUNT,
+    ScheduleViolation,
     certificate_violations,
 )
 
@@ -330,6 +331,37 @@ class TestValidateSchedule:
         s, meta = generate(fig3a_multicast)
         report = validate_schedule(s, fig3a_multicast, meta)
         assert report.ok, report.violations
+
+    def test_a_recurring_route_is_reported_at_every_occurrence(self):
+        # A ring of four, both ways.  Root c2's two batches each send
+        # c2 -> c1 on one route: over c4, a compute node, and a link
+        # c2 -> c4 that does not exist.  Each occurrence is reported, in
+        # walk order, and the route's units count on its one real link.
+        t = synth_topology("ring", n=4, bw=1, bidirectional=True)
+        s, meta = generate(t)
+        route = PathUse(("c2", "c4", "c1"), 1)
+
+        def detour(b):
+            edges = tuple(
+                dataclasses.replace(e, paths=(route,)) if (e.src, e.dst) == ("c2", "c1") else e
+                for e in b.edges
+            )
+            assert edges != b.edges
+            return dataclasses.replace(b, edges=edges)
+
+        c2 = [rt.root for rt in s.roots].index("c2")
+        assert len(s.roots[c2].batches) == 2
+        for batch_idx in (0, 1):
+            s = rebuild_batch(s, detour, c2, batch_idx)
+        report = validate_schedule(s, t, meta)
+        where = "batch rooted at c2"
+        assert report.violations == (
+            ScheduleViolation(DELIVERY_GAP, f"{where}: path interior ['c4'] is not all switches"),
+            ScheduleViolation(CAPACITY_EXCEEDED, f"{where}: no physical link c2->c4"),
+        ) * 2 + (
+            ScheduleViolation(CAPACITY_EXCEEDED, "link c4->c1 carries 5 > 3 tree units"),
+        )
+        assert (report.achieved_T_comm, report.bound_T_comm) == (Fraction(5, 8), Fraction(3, 8))
 
 
 def tampered(s, **fields):
