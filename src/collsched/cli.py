@@ -87,6 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="schedule file (default: stdout)")
     p.add_argument(
         "--collective",
+        type=lambda name: name.replace("_", "-"),
         choices=[c.replace("_", "-") for c in COLLECTIVES],
         default="allgather",
     )

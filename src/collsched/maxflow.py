@@ -9,10 +9,10 @@ raises CollschedError.
 
 The graph is the network as it stands, and every flow is a residual state
 on it.  Each vertex pair has at most one arc, and an arc is in the
-adjacency lists exactly while its capacity is positive; `capacity` and
-`arcs` read it.  `state()` carries no flow and `copy` clones a state.
-`grow` adds vertices and arcs, which every state gains carrying no flow,
-or raises the arc of a pair that has one.  `lower` cuts one arc's
+adjacency lists exactly while its capacity is positive; `capacity`, `arcs`
+and `arcs_at` read it.  `state()` carries no flow and `copy` clones a
+state.  `grow` adds vertices and arcs, which every state gains carrying no
+flow, or raises the arc of a pair that has one.  `lower` cuts one arc's
 capacity.  Both edit the graph only, and an arc edited in place goes on
 the graph's edit log; a state remembers how far into the log it has been
 brought.  `keep` holds a flow at a value through edits: it brings the
@@ -185,6 +185,19 @@ class FlowGraph:
         order their pairs were first added."""
         names, cap0 = self._names, self._cap0
         return [(names[u], names[v], cap0[e]) for (u, v), e in self._entry.items() if cap0[e]]
+
+    def arcs_at(self, v) -> tuple[list[tuple], list[tuple]]:
+        """The arcs of positive capacity at `v`, read off its adjacency
+        list: (head, cap) for each arc out of v and (tail, cap) for each
+        arc into it."""
+        names, to, cap0 = self._names, self._to, self._cap0
+        out, into = [], []
+        for e in self._adj[self._vertex(v)]:
+            if e & 1:
+                into.append((names[to[e]], cap0[e ^ 1]))
+            else:
+                out.append((names[to[e]], cap0[e]))
+        return out, into
 
     # -- execution ----------------------------------------------------------
     def _vertex(self, name) -> int:

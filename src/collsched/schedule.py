@@ -34,6 +34,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import CollschedError
 from .packing import Forest
@@ -216,24 +217,34 @@ def combine_allreduce(rs: Schedule, ag: Schedule) -> Schedule:
 # Pruning
 # ---------------------------------------------------------------------------
 
+_dst = attrgetter("dst")
+
+
 def bfs_edges(root: str, batch: ScheduleBatch) -> list[ScheduleEdge] | None:
     """Batch edges in BFS order from the root, children in sorted order, or
     None when the edges do not form one tree reached from the root."""
-    children: dict[str, list[str]] = {}
-    by_pair: dict[tuple[str, str], ScheduleEdge] = {}
+    children: dict[str, list[ScheduleEdge]] = {}
     for e in batch.edges:
-        children.setdefault(e.src, []).append(e.dst)
-        by_pair[(e.src, e.dst)] = e
+        kids = children.get(e.src)
+        if kids is None:
+            children[e.src] = [e]
+        else:
+            kids.append(e)
     order: list[ScheduleEdge] = []
     seen = {root}
     queue = [root]
     for node in queue:  # the list grows under the loop: a FIFO with a head index
-        for child in sorted(children.get(node, ())):
-            if child in seen:
+        kids = children.get(node)
+        if kids is None:
+            continue
+        if len(kids) > 1:
+            kids.sort(key=_dst)
+        for e in kids:
+            if e.dst in seen:
                 return None
-            seen.add(child)
-            order.append(by_pair[(node, child)])
-            queue.append(child)
+            seen.add(e.dst)
+            order.append(e)
+            queue.append(e.dst)
     return order if len(order) == len(batch.edges) else None
 
 

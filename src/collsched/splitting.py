@@ -13,11 +13,20 @@ balance and feasibility are unaffected.
 One network type passes through: the scaled Topology goes in, and the
 compute-only Topology left over, plus the EMap, is exactly what tree
 packing and path expansion consume.  In between, the working network is
-one flow graph, built once per removal and edited in place by every
-split: it is the only record of the capacities while the switches
+one flow graph, built once per pass of the removal and edited in place by
+every split: it is the only record of the capacities while the switches
 dissolve, and the Topology left over is read off it.
 
-No split raises the capacity of a vertex set, so a set at the least
+No split raises the capacity of a vertex set (Frank 1992, "On a theorem
+of Mader"), and gamma is at most the cap min(c(u,w), c(w,t)).  So a
+removal first takes every pairing at its cap, with no flow, and then asks
+once, by one Hao-Orlin pass, whether what is left still delivers N*k to
+every compute node.  If it does, no cut ever fell below N*k on the way,
+so every cap was feasible and was the exact gamma: the removal is the
+exact one, split for split.  If it does not, the removal starts again on
+a fresh graph and takes each gamma from the oracle below.
+
+In that exact pass, for the same reason, a vertex set at the least
 capacity the invariant allows stays there, and every pairing split across
 it has gamma 0.  Each zero the flows find holds such a tight set; the
 oracle keeps it, once checked, and answers later pairings it separates
@@ -28,10 +37,13 @@ L = c(u,w) + c(t,w) + c(w,u) + c(w,t) - in(w) (for u == t,
 L = c(u,w) + c(w,u) - in(w)), gamma is min(c(u,w), c(w,t)) whenever L is
 at least that min, since every cut a split lowers exceeds N*k by L or
 more.  The argument needs the invariant to hold, so the oracle checks it
-once per removal, and without it every gamma comes from the flows.
+once per exact pass, and without it every gamma comes from the flows.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from functools import cached_property
 
 from .errors import CapacityExhausted, CollschedError, NotEulerianAfterFloor, StuckSplit
 from .maxflow import source_network
@@ -63,10 +75,19 @@ class EMap:
 class _GammaOracle:
     """Evaluates and makes the splits at every switch of the network `net`
     on one flow graph built once, `source_network(net, net.capacity, k)`
-    with demand `target` = N*k.  The graph is the working network: `split`
-    edits it in place.  A γ that neither the local bound nor a kept tight
-    set settles runs two base flows on it, each between terminal sets
-    (see `gamma`).
+    with demand `target` = N*k.  The graph is the working network:
+    `dissolve` drains every switch on it by one amount rule, `cap` or
+    `gamma`, `split` edits it in place, and `remainder` reads off the
+    compute-only network left over.  A γ that neither the local bound nor
+    a kept tight set settles runs two base flows on it, each between
+    terminal sets (see `gamma`).
+
+    The certificate.  `cap` takes every pairing at min(c(u,w), c(w,t)),
+    which bounds γ.  No split raises a cut (see tight sets below), so if
+    the graph left by dissolving on `cap` passes `invariant_holds`, every
+    graph on the way passed it too: each cap was feasible and so was γ,
+    and by induction the caps made the very splits `gamma` would have.
+    One Hao-Orlin pass then stands in for every flow of the removal.
 
     The local bound.  Let L = c(u,w) + c(t,w) + c(w,u) + c(w,t) - in(w),
     or L = c(u,w) + c(w,u) - in(w) when u == t.  While every compute node
@@ -85,8 +106,9 @@ class _GammaOracle:
     `split` lowers it by each split at w.  It is read afresh for each
     switch, never carried across: a loop pairing (u == t) at one switch
     lowers the in-capacity of u, which may be a switch removed later.
-    The invariant is checked once, when the oracle is built
-    (`invariant_holds`); if it fails, every γ comes from the flows.
+    The invariant is checked once, when `gamma` first meets a positive
+    pairing, before any split (`invariant_holds`); if it fails, every γ
+    comes from the flows.
 
     Tight sets.  Call a vertex set X tight if it holds the source, misses
     a compute node and has capacity N*k in the graph, the least the
@@ -105,20 +127,21 @@ class _GammaOracle:
     """
 
     def __init__(self, net: Topology, k: int) -> None:
+        self.net = net
         self.compute_ids = net.compute_ids
         self.graph, self.source, self.target = source_network(net, net.capacity, k)
         self.tight: list[frozenset[str]] = []
-        self.invariant_holds = self._invariant_holds()
         self.at: str | None = None  # the switch whose in-capacity is `inflow`
         self.inflow = 0
 
-    def _invariant_holds(self) -> bool:
-        """Whether N*k units flow from the source to every compute node:
-        one flow to the first, then a resume to each further one on the
-        same residual, its sources the source and every earlier compute
-        node.  By the Hao-Orlin argument of `_min_slack`, the least of
-        these terms is the least cut that holds the source and misses a
-        compute node."""
+    @cached_property
+    def invariant_holds(self) -> bool:
+        """Whether N*k units flow from the source to every compute node of
+        the graph as it stands when first asked: one flow to the first,
+        then a resume to each further one on the same residual, its
+        sources the source and every earlier compute node.  By the
+        Hao-Orlin argument of `_min_slack`, the least of these terms is
+        the least cut that holds the source and misses a compute node."""
         g = self.graph
         first, *rest = self.compute_ids
         value, state = g.run_keep([self.source], [first], limit=self.target)
@@ -137,11 +160,16 @@ class _GammaOracle:
         g = self.graph
         if self.at != w:
             self.at = w
-            self.inflow = sum(c for _, b, c in g.arcs() if b == w)
+            self.inflow = sum(c for _, c in g.arcs_at(w)[1])
         margin = g.capacity(u, w) + g.capacity(w, u) - self.inflow
         if u != t:
             margin += g.capacity(t, w) + g.capacity(w, t)
         return margin
+
+    def cap(self, u: str, w: str, t: str) -> int:
+        """min(c(u,w), c(w,t)): the most any split of the pairing can take,
+        with no flow (see the class docstring)."""
+        return min(self.graph.capacity(u, w), self.graph.capacity(w, t))
 
     def gamma(self, u: str, w: str, t: str) -> int:
         """Largest amount of the pairing (u, w),(w, t) splittable while the
@@ -167,7 +195,7 @@ class _GammaOracle:
         separates {u, t} from w, either way round, answers 0 (see the
         class docstring).
         """
-        best = min(self.graph.capacity(u, w), self.graph.capacity(w, t))
+        best = self.cap(u, w, t)
         if best <= 0:
             return 0
         if self.invariant_holds and self._margin(u, w, t) >= best:
@@ -199,6 +227,51 @@ class _GammaOracle:
             and sum(c for a, b, c in g.arcs() if a in X and b not in X) == self.target
         ):
             self.tight.append(X)
+
+    def dissolve(self, amount) -> EMap:
+        """Drain every switch of the graph, each split taking
+        `amount(u, w, t)`, and return the EMap of the splits (see
+        `remove_switches` for the order).  The heads and tails of w and
+        the capacity left on each egress arc are read once, off w's
+        adjacency: a split at w lowers only w's own arcs and adds arcs
+        that bypass it, and only the pairings of (w, t) lower (w, t)."""
+        emap = EMap()
+        g = self.graph
+        for w in self.net.switch_ids:
+            out, into = g.arcs_at(w)
+            tails = sorted(u for u, _ in into)
+            for t, left in sorted(out):
+                # Cyclically from t: if every head started at the first
+                # sorted tail, the early tails would be split across many
+                # heads and later heads would pick up fragments, each one
+                # more logical arc; starting at t pairs heads with tails
+                # one to one on a symmetric switch.  The loop pairing
+                # (u == t) comes last, as it spends t's own in-bandwidth,
+                # which sits at the feasibility boundary, so its gamma is
+                # small and costly to certify.  A drained tail's amount
+                # is 0 without a flow.
+                i = bisect_left(tails, t)
+                j = i + (tails[i:i + 1] == [t])
+                order = tails[j:] + tails[:i] + tails[i:j]
+                while left:
+                    progressed = False
+                    for u in order:
+                        a = amount(u, w, t)
+                        if a > 0:
+                            self.split(u, w, t, a, emap)
+                            left -= a
+                            progressed = True
+                            if not left:
+                                break
+                    if not progressed:
+                        raise StuckSplit(w, t, left)
+        return emap
+
+    def remainder(self) -> Topology:
+        """The compute-only network the graph holds, its arcs sorted."""
+        links = sorted(arc for arc in self.graph.arcs() if arc[0] != self.source)
+        compute = [n for n in self.net.nodes if n.kind == COMPUTE]
+        return Topology(compute, [Link(*arc) for arc in links])
 
     def split(self, u: str, w: str, t: str, amount: int, emap: EMap) -> None:
         """Replace `amount` units of (u, w),(w, t) by a direct arc (u, t) in
@@ -297,8 +370,8 @@ class _GammaOracle:
 def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
     """Dissolve every switch of the scaled network into logical arcs.
 
-    Switches go in sorted id order on one `_GammaOracle`, whose graph is
-    the working network from the first split to the last; a network
+    Switches go in sorted id order on a `_GammaOracle`, whose graph is
+    the working network from a pass's first split to its last; a network
     without switches builds none.  Within a switch, egress arcs are
     consumed in sorted head order.  The egress arc to t tries the ingress
     tails cyclically from t: the sorted tails after t, then those before
@@ -307,9 +380,15 @@ def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
     egress arc drains from one tail in one split, and the remainder has
     one logical arc per egress arc.  Any order keeps the invariant, so
     the order moves only the arcs left over, and with them the size of
-    every flow graph that split and pack run on.  A split at w only
-    shrinks w's own arcs and adds arcs that bypass w, so w's heads and
-    tails are listed once.
+    every flow graph that split and pack run on.
+
+    The removal runs first with every pairing at its cap, with no flow,
+    and one Hao-Orlin pass then checks that what is left still delivers
+    N*k to every compute node.  No split raises a cut and the cap bounds
+    the exact split amount, so a remainder that passes proves every cap
+    feasible: the result is the exact removal's, split for split, with
+    no split-amount flow.  Otherwise the removal runs again on a fresh
+    oracle, each amount the exact gamma (see `_GammaOracle`).
 
     Splitting needs in = out only at the switch being split (Mader 1982;
     Frank 1992), and a split changes no other node's in- or out-capacity
@@ -333,39 +412,16 @@ def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
             f"switch removal for k={k} needs in = out at every switch; "
             + ", ".join(f"{w} has in {scaled.in_bw[w]}, out {scaled.out_bw[w]}" for w in unbalanced)
         )
-    emap = EMap()
-    compute = [n for n in scaled.nodes if n.kind == COMPUTE]
     if not scaled.switch_ids:
+        compute = [n for n in scaled.nodes if n.kind == COMPUTE]
         links = [Link(a, b, c) for (a, b), c in sorted(scaled.capacity.items())]
-        return Topology(compute, links), emap
+        return Topology(compute, links), EMap()
     oracle = _GammaOracle(scaled, k)
-    g = oracle.graph
-    for w in scaled.switch_ids:
-        heads = sorted(t for a, t, _ in g.arcs() if a == w)
-        tails = sorted(u for u, b, _ in g.arcs() if b == w)
-        for t in heads:
-            # Cyclically from t: if every head started at the first sorted
-            # tail, the early tails would be split across many heads and
-            # later heads would pick up fragments, each one more logical
-            # arc; starting at t pairs heads with tails one to one on a
-            # symmetric switch.  The loop pairing (u == t) comes last, as
-            # it spends t's own in-bandwidth, which sits at the feasibility
-            # boundary, so its gamma is small and costly to certify.  A
-            # drained tail's gamma is 0 without a flow.
-            order = sorted(tails, key=lambda u: (u == t, u < t))
-            while g.capacity(w, t):
-                progressed = False
-                for u in order:
-                    amount = oracle.gamma(u, w, t)
-                    if amount > 0:
-                        oracle.split(u, w, t, amount, emap)
-                        progressed = True
-                        if not g.capacity(w, t):
-                            break
-                if not progressed:
-                    raise StuckSplit(w, t, g.capacity(w, t))
-    links = sorted(arc for arc in g.arcs() if arc[0] != oracle.source)
-    return Topology(compute, [Link(*arc) for arc in links]), emap
+    emap = oracle.dissolve(oracle.cap)
+    if not oracle.invariant_holds:
+        oracle = _GammaOracle(scaled, k)
+        emap = oracle.dissolve(oracle.gamma)
+    return oracle.remainder(), emap
 
 
 # ---------------------------------------------------------------------------

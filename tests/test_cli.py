@@ -144,6 +144,15 @@ class TestGenerate:
         assert code == 0
         assert parse_schedule(out_file.read_text()).collective == "reduce_scatter"
 
+    def test_collective_takes_the_file_spelling_too(self, topo_file, tmp_path):
+        # schedule files and `generate` spell it reduce_scatter
+        files = {}
+        for name in ("reduce-scatter", "reduce_scatter"):
+            files[name] = tmp_path / f"{name}.json"
+            code = main(["generate", "-t", topo_file, "--collective", name, "-o", str(files[name])])
+            assert code == 0
+        assert files["reduce-scatter"].read_bytes() == files["reduce_scatter"].read_bytes()
+
     def test_fixed_k_writes_exactly_k_trees(self, topo_file, tmp_path):
         out_file = tmp_path / "k2.json"
         assert main(["generate", "-t", topo_file, "--fixed-k", "2",

@@ -87,6 +87,19 @@ def apply_split(net: Topology, u: str, w: str, t: str, amount: int) -> Topology:
     return Topology(net.nodes, [Link(a, b, c) for (a, b), c in caps.items() if c > 0])
 
 
+def exact_removal(scaled: Topology, k: int) -> tuple[Topology, EMap]:
+    """`remove_switches` without the certificate: every split amount from
+    the oracle's gamma, on one oracle."""
+    oracle = _GammaOracle(scaled, k)
+    emap = oracle.dissolve(oracle.gamma)
+    return oracle.remainder(), emap
+
+
+def removal_record(lt: Topology, emap: EMap) -> tuple:
+    """A removal's links and its EMap, both in insertion order."""
+    return lt.links, [(arc, list(via.items())) for arc, via in emap.entries.items()]
+
+
 class TestComputeGamma:
     def test_reference_pairings(self, fig3a):
         res = bottleneck_search(fig3a)
@@ -218,8 +231,9 @@ def margin(g, u, w, t) -> int:
 
 class TestTheBound:
     def test_settled_gammas_equal_the_flows(self, random_suite, monkeypatch):
-        """On the small switched suite, the random suite, the boxes
-        networks 8x4 and 16x8 and the CI fat-tree, every γ with
+        """On the exact removal (a certified one asks no γ) of the small
+        switched suite, the random suite, the boxes networks 8x4 and 16x8
+        and the CI fat-tree, every γ with
         L >= min(c(u,w), c(w,t)) > 0 is that min with no flow, and the
         flows (run with the gate switched off) give it too; every other
         positive γ that no kept tight set answers runs a flow.  Every suite
@@ -251,11 +265,12 @@ class TestTheBound:
             best = min(g.capacity(u, w), g.capacity(w, t))
             bound = best > 0 and margin(g, u, w, t) >= best
             separated = any((u in X) == (t in X) != (w in X) for X in oracle.tight)
+            holds = oracle.invariant_holds  # its flows run once, when first read
             before = flows[0]
             got = gamma(oracle, u, w, t)
             ran = flows[0] > before
             if bound:
-                assert oracle.invariant_holds
+                assert holds
                 assert (got, ran) == (best, False), (u, w, t)
                 oracle.invariant_holds = False
                 try:
@@ -280,17 +295,17 @@ class TestTheBound:
             for t in nets:
                 res = bottleneck_search(t)
                 last.clear()
-                remove_switches(scale_capacities(t, res.U), res.k)
+                exact_removal(scale_capacities(t, res.U), res.k)
                 assert set(last) == set(t.switch_ids) and not any(last.values()), (t, last)
         # 16 of the CI fat-tree's 38 positive γ; 17 and 33 on the boxes
         assert all(settled.values()), settled
         assert settled["fat-tree"] == 16 and settled["boxes"] == 50, settled
 
     def test_in_w_is_tracked_through_every_split(self, random_suite, monkeypatch):
-        """After every split, the tracked in(w) is the sum of the graph's
-        arcs into w, also where loop pairings at one switch lower the
-        in-capacity of another: the random suite and a fat-tree whose
-        leaves pair with the spine."""
+        """After every split of the exact removal, the tracked in(w) is the
+        sum of the graph's arcs into w, also where loop pairings at one
+        switch lower the in-capacity of another: the random suite and a
+        fat-tree whose leaves pair with the spine."""
         nets = random_suite + [
             synth_topology("fat-tree", pods=2, gpus=4, spines=1, leaf_bw=1, spine_bw=3)
         ]
@@ -308,7 +323,7 @@ class TestTheBound:
         monkeypatch.setattr(_GammaOracle, "split", checked)
         for t in nets:
             res = bottleneck_search(t)
-            remove_switches(scale_capacities(t, res.U), res.k)
+            exact_removal(scale_capacities(t, res.U), res.k)
         assert count["splits"] > 1000 and count["switch loops"] >= 10, count
 
     def test_a_failing_invariant_settles_nothing(self):
@@ -422,27 +437,98 @@ class TestRemoveSwitches:
         assert all(len(via) == 1 for via in emap.entries.values())
 
 
+class TestCertificate:
+    def test_removal_equals_the_exact_one(self, random_suite, clustered_suite, monkeypatch):
+        """remove_switches gives the exact removal's links and EMap, in
+        insertion order, whether the cap-only pass is certified (one
+        oracle) or falls back (two): the random and clustered suites at
+        the optimal k and fixed k = 1-4, boxes 2-16 and fat-trees of 4, 8
+        and 16 pods.  Both paths run."""
+        from collsched import fixed_k_search
+
+        oracles = []
+        init = _GammaOracle.__init__
+
+        def counted(self, net, k):
+            oracles.append(1)
+            init(self, net, k)
+
+        monkeypatch.setattr(_GammaOracle, "__init__", counted)
+        runs = []
+        for t in random_suite + clustered_suite:
+            runs.append((t, bottleneck_search(t)))
+            runs += [(t, fixed_k_search(t, k)) for k in range(1, 5)]
+        for b in (2, 4, 8, 16):
+            t = synth_topology("boxes", boxes=b, gpus_per_box=4, intra=8, inter=1)
+            runs.append((t, bottleneck_search(t)))
+        for pods in (4, 8, 16):
+            t = synth_topology("fat-tree", pods=pods, gpus=4 * pods, spines=4, leaf_bw=4, spine_bw=3)
+            runs.append((t, bottleneck_search(t)))
+        passes = {1: 0, 2: 0}
+        for t, res in runs:
+            if not t.switch_ids:
+                continue
+            scaled = scale_capacities(t, res.U)
+            oracles.clear()
+            try:
+                got = remove_switches(scaled, res.k)
+            except NotEulerianAfterFloor:
+                continue
+            passes[len(oracles)] += 1
+            assert removal_record(*got) == removal_record(*exact_removal(scaled, res.k)), t
+        assert passes[1] >= 1000 and passes[2] >= 10, passes
+
+    def test_a_forced_certificate_breaks_the_boxes(self, monkeypatch):
+        """On boxes 8x4 a box is tight, so the caps of same-box pairings at
+        the NIC switch are not feasible: with the certificate forced to
+        pass, the removal differs from the exact one and its remainder no
+        longer delivers N*k to every compute node."""
+        t = synth_topology("boxes", boxes=8, gpus_per_box=4, intra=8, inter=1)
+        res = bottleneck_search(t)
+        scaled = scale_capacities(t, res.U)
+        exact = exact_removal(scaled, res.k)
+        assert removal_record(*remove_switches(scaled, res.k)) == removal_record(*exact)
+        monkeypatch.setattr(_GammaOracle, "invariant_holds", True)
+        forced = remove_switches(scaled, res.k)
+        assert removal_record(*forced) != removal_record(*exact)
+        assert supports_full_flow(exact[0], res.k)
+        assert not supports_full_flow(forced[0], res.k)
+
+
 class TestRemovalGraph:
-    def test_one_flow_graph_per_removal(self, random_suite, monkeypatch):
-        """Every split of a removal edits the one graph built for it, and a
-        network without switches builds none."""
-        builds = []
-        init = FlowGraph.__init__
+    def test_one_flow_graph_per_pass(self, random_suite, monkeypatch):
+        """A certified removal edits the one graph built for it, a removal
+        that falls back builds one more for the exact pass, and a network
+        without switches builds none."""
+        builds, passes = [], []
+        init, dissolve = FlowGraph.__init__, _GammaOracle.dissolve
 
         def counted(self, vertices, arcs):
             builds.append(1)
             init(self, vertices, arcs)
 
+        def named(oracle, amount):
+            passes.append(amount.__name__)
+            return dissolve(oracle, amount)
+
         monkeypatch.setattr(FlowGraph, "__init__", counted)
-        switched = 0
-        for t in random_suite:
+        monkeypatch.setattr(_GammaOracle, "dissolve", named)
+        boxes = [synth_topology("boxes", boxes=b, gpus_per_box=g, intra=8, inter=1) for b, g in ((3, 2), (8, 4))]
+        seen = {"cap": 0, "gamma": 0}
+        for t in random_suite + boxes:
             res = bottleneck_search(t)
             scaled = scale_capacities(t, res.U)
             builds.clear()
+            passes.clear()
             lt, emap = remove_switches(scaled, res.k)
-            assert len(builds) == (1 if t.switch_ids else 0), t
-            switched += len(t.switch_ids) > 1
-        assert switched > 100 and any(not t.switch_ids for t in random_suite)
+            if not t.switch_ids:
+                assert builds == passes == [], t
+                continue
+            assert passes in (["cap"], ["cap", "gamma"]), (t, passes)
+            assert len(builds) == len(passes), t
+            seen[passes[-1]] += 1
+        assert seen["cap"] > 100 and seen["gamma"] >= 2, seen
+        assert any(not t.switch_ids for t in random_suite)
 
     def test_a_failing_invariant_is_a_stuck_split(self):
         # c receives 2 of the 3 units the invariant asks for, so no
