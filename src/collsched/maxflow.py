@@ -15,13 +15,15 @@ state.  `grow` adds vertices and arcs, which every state gains carrying no
 flow, or raises the arc of a pair that has one.  `lower` cuts one arc's
 capacity.  Both edit the graph only, and an arc edited in place goes on
 the graph's edit log; a state remembers how far into the log it has been
-brought.  `keep` holds a flow at a value through edits: it brings the
-state to the end of the log, clamping its flow on every arc edited since
-to the arc's new capacity, which leaves d units of imbalance at the tail
-and -d at the head of an arc that dropped d (a raised arc drops nothing),
-and routes that imbalance in one push.  Every other call on a state
-refuses one that is behind the log, and a later state starts from the
-edited network.
+brought.  `keep` holds a flow into a sink through edits and changes of
+its supplies: it brings the state to the end of the log, clamping its
+flow on every arc edited since to the arc's new capacity, which leaves d
+units of imbalance at the tail and -d at the head of an arc that dropped
+d (a raised arc drops nothing), and routes that imbalance and the change
+of supplies in one push; what it leaves unrouted is a cut question's
+answer, and the state owes it to the next `keep`.  Every other call on a
+state refuses one that is behind the log, and a later state starts from
+the edited network.
 
 A flow runs between terminal sets: `run(sources, sinks)` is the max flow
 from the vertices `sources` to the vertices `sinks`, that is the least
@@ -41,9 +43,6 @@ sources but not the sink, up to a limit.  Successive resumes share R as
 long as each one's sources hold every earlier resume's sources and sink
 (Hao & Orlin's growing source set), which the engine checks; a fresh copy
 of R has no earlier terminals.  These are the engine's cut questions.
-`residual` reads what R has left from one vertex to another across their
-pair's arcs, a lower bound on every cut holding the first but not the
-second, which lets a caller skip a question it already knows the answer to.
 
 `push` moves more flow between vertex sets in place with no terminal
 rule.  Either set may give each vertex an amount, the most it sends or
@@ -248,26 +247,17 @@ class FlowGraph:
             caps += self._cap0[len(caps):]
         return caps
 
-    def residual(self, state: list, src, dst) -> int:
-        """Residual capacity from `src` to `dst` in `state`: what is left of
-        the arc (src, dst) plus the flow on the arc (dst, src), which can be
-        sent back.  Both cross every cut holding src but not dst, so that
-        cut's residual capacity is at least this much."""
-        caps = self._caps(state)
-        u, v = self._vertex(src), self._vertex(dst)
-        forward, back = self._entry.get((u, v)), self._entry.get((v, u))
-        return (0 if forward is None else caps[forward]) + (0 if back is None else caps[back ^ 1])
-
     def state(self) -> list:
         """A residual state that carries no flow: every arc at its
-        capacity.  A state is [caps, pinned, seen], pinned being the
-        terminals later resumes on it must keep as sources and seen the
-        length of the edit log it has been brought to."""
-        return [self._cap0.copy(), set(), len(self._log)]
+        capacity.  A state is [caps, pinned, seen, owed], pinned being the
+        terminals later resumes on it must keep as sources, seen the
+        length of the edit log it has been brought to and owed the
+        imbalance, by vertex index, that its last `keep` left unrouted."""
+        return [self._cap0.copy(), set(), len(self._log), {}]
 
     def copy(self, state: list) -> list:
         """An independent copy of `state`."""
-        return [self._caps(state).copy(), set(state[1]), state[2]]
+        return [self._caps(state).copy(), set(state[1]), state[2], dict(state[3])]
 
     def lower(self, src, dst, amount: int) -> None:
         """Lower the capacity of the arc from `src` to `dst` in the graph by
@@ -293,15 +283,17 @@ class FlowGraph:
     def _catch_up(self, state: list) -> dict[int, int]:
         """Bring `state` to the graph's edits, in place, cutting its flow on
         every arc edited since to the arc's capacity.  Returns the imbalance
-        left by vertex index, balanced vertices left out: d at a and -d at b
-        for a drop of d units on an arc (a, b).  A push from the vertices
-        above zero to those below, at these amounts, routes them again."""
+        left by vertex index, balanced vertices left out: what the state
+        owed, plus d at a and -d at b for a drop of d units on an arc
+        (a, b).  A push from the vertices above zero to those below, at
+        these amounts, routes them again; the state owes nothing more."""
         log = self._log
         seen = state[2]
         state[2] = len(log)  # up to date before `_caps`, which refuses a stale state
         caps = self._caps(state)
         cap0, to = self._cap0, self._to
-        need: dict = {}
+        need: dict = state[3]
+        state[3] = {}
         for e in log[seen:]:
             cap = cap0[e]
             flow = caps[e ^ 1]
@@ -314,31 +306,37 @@ class FlowGraph:
             caps[e] = cap - flow
         return {v: d for v, d in need.items() if d}
 
-    def keep(self, state: list | None, source, sink, value: int, was: int = 0) -> list | None:
-        """A flow of `value` units from `source` to `sink` on the graph as
-        it stands, or None if there is none: a new one from `run_keep`, or
-        `state`, which carried `was` units, caught up and repaired in place
-        by one push.  Arguments refused with CollschedError leave `state`
-        as it was.  A None does not: `state` has been caught up to the
-        edits and holds whatever part of the repair the push routed, a
-        flow of no stated value with imbalance left at some vertices, so
-        no caller may read it again."""
-        value, was = _checked_limit(value), _checked_limit(was)
-        s, t = self._vertex(source), self._vertex(sink)
-        if s == t:
-            raise CollschedError(f"source and sink are both {source!r}")
-        if state is None:
-            got, state = self.run_keep([source], [sink], value)
-            return state if got == value else None
+    def keep(self, state: list, supplies: dict, sink, carried: dict | None = None) -> int:
+        """Bring `state`, which carries a flow of the supplies `carried`
+        into `sink` (nothing if None), to a flow of `supplies` into `sink`
+        on the graph as it stands, in place, by catching it up and one
+        push.  Supplies map vertex names to units, each a non-negative int,
+        and the sink takes their sum.  Returns the units the push left
+        unrouted, which the state owes: 0 when it carries the flow asked
+        for, else the most by which `supplies` inside a vertex set without
+        the sink exceed the set's capacity.  Arguments refused with
+        CollschedError leave `state` as it was."""
+        if type(supplies) is not dict or type(carried) not in (dict, type(None)):
+            raise CollschedError("supplies must be dicts from vertex name to units")
+        new = self._rooms(supplies, "supplies", 0)
+        old = self._rooms(carried, "carried supplies", 0) if carried else {}
+        t = self._vertex(sink)
+        if t in new or t in old:
+            raise CollschedError(f"sink {sink!r} is among the supplies")
         need = self._catch_up(state)
-        need[s] = need.get(s, 0) + value - was
-        need[t] = need.get(t, 0) - value + was
+        for v, units in new.items():
+            need[v] = need.get(v, 0) + units
+        for v, units in old.items():
+            need[v] = need.get(v, 0) - units
+        need[t] = need.get(t, 0) + sum(old.values()) - sum(new.values())
         excess = {v: d for v, d in need.items() if d > 0}
-        want = sum(excess.values())
         deficit = {v: -d for v, d in need.items() if d < 0}
-        if want and self._push(state, excess, deficit, want) != want:
-            return None
-        return state
+        want = sum(excess.values())
+        short = want and want - self._push(state, excess, deficit, want)
+        if short:
+            state[3] = {v: d for v, d in excess.items() if d}
+            state[3].update((v, -d) for v, d in deficit.items() if d)
+        return short
 
     def push(self, state: list, sources, sinks, limit: int) -> int:
         """Push up to `limit` more units from the vertices `sources` to the
@@ -446,9 +444,10 @@ def _dinic(n, to, adj, cap, sources, sinks, limit):
     """Dinic blocking-flow max flow from the vertices `sources` to the
     vertices `sinks`, in place on `cap`, stopping once `limit` units are
     placed.  Both map vertex indices to rooms, the most each still sends
-    or takes; a terminal whose room is spent is an ordinary vertex, as in
-    a network with a super source and a super sink joined to the
-    terminals by arcs of those rooms.
+    or takes, and are left holding the rooms unspent; a terminal whose
+    room is spent is an ordinary vertex, as in a network with a super
+    source and a super sink joined to the terminals by arcs of those
+    rooms.
 
     A phase labels each vertex with its residual distance to the nearest
     sink with room (a BFS back from those sinks: e in adj[v] with
@@ -541,6 +540,10 @@ def _dinic(n, to, adj, cap, sources, sinks, limit):
                     break  # this source is exhausted for the phase
             give[s] = room
             if total >= limit:
-                return total
+                break
         starts = [s for s in starts if give[s]]
+    for s in sources:
+        sources[s] = give[s]
+    for t in sinks:
+        sinks[t] = take[t]
     return total

@@ -31,17 +31,29 @@ Kept flows.  The flow graph is the sigma-graph as it stands: the packer
 edits it in place as the forest changes.  The growing batch taking (x, y)
 at mu lowers that arc by mu; a batch that starts growing lowers its
 gadget's arcs to zero and V by its m; a split copy of m' trees grows a
-hub of its own and raises V by m'.  For each compute sink v it keeps a flow
-sigma -> v of value V, made on that graph when v is first queried.
-Those V units cross every cut X holding sigma but not v net once, so X's
-capacity in the flow's residual is slack(X).  The flow fills every sigma
-arc, so no residual arc leaves sigma, and
+hub of its own and raises V by m'.  For each compute sink y it keeps a
+flow into y on that graph, made when y is first read, of V units from
+sigma and maybe some from one other vertex.
 
-    mu(x, y) = min(mu0, a resume from x to y of at most mu0 units
-                   on a fresh copy of y's kept flow),
+One push per read.  A question the arc alone leaves open (below) is one
+`FlowGraph.keep` push of y's kept flow to V units from sigma and mu0
+from x: it routes the imbalance the edits since y's last read left, the
+change of V, the undo of the previous question's units at its tail and
+mu0 new units at x, together.  It leaves unrouted the most by which the
+supplies inside a set X without y exceed X's capacity (max-flow min-cut).
+When a flow sigma -> y of value V exists, a set holding sigma but not x
+has capacity V or more, one holding x but not sigma at least its slack,
+and one holding both slack(X) + V, so the push falls short by exactly
 
-a cut question of at most mu0 units where a fresh gadget graph per
-evaluation pushes the whole need of the other batches as well.
+    mu0 - mu(x, y).
+
+A full push certifies mu = mu0 and is y's kept flow from then on.  After
+a shortfall, one more push from the same state takes x's mu0 units back
+out, leaving a flow of value V.  If that push falls short too, there is
+no flow sigma -> y of value V: some cut holding sigma but not y has
+negative slack, the forest cannot be completed, and NoAddableEdge is
+raised for the growing batch.  A take at the exact mu never gets there,
+since mu is at most the slack of every cut the take lowers.
 
 The arc alone.  Most questions need no flow at all.  A cut X holding
 sigma and x but not y is crossed by the arc (x, y), so g(X) >= g(x, y),
@@ -51,29 +63,10 @@ whose members include y.  So
 
     slack(X) >= g(x, y) - V + held(y),
 
-and when that is at least mu0, mu = mu0, and no kept flow is read or
-repaired.  held(v) starts at k for each root; a batch that starts growing
-takes its m off each of its members and a split copy adds its m to each
-of its members.
-
-The direct arc.  Most of the rest are settled before the copy.  Every
-cut X holding x but not y is crossed by the arc (x, y) forwards and by
-the arc (y, x) backwards, so its residual capacity in y's repaired flow
-is at least the residual of (x, y) plus the flow on (y, x), which
-`FlowGraph.residual` reads.  When that is at least mu0, every such cut
-has slack mu0 or more, and mu = mu0 without the copy and the resume
-(Edmonds 1973: mu is the least slack of the cuts holding x but not y).
-
-Deferred repair.  An edit reaches only the graph; a kept flow is brought
-to it when mu is about to read it, by `FlowGraph.keep`, which returns a
-flow sigma -> y of value V, or None if there is none.  Which flow that is
-does not matter: in any flow sigma -> y of value V, a cut X holding sigma
-but not y has residual capacity cap(X) - V, and one holding neither has
-cap(X).  Such a flow exists exactly when no cut holding sigma but not y
-has negative slack, so a None means the forest cannot be completed, and
-NoAddableEdge is raised for the growing batch.  A take at the exact mu
-never gets there, since mu is at most the slack of every cut the take
-lowers.
+and when that is at least mu0, mu = mu0, and no kept flow is pushed.
+held(v) starts at k for each root; a batch that starts growing takes
+its m off each of its members and a split copy adds its m to each of its
+members.
 
 Which arc.  Any frontier arc taken at its exact mu leaves the rest of the
 forest packable, so the choice shapes the output, never its validity.  A
@@ -128,7 +121,7 @@ class Forest:
 
 
 class _Baselines:
-    """The sigma-graph of one pack, its kept max flows sigma -> v and the
+    """The sigma-graph of one pack, its kept flows into each sink v and the
     growing batch's frontier (see the module docstring); the forest's
     batches are the first ones, a singleton per root at multiplicity k, and
     every mu evaluation is counted on it."""
@@ -137,7 +130,7 @@ class _Baselines:
         self.forest = forest
         self.lt = lt = forest.lt
         self.graph, self.sigma, self.value = source_network(lt, lt.capacity, k)  # V
-        self.flows: dict[str, tuple] = {}  # sink -> (kept flow, V it last carried)
+        self.flows: dict[str, tuple] = {}  # sink -> (kept flow, supplies it carries)
         self.held = dict.fromkeys(lt.compute_ids, k)  # v -> m_j summed over batches in sigma holding v
         self.heads = {id(b): b.root for b in forest.batches}  # batch in sigma -> head
         self.hubs = 0
@@ -164,24 +157,26 @@ class _Baselines:
     def mu(self, arc: tuple[str, str], mu0: int) -> int:
         """Largest multiplicity up to `mu0` at which the growing batch may
         take `arc`: `mu0` when the arc alone has room for it and every
-        batch in sigma that does not hold its head; else read from the kept
-        flow of its head, which is first repaired: `mu0` when the flow's
-        residual capacity from the arc's tail to its head is at least that,
-        else a resume on a copy.  `Forest.mu_evaluations` counts every
-        evaluation, those the arc alone settles included."""
+        batch in sigma that does not hold its head; else `mu0` less what
+        one `keep` push of the head's kept flow to V units from sigma and
+        `mu0` from the arc's tail leaves unrouted.  A push that falls short
+        is followed by one that repairs the flow to V alone.
+        `Forest.mu_evaluations` counts every evaluation, those the arc
+        alone settles included."""
         self.forest.mu_evaluations += 1
         x, y = arc
         g, value = self.graph, self.value
         if g.capacity(x, y) - value + self.held[y] >= mu0:
             return mu0
-        flow, was = self.flows.get(y, (None, 0))
-        flow = g.keep(flow, self.sigma, y, value, was)
-        if flow is None:
-            raise self.stuck()
-        self.flows[y] = flow, value
-        if g.residual(flow, x, y) >= mu0:
-            return mu0
-        return g.resume(g.copy(flow), [x], y, mu0)
+        flow, carried = self.flows.get(y) or (g.state(), None)
+        asked = {self.sigma: value, x: mu0}
+        short = g.keep(flow, asked, y, carried)
+        if short:
+            carried, asked = asked, {self.sigma: value}
+            if g.keep(flow, asked, y, carried):
+                raise self.stuck()
+        self.flows[y] = flow, asked
+        return mu0 - short
 
     def choose(self, m: int) -> tuple[tuple[str, str], int]:
         """The arc the growing batch, of multiplicity `m`, takes next and

@@ -5,6 +5,7 @@ Dinic phases that find the forward-level Dinic's paths."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -379,44 +380,6 @@ class TestReach:
         for starts in (["nope"], 7, "s", []):
             with pytest.raises(CollschedError):
                 g.reach(state, starts, 1)
-
-
-class TestResidual:
-    @pytest.mark.parametrize("seed", range(40))
-    def test_is_the_pairs_residual_and_bounds_every_cut(self, seed):
-        """residual(state, x, y) is the residual of the arc (x, y) plus the
-        flow on (y, x); every cut holding x but not y has at least that
-        much left, so a resume from x to y on a copy gains at least
-        min(limit, residual), and exactly that when it is the limit."""
-        vertices, arcs = random_instance(seed)
-        g = FlowGraph(vertices, arcs)
-        s, t = vertices[0], vertices[-1]
-        for limit in (None, 3):
-            _, state = g.run_keep([s], [t], limit=limit)
-            caps = list(state[0])
-            for x, y in itertools.permutations(vertices, 2):
-                left = g.residual(state, x, y)
-                want = sum(
-                    caps[2 * i] if (a, b) == (x, y) else caps[2 * i + 1]
-                    for i, (a, b, _) in enumerate(arcs)
-                    if (a, b) in ((x, y), (y, x))
-                )
-                assert left == want, (seed, limit, x, y)
-                assert brute_resume(vertices, arcs, caps, [x], y) >= left
-                if left:
-                    assert g.resume(g.copy(state), [x], y, left) == left, (seed, limit, x, y)
-            assert state[0] == caps  # read only
-
-    def test_sees_grown_arcs_and_caught_up_flows(self):
-        g = FlowGraph([*"sab"], [("s", "a", 2), ("a", "b", 2)])
-        _, state = g.run_keep(["s"], ["b"])
-        assert (g.residual(state, "a", "b"), g.residual(state, "b", "a")) == (0, 2)
-        g.grow([], [("b", "a", 1)])
-        assert (g.residual(state, "a", "b"), g.residual(state, "b", "a")) == (0, 3)
-        g.lower("a", "b", 1)
-        catch_up(g, state)
-        assert (g.residual(state, "a", "b"), g.residual(state, "b", "a")) == (0, 2)
-        assert g.residual(state, "s", "b") == 0
 
 
 class TestStates:
@@ -794,55 +757,121 @@ class TestCatchUp:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_keep_is_that_repair(self, seed):
-        """`keep` on a stale state carrying `was` units is the repair
-        above, routed in the same order to the same residual state: it
-        returns that state when asked for the new max flow value and None
-        when asked one unit more.  Without a state it is `run_keep` to the
-        value, or None above the max flow."""
+        """`keep` on a stale state carrying the supplies `carried` is the
+        repair above with the change of supplies added: `catch_up` and one
+        push of the imbalance plus each supply vertex's change, the sink
+        taking the change of their sum, on a twin, routed in the same order
+        to the same residual state.  It returns what that push leaves
+        unrouted, 0 for a flow the edited graph carries, and the state owes
+        the rest.  On a fresh state it is that push from nothing."""
         vertices, arcs = random_instance(seed)
-        s, t = vertices[0], vertices[-1]
+        s, x, t = vertices[0], vertices[1], vertices[-1]
         g = FlowGraph(vertices, arcs)
         rng = random.Random(seed)
-        value, state = g.run_keep([s], [t])
+        carried = {s: g.run([s], [t])}
+        state = g.state()
+        assert g.keep(state, carried, t) == 0
+        assert state[0] == g.run_keep([s], [t])[1][0]
         for _ in range(rng.randint(1, 6)):
             a, b, cap = rng.choice(arcs)
             g.lower(a, b, rng.randint(0, g.capacity(a, b)))
         new = g.run([s], [t])
-        stale = lambda: [list(state[0]), set(state[1]), state[2]]
-        assert g.keep(stale(), s, t, new + 1, value) is None
-        kept = stale()
-        assert g.keep(kept, s, t, new, value) is kept
-        moves = catch_up(g, state)
-        moves[s] = moves.get(s, 0) + new - value
-        moves[t] = moves.get(t, 0) - new + value
-        excess = {v: d for v, d in moves.items() if d > 0}
-        deficit = {v: -d for v, d in moves.items() if d < 0}
-        if excess:
+        shorts = []
+        for asked in ({s: new}, {s: new + 1}, {s: rng.randint(0, new), x: rng.randint(0, 9)}):
+            kept = [list(state[0]), set(state[1]), state[2], dict(state[3])]
+            twin = [list(state[0]), set(state[1]), state[2], dict(state[3])]
+            short = g.keep(kept, asked, t, carried)
+            moves = catch_up(g, twin)
+            for v, units in asked.items():
+                moves[v] = moves.get(v, 0) + units
+            for v, units in carried.items():
+                moves[v] = moves.get(v, 0) - units
+            moves[t] = moves.get(t, 0) + sum(carried.values()) - sum(asked.values())
+            excess = {v: d for v, d in moves.items() if d > 0}
+            deficit = {v: -d for v, d in moves.items() if d < 0}
             want = sum(excess.values())
-            assert g.push(state, excess, deficit, want) == want
-        assert kept == state, seed
-        assert g.keep(None, s, t, new)[0] == g.run_keep([s], [t], new)[1][0]
-        assert g.keep(None, s, t, new + 1) is None
+            pushed = g.push(twin, excess, deficit, want) if want else 0
+            assert short == want - pushed, (seed, asked)
+            assert kept[:3] == twin[:3], (seed, asked)
+            owed = {g._names[v]: d for v, d in kept[3].items()}
+            assert sum(d for d in owed.values() if d > 0) == short, (seed, asked)
+            shorts.append(short)
+        assert shorts[:2] == [0, 1], seed
 
-    def test_a_none_leaves_the_state_caught_up_and_partly_repaired(self):
+    @staticmethod
+    def shortfall_questions(seed):
+        """Keep a flow of V units s -> t, V at most the max flow, through
+        random edits, and ask each time for mu0 more units from a random x:
+        the push falls short by mu0 less what a resume of at most mu0 units
+        from x to t gains on a fresh flow of V units, the least slack of the
+        cuts holding x but not t.  A full push is kept as asked; after a
+        shortfall one more push from the same state takes x's units back
+        out, and comes up full.  The state then carries exactly what was
+        asked: s and x send their units, t takes their sum and every other
+        vertex is balanced.  Four questions; returns how many pushes came
+        up full (False) and short (True)."""
+        pushes = Counter()
+        vertices, arcs = random_instance(seed)
+        s, t = vertices[0], vertices[-1]
+        g = FlowGraph(vertices, arcs)
+        rng = random.Random(seed)
+        state, carried = g.state(), None
+        for _ in range(4):
+            a, b, cap = rng.choice(arcs)
+            g.lower(a, b, rng.randint(0, g.capacity(a, b)))
+            value = rng.randint(0, g.run([s], [t]))
+            x, mu0 = rng.choice(vertices[1:-1]), rng.randint(0, 9)
+            asked = {s: value, x: mu0}
+            short = g.keep(state, asked, t, carried)
+            got, fresh = g.run_keep([s], [t], value)
+            assert got == value, seed
+            assert short == mu0 - g.resume(fresh, [x], t, mu0), (seed, x, mu0)
+            pushes[bool(short)] += 1
+            if short:
+                carried, asked = asked, {s: value}
+                assert g.keep(state, asked, t, carried) == 0, seed
+            carried = asked
+            lowered = [(a, b, g.capacity(a, b)) for a, b, _ in arcs]
+            sent = net_sent(lowered, [e for *_, c in lowered for e in (c, 0)], state[0])
+            want = {**carried, t: -sum(carried.values())}
+            assert {v: d for v, d in sent.items() if d} == {
+                v: d for v, d in want.items() if d
+            }, seed
+        return pushes
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_the_shortfall_is_mu0_less_a_resumes_gain(self, seed):
+        self.shortfall_questions(seed)
+
+    def test_the_random_graphs_ask_both_full_and_short_pushes(self):
+        """The 60 random graphs above meet both outcomes, so neither side
+        of the shortfall rule goes unchecked."""
+        pushes = sum((self.shortfall_questions(seed) for seed in range(60)), Counter())
+        assert pushes[False] > 0 and pushes[True] > 0, pushes
+
+    def test_a_shortfall_is_owed_and_routed_by_the_next_keep(self):
         """A kept flow of 3 runs s -> a -> t; with (a, t) lowered to 1, the
         repair must route 2 units from a to t, and only a -> b -> t, of 1,
-        is left.  `keep` returns None, having brought the state to the log
-        and pushed that 1 unit: a still holds 1 unit of imbalance, so the
-        state carries no flow of any value."""
+        is left.  `keep` returns 1, having brought the state to the log and
+        pushed that 1 unit: a still holds 1 unit of imbalance, which the
+        state owes.  The next `keep`, down to 2 units, routes it back to s."""
         arcs = [("s", "a", 3), ("a", "t", 3), ("a", "b", 1), ("b", "t", 1)]
         g = FlowGraph([*"sabt"], arcs)
 
         def flows(state):
             return [g.capacity(a, b) - state[0][2 * i] for i, (a, b, _) in enumerate(arcs)]
 
-        state = g.keep(None, "s", "t", 3)
+        state = g.state()
+        assert g.keep(state, {"s": 3}, "t") == 0
         assert flows(state) == [3, 3, 0, 0]
         g.lower("a", "t", 2)
-        assert g.keep(state, "s", "t", 3, 3) is None
+        assert g.keep(state, {"s": 3}, "t", {"s": 3}) == 1
         assert state[2] == len(g._log) == 1
         # (a, t) clamped to its 1 unit, then 1 of the 2 units routed round
         assert flows(state) == [3, 1, 1, 1]
+        assert {g._names[v]: d for v, d in state[3].items()} == {"a": 1, "t": -1}
+        assert g.keep(state, {"s": 2}, "t", {"s": 3}) == 0
+        assert flows(state) == [2, 1, 1, 1] and state[3] == {}
 
 
 # ---------------------------------------------------------------------------
@@ -1093,7 +1122,7 @@ class TestSinkLabelledPhases:
 
 # Per call, each bad input the engine refuses, as (sources, sinks, limit) for
 # `push` and `run_keep`, (sources, sink, limit) for `resume`, (starts,
-# threshold) for `reach` and (source, sink, value, was) for `keep`.  The
+# threshold) for `reach` and (supplies, sink, carried) for `keep`.  The
 # state has pinned {s, a} by a resume.
 REFUSED_CALLS = {
     "push": {
@@ -1133,20 +1162,20 @@ REFUSED_CALLS = {
         "bad-limit": (["s"], 0),
         "negative-amount": ({"s": -1}, 1),
     },
-    "residual": {
-        "unknown-vertex": ("s", "nope"),
-        "unknown-tail": ("nope", "t"),
-        "unhashable-name": (["s"], "t"),
-    },
     "keep": {
-        "unknown-vertex": ("s", "nope", 4, 3),
-        "unknown-source": ("nope", "t", 4, 3),
-        "unhashable-name": (["s"], "t", 4, 3),
-        "same-terminals": ("t", "t", 4, 3),
-        "negative-value": ("s", "t", -1, 3),
-        "float-value": ("s", "t", 2.5, 3),
-        "bool-value": ("s", "t", True, 3),
-        "negative-was": ("s", "t", 4, -3),
+        "unknown-vertex": ({"s": 4}, "nope", {"s": 3}),
+        "unknown-source": ({"nope": 4}, "t", {"s": 3}),
+        "unhashable-name": ({"s": 4}, ["t"], {"s": 3}),
+        "same-terminals": ({"t": 4}, "t", {"s": 3}),
+        "sink-carried": ({"s": 4}, "t", {"t": 3}),
+        "negative-value": ({"s": -1}, "t", {"s": 3}),
+        "float-value": ({"s": 2.5}, "t", {"s": 3}),
+        "bool-value": ({"s": True}, "t", {"s": 3}),
+        "negative-was": ({"s": 4}, "t", {"s": -3}),
+        "unknown-carried": ({"s": 4}, "t", {"nope": 3}),
+        "not-a-dict": (["s"], "t", {"s": 3}),
+        "carried-not-a-dict": ({"s": 4}, "t", 3),
+        "empty-supplies": ({}, "t", {"s": 3}),
     },
 }
 
@@ -1165,9 +1194,9 @@ class TestRefusedCalls:
 
     @staticmethod
     def seen(g, state):
-        """Everything a flow call could change: the state's caps, pinned set
-        and log position, and the graph's arcs and log."""
-        return list(state[0]), set(state[1]), state[2], g.arcs(), len(g._log)
+        """Everything a flow call could change: the state's caps, pinned set,
+        log position and owed imbalance, and the graph's arcs and log."""
+        return list(state[0]), set(state[1]), state[2], dict(state[3]), g.arcs(), len(g._log)
 
     @pytest.mark.parametrize(
         "method, args",
@@ -1185,7 +1214,7 @@ class TestRefusedCalls:
         g0, state0 = self.setup()
         assert g.resume(state, ["s", "a"], "b", 10) == g0.resume(state0, ["s", "a"], "b", 10)
 
-    @pytest.mark.parametrize("method", ["push", "resume", "reach", "residual"])
+    @pytest.mark.parametrize("method", ["push", "resume", "reach"])
     def test_a_stale_state_is_refused_and_left_as_it_was(self, method):
         g, state = self.setup()
         g.lower("s", "b", 1)
@@ -1194,7 +1223,6 @@ class TestRefusedCalls:
             "push": (["s"], ["t"], 1),
             "resume": (["s", "a"], "t", 1),
             "reach": (["s"], 1),
-            "residual": ("s", "b"),
         }
         with pytest.raises(CollschedError, match="only keep brings"):
             getattr(g, method)(state, *args[method])
@@ -1206,13 +1234,14 @@ class TestRefusedCalls:
         there, untouched; the same state is then kept at the 2 units the
         lowered graph carries."""
         g = FlowGraph([*"sabt"], [("s", "a", 4), ("a", "b", 4), ("s", "b", 1), ("b", "t", 3)])
-        state = g.keep(None, "s", "t", 3)
+        state = g.state()
+        assert g.keep(state, {"s": 3}, "t") == 0
         g.lower("b", "t", 1)
         before = self.seen(g, state)
         with pytest.raises(CollschedError):
             g.keep(state, *args)
         assert self.seen(g, state) == before
-        assert g.keep(state, "s", "t", 2, 3) is state
+        assert g.keep(state, {"s": 2}, "t", {"s": 3}) == 0
         assert state[2] == len(g._log)
         assert g.push(state, ["s"], ["t"], 5) == 0
 

@@ -366,10 +366,11 @@ class TestPackSpanningTrees:
         """The kept flows can be repaired to V only because every mu is the
         least slack.  With every probe overstated to mu0, batch b's third
         arc (a, d) is taken at 1 where its slack is 0, and d's kept flow is
-        read right after.  Its repair by `keep` has to route the unit
-        dropped on (a, d) from a to d and cannot: the vertices a still
-        reaches hold sigma but not d, so no push could restore V, and the
-        read stops the pack with NoAddableEdge."""
+        read right after.  Its `keep` push, to V units from sigma and 1
+        from c, has to route the unit dropped on (a, d) from a to d as well
+        and falls short, and so does the push back to V that follows: the
+        vertices a still reaches hold sigma but not d, so no push could
+        restore V, and the read stops the pack with NoAddableEdge."""
         lt = Topology(
             [Node(v, COMPUTE) for v in "abcd"],
             [
@@ -390,156 +391,151 @@ class TestPackSpanningTrees:
         keeps = []
         keep = FlowGraph.keep
 
-        def recorded(g, state, source, sink, value, was=0):
-            # a copy as the repair finds it, behind the graph's edits
-            before = state and [list(state[0]), set(state[1]), state[2]]
-            kept = keep(g, state, source, sink, value, was)
-            keeps.append((g, before, state, source, sink, value, was, kept))
-            return kept
+        def recorded(g, state, supplies, sink, carried=None):
+            # a copy as the push finds it, maybe behind the graph's edits
+            before = [list(state[0]), set(state[1]), state[2], dict(state[3])]
+            short = keep(g, state, supplies, sink, carried)
+            keeps.append((g, before, state, supplies, sink, carried, short))
+            return short
 
         monkeypatch.setattr(FlowGraph, "keep", recorded)
         with pytest.raises(NoAddableEdge) as exc:
             pack_spanning_trees(lt, 2)
         assert exc.value.root == "b"
-        g, before, state, source, sink, value, was, kept = keeps[-1]
-        assert (sink, value, kept) == ("d", was, None)
-        # one unit to route from a to d, and none of it routed
+        # the read of (c, d) at 1 falls short, and so does the repair after it
+        (g, before, state, asked, sink, carried, short), repair = keeps[-2:]
+        (sigma,) = set(asked) - {"c"}
+        assert (sink, asked["c"], repair[4], repair[5]) == ("d", 1, "d", asked)
+        assert repair[3] == {sigma: asked[sigma]} and repair[2] is state
+        assert short > 0 and repair[-1] > 0
+        # one unit to route from a to d, and the state still owes it at a
         assert catch_up(g, before) == {"a": 1, "d": -1}
-        assert state[0] == before[0]
+        owed = {g._names[v]: d for v, d in state[3].items()}
+        assert owed["a"] == 1 == sum(d for d in owed.values() if d > 0)
         side = g.reach(state, ["a"], 1)
-        assert source in side and "d" not in side
+        assert sigma in side and "d" not in side
 
     def test_its_flow_calls_are_its_cut_questions(self, random_suite, monkeypatch):
-        """A pack asks its cut questions through run_keep, residual and
-        resume.  Each mu evaluation is exactly one of three kinds: the arc
-        alone settles it at mu0 and it asks nothing; it reads its head's
-        kept flow by one residual, which certifies mu0; or that read falls
-        short and one resume follows.  One run_keep per kept flow, into
-        each head read once."""
-        built, read, probed, kinds = [], [], [], []
-        run_keep, residual, resume, mu = (
-            FlowGraph.run_keep, FlowGraph.residual, FlowGraph.resume, _Baselines.mu
-        )
+        """A pack asks its cut questions through `keep` alone.  Each mu
+        evaluation is exactly one of three kinds: the arc alone settles it
+        at mu0 and it asks nothing; one push of its head's kept flow, to V
+        units from sigma and mu0 from the arc's tail, comes up full and
+        certifies mu0; or that push falls short by mu0 - mu and one more,
+        back to V from sigma, comes up full.  No other flow call is made."""
+        calls, kinds = [], []
+        keep, mu = FlowGraph.keep, _Baselines.mu
+        others = {name: getattr(FlowGraph, name) for name in ("run", "run_keep", "resume", "push")}
 
-        def kept(g, sources, sinks, limit=None):
-            built.extend(sinks)
-            return run_keep(g, sources, sinks, limit)
+        def kept(g, state, supplies, sink, carried=None):
+            short = keep(g, state, supplies, sink, carried)
+            calls.append((supplies, sink, carried, short))
+            return short
 
-        def reading(g, state, src, dst):
-            left = residual(g, state, src, dst)
-            read.append((dst, left))
-            return left
-
-        def probe(g, state, sources, sink, limit):
-            probed.append(sink)
-            return resume(g, state, sources, sink, limit)
+        def other(name):
+            def called(*args, **kwargs):
+                calls.append(name)
+                return others[name](*args, **kwargs)
+            return called
 
         def evaluated(self, arc, mu0):
-            alone, reads, probes = arc_alone(self, arc, mu0), len(read), len(probed)
+            (x, y), alone, before = arc, arc_alone(self, arc, mu0), len(calls)
+            value = self.value
             got = mu(self, arc, mu0)
-            lefts, probes = [left for _, left in read[reads:]], len(probed) - probes
+            asked = calls[before:]
+            read = {self.sigma: value, x: mu0}
             if alone:
-                kinds.append("alone" if (lefts, probes, got) == ([], 0, mu0) else None)
+                kinds.append("alone" if (asked, got) == ([], mu0) else None)
+            elif [call[:2] for call in asked] == [(read, y)] and asked[0][3] == 0 and got == mu0:
+                kinds.append("full")
+            elif [call[:3] for call in asked] == [asked[0][:3], ({self.sigma: value}, y, read)]:
+                full = asked[0][:2] == (read, y) and asked[1][3] == 0
+                kinds.append("short" if full and got == mu0 - asked[0][3] > -1 else None)
             else:
-                kind = {(True, 0): "certified", (False, 1): "resumed"}
-                kinds.append(len(lefts) == 1 and kind.get((lefts[0] >= mu0, probes)) or None)
+                kinds.append(None)
             return got
 
-        monkeypatch.setattr(FlowGraph, "run_keep", kept)
-        monkeypatch.setattr(FlowGraph, "residual", reading)
-        monkeypatch.setattr(FlowGraph, "resume", probe)
+        for name in others:
+            monkeypatch.setattr(FlowGraph, name, other(name))
+        monkeypatch.setattr(FlowGraph, "keep", kept)
         monkeypatch.setattr(_Baselines, "mu", evaluated)
         total = Counter()
         for t in random_suite:
             lt, k = remainder(t, None)
-            for calls in (built, read, probed, kinds):
-                calls.clear()
+            calls.clear()
+            kinds.clear()
             forest = pack_spanning_trees(lt, k)
             assert None not in kinds and len(kinds) == forest.mu_evaluations, t
-            assert sorted(built) == sorted({head for head, _ in read}), t
+            assert not set(others).intersection(c for c in calls if type(c) is str), t
             total.update(kinds)
-        assert min(total[kind] for kind in ("alone", "certified", "resumed")) > 0
+        assert min(total[kind] for kind in ("alone", "full", "short")) > 0
 
     def test_kept_flows_are_repaired_only_when_read(self, random_suite, monkeypatch):
-        """Edits only reach the graph; a kept flow is made or repaired, by
-        one `keep`, when a mu evaluation is about to read it.  So an
-        evaluation the arc alone settles keeps nothing, every other keeps
-        once and reads the flow it kept (by its residual, then maybe a
-        probe on a copy), a repair brings the flow made for that very sink,
-        and a flow whose sink is never read again is never repaired."""
+        """Edits only reach the graph; a kept flow is pushed when a mu
+        evaluation reads its head.  So an evaluation the arc alone settles
+        pushes nothing, and every other pushes the one state kept for its
+        head: a fresh one carrying nothing at the head's first read, later
+        the state the head's last push left, carrying what that push asked
+        for.  A flow whose sink is never read again is never pushed."""
         events = []
-        keep, residual, resume, mu = (
-            FlowGraph.keep, FlowGraph.residual, FlowGraph.resume, _Baselines.mu
-        )
+        keep, mu = FlowGraph.keep, _Baselines.mu
 
-        def kept(g, state, source, sink, value, was=0):
-            flow = keep(g, state, source, sink, value, was)
-            events.append(("made" if state is None else "repair", id(flow[0]), sink))
-            return flow
-
-        def reading(g, state, src, dst):
-            left = residual(g, state, src, dst)
-            events.append(("read", id(state[0]), dst, left))
-            return left
-
-        def probe(g, state, sources, sink, limit):
-            events.append(("probe", sink))
-            return resume(g, state, sources, sink, limit)
+        def kept(g, state, supplies, sink, carried=None):
+            events.append(("keep", id(state[0]), sink, supplies, carried))
+            return keep(g, state, supplies, sink, carried)
 
         def evaluated(self, arc, mu0):
-            events.append(("mu", mu0, arc_alone(self, arc, mu0)))
+            events.append(("mu", arc, arc_alone(self, arc, mu0)))
             return mu(self, arc, mu0)
 
         monkeypatch.setattr(FlowGraph, "keep", kept)
-        monkeypatch.setattr(FlowGraph, "residual", reading)
-        monkeypatch.setattr(FlowGraph, "resume", probe)
         monkeypatch.setattr(_Baselines, "mu", evaluated)
-        repairs = settled = 0
+        later = settled = 0
         for t in random_suite:
             lt, k = remainder(t, None)
             events.clear()
             forest = pack_spanning_trees(lt, k)
-            sink_of = {e[1]: e[2] for e in events if e[0] == "made"}
             evaluations = [i for i, e in enumerate(events) if e[0] == "mu"]
             assert len(evaluations) == forest.mu_evaluations, t
+            state_of, asked_of = {}, {}
             for i, j in zip(evaluations, evaluations[1:] + [len(events)]):
-                _, mu0, alone = events[i]
-                asked = events[i + 1:j]
+                _, (x, y), alone = events[i]
+                pushes = events[i + 1:j]
                 if alone:
-                    assert asked == [], t
+                    assert pushes == [], t
                     settled += 1
                     continue
-                (kind, state, sink), (read, *at, left), *probes = asked
-                assert kind in ("made", "repair") and sink_of[state] == sink, t
-                assert (read, *at) == ("read", state, sink), t
-                assert probes == ([] if left >= mu0 else [("probe", sink)]), t
-                repairs += kind == "repair"
-        assert repairs > 0 and settled > 0
+                assert 1 <= len(pushes) <= 2, t
+                for _, state, sink, supplies, carried in pushes:
+                    assert sink == y and state_of.setdefault(y, state) == state, t
+                    assert carried == asked_of.get(y), t
+                    later += carried is not None
+                    asked_of[y] = supplies
+        assert later > 0 and settled > 0
 
     def test_every_repair_is_catch_up_and_one_push(self, random_suite, monkeypatch):
-        """Each repair `keep` makes in a pack leaves the state that
-        `catch_up` and one push of the imbalance, with the change of V at
-        sigma and the sink, leave on a copy: the same units routed in the
-        same order, so the kept flows, and every residual read off them,
-        are the ones the packer got before `keep` took over its repair."""
+        """Each `keep` a pack makes leaves the state that `catch_up` and one
+        push of the imbalance, with the change of each supply at its vertex
+        and of their sum at the sink, leave on a copy: the same units routed
+        in the same order.  It returns what that push leaves unrouted."""
         keep = FlowGraph.keep
         repairs = []
 
-        def compared(g, state, source, sink, value, was=0):
-            if state is None:
-                return keep(g, state, source, sink, value, was)
-            twin = [list(state[0]), set(state[1]), state[2]]
-            kept = keep(g, state, source, sink, value, was)
+        def compared(g, state, supplies, sink, carried=None):
+            twin = [list(state[0]), set(state[1]), state[2], dict(state[3])]
+            short = keep(g, state, supplies, sink, carried)
             need = catch_up(g, twin)
-            need[source] = need.get(source, 0) + value - was
-            need[sink] = need.get(sink, 0) - value + was
+            for v, units in supplies.items():
+                need[v] = need.get(v, 0) + units
+            for v, units in (carried or {}).items():
+                need[v] = need.get(v, 0) - units
+            need[sink] = need.get(sink, 0) + sum((carried or {}).values()) - sum(supplies.values())
             excess = {v: d for v, d in need.items() if d > 0}
             deficit = {v: -d for v, d in need.items() if d < 0}
-            if excess:
-                assert g.push(twin, excess, deficit, sum(excess.values())) == sum(excess.values())
-            assert twin == kept
+            want = sum(excess.values())
+            assert short == want - (g.push(twin, excess, deficit, want) if want else 0)
+            assert twin[:3] == state[:3]
             repairs.append(len(excess))
-            return kept
+            return short
 
         monkeypatch.setattr(FlowGraph, "keep", compared)
         for t in random_suite:
@@ -547,39 +543,32 @@ class TestPackSpanningTrees:
             pack_spanning_trees(lt, k)
         assert sum(n > 1 for n in repairs) > 0
 
-    @pytest.mark.parametrize("suite", ["random_suite", "clustered_suite"])
-    def test_certified_mu_equals_a_resume(self, request, suite, monkeypatch):
-        """Every mu that the residual from the arc's tail to its head
-        settles at mu0 is what a resume on a copy of the repaired flow
-        gives; the copy is taken when the residual is read.  An evaluation
-        the arc alone settles reads no residual."""
-        read = []
-        residual, mu = FlowGraph.residual, _Baselines.mu
-
-        def reading(g, state, src, dst):
-            read.append((g, g.copy(state)))
-            return residual(g, state, src, dst)
+    @pytest.mark.parametrize("networks", ["random_suite", "clustered_suite", "boxes_8x4", "fat_tree"])
+    def test_every_read_mu_is_a_fresh_flows_resume(self, request, networks, monkeypatch):
+        """Every mu that a read of a kept flow returns, full or short, is
+        what a resume of at most mu0 units from the arc's tail to its head
+        gives on a flow sigma -> head of value V made fresh on the graph as
+        it stands.  The suites and boxes 8x4 have both full and short
+        reads; the 4-pod fat-tree's 60 reads all come up full."""
+        kinds = Counter()
+        mu = _Baselines.mu
 
         def evaluated(self, arc, mu0):
-            alone = arc_alone(self, arc, mu0)
+            (x, y), g = arc, self.graph
+            if arc_alone(self, arc, mu0):
+                return mu(self, arc, mu0)
             got = mu(self, arc, mu0)
-            assert len(read) == (not alone), arc
-            if alone:
-                assert got == mu0, arc
-                return got
-            g, state = read.pop()
-            if residual(g, state, *arc) >= mu0:
-                assert got == mu0 == g.resume(state, [arc[0]], arc[1], mu0), arc
-                certified.append(arc)
+            value, flow = g.run_keep([self.sigma], [y], self.value)
+            assert value == self.value, arc
+            assert got == g.resume(flow, [x], y, mu0), arc
+            kinds[got == mu0] += 1
             return got
 
-        certified = []
-        monkeypatch.setattr(FlowGraph, "residual", reading)
         monkeypatch.setattr(_Baselines, "mu", evaluated)
-        for t in request.getfixturevalue(suite):
-            lt, k = remainder(t, None)
-            pack_spanning_trees(lt, k)
-        assert certified
+        found = globals().get(networks)
+        for t in [found()] if found else request.getfixturevalue(networks):
+            pack_spanning_trees(*remainder(t, None))
+        assert kinds[True] > 0 and (kinds[False] > 0) == (networks != "fat_tree"), kinds
 
     def test_mu_evaluation_counter_reports_work(self):
         forest = pack_spanning_trees(two_node_logical(), 3)
@@ -603,19 +592,19 @@ class TestTheArcAlone:
         """Packs each network.  Every evaluation the arc alone settles keeps
         no flow, and its mu0 is what a resume from the arc's tail to its
         head gives on a flow sigma -> head of value V made fresh on the
-        graph as it stands; every other evaluation keeps one.  Returns how
-        many evaluations the arc alone settled."""
+        graph as it stands; every other evaluation pushes its head's kept
+        flow.  Returns how many evaluations the arc alone settled."""
         keeps, settled = [], []
         keep, mu = FlowGraph.keep, _Baselines.mu
 
-        def kept(g, state, source, sink, value, was=0):
+        def kept(g, state, supplies, sink, carried=None):
             keeps.append(sink)
-            return keep(g, state, source, sink, value, was)
+            return keep(g, state, supplies, sink, carried)
 
         def evaluated(self, arc, mu0):
             (x, y), g, before = arc, self.graph, len(keeps)
             got = mu(self, arc, mu0)
-            assert len(keeps) == before + (not arc_alone(self, arc, mu0)), arc
+            assert (len(keeps) == before) == arc_alone(self, arc, mu0), arc
             if len(keeps) == before:
                 value, flow = g.run_keep([self.sigma], [y], self.value)
                 assert value == self.value, arc
@@ -648,9 +637,9 @@ class TestTheArcAlone:
         keeps, asked = [], []
         keep, mu = FlowGraph.keep, _Baselines.mu
 
-        def kept(g, state, source, sink, value, was=0):
+        def kept(g, state, supplies, sink, carried=None):
             keeps.append(sink)
-            return keep(g, state, source, sink, value, was)
+            return keep(g, state, supplies, sink, carried)
 
         def evaluated(self, arc, mu0):
             g, before = self.graph, len(keeps)
