@@ -44,21 +44,22 @@ def generate(t: Topology, collective: str = ALLGATHER, fixed_k: int | None = Non
     Returns (schedule, meta) where meta is the search result:
     `bottleneck_search(t)`, or `fixed_k_search(t, fixed_k)` when a tree
     count is given.  Either way the rest is one path: t scaled by
-    `scale_capacities(t, meta.U)`, switch removal and packing for meta.k
-    trees per root, assembly and pruning.  Switch removal refuses a
-    fixed-k floor that leaves some switch with in != out; its
-    NotEulerianAfterFloor propagates with meta as ``result``.  The
-    schedule carries meta's U, k, y, inv_x_star, exactness and witness
-    cut itself, so it validates, and certifies its bound, on its own;
-    passed as `validate_schedule`'s `expected`, meta cross-checks those
-    claims.
+    `scale_capacities(t, meta.U)`, switch removal seeded with meta's
+    witness cut (trusted only once checked tight, and then the pairings
+    it separates split nothing), packing for meta.k trees per root,
+    assembly and pruning.  Switch removal refuses a fixed-k floor that
+    leaves some switch with in != out; its NotEulerianAfterFloor
+    propagates with meta as ``result``.  The schedule carries meta's U,
+    k, y, inv_x_star, exactness and witness cut itself, so it validates,
+    and certifies its bound, on its own; passed as `validate_schedule`'s
+    `expected`, meta cross-checks those claims.
     """
     if collective not in COLLECTIVES:
         raise CollschedError(f"unknown collective {collective!r}")
     meta = bottleneck_search(t) if fixed_k is None else fixed_k_search(t, fixed_k)
     scaled = scale_capacities(t, meta.U)
     try:
-        logical, emap = remove_switches(scaled, meta.k)
+        logical, emap = remove_switches(scaled, meta.k, meta.witness)
     except NotEulerianAfterFloor as exc:
         exc.result = meta
         raise

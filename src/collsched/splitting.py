@@ -18,19 +18,22 @@ every split: it is the only record of the capacities while the switches
 dissolve, and the Topology left over is read off it.
 
 No split raises the capacity of a vertex set (Frank 1992, "On a theorem
-of Mader"), and gamma is at most the cap min(c(u,w), c(w,t)).  So a
-removal first takes every pairing at its cap, with no flow, and then asks
-once, by one Hao-Orlin pass, whether what is left still delivers N*k to
-every compute node.  If it does, no cut ever fell below N*k on the way,
-so every cap was feasible and was the exact gamma: the removal is the
-exact one, split for split.  If it does not, the removal starts again on
-a fresh graph and takes each gamma from the oracle below.
+of Mader"), and gamma is at most the cap min(c(u,w), c(w,t)).  For the
+same reason a vertex set at the least capacity the invariant allows, a
+tight set, stays there, and every pairing split across it has gamma 0.
+The search proves one such set, its witness cut, and each zero the exact
+flows find holds another; the oracle keeps each once checked, and in
+either pass a pairing a kept set separates takes 0 with no flow (see
+`_GammaOracle`).
 
-In that exact pass, for the same reason, a vertex set at the least
-capacity the invariant allows stays there, and every pairing split across
-it has gamma 0.  Each zero the flows find holds such a tight set; the
-oracle keeps it, once checked, and answers later pairings it separates
-without a flow (see `_GammaOracle`).
+So a removal first takes every other pairing at its cap, with no flow,
+and then asks once, by one Hao-Orlin pass, whether what is left still
+delivers N*k to every compute node.  If it does, no cut ever fell below
+N*k on the way, so the witness stayed tight, every zero it gave and every
+cap was feasible and was the exact gamma: the removal is the exact one,
+split for split.  If it does not, or an egress arc stalls on the
+witness's zeros, the removal starts again on a fresh graph and takes each
+gamma from the oracle below.
 
 Most positive gammas need no flow either.  With
 L = c(u,w) + c(t,w) + c(w,u) + c(w,t) - in(w) (for u == t,
@@ -78,16 +81,21 @@ class _GammaOracle:
     with demand `target` = N*k.  The graph is the working network:
     `dissolve` drains every switch on it by one amount rule, `cap` or
     `gamma`, `split` edits it in place, and `remainder` reads off the
-    compute-only network left over.  A γ that neither the local bound nor
-    a kept tight set settles runs two base flows on it, each between
-    terminal sets (see `gamma`).
+    compute-only network left over.  Before either rule, `_separated`
+    answers 0 for a pairing that a kept tight set separates.  A γ that
+    neither that nor the local bound settles runs two base flows on the
+    graph, each between terminal sets (see `gamma`).
 
-    The certificate.  `cap` takes every pairing at min(c(u,w), c(w,t)),
-    which bounds γ.  No split raises a cut (see tight sets below), so if
-    the graph left by dissolving on `cap` passes `invariant_holds`, every
-    graph on the way passed it too: each cap was feasible and so was γ,
-    and by induction the caps made the very splits `gamma` would have.
-    One Hao-Orlin pass then stands in for every flow of the removal.
+    The certificate.  `cap` takes every pairing that no kept set
+    separates at min(c(u,w), c(w,t)), which bounds γ.  No split raises a
+    cut (see tight sets below), so if the graph left by dissolving on
+    `cap` passes `invariant_holds`, every graph on the way passed it too:
+    a kept set stayed tight, so each 0 it gave was γ, and each cap was
+    feasible and so was γ; by induction the pass made the very splits
+    `gamma` would have.  One Hao-Orlin pass then stands in for every flow
+    of the removal.  The exact splits never leave an egress arc that no
+    tail may drain, so a cap pass that stalls on kept-set zeros has left
+    them, and fails the certificate like a remainder below N*k.
 
     The local bound.  Let L = c(u,w) + c(t,w) + c(w,u) + c(w,t) - in(w),
     or L = c(u,w) + c(w,u) - in(w) when u == t.  While every compute node
@@ -118,19 +126,30 @@ class _GammaOracle:
     tight set stays tight until the removal ends, and γ is 0 for every
     pairing it separates that way, since any split across it would take X
     below N*k (the "dangerous sets" of Frank 1992, "On a theorem of
-    Mader").  Every zero that `_min_slack` finds comes with such a set,
-    the cut of its last flow; `tight` keeps it once it is checked to hold
-    the source, to miss a compute node, to have capacity N*k and to
-    separate {u, t} from w, and `gamma` answers 0 from it before any flow.
-    A set is kept only after the flows found a zero that no kept set
-    certified, so no set is kept twice.
+    Mader").  `tight` holds the sets kept so far, and `_separated` answers
+    0 from them before any amount rule.  They come from two places:
+    - The search's witness cut S, given as `witness`.  On an exact search
+      B+(S) * inv_x_star = |S ∩ C| and U = k * inv_x_star, so S's exits
+      carry k*|S ∩ C| once scaled, and S + {source} has capacity N*k.  It
+      is checked the first time it separates a pairing with an amount to
+      take, and kept only if S names nodes of the network and S + {source}
+      misses a compute node and has capacity N*k as the graph then stands;
+      an empty witness, one with unknown ids, or one that is not tight
+      (a fixed-k witness whose floored exits exceed k*|S ∩ C|) is
+      dropped, never trusted.  Removals it separates nothing in pay for
+      no check.
+    - Every zero that `_min_slack` finds, with the cut of its last flow;
+      `_keep` keeps that cut once it is checked to be tight and to
+      separate {u, t} from w.  A cut is kept only after the flows found a
+      zero that no kept set certified, so no set is kept twice.
     """
 
-    def __init__(self, net: Topology, k: int) -> None:
+    def __init__(self, net: Topology, k: int, witness=frozenset()) -> None:
         self.net = net
         self.compute_ids = net.compute_ids
         self.graph, self.source, self.target = source_network(net, net.capacity, k)
         self.tight: list[frozenset[str]] = []
+        self.witness = frozenset(witness) or None  # checked when first used
         self.at: str | None = None  # the switch whose in-capacity is `inflow`
         self.inflow = 0
 
@@ -191,18 +210,15 @@ class _GammaOracle:
         from {w, s} to {u, t}.
 
         Before any flow, the local bound answers min(c(u,w), c(w,t)) when
-        the invariant holds and L reaches it, and a kept tight set that
-        separates {u, t} from w, either way round, answers 0 (see the
-        class docstring).
+        the invariant holds and L reaches it (see the class docstring).
+        A pairing that a kept tight set separates never gets here:
+        `dissolve` answers it 0 first.
         """
         best = self.cap(u, w, t)
         if best <= 0:
             return 0
         if self.invariant_holds and self._margin(u, w, t) >= best:
             return best
-        for X in self.tight:
-            if (u in X) == (t in X) != (w in X):
-                return 0
         best, cut = self._min_slack(
             [u, self.source, t],
             [w],
@@ -219,22 +235,47 @@ class _GammaOracle:
     def _keep(self, X: frozenset[str], u: str, w: str, t: str) -> None:
         """Keep X, the cut behind a zero γ of (u, w),(w, t), if it is tight
         and separates {u, t} from w."""
-        g = self.graph
-        if (
-            self.source in X
-            and not X.issuperset(self.compute_ids)
-            and (u in X) == (t in X) != (w in X)
-            and sum(c for a, b, c in g.arcs() if a in X and b not in X) == self.target
-        ):
+        if (u in X) == (t in X) != (w in X) and self._tight(X):
             self.tight.append(X)
 
+    def _tight(self, X: frozenset[str]) -> bool:
+        """Whether X holds the source, misses a compute node and has
+        capacity N*k in the graph as it stands."""
+        return (
+            self.source in X
+            and not X.issuperset(self.compute_ids)
+            and sum(c for a, b, c in self.graph.arcs() if a in X and b not in X) == self.target
+        )
+
+    def _separated(self, u: str, w: str, t: str) -> bool:
+        """Whether a kept tight set separates {u, t} from w, either way
+        round, so that (u, w),(w, t) takes 0 by either amount rule.  The
+        witness S is checked the first time it separates a pairing that
+        has an amount to take: S + {source} is kept if S names only nodes
+        of the network and the set is tight, and S is dropped either way
+        (see the class docstring)."""
+        for X in self.tight:
+            if (u in X) == (t in X) != (w in X):
+                return True
+        S = self.witness
+        if S is None or not (u in S) == (t in S) != (w in S) or not self.cap(u, w, t):
+            return False
+        self.witness = None
+        X = S | {self.source}
+        if S <= self.net.node_by_id.keys() and self._tight(X):
+            self.tight.append(X)
+            return True
+        return False
+
     def dissolve(self, amount) -> EMap:
-        """Drain every switch of the graph, each split taking
-        `amount(u, w, t)`, and return the EMap of the splits (see
-        `remove_switches` for the order).  The heads and tails of w and
-        the capacity left on each egress arc are read once, off w's
-        adjacency: a split at w lowers only w's own arcs and adds arcs
-        that bypass it, and only the pairings of (w, t) lower (w, t)."""
+        """Drain every switch of the graph, each split taking 0 if a kept
+        tight set separates the pairing and `amount(u, w, t)` otherwise,
+        and return the EMap of the splits (see `remove_switches` for the
+        order); StuckSplit if a pass over the tails drains nothing.  The
+        heads and tails of w and the capacity left on each egress arc are
+        read once, off w's adjacency: a split at w lowers only w's own
+        arcs and adds arcs that bypass it, and only the pairings of (w, t)
+        lower (w, t)."""
         emap = EMap()
         g = self.graph
         for w in self.net.switch_ids:
@@ -256,7 +297,7 @@ class _GammaOracle:
                 while left:
                     progressed = False
                     for u in order:
-                        a = amount(u, w, t)
+                        a = 0 if self._separated(u, w, t) else amount(u, w, t)
                         if a > 0:
                             self.split(u, w, t, a, emap)
                             left -= a
@@ -367,7 +408,7 @@ class _GammaOracle:
 # Removal loop
 # ---------------------------------------------------------------------------
 
-def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
+def remove_switches(scaled: Topology, k: int, witness=frozenset()) -> tuple[Topology, EMap]:
     """Dissolve every switch of the scaled network into logical arcs.
 
     Switches go in sorted id order on a `_GammaOracle`, whose graph is
@@ -382,13 +423,23 @@ def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
     the order moves only the arcs left over, and with them the size of
     every flow graph that split and pack run on.
 
-    The removal runs first with every pairing at its cap, with no flow,
-    and one Hao-Orlin pass then checks that what is left still delivers
-    N*k to every compute node.  No split raises a cut and the cap bounds
-    the exact split amount, so a remainder that passes proves every cap
-    feasible: the result is the exact removal's, split for split, with
-    no split-amount flow.  Otherwise the removal runs again on a fresh
-    oracle, each amount the exact gamma (see `_GammaOracle`).
+    `witness` is the search's witness cut S, or empty.  Checked when a
+    pairing it separates first has an amount to take, S + {source} is
+    kept as a tight set if it is one, and every pairing it separates then
+    takes 0; otherwise S is ignored.  The removal runs first with every
+    other pairing at its cap, with no flow, and one Hao-Orlin pass then
+    checks that what is left still delivers N*k to every compute node.
+    No split raises a cut and the cap bounds the exact split amount, so a
+    remainder that passes proves the witness stayed tight and every cap
+    feasible: the result is the exact removal's, split for split, with no
+    split-amount flow.  An egress arc that stalls on the witness's zeros
+    proves they left the exact path, and fails the certificate too.
+    Then the removal runs again on a fresh oracle, with the same witness,
+    each amount the exact gamma (see `_GammaOracle`).  On the `boxes`
+    networks the witness leaves out whole boxes, whose same-box pairings
+    at the NIC switch have γ 0, so the caps alone certify; networks of
+    two boxes, and those whose witness leaves out a single GPU, still
+    fall back.
 
     Splitting needs in = out only at the switch being split (Mader 1982;
     Frank 1992), and a split changes no other node's in- or out-capacity
@@ -400,10 +451,10 @@ def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
     capacities are the logical arcs, and the EMap recording how each
     created arc routes physically.  Raises NotEulerianAfterFloor (with
     ``result`` None) naming every switch whose in- and out-capacity
-    differ, before any flow graph is built; StuckSplit if a full pass of
-    tails admits no positive amount for a remaining egress arc, which a
-    balanced switch under the N*k flow invariant never triggers; and
-    CollschedError unless k is an int >= 1.
+    differ, before any flow graph is built; StuckSplit if, in the exact
+    pass, a full pass of tails admits no positive amount for a remaining
+    egress arc, which a balanced switch under the N*k flow invariant
+    never triggers; and CollschedError unless k is an int >= 1.
     """
     require_tree_count(k)
     unbalanced = [w for w in scaled.switch_ids if scaled.in_bw[w] != scaled.out_bw[w]]
@@ -416,10 +467,16 @@ def remove_switches(scaled: Topology, k: int) -> tuple[Topology, EMap]:
         compute = [n for n in scaled.nodes if n.kind == COMPUTE]
         links = [Link(a, b, c) for (a, b), c in sorted(scaled.capacity.items())]
         return Topology(compute, links), EMap()
-    oracle = _GammaOracle(scaled, k)
-    emap = oracle.dissolve(oracle.cap)
-    if not oracle.invariant_holds:
-        oracle = _GammaOracle(scaled, k)
+    oracle = _GammaOracle(scaled, k, witness)
+    try:
+        emap = oracle.dissolve(oracle.cap)
+        certified = oracle.invariant_holds
+    except StuckSplit:
+        # Only the witness's zeros can stall the caps, and the exact
+        # splits never stall: this pass has left them.
+        certified = False
+    if not certified:
+        oracle = _GammaOracle(scaled, k, witness)
         emap = oracle.dissolve(oracle.gamma)
     return oracle.remainder(), emap
 

@@ -172,6 +172,39 @@ def with_auxiliary_names(t: Topology) -> Topology:
     return Topology(nodes, links)
 
 
+class TestSwitchRemoval:
+    def test_the_search_witness_seeds_the_removal(self, monkeypatch):
+        """generate hands the search's witness cut to switch removal, so
+        on boxes 3x2 the cap-only certificate holds and one oracle serves
+        the removal; the schedule is the one the unseeded removal gives."""
+        from collsched import splitting
+
+        t = synth_topology("boxes", boxes=3, gpus_per_box=2, intra=2, inter=1)
+        meta = bottleneck_search(t)
+        scaled = scale_capacities(t, meta.U)
+        logical, emap = remove_switches(scaled, meta.k)
+        ag = assemble_allgather(pack_spanning_trees(logical, meta.k), emap, scaled, meta)
+        expected = export(prune_multicast(ag, t), "json")
+
+        seen, oracles = [], []
+        remove, init = splitting.remove_switches, splitting._GammaOracle.__init__
+
+        def recorded(*args):
+            seen.append(args)
+            return remove(*args)
+
+        def counted(self, *args):
+            oracles.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr("collsched.pipeline.remove_switches", recorded)
+        monkeypatch.setattr(splitting._GammaOracle, "__init__", counted)
+        s, got = generate(t)
+        assert seen == [(scaled, meta.k, meta.witness)] and got == meta
+        assert len(oracles) == 1
+        assert export(s, "json") == expected
+
+
 class TestNaming:
     def test_the_schedule_does_not_depend_on_input_order(self, random_suite, clustered_suite):
         """Listing a network's nodes and links in another order moves no

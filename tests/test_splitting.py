@@ -159,13 +159,24 @@ class TestComputeGamma:
         assert resumes["calls"] > 0 and resumes["short"] > 0, resumes
 
 
+def flow_gamma(oracle, u, w, t) -> int:
+    """γ of (u, w),(w, t) by the flows alone: on a fresh oracle of the
+    network the oracle's graph holds, with no kept set and no witness."""
+    links = [Link(a, b, c) for a, b, c in oracle.graph.arcs() if a != oracle.source]
+    k = oracle.target // len(oracle.compute_ids)
+    return _GammaOracle(Topology(oracle.net.nodes, links), k).gamma(u, w, t)
+
+
 class TestTightSets:
     def test_certified_zeros_equal_the_flows(self, random_suite, monkeypatch):
         """On the small switched suite, the random suite and the boxes
-        networks 8x4 and 16x8, every γ that a kept tight set answers is 0
-        by the flows too (both are run), and every kept set holds the
-        source, misses a compute node and has capacity N*k when it is kept
-        and still when its removal ends: no split raises a cut."""
+        networks 8x4 and 16x8, removed with the search's witness and
+        without it, every pairing with an amount to take that a kept tight
+        set answers is 0 by the flows too, on a fresh oracle of the network
+        as it stands, in either pass; and every kept set, the witness's
+        included, holds the source, misses a compute node and has capacity
+        N*k when it is kept and still when its removal ends: no split
+        raises a cut."""
         suites = {
             "small": small_switched_suite(),
             "random": random_suite,
@@ -174,50 +185,62 @@ class TestTightSets:
                 for b, g in ((8, 4), (16, 8))
             ],
         }
-        gamma, keep = _GammaOracle.gamma, _GammaOracle._keep
-        seen = {suite: {"certified": 0, "kept": 0} for suite in suites}
+        separated, keep = _GammaOracle._separated, _GammaOracle._keep
+        seen = {
+            (suite, seeded): {"certified": 0, "kept": 0}
+            for suite in suites
+            for seeded in (False, True)
+        }
 
         def tight(oracle, X):
             g = oracle.graph
             assert oracle.source in X and not X.issuperset(oracle.compute_ids), X
             assert sum(c for a, b, c in g.arcs() if a in X and b not in X) == oracle.target, X
 
+        def kept_since(oracle, before):
+            for X in oracle.tight[before:]:
+                tight(oracle, X)
+                seen[run]["kept"] += 1
+            oracles.add(oracle)
+
         def checked(oracle, u, w, t):
-            sets = oracle.tight
-            positive = min(oracle.graph.capacity(u, w), oracle.graph.capacity(w, t)) > 0
-            if positive and any((u in X) == (t in X) != (w in X) for X in sets):
-                assert gamma(oracle, u, w, t) == 0
-                oracle.tight = []
+            before = len(oracle.tight)
+            answered = separated(oracle, u, w, t)
+            kept_since(oracle, before)
+            if answered and oracle.cap(u, w, t) > 0:
+                probing.append(1)
                 try:
-                    assert gamma(oracle, u, w, t) == 0, (u, w, t)
+                    assert flow_gamma(oracle, u, w, t) == 0, (u, w, t)
                 finally:
-                    oracle.tight = sets
-                seen[suite]["certified"] += 1
-                return 0
-            return gamma(oracle, u, w, t)
+                    probing.pop()
+                seen[run]["certified"] += 1
+            return answered
 
         def kept(oracle, X, u, w, t):
             before = len(oracle.tight)
             keep(oracle, X, u, w, t)
-            if len(oracle.tight) > before:
-                tight(oracle, X)
-                seen[suite]["kept"] += 1
-                oracles.add(oracle)
+            if not probing:  # the fresh oracle of a flow_gamma check
+                kept_since(oracle, before)
 
-        oracles = set()
-        monkeypatch.setattr(_GammaOracle, "gamma", checked)
+        oracles, probing = set(), []
+        monkeypatch.setattr(_GammaOracle, "_separated", checked)
         monkeypatch.setattr(_GammaOracle, "_keep", kept)
         for suite, nets in suites.items():
             for t in nets:
                 res = bottleneck_search(t)
-                remove_switches(scale_capacities(t, res.U), res.k)
+                for seeded in (False, True):
+                    run = (suite, seeded)
+                    remove_switches(scale_capacities(t, res.U), res.k, res.witness if seeded else ())
         for oracle in oracles:
             for X in oracle.tight:
                 tight(oracle, X)
-        # The small and random networks keep sets but pair nothing across
-        # them later; the boxes certify 5 (8x4) and 27 (16x8) zeros.
-        assert all(counts["kept"] > 0 for counts in seen.values()), seen
-        assert seen["boxes"]["certified"] >= 32, seen
+        # Unseeded, the small and random networks keep sets but pair
+        # nothing across them later, and the boxes certify 5 (8x4) and 27
+        # (16x8) zeros in their exact passes.  Seeded, the boxes keep only
+        # their two witnesses, which answer 34 zeros in the cap passes.
+        assert all(seen[suite, False]["kept"] > 0 for suite in suites), seen
+        assert seen["boxes", False]["certified"] >= 32, seen
+        assert seen["boxes", True]["kept"] == 2 and seen["boxes", True]["certified"] >= 34, seen
 
 
 def margin(g, u, w, t) -> int:
@@ -437,23 +460,38 @@ class TestRemoveSwitches:
         assert all(len(via) == 1 for via in emap.entries.values())
 
 
+def counted_oracles(monkeypatch) -> list:
+    """A list that gains an entry for every `_GammaOracle` built."""
+    oracles = []
+    init = _GammaOracle.__init__
+
+    def counted(self, *args):
+        oracles.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(_GammaOracle, "__init__", counted)
+    return oracles
+
+
+def boxes_removal(boxes, gpus, intra):
+    """A `boxes` network with inter 1 at its optimum: (scaled, search result)."""
+    t = synth_topology("boxes", boxes=boxes, gpus_per_box=gpus, intra=intra, inter=1)
+    res = bottleneck_search(t)
+    return scale_capacities(t, res.U), res
+
+
 class TestCertificate:
     def test_removal_equals_the_exact_one(self, random_suite, clustered_suite, monkeypatch):
         """remove_switches gives the exact removal's links and EMap, in
         insertion order, whether the cap-only pass is certified (one
-        oracle) or falls back (two): the random and clustered suites at
-        the optimal k and fixed k = 1-4, boxes 2-16 and fat-trees of 4, 8
-        and 16 pods.  Both paths run."""
+        oracle) or falls back (two), with the search's witness and without
+        it: the random and clustered suites at the optimal k and fixed
+        k = 1-4, boxes 2-16 and fat-trees of 4, 8 and 16 pods.  Both paths
+        run both ways, the witness never adds an oracle, and it saves the
+        exact pass of some removals."""
         from collsched import fixed_k_search
 
-        oracles = []
-        init = _GammaOracle.__init__
-
-        def counted(self, net, k):
-            oracles.append(1)
-            init(self, net, k)
-
-        monkeypatch.setattr(_GammaOracle, "__init__", counted)
+        oracles = counted_oracles(monkeypatch)
         runs = []
         for t in random_suite + clustered_suite:
             runs.append((t, bottleneck_search(t)))
@@ -464,19 +502,118 @@ class TestCertificate:
         for pods in (4, 8, 16):
             t = synth_topology("fat-tree", pods=pods, gpus=4 * pods, spines=4, leaf_bw=4, spine_bw=3)
             runs.append((t, bottleneck_search(t)))
-        passes = {1: 0, 2: 0}
+        passes = {witness: {1: 0, 2: 0} for witness in (False, True)}
+        saved = 0
         for t, res in runs:
             if not t.switch_ids:
                 continue
             scaled = scale_capacities(t, res.U)
-            oracles.clear()
             try:
-                got = remove_switches(scaled, res.k)
+                remove_switches(scaled, res.k)
             except NotEulerianAfterFloor:
+                with pytest.raises(NotEulerianAfterFloor):
+                    remove_switches(scaled, res.k, res.witness)
                 continue
-            passes[len(oracles)] += 1
-            assert removal_record(*got) == removal_record(*exact_removal(scaled, res.k)), t
-        assert passes[1] >= 1000 and passes[2] >= 10, passes
+            exact = removal_record(*exact_removal(scaled, res.k))
+            built = {}
+            for witness in (False, True):
+                oracles.clear()
+                got = remove_switches(scaled, res.k, res.witness if witness else frozenset())
+                built[witness] = len(oracles)
+                passes[witness][len(oracles)] += 1
+                assert removal_record(*got) == exact, (t, witness)
+            assert built[True] <= built[False], t
+            saved += built[True] < built[False]
+        assert passes[False][1] >= 1000 and passes[False][2] >= 10, passes
+        assert passes[True][2] >= 10 and saved >= 3, (passes, saved)
+
+    @pytest.mark.parametrize(
+        "boxes, gpus, intra, oracles",
+        [(3, 2, 2, 1), (8, 4, 8, 1), (16, 8, 8, 1), (2, 2, 2, 2), (4, 8, 8, 2)],
+    )
+    def test_the_witness_certifies_the_boxes(self, boxes, gpus, intra, oracles, monkeypatch):
+        """The search's witness leaves out whole boxes on boxes 3x2, 8x4 and
+        16x8, so the same-box pairings it separates take 0 in the cap pass
+        and the cap-only certificate holds.  Boxes 2x2 and 4x8 still fall
+        back (4x8's witness leaves out a single GPU).  Either way the
+        removal is the exact one."""
+        scaled, res = boxes_removal(boxes, gpus, intra)
+        built = counted_oracles(monkeypatch)
+        got = remove_switches(scaled, res.k, res.witness)
+        assert len(built) == oracles
+        assert removal_record(*got) == removal_record(*exact_removal(scaled, res.k))
+
+    def test_a_stalled_cap_pass_falls_back(self, monkeypatch):
+        """On boxes 2x2 (intra 8), the witness's zeros leave an egress arc
+        of the NIC switch that no tail may drain: the seeded cap pass
+        stalls, which counts as a failed certificate, and the exact pass
+        gives the exact removal with no StuckSplit escaping."""
+        scaled, res = boxes_removal(2, 2, 8)
+        stalls = []
+        dissolve = _GammaOracle.dissolve
+
+        def watched(oracle, amount):
+            try:
+                return dissolve(oracle, amount)
+            except StuckSplit:
+                stalls.append(amount.__name__)
+                raise
+
+        monkeypatch.setattr(_GammaOracle, "dissolve", watched)
+        got = remove_switches(scaled, res.k, res.witness)
+        assert stalls == ["cap"]
+        assert removal_record(*got) == removal_record(*exact_removal(scaled, res.k))
+
+    def test_an_untrusted_witness_is_ignored(self, monkeypatch):
+        """A witness that is not a tight set of the network is ignored
+        when a pairing first asks it, and the removal is the exact one with
+        no error:
+        - a fixed-k witness whose floored exits exceed k*|S ∩ C|
+          (random_eulerian_topology(18) at k = 3), whose zeros would change
+          the removal;
+        - the set of every node but the NIC switch of boxes 2x2 (intra 2),
+          of capacity in(w0) = N*k but holding every compute node, whose
+          zeros would stall both passes;
+        - boxes 8x4's own witness with an unknown id added, which would
+          certify the removal with one oracle."""
+        from collsched import fixed_k_search
+
+        t = random_eulerian_topology(18)
+        res = fixed_k_search(t, 3)
+        scaled = scale_capacities(t, res.U)
+        exits = sum(c for (a, b), c in scaled.capacity.items() if a in res.witness and b not in res.witness)
+        assert exits > res.k * sum(c in res.witness for c in t.compute_ids)
+        cases = [(scaled, res.k, res.witness, 1)]
+
+        scaled, res = boxes_removal(2, 2, 2)
+        assert scaled.in_bw["w0"] == res.k * scaled.num_compute
+        cases.append((scaled, res.k, frozenset(scaled.node_by_id) - {"w0"}, 2))
+
+        scaled, res = boxes_removal(8, 4, 8)
+        cases.append((scaled, res.k, res.witness | {"nowhere"}, 2))
+        cases.append((scaled, res.k, frozenset(), 2))
+
+        separated = _GammaOracle._separated
+        dropped = []
+
+        def asked(oracle, u, w, t):
+            witness = oracle.witness
+            answered = separated(oracle, u, w, t)
+            if witness is not None and oracle.witness is None:
+                dropped.append(answered)
+            return answered
+
+        monkeypatch.setattr(_GammaOracle, "_separated", asked)
+        built = counted_oracles(monkeypatch)
+        for scaled, k, witness, oracles in cases:
+            built.clear()
+            dropped.clear()
+            got = remove_switches(scaled, k, witness)
+            assert len(built) == oracles, witness
+            assert removal_record(*got) == removal_record(*exact_removal(scaled, k)), witness
+            # Checked at most once per pass, and never trusted; an empty
+            # witness is never asked.
+            assert (0 < len(dropped) <= oracles and not any(dropped)) == bool(witness), witness
 
     def test_a_forced_certificate_breaks_the_boxes(self, monkeypatch):
         """On boxes 8x4 a box is tight, so the caps of same-box pairings at
@@ -499,7 +636,8 @@ class TestRemovalGraph:
     def test_one_flow_graph_per_pass(self, random_suite, monkeypatch):
         """A certified removal edits the one graph built for it, a removal
         that falls back builds one more for the exact pass, and a network
-        without switches builds none."""
+        without switches builds none, with the search's witness and
+        without it."""
         builds, passes = [], []
         init, dissolve = FlowGraph.__init__, _GammaOracle.dissolve
 
@@ -514,20 +652,23 @@ class TestRemovalGraph:
         monkeypatch.setattr(FlowGraph, "__init__", counted)
         monkeypatch.setattr(_GammaOracle, "dissolve", named)
         boxes = [synth_topology("boxes", boxes=b, gpus_per_box=g, intra=8, inter=1) for b, g in ((3, 2), (8, 4))]
-        seen = {"cap": 0, "gamma": 0}
+        seen = {(witness, name): 0 for witness in (False, True) for name in ("cap", "gamma")}
         for t in random_suite + boxes:
             res = bottleneck_search(t)
             scaled = scale_capacities(t, res.U)
-            builds.clear()
-            passes.clear()
-            lt, emap = remove_switches(scaled, res.k)
-            if not t.switch_ids:
-                assert builds == passes == [], t
-                continue
-            assert passes in (["cap"], ["cap", "gamma"]), (t, passes)
-            assert len(builds) == len(passes), t
-            seen[passes[-1]] += 1
-        assert seen["cap"] > 100 and seen["gamma"] >= 2, seen
+            for witness in (False, True):
+                builds.clear()
+                passes.clear()
+                lt, emap = remove_switches(scaled, res.k, res.witness if witness else frozenset())
+                if not t.switch_ids:
+                    assert builds == passes == [], t
+                    continue
+                assert passes in (["cap"], ["cap", "gamma"]), (t, passes)
+                assert len(builds) == len(passes), t
+                seen[witness, passes[-1]] += 1
+        # With the witness the boxes certify, and fewer removals fall back.
+        assert seen[False, "cap"] > 100 and seen[False, "gamma"] >= 2, seen
+        assert seen[True, "cap"] >= seen[False, "cap"] + 2, seen
         assert any(not t.switch_ids for t in random_suite)
 
     def test_a_failing_invariant_is_a_stuck_split(self):
