@@ -10,20 +10,19 @@ raises CollschedError.
 The graph is the network as it stands, and every flow is a residual state
 on it.  Each vertex pair has at most one arc, and an arc is in the
 adjacency lists exactly while its capacity is positive; `capacity`, `arcs`
-and `arcs_at` read it.  `state()` carries no flow and `copy` clones a
-state.  `grow` adds vertices and arcs, which every state gains carrying no
-flow, or raises the arc of a pair that has one.  `lower` cuts one arc's
-capacity.  Both edit the graph only, and an arc edited in place goes on
-the graph's edit log; a state remembers how far into the log it has been
-brought.  `keep` holds a flow into a sink through edits and changes of
-its supplies: it brings the state to the end of the log, clamping its
-flow on every arc edited since to the arc's new capacity, which leaves d
-units of imbalance at the tail and -d at the head of an arc that dropped
-d (a raised arc drops nothing), and routes that imbalance and the change
-of supplies in one push; what it leaves unrouted is a cut question's
-answer, and the state owes it to the next `keep`.  Every other call on a
-state refuses one that is behind the log, and a later state starts from
-the edited network.
+and `arcs_at` read it.  `state()` carries no flow.  `grow` adds vertices
+and arcs, which every state gains carrying no flow, or raises the arc of a
+pair that has one.  `lower` cuts one arc's capacity.  Both edit the graph
+only, and an arc edited in place goes on the graph's edit log; a state
+remembers how far into the log it has been brought.  `keep` holds a flow
+into a sink through edits and changes of its supplies: it brings the state
+to the end of the log, clamping its flow on every arc edited since to the
+arc's new capacity, which leaves d units of imbalance at the tail and -d
+at the head of an arc that dropped d (a raised arc drops nothing), and
+routes that imbalance and the change of supplies in one push; what it
+leaves unrouted is a cut question's answer, and the state owes it to the
+next `keep`.  Every other call on a state refuses one that is behind the
+log, and a later state starts from the edited network.
 
 A flow runs between terminal sets: `run(sources, sinks)` is the max flow
 from the vertices `sources` to the vertices `sinks`, that is the least
@@ -41,8 +40,10 @@ of a minimum cut.  `resume` pushes more flow in place from a set of
 sources to a sink: the amount is the least R-capacity of a cut holding the
 sources but not the sink, up to a limit.  Successive resumes share R as
 long as each one's sources hold every earlier resume's sources and sink
-(Hao & Orlin's growing source set), which the engine checks; a fresh copy
-of R has no earlier terminals.  These are the engine's cut questions.
+(Hao & Orlin's growing source set), which the engine checks; a fresh
+state has no earlier terminals.  These are the engine's cut questions.
+`short_sink` asks the one the search and the splitter share: the first of
+a list of sinks short of a demand, and its cut, by one pass of resumes.
 
 `push` moves more flow between vertex sets in place with no terminal
 rule.  Either set may give each vertex an amount, the most it sends or
@@ -255,10 +256,6 @@ class FlowGraph:
         imbalance, by vertex index, that its last `keep` left unrouted."""
         return [self._cap0.copy(), set(), len(self._log), {}]
 
-    def copy(self, state: list) -> list:
-        """An independent copy of `state`."""
-        return [self._caps(state).copy(), set(state[1]), state[2], dict(state[3])]
-
     def lower(self, src, dst, amount: int) -> None:
         """Lower the capacity of the arc from `src` to `dst` in the graph by
         `amount`, in place, and log the arc for `keep`; an arc lowered
@@ -432,6 +429,36 @@ class FlowGraph:
         pinned.update(starts)
         pinned.add(t)
         return pushed
+
+
+def short_sink(graph: FlowGraph, source, sinks, demand: int) -> tuple | None:
+    """The first of `sinks` to which less than `demand` flows from
+    `source` in `graph`, with the source side of its least cut, as
+    (sink, side); None when every sink receives the demand.
+
+    The sinks share one residual state, following Hao & Orlin (1994), "A
+    faster algorithm for finding the minimum cut in a directed graph":
+    with the sinks in order v1, v2, ... and S(i) = {source, v1 .. vi},
+    each vi is resumed from S(i-1), in place.  Flow pushed from S(i-1) to
+    vi crosses no cut that holds both, so every later cut keeps its value
+    in the residual; `resume`'s terminal rule checks exactly this.  Then
+    min over v of lambda(source, v) = min over i of lambda(S(i-1), vi),
+    lambda(X, v) being the least capacity of a cut that holds X but not
+    v: a larger source set only removes cuts, and the first vi outside a
+    least cut X has S(i-1) inside it.  Let v be the first sink whose min
+    cut from the source is below the demand.  A cut missing an earlier
+    sink costs at least the demand, so every cut below it that holds the
+    source but not v holds S(i-1): from S(i-1), v fails as from the
+    source, with the same least min cut, which `reach` reads after v's
+    resume.  So the failing sink and its cut are those of a fresh flow
+    per sink.
+    """
+    state, settled = graph.state(), [source]
+    for sink in sinks:
+        if graph.resume(state, settled, sink, demand) < demand:
+            return sink, graph.reach(state, settled, 1)
+        settled.append(sink)
+    return None
 
 
 def _checked_limit(limit) -> int:

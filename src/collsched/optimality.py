@@ -21,8 +21,8 @@ compute node and asks whether every compute node receives N times the
 source's per-node supply.  If some node falls short, the source side of its
 min cut (minus the auxiliary source) is a cut S whose own value exceeds v,
 and the search jumps there; a probe's nodes share one residual state
-(`_cut_search`).  The first probe that succeeds is exactly the optimum,
-and the last S is a witness cut that attains it.  Every value probed is
+(`maxflow.short_sink`).  The first probe that succeeds is exactly the
+optimum, and the last S is a witness cut that attains it.  Every value probed is
 the value of a real cut, so no interval and no rounding are involved.
 Each jump strictly raises the value over a finite set of cuts, and for the
 ratio Radzik (1992) bounds the jumps strongly polynomially.
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CollschedError
-from .maxflow import source_network
+from .maxflow import short_sink, source_network
 from .topology import Topology, require_tree_count, require_valid
 
 
@@ -90,14 +90,8 @@ def _cut_search(t: Topology, cut_value, probe):
     being floor(scale*b_e) on each link.  Returns (optimal value, witness
     cut, number of probes).
 
-    The sinks of a probe share one residual state, as in Hao & Orlin
-    (1994): each is resumed from S, the source and the sinks that passed
-    before it.  Let v be the first sink whose min cut from the source is
-    below the demand.  A cut missing an earlier sink costs at least the
-    demand, so every cut below it that holds the source but not v holds S:
-    from S, v fails as from the source, with the same least min cut, which
-    `reach` reads from S after v's resume.  So the failing sink and its cut
-    are those of a fresh flow per sink.
+    A probe is one Hao-Orlin pass over the sinks (`short_sink`), whose
+    failing sink and cut are those of a fresh flow per sink.
     """
     # Start from the cut that leaves out the compute node with the least
     # in-bandwidth; sinks are tried most-recently-failed first.
@@ -112,15 +106,13 @@ def _cut_search(t: Topology, cut_value, probe):
         p, q = scale.numerator, scale.denominator
         caps = {(l.src, l.dst): p * l.bandwidth // q for l in t.links}
         g, source, target = source_network(t, caps, supply)
-        state, settled = g.state(), [source]
-        for i, sink in enumerate(sinks):
-            if g.resume(state, settled, sink, target) < target:
-                sinks.insert(0, sinks.pop(i))
-                cut = g.reach(state, settled, 1) - {source}
-                break
-            settled.append(sink)
-        else:
+        short = short_sink(g, source, sinks, target)
+        if short is None:
             return value, witness, probes
+        sink, side = short
+        sinks.remove(sink)
+        sinks.insert(0, sink)
+        cut = side - {source}
         jump = cut_value(cut)
         if jump <= value:
             # Theory guarantees the failing cut's own value exceeds the

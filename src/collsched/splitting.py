@@ -21,10 +21,9 @@ No split raises the capacity of a vertex set (Frank 1992, "On a theorem
 of Mader"), and gamma is at most the cap min(c(u,w), c(w,t)).  For the
 same reason a vertex set at the least capacity the invariant allows, a
 tight set, stays there, and every pairing split across it has gamma 0.
-The search proves one such set, its witness cut, and each zero the exact
-flows find holds another; the oracle keeps each once checked, and in
-either pass a pairing a kept set separates takes 0 with no flow (see
-`_GammaOracle`).
+The search proves one such set, its witness cut; the oracle keeps it once
+checked, and in either pass a pairing it separates takes 0 with no flow
+(see `_GammaOracle`).
 
 So a removal first takes every other pairing at its cap, with no flow,
 and then asks once, by one Hao-Orlin pass, whether what is left still
@@ -49,7 +48,7 @@ from bisect import bisect_left
 from functools import cached_property
 
 from .errors import CapacityExhausted, CollschedError, NotEulerianAfterFloor, StuckSplit
-from .maxflow import source_network
+from .maxflow import short_sink, source_network
 from .topology import COMPUTE, Link, Topology, require_tree_count
 
 
@@ -82,20 +81,20 @@ class _GammaOracle:
     `dissolve` drains every switch on it by one amount rule, `cap` or
     `gamma`, `split` edits it in place, and `remainder` reads off the
     compute-only network left over.  Before either rule, `_separated`
-    answers 0 for a pairing that a kept tight set separates.  A γ that
+    answers 0 for a pairing that the kept tight set separates.  A γ that
     neither that nor the local bound settles runs two base flows on the
     graph, each between terminal sets (see `gamma`).
 
-    The certificate.  `cap` takes every pairing that no kept set
-    separates at min(c(u,w), c(w,t)), which bounds γ.  No split raises a
-    cut (see tight sets below), so if the graph left by dissolving on
+    The certificate.  `cap` takes every pairing that the kept set does
+    not separate at min(c(u,w), c(w,t)), which bounds γ.  No split raises
+    a cut (see tight sets below), so if the graph left by dissolving on
     `cap` passes `invariant_holds`, every graph on the way passed it too:
-    a kept set stayed tight, so each 0 it gave was γ, and each cap was
+    the kept set stayed tight, so each 0 it gave was γ, and each cap was
     feasible and so was γ; by induction the pass made the very splits
     `gamma` would have.  One Hao-Orlin pass then stands in for every flow
     of the removal.  The exact splits never leave an egress arc that no
-    tail may drain, so a cap pass that stalls on kept-set zeros has left
-    them, and fails the certificate like a remainder below N*k.
+    tail may drain, so a cap pass that stalls on the kept set's zeros has
+    left them, and fails the certificate like a remainder below N*k.
 
     The local bound.  Let L = c(u,w) + c(t,w) + c(w,u) + c(w,t) - in(w),
     or L = c(u,w) + c(w,u) - in(w) when u == t.  While every compute node
@@ -126,51 +125,39 @@ class _GammaOracle:
     tight set stays tight until the removal ends, and γ is 0 for every
     pairing it separates that way, since any split across it would take X
     below N*k (the "dangerous sets" of Frank 1992, "On a theorem of
-    Mader").  `tight` holds the sets kept so far, and `_separated` answers
-    0 from them before any amount rule.  They come from two places:
-    - The search's witness cut S, given as `witness`.  On an exact search
-      B+(S) * inv_x_star = |S ∩ C| and U = k * inv_x_star, so S's exits
-      carry k*|S ∩ C| once scaled, and S + {source} has capacity N*k.  It
-      is checked the first time it separates a pairing with an amount to
-      take, and kept only if S names nodes of the network and S + {source}
-      misses a compute node and has capacity N*k as the graph then stands;
-      an empty witness, one with unknown ids, or one that is not tight
-      (a fixed-k witness whose floored exits exceed k*|S ∩ C|) is
-      dropped, never trusted.  Removals it separates nothing in pay for
-      no check.
-    - Every zero that `_min_slack` finds, with the cut of its last flow;
-      `_keep` keeps that cut once it is checked to be tight and to
-      separate {u, t} from w.  A cut is kept only after the flows found a
-      zero that no kept set certified, so no set is kept twice.
+    Mader").  `tight` is the set kept, or None, and `_separated` answers
+    0 from it before any amount rule.  It is the search's witness cut S,
+    given as `witness`: on an exact search B+(S) * inv_x_star = |S ∩ C|
+    and U = k * inv_x_star, so S's exits carry k*|S ∩ C| once scaled, and
+    S + {source} has capacity N*k.  It is checked when the oracle is
+    built, and kept only if S is non-empty, names nodes of the network,
+    misses a compute node and its exits carry exactly k*|S ∩ C|; a
+    witness with unknown ids, or one that is not tight (a fixed-k witness
+    whose floored exits exceed k*|S ∩ C|), is never trusted.  Every
+    pairing the kept set separates takes 0, so no split lowers its
+    capacity and the check at build holds for the whole removal.
     """
 
     def __init__(self, net: Topology, k: int, witness=frozenset()) -> None:
         self.net = net
         self.compute_ids = net.compute_ids
         self.graph, self.source, self.target = source_network(net, net.capacity, k)
-        self.tight: list[frozenset[str]] = []
-        self.witness = frozenset(witness) or None  # checked when first used
+        # The witness is kept if it is tight (see the class docstring).
+        S = frozenset(witness)
+        inside = sum(1 for c in self.compute_ids if c in S)
+        exits = sum(c for (a, b), c in net.capacity.items() if a in S and b not in S)
+        known = S and S <= net.node_by_id.keys()
+        tight = known and inside < net.num_compute and exits == k * inside
+        self.tight = S | {self.source} if tight else None
         self.at: str | None = None  # the switch whose in-capacity is `inflow`
         self.inflow = 0
 
     @cached_property
     def invariant_holds(self) -> bool:
         """Whether N*k units flow from the source to every compute node of
-        the graph as it stands when first asked: one flow to the first,
-        then a resume to each further one on the same residual, its
-        sources the source and every earlier compute node.  By the
-        Hao-Orlin argument of `_min_slack`, the least of these terms is
-        the least cut that holds the source and misses a compute node."""
-        g = self.graph
-        first, *rest = self.compute_ids
-        value, state = g.run_keep([self.source], [first], limit=self.target)
-        settled = [self.source, first]
-        for v in rest:
-            if value < self.target:
-                break
-            value = g.resume(state, settled, v, self.target)
-            settled.append(v)
-        return value >= self.target
+        the graph as it stands when first asked: one Hao-Orlin pass
+        (`short_sink`)."""
+        return short_sink(self.graph, self.source, self.compute_ids, self.target) is None
 
     def _margin(self, u: str, w: str, t: str) -> int:
         """L = c(u,w) + c(t,w) + c(w,u) + c(w,t) - in(w), or
@@ -211,7 +198,7 @@ class _GammaOracle:
 
         Before any flow, the local bound answers min(c(u,w), c(w,t)) when
         the invariant holds and L reaches it (see the class docstring).
-        A pairing that a kept tight set separates never gets here:
+        A pairing that the kept tight set separates never gets here:
         `dissolve` answers it 0 first.
         """
         best = self.cap(u, w, t)
@@ -219,56 +206,24 @@ class _GammaOracle:
             return 0
         if self.invariant_holds and self._margin(u, w, t) >= best:
             return best
-        best, cut = self._min_slack(
+        best = self._min_slack(
             [u, self.source, t],
             [w],
             [v for v in self.compute_ids if v != u],
             best,
         )
         if best > 0:
-            best, cut = self._min_slack([w, self.source], [u, t], self.compute_ids, best)
-        if best > 0:
-            return best
-        self._keep(cut, u, w, t)
-        return 0
-
-    def _keep(self, X: frozenset[str], u: str, w: str, t: str) -> None:
-        """Keep X, the cut behind a zero γ of (u, w),(w, t), if it is tight
-        and separates {u, t} from w."""
-        if (u in X) == (t in X) != (w in X) and self._tight(X):
-            self.tight.append(X)
-
-    def _tight(self, X: frozenset[str]) -> bool:
-        """Whether X holds the source, misses a compute node and has
-        capacity N*k in the graph as it stands."""
-        return (
-            self.source in X
-            and not X.issuperset(self.compute_ids)
-            and sum(c for a, b, c in self.graph.arcs() if a in X and b not in X) == self.target
-        )
+            best = self._min_slack([w, self.source], [u, t], self.compute_ids, best)
+        return max(best, 0)
 
     def _separated(self, u: str, w: str, t: str) -> bool:
-        """Whether a kept tight set separates {u, t} from w, either way
-        round, so that (u, w),(w, t) takes 0 by either amount rule.  The
-        witness S is checked the first time it separates a pairing that
-        has an amount to take: S + {source} is kept if S names only nodes
-        of the network and the set is tight, and S is dropped either way
-        (see the class docstring)."""
-        for X in self.tight:
-            if (u in X) == (t in X) != (w in X):
-                return True
-        S = self.witness
-        if S is None or not (u in S) == (t in S) != (w in S) or not self.cap(u, w, t):
-            return False
-        self.witness = None
-        X = S | {self.source}
-        if S <= self.net.node_by_id.keys() and self._tight(X):
-            self.tight.append(X)
-            return True
-        return False
+        """Whether the kept tight set separates {u, t} from w, either way
+        round, so that (u, w),(w, t) takes 0 by either amount rule."""
+        X = self.tight
+        return X is not None and (u in X) == (t in X) != (w in X)
 
     def dissolve(self, amount) -> EMap:
-        """Drain every switch of the graph, each split taking 0 if a kept
+        """Drain every switch of the graph, each split taking 0 if the kept
         tight set separates the pairing and `amount(u, w, t)` otherwise,
         and return the EMap of the splits (see `remove_switches` for the
         order); StuckSplit if a pass over the tails drains nothing.  The
@@ -329,10 +284,9 @@ class _GammaOracle:
             g.grow([], [(u, t, amount)])
             emap.add(u, t, w, amount)
 
-    def _min_slack(self, sources, sinks, boosts, best: int) -> tuple[int, frozenset | None]:
+    def _min_slack(self, sources, sinks, boosts, best: int) -> int:
         """min(best, min over boost vertices v of F(sources -> sinks with
-        an unbounded arc from v to a sink) - N*k), with the source side of
-        a cut that attains it, or None; never None when it is at most 0.
+        an unbounded arc from v to a sink) - N*k).
 
         A boost arc only adds capacity, so F is bounded below by the
         unboosted flow F0: when F0 reaches the probing limit, every boost is
@@ -349,40 +303,28 @@ class _GammaOracle:
         so by submodularity the cut may leave the sinks out too; that is
         why a probe can sink at v instead of boosting an arc from v.)
 
-        Following Hao & Orlin (1994), "A faster algorithm for finding the
-        minimum cut in a directed graph", the probes share R: put the boost
-        vertices in order v1, v2, ... and let S(i) = sources + {v1 .. vi}.
-        Then min over v of lambda(sources, v) = min over i of
-        lambda(S(i-1), vi).  A larger source set only removes cuts, so no
-        term undercuts the left side; and for a minimum cut X, the first vi
-        outside X has S(i-1) inside it.  Flow pushed from S(i-1) to vi, in
-        place on R, crosses no cut that holds both, so every later cut
-        keeps its value in R; the engine's terminal rule checks exactly
-        this.  A probe that gains the full room settles vi; a short one
-        sets the new minimum and the room, and vi still joins the source
-        set, since lambda(S(i-1), vi) is that new room.
+        The probes share R as in `short_sink` (Hao & Orlin 1994): vi is
+        resumed from S(i-1) = sources + {v1 .. v(i-1)}, and min over v of
+        lambda(sources, v) = min over i of lambda(S(i-1), vi).  A probe that
+        gains the full room settles vi; a short one sets the new minimum
+        and the room, and vi still joins the source set, since
+        lambda(S(i-1), vi) is that new room.
 
         A probe is skipped when v is reachable from S along residual arcs
         of at least the room: every cut that holds S but not v is crossed
         by that path, so lambda(S, v) >= room.
-
-        The cut of a result at most 0 is F0's min cut when it leaves out a
-        boost vertex, and otherwise the source side of the short probe's
-        min cut, reach(S(i-1)) right after it: that cut holds every
-        earlier terminal, so the earlier flows do not cross it, and its
-        capacity in the graph is F0 plus the probe's gain.
         """
         g = self.graph
         limit = self.target + best
         value, state = g.run_keep(sources, sinks, limit=limit)
         if value >= limit:
-            return best, None
+            return best
         side = g.reach(state, sources, 1)
         if any(v not in side for v in boosts):
             # That vertex's boost arc does not cross F0's min cut, so its
             # boosted flow equals F0 — and monotonicity puts every other
             # boost at F0 or above, so the minimum is exactly F0.
-            return min(best, value - self.target), side
+            return min(best, value - self.target)
         room = limit - value
         settled = list(sources)
         reached = g.reach(state, settled, room)
@@ -393,15 +335,13 @@ class _GammaOracle:
                     # This boost sets the new minimum.
                     best = value + gained - self.target
                     room = gained
-                    if best <= 0:
-                        # The pairing is refused.
-                        return best, g.reach(state, settled, 1)
-                    if room == 0:
-                        # best is F0 - N*k, which no boost undercuts.
-                        return best, None
+                    if best <= 0 or room == 0:
+                        # The pairing is refused, or best is F0 - N*k,
+                        # which no boost undercuts.
+                        return best
                 reached = g.reach(state, settled + [v], room)
             settled.append(v)
-        return best, None
+        return best
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +363,9 @@ def remove_switches(scaled: Topology, k: int, witness=frozenset()) -> tuple[Topo
     the order moves only the arcs left over, and with them the size of
     every flow graph that split and pack run on.
 
-    `witness` is the search's witness cut S, or empty.  Checked when a
-    pairing it separates first has an amount to take, S + {source} is
-    kept as a tight set if it is one, and every pairing it separates then
-    takes 0; otherwise S is ignored.  The removal runs first with every
+    `witness` is the search's witness cut S, or empty.  Checked when the
+    oracle is built, S + {source} is kept as a tight set if it is one,
+    and every pairing it separates takes 0; otherwise S is ignored.  The removal runs first with every
     other pairing at its cap, with no flow, and one Hao-Orlin pass then
     checks that what is left still delivers N*k to every compute node.
     No split raises a cut and the cap bounds the exact split amount, so a

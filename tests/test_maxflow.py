@@ -3,6 +3,7 @@ resume, residual reach, pushes with per-vertex amounts, one arc per vertex
 pair, states that are grown, caught up to edited arcs and pushed on, and
 Dinic phases that find the forward-level Dinic's paths."""
 
+import copy
 import itertools
 import random
 from collections import Counter
@@ -438,7 +439,7 @@ class TestStates:
     def test_copies_are_independent_and_grow_with_the_graph(self):
         g = FlowGraph([*"sat"], [("s", "a", 4), ("a", "t", 2)])
         value, state = g.run_keep(["s"], ["t"])
-        twin = g.copy(state)
+        twin = copy.deepcopy(state)
         g.grow(["b"], [("a", "b", 5), ("b", "t", 1)])
         # both states gain the new arcs carrying no flow
         assert value + g.push(state, ["s"], ["t"], 10) == 3
@@ -479,14 +480,13 @@ class TestStates:
             lambda: g.push(state, ["a"], ["t"], 1),
             lambda: g.resume(state, ["s"], "t", 1),
             lambda: g.reach(state, ["s"], 1),
-            lambda: g.copy(state),
         ):
             with pytest.raises(CollschedError, match="only keep brings"):
                 call()
         assert catch_up(g, state) == {"a": 1, "t": -1}
         # the unit stuck at a goes back to s, leaving a max flow of 3
         assert g.push(state, ["a"], ["s"], 1) == 1
-        assert g.push(g.copy(state), ["s"], ["t"], 5) == 0
+        assert g.push(copy.deepcopy(state), ["s"], ["t"], 5) == 0
         assert g.reach(state, ["s"], 1) == {"s", "a"}
 
     @pytest.mark.parametrize(
@@ -600,7 +600,6 @@ class TestOneArcPerPair:
             lambda: g.push(state, ["s"], ["t"], 1),
             lambda: g.resume(state, ["s"], "t", 1),
             lambda: g.reach(state, ["s"], 1),
-            lambda: g.copy(state),
         ):
             with pytest.raises(CollschedError, match="only keep brings"):
                 call()
@@ -672,7 +671,7 @@ class TestAmounts:
                     + [(v, "T", amount) for v, amount in rooms.items()],
                 )
                 want = oracle.run(["S"], ["T"], limit=limit)
-                twin = g.copy(state)
+                twin = copy.deepcopy(state)
                 pushed = g.push(twin, sources, list(sinks) if listed else sinks, limit)
                 assert pushed == want, (seed, sources, sinks, limit)
                 sent = net_sent(arcs, before, twin[0])
@@ -686,7 +685,7 @@ class TestAmounts:
                         assert sent.get(v, 0) == 0, (seed, v)
                 assert sum(moved[v] for v in sources) == pushed
                 exact = {v: moved[v] for v in sources}, {v: moved[v] for v in sinks}
-                assert g.push(g.copy(state), *exact, pushed) == pushed, (seed, exact)
+                assert g.push(copy.deepcopy(state), *exact, pushed) == pushed, (seed, exact)
 
     def test_amounts_are_checked(self):
         g = FlowGraph([*"sat"], [("s", "a", 4), ("a", "t", 4)])
@@ -739,7 +738,7 @@ class TestCatchUp:
         new = g.run([s], [t])
         assert new == FlowGraph(vertices, arcs).run([s], [t])
         need = catch_up(g, state)
-        for ask, twin in ((new + 1, g.copy(state)), (new, state)):
+        for ask, twin in ((new + 1, copy.deepcopy(state)), (new, state)):
             moves = dict(need)
             moves[s] = moves.get(s, 0) + ask - value
             moves[t] = moves.get(t, 0) - ask + value
@@ -1010,7 +1009,7 @@ def forward(g, state, sources, sinks, limit):
             return {idx[v]: amount for v, amount in names.items()}
         return dict.fromkeys((idx[v] for v in names), limit)
 
-    caps = g.copy(state)[0]
+    caps = g._caps(copy.deepcopy(state))
     pushed = forward_dinic(len(idx), g._to, g._adj, caps, rooms(sources), rooms(sinks), limit)
     return pushed, caps
 

@@ -1,6 +1,8 @@
 """Switch removal: split amounts, invariant preservation, path recovery."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -171,12 +173,12 @@ class TestTightSets:
     def test_certified_zeros_equal_the_flows(self, random_suite, monkeypatch):
         """On the small switched suite, the random suite and the boxes
         networks 8x4 and 16x8, removed with the search's witness and
-        without it, every pairing with an amount to take that a kept tight
-        set answers is 0 by the flows too, on a fresh oracle of the network
-        as it stands, in either pass; and every kept set, the witness's
-        included, holds the source, misses a compute node and has capacity
-        N*k when it is kept and still when its removal ends: no split
-        raises a cut."""
+        without it, every pairing with an amount to take that the kept
+        tight set answers is 0 by the flows too, on a fresh oracle of the
+        network as it stands, in either pass; and the kept set holds the
+        source, misses a compute node and has capacity N*k when its oracle
+        is built and still when its removal ends: no split raises a cut.
+        Without the witness no set is kept."""
         suites = {
             "small": small_switched_suite(),
             "random": random_suite,
@@ -185,46 +187,35 @@ class TestTightSets:
                 for b, g in ((8, 4), (16, 8))
             ],
         }
-        separated, keep = _GammaOracle._separated, _GammaOracle._keep
+        init, separated = _GammaOracle.__init__, _GammaOracle._separated
         seen = {
             (suite, seeded): {"certified": 0, "kept": 0}
             for suite in suites
             for seeded in (False, True)
         }
 
-        def tight(oracle, X):
-            g = oracle.graph
+        def tight(oracle):
+            X, g = oracle.tight, oracle.graph
             assert oracle.source in X and not X.issuperset(oracle.compute_ids), X
             assert sum(c for a, b, c in g.arcs() if a in X and b not in X) == oracle.target, X
 
-        def kept_since(oracle, before):
-            for X in oracle.tight[before:]:
-                tight(oracle, X)
+        def built(oracle, *args):
+            init(oracle, *args)
+            if oracle.tight is not None:
+                tight(oracle)
+                oracles.append(oracle)
                 seen[run]["kept"] += 1
-            oracles.add(oracle)
 
         def checked(oracle, u, w, t):
-            before = len(oracle.tight)
             answered = separated(oracle, u, w, t)
-            kept_since(oracle, before)
             if answered and oracle.cap(u, w, t) > 0:
-                probing.append(1)
-                try:
-                    assert flow_gamma(oracle, u, w, t) == 0, (u, w, t)
-                finally:
-                    probing.pop()
+                assert flow_gamma(oracle, u, w, t) == 0, (u, w, t)
                 seen[run]["certified"] += 1
             return answered
 
-        def kept(oracle, X, u, w, t):
-            before = len(oracle.tight)
-            keep(oracle, X, u, w, t)
-            if not probing:  # the fresh oracle of a flow_gamma check
-                kept_since(oracle, before)
-
-        oracles, probing = set(), []
+        oracles = []
+        monkeypatch.setattr(_GammaOracle, "__init__", built)
         monkeypatch.setattr(_GammaOracle, "_separated", checked)
-        monkeypatch.setattr(_GammaOracle, "_keep", kept)
         for suite, nets in suites.items():
             for t in nets:
                 res = bottleneck_search(t)
@@ -232,15 +223,13 @@ class TestTightSets:
                     run = (suite, seeded)
                     remove_switches(scale_capacities(t, res.U), res.k, res.witness if seeded else ())
         for oracle in oracles:
-            for X in oracle.tight:
-                tight(oracle, X)
-        # Unseeded, the small and random networks keep sets but pair
-        # nothing across them later, and the boxes certify 5 (8x4) and 27
-        # (16x8) zeros in their exact passes.  Seeded, the boxes keep only
-        # their two witnesses, which answer 34 zeros in the cap passes.
-        assert all(seen[suite, False]["kept"] > 0 for suite in suites), seen
-        assert seen["boxes", False]["certified"] >= 32, seen
-        assert seen["boxes", True]["kept"] == 2 and seen["boxes", True]["certified"] >= 34, seen
+            tight(oracle)
+        # Seeded, every oracle keeps its witness, and the boxes certify
+        # with one oracle each, whose witness answers 34 zeros in the cap
+        # passes.
+        assert all(seen[suite, False] == {"certified": 0, "kept": 0} for suite in suites), seen
+        assert all(seen[suite, True]["kept"] > 0 for suite in suites), seen
+        assert seen["boxes", True] == {"certified": 34, "kept": 2}, seen
 
 
 def margin(g, u, w, t) -> int:
@@ -259,8 +248,9 @@ class TestTheBound:
         and the CI fat-tree, every γ with
         L >= min(c(u,w), c(w,t)) > 0 is that min with no flow, and the
         flows (run with the gate switched off) give it too; every other
-        positive γ that no kept tight set answers runs a flow.  Every suite
-        settles some γ this way, and the split that drains each switch
+        positive γ that the kept tight set (one set, or None) does not
+        answer runs a flow.  Every suite settles some γ this way, and the
+        split that drains each switch
         never needs a flow: there in(w) = c(u,w) = c(w,t), so L >= c(w,t)."""
         suites = {
             "small": small_switched_suite(),
@@ -287,7 +277,8 @@ class TestTheBound:
             g = oracle.graph
             best = min(g.capacity(u, w), g.capacity(w, t))
             bound = best > 0 and margin(g, u, w, t) >= best
-            separated = any((u in X) == (t in X) != (w in X) for X in oracle.tight)
+            X = oracle.tight
+            separated = X is not None and (u in X) == (t in X) != (w in X)
             holds = oracle.invariant_holds  # its flows run once, when first read
             before = flows[0]
             got = gamma(oracle, u, w, t)
@@ -565,9 +556,9 @@ class TestCertificate:
         assert removal_record(*got) == removal_record(*exact_removal(scaled, res.k))
 
     def test_an_untrusted_witness_is_ignored(self, monkeypatch):
-        """A witness that is not a tight set of the network is ignored
-        when a pairing first asks it, and the removal is the exact one with
-        no error:
+        """A witness that is not a tight set of the network is not kept
+        when the oracle is built (`tight` is None), and the removal is the
+        exact one with no error:
         - a fixed-k witness whose floored exits exceed k*|S ∩ C|
           (random_eulerian_topology(18) at k = 3), whose zeros would change
           the removal;
@@ -593,27 +584,54 @@ class TestCertificate:
         cases.append((scaled, res.k, res.witness | {"nowhere"}, 2))
         cases.append((scaled, res.k, frozenset(), 2))
 
-        separated = _GammaOracle._separated
-        dropped = []
+        init = _GammaOracle.__init__
+        kept = []
 
-        def asked(oracle, u, w, t):
-            witness = oracle.witness
-            answered = separated(oracle, u, w, t)
-            if witness is not None and oracle.witness is None:
-                dropped.append(answered)
-            return answered
+        def built(oracle, *args):
+            init(oracle, *args)
+            kept.append(oracle.tight)
 
-        monkeypatch.setattr(_GammaOracle, "_separated", asked)
-        built = counted_oracles(monkeypatch)
+        monkeypatch.setattr(_GammaOracle, "__init__", built)
         for scaled, k, witness, oracles in cases:
-            built.clear()
-            dropped.clear()
+            kept.clear()
             got = remove_switches(scaled, k, witness)
-            assert len(built) == oracles, witness
+            assert kept == [None] * oracles, witness
             assert removal_record(*got) == removal_record(*exact_removal(scaled, k)), witness
-            # Checked at most once per pass, and never trusted; an empty
-            # witness is never asked.
-            assert (0 < len(dropped) <= oracles and not any(dropped)) == bool(witness), witness
+
+    def test_the_removals_are_pinned(self, monkeypatch):
+        """remove_switches, seeded with the search's witness, gives the
+        remainders and EMaps, in insertion order, that this digest pins:
+        boxes 2x8, 3x8, 4x8 and 8x8 at intra 8, inter 1, whose optimal-k
+        removals fall back to the exact pass, and random_eulerian_topology
+        0-199, each network with switches at the optimal k and fixed
+        k = 1, 2.  One sha256 over each removal's links and EMap, or
+        b"refused" for a NotEulerianAfterFloor, so no split of either pass
+        may move."""
+        from collsched import fixed_k_search
+
+        nets = [synth_topology("boxes", boxes=b, gpus_per_box=8, intra=8, inter=1) for b in (2, 3, 4, 8)]
+        nets += [random_eulerian_topology(seed) for seed in range(200)]
+        oracles = counted_oracles(monkeypatch)
+        digest = hashlib.sha256()
+        count = {"removals": 0, "refused": 0, "fallbacks": 0}
+        for t in nets:
+            if not t.switch_ids:
+                continue
+            for res in (bottleneck_search(t), fixed_k_search(t, 1), fixed_k_search(t, 2)):
+                oracles.clear()
+                try:
+                    lt, emap = remove_switches(scale_capacities(t, res.U), res.k, res.witness)
+                except NotEulerianAfterFloor:
+                    digest.update(b"refused")
+                    count["refused"] += 1
+                    continue
+                count["removals"] += 1
+                count["fallbacks"] += len(oracles) == 2
+                links = [[l.src, l.dst, l.bandwidth] for l in lt.links]
+                entries = [[list(arc), list(via.items())] for arc, via in emap.entries.items()]
+                digest.update(json.dumps([links, entries]).encode())
+        assert count == {"removals": 501, "refused": 33, "fallbacks": 19}, count
+        assert digest.hexdigest()[:16] == "6405239a35968a93"
 
     def test_a_forced_certificate_breaks_the_boxes(self, monkeypatch):
         """On boxes 8x4 a box is tight, so the caps of same-box pairings at
