@@ -1,11 +1,16 @@
 """Exact integer maximum flow (Dinic).
 
-The engine works on named vertices and paired forward/backward arc entries.
-A graph is built in one call, `FlowGraph(vertices, arcs)`.  Every capacity
-is a non-negative int, checked against the 63-bit budget; any other
-capacity, a string given as the vertex list, an unhashable or unknown
-vertex, a malformed arc or a `limit` that is not a non-negative int
-raises CollschedError.
+The engine works on vertex indices and paired forward/backward arc
+entries.  A graph is built in one call, `FlowGraph(vertices, arcs)`.
+Every capacity is a non-negative int, checked against the 63-bit budget;
+any other capacity, a string given as the vertex list, an unhashable or
+unknown vertex, a malformed arc or a `limit` that is not a non-negative
+int raises CollschedError.  The public methods take vertex names, check
+their input where it enters and call an index-level twin: `_capacity`,
+`_lower`, `_keep`, and `_raise` for `grow`'s arcs (`_arc` finds a pair's
+entry).  The packer and the splitter resolve their vertices once and call
+the twins, which still refuse a cut that is not an int in [0, cap] and a
+sink among the supplies.
 
 The graph is the network as it stands, and every flow is a residual state
 on it.  Each vertex pair has at most one arc, and an arc is in the
@@ -51,15 +56,10 @@ takes, so one push routes every excess to every deficit at once (a
 transshipment: the max flow from a super source with an arc of each
 source's amount to a super sink with an arc of each sink's).  `run_keep`
 is a fresh state plus one push; `resume` and `keep` resolve their
-terminals once and run push's last step, the one caller of Dinic.
-Dinic's phases label each vertex with its residual distance to the sinks,
-and walks from the sources step only one closer: exactly the live arcs of
-the textbook levels counted from the sources, scanned in the same order,
-so the same augmenting paths are found.
-
-The search, the splitter and the packer build their graphs in one place,
-`source_network(t, capacity, supply)`: t plus a fresh source feeding
-`supply` into each compute node, each of which is to receive N*supply.
+terminals once and run push's last step, the one caller of Dinic
+(`_dinic`, which finds the textbook Dinic's augmenting paths).  The
+search, the splitter and the packer build their graphs in one place,
+`source_network`.
 
 There is no infinite capacity.  An arc that must never bind is given a
 capacity of at least the run's limit L: any cut through it is worth at
@@ -153,20 +153,28 @@ class FlowGraph:
         idx.update(new)
         self._names += new
         self._adj += ([] for _ in new)
-        self._total = total
-        to, cap0, adj, entry = self._to, self._cap0, self._adj, self._entry
-        for u, v, cap in checked:
+        self._raise(checked)
+
+    def _raise(self, arcs: list[tuple[int, int, int]]) -> None:
+        """`grow`'s arc step: raise u -> v by `amount` for each (u, v,
+        amount) by index.  The caller keeps the capacity sum within the
+        budget: `grow` checks it, and a split raises what it lowered."""
+        to, cap0, adj, entry, log = self._to, self._cap0, self._adj, self._entry, self._log
+        total = self._total
+        for u, v, amount in arcs:
             e = entry.get((u, v))
             if e is None:
                 entry[u, v] = e = len(to)
                 to += (v, u)
                 cap0 += (0, 0)
-            elif cap:
-                self._log.append(e)
-            if cap and not cap0[e]:
+            elif amount:
+                log.append(e)
+            if amount and not cap0[e]:
                 adj[u].append(e)
                 adj[v].append(e + 1)
-            cap0[e] += cap
+            cap0[e] += amount
+            total += amount
+        self._total = total
 
     @classmethod
     def from_arcs(cls, vertices, arcs) -> "FlowGraph":
@@ -177,7 +185,14 @@ class FlowGraph:
     def capacity(self, src, dst) -> int:
         """Capacity of the arc from `src` to `dst` as it stands, 0 if there
         is none."""
-        e = self._entry.get((self._vertex(src), self._vertex(dst)))
+        return self._capacity(self._arc(self._vertex(src), self._vertex(dst)))
+
+    def _arc(self, u: int, v: int) -> int | None:
+        """The forward entry of the pair (u, v) by index, or None."""
+        return self._entry.get((u, v))
+
+    def _capacity(self, e: int | None) -> int:
+        """Capacity of the arc of forward entry `e`, 0 for None."""
         return 0 if e is None else self._cap0[e]
 
     def arcs(self) -> list[tuple]:
@@ -259,23 +274,26 @@ class FlowGraph:
     def lower(self, src, dst, amount: int) -> None:
         """Lower the capacity of the arc from `src` to `dst` in the graph by
         `amount`, in place, and log the arc for `keep`; an arc lowered
-        to zero leaves the adjacency lists.  `amount` must be an int no
-        larger than the arc's capacity; otherwise nothing changes."""
-        if type(amount) is not int or amount < 0:
-            raise CollschedError(f"capacity cut must be a non-negative int, got {amount!r}")
-        u, v = self._vertex(src), self._vertex(dst)
-        e = self._entry.get((u, v))
+        to zero leaves the adjacency lists.  `amount` must be a
+        non-negative int no larger than the arc's capacity; otherwise
+        nothing changes."""
+        e = self._arc(self._vertex(src), self._vertex(dst))
         if e is None:
             raise CollschedError(f"no arc from {src!r} to {dst!r} in the flow graph")
+        self._lower(e, amount)
+
+    def _lower(self, e: int, amount: int) -> None:
+        """`lower` on the arc of forward entry `e`."""
         cap = self._cap0[e]
-        if amount > cap:
-            raise CollschedError(f"cannot lower {src!r} -> {dst!r} of capacity {cap} by {amount}")
+        if type(amount) is not int or not 0 <= amount <= cap:
+            tail, head = self._names[self._to[e ^ 1]], self._names[self._to[e]]
+            raise CollschedError(f"cannot lower {tail!r} -> {head!r} of capacity {cap} by {amount!r}")
         self._cap0[e] = cap - amount
         self._total -= amount
         self._log.append(e)
         if amount and amount == cap:
-            self._adj[u].remove(e)
-            self._adj[v].remove(e + 1)
+            self._adj[self._to[e ^ 1]].remove(e)
+            self._adj[self._to[e]].remove(e + 1)
 
     def _catch_up(self, state: list) -> dict[int, int]:
         """Bring `state` to the graph's edits, in place, cutting its flow on
@@ -316,16 +334,21 @@ class FlowGraph:
         if type(supplies) is not dict or type(carried) not in (dict, type(None)):
             raise CollschedError("supplies must be dicts from vertex name to units")
         new = self._rooms(supplies, "supplies", 0)
-        old = self._rooms(carried, "carried supplies", 0) if carried else {}
-        t = self._vertex(sink)
-        if t in new or t in old:
-            raise CollschedError(f"sink {sink!r} is among the supplies")
+        old = self._rooms(carried, "carried supplies", 0) if carried else None
+        return self._keep(state, new, self._vertex(sink), old)
+
+    def _keep(self, state: list, supplies: dict, t: int, carried: dict | None = None) -> int:
+        """`keep` by vertex index; a sink among the supplies is refused
+        before the state is touched."""
+        old = carried or {}
+        if t in supplies or t in old:
+            raise CollschedError(f"sink {self._names[t]!r} is among the supplies")
         need = self._catch_up(state)
-        for v, units in new.items():
+        for v, units in supplies.items():
             need[v] = need.get(v, 0) + units
         for v, units in old.items():
             need[v] = need.get(v, 0) - units
-        need[t] = need.get(t, 0) + sum(old.values()) - sum(new.values())
+        need[t] = need.get(t, 0) + sum(old.values()) - sum(supplies.values())
         excess = {v: d for v, d in need.items() if d > 0}
         deficit = {v: -d for v, d in need.items() if d < 0}
         want = sum(excess.values())
@@ -347,14 +370,14 @@ class FlowGraph:
         """
         limit = _checked_limit(limit)
         starts = self._rooms(sources, "sources", limit)
-        return self._push(state, starts, self._rooms(sinks, "sinks", limit), limit)
-
-    def _push(self, state: list, starts: dict, ends: dict, limit: int) -> int:
-        """`push` on terminals resolved to {index: room}, as `resume` and
-        `keep` run it too: the sets must be disjoint and the state caught
-        up."""
+        ends = self._rooms(sinks, "sinks", limit)
         if not starts.keys().isdisjoint(ends):
             raise CollschedError("sources and sinks must be disjoint")
+        return self._push(state, starts, ends, limit)
+
+    def _push(self, state: list, starts: dict, ends: dict, limit: int) -> int:
+        """`push` on disjoint terminals resolved to {index: room}, as
+        `resume` and `keep` run it too; the state must be caught up."""
         caps = self._caps(state)
         return _dinic(len(self._names), self._to, self._adj, caps, starts, ends, limit)
 
@@ -420,6 +443,8 @@ class FlowGraph:
             raise CollschedError("resume sources take no amounts")
         starts = self._rooms(sources, "resume sources", limit)
         t = self._vertex(sink)
+        if t in starts:
+            raise CollschedError("sources and sinks must be disjoint")
         pinned = state[1]
         if not pinned.issubset(starts):
             raise CollschedError(

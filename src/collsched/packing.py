@@ -87,7 +87,10 @@ The frontier.  The sigma-graph is the one record of the capacity left,
 and the growing batch's frontier, the sorted arcs of positive capacity
 from its members to the rest, is read off it when the batch starts and
 kept as it grows: a take drops the arcs into the new member and adds the
-new member's arcs out, and an arc probed at mu = 0 leaves it.
+new member's arcs out, and an arc probed at mu = 0 leaves it.  A pack
+resolves every vertex to its graph index once: an arc is its rank among
+the logical arcs sorted, so the frontier is a sorted list of ranks, in
+the order of the arcs, and the graph is read and edited by index.
 """
 
 from __future__ import annotations
@@ -124,71 +127,81 @@ class _Baselines:
     """The sigma-graph of one pack, its kept flows into each sink v and the
     growing batch's frontier (see the module docstring); the forest's
     batches are the first ones, a singleton per root at multiplicity k, and
-    every mu evaluation is counted on it."""
+    every mu evaluation is counted on it.  An arc is its rank in `arcs`
+    (see "The frontier")."""
 
     def __init__(self, forest: Forest, k: int) -> None:
         self.forest = forest
         self.lt = lt = forest.lt
-        self.graph, self.sigma, self.value = source_network(lt, lt.capacity, k)  # V
-        self.flows: dict[str, tuple] = {}  # sink -> (kept flow, supplies it carries)
-        self.held = dict.fromkeys(lt.compute_ids, k)  # v -> m_j summed over batches in sigma holding v
-        self.heads = {id(b): b.root for b in forest.batches}  # batch in sigma -> head
+        self.graph, self.source, self.value = source_network(lt, lt.capacity, k)  # V
+        vertex = self.graph._vertex
+        self.sigma = vertex(self.source)
+        self.index = {v: vertex(v) for v in lt.compute_ids}
+        self.arcs = sorted(lt.capacity)  # rank -> (tail, head) by name
+        self.tails = [self.index[x] for x, _ in self.arcs]
+        self.heads = [self.index[y] for _, y in self.arcs]
+        self.entries = [self.graph._arc(x, y) for x, y in zip(self.tails, self.heads)]
+        size = 1 + max(self.index.values())
+        self.out: list[list[int]] = [[] for _ in range(size)]  # v -> ranks of its arcs out
+        for r, x in enumerate(self.tails):
+            self.out[x].append(r)
+        self.flows: dict[int, tuple] = {}  # sink -> (kept flow, supplies it carries)
+        self.held = [k] * size  # v -> m_j summed over batches in sigma holding v
+        self.gadgets = {id(b): self.index[b.root] for b in forest.batches}  # batch in sigma -> head
         self.hubs = 0
         self.growing: TreeBatch | None = None
-        self.frontier: list[tuple[str, str]] = []
-        self.short: set[tuple[str, str]] = set()  # probed at 0 < mu < m since the last split
+        self.inside = [False] * size  # v -> whether the growing batch holds v
+        self.frontier: list[int] = []
+        self.short: set[int] = set()  # probed at 0 < mu < m since the last split
 
-    def _arcs_out(self, members: set[str]) -> list[tuple[str, str]]:
-        """The arcs of positive capacity from `members` to the rest, sorted."""
-        cap = self.graph.capacity
-        return [
-            (a, b)
-            for a in sorted(members)
-            for b, _ in self.lt.out_adj[a]
-            if b not in members and cap(a, b)
-        ]
+    def _arcs_out(self) -> list[int]:
+        """The arcs of positive capacity from the growing batch to the rest,
+        sorted."""
+        cap, entries, heads, inside = self.graph._capacity, self.entries, self.heads, self.inside
+        return sorted(
+            r
+            for v in map(self.index.__getitem__, self.growing.members)
+            for r in self.out[v]
+            if not inside[heads[r]] and cap(entries[r])
+        )
 
     def stuck(self) -> NoAddableEdge:
         """The error of a growing batch that cannot grow, listing every arc
         of positive capacity out of it."""
         batch = self.growing
-        return NoAddableEdge(batch.root, batch.members, self._arcs_out(batch.members))
+        return NoAddableEdge(batch.root, batch.members, [self.arcs[r] for r in self._arcs_out()])
 
-    def mu(self, arc: tuple[str, str], mu0: int) -> int:
+    def mu(self, arc: int, mu0: int) -> int:
         """Largest multiplicity up to `mu0` at which the growing batch may
-        take `arc`: `mu0` when the arc alone has room for it and every
-        batch in sigma that does not hold its head; else `mu0` less what
-        one `keep` push of the head's kept flow to V units from sigma and
-        `mu0` from the arc's tail leaves unrouted.  A push that falls short
-        is followed by one that repairs the flow to V alone.
-        `Forest.mu_evaluations` counts every evaluation, those the arc
-        alone settles included."""
+        take `arc`: by the arc alone, else by one `_keep` push of its head's
+        kept flow, and one that repairs it after a shortfall (see the
+        module docstring).  `Forest.mu_evaluations` counts every one."""
         self.forest.mu_evaluations += 1
-        x, y = arc
+        x, y = self.tails[arc], self.heads[arc]
         g, value = self.graph, self.value
-        if g.capacity(x, y) - value + self.held[y] >= mu0:
+        if g._capacity(self.entries[arc]) - value + self.held[y] >= mu0:
             return mu0
         flow, carried = self.flows.get(y) or (g.state(), None)
         asked = {self.sigma: value, x: mu0}
-        short = g.keep(flow, asked, y, carried)
+        short = g._keep(flow, asked, y, carried)
         if short:
             carried, asked = asked, {self.sigma: value}
-            if g.keep(flow, asked, y, carried):
+            if g._keep(flow, asked, y, carried):
                 raise self.stuck()
         self.flows[y] = flow, asked
         return mu0 - short
 
-    def choose(self, m: int) -> tuple[tuple[str, str], int]:
+    def choose(self, m: int) -> tuple[int, int]:
         """The arc the growing batch, of multiplicity `m`, takes next and
         its mu: the first frontier arc at mu = m, else the first at mu > 0
         (see the module docstring).  The first pass probes, in order, the
         arcs that can give m, and one found short joins `short`; the
         second probes the rest in order, up to the first at mu > 0.  An arc
         at mu = 0 leaves the frontier."""
-        cap, short = self.graph.capacity, self.short
+        cap, entries, short = self.graph._capacity, self.entries, self.short
         known = {}
         for arc in list(self.frontier):
-            if arc in short or cap(*arc) < m:
+            if arc in short or cap(entries[arc]) < m:
                 continue
             mu = known[arc] = self.mu(arc, m)
             if mu == m:
@@ -198,7 +211,7 @@ class _Baselines:
             else:
                 self.frontier.remove(arc)
         for arc in list(self.frontier):
-            mu = known.get(arc) or self.mu(arc, min(cap(*arc), m))
+            mu = known.get(arc) or self.mu(arc, min(cap(entries[arc]), m))
             if mu:
                 return arc, mu
             self.frontier.remove(arc)
@@ -207,41 +220,45 @@ class _Baselines:
     def leave(self, batch: TreeBatch) -> None:
         """`batch` starts growing, so its gadget leaves sigma: every arc of
         it drops to zero, and so out of the graph's adjacency lists."""
+        g, index = self.graph, self.index
         self.growing = batch
         m = batch.multiplicity
         self.value -= m
-        head = self.heads.pop(id(batch))
+        head = self.gadgets.pop(id(batch))
+        self.inside = inside = [False] * len(self.inside)
         for t in batch.members:
-            self.held[t] -= m
-        self.graph.lower(self.sigma, head, m)
-        if head != batch.root:
+            self.held[index[t]] -= m
+            inside[index[t]] = True
+        g._lower(g._arc(self.sigma, head), m)
+        if head != index[batch.root]:
             for t in sorted(batch.members):
-                self.graph.lower(head, t, m)
-        self.frontier = self._arcs_out(batch.members)
+                g._lower(g._arc(head, index[t]), m)
+        self.frontier = self._arcs_out()
         self.short.clear()
 
-    def take(self, arc: tuple[str, str], mu: int) -> None:
+    def take(self, arc: int, mu: int) -> None:
         """The growing batch takes `arc` at `mu`; the frontier trades the
         arcs into its head for the head's arcs out."""
-        x, y = arc
-        g, members = self.graph, self.growing.members
-        g.lower(x, y, mu)
-        self.frontier = [a for a in self.frontier if a[1] != y]
-        for b, _ in self.lt.out_adj[y]:
-            if b not in members and g.capacity(y, b):
-                insort(self.frontier, (y, b))
+        cap, entries, heads, inside = self.graph._capacity, self.entries, self.heads, self.inside
+        y = heads[arc]
+        self.graph._lower(entries[arc], mu)
+        inside[y] = True
+        self.frontier = [a for a in self.frontier if heads[a] != y]
+        for a in self.out[y]:
+            if not inside[heads[a]] and cap(entries[a]):
+                insort(self.frontier, a)
 
     def enter(self, batch: TreeBatch) -> None:
         """`batch`, a split copy, joins sigma through a new hub."""
-        sigma = self.sigma
         hub = fresh_name(f"b{self.hubs}", self.lt.node_by_id)
         self.hubs += 1
         m = batch.multiplicity
-        self.graph.grow([hub], [(sigma, hub, m)] + [(hub, t, m) for t in sorted(batch.members)])
-        self.heads[id(batch)] = hub
+        arcs = [(self.source, hub, m)] + [(hub, t, m) for t in sorted(batch.members)]
+        self.graph.grow([hub], arcs)
+        self.gadgets[id(batch)] = self.graph._vertex(hub)
         self.value += m
         for t in batch.members:
-            self.held[t] += m
+            self.held[self.index[t]] += m
         self.short.clear()
 
 
@@ -250,14 +267,11 @@ def pack_spanning_trees(lt: Topology, k: int) -> Forest:
     compute-only network that `remove_switches` returns for the same k.
 
     Batches start as one singleton per root (multiplicity k) and are grown
-    to completion root by root.  A batch takes the first frontier arc, in
-    sorted order, that keeps it whole, and splits at the first it can take
-    at all only when there is none; each mu is read from the kept baseline
-    flow of the arc's head.  A full frontier of zero mu values, or a
-    baseline that can no longer carry what the unfinished batches need,
-    raises NoAddableEdge (the capacity invariants rule both out for the k
-    the network was split for, so either flags an upstream bug or a k that
-    `lt` cannot carry).
+    to completion root by root, as the module docstring says.  A full
+    frontier of zero mu values, or a kept flow that can no longer carry
+    what the unfinished batches need, raises NoAddableEdge (the capacity
+    invariants rule both out for the k the network was split for, so
+    either flags an upstream bug or a k that `lt` cannot carry).
     """
     require_tree_count(k)
     if lt.switch_ids:
@@ -276,8 +290,9 @@ def pack_spanning_trees(lt: Topology, k: int) -> Forest:
         batch = forest.batches[i]
         baselines.leave(batch)
         while len(batch.members) < n:
-            arc, mu = baselines.choose(batch.multiplicity)
-            baselines.take(arc, mu)
+            rank, mu = baselines.choose(batch.multiplicity)
+            baselines.take(rank, mu)
+            arc = baselines.arcs[rank]
             if mu < batch.multiplicity:
                 copy = TreeBatch(
                     root=batch.root,

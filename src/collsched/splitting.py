@@ -18,28 +18,13 @@ every split: it is the only record of the capacities while the switches
 dissolve, and the Topology left over is read off it.
 
 No split raises the capacity of a vertex set (Frank 1992, "On a theorem
-of Mader"), and gamma is at most the cap min(c(u,w), c(w,t)).  For the
-same reason a vertex set at the least capacity the invariant allows, a
-tight set, stays there, and every pairing split across it has gamma 0.
-The search proves one such set, its witness cut; the oracle keeps it once
-checked, and in either pass a pairing it separates takes 0 with no flow
-(see `_GammaOracle`).
-
-So a removal first takes every other pairing at its cap, with no flow,
-and then asks once, by one Hao-Orlin pass, whether what is left still
-delivers N*k to every compute node.  If it does, no cut ever fell below
-N*k on the way, so the witness stayed tight, every zero it gave and every
-cap was feasible and was the exact gamma: the removal is the exact one,
-split for split.  If it does not, or an egress arc stalls on the
-witness's zeros, the removal starts again on a fresh graph and takes each
-gamma from the oracle below.
-
-Most positive gammas need no flow either.  With
-L = c(u,w) + c(t,w) + c(w,u) + c(w,t) - in(w) (for u == t,
-L = c(u,w) + c(w,u) - in(w)), gamma is min(c(u,w), c(w,t)) whenever L is
-at least that min, since every cut a split lowers exceeds N*k by L or
-more.  The argument needs the invariant to hold, so the oracle checks it
-once per exact pass, and without it every gamma comes from the flows.
+of Mader"), so a removal first takes every pairing at its cap
+min(c(u,w), c(w,t)) with no flow, except those the search's witness cut
+proves take 0, and then checks once, by one Hao-Orlin pass, that what is
+left still delivers N*k to every compute node: then it is the exact
+removal, split for split.  Otherwise it starts again on a fresh graph and
+takes each gamma from the oracle, whose local bound settles most of them
+with no flow either.  `_GammaOracle` gives the three arguments.
 """
 
 from __future__ import annotations
@@ -142,6 +127,7 @@ class _GammaOracle:
         self.net = net
         self.compute_ids = net.compute_ids
         self.graph, self.source, self.target = source_network(net, net.capacity, k)
+        self.index = {n.id: self.graph._vertex(n.id) for n in net.nodes}  # read and split by index
         # The witness is kept if it is tight (see the class docstring).
         S = frozenset(witness)
         inside = sum(1 for c in self.compute_ids if c in S)
@@ -167,15 +153,19 @@ class _GammaOracle:
         if self.at != w:
             self.at = w
             self.inflow = sum(c for _, c in g.arcs_at(w)[1])
-        margin = g.capacity(u, w) + g.capacity(w, u) - self.inflow
+        cap, arc, index = g._capacity, g._arc, self.index
+        u, w, t = index[u], index[w], index[t]
+        margin = cap(arc(u, w)) + cap(arc(w, u)) - self.inflow
         if u != t:
-            margin += g.capacity(t, w) + g.capacity(w, t)
+            margin += cap(arc(t, w)) + cap(arc(w, t))
         return margin
 
     def cap(self, u: str, w: str, t: str) -> int:
         """min(c(u,w), c(w,t)): the most any split of the pairing can take,
         with no flow (see the class docstring)."""
-        return min(self.graph.capacity(u, w), self.graph.capacity(w, t))
+        cap, arc, index = self.graph._capacity, self.graph._arc, self.index
+        w = index[w]
+        return min(cap(arc(index[u], w)), cap(arc(w, index[t])))
 
     def gamma(self, u: str, w: str, t: str) -> int:
         """Largest amount of the pairing (u, w),(w, t) splittable while the
@@ -237,15 +227,11 @@ class _GammaOracle:
             out, into = g.arcs_at(w)
             tails = sorted(u for u, _ in into)
             for t, left in sorted(out):
-                # Cyclically from t: if every head started at the first
-                # sorted tail, the early tails would be split across many
-                # heads and later heads would pick up fragments, each one
-                # more logical arc; starting at t pairs heads with tails
-                # one to one on a symmetric switch.  The loop pairing
-                # (u == t) comes last, as it spends t's own in-bandwidth,
-                # which sits at the feasibility boundary, so its gamma is
-                # small and costly to certify.  A drained tail's amount
-                # is 0 without a flow.
+                # Cyclically from t (see `remove_switches`).  The loop
+                # pairing (u == t) comes last, as it spends t's own
+                # in-bandwidth, which sits at the feasibility boundary, so
+                # its gamma is small and costly to certify.  A drained
+                # tail's amount is 0 without a flow.
                 i = bisect_left(tails, t)
                 j = i + (tails[i:i + 1] == [t])
                 order = tails[j:] + tails[:i] + tails[i:j]
@@ -275,13 +261,14 @@ class _GammaOracle:
         with u == t would form a self-loop and adds nothing.  The graph
         lowers (u, w) and (w, t) in place and grows (u, t), which merges
         into an earlier (u, t), and the tracked in(w) drops by `amount`."""
-        g = self.graph
-        g.lower(u, w, amount)
-        g.lower(w, t, amount)
+        g, index = self.graph, self.index
+        iu, iw, it = index[u], index[w], index[t]
+        g._lower(g._arc(iu, iw), amount)
+        g._lower(g._arc(iw, it), amount)
         if self.at == w:
             self.inflow -= amount
         if u != t:
-            g.grow([], [(u, t, amount)])
+            g._raise([(iu, it, amount)])
             emap.add(u, t, w, amount)
 
     def _min_slack(self, sources, sinks, boosts, best: int) -> int:
@@ -303,12 +290,10 @@ class _GammaOracle:
         so by submodularity the cut may leave the sinks out too; that is
         why a probe can sink at v instead of boosting an arc from v.)
 
-        The probes share R as in `short_sink` (Hao & Orlin 1994): vi is
-        resumed from S(i-1) = sources + {v1 .. v(i-1)}, and min over v of
-        lambda(sources, v) = min over i of lambda(S(i-1), vi).  A probe that
-        gains the full room settles vi; a short one sets the new minimum
-        and the room, and vi still joins the source set, since
-        lambda(S(i-1), vi) is that new room.
+        The probes share R as in `short_sink`, vi resumed from S(i-1) =
+        sources + {v1 .. v(i-1)}.  A probe that gains the full room settles
+        vi; a short one sets the new minimum and the room, and vi still
+        joins the source set, since lambda(S(i-1), vi) is that new room.
 
         A probe is skipped when v is reachable from S along residual arcs
         of at least the room: every cut that holds S but not v is crossed
@@ -363,22 +348,14 @@ def remove_switches(scaled: Topology, k: int, witness=frozenset()) -> tuple[Topo
     the order moves only the arcs left over, and with them the size of
     every flow graph that split and pack run on.
 
-    `witness` is the search's witness cut S, or empty.  Checked when the
-    oracle is built, S + {source} is kept as a tight set if it is one,
-    and every pairing it separates takes 0; otherwise S is ignored.  The removal runs first with every
-    other pairing at its cap, with no flow, and one Hao-Orlin pass then
-    checks that what is left still delivers N*k to every compute node.
-    No split raises a cut and the cap bounds the exact split amount, so a
-    remainder that passes proves the witness stayed tight and every cap
-    feasible: the result is the exact removal's, split for split, with no
-    split-amount flow.  An egress arc that stalls on the witness's zeros
-    proves they left the exact path, and fails the certificate too.
-    Then the removal runs again on a fresh oracle, with the same witness,
-    each amount the exact gamma (see `_GammaOracle`).  On the `boxes`
-    networks the witness leaves out whole boxes, whose same-box pairings
-    at the NIC switch have γ 0, so the caps alone certify; networks of
-    two boxes, and those whose witness leaves out a single GPU, still
-    fall back.
+    `witness` is the search's witness cut S, or empty; S + {source} is
+    kept as a tight set if it is one, and ignored otherwise.  The removal
+    runs first on the caps, and again on a fresh oracle with the exact
+    gamma if that pass fails its certificate or stalls (see
+    `_GammaOracle`).  On the `boxes` networks the witness leaves out whole
+    boxes, whose same-box pairings at the NIC switch have γ 0, so the caps
+    alone certify; networks of two boxes, and those whose witness leaves
+    out a single GPU, still fall back.
 
     Splitting needs in = out only at the switch being split (Mader 1982;
     Frank 1992), and a split changes no other node's in- or out-capacity

@@ -7,6 +7,8 @@ reproduced on a development machine and are covered by criteria 1-8
 instead.
 """
 
+import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ import pytest
 from collsched import (
     bottleneck_search,
     brute_force_bottleneck,
+    export,
     fixed_k_search,
     generate,
     link_usage,
@@ -126,13 +129,21 @@ def test_criterion_7_pruning_soundness(fig3a, fig3a_multicast):
     print(f"criterion 7: PASS — {elided} hop units elided, delivery and bottleneck intact")
 
 
+def digest(obj) -> str:
+    """The first 16 hex digits of the sha256 of `obj` as JSON."""
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
 def test_criterion_8_scalability():
+    """The 128-GPU allgather on the path `generate` takes, the switch
+    removal seeded with the search's witness, and its forest, EMap and
+    exported schedule pinned by digest."""
     t = synth_topology("boxes", boxes=16, gpus_per_box=8, intra=8, inter=1)
     assert t.num_compute == 128 and len(t.switch_ids) == 17
     start = time.perf_counter()
     meta = bottleneck_search(t)
     scaled = scale_capacities(t, meta.U)
-    lt, emap = remove_switches(scaled, meta.k)
+    lt, emap = remove_switches(scaled, meta.k, meta.witness)
     forest = pack_spanning_trees(lt, meta.k)
     s = prune_multicast(assemble_allgather(forest, emap, scaled, meta), t)
     elapsed = time.perf_counter() - start
@@ -143,6 +154,12 @@ def test_criterion_8_scalability():
     report = validate_schedule(s, t, meta)
     assert report.ok, report.violations
     assert report.achieved_T_comm == Fraction(meta.inv_x_star, n)
+    batches = [[b.root, b.multiplicity, sorted(b.members), b.edges] for b in forest.batches]
+    assert digest(batches) == "718dd933925d8549"
+    entries = [[list(arc), list(via.items())] for arc, via in emap.entries.items()]
+    assert digest(entries) == "61b29f3afc5d510d"
+    data = export(s, "json").encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()[:16]) == (742229, "cea8729789edfe0f")
     print(
         f"criterion 8: PASS — 128-node allgather in {elapsed:.1f}s "
         f"(< 300s), {forest.mu_evaluations} growth evaluations <= {m}*{n}^2"

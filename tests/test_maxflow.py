@@ -11,7 +11,17 @@ from fractions import Fraction
 
 import pytest
 
-from collsched import COMPUTE, SWITCH, FlowGraph, Link, Node, Topology
+from collsched import (
+    COMPUTE,
+    SWITCH,
+    FlowGraph,
+    Link,
+    Node,
+    Topology,
+    bottleneck_search,
+    remove_switches,
+    scale_capacities,
+)
 from collsched.errors import CollschedError, Overflow
 from collsched.maxflow import fresh_name, source_network
 from collsched.topology import CAPACITY_BUDGET
@@ -1243,6 +1253,89 @@ class TestRefusedCalls:
         assert g.keep(state, {"s": 2}, "t", {"s": 3}) == 0
         assert state[2] == len(g._log)
         assert g.push(state, ["s"], ["t"], 5) == 0
+
+
+def engine(g: FlowGraph):
+    """Everything an edit could change in `g`: its vertices, arc entries
+    and their capacities, adjacency lists, edit log and capacity sum."""
+    adjacency = [list(a) for a in g._adj]
+    return list(g._names), list(g._to), list(g._cap0), dict(g._entry), adjacency, list(g._log), g._total
+
+
+class TestTheIndexBoundary:
+    """The packer and the splitter read and edit their graphs through the
+    index-level twins of `capacity`, `lower`, `keep` and `grow`'s arc
+    step.  Driven through the same random reads, edits and kept flows on
+    the random suite's sigma-graphs, the named methods and the twins leave
+    the same graph and states and return the same values; and a twin
+    refuses, changing nothing, a cut that is not an int in [0, cap] and a
+    sink among the supplies."""
+
+    @staticmethod
+    def sigma_graphs(random_suite):
+        """Two sigma-graphs of each of the first 40 remainders, as the
+        packer builds them, with the source and the demand."""
+        for t in random_suite[:40]:
+            res = bottleneck_search(t)
+            lt, _ = remove_switches(scale_capacities(t, res.U), res.k, res.witness)
+            named, source, demand = source_network(lt, lt.capacity, res.k)
+            yield lt, res.k, named, source_network(lt, lt.capacity, res.k)[0], source, demand
+
+    def test_names_and_twins_agree(self, random_suite):
+        rng = random.Random(37)
+        ops = Counter()
+        for lt, k, named, indexed, source, demand in self.sigma_graphs(random_suite):
+            i = indexed._vertex
+            sinks = list(lt.compute_ids)
+            kept = {y: (named.state(), indexed.state(), None) for y in sinks}
+            for _ in range(60):
+                op = rng.choice(("keep", "lower", "raise") if named.arcs() else ("keep", "raise"))
+                if op == "keep":
+                    y = rng.choice(sinks)
+                    x = rng.choice([v for v in sinks if v != y])
+                    a, b, carried = kept[y]
+                    supplies = {source: rng.randint(0, demand), x: rng.randint(0, k)}
+                    short = named.keep(a, supplies, y, carried)
+                    by_index = [d and {i(v): u for v, u in d.items()} for d in (supplies, carried)]
+                    assert indexed._keep(b, by_index[0], i(y), by_index[1]) == short
+                    assert a == b
+                    kept[y] = a, b, supplies
+                    ops["short keep" if short else "keep"] += 1
+                elif op == "lower":
+                    src, dst, cap = rng.choice(named.arcs())
+                    amount = rng.randint(0, cap)
+                    named.lower(src, dst, amount)
+                    indexed._lower(indexed._arc(i(src), i(dst)), amount)
+                    ops["lower to 0" if amount == cap else "lower"] += 1
+                else:
+                    src, dst = rng.sample(sinks + [source], 2)
+                    new = indexed._arc(i(src), i(dst)) is None
+                    amount = rng.randint(0, k)
+                    named.grow([], [(src, dst, amount)])
+                    indexed._raise([(i(src), i(dst), amount)])
+                    ops["new arc" if new else "raise"] += 1
+                assert engine(named) == engine(indexed), op
+            for src, dst in itertools.permutations(sinks + [source], 2):
+                assert named.capacity(src, dst) == indexed._capacity(indexed._arc(i(src), i(dst)))
+        assert min(ops.values()) > 0 and len(ops) == 6, ops
+
+    def test_a_twin_refuses_what_would_break_the_state(self, random_suite):
+        lt, k, g, _, source, demand = next(self.sigma_graphs(random_suite))
+        i = g._vertex
+        y, x = lt.compute_ids[:2]
+        state = g.state()
+        assert g._keep(state, {i(source): demand}, i(y)) == 0
+        g.lower(source, x, 1)
+        src, dst, cap = g.arcs()[0]
+        e = g._arc(i(src), i(dst))
+        before = engine(g), copy.deepcopy(state)
+        for amount in (-1, cap + 1, 1.5, True, None):
+            with pytest.raises(CollschedError):
+                g._lower(e, amount)
+        for supplies, carried in (({i(y): 1}, None), ({i(source): 1}, {i(y): 1})):
+            with pytest.raises(CollschedError, match="among the supplies"):
+                g._keep(state, supplies, i(y), carried)
+        assert (engine(g), state) == before
 
 
 class TestHelpers:

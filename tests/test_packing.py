@@ -194,11 +194,17 @@ def probed_pack(lt: Topology, k: int, monkeypatch) -> tuple[Forest, list]:
 
     def recorded(self, arc, mu0):
         got = mu(self, arc, mu0)
-        probes.append((self.growing.root, self.growing.multiplicity, arc, got))
+        probes.append((self.growing.root, self.growing.multiplicity, self.arcs[arc], got))
         return got
 
     monkeypatch.setattr(_Baselines, "mu", recorded)
     return pack_spanning_trees(lt, k), probes
+
+
+def named(g: FlowGraph, supplies: dict | None) -> dict | None:
+    """Supplies by vertex index, as the packer passes them to
+    `FlowGraph._keep`, by vertex name instead."""
+    return None if supplies is None else {g._names[v]: units for v, units in supplies.items()}
 
 
 def arc_usage(forest: Forest) -> dict[tuple[str, str], int]:
@@ -384,21 +390,21 @@ class TestPackSpanningTrees:
 
         def take_then_read(self, arc, mu):
             take(self, arc, mu)
-            if arc == ("a", "d") and self.growing.root == "b":
-                self.mu(("c", "d"), 1)
+            if self.arcs[arc] == ("a", "d") and self.growing.root == "b":
+                self.mu(self.arcs.index(("c", "d")), 1)
 
         monkeypatch.setattr(_Baselines, "take", take_then_read)
         keeps = []
-        keep = FlowGraph.keep
+        keep = FlowGraph._keep
 
         def recorded(g, state, supplies, sink, carried=None):
             # a copy as the push finds it, maybe behind the graph's edits
             before = [list(state[0]), set(state[1]), state[2], dict(state[3])]
             short = keep(g, state, supplies, sink, carried)
-            keeps.append((g, before, state, supplies, sink, carried, short))
+            keeps.append((g, before, state, named(g, supplies), g._names[sink], named(g, carried), short))
             return short
 
-        monkeypatch.setattr(FlowGraph, "keep", recorded)
+        monkeypatch.setattr(FlowGraph, "_keep", recorded)
         with pytest.raises(NoAddableEdge) as exc:
             pack_spanning_trees(lt, 2)
         assert exc.value.root == "b"
@@ -416,15 +422,15 @@ class TestPackSpanningTrees:
         assert sigma in side and "d" not in side
 
     def test_its_flow_calls_are_its_cut_questions(self, random_suite, monkeypatch):
-        """A pack asks its cut questions through `keep` alone.  Each mu
+        """A pack asks its cut questions through `FlowGraph._keep` alone.  Each mu
         evaluation is exactly one of three kinds: the arc alone settles it
         at mu0 and it asks nothing; one push of its head's kept flow, to V
         units from sigma and mu0 from the arc's tail, comes up full and
         certifies mu0; or that push falls short by mu0 - mu and one more,
         back to V from sigma, comes up full.  No other flow call is made."""
         calls, kinds = [], []
-        keep, mu = FlowGraph.keep, _Baselines.mu
-        others = {name: getattr(FlowGraph, name) for name in ("run", "run_keep", "resume", "push")}
+        keep, mu = FlowGraph._keep, _Baselines.mu
+        others = {name: getattr(FlowGraph, name) for name in ("run", "run_keep", "resume", "push", "keep")}
 
         def kept(g, state, supplies, sink, carried=None):
             short = keep(g, state, supplies, sink, carried)
@@ -438,7 +444,8 @@ class TestPackSpanningTrees:
             return called
 
         def evaluated(self, arc, mu0):
-            (x, y), alone, before = arc, arc_alone(self, arc, mu0), len(calls)
+            x, y = self.tails[arc], self.heads[arc]
+            alone, before = arc_alone(self, self.arcs[arc], mu0), len(calls)
             value = self.value
             got = mu(self, arc, mu0)
             asked = calls[before:]
@@ -456,7 +463,7 @@ class TestPackSpanningTrees:
 
         for name in others:
             monkeypatch.setattr(FlowGraph, name, other(name))
-        monkeypatch.setattr(FlowGraph, "keep", kept)
+        monkeypatch.setattr(FlowGraph, "_keep", kept)
         monkeypatch.setattr(_Baselines, "mu", evaluated)
         total = Counter()
         for t in random_suite:
@@ -477,17 +484,17 @@ class TestPackSpanningTrees:
         the state the head's last push left, carrying what that push asked
         for.  A flow whose sink is never read again is never pushed."""
         events = []
-        keep, mu = FlowGraph.keep, _Baselines.mu
+        keep, mu = FlowGraph._keep, _Baselines.mu
 
         def kept(g, state, supplies, sink, carried=None):
-            events.append(("keep", id(state[0]), sink, supplies, carried))
+            events.append(("keep", id(state[0]), g._names[sink], named(g, supplies), named(g, carried)))
             return keep(g, state, supplies, sink, carried)
 
         def evaluated(self, arc, mu0):
-            events.append(("mu", arc, arc_alone(self, arc, mu0)))
+            events.append(("mu", self.arcs[arc], arc_alone(self, self.arcs[arc], mu0)))
             return mu(self, arc, mu0)
 
-        monkeypatch.setattr(FlowGraph, "keep", kept)
+        monkeypatch.setattr(FlowGraph, "_keep", kept)
         monkeypatch.setattr(_Baselines, "mu", evaluated)
         later = settled = 0
         for t in random_suite:
@@ -517,12 +524,13 @@ class TestPackSpanningTrees:
         push of the imbalance, with the change of each supply at its vertex
         and of their sum at the sink, leave on a copy: the same units routed
         in the same order.  It returns what that push leaves unrouted."""
-        keep = FlowGraph.keep
+        keep = FlowGraph._keep
         repairs = []
 
         def compared(g, state, supplies, sink, carried=None):
             twin = [list(state[0]), set(state[1]), state[2], dict(state[3])]
             short = keep(g, state, supplies, sink, carried)
+            supplies, sink, carried = named(g, supplies), g._names[sink], named(g, carried)
             need = catch_up(g, twin)
             for v, units in supplies.items():
                 need[v] = need.get(v, 0) + units
@@ -537,7 +545,7 @@ class TestPackSpanningTrees:
             repairs.append(len(excess))
             return short
 
-        monkeypatch.setattr(FlowGraph, "keep", compared)
+        monkeypatch.setattr(FlowGraph, "_keep", compared)
         for t in random_suite:
             lt, k = remainder(t, None)
             pack_spanning_trees(lt, k)
@@ -554,11 +562,11 @@ class TestPackSpanningTrees:
         mu = _Baselines.mu
 
         def evaluated(self, arc, mu0):
-            (x, y), g = arc, self.graph
-            if arc_alone(self, arc, mu0):
+            (x, y), g = self.arcs[arc], self.graph
+            if arc_alone(self, self.arcs[arc], mu0):
                 return mu(self, arc, mu0)
             got = mu(self, arc, mu0)
-            value, flow = g.run_keep([self.sigma], [y], self.value)
+            value, flow = g.run_keep([g._names[self.sigma]], [y], self.value)
             assert value == self.value, arc
             assert got == g.resume(flow, [x], y, mu0), arc
             kinds[got == mu0] += 1
@@ -595,24 +603,25 @@ class TestTheArcAlone:
         graph as it stands; every other evaluation pushes its head's kept
         flow.  Returns how many evaluations the arc alone settled."""
         keeps, settled = [], []
-        keep, mu = FlowGraph.keep, _Baselines.mu
+        keep, mu = FlowGraph._keep, _Baselines.mu
 
         def kept(g, state, supplies, sink, carried=None):
-            keeps.append(sink)
+            keeps.append(g._names[sink])
             return keep(g, state, supplies, sink, carried)
 
-        def evaluated(self, arc, mu0):
-            (x, y), g, before = arc, self.graph, len(keeps)
-            got = mu(self, arc, mu0)
+        def evaluated(self, rank, mu0):
+            (x, y), g, before = self.arcs[rank], self.graph, len(keeps)
+            arc = self.arcs[rank]
+            got = mu(self, rank, mu0)
             assert (len(keeps) == before) == arc_alone(self, arc, mu0), arc
             if len(keeps) == before:
-                value, flow = g.run_keep([self.sigma], [y], self.value)
+                value, flow = g.run_keep([g._names[self.sigma]], [y], self.value)
                 assert value == self.value, arc
                 assert got == mu0 == g.resume(flow, [x], y, mu0), arc
                 settled.append(arc)
             return got
 
-        monkeypatch.setattr(FlowGraph, "keep", kept)
+        monkeypatch.setattr(FlowGraph, "_keep", kept)
         monkeypatch.setattr(_Baselines, "mu", evaluated)
         for t in networks:
             pack_spanning_trees(*remainder(t, None))
@@ -635,24 +644,25 @@ class TestTheArcAlone:
         bound is met at equality, and mu is exactly mu0."""
         lt = compute_only({"ab": 2, "ac": 4, "ba": 2, "ca": 2, "cb": 2})
         keeps, asked = [], []
-        keep, mu = FlowGraph.keep, _Baselines.mu
+        keep, mu = FlowGraph._keep, _Baselines.mu
 
         def kept(g, state, supplies, sink, carried=None):
-            keeps.append(sink)
+            keeps.append(g._names[sink])
             return keep(g, state, supplies, sink, carried)
 
-        def evaluated(self, arc, mu0):
-            g, before = self.graph, len(keeps)
-            got = mu(self, arc, mu0)
+        def evaluated(self, rank, mu0):
+            g, before, arc = self.graph, len(keeps), self.arcs[rank]
+            sigma = g._names[self.sigma]
+            got = mu(self, rank, mu0)
             asked.append((self.growing.root, arc, mu0, g.capacity(*arc), self.value, keeps[before:], got))
             if asked[-1][:2] == ("a", ("a", "c")):
                 # the least slack of a cut holding a but not c, and that cut
-                value, flow = g.run_keep([self.sigma], ["c"], self.value)
+                value, flow = g.run_keep([sigma], ["c"], self.value)
                 assert value == self.value
-                asked.append((g.resume(flow, ["a"], "c", 10), g.reach(flow, ["a"], 1) - {self.sigma}))
+                asked.append((g.resume(flow, ["a"], "c", 10), g.reach(flow, ["a"], 1) - {sigma}))
             return got
 
-        monkeypatch.setattr(FlowGraph, "keep", kept)
+        monkeypatch.setattr(FlowGraph, "_keep", kept)
         monkeypatch.setattr(_Baselines, "mu", evaluated)
         pack_spanning_trees(lt, 2)
         assert asked[:3] == [
