@@ -26,7 +26,9 @@ arc's new capacity, which leaves d units of imbalance at the tail and -d
 at the head of an arc that dropped d (a raised arc drops nothing), and
 routes that imbalance and the change of supplies in one push; what it
 leaves unrouted is a cut question's answer, and the state owes it to the
-next `keep`.  Every other call on a state refuses one that is behind the
+next `keep`.  A state records the supplies and the sink of its last `keep`,
+so the next routes the change from that flow, into the same sink or
+another.  Every other call on a state refuses one that is behind the
 log, and a later state starts from the edited network.
 
 A flow runs between terminal sets: `run(sources, sinks)` is the max flow
@@ -265,11 +267,15 @@ class FlowGraph:
 
     def state(self) -> list:
         """A residual state that carries no flow: every arc at its
-        capacity.  A state is [caps, pinned, seen, owed], pinned being the
-        terminals later resumes on it must keep as sources, seen the
-        length of the edit log it has been brought to and owed the
-        imbalance, by vertex index, that its last `keep` left unrouted."""
-        return [self._cap0.copy(), set(), len(self._log), {}]
+        capacity.  A state is [caps, pinned, seen, owed, kept], pinned
+        being the terminals later resumes on it must keep as sources, seen
+        the length of the edit log it has been brought to, owed the
+        imbalance, by vertex index, that its last `keep` left unrouted, and
+        kept the flow that `keep` asked for: each supply's units and the
+        sink at minus their sum, by vertex index, empty until the first
+        `keep`.  `push` and `resume` leave kept as it is, so a state they
+        add flow to carries more than it records."""
+        return [self._cap0.copy(), set(), len(self._log), {}, {}]
 
     def lower(self, src, dst, amount: int) -> None:
         """Lower the capacity of the arc from `src` to `dst` in the graph by
@@ -321,34 +327,32 @@ class FlowGraph:
             caps[e] = cap - flow
         return {v: d for v, d in need.items() if d}
 
-    def keep(self, state: list, supplies: dict, sink, carried: dict | None = None) -> int:
-        """Bring `state`, which carries a flow of the supplies `carried`
-        into `sink` (nothing if None), to a flow of `supplies` into `sink`
-        on the graph as it stands, in place, by catching it up and one
-        push.  Supplies map vertex names to units, each a non-negative int,
-        and the sink takes their sum.  Returns the units the push left
-        unrouted, which the state owes: 0 when it carries the flow asked
-        for, else the most by which `supplies` inside a vertex set without
-        the sink exceed the set's capacity.  Arguments refused with
-        CollschedError leave `state` as it was."""
-        if type(supplies) is not dict or type(carried) not in (dict, type(None)):
-            raise CollschedError("supplies must be dicts from vertex name to units")
-        new = self._rooms(supplies, "supplies", 0)
-        old = self._rooms(carried, "carried supplies", 0) if carried else None
-        return self._keep(state, new, self._vertex(sink), old)
+    def keep(self, state: list, supplies: dict, sink) -> int:
+        """Bring `state` from the flow its last `keep` asked for (none on a
+        fresh state) to a flow of `supplies` into `sink` on the graph as it
+        stands, in place, by catching it up and one push, and record the
+        new flow in the state.  Supplies map vertex names to units, each a
+        non-negative int, and the sink takes their sum.  Returns the units
+        the push left unrouted, which the state owes: 0 when it carries the
+        flow asked for, else the most by which `supplies` inside a vertex
+        set without the sink exceed the set's capacity.  Arguments refused
+        with CollschedError leave `state` as it was."""
+        if type(supplies) is not dict:
+            raise CollschedError("supplies must be a dict from vertex name to units")
+        return self._keep(state, self._rooms(supplies, "supplies", 0), self._vertex(sink))
 
-    def _keep(self, state: list, supplies: dict, t: int, carried: dict | None = None) -> int:
+    def _keep(self, state: list, supplies: dict, t: int) -> int:
         """`keep` by vertex index; a sink among the supplies is refused
         before the state is touched."""
-        old = carried or {}
-        if t in supplies or t in old:
+        if t in supplies:
             raise CollschedError(f"sink {self._names[t]!r} is among the supplies")
         need = self._catch_up(state)
         for v, units in supplies.items():
             need[v] = need.get(v, 0) + units
-        for v, units in old.items():
+        for v, units in state[4].items():
             need[v] = need.get(v, 0) - units
-        need[t] = need.get(t, 0) + sum(old.values()) - sum(supplies.values())
+        need[t] = need.get(t, 0) - sum(supplies.values())
+        state[4] = {**supplies, t: -sum(supplies.values())}
         excess = {v: d for v, d in need.items() if d > 0}
         deficit = {v: -d for v, d in need.items() if d < 0}
         want = sum(excess.values())

@@ -33,13 +33,15 @@ at mu lowers that arc by mu; a batch that starts growing lowers its
 gadget's arcs to zero and V by its m; a split copy of m' trees grows a
 hub of its own and raises V by m'.  For each compute sink y it keeps a
 flow into y on that graph, made when y is first read, of V units from
-sigma and maybe some from one other vertex.
+sigma and maybe some from one other vertex.  A sink maps to the flow's
+state alone, which records what its last push asked for.
 
 One push per read.  A question the arc alone leaves open (below) is one
 `FlowGraph.keep` push of y's kept flow to V units from sigma and mu0
-from x: it routes the imbalance the edits since y's last read left, the
-change of V, the undo of the previous question's units at its tail and
-mu0 new units at x, together.  It leaves unrouted the most by which the
+from x, given only those supplies and y.  From the state's record it
+routes the imbalance the edits since y's last read left, the change of
+V, the undo of the previous question's units at its tail and mu0 new
+units at x, together.  It leaves unrouted the most by which the
 supplies inside a set X without y exceed X's capacity (max-flow min-cut).
 When a flow sigma -> y of value V exists, a set holding sigma but not x
 has capacity V or more, one holding x but not sigma at least its slack,
@@ -145,7 +147,7 @@ class _Baselines:
         self.out: list[list[int]] = [[] for _ in range(size)]  # v -> ranks of its arcs out
         for r, x in enumerate(self.tails):
             self.out[x].append(r)
-        self.flows: dict[int, tuple] = {}  # sink -> (kept flow, supplies it carries)
+        self.flows: dict[int, list] = {}  # sink -> its kept flow
         self.held = [k] * size  # v -> m_j summed over batches in sigma holding v
         self.gadgets = {id(b): self.index[b.root] for b in forest.batches}  # batch in sigma -> head
         self.hubs = 0
@@ -181,14 +183,12 @@ class _Baselines:
         g, value = self.graph, self.value
         if g._capacity(self.entries[arc]) - value + self.held[y] >= mu0:
             return mu0
-        flow, carried = self.flows.get(y) or (g.state(), None)
-        asked = {self.sigma: value, x: mu0}
-        short = g._keep(flow, asked, y, carried)
-        if short:
-            carried, asked = asked, {self.sigma: value}
-            if g._keep(flow, asked, y, carried):
-                raise self.stuck()
-        self.flows[y] = flow, asked
+        flow = self.flows.get(y)
+        if flow is None:
+            flow = self.flows[y] = g.state()
+        short = g._keep(flow, {self.sigma: value, x: mu0}, y)
+        if short and g._keep(flow, {self.sigma: value}, y):
+            raise self.stuck()
         return mu0 - short
 
     def choose(self, m: int) -> tuple[int, int]:

@@ -94,10 +94,8 @@ class _GammaOracle:
       same holds with in(w).  Both are L, as in(w) = out(w), which
       `remove_switches` checks up front and every split keeps.
     So every such cut is at least N*k + L and takes the whole min.
-    `_margin` reads in(w) off the graph when `gamma` first meets w, and
-    `split` lowers it by each split at w.  It is read afresh for each
-    switch, never carried across: a loop pairing (u == t) at one switch
-    lowers the in-capacity of u, which may be a switch removed later.
+    `_margin` reads in(w) off the graph, its one record, on each call, so
+    it is right also after loop pairings at other switches lowered it.
     The invariant is checked once, when `gamma` first meets a positive
     pairing, before any split (`invariant_holds`); if it fails, every γ
     comes from the flows.
@@ -135,8 +133,6 @@ class _GammaOracle:
         known = S and S <= net.node_by_id.keys()
         tight = known and inside < net.num_compute and exits == k * inside
         self.tight = S | {self.source} if tight else None
-        self.at: str | None = None  # the switch whose in-capacity is `inflow`
-        self.inflow = 0
 
     @cached_property
     def invariant_holds(self) -> bool:
@@ -150,12 +146,10 @@ class _GammaOracle:
         c(u,w) + c(w,u) - in(w) when u == t: the least amount by which a
         cut the pairing lowers exceeds N*k (see the class docstring)."""
         g = self.graph
-        if self.at != w:
-            self.at = w
-            self.inflow = sum(c for _, c in g.arcs_at(w)[1])
+        inflow = sum(c for _, c in g.arcs_at(w)[1])
         cap, arc, index = g._capacity, g._arc, self.index
         u, w, t = index[u], index[w], index[t]
-        margin = cap(arc(u, w)) + cap(arc(w, u)) - self.inflow
+        margin = cap(arc(u, w)) + cap(arc(w, u)) - inflow
         if u != t:
             margin += cap(arc(t, w)) + cap(arc(w, t))
         return margin
@@ -260,13 +254,11 @@ class _GammaOracle:
         the graph, recording in `emap` that they route through w; a pairing
         with u == t would form a self-loop and adds nothing.  The graph
         lowers (u, w) and (w, t) in place and grows (u, t), which merges
-        into an earlier (u, t), and the tracked in(w) drops by `amount`."""
+        into an earlier (u, t)."""
         g, index = self.graph, self.index
         iu, iw, it = index[u], index[w], index[t]
         g._lower(g._arc(iu, iw), amount)
         g._lower(g._arc(iw, it), amount)
-        if self.at == w:
-            self.inflow -= amount
         if u != t:
             g._raise([(iu, it, amount)])
             emap.add(u, t, w, amount)

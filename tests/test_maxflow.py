@@ -766,36 +766,38 @@ class TestCatchUp:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_keep_is_that_repair(self, seed):
-        """`keep` on a stale state carrying the supplies `carried` is the
-        repair above with the change of supplies added: `catch_up` and one
-        push of the imbalance plus each supply vertex's change, the sink
+        """`keep` on a stale state is the repair above with the change of
+        supplies added: `catch_up` and one push of the imbalance plus each
+        supply vertex's change from the flow the state records, the sink
         taking the change of their sum, on a twin, routed in the same order
         to the same residual state.  It returns what that push leaves
-        unrouted, 0 for a flow the edited graph carries, and the state owes
-        the rest.  On a fresh state it is that push from nothing."""
+        unrouted, 0 for a flow the edited graph carries, the state owes the
+        rest and records what was asked.  On a fresh state it is that push
+        from nothing."""
         vertices, arcs = random_instance(seed)
         s, x, t = vertices[0], vertices[1], vertices[-1]
         g = FlowGraph(vertices, arcs)
         rng = random.Random(seed)
-        carried = {s: g.run([s], [t])}
+        first = {s: g.run([s], [t])}
         state = g.state()
-        assert g.keep(state, carried, t) == 0
+        assert g.keep(state, first, t) == 0
         assert state[0] == g.run_keep([s], [t])[1][0]
+        assert state[4] == {g._vertex(s): first[s], g._vertex(t): -first[s]}
         for _ in range(rng.randint(1, 6)):
             a, b, cap = rng.choice(arcs)
             g.lower(a, b, rng.randint(0, g.capacity(a, b)))
         new = g.run([s], [t])
         shorts = []
         for asked in ({s: new}, {s: new + 1}, {s: rng.randint(0, new), x: rng.randint(0, 9)}):
-            kept = [list(state[0]), set(state[1]), state[2], dict(state[3])]
-            twin = [list(state[0]), set(state[1]), state[2], dict(state[3])]
-            short = g.keep(kept, asked, t, carried)
+            kept = copy.deepcopy(state)
+            twin = copy.deepcopy(state)
+            short = g.keep(kept, asked, t)
             moves = catch_up(g, twin)
             for v, units in asked.items():
                 moves[v] = moves.get(v, 0) + units
-            for v, units in carried.items():
+            for v, units in first.items():
                 moves[v] = moves.get(v, 0) - units
-            moves[t] = moves.get(t, 0) + sum(carried.values()) - sum(asked.values())
+            moves[t] = moves.get(t, 0) + sum(first.values()) - sum(asked.values())
             excess = {v: d for v, d in moves.items() if d > 0}
             deficit = {v: -d for v, d in moves.items() if d < 0}
             want = sum(excess.values())
@@ -804,8 +806,56 @@ class TestCatchUp:
             assert kept[:3] == twin[:3], (seed, asked)
             owed = {g._names[v]: d for v, d in kept[3].items()}
             assert sum(d for d in owed.values() if d > 0) == short, (seed, asked)
+            record = {g._names[v]: d for v, d in kept[4].items()}
+            assert record == {**asked, t: -sum(asked.values())}, (seed, asked)
             shorts.append(short)
         assert shorts[:2] == [0, 1], seed
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_a_second_keep_of_the_same_supplies_moves_nothing(self, seed):
+        """With no edit between them, a second `keep` of the supplies the
+        first one asked for pushes no unit: it returns 0 after a full
+        first `keep`, and after a short one the same debt, which no push
+        can route, and it leaves the state as it was."""
+        vertices, arcs = random_instance(seed)
+        s, x, t = vertices[0], vertices[1], vertices[-1]
+        g = FlowGraph(vertices, arcs)
+        rng = random.Random(seed)
+        asked = {s: rng.randint(0, g.run([s], [t]) + 2), x: rng.randint(0, 3)}
+        state = g.state()
+        short = g.keep(state, asked, t)
+        before = copy.deepcopy(state)
+        assert g.keep(state, dict(asked), t) == short, seed
+        assert state == before, seed
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_a_state_aimed_at_another_sink_answers_as_a_fresh_one(self, seed):
+        """A state kept into t, through random edits, and then asked for a
+        flow into another sink r falls short by what a fresh state does,
+        and its net flow is then exactly the new supplies, r taking their
+        sum, plus the imbalance it owes."""
+        vertices, arcs = random_instance(seed)
+        s, x, r, t = vertices[0], vertices[1], vertices[-2], vertices[-1]
+        g = FlowGraph(vertices, arcs)
+        rng = random.Random(seed)
+        state = g.state()
+        g.keep(state, {s: g.run([s], [t]), x: rng.randint(0, 3)}, t)
+        for _ in range(rng.randint(0, 4)):
+            a, b, cap = rng.choice(arcs)
+            g.lower(a, b, rng.randint(0, g.capacity(a, b)))
+        asked = {s: rng.randint(0, g.run([s], [r]) + 2)}
+        if x != r:
+            asked[x] = rng.randint(0, 3)
+        short = g.keep(state, asked, r)
+        assert short == g.keep(g.state(), asked, r), seed
+        owed = {g._names[v]: d for v, d in state[3].items()}
+        assert sum(d for d in owed.values() if d > 0) == short, seed
+        lowered = [(a, b, g.capacity(a, b)) for a, b, _ in arcs]
+        sent = net_sent(lowered, [e for *_, c in lowered for e in (c, 0)], state[0])
+        want = {**asked, r: -sum(asked.values())}
+        for v, d in owed.items():
+            want[v] = want.get(v, 0) - d
+        assert {v: d for v, d in sent.items() if d} == {v: d for v, d in want.items() if d}, seed
 
     @staticmethod
     def shortfall_questions(seed):
@@ -824,25 +874,24 @@ class TestCatchUp:
         s, t = vertices[0], vertices[-1]
         g = FlowGraph(vertices, arcs)
         rng = random.Random(seed)
-        state, carried = g.state(), None
+        state = g.state()
         for _ in range(4):
             a, b, cap = rng.choice(arcs)
             g.lower(a, b, rng.randint(0, g.capacity(a, b)))
             value = rng.randint(0, g.run([s], [t]))
             x, mu0 = rng.choice(vertices[1:-1]), rng.randint(0, 9)
             asked = {s: value, x: mu0}
-            short = g.keep(state, asked, t, carried)
+            short = g.keep(state, asked, t)
             got, fresh = g.run_keep([s], [t], value)
             assert got == value, seed
             assert short == mu0 - g.resume(fresh, [x], t, mu0), (seed, x, mu0)
             pushes[bool(short)] += 1
             if short:
-                carried, asked = asked, {s: value}
-                assert g.keep(state, asked, t, carried) == 0, seed
-            carried = asked
+                asked = {s: value}
+                assert g.keep(state, asked, t) == 0, seed
             lowered = [(a, b, g.capacity(a, b)) for a, b, _ in arcs]
             sent = net_sent(lowered, [e for *_, c in lowered for e in (c, 0)], state[0])
-            want = {**carried, t: -sum(carried.values())}
+            want = {**asked, t: -sum(asked.values())}
             assert {v: d for v, d in sent.items() if d} == {
                 v: d for v, d in want.items() if d
             }, seed
@@ -873,13 +922,16 @@ class TestCatchUp:
         state = g.state()
         assert g.keep(state, {"s": 3}, "t") == 0
         assert flows(state) == [3, 3, 0, 0]
+        # the state records its 3 units, so asking them again moves none
+        assert g.keep(state, {"s": 3}, "t") == 0
+        assert flows(state) == [3, 3, 0, 0]
         g.lower("a", "t", 2)
-        assert g.keep(state, {"s": 3}, "t", {"s": 3}) == 1
+        assert g.keep(state, {"s": 3}, "t") == 1
         assert state[2] == len(g._log) == 1
         # (a, t) clamped to its 1 unit, then 1 of the 2 units routed round
         assert flows(state) == [3, 1, 1, 1]
         assert {g._names[v]: d for v, d in state[3].items()} == {"a": 1, "t": -1}
-        assert g.keep(state, {"s": 2}, "t", {"s": 3}) == 0
+        assert g.keep(state, {"s": 2}, "t") == 0
         assert flows(state) == [2, 1, 1, 1] and state[3] == {}
 
 
@@ -1131,7 +1183,7 @@ class TestSinkLabelledPhases:
 
 # Per call, each bad input the engine refuses, as (sources, sinks, limit) for
 # `push` and `run_keep`, (sources, sink, limit) for `resume`, (starts,
-# threshold) for `reach` and (supplies, sink, carried) for `keep`.  The
+# threshold) for `reach` and (supplies, sink) for `keep`.  The
 # state has pinned {s, a} by a resume.
 REFUSED_CALLS = {
     "push": {
@@ -1172,19 +1224,15 @@ REFUSED_CALLS = {
         "negative-amount": ({"s": -1}, 1),
     },
     "keep": {
-        "unknown-vertex": ({"s": 4}, "nope", {"s": 3}),
-        "unknown-source": ({"nope": 4}, "t", {"s": 3}),
-        "unhashable-name": ({"s": 4}, ["t"], {"s": 3}),
-        "same-terminals": ({"t": 4}, "t", {"s": 3}),
-        "sink-carried": ({"s": 4}, "t", {"t": 3}),
-        "negative-value": ({"s": -1}, "t", {"s": 3}),
-        "float-value": ({"s": 2.5}, "t", {"s": 3}),
-        "bool-value": ({"s": True}, "t", {"s": 3}),
-        "negative-was": ({"s": 4}, "t", {"s": -3}),
-        "unknown-carried": ({"s": 4}, "t", {"nope": 3}),
-        "not-a-dict": (["s"], "t", {"s": 3}),
-        "carried-not-a-dict": ({"s": 4}, "t", 3),
-        "empty-supplies": ({}, "t", {"s": 3}),
+        "unknown-vertex": ({"s": 4}, "nope"),
+        "unknown-source": ({"nope": 4}, "t"),
+        "unhashable-name": ({"s": 4}, ["t"]),
+        "same-terminals": ({"t": 4}, "t"),
+        "negative-value": ({"s": -1}, "t"),
+        "float-value": ({"s": 2.5}, "t"),
+        "bool-value": ({"s": True}, "t"),
+        "not-a-dict": (["s"], "t"),
+        "empty-supplies": ({}, "t"),
     },
 }
 
@@ -1204,8 +1252,9 @@ class TestRefusedCalls:
     @staticmethod
     def seen(g, state):
         """Everything a flow call could change: the state's caps, pinned set,
-        log position and owed imbalance, and the graph's arcs and log."""
-        return list(state[0]), set(state[1]), state[2], dict(state[3]), g.arcs(), len(g._log)
+        log position, owed imbalance and kept flow, and the graph's arcs and
+        log."""
+        return copy.deepcopy(state), g.arcs(), len(g._log)
 
     @pytest.mark.parametrize(
         "method, args",
@@ -1250,7 +1299,7 @@ class TestRefusedCalls:
         with pytest.raises(CollschedError):
             g.keep(state, *args)
         assert self.seen(g, state) == before
-        assert g.keep(state, {"s": 2}, "t", {"s": 3}) == 0
+        assert g.keep(state, {"s": 2}, "t") == 0
         assert state[2] == len(g._log)
         assert g.push(state, ["s"], ["t"], 5) == 0
 
@@ -1287,19 +1336,17 @@ class TestTheIndexBoundary:
         for lt, k, named, indexed, source, demand in self.sigma_graphs(random_suite):
             i = indexed._vertex
             sinks = list(lt.compute_ids)
-            kept = {y: (named.state(), indexed.state(), None) for y in sinks}
+            kept = {y: (named.state(), indexed.state()) for y in sinks}
             for _ in range(60):
                 op = rng.choice(("keep", "lower", "raise") if named.arcs() else ("keep", "raise"))
                 if op == "keep":
                     y = rng.choice(sinks)
                     x = rng.choice([v for v in sinks if v != y])
-                    a, b, carried = kept[y]
+                    a, b = kept[y]
                     supplies = {source: rng.randint(0, demand), x: rng.randint(0, k)}
-                    short = named.keep(a, supplies, y, carried)
-                    by_index = [d and {i(v): u for v, u in d.items()} for d in (supplies, carried)]
-                    assert indexed._keep(b, by_index[0], i(y), by_index[1]) == short
+                    short = named.keep(a, supplies, y)
+                    assert indexed._keep(b, {i(v): u for v, u in supplies.items()}, i(y)) == short
                     assert a == b
-                    kept[y] = a, b, supplies
                     ops["short keep" if short else "keep"] += 1
                 elif op == "lower":
                     src, dst, cap = rng.choice(named.arcs())
@@ -1332,9 +1379,8 @@ class TestTheIndexBoundary:
         for amount in (-1, cap + 1, 1.5, True, None):
             with pytest.raises(CollschedError):
                 g._lower(e, amount)
-        for supplies, carried in (({i(y): 1}, None), ({i(source): 1}, {i(y): 1})):
-            with pytest.raises(CollschedError, match="among the supplies"):
-                g._keep(state, supplies, i(y), carried)
+        with pytest.raises(CollschedError, match="among the supplies"):
+            g._keep(state, {i(y): 1}, i(y))
         assert (engine(g), state) == before
 
 

@@ -1,6 +1,7 @@
 """Tree packing: growth amounts, forest invariants, counters, which arc a
 batch takes, and the packer against the gadget-graph oracle it replaced."""
 
+import copy
 from collections import Counter
 
 import pytest
@@ -201,10 +202,10 @@ def probed_pack(lt: Topology, k: int, monkeypatch) -> tuple[Forest, list]:
     return pack_spanning_trees(lt, k), probes
 
 
-def named(g: FlowGraph, supplies: dict | None) -> dict | None:
+def named(g: FlowGraph, supplies: dict) -> dict:
     """Supplies by vertex index, as the packer passes them to
-    `FlowGraph._keep`, by vertex name instead."""
-    return None if supplies is None else {g._names[v]: units for v, units in supplies.items()}
+    `FlowGraph._keep` and a state records them, by vertex name instead."""
+    return {g._names[v]: units for v, units in supplies.items()}
 
 
 def arc_usage(forest: Forest) -> dict[tuple[str, str], int]:
@@ -397,11 +398,11 @@ class TestPackSpanningTrees:
         keeps = []
         keep = FlowGraph._keep
 
-        def recorded(g, state, supplies, sink, carried=None):
+        def recorded(g, state, supplies, sink):
             # a copy as the push finds it, maybe behind the graph's edits
-            before = [list(state[0]), set(state[1]), state[2], dict(state[3])]
-            short = keep(g, state, supplies, sink, carried)
-            keeps.append((g, before, state, named(g, supplies), g._names[sink], named(g, carried), short))
+            before = copy.deepcopy(state)
+            short = keep(g, state, supplies, sink)
+            keeps.append((g, before, state, named(g, supplies), g._names[sink], named(g, before[4]), short))
             return short
 
         monkeypatch.setattr(FlowGraph, "_keep", recorded)
@@ -409,9 +410,10 @@ class TestPackSpanningTrees:
             pack_spanning_trees(lt, 2)
         assert exc.value.root == "b"
         # the read of (c, d) at 1 falls short, and so does the repair after it
-        (g, before, state, asked, sink, carried, short), repair = keeps[-2:]
+        (g, before, state, asked, sink, _, short), repair = keeps[-2:]
         (sigma,) = set(asked) - {"c"}
-        assert (sink, asked["c"], repair[4], repair[5]) == ("d", 1, "d", asked)
+        read = {**asked, "d": -sum(asked.values())}  # the record the repair starts from
+        assert (sink, asked["c"], repair[4], repair[5]) == ("d", 1, "d", read)
         assert repair[3] == {sigma: asked[sigma]} and repair[2] is state
         assert short > 0 and repair[-1] > 0
         # one unit to route from a to d, and the state still owes it at a
@@ -432,9 +434,10 @@ class TestPackSpanningTrees:
         keep, mu = FlowGraph._keep, _Baselines.mu
         others = {name: getattr(FlowGraph, name) for name in ("run", "run_keep", "resume", "push", "keep")}
 
-        def kept(g, state, supplies, sink, carried=None):
-            short = keep(g, state, supplies, sink, carried)
-            calls.append((supplies, sink, carried, short))
+        def kept(g, state, supplies, sink):
+            record = dict(state[4])
+            short = keep(g, state, supplies, sink)
+            calls.append((supplies, sink, record, short))
             return short
 
         def other(name):
@@ -450,11 +453,12 @@ class TestPackSpanningTrees:
             got = mu(self, arc, mu0)
             asked = calls[before:]
             read = {self.sigma: value, x: mu0}
+            back = ({self.sigma: value}, y, {**read, y: -value - mu0})  # from the read's record
             if alone:
                 kinds.append("alone" if (asked, got) == ([], mu0) else None)
             elif [call[:2] for call in asked] == [(read, y)] and asked[0][3] == 0 and got == mu0:
                 kinds.append("full")
-            elif [call[:3] for call in asked] == [asked[0][:3], ({self.sigma: value}, y, read)]:
+            elif [call[:3] for call in asked] == [asked[0][:3], back]:
                 full = asked[0][:2] == (read, y) and asked[1][3] == 0
                 kinds.append("short" if full and got == mu0 - asked[0][3] > -1 else None)
             else:
@@ -480,15 +484,18 @@ class TestPackSpanningTrees:
         """Edits only reach the graph; a kept flow is pushed when a mu
         evaluation reads its head.  So an evaluation the arc alone settles
         pushes nothing, and every other pushes the one state kept for its
-        head: a fresh one carrying nothing at the head's first read, later
-        the state the head's last push left, carrying what that push asked
-        for.  A flow whose sink is never read again is never pushed."""
+        head: a fresh one recording no flow at the head's first read, later
+        the state the head's last push left, recording what that push asked
+        for, each supply and the head at minus their sum.  A flow whose
+        sink is never read again is never pushed."""
         events = []
         keep, mu = FlowGraph._keep, _Baselines.mu
 
-        def kept(g, state, supplies, sink, carried=None):
-            events.append(("keep", id(state[0]), g._names[sink], named(g, supplies), named(g, carried)))
-            return keep(g, state, supplies, sink, carried)
+        def kept(g, state, supplies, sink):
+            before = named(g, state[4])
+            short = keep(g, state, supplies, sink)
+            events.append(("keep", id(state[0]), g._names[sink], named(g, supplies), before, named(g, state[4])))
+            return short
 
         def evaluated(self, arc, mu0):
             events.append(("mu", self.arcs[arc], arc_alone(self, self.arcs[arc], mu0)))
@@ -512,11 +519,12 @@ class TestPackSpanningTrees:
                     settled += 1
                     continue
                 assert 1 <= len(pushes) <= 2, t
-                for _, state, sink, supplies, carried in pushes:
+                for _, state, sink, supplies, before, after in pushes:
                     assert sink == y and state_of.setdefault(y, state) == state, t
-                    assert carried == asked_of.get(y), t
-                    later += carried is not None
-                    asked_of[y] = supplies
+                    assert before == asked_of.get(y, {}), t
+                    assert after == {**supplies, y: -sum(supplies.values())}, t
+                    later += bool(before)
+                    asked_of[y] = after
         assert later > 0 and settled > 0
 
     def test_every_repair_is_catch_up_and_one_push(self, random_suite, monkeypatch):
@@ -527,16 +535,16 @@ class TestPackSpanningTrees:
         keep = FlowGraph._keep
         repairs = []
 
-        def compared(g, state, supplies, sink, carried=None):
-            twin = [list(state[0]), set(state[1]), state[2], dict(state[3])]
-            short = keep(g, state, supplies, sink, carried)
-            supplies, sink, carried = named(g, supplies), g._names[sink], named(g, carried)
+        def compared(g, state, supplies, sink):
+            twin = copy.deepcopy(state)
+            short = keep(g, state, supplies, sink)
+            supplies, sink, record = named(g, supplies), g._names[sink], named(g, twin[4])
             need = catch_up(g, twin)
             for v, units in supplies.items():
                 need[v] = need.get(v, 0) + units
-            for v, units in (carried or {}).items():
+            for v, units in record.items():
                 need[v] = need.get(v, 0) - units
-            need[sink] = need.get(sink, 0) + sum((carried or {}).values()) - sum(supplies.values())
+            need[sink] = need.get(sink, 0) - sum(supplies.values())
             excess = {v: d for v, d in need.items() if d > 0}
             deficit = {v: -d for v, d in need.items() if d < 0}
             want = sum(excess.values())
@@ -605,9 +613,9 @@ class TestTheArcAlone:
         keeps, settled = [], []
         keep, mu = FlowGraph._keep, _Baselines.mu
 
-        def kept(g, state, supplies, sink, carried=None):
+        def kept(g, state, supplies, sink):
             keeps.append(g._names[sink])
-            return keep(g, state, supplies, sink, carried)
+            return keep(g, state, supplies, sink)
 
         def evaluated(self, rank, mu0):
             (x, y), g, before = self.arcs[rank], self.graph, len(keeps)
@@ -646,9 +654,9 @@ class TestTheArcAlone:
         keeps, asked = [], []
         keep, mu = FlowGraph._keep, _Baselines.mu
 
-        def kept(g, state, supplies, sink, carried=None):
+        def kept(g, state, supplies, sink):
             keeps.append(g._names[sink])
-            return keep(g, state, supplies, sink, carried)
+            return keep(g, state, supplies, sink)
 
         def evaluated(self, rank, mu0):
             g, before, arc = self.graph, len(keeps), self.arcs[rank]
