@@ -5,31 +5,32 @@ entries.  A graph is built in one call, `FlowGraph(vertices, arcs)`.
 Every capacity is a non-negative int, checked against the 63-bit budget;
 any other capacity, a string given as the vertex list, an unhashable or
 unknown vertex, a malformed arc or a `limit` that is not a non-negative
-int raises CollschedError.  The public methods take vertex names, check
-their input where it enters and call an index-level twin: `_capacity`,
-`_lower`, `_keep`, and `_raise` for `grow`'s arcs (`_arc` finds a pair's
-entry).  The packer and the splitter resolve their vertices once and call
-the twins, which still refuse a cut that is not an int in [0, cap] and a
-sink among the supplies.
+int raises CollschedError.  Names enter through the constructor, `grow`
+and the cut questions below; `vertex` turns a name into its index, and
+`arc` a pair of indices into the pair's forward entry.  The reads and
+edits of one arc, `capacity` and `lower`, and the kept flow, `keep`, work
+by index and check their input as the named calls do, so the packer and
+the splitter resolve their vertices once and call them.
 
 The graph is the network as it stands, and every flow is a residual state
 on it.  Each vertex pair has at most one arc, and an arc is in the
-adjacency lists exactly while its capacity is positive; `capacity`, `arcs`
-and `arcs_at` read it.  `state()` carries no flow.  `grow` adds vertices
-and arcs, which every state gains carrying no flow, or raises the arc of a
-pair that has one.  `lower` cuts one arc's capacity.  Both edit the graph
-only, and an arc edited in place goes on the graph's edit log; a state
-remembers how far into the log it has been brought.  `keep` holds a flow
-into a sink through edits and changes of its supplies: it brings the state
-to the end of the log, clamping its flow on every arc edited since to the
-arc's new capacity, which leaves d units of imbalance at the tail and -d
-at the head of an arc that dropped d (a raised arc drops nothing), and
-routes that imbalance and the change of supplies in one push; what it
-leaves unrouted is a cut question's answer, and the state owes it to the
-next `keep`.  A state records the supplies and the sink of its last `keep`,
-so the next routes the change from that flow, into the same sink or
-another.  Every other call on a state refuses one that is behind the
-log, and a later state starts from the edited network.
+adjacency lists exactly while its capacity is positive; `capacity`,
+`inflow`, `arcs` and `arcs_at` read it.  `state()` carries no flow.
+`grow` adds vertices and arcs, which every state gains carrying no flow,
+or raises the arc of a pair that has one.  `lower` cuts one arc's
+capacity.  Both edit the graph only, and an arc edited in place goes on
+the graph's edit log; a state remembers how far into the log it has been
+brought.  `keep` holds a flow into a sink through edits and changes of its
+supplies: it brings the state to the end of the log, clamping its flow on
+every arc edited since to the arc's new capacity, which leaves d units of
+imbalance at the tail and -d at the head of an arc that dropped d (a
+raised arc drops nothing), and routes that imbalance and the change of
+supplies in one push; what it leaves unrouted is a cut question's answer,
+and the state owes it to the next `keep`.  A state records the supplies
+and the sink of its last `keep`, so the next routes the change from that
+flow, into the same sink or another.  Every other call on a state refuses
+one that is behind the log, and a later state starts from the edited
+network.
 
 A flow runs between terminal sets: `run(sources, sinks)` is the max flow
 from the vertices `sources` to the vertices `sinks`, that is the least
@@ -155,15 +156,9 @@ class FlowGraph:
         idx.update(new)
         self._names += new
         self._adj += ([] for _ in new)
-        self._raise(checked)
-
-    def _raise(self, arcs: list[tuple[int, int, int]]) -> None:
-        """`grow`'s arc step: raise u -> v by `amount` for each (u, v,
-        amount) by index.  The caller keeps the capacity sum within the
-        budget: `grow` checks it, and a split raises what it lowered."""
+        self._total = total
         to, cap0, adj, entry, log = self._to, self._cap0, self._adj, self._entry, self._log
-        total = self._total
-        for u, v, amount in arcs:
+        for u, v, amount in checked:
             e = entry.get((u, v))
             if e is None:
                 entry[u, v] = e = len(to)
@@ -175,8 +170,6 @@ class FlowGraph:
                 adj[u].append(e)
                 adj[v].append(e + 1)
             cap0[e] += amount
-            total += amount
-        self._total = total
 
     @classmethod
     def from_arcs(cls, vertices, arcs) -> "FlowGraph":
@@ -184,18 +177,26 @@ class FlowGraph:
         this name."""
         return cls(vertices, arcs)
 
-    def capacity(self, src, dst) -> int:
-        """Capacity of the arc from `src` to `dst` as it stands, 0 if there
-        is none."""
-        return self._capacity(self._arc(self._vertex(src), self._vertex(dst)))
+    def vertex(self, name) -> int:
+        """The index of the vertex `name`."""
+        try:
+            return self._idx[name]
+        except (KeyError, TypeError):
+            raise CollschedError(f"vertex {name!r} not in flow graph") from None
 
-    def _arc(self, u: int, v: int) -> int | None:
+    def arc(self, u: int, v: int) -> int | None:
         """The forward entry of the pair (u, v) by index, or None."""
         return self._entry.get((u, v))
 
-    def _capacity(self, e: int | None) -> int:
-        """Capacity of the arc of forward entry `e`, 0 for None."""
+    def capacity(self, e: int | None) -> int:
+        """Capacity of the arc of forward entry `e` as it stands, 0 for
+        None."""
         return 0 if e is None else self._cap0[e]
+
+    def inflow(self, v: int) -> int:
+        """The capacity into the vertex of index `v`."""
+        cap0 = self._cap0
+        return sum(cap0[e ^ 1] for e in self._adj[v] if e & 1)
 
     def arcs(self) -> list[tuple]:
         """The arcs of positive capacity as (src, dst, cap) triples, in the
@@ -209,7 +210,7 @@ class FlowGraph:
         arc into it."""
         names, to, cap0 = self._names, self._to, self._cap0
         out, into = [], []
-        for e in self._adj[self._vertex(v)]:
+        for e in self._adj[self.vertex(v)]:
             if e & 1:
                 into.append((names[to[e]], cap0[e ^ 1]))
             else:
@@ -217,12 +218,6 @@ class FlowGraph:
         return out, into
 
     # -- execution ----------------------------------------------------------
-    def _vertex(self, name) -> int:
-        try:
-            return self._idx[name]
-        except (KeyError, TypeError):
-            raise CollschedError(f"vertex {name!r} not in flow graph") from None
-
     def _rooms(self, names, what: str, room: int) -> dict[int, int]:
         """The vertices `names` by index, each with its room: its amount if
         `names` is a dict from vertex name to amount, else `room`.  `names`
@@ -267,29 +262,24 @@ class FlowGraph:
 
     def state(self) -> list:
         """A residual state that carries no flow: every arc at its
-        capacity.  A state is [caps, pinned, seen, owed, kept], pinned
-        being the terminals later resumes on it must keep as sources, seen
-        the length of the edit log it has been brought to, owed the
-        imbalance, by vertex index, that its last `keep` left unrouted, and
-        kept the flow that `keep` asked for: each supply's units and the
-        sink at minus their sum, by vertex index, empty until the first
-        `keep`.  `push` and `resume` leave kept as it is, so a state they
-        add flow to carries more than it records."""
+        capacity.  A state is [caps, pinned, seen, owed, kept], caps by
+        arc entry and the rest by vertex index: pinned the terminals later
+        resumes on it must keep as sources, seen the length of the edit
+        log it has been brought to, owed the imbalance that its last `keep`
+        left unrouted, and kept the flow that `keep` asked for, as it took
+        it: each supply's units and the sink at minus their sum, empty
+        until the first `keep`.  `push` and `resume` leave kept as it is,
+        so a state they add flow to carries more than it records."""
         return [self._cap0.copy(), set(), len(self._log), {}, {}]
 
-    def lower(self, src, dst, amount: int) -> None:
-        """Lower the capacity of the arc from `src` to `dst` in the graph by
-        `amount`, in place, and log the arc for `keep`; an arc lowered
-        to zero leaves the adjacency lists.  `amount` must be a
-        non-negative int no larger than the arc's capacity; otherwise
-        nothing changes."""
-        e = self._arc(self._vertex(src), self._vertex(dst))
-        if e is None:
-            raise CollschedError(f"no arc from {src!r} to {dst!r} in the flow graph")
-        self._lower(e, amount)
-
-    def _lower(self, e: int, amount: int) -> None:
-        """`lower` on the arc of forward entry `e`."""
+    def lower(self, e: int, amount: int) -> None:
+        """Lower the capacity of the arc of forward entry `e` in the graph
+        by `amount`, in place, and log the arc for `keep`; an arc lowered
+        to zero leaves the adjacency lists.  `e` must be a forward entry,
+        as `arc` gives it, and `amount` a non-negative int no larger than
+        the arc's capacity; otherwise nothing changes."""
+        if type(e) is not int or e & 1 or not 0 <= e < len(self._to):
+            raise CollschedError(f"{e!r} is not the forward entry of an arc")
         cap = self._cap0[e]
         if type(amount) is not int or not 0 <= amount <= cap:
             tail, head = self._names[self._to[e ^ 1]], self._names[self._to[e]]
@@ -327,25 +317,25 @@ class FlowGraph:
             caps[e] = cap - flow
         return {v: d for v, d in need.items() if d}
 
-    def keep(self, state: list, supplies: dict, sink) -> int:
+    def keep(self, state: list, supplies: dict, t: int) -> int:
         """Bring `state` from the flow its last `keep` asked for (none on a
-        fresh state) to a flow of `supplies` into `sink` on the graph as it
-        stands, in place, by catching it up and one push, and record the
-        new flow in the state.  Supplies map vertex names to units, each a
-        non-negative int, and the sink takes their sum.  Returns the units
+        fresh state) to a flow of `supplies` into the vertex `t` on the
+        graph as it stands, in place, by catching it up and one push, and
+        record the new flow in the state.  Supplies are a non-empty dict
+        from vertex index to units, each a non-negative int, and `t`, a
+        vertex index not among them, takes their sum.  Returns the units
         the push left unrouted, which the state owes: 0 when it carries the
         flow asked for, else the most by which `supplies` inside a vertex
         set without the sink exceed the set's capacity.  Arguments refused
         with CollschedError leave `state` as it was."""
-        if type(supplies) is not dict:
-            raise CollschedError("supplies must be a dict from vertex name to units")
-        return self._keep(state, self._rooms(supplies, "supplies", 0), self._vertex(sink))
-
-    def _keep(self, state: list, supplies: dict, t: int) -> int:
-        """`keep` by vertex index; a sink among the supplies is refused
-        before the state is touched."""
-        if t in supplies:
-            raise CollschedError(f"sink {self._names[t]!r} is among the supplies")
+        n = len(self._names)
+        if type(supplies) is not dict or not supplies:
+            raise CollschedError(f"supplies must be a non-empty dict, got {supplies!r}")
+        for v, units in supplies.items():
+            if type(v) is not int or not 0 <= v < n or type(units) is not int or units < 0:
+                raise CollschedError(f"supplies map vertex indices to non-negative ints, not {v!r}: {units!r}")
+        if type(t) is not int or not 0 <= t < n or t in supplies:
+            raise CollschedError(f"sink {t!r} is not a vertex index outside the supplies")
         need = self._catch_up(state)
         for v, units in supplies.items():
             need[v] = need.get(v, 0) + units
@@ -446,7 +436,7 @@ class FlowGraph:
         if type(sources) is dict:
             raise CollschedError("resume sources take no amounts")
         starts = self._rooms(sources, "resume sources", limit)
-        t = self._vertex(sink)
+        t = self.vertex(sink)
         if t in starts:
             raise CollschedError("sources and sinks must be disjoint")
         pinned = state[1]

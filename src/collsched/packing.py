@@ -136,13 +136,13 @@ class _Baselines:
         self.forest = forest
         self.lt = lt = forest.lt
         self.graph, self.source, self.value = source_network(lt, lt.capacity, k)  # V
-        vertex = self.graph._vertex
+        vertex = self.graph.vertex
         self.sigma = vertex(self.source)
         self.index = {v: vertex(v) for v in lt.compute_ids}
         self.arcs = sorted(lt.capacity)  # rank -> (tail, head) by name
         self.tails = [self.index[x] for x, _ in self.arcs]
         self.heads = [self.index[y] for _, y in self.arcs]
-        self.entries = [self.graph._arc(x, y) for x, y in zip(self.tails, self.heads)]
+        self.entries = [self.graph.arc(x, y) for x, y in zip(self.tails, self.heads)]
         size = 1 + max(self.index.values())
         self.out: list[list[int]] = [[] for _ in range(size)]  # v -> ranks of its arcs out
         for r, x in enumerate(self.tails):
@@ -159,7 +159,7 @@ class _Baselines:
     def _arcs_out(self) -> list[int]:
         """The arcs of positive capacity from the growing batch to the rest,
         sorted."""
-        cap, entries, heads, inside = self.graph._capacity, self.entries, self.heads, self.inside
+        cap, entries, heads, inside = self.graph.capacity, self.entries, self.heads, self.inside
         return sorted(
             r
             for v in map(self.index.__getitem__, self.growing.members)
@@ -175,19 +175,19 @@ class _Baselines:
 
     def mu(self, arc: int, mu0: int) -> int:
         """Largest multiplicity up to `mu0` at which the growing batch may
-        take `arc`: by the arc alone, else by one `_keep` push of its head's
+        take `arc`: by the arc alone, else by one `keep` push of its head's
         kept flow, and one that repairs it after a shortfall (see the
         module docstring).  `Forest.mu_evaluations` counts every one."""
         self.forest.mu_evaluations += 1
         x, y = self.tails[arc], self.heads[arc]
         g, value = self.graph, self.value
-        if g._capacity(self.entries[arc]) - value + self.held[y] >= mu0:
+        if g.capacity(self.entries[arc]) - value + self.held[y] >= mu0:
             return mu0
         flow = self.flows.get(y)
         if flow is None:
             flow = self.flows[y] = g.state()
-        short = g._keep(flow, {self.sigma: value, x: mu0}, y)
-        if short and g._keep(flow, {self.sigma: value}, y):
+        short = g.keep(flow, {self.sigma: value, x: mu0}, y)
+        if short and g.keep(flow, {self.sigma: value}, y):
             raise self.stuck()
         return mu0 - short
 
@@ -198,7 +198,7 @@ class _Baselines:
         arcs that can give m, and one found short joins `short`; the
         second probes the rest in order, up to the first at mu > 0.  An arc
         at mu = 0 leaves the frontier."""
-        cap, entries, short = self.graph._capacity, self.entries, self.short
+        cap, entries, short = self.graph.capacity, self.entries, self.short
         known = {}
         for arc in list(self.frontier):
             if arc in short or cap(entries[arc]) < m:
@@ -229,19 +229,19 @@ class _Baselines:
         for t in batch.members:
             self.held[index[t]] -= m
             inside[index[t]] = True
-        g._lower(g._arc(self.sigma, head), m)
+        g.lower(g.arc(self.sigma, head), m)
         if head != index[batch.root]:
             for t in sorted(batch.members):
-                g._lower(g._arc(head, index[t]), m)
+                g.lower(g.arc(head, index[t]), m)
         self.frontier = self._arcs_out()
         self.short.clear()
 
     def take(self, arc: int, mu: int) -> None:
         """The growing batch takes `arc` at `mu`; the frontier trades the
         arcs into its head for the head's arcs out."""
-        cap, entries, heads, inside = self.graph._capacity, self.entries, self.heads, self.inside
+        cap, entries, heads, inside = self.graph.capacity, self.entries, self.heads, self.inside
         y = heads[arc]
-        self.graph._lower(entries[arc], mu)
+        self.graph.lower(entries[arc], mu)
         inside[y] = True
         self.frontier = [a for a in self.frontier if heads[a] != y]
         for a in self.out[y]:
@@ -255,7 +255,7 @@ class _Baselines:
         m = batch.multiplicity
         arcs = [(self.source, hub, m)] + [(hub, t, m) for t in sorted(batch.members)]
         self.graph.grow([hub], arcs)
-        self.gadgets[id(batch)] = self.graph._vertex(hub)
+        self.gadgets[id(batch)] = self.graph.vertex(hub)
         self.value += m
         for t in batch.members:
             self.held[self.index[t]] += m

@@ -94,8 +94,9 @@ class _GammaOracle:
       same holds with in(w).  Both are L, as in(w) = out(w), which
       `remove_switches` checks up front and every split keeps.
     So every such cut is at least N*k + L and takes the whole min.
-    `_margin` reads in(w) off the graph, its one record, on each call, so
-    it is right also after loop pairings at other switches lowered it.
+    `_margin` reads in(w) off the graph, its one record, by index on each
+    call, so it is right also after loop pairings at other switches
+    lowered it.
     The invariant is checked once, when `gamma` first meets a positive
     pairing, before any split (`invariant_holds`); if it fails, every γ
     comes from the flows.
@@ -125,7 +126,7 @@ class _GammaOracle:
         self.net = net
         self.compute_ids = net.compute_ids
         self.graph, self.source, self.target = source_network(net, net.capacity, k)
-        self.index = {n.id: self.graph._vertex(n.id) for n in net.nodes}  # read and split by index
+        self.index = {n.id: self.graph.vertex(n.id) for n in net.nodes}  # read and split by index
         # The witness is kept if it is tight (see the class docstring).
         S = frozenset(witness)
         inside = sum(1 for c in self.compute_ids if c in S)
@@ -145,11 +146,10 @@ class _GammaOracle:
         """L = c(u,w) + c(t,w) + c(w,u) + c(w,t) - in(w), or
         c(u,w) + c(w,u) - in(w) when u == t: the least amount by which a
         cut the pairing lowers exceeds N*k (see the class docstring)."""
-        g = self.graph
-        inflow = sum(c for _, c in g.arcs_at(w)[1])
-        cap, arc, index = g._capacity, g._arc, self.index
+        g, index = self.graph, self.index
+        cap, arc = g.capacity, g.arc
         u, w, t = index[u], index[w], index[t]
-        margin = cap(arc(u, w)) + cap(arc(w, u)) - inflow
+        margin = cap(arc(u, w)) + cap(arc(w, u)) - g.inflow(w)
         if u != t:
             margin += cap(arc(t, w)) + cap(arc(w, t))
         return margin
@@ -157,7 +157,7 @@ class _GammaOracle:
     def cap(self, u: str, w: str, t: str) -> int:
         """min(c(u,w), c(w,t)): the most any split of the pairing can take,
         with no flow (see the class docstring)."""
-        cap, arc, index = self.graph._capacity, self.graph._arc, self.index
+        cap, arc, index = self.graph.capacity, self.graph.arc, self.index
         w = index[w]
         return min(cap(arc(index[u], w)), cap(arc(w, index[t])))
 
@@ -256,11 +256,11 @@ class _GammaOracle:
         lowers (u, w) and (w, t) in place and grows (u, t), which merges
         into an earlier (u, t)."""
         g, index = self.graph, self.index
-        iu, iw, it = index[u], index[w], index[t]
-        g._lower(g._arc(iu, iw), amount)
-        g._lower(g._arc(iw, it), amount)
+        iw = index[w]
+        g.lower(g.arc(index[u], iw), amount)
+        g.lower(g.arc(iw, index[t]), amount)
         if u != t:
-            g._raise([(iu, it, amount)])
+            g.grow([], [(u, t, amount)])
             emap.add(u, t, w, amount)
 
     def _min_slack(self, sources, sinks, boosts, best: int) -> int:

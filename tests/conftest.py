@@ -116,6 +116,17 @@ def catch_up(g, state: list) -> dict:
     return {g._names[v]: d for v, d in g._catch_up(state).items()}
 
 
+def entry(g, src, dst):
+    """The forward entry of the arc from `src` to `dst` of the flow graph
+    `g`, by vertex name, or None if there is none."""
+    return g.arc(g.vertex(src), g.vertex(dst))
+
+
+def keep(g, state: list, supplies: dict, sink) -> int:
+    """`g.keep` with the supplies and the sink given by vertex name."""
+    return g.keep(state, {g.vertex(v): units for v, units in supplies.items()}, g.vertex(sink))
+
+
 def flag_free(t: Topology) -> Topology:
     """t with every multicast and aggregation flag cleared: the network on
     which `generate` returns its schedules unpruned."""

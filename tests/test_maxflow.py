@@ -1,16 +1,21 @@
 """Flow engine: exact values, terminal sets, cut witnesses, early stops,
 resume, residual reach, pushes with per-vertex amounts, one arc per vertex
-pair, states that are grown, caught up to edited arcs and pushed on, and
-Dinic phases that find the forward-level Dinic's paths."""
+pair, states that are grown, caught up to edited arcs and pushed on,
+Dinic phases that find the forward-level Dinic's paths, calls refused
+where they enter, and a library that reads the engine through its public
+methods alone."""
 
+import ast
 import copy
 import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import collsched
 from collsched import (
     COMPUTE,
     SWITCH,
@@ -18,15 +23,12 @@ from collsched import (
     Link,
     Node,
     Topology,
-    bottleneck_search,
-    remove_switches,
-    scale_capacities,
 )
 from collsched.errors import CollschedError, Overflow
 from collsched.maxflow import fresh_name, source_network
 from collsched.topology import CAPACITY_BUDGET
 
-from conftest import catch_up
+from conftest import catch_up, entry, keep
 
 
 def brute_min_cut(vertices, arcs, sources, sinks):
@@ -411,7 +413,7 @@ class TestStates:
             i = rng.randrange(len(arcs))
             a, b, cap = arcs[i]
             amount = rng.randint(0, cap)
-            g.lower(a, b, amount)
+            g.lower(entry(g, a, b), amount)
             need = catch_up(g, state)
             drop = need.get(a, 0)
             assert need == ({a: drop, b: -drop} if drop else {}), (seed, a, b, amount)
@@ -435,13 +437,13 @@ class TestStates:
         # the flow fills (a, t): lowering it by 3 drops 3 of its 4 units in
         # the flow, which catching up reports, and nothing in the state
         # carrying no flow
-        g.lower("a", "t", 3)
+        g.lower(entry(g, "a", "t"), 3)
         assert catch_up(g, state) == {"a": 3, "t": -3}
         assert catch_up(g, base) == {}
         assert state[0][2:] == [0, 1] and base[0][2:] == [1, 0]
         # a caught-up state has nothing left to report
         assert catch_up(g, state) == {}
-        g.lower("s", "a", 0)
+        g.lower(entry(g, "s", "a"), 0)
         assert catch_up(g, state) == {}
         # the graph carries the lowered capacity
         assert g.run(["s"], ["t"]) == 1
@@ -476,7 +478,7 @@ class TestStates:
         _, state = g.run_keep(["s"], ["t"])
         before = list(state[0])
         with pytest.raises(CollschedError):
-            g.lower(src, dst, amount)
+            g.lower(entry(g, src, dst), amount)
         # a refused cut logs nothing: the state has nothing to catch up
         assert catch_up(g, state) == {}
         assert state[0] == before
@@ -485,7 +487,7 @@ class TestStates:
     def test_a_state_behind_the_edits_is_refused_until_caught_up(self):
         g = FlowGraph([*"sat"], [("s", "a", 4), ("a", "t", 4)])
         _, state = g.run_keep(["s"], ["t"])
-        g.lower("a", "t", 1)
+        g.lower(entry(g, "a", "t"), 1)
         for call in (
             lambda: g.push(state, ["a"], ["t"], 1),
             lambda: g.resume(state, ["s"], "t", 1),
@@ -570,7 +572,7 @@ class TestOneArcPerPair:
     def test_repeated_pairs_merge_into_one_arc(self):
         g = FlowGraph([*"sat"], [("s", "a", 2), ("a", "t", 4), ("s", "a", 3)])
         assert g.arcs() == [("s", "a", 5), ("a", "t", 4)]
-        assert (g.capacity("s", "a"), g.capacity("t", "a")) == (5, 0)
+        assert (g.capacity(entry(g, "s", "a")), g.capacity(entry(g, "t", "a"))) == (5, 0)
         g.grow(["b"], [("s", "a", 1), ("a", "b", 2), ("a", "b", 1), ("b", "t", 3)])
         assert g.arcs() == [("s", "a", 6), ("a", "t", 4), ("a", "b", 3), ("b", "t", 3)]
         # a state holds two entries per arc, one pair per vertex pair
@@ -579,15 +581,15 @@ class TestOneArcPerPair:
         # a grow refused late merges nothing
         with pytest.raises(CollschedError):
             g.grow([], [("s", "a", 1), ("s", "nope", 1)])
-        assert g.capacity("s", "a") == 6
+        assert g.capacity(entry(g, "s", "a")) == 6
         # the merged arc lowers as one
-        g.lower("s", "a", 6)
+        g.lower(entry(g, "s", "a"), 6)
         assert g.run(["s"], ["t"]) == 0
 
     def test_an_arc_at_zero_leaves_the_adjacency_lists_until_raised(self):
         g = FlowGraph([*"sat"], [("s", "a", 3), ("a", "t", 3), ("s", "t", 1)])
         value, state = g.run_keep(["s"], ["t"])
-        g.lower("a", "t", 3)
+        g.lower(entry(g, "a", "t"), 3)
         assert listed(g) == {("s", "a"), ("s", "t")}
         assert g.arcs() == [("s", "a", 3), ("s", "t", 1)]
         assert g.run(["s"], ["t"]) == 1
@@ -622,7 +624,7 @@ class TestOneArcPerPair:
         g.grow(["b"], [("a", "b", 0), ("b", "t", 0), ("s", "a", 0)])
         assert listed(g) == {("s", "a")}
         assert g.arcs() == [("s", "a", 4)]
-        assert g.capacity("a", "t") == 0 == g.run(["s"], ["t"])
+        assert g.capacity(entry(g, "a", "t")) == 0 == g.run(["s"], ["t"])
         # a raise from zero lists the arc
         g.grow([], [("a", "t", 1)])
         assert listed(g) == {("s", "a"), ("a", "t")}
@@ -743,7 +745,7 @@ class TestCatchUp:
             i = rng.randrange(len(arcs))
             a, b, cap = arcs[i]
             amount = rng.choice([rng.randint(0, cap), cap])
-            g.lower(a, b, amount)
+            g.lower(entry(g, a, b), amount)
             arcs = arcs[:i] + [(a, b, cap - amount)] + arcs[i + 1:]
         new = g.run([s], [t])
         assert new == FlowGraph(vertices, arcs).run([s], [t])
@@ -780,18 +782,18 @@ class TestCatchUp:
         rng = random.Random(seed)
         first = {s: g.run([s], [t])}
         state = g.state()
-        assert g.keep(state, first, t) == 0
+        assert keep(g, state, first, t) == 0
         assert state[0] == g.run_keep([s], [t])[1][0]
-        assert state[4] == {g._vertex(s): first[s], g._vertex(t): -first[s]}
+        assert state[4] == {g.vertex(s): first[s], g.vertex(t): -first[s]}
         for _ in range(rng.randint(1, 6)):
             a, b, cap = rng.choice(arcs)
-            g.lower(a, b, rng.randint(0, g.capacity(a, b)))
+            g.lower(entry(g, a, b), rng.randint(0, g.capacity(entry(g, a, b))))
         new = g.run([s], [t])
         shorts = []
         for asked in ({s: new}, {s: new + 1}, {s: rng.randint(0, new), x: rng.randint(0, 9)}):
             kept = copy.deepcopy(state)
             twin = copy.deepcopy(state)
-            short = g.keep(kept, asked, t)
+            short = keep(g, kept, asked, t)
             moves = catch_up(g, twin)
             for v, units in asked.items():
                 moves[v] = moves.get(v, 0) + units
@@ -823,9 +825,9 @@ class TestCatchUp:
         rng = random.Random(seed)
         asked = {s: rng.randint(0, g.run([s], [t]) + 2), x: rng.randint(0, 3)}
         state = g.state()
-        short = g.keep(state, asked, t)
+        short = keep(g, state, asked, t)
         before = copy.deepcopy(state)
-        assert g.keep(state, dict(asked), t) == short, seed
+        assert keep(g, state, dict(asked), t) == short, seed
         assert state == before, seed
 
     @pytest.mark.parametrize("seed", range(60))
@@ -839,18 +841,18 @@ class TestCatchUp:
         g = FlowGraph(vertices, arcs)
         rng = random.Random(seed)
         state = g.state()
-        g.keep(state, {s: g.run([s], [t]), x: rng.randint(0, 3)}, t)
+        keep(g, state, {s: g.run([s], [t]), x: rng.randint(0, 3)}, t)
         for _ in range(rng.randint(0, 4)):
             a, b, cap = rng.choice(arcs)
-            g.lower(a, b, rng.randint(0, g.capacity(a, b)))
+            g.lower(entry(g, a, b), rng.randint(0, g.capacity(entry(g, a, b))))
         asked = {s: rng.randint(0, g.run([s], [r]) + 2)}
         if x != r:
             asked[x] = rng.randint(0, 3)
-        short = g.keep(state, asked, r)
-        assert short == g.keep(g.state(), asked, r), seed
+        short = keep(g, state, asked, r)
+        assert short == keep(g, g.state(), asked, r), seed
         owed = {g._names[v]: d for v, d in state[3].items()}
         assert sum(d for d in owed.values() if d > 0) == short, seed
-        lowered = [(a, b, g.capacity(a, b)) for a, b, _ in arcs]
+        lowered = [(a, b, g.capacity(entry(g, a, b))) for a, b, _ in arcs]
         sent = net_sent(lowered, [e for *_, c in lowered for e in (c, 0)], state[0])
         want = {**asked, r: -sum(asked.values())}
         for v, d in owed.items():
@@ -877,19 +879,19 @@ class TestCatchUp:
         state = g.state()
         for _ in range(4):
             a, b, cap = rng.choice(arcs)
-            g.lower(a, b, rng.randint(0, g.capacity(a, b)))
+            g.lower(entry(g, a, b), rng.randint(0, g.capacity(entry(g, a, b))))
             value = rng.randint(0, g.run([s], [t]))
             x, mu0 = rng.choice(vertices[1:-1]), rng.randint(0, 9)
             asked = {s: value, x: mu0}
-            short = g.keep(state, asked, t)
+            short = keep(g, state, asked, t)
             got, fresh = g.run_keep([s], [t], value)
             assert got == value, seed
             assert short == mu0 - g.resume(fresh, [x], t, mu0), (seed, x, mu0)
             pushes[bool(short)] += 1
             if short:
                 asked = {s: value}
-                assert g.keep(state, asked, t) == 0, seed
-            lowered = [(a, b, g.capacity(a, b)) for a, b, _ in arcs]
+                assert keep(g, state, asked, t) == 0, seed
+            lowered = [(a, b, g.capacity(entry(g, a, b))) for a, b, _ in arcs]
             sent = net_sent(lowered, [e for *_, c in lowered for e in (c, 0)], state[0])
             want = {**asked, t: -sum(asked.values())}
             assert {v: d for v, d in sent.items() if d} == {
@@ -917,21 +919,21 @@ class TestCatchUp:
         g = FlowGraph([*"sabt"], arcs)
 
         def flows(state):
-            return [g.capacity(a, b) - state[0][2 * i] for i, (a, b, _) in enumerate(arcs)]
+            return [g.capacity(entry(g, a, b)) - state[0][2 * i] for i, (a, b, _) in enumerate(arcs)]
 
         state = g.state()
-        assert g.keep(state, {"s": 3}, "t") == 0
+        assert keep(g, state, {"s": 3}, "t") == 0
         assert flows(state) == [3, 3, 0, 0]
         # the state records its 3 units, so asking them again moves none
-        assert g.keep(state, {"s": 3}, "t") == 0
+        assert keep(g, state, {"s": 3}, "t") == 0
         assert flows(state) == [3, 3, 0, 0]
-        g.lower("a", "t", 2)
-        assert g.keep(state, {"s": 3}, "t") == 1
+        g.lower(entry(g, "a", "t"), 2)
+        assert keep(g, state, {"s": 3}, "t") == 1
         assert state[2] == len(g._log) == 1
         # (a, t) clamped to its 1 unit, then 1 of the 2 units routed round
         assert flows(state) == [3, 1, 1, 1]
         assert {g._names[v]: d for v, d in state[3].items()} == {"a": 1, "t": -1}
-        assert g.keep(state, {"s": 2}, "t") == 0
+        assert keep(g, state, {"s": 2}, "t") == 0
         assert flows(state) == [2, 1, 1, 1] and state[3] == {}
 
 
@@ -1144,7 +1146,7 @@ class TestSinkLabelledPhases:
         value, state = g.run_keep([s], [t])
         assert (value, state[0]) == want, seed
         for a, b, cap in rng.sample(arcs, min(len(arcs), 4)):
-            g.lower(a, b, rng.randint(0, cap))
+            g.lower(entry(g, a, b), rng.randint(0, cap))
         need = catch_up(g, state)
         excess = {v: d for v, d in need.items() if d > 0}
         deficit = {v: -d for v, d in need.items() if d < 0}
@@ -1183,8 +1185,10 @@ class TestSinkLabelledPhases:
 
 # Per call, each bad input the engine refuses, as (sources, sinks, limit) for
 # `push` and `run_keep`, (sources, sink, limit) for `resume`, (starts,
-# threshold) for `reach` and (supplies, sink) for `keep`.  The
-# state has pinned {s, a} by a resume.
+# threshold) for `reach`, (supplies, sink) for `keep` and (entry, amount) for
+# `lower`.  `keep` and `lower` take vertex indices and arc entries: s, a, b
+# and t are 0 to 3, and entry 0 is the forward entry of s -> a, of capacity
+# 4.  The state has pinned {s, a} by a resume.
 REFUSED_CALLS = {
     "push": {
         "string-set": ("s", ["t"], 1),
@@ -1224,15 +1228,30 @@ REFUSED_CALLS = {
         "negative-amount": ({"s": -1}, 1),
     },
     "keep": {
-        "unknown-vertex": ({"s": 4}, "nope"),
-        "unknown-source": ({"nope": 4}, "t"),
-        "unhashable-name": ({"s": 4}, ["t"]),
-        "same-terminals": ({"t": 4}, "t"),
-        "negative-value": ({"s": -1}, "t"),
-        "float-value": ({"s": 2.5}, "t"),
-        "bool-value": ({"s": True}, "t"),
-        "not-a-dict": (["s"], "t"),
-        "empty-supplies": ({}, "t"),
+        "unknown-vertex": ({0: 4}, 4),
+        "negative-sink": ({0: 4}, -1),
+        "named-sink": ({0: 4}, "t"),
+        "unknown-source": ({9: 4}, 3),
+        "named-source": ({"s": 4}, 3),
+        "bool-source": ({True: 4}, 3),
+        "unhashable-name": ({0: 4}, [3]),
+        "same-terminals": ({3: 4}, 3),
+        "negative-value": ({0: -1}, 3),
+        "float-value": ({0: 2.5}, 3),
+        "bool-value": ({0: True}, 3),
+        "not-a-dict": ([0], 3),
+        "empty-supplies": ({}, 3),
+    },
+    "lower": {
+        "no-arc": (None, 1),
+        "backward-entry": (1, 1),
+        "unknown-entry": (8, 1),
+        "negative-entry": (-2, 1),
+        "named-entry": ("s", 1),
+        "negative-amount": (0, -1),
+        "above-capacity": (0, 5),
+        "float-amount": (0, 1.5),
+        "bool-amount": (0, True),
     },
 }
 
@@ -1244,17 +1263,20 @@ class TestRefusedCalls:
         carries a flow and has pinned {s, a}."""
         g = FlowGraph([*"sabt"], [("s", "a", 4), ("a", "b", 4), ("s", "b", 1), ("b", "t", 3)])
         _, state = g.run_keep(["s"], ["t"])
-        g.lower("b", "t", 1)
+        g.lower(entry(g, "b", "t"), 1)
         catch_up(g, state)
         assert g.resume(state, ["s"], "a", 2) == 2
         return g, state
 
     @staticmethod
     def seen(g, state):
-        """Everything a flow call could change: the state's caps, pinned set,
-        log position, owed imbalance and kept flow, and the graph's arcs and
-        log."""
-        return copy.deepcopy(state), g.arcs(), len(g._log)
+        """Everything a flow call or an edit could change: the state's caps,
+        pinned set, log position, owed imbalance and kept flow, and the
+        graph's vertices, arc entries and their capacities, adjacency lists,
+        edit log and capacity sum."""
+        adjacency = [list(a) for a in g._adj]
+        graph = list(g._names), list(g._to), list(g._cap0), dict(g._entry), adjacency, list(g._log)
+        return copy.deepcopy(state), graph, g._total
 
     @pytest.mark.parametrize(
         "method, args",
@@ -1266,7 +1288,7 @@ class TestRefusedCalls:
         before = self.seen(g, state)
         call = getattr(g, method)
         with pytest.raises(CollschedError):
-            call(*args) if method == "run_keep" else call(state, *args)
+            call(*args) if method in ("run_keep", "lower") else call(state, *args)
         assert self.seen(g, state) == before
         # the state still answers as an untouched one does
         g0, state0 = self.setup()
@@ -1275,7 +1297,7 @@ class TestRefusedCalls:
     @pytest.mark.parametrize("method", ["push", "resume", "reach"])
     def test_a_stale_state_is_refused_and_left_as_it_was(self, method):
         g, state = self.setup()
-        g.lower("s", "b", 1)
+        g.lower(entry(g, "s", "b"), 1)
         before = self.seen(g, state)
         args = {
             "push": (["s"], ["t"], 1),
@@ -1293,95 +1315,38 @@ class TestRefusedCalls:
         lowered graph carries."""
         g = FlowGraph([*"sabt"], [("s", "a", 4), ("a", "b", 4), ("s", "b", 1), ("b", "t", 3)])
         state = g.state()
-        assert g.keep(state, {"s": 3}, "t") == 0
-        g.lower("b", "t", 1)
+        assert keep(g, state, {"s": 3}, "t") == 0
+        g.lower(entry(g, "b", "t"), 1)
         before = self.seen(g, state)
         with pytest.raises(CollschedError):
             g.keep(state, *args)
         assert self.seen(g, state) == before
-        assert g.keep(state, {"s": 2}, "t") == 0
+        assert keep(g, state, {"s": 2}, "t") == 0
         assert state[2] == len(g._log)
         assert g.push(state, ["s"], ["t"], 5) == 0
 
 
-def engine(g: FlowGraph):
-    """Everything an edit could change in `g`: its vertices, arc entries
-    and their capacities, adjacency lists, edit log and capacity sum."""
-    adjacency = [list(a) for a in g._adj]
-    return list(g._names), list(g._to), list(g._cap0), dict(g._entry), adjacency, list(g._log), g._total
-
-
-class TestTheIndexBoundary:
-    """The packer and the splitter read and edit their graphs through the
-    index-level twins of `capacity`, `lower`, `keep` and `grow`'s arc
-    step.  Driven through the same random reads, edits and kept flows on
-    the random suite's sigma-graphs, the named methods and the twins leave
-    the same graph and states and return the same values; and a twin
-    refuses, changing nothing, a cut that is not an int in [0, cap] and a
-    sink among the supplies."""
-
-    @staticmethod
-    def sigma_graphs(random_suite):
-        """Two sigma-graphs of each of the first 40 remainders, as the
-        packer builds them, with the source and the demand."""
-        for t in random_suite[:40]:
-            res = bottleneck_search(t)
-            lt, _ = remove_switches(scale_capacities(t, res.U), res.k, res.witness)
-            named, source, demand = source_network(lt, lt.capacity, res.k)
-            yield lt, res.k, named, source_network(lt, lt.capacity, res.k)[0], source, demand
-
-    def test_names_and_twins_agree(self, random_suite):
-        rng = random.Random(37)
-        ops = Counter()
-        for lt, k, named, indexed, source, demand in self.sigma_graphs(random_suite):
-            i = indexed._vertex
-            sinks = list(lt.compute_ids)
-            kept = {y: (named.state(), indexed.state()) for y in sinks}
-            for _ in range(60):
-                op = rng.choice(("keep", "lower", "raise") if named.arcs() else ("keep", "raise"))
-                if op == "keep":
-                    y = rng.choice(sinks)
-                    x = rng.choice([v for v in sinks if v != y])
-                    a, b = kept[y]
-                    supplies = {source: rng.randint(0, demand), x: rng.randint(0, k)}
-                    short = named.keep(a, supplies, y)
-                    assert indexed._keep(b, {i(v): u for v, u in supplies.items()}, i(y)) == short
-                    assert a == b
-                    ops["short keep" if short else "keep"] += 1
-                elif op == "lower":
-                    src, dst, cap = rng.choice(named.arcs())
-                    amount = rng.randint(0, cap)
-                    named.lower(src, dst, amount)
-                    indexed._lower(indexed._arc(i(src), i(dst)), amount)
-                    ops["lower to 0" if amount == cap else "lower"] += 1
-                else:
-                    src, dst = rng.sample(sinks + [source], 2)
-                    new = indexed._arc(i(src), i(dst)) is None
-                    amount = rng.randint(0, k)
-                    named.grow([], [(src, dst, amount)])
-                    indexed._raise([(i(src), i(dst), amount)])
-                    ops["new arc" if new else "raise"] += 1
-                assert engine(named) == engine(indexed), op
-            for src, dst in itertools.permutations(sinks + [source], 2):
-                assert named.capacity(src, dst) == indexed._capacity(indexed._arc(i(src), i(dst)))
-        assert min(ops.values()) > 0 and len(ops) == 6, ops
-
-    def test_a_twin_refuses_what_would_break_the_state(self, random_suite):
-        lt, k, g, _, source, demand = next(self.sigma_graphs(random_suite))
-        i = g._vertex
-        y, x = lt.compute_ids[:2]
-        state = g.state()
-        assert g._keep(state, {i(source): demand}, i(y)) == 0
-        g.lower(source, x, 1)
-        src, dst, cap = g.arcs()[0]
-        e = g._arc(i(src), i(dst))
-        before = engine(g), copy.deepcopy(state)
-        for amount in (-1, cap + 1, 1.5, True, None):
-            with pytest.raises(CollschedError):
-                g._lower(e, amount)
-        with pytest.raises(CollschedError, match="among the supplies"):
-            g._keep(state, {i(y): 1}, i(y))
-        assert (engine(g), state) == before
+class TestTheEngineBoundary:
+    def test_only_the_engine_reads_its_private_attributes(self):
+        """Every other module of the library calls FlowGraph's public
+        methods alone: none reads an attribute that FlowGraph or its
+        instances name with a leading underscore (dunders aside)."""
+        private = {
+            name
+            for name in [*vars(FlowGraph), *vars(FlowGraph([], []))]
+            if name.startswith("_") and not name.endswith("__")
+        }
+        reads = {}
+        for path in sorted(Path(collsched.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            reads[path.name] = [
+                (path.name, node.lineno, node.attr)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in private
+            ]
+        # the scan sees the engine's own reads, so it reads the right files
+        assert reads.pop("maxflow.py") and "packing.py" in reads and "splitting.py" in reads
+        assert [read for found in reads.values() for read in found] == []
 
 
 class TestHelpers:
@@ -1400,4 +1365,4 @@ class TestHelpers:
         g, source, demand = source_network(t, {("s", "w"): 5, ("a", "s"): 1}, 3)
         assert (source, demand) == ("_s", 6)
         assert g.arcs() == [("s", "w", 5), ("a", "s", 1), ("_s", "a", 3), ("_s", "s", 3)]
-        assert g.capacity("w", "a") == 0
+        assert g.capacity(entry(g, "w", "a")) == 0

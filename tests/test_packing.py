@@ -29,7 +29,7 @@ from collsched.maxflow import fresh_name
 from collsched.packing import _Baselines
 from collsched.pipeline import COLLECTIVES
 
-from conftest import catch_up
+from conftest import catch_up, entry
 
 
 def compute_mu(
@@ -204,7 +204,7 @@ def probed_pack(lt: Topology, k: int, monkeypatch) -> tuple[Forest, list]:
 
 def named(g: FlowGraph, supplies: dict) -> dict:
     """Supplies by vertex index, as the packer passes them to
-    `FlowGraph._keep` and a state records them, by vertex name instead."""
+    `FlowGraph.keep` and a state records them, by vertex name instead."""
     return {g._names[v]: units for v, units in supplies.items()}
 
 
@@ -396,7 +396,7 @@ class TestPackSpanningTrees:
 
         monkeypatch.setattr(_Baselines, "take", take_then_read)
         keeps = []
-        keep = FlowGraph._keep
+        keep = FlowGraph.keep
 
         def recorded(g, state, supplies, sink):
             # a copy as the push finds it, maybe behind the graph's edits
@@ -405,7 +405,7 @@ class TestPackSpanningTrees:
             keeps.append((g, before, state, named(g, supplies), g._names[sink], named(g, before[4]), short))
             return short
 
-        monkeypatch.setattr(FlowGraph, "_keep", recorded)
+        monkeypatch.setattr(FlowGraph, "keep", recorded)
         with pytest.raises(NoAddableEdge) as exc:
             pack_spanning_trees(lt, 2)
         assert exc.value.root == "b"
@@ -424,15 +424,15 @@ class TestPackSpanningTrees:
         assert sigma in side and "d" not in side
 
     def test_its_flow_calls_are_its_cut_questions(self, random_suite, monkeypatch):
-        """A pack asks its cut questions through `FlowGraph._keep` alone.  Each mu
+        """A pack asks its cut questions through `FlowGraph.keep` alone.  Each mu
         evaluation is exactly one of three kinds: the arc alone settles it
         at mu0 and it asks nothing; one push of its head's kept flow, to V
         units from sigma and mu0 from the arc's tail, comes up full and
         certifies mu0; or that push falls short by mu0 - mu and one more,
         back to V from sigma, comes up full.  No other flow call is made."""
         calls, kinds = [], []
-        keep, mu = FlowGraph._keep, _Baselines.mu
-        others = {name: getattr(FlowGraph, name) for name in ("run", "run_keep", "resume", "push", "keep")}
+        keep, mu = FlowGraph.keep, _Baselines.mu
+        others = {name: getattr(FlowGraph, name) for name in ("run", "run_keep", "resume", "push")}
 
         def kept(g, state, supplies, sink):
             record = dict(state[4])
@@ -467,7 +467,7 @@ class TestPackSpanningTrees:
 
         for name in others:
             monkeypatch.setattr(FlowGraph, name, other(name))
-        monkeypatch.setattr(FlowGraph, "_keep", kept)
+        monkeypatch.setattr(FlowGraph, "keep", kept)
         monkeypatch.setattr(_Baselines, "mu", evaluated)
         total = Counter()
         for t in random_suite:
@@ -489,7 +489,7 @@ class TestPackSpanningTrees:
         for, each supply and the head at minus their sum.  A flow whose
         sink is never read again is never pushed."""
         events = []
-        keep, mu = FlowGraph._keep, _Baselines.mu
+        keep, mu = FlowGraph.keep, _Baselines.mu
 
         def kept(g, state, supplies, sink):
             before = named(g, state[4])
@@ -501,7 +501,7 @@ class TestPackSpanningTrees:
             events.append(("mu", self.arcs[arc], arc_alone(self, self.arcs[arc], mu0)))
             return mu(self, arc, mu0)
 
-        monkeypatch.setattr(FlowGraph, "_keep", kept)
+        monkeypatch.setattr(FlowGraph, "keep", kept)
         monkeypatch.setattr(_Baselines, "mu", evaluated)
         later = settled = 0
         for t in random_suite:
@@ -532,7 +532,7 @@ class TestPackSpanningTrees:
         push of the imbalance, with the change of each supply at its vertex
         and of their sum at the sink, leave on a copy: the same units routed
         in the same order.  It returns what that push leaves unrouted."""
-        keep = FlowGraph._keep
+        keep = FlowGraph.keep
         repairs = []
 
         def compared(g, state, supplies, sink):
@@ -553,7 +553,7 @@ class TestPackSpanningTrees:
             repairs.append(len(excess))
             return short
 
-        monkeypatch.setattr(FlowGraph, "_keep", compared)
+        monkeypatch.setattr(FlowGraph, "keep", compared)
         for t in random_suite:
             lt, k = remainder(t, None)
             pack_spanning_trees(lt, k)
@@ -611,7 +611,7 @@ class TestTheArcAlone:
         graph as it stands; every other evaluation pushes its head's kept
         flow.  Returns how many evaluations the arc alone settled."""
         keeps, settled = [], []
-        keep, mu = FlowGraph._keep, _Baselines.mu
+        keep, mu = FlowGraph.keep, _Baselines.mu
 
         def kept(g, state, supplies, sink):
             keeps.append(g._names[sink])
@@ -629,7 +629,7 @@ class TestTheArcAlone:
                 settled.append(arc)
             return got
 
-        monkeypatch.setattr(FlowGraph, "_keep", kept)
+        monkeypatch.setattr(FlowGraph, "keep", kept)
         monkeypatch.setattr(_Baselines, "mu", evaluated)
         for t in networks:
             pack_spanning_trees(*remainder(t, None))
@@ -652,7 +652,7 @@ class TestTheArcAlone:
         bound is met at equality, and mu is exactly mu0."""
         lt = compute_only({"ab": 2, "ac": 4, "ba": 2, "ca": 2, "cb": 2})
         keeps, asked = [], []
-        keep, mu = FlowGraph._keep, _Baselines.mu
+        keep, mu = FlowGraph.keep, _Baselines.mu
 
         def kept(g, state, supplies, sink):
             keeps.append(g._names[sink])
@@ -662,7 +662,7 @@ class TestTheArcAlone:
             g, before, arc = self.graph, len(keeps), self.arcs[rank]
             sigma = g._names[self.sigma]
             got = mu(self, rank, mu0)
-            asked.append((self.growing.root, arc, mu0, g.capacity(*arc), self.value, keeps[before:], got))
+            asked.append((self.growing.root, arc, mu0, g.capacity(entry(g, *arc)), self.value, keeps[before:], got))
             if asked[-1][:2] == ("a", ("a", "c")):
                 # the least slack of a cut holding a but not c, and that cut
                 value, flow = g.run_keep([sigma], ["c"], self.value)
@@ -670,7 +670,7 @@ class TestTheArcAlone:
                 asked.append((g.resume(flow, ["a"], "c", 10), g.reach(flow, ["a"], 1) - {sigma}))
             return got
 
-        monkeypatch.setattr(FlowGraph, "_keep", kept)
+        monkeypatch.setattr(FlowGraph, "keep", kept)
         monkeypatch.setattr(_Baselines, "mu", evaluated)
         pack_spanning_trees(lt, 2)
         assert asked[:3] == [

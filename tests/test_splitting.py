@@ -24,7 +24,7 @@ from collsched import (
 from collsched.errors import CapacityExhausted, CollschedError, NotEulerianAfterFloor, StuckSplit
 from collsched.maxflow import fresh_name
 from collsched.splitting import EMap, PathExpander, _GammaOracle
-from conftest import clustered_eulerian_topology
+from conftest import clustered_eulerian_topology, entry
 from reference_expander import ReferenceExpander
 
 
@@ -238,7 +238,7 @@ def margin(g, u, w, t) -> int:
     c(u,w) + c(w,u) - in(w) when u == t."""
     inflow = sum(c for _, b, c in g.arcs() if b == w)
     ends = [u] if u == t else [u, t]
-    return sum(g.capacity(v, w) + g.capacity(w, v) for v in ends) - inflow
+    return sum(g.capacity(entry(g, v, w)) + g.capacity(entry(g, w, v)) for v in ends) - inflow
 
 
 class TestTheBound:
@@ -280,7 +280,7 @@ class TestTheBound:
 
         def checked(oracle, u, w, t):
             g = oracle.graph
-            best = min(g.capacity(u, w), g.capacity(w, t))
+            best = min(g.capacity(entry(g, u, w)), g.capacity(entry(g, w, t)))
             bound = best > 0 and margin(g, u, w, t) >= best
             X = oracle.tight
             separated = X is not None and (u in X) == (t in X) != (w in X)
